@@ -58,10 +58,10 @@ from .model import (
 from .hashchain import chain_extend, chain_genesis, chain_verify_subsequence
 from .bloom import (
     bloom_contains,
-    bloom_index,
     bloom_insert,
     bloom_new,
     bloom_order_verify,
+    bloom_positions,
     bloom_subset,
     bloom_well_formed,
     sign_accumulator,

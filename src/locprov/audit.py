@@ -98,7 +98,6 @@ def audit(
     registry: Optional[EpochRegistry] = None,
     *,
     endorsement_window_ms: int = 60_000,
-    epoch_len_ms: int = 300_000,
 ) -> AuditReport:
     """Audit claims against a revealed subsequence.
 
@@ -124,7 +123,7 @@ def audit(
 
     verdicts = tuple(
         _audit_claim(profile, i, claim, revealed, pubkeys, registry,
-                     endorsement_window_ms, epoch_len_ms, tally)
+                     endorsement_window_ms, tally)
         for i, (claim, revealed) in enumerate(zip(claims, sub.entries))
     )
 
@@ -151,7 +150,6 @@ def _audit_claim(
     pubkeys: Mapping[str, bytes],
     registry: Optional[EpochRegistry],
     window_ms: int,
-    epoch_len_ms: int,
     tally: _Tally,
 ) -> ClaimVerdict:
     lp = revealed.entry.elp.proof

@@ -80,18 +80,13 @@ def bloom_well_formed(acc: BloomAccumulator) -> bool:
         return False
 
 
-def bloom_index(profile: CryptoProfile, item: Digest, i: int, m: int) -> int:
-    """Bit position of hash function ``i`` for ``item`` (see module doc)."""
+def bloom_positions(profile: CryptoProfile, item: Digest, m: int,
+                    k: int) -> list[int]:
+    """Bit positions of ``item`` in an m-bit filter with k hash functions
+    (see module doc)."""
     h1 = int.from_bytes(profile.digest(item.data + b"A").data[0:8], "big")
     h2 = int.from_bytes(profile.digest(item.data + b"B").data[8:16], "big")
-    return (h1 + i * h2) % m
-
-
-def _positions(profile: CryptoProfile, item: Digest, acc: BloomAccumulator) -> list[int]:
-    m = acc.bit_size
-    h1 = int.from_bytes(profile.digest(item.data + b"A").data[0:8], "big")
-    h2 = int.from_bytes(profile.digest(item.data + b"B").data[8:16], "big")
-    return [(h1 + i * h2) % m for i in range(acc.hash_count)]
+    return [(h1 + i * h2) % m for i in range(k)]
 
 
 def bloom_insert(profile: CryptoProfile, acc: BloomAccumulator,
@@ -103,7 +98,7 @@ def bloom_insert(profile: CryptoProfile, acc: BloomAccumulator,
     issuing authority signs the new image before release.
     """
     bits = bytearray(acc.bits)
-    for pos in _positions(profile, item, acc):
+    for pos in bloom_positions(profile, item, acc.bit_size, acc.hash_count):
         bits[pos // 8] |= 1 << (pos % 8)
     return replace(acc, bits=bytes(bits), inserted_count=acc.inserted_count + 1,
                    authority_sig=None)
@@ -115,8 +110,8 @@ def bloom_contains(profile: CryptoProfile, acc: BloomAccumulator,
     false negatives."""
     return all(
         acc.bits[pos // 8] & (1 << (pos % 8))
-        for pos in _positions(profile, item, acc)
-    )
+        for pos in bloom_positions(profile, item, acc.bit_size,
+                                   acc.hash_count))
 
 
 def bloom_subset(a: BloomAccumulator, b: BloomAccumulator) -> bool:

@@ -125,8 +125,7 @@ def cmd_audit(args) -> int:
         registry = None
         if args.registry:
             _, registry = load_registry_file(Path(args.registry).read_text())
-    except (OSError, json.JSONDecodeError, FormatError, KeyError,
-            ValueError) as exc:
+    except (OSError, UnicodeDecodeError, FormatError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

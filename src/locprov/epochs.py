@@ -14,7 +14,7 @@ report for (location, epoch) is published it cannot be replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from .bloom import (
@@ -24,31 +24,18 @@ from .bloom import (
     bloom_well_formed,
     sign_accumulator,
 )
-from .crypto import CryptoProfile, Digest, KeyPair, Signature
+from .crypto import CryptoProfile, Digest, KeyPair
 from .model import (
-    BloomAccumulator,
+    EpochReport,
     LocationProof,
     ValidationError,
-    bloom_signing_bytes,
     proof_digest,
+    report_signing_bytes,
 )
 
 
 class RegistryError(ValidationError):
     """Violation of registry append-only or report integrity rules."""
-
-
-TAG_EPOCH_REPORT = 0x1D
-
-
-@dataclass(frozen=True)
-class EpochReport:
-    location_id: str
-    epoch_id: int
-    start: int  # authority-local ms, inclusive
-    end: int    # exclusive
-    accumulator: BloomAccumulator
-    report_sig: Optional[Signature] = None
 
 
 def epoch_of(t: int, epoch_len_ms: int) -> int:
@@ -57,18 +44,6 @@ def epoch_of(t: int, epoch_len_ms: int) -> int:
 
 def epoch_bounds(epoch_id: int, epoch_len_ms: int) -> tuple[int, int]:
     return epoch_id * epoch_len_ms, (epoch_id + 1) * epoch_len_ms
-
-
-def report_signing_bytes(report: EpochReport) -> bytes:
-    loc = report.location_id.encode("utf-8")
-    return (
-        bytes([TAG_EPOCH_REPORT])
-        + len(loc).to_bytes(4, "big") + loc
-        + report.epoch_id.to_bytes(8, "big")
-        + report.start.to_bytes(8, "big")
-        + report.end.to_bytes(8, "big")
-        + bloom_signing_bytes(report.accumulator)
-    )
 
 
 def build_epoch_report(

@@ -13,17 +13,39 @@ The centerpiece types, from the inside out:
   with its chronological-ordering construct, and the ordered sequence of
   those entries held by the user.
 * ``RevealedSubsequence`` -- what a user hands to an auditor: a chosen
-  subset of entries with only the chosen granularity openings disclosed.
+  subset of entries (``RevealedEntry``) with only the chosen granularity
+  openings disclosed, plus per-position ``ChainSlot`` evidence under the
+  hash-chain scheme.
+* ``EpochReport`` -- an authority's signed accumulator of the proofs it
+  issued in one epoch (built and checked in ``epochs``).
 
 Canonical encoding
 ------------------
-Every signed or hashed object has exactly one byte encoding: a 1-byte type
-tag, then the fields in declared order. Variable-length fields (ids) carry
-a 4-byte big-endian length prefix; timestamps are 8-byte big-endian;
+Every model object has exactly one byte encoding: a 1-byte type tag, then
+the fields in declared order. Variable-length fields (ids, bit images)
+carry a 4-byte big-endian length prefix; timestamps and epoch ids are
+8-byte big-endian, positions and granularity indexes 4-byte big-endian;
 fixed-width cryptographic values (digests, commitments, nonces) are emitted
-raw, their width fixed by the crypto profile; lists carry a 4-byte count.
-The encoding is injective and decodable, which the test suite exercises by
+raw, their width fixed by the crypto profile; lists carry a 4-byte count;
+an optional signature is a 0x00 byte, or 0x01 and the signature. The
+encoding is injective and decodable, which the test suite exercises by
 round-tripping randomized objects.
+
+Signatures and digests are taken over these bytes, and the chain and
+registry files (``serialize``) carry them too, base64-encoded, so
+``canonical_decode`` is the one decoder of everything an auditor reads
+from a file. It rejects anything that is not exactly one well-formed
+encoding with ``EncodingError``.
+
+Wire tags: 0x01 statement, 0x02 private statement, 0x03 proof, 0x04
+endorsement statement, 0x05 endorsement, 0x06 endorsed proof, 0x07 chain
+entry, 0x08 chain, 0x0A hash-chain link, 0x0B Bloom accumulator, 0x0C
+timestamp attestation, 0x0D epoch report, 0x0E revealed entry (its
+disclosed openings as index, value, nonce), 0x0F chain slot, 0x10 revealed
+subsequence, 0x20 sequence (a count, then objects of any tag but 0x20).
+Signing views that differ from the wire form add 0x10 to the wire tag:
+0x12 private statement (commitments, no nonces), 0x1B accumulator (no
+count or signature), 0x1D epoch report (no signature).
 
 Two deliberate asymmetries, both in the private-statement path:
 
@@ -257,6 +279,19 @@ class RevealedSubsequence:
     chain_evidence: tuple[ChainSlot, ...] = ()
 
 
+@dataclass(frozen=True)
+class EpochReport:
+    """A location authority's signed accumulator of the digests of every
+    proof it issued in one epoch (see ``epochs``)."""
+
+    location_id: str
+    epoch_id: int
+    start: int  # authority-local ms, inclusive
+    end: int    # exclusive
+    accumulator: BloomAccumulator
+    report_sig: Optional[Signature] = None
+
+
 ORDER_OK = "OK"
 ORDER_REORDERED = "Reordered"
 ORDER_INCOMPLETE = "Incomplete"
@@ -293,10 +328,16 @@ TAG_CHAIN = 0x08
 TAG_CHAIN_LINK = 0x0A
 TAG_BLOOM = 0x0B
 TAG_TIMESTAMP = 0x0C
+TAG_EPOCH_REPORT = 0x0D
+TAG_REVEALED_ENTRY = 0x0E
+TAG_CHAIN_SLOT = 0x0F
+TAG_REVEALED_SUBSEQUENCE = 0x10
+TAG_SEQUENCE = 0x20
 # Signing views that differ from the wire form get their own tags so no
 # two distinct byte strings can be confused across contexts.
 TAG_PRIVATE_STATEMENT_CORE = 0x12
 TAG_BLOOM_CORE = 0x1B
+TAG_EPOCH_REPORT_CORE = 0x1D
 
 _SCHEME_TAGS = {"ed25519": 0x01, "dsa1024-sha1": 0x02}
 _SCHEME_FROM_TAG = {t: (s, n) for (s, n), t in zip(
@@ -353,6 +394,16 @@ def bloom_signing_bytes(acc: BloomAccumulator) -> bytes:
             + _u32(acc.capacity) + struct.pack(">d", acc.target_fpr))
 
 
+def report_signing_bytes(report: EpochReport) -> bytes:
+    return (bytes([TAG_EPOCH_REPORT_CORE]) + _text(report.location_id)
+            + _u64(report.epoch_id) + _u64(report.start) + _u64(report.end)
+            + bloom_signing_bytes(report.accumulator))
+
+
+def _optional_sig(sig: Optional[Signature]) -> bytes:
+    return b"\x00" if sig is None else b"\x01" + _sig_bytes(sig)
+
+
 def canonical_encode(obj) -> bytes:
     """Injective, deterministic wire encoding of any model object."""
     if isinstance(obj, LocationStatement):
@@ -391,19 +442,42 @@ def canonical_encode(obj) -> bytes:
     if isinstance(obj, HashChainLink):
         return bytes([TAG_CHAIN_LINK]) + _sig_bytes(obj.signature)
     if isinstance(obj, BloomAccumulator):
-        out = [bytes([TAG_BLOOM]) + bloom_signing_bytes(obj)[1:],
-               _u32(obj.inserted_count)]
-        if obj.authority_sig is None:
-            out.append(b"\x00")
-        else:
-            out.append(b"\x01" + _sig_bytes(obj.authority_sig))
-        return b"".join(out)
+        return (bytes([TAG_BLOOM]) + bloom_signing_bytes(obj)[1:]
+                + _u32(obj.inserted_count) + _optional_sig(obj.authority_sig))
     if isinstance(obj, ProvenanceEntry):
         return (bytes([TAG_ENTRY]) + canonical_encode(obj.elp)
                 + canonical_encode(obj.ordering))
     if isinstance(obj, ProvenanceChain):
         out = [bytes([TAG_CHAIN]), _text(obj.scheme), _u32(len(obj.entries))]
         out += [canonical_encode(e) for e in obj.entries]
+        return b"".join(out)
+    if isinstance(obj, RevealedEntry):
+        out = [bytes([TAG_REVEALED_ENTRY]), _u32(obj.position),
+               canonical_encode(obj.entry), _u32(len(obj.disclosed))]
+        out += [_u32(index) + _text(value) + nonce
+                for index, value, nonce in obj.disclosed]
+        return b"".join(out)
+    if isinstance(obj, ChainSlot):
+        return (bytes([TAG_CHAIN_SLOT]) + _u32(obj.position)
+                + _text(obj.issuer_id) + obj.proof_digest.data
+                + canonical_encode(obj.link))
+    if isinstance(obj, RevealedSubsequence):
+        out = [bytes([TAG_REVEALED_SUBSEQUENCE]), _text(obj.scheme),
+               _u32(len(obj.entries))]
+        out += [canonical_encode(e) for e in obj.entries]
+        out.append(_u32(len(obj.chain_evidence)))
+        out += [canonical_encode(s) for s in obj.chain_evidence]
+        return b"".join(out)
+    if isinstance(obj, EpochReport):
+        return (bytes([TAG_EPOCH_REPORT]) + _text(obj.location_id)
+                + _u64(obj.epoch_id) + _u64(obj.start) + _u64(obj.end)
+                + canonical_encode(obj.accumulator)
+                + _optional_sig(obj.report_sig))
+    if isinstance(obj, (tuple, list)):
+        if any(isinstance(item, (tuple, list)) for item in obj):
+            raise EncodingError("sequences do not nest")
+        out = [bytes([TAG_SEQUENCE]), _u32(len(obj))]
+        out += [canonical_encode(item) for item in obj]
         return b"".join(out)
     raise EncodingError(f"cannot encode {type(obj).__name__}")
 
@@ -414,17 +488,31 @@ def proof_digest(profile: CryptoProfile, lp: LocationProof) -> Digest:
 
 
 class _Reader:
+    """Bounds-checked cursor: every read past the end, and every malformed
+    field, raises ``EncodingError``."""
+
     def __init__(self, data: bytes, profile: CryptoProfile):
         self.data = data
+        self.size = len(data)
         self.pos = 0
         self.profile = profile
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        start, end = self.pos, self.pos + n
+        if end > self.size:
             raise EncodingError("truncated encoding")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.pos = end
+        return self.data[start:end]
+
+    def peek(self) -> int:
+        if self.pos >= self.size:
+            raise EncodingError("truncated encoding")
+        return self.data[self.pos]
+
+    def byte(self) -> int:
+        value = self.peek()
+        self.pos += 1
+        return value
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
@@ -436,33 +524,43 @@ class _Reader:
         return self.take(self.u32())
 
     def text(self) -> str:
-        return self.blob().decode("utf-8")
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError:
+            raise EncodingError("invalid UTF-8 in text field") from None
 
     def tag(self, expected: int) -> None:
-        got = self.take(1)[0]
+        got = self.byte()
         if got != expected:
             raise EncodingError(f"expected tag {expected:#04x}, got {got:#04x}")
 
     def sig(self) -> Signature:
-        tag = self.take(1)[0]
+        tag = self.byte()
         try:
             scheme, length = _SCHEME_FROM_TAG[tag]
         except KeyError:
             raise EncodingError(f"unknown signature scheme tag {tag:#04x}") from None
         return Signature(scheme_id=scheme, data=self.take(length))
 
+    def optional_sig(self) -> Optional[Signature]:
+        flag = self.byte()
+        if flag > 1:
+            raise EncodingError(f"bad signature presence flag {flag:#04x}")
+        return self.sig() if flag else None
+
     def digest(self) -> Digest:
         return Digest(self.take(self.profile.digest_len))
 
     def done(self) -> None:
-        if self.pos != len(self.data):
+        if self.pos != self.size:
             raise EncodingError("trailing bytes after encoding")
 
 
 def canonical_decode(data: bytes, profile: CryptoProfile):
     """Inverse of canonical_encode. Needs the crypto profile to know the
     widths of digests and nonces. Granularity values and hash-chain signed
-    payloads are user-side context and come back empty."""
+    payloads are user-side context and come back empty. Any input that is
+    not exactly one encoding raises ``EncodingError``."""
     r = _Reader(data, profile)
     obj = _decode_any(r)
     r.done()
@@ -470,7 +568,7 @@ def canonical_decode(data: bytes, profile: CryptoProfile):
 
 
 def _decode_any(r: _Reader):
-    tag = r.data[r.pos]
+    tag = r.peek()
     decoder = _DECODERS.get(tag)
     if decoder is None:
         raise EncodingError(f"unknown type tag {tag:#04x}")
@@ -499,7 +597,7 @@ def _decode_private_core(r: _Reader) -> PrivateLocationStatement:
 
 def _decode_proof(r: _Reader) -> LocationProof:
     r.tag(TAG_PROOF)
-    inner = r.data[r.pos]
+    inner = r.peek()
     if inner == TAG_STATEMENT:
         stmt: Statement = _decode_statement(r)
     elif inner == TAG_PRIVATE_STATEMENT_CORE:
@@ -543,15 +641,20 @@ def _decode_bloom(r: _Reader) -> BloomAccumulator:
     hash_count, capacity = r.u32(), r.u32()
     target_fpr = struct.unpack(">d", r.take(8))[0]
     inserted = r.u32()
-    has_sig = r.take(1)[0]
-    sig = r.sig() if has_sig == 1 else None
-    return BloomAccumulator(bits, hash_count, capacity, target_fpr, inserted, sig)
+    return BloomAccumulator(bits, hash_count, capacity, target_fpr, inserted,
+                            r.optional_sig())
+
+
+def _decode_construct(r: _Reader) -> OrderingConstruct:
+    if r.peek() == TAG_CHAIN_LINK:
+        return _decode_link(r)
+    return _decode_bloom(r)
 
 
 def _decode_entry(r: _Reader) -> ProvenanceEntry:
     r.tag(TAG_ENTRY)
     elp = _decode_endorsed_proof(r)
-    return ProvenanceEntry(elp, _decode_any(r))
+    return ProvenanceEntry(elp, _decode_construct(r))
 
 
 def _decode_chain(r: _Reader) -> ProvenanceChain:
@@ -559,6 +662,44 @@ def _decode_chain(r: _Reader) -> ProvenanceChain:
     scheme = r.text()
     entries = tuple(_decode_entry(r) for _ in range(r.u32()))
     return ProvenanceChain(scheme, entries)
+
+
+def _decode_revealed_entry(r: _Reader) -> RevealedEntry:
+    r.tag(TAG_REVEALED_ENTRY)
+    position, entry = r.u32(), _decode_entry(r)
+    disclosed = tuple((r.u32(), r.text(), r.take(r.profile.nonce_len))
+                      for _ in range(r.u32()))
+    return RevealedEntry(position, entry, disclosed)
+
+
+def _decode_chain_slot(r: _Reader) -> ChainSlot:
+    r.tag(TAG_CHAIN_SLOT)
+    return ChainSlot(r.u32(), r.text(), r.digest(), _decode_link(r))
+
+
+def _decode_revealed_subsequence(r: _Reader) -> RevealedSubsequence:
+    r.tag(TAG_REVEALED_SUBSEQUENCE)
+    scheme = r.text()
+    entries = tuple(_decode_revealed_entry(r) for _ in range(r.u32()))
+    evidence = tuple(_decode_chain_slot(r) for _ in range(r.u32()))
+    return RevealedSubsequence(scheme, entries, evidence)
+
+
+def _decode_epoch_report(r: _Reader) -> EpochReport:
+    r.tag(TAG_EPOCH_REPORT)
+    location_id, epoch_id, start, end = r.text(), r.u64(), r.u64(), r.u64()
+    return EpochReport(location_id, epoch_id, start, end, _decode_bloom(r),
+                       r.optional_sig())
+
+
+def _decode_sequence(r: _Reader) -> tuple:
+    r.tag(TAG_SEQUENCE)
+    items = []
+    for _ in range(r.u32()):
+        if r.peek() == TAG_SEQUENCE:
+            raise EncodingError("sequences do not nest")
+        items.append(_decode_any(r))
+    return tuple(items)
 
 
 _DECODERS = {
@@ -574,6 +715,11 @@ _DECODERS = {
     TAG_BLOOM: _decode_bloom,
     TAG_ENTRY: _decode_entry,
     TAG_CHAIN: _decode_chain,
+    TAG_REVEALED_ENTRY: _decode_revealed_entry,
+    TAG_CHAIN_SLOT: _decode_chain_slot,
+    TAG_REVEALED_SUBSEQUENCE: _decode_revealed_subsequence,
+    TAG_EPOCH_REPORT: _decode_epoch_report,
+    TAG_SEQUENCE: _decode_sequence,
 }
 
 

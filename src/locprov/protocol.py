@@ -266,6 +266,34 @@ class WitnessBehavior:
 
 
 # ---------------------------------------------------------------------------
+# Ordering constructs
+# ---------------------------------------------------------------------------
+
+def issue_construct(profile: CryptoProfile, keys: KeyPair, scheme: str,
+                    config: ProtocolConfig, lp: LocationProof,
+                    prev: Optional[OrderingConstruct]) -> OrderingConstruct:
+    """The ordering construct issued with ``lp``, signed with ``keys``: a
+    hash-chain link onto ``prev``, or ``prev``'s accumulator (a fresh one
+    sized by ``config`` for a first entry) with the proof's digest added."""
+    if scheme == SCHEME_HASHCHAIN:
+        if prev is None:
+            return hashchain.chain_genesis(profile, keys, lp)
+        if not isinstance(prev, HashChainLink):
+            raise ProtocolError("previous construct is not a hash-chain link")
+        return hashchain.chain_extend(profile, keys, lp, prev)
+    if scheme == SCHEME_BLOOM:
+        if prev is None:
+            acc = bloom_new(config.chain_capacity, config.chain_fpr)
+        elif isinstance(prev, BloomAccumulator):
+            acc = prev
+        else:
+            raise ProtocolError("previous construct is not an accumulator")
+        acc = bloom_insert(profile, acc, proof_digest(profile, lp))
+        return sign_accumulator(profile, keys, acc)
+    raise ProtocolError(f"unknown ordering scheme {scheme!r}")
+
+
+# ---------------------------------------------------------------------------
 # Agents
 # ---------------------------------------------------------------------------
 
@@ -368,7 +396,8 @@ class AuthorityAgent:
             self.bus.send(Message(PROXY_REQ, self.id, self.proxy_parent, {
                 "proof": lp, "prev_construct": prev, "requester": user_id}))
             return
-        construct = self._issue_construct(lp, prev)
+        construct = issue_construct(self.profile, self.keys, self.scheme,
+                                    self.config, lp, prev)
         self._record_issue(lp, visit_time)
         self.bus.send(Message(PRESP, self.id, msg.sender, {
             "proof": lp, "construct": construct}))
@@ -381,25 +410,6 @@ class AuthorityAgent:
         else:
             stmt = make_statement(user_id, self.id, visit_time)
         return make_proof(self.profile, self.keys, stmt)
-
-    def _issue_construct(self, lp: LocationProof,
-                         prev: Optional[OrderingConstruct]) -> OrderingConstruct:
-        if self.scheme == SCHEME_HASHCHAIN:
-            if prev is None:
-                return hashchain.chain_genesis(self.profile, self.keys, lp)
-            if not isinstance(prev, HashChainLink):
-                raise ProtocolError("previous construct is not a hash-chain link")
-            return hashchain.chain_extend(self.profile, self.keys, lp, prev)
-        if self.scheme == SCHEME_BLOOM:
-            if prev is None:
-                acc = bloom_new(self.config.chain_capacity, self.config.chain_fpr)
-            elif isinstance(prev, BloomAccumulator):
-                acc = prev
-            else:
-                raise ProtocolError("previous construct is not an accumulator")
-            acc = bloom_insert(self.profile, acc, proof_digest(self.profile, lp))
-            return sign_accumulator(self.profile, self.keys, acc)
-        raise ProtocolError(f"unknown ordering scheme {self.scheme!r}")
 
     def _record_issue(self, lp: LocationProof, visit_time: int) -> None:
         digest = proof_digest(self.profile, lp)
@@ -444,7 +454,9 @@ class AuthorityAgent:
             self.bus.send(Message(REFUSAL, self.id, msg.sender, {
                 "reason": str(exc), "re": PROXY_REQ}))
             return
-        construct = self._issue_construct(new_lp, msg.payload.get("prev_construct"))
+        construct = issue_construct(self.profile, self.keys, self.scheme,
+                                    self.config, new_lp,
+                                    msg.payload.get("prev_construct"))
         self._record_issue(new_lp, new_lp.statement.visit_time)
         self.bus.send(Message(PROXY_RESP, self.id, msg.sender, {
             "proof": new_lp, "construct": construct,

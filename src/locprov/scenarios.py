@@ -34,8 +34,6 @@ from typing import Optional
 
 from .audit import AuditReport, LocationClaim, audit, classify_failure
 from .crypto import CryptoProfile, derive_seed, get_profile
-from .hashchain import chain_genesis, chain_extend
-from .bloom import bloom_insert, bloom_new, sign_accumulator
 from .model import (
     EndorsedLocationProof,
     ProvenanceChain,
@@ -57,6 +55,7 @@ from .protocol import (
     ProtocolConfig,
     WitnessBehavior,
     World,
+    issue_construct,
     trace_to_jsonl,
 )
 
@@ -94,10 +93,6 @@ class Scenario:
     reveal: dict = field(default_factory=dict)
     claims: object = "truthful"
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
@@ -323,23 +318,12 @@ class _Runner:
         elp = assemble_elp(self.profile, lp, [endorsement])
 
         prev = self.presented[-1].ordering if self.presented else None
-        construct = self._fabricate_construct(lp, prev, authority_keys)
+        construct = issue_construct(self.profile, authority_keys,
+                                    self.scenario.scheme, self.config, lp, prev)
         self.presented.append(ProvenanceEntry(elp, construct))
         self._event(event="fabricate_visit", user=user_id,
                     location=location_id, witness=witness_id, visit_time=t,
                     position=len(self.presented))
-
-    def _fabricate_construct(self, lp, prev, authority_keys):
-        if self.scenario.scheme == SCHEME_HASHCHAIN:
-            if prev is None:
-                return chain_genesis(self.profile, authority_keys, lp)
-            return chain_extend(self.profile, authority_keys, lp, prev)
-        if prev is None:
-            acc = bloom_new(self.config.chain_capacity, self.config.chain_fpr)
-        else:
-            acc = prev
-        acc = bloom_insert(self.profile, acc, proof_digest(self.profile, lp))
-        return sign_accumulator(self.profile, authority_keys, acc)
 
     # -- presentation and audit ------------------------------------------------
 
@@ -363,7 +347,6 @@ class _Runner:
             self.profile, claims, sub, self.world.directory.pubkeys(),
             self.world.registry,
             endorsement_window_ms=self.config.endorsement_window_ms,
-            epoch_len_ms=self.config.epoch_len_ms,
         )
         return report, sub, claims
 
@@ -767,7 +750,7 @@ def suite_summary(outcomes: list[ScenarioOutcome]) -> str:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(asdict(scenario), indent=2, sort_keys=True)
 
 
 def scenario_from_json(text: str) -> Scenario:

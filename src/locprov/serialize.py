@@ -1,13 +1,20 @@
-"""JSON interchange for every model type plus versioned file formats.
+"""Versioned file formats.
 
-Byte fields travel base64-encoded. Four file formats, all carrying a
-``format_version`` field:
+Four file formats, each a JSON object carrying a ``format_version`` field:
 
-* chain file -- a revealed subsequence (a full chain is the reveal-all
-  case) plus the public-key directory needed to audit it;
-* registry file -- published epoch reports;
-* claims file -- the ordered location claims to audit;
-* report file -- a machine-readable audit report.
+* chain file -- the crypto profile name, the public-key directory needed
+  for the audit, and ``subsequence``: the base64 canonical encoding of a
+  revealed subsequence (a full chain is the reveal-all case);
+* registry file -- the crypto profile name and ``reports``: the base64
+  canonical encoding of the sequence of published epoch reports;
+* claims file -- the ordered location claims to audit, in plain JSON;
+* report file -- a machine-readable audit report, in plain JSON.
+
+Everything signed or hashed therefore reaches an auditor in the one
+encoding of ``model``, decoded by ``model.canonical_decode``; this module
+only wraps it. Version 1 files, which spelled every type out in JSON, are
+not read. Every loader raises ``FormatError`` for any input it cannot take,
+whatever is wrong with it.
 """
 
 from __future__ import annotations
@@ -15,29 +22,21 @@ from __future__ import annotations
 import base64
 import json
 
-from .audit import AuditReport, ClaimVerdict, LocationClaim
-from .crypto import Commitment, Digest, Signature, get_profile
-from .epochs import EpochRegistry, EpochReport
+from .audit import AuditReport, LocationClaim
+from .crypto import CryptoError, CryptoProfile, get_profile
+from .epochs import EpochRegistry, RegistryError
 from .model import (
-    BloomAccumulator,
-    ChainSlot,
-    Endorsement,
-    EndorsementStatement,
-    EndorsedLocationProof,
-    HashChainLink,
-    LocationProof,
-    LocationStatement,
-    OrderingConstruct,
-    OrderingVerdict,
-    PrivateLocationStatement,
-    ProvenanceChain,
-    ProvenanceEntry,
-    RevealedEntry,
+    EncodingError,
+    EpochReport,
     RevealedSubsequence,
+    SCHEME_BLOOM,
+    SCHEME_HASHCHAIN,
     ValidationError,
+    canonical_decode,
+    canonical_encode,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class FormatError(ValidationError):
@@ -48,226 +47,135 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+def _unb64(text, what: str) -> bytes:
+    if not isinstance(text, str):
+        raise FormatError(f"{what} must be a base64 string")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise FormatError(f"{what} is not valid base64: {exc}") from None
 
 
-# -- model objects -----------------------------------------------------------
-
-def signature_to_json(sig: Signature) -> dict:
-    return {"scheme": sig.scheme_id, "data": _b64(sig.data)}
-
-
-def signature_from_json(obj: dict) -> Signature:
-    return Signature(scheme_id=obj["scheme"], data=_unb64(obj["data"]))
+def _dump(fields: dict) -> str:
+    return json.dumps({"format_version": FORMAT_VERSION, **fields},
+                      indent=2, sort_keys=True)
 
 
-def statement_to_json(stmt) -> dict:
-    if isinstance(stmt, LocationStatement):
-        return {"type": "plain", "user_id": stmt.user_id,
-                "location_id": stmt.location_id, "visit_time": stmt.visit_time}
-    if isinstance(stmt, PrivateLocationStatement):
-        return {
-            "type": "private",
-            "user_id": stmt.user_id,
-            "location_id": stmt.location_id,
-            "visit_time": stmt.visit_time,
-            "commitments": [_b64(c.digest.data) for c in stmt.commitments],
-            "nonces": [_b64(n) for n in stmt.nonces],
-            "granularity_values": list(stmt.granularity_values),
-        }
-    raise FormatError(f"not a statement: {type(stmt).__name__}")
+def _load(text: str, kind: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{kind} file is not JSON: {exc}") from None
+    if not isinstance(obj, dict) or "format_version" not in obj:
+        raise FormatError(f"{kind} file is missing format_version")
+    if obj["format_version"] != FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported {kind} format_version {obj['format_version']!r}")
+    return obj
 
 
-def statement_from_json(obj: dict):
-    if obj["type"] == "plain":
-        return LocationStatement(obj["user_id"], obj["location_id"],
-                                 obj["visit_time"])
-    if obj["type"] == "private":
-        return PrivateLocationStatement(
-            obj["user_id"], obj["location_id"], obj["visit_time"],
-            tuple(Commitment(Digest(_unb64(c))) for c in obj["commitments"]),
-            tuple(_unb64(n) for n in obj["nonces"]),
-            tuple(obj.get("granularity_values", ())),
-        )
-    raise FormatError(f"unknown statement type {obj['type']!r}")
+def _profile(obj: dict, kind: str) -> CryptoProfile:
+    name = obj.get("profile")
+    if not isinstance(name, str):
+        raise FormatError(f"{kind} file has no profile name")
+    try:
+        return get_profile(name)
+    except CryptoError as exc:
+        raise FormatError(str(exc)) from None
 
 
-def proof_to_json(lp: LocationProof) -> dict:
-    return {"statement": statement_to_json(lp.statement),
-            "authority_sig": signature_to_json(lp.authority_sig)}
+def _decode(obj: dict, field: str, kind: str, profile: CryptoProfile,
+            expected: type):
+    try:
+        value = canonical_decode(_unb64(obj.get(field), f"{kind} {field}"),
+                                 profile)
+    except EncodingError as exc:
+        raise FormatError(f"{kind} {field}: {exc}") from None
+    if not isinstance(value, expected):
+        raise FormatError(f"{kind} {field} encodes a {type(value).__name__}")
+    return value
 
 
-def proof_from_json(obj: dict) -> LocationProof:
-    return LocationProof(statement_from_json(obj["statement"]),
-                         signature_from_json(obj["authority_sig"]))
+def _directory_from_json(obj) -> dict[str, dict]:
+    if not isinstance(obj, dict):
+        raise FormatError("directory must be an object")
+    directory = {}
+    for pid, meta in obj.items():
+        if not (isinstance(meta, dict) and all(
+                isinstance(meta.get(k), str)
+                for k in ("role", "scheme", "public_key"))):
+            raise FormatError(f"directory entry {pid!r} needs role, scheme "
+                              "and public_key strings")
+        directory[pid] = {
+            "role": meta["role"], "scheme_id": meta["scheme"],
+            "public_key": _unb64(meta["public_key"], f"public key of {pid!r}")}
+    return directory
 
 
-def endorsement_to_json(e: Endorsement) -> dict:
-    es = e.statement
-    return {
-        "witness_id": es.witness_id,
-        "user_id": es.user_id,
-        "location_id": es.location_id,
-        "visit_time": es.visit_time,
-        "proof_digest": _b64(es.proof_digest.data),
-        "endorsed_at": es.endorsed_at,
-        "witness_sig": signature_to_json(e.witness_sig),
-        "authority_time_sig": signature_to_json(e.authority_time_sig),
-    }
+def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
+                    directory: dict[str, dict]) -> str:
+    return _dump({
+        "profile": profile_name,
+        "subsequence": _b64(canonical_encode(sub)),
+        "directory": {
+            pid: {"role": meta["role"], "scheme": meta["scheme_id"],
+                  "public_key": _b64(meta["public_key"])}
+            for pid, meta in sorted(directory.items())
+        },
+    })
 
 
-def endorsement_from_json(obj: dict) -> Endorsement:
-    es = EndorsementStatement(
-        obj["witness_id"], obj["user_id"], obj["location_id"],
-        obj["visit_time"], Digest(_unb64(obj["proof_digest"])),
-        obj["endorsed_at"])
-    return Endorsement(es, signature_from_json(obj["witness_sig"]),
-                       signature_from_json(obj["authority_time_sig"]))
+def load_chain_file(text: str) -> tuple[str, RevealedSubsequence, dict[str, dict]]:
+    obj = _load(text, "chain")
+    profile = _profile(obj, "chain")
+    sub = _decode(obj, "subsequence", "chain", profile, RevealedSubsequence)
+    if sub.scheme not in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
+        raise FormatError(f"unknown ordering scheme {sub.scheme!r}")
+    return obj["profile"], sub, _directory_from_json(obj.get("directory"))
 
 
-def construct_to_json(c: OrderingConstruct) -> dict:
-    if isinstance(c, HashChainLink):
-        return {"type": "hashchain", "signature": signature_to_json(c.signature)}
-    if isinstance(c, BloomAccumulator):
-        return {
-            "type": "bloom",
-            "bits": _b64(c.bits),
-            "hash_count": c.hash_count,
-            "capacity": c.capacity,
-            "target_fpr": c.target_fpr,
-            "inserted_count": c.inserted_count,
-            "authority_sig": (signature_to_json(c.authority_sig)
-                              if c.authority_sig else None),
-        }
-    raise FormatError(f"not an ordering construct: {type(c).__name__}")
+def dump_registry_file(profile_name: str, registry: EpochRegistry) -> str:
+    return _dump({"profile": profile_name,
+                  "reports": _b64(canonical_encode(registry.reports()))})
 
 
-def construct_from_json(obj: dict) -> OrderingConstruct:
-    if obj["type"] == "hashchain":
-        return HashChainLink(signature_from_json(obj["signature"]))
-    if obj["type"] == "bloom":
-        sig = obj.get("authority_sig")
-        return BloomAccumulator(
-            bits=_unb64(obj["bits"]),
-            hash_count=obj["hash_count"],
-            capacity=obj["capacity"],
-            target_fpr=obj["target_fpr"],
-            inserted_count=obj.get("inserted_count", 0),
-            authority_sig=signature_from_json(sig) if sig else None,
-        )
-    raise FormatError(f"unknown construct type {obj['type']!r}")
+def load_registry_file(text: str) -> tuple[str, EpochRegistry]:
+    obj = _load(text, "registry")
+    profile = _profile(obj, "registry")
+    registry = EpochRegistry()
+    for report in _decode(obj, "reports", "registry", profile, tuple):
+        if not isinstance(report, EpochReport):
+            raise FormatError(
+                f"registry holds a {type(report).__name__}, not a report")
+        try:
+            registry.publish(report)
+        except RegistryError as exc:
+            raise FormatError(str(exc)) from None
+    return obj["profile"], registry
 
 
-def entry_to_json(entry: ProvenanceEntry) -> dict:
-    return {
-        "proof": proof_to_json(entry.elp.proof),
-        "endorsements": [endorsement_to_json(e) for e in entry.elp.endorsements],
-        "ordering": construct_to_json(entry.ordering),
-    }
+def dump_claims_file(claims: list[LocationClaim]) -> str:
+    return _dump({"claims": [{"location_id": c.location_id,
+                              "visit_time": c.visit_time} for c in claims]})
 
 
-def entry_from_json(obj: dict) -> ProvenanceEntry:
-    elp = EndorsedLocationProof(
-        proof_from_json(obj["proof"]),
-        tuple(endorsement_from_json(e) for e in obj["endorsements"]),
-    )
-    return ProvenanceEntry(elp, construct_from_json(obj["ordering"]))
+def load_claims_file(text: str) -> list[LocationClaim]:
+    obj = _load(text, "claims")
+    claims = obj.get("claims")
+    if not isinstance(claims, list):
+        raise FormatError("claims file has no list of claims")
+    out = []
+    for c in claims:
+        if not (isinstance(c, dict) and isinstance(c.get("location_id"), str)
+                and type(c.get("visit_time")) is int):
+            raise FormatError("a claim needs a location_id string and an "
+                              "integer visit_time")
+        out.append(LocationClaim(c["location_id"], c["visit_time"]))
+    return out
 
 
-def chain_to_json(chain: ProvenanceChain) -> dict:
-    return {"scheme": chain.scheme,
-            "entries": [entry_to_json(e) for e in chain.entries]}
-
-
-def chain_from_json(obj: dict) -> ProvenanceChain:
-    return ProvenanceChain(
-        obj["scheme"], tuple(entry_from_json(e) for e in obj["entries"]))
-
-
-def subsequence_to_json(sub: RevealedSubsequence) -> dict:
-    return {
-        "scheme": sub.scheme,
-        "entries": [
-            {
-                "position": r.position,
-                "entry": entry_to_json(r.entry),
-                "disclosed": [[i, v, _b64(n)] for i, v, n in r.disclosed],
-            }
-            for r in sub.entries
-        ],
-        "chain_evidence": [
-            {
-                "position": s.position,
-                "issuer_id": s.issuer_id,
-                "proof_digest": _b64(s.proof_digest.data),
-                "link": signature_to_json(s.link.signature),
-            }
-            for s in sub.chain_evidence
-        ],
-    }
-
-
-def subsequence_from_json(obj: dict) -> RevealedSubsequence:
-    entries = tuple(
-        RevealedEntry(
-            position=r["position"],
-            entry=entry_from_json(r["entry"]),
-            disclosed=tuple((i, v, _unb64(n)) for i, v, n in r["disclosed"]),
-        )
-        for r in obj["entries"]
-    )
-    evidence = tuple(
-        ChainSlot(
-            position=s["position"],
-            issuer_id=s["issuer_id"],
-            proof_digest=Digest(_unb64(s["proof_digest"])),
-            link=HashChainLink(signature_from_json(s["link"])),
-        )
-        for s in obj.get("chain_evidence", ())
-    )
-    return RevealedSubsequence(obj["scheme"], entries, evidence)
-
-
-def report_to_json(report: EpochReport) -> dict:
-    return {
-        "location_id": report.location_id,
-        "epoch_id": report.epoch_id,
-        "start": report.start,
-        "end": report.end,
-        "accumulator": construct_to_json(report.accumulator),
-        "report_sig": (signature_to_json(report.report_sig)
-                       if report.report_sig else None),
-    }
-
-
-def report_from_json(obj: dict) -> EpochReport:
-    sig = obj.get("report_sig")
-    return EpochReport(
-        obj["location_id"], obj["epoch_id"], obj["start"], obj["end"],
-        construct_from_json(obj["accumulator"]),
-        signature_from_json(sig) if sig else None,
-    )
-
-
-def directory_to_json(pubkeys_by_role: dict[str, dict]) -> dict:
-    return {
-        pid: {"role": meta["role"], "scheme": meta["scheme_id"],
-              "public_key": _b64(meta["public_key"])}
-        for pid, meta in sorted(pubkeys_by_role.items())
-    }
-
-
-def directory_from_json(obj: dict) -> dict[str, dict]:
-    return {
-        pid: {"role": meta["role"], "scheme_id": meta["scheme"],
-              "public_key": _unb64(meta["public_key"])}
-        for pid, meta in obj.items()
-    }
-
-
-def audit_report_to_json(report: AuditReport) -> dict:
-    return {
+def dump_audit_report_file(report: AuditReport) -> str:
+    return _dump({"report": {
         "ok": report.ok,
         "claims": [
             {"index": v.index, "status": v.status, "detail": v.detail}
@@ -281,89 +189,4 @@ def audit_report_to_json(report: AuditReport) -> dict:
         },
         "signatures_verified": report.signatures_verified,
         "warnings": list(report.warnings),
-    }
-
-
-def audit_report_from_json(obj: dict) -> AuditReport:
-    return AuditReport(
-        claim_verdicts=tuple(
-            ClaimVerdict(c["index"], c["status"], c.get("detail", ""))
-            for c in obj["claims"]),
-        ordering=OrderingVerdict(
-            status=obj["ordering"]["status"],
-            links_checked=obj["ordering"].get("links_checked", 0),
-            accumulators_checked=obj["ordering"].get("accumulators_checked", 0),
-            detail=obj["ordering"].get("detail", ""),
-        ),
-        signatures_verified=obj["signatures_verified"],
-        warnings=tuple(obj.get("warnings", ())),
-    )
-
-
-# -- versioned files ---------------------------------------------------------
-
-def _check_version(obj: dict, kind: str) -> None:
-    if not isinstance(obj, dict) or "format_version" not in obj:
-        raise FormatError(f"{kind} file is missing format_version")
-    if obj["format_version"] != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported {kind} format_version {obj['format_version']!r}")
-
-
-def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
-                    directory: dict[str, dict]) -> str:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "profile": profile_name,
-        "subsequence": subsequence_to_json(sub),
-        "directory": directory_to_json(directory),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def load_chain_file(text: str) -> tuple[str, RevealedSubsequence, dict[str, dict]]:
-    obj = json.loads(text)
-    _check_version(obj, "chain")
-    get_profile(obj["profile"])  # validate early
-    return (obj["profile"], subsequence_from_json(obj["subsequence"]),
-            directory_from_json(obj["directory"]))
-
-
-def dump_registry_file(profile_name: str, registry: EpochRegistry) -> str:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "profile": profile_name,
-        "reports": [report_to_json(r) for r in registry.reports()],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def load_registry_file(text: str) -> tuple[str, EpochRegistry]:
-    obj = json.loads(text)
-    _check_version(obj, "registry")
-    registry = EpochRegistry()
-    for r in obj["reports"]:
-        registry.publish(report_from_json(r))
-    return obj["profile"], registry
-
-
-def dump_claims_file(claims: list[LocationClaim]) -> str:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "claims": [{"location_id": c.location_id, "visit_time": c.visit_time}
-                   for c in claims],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def load_claims_file(text: str) -> list[LocationClaim]:
-    obj = json.loads(text)
-    _check_version(obj, "claims")
-    return [LocationClaim(c["location_id"], c["visit_time"])
-            for c in obj["claims"]]
-
-
-def dump_audit_report_file(report: AuditReport) -> str:
-    payload = {"format_version": FORMAT_VERSION,
-               "report": audit_report_to_json(report)}
-    return json.dumps(payload, indent=2, sort_keys=True)
+    }})

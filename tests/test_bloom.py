@@ -12,10 +12,10 @@ from locprov.bloom import (
     BloomParameterError,
     bloom_contains,
     bloom_hash_count,
-    bloom_index,
     bloom_insert,
     bloom_new,
     bloom_order_verify,
+    bloom_positions,
     bloom_subset,
     popcount,
     sign_accumulator,
@@ -84,8 +84,8 @@ def test_index_deterministic_and_in_range():
     rng = random.Random(1)
     m = bloom_bit_size(1000, 0.001)
     item = _digest(rng)
-    first = [bloom_index(PROFILE, item, i, m) for i in range(10)]
-    again = [bloom_index(PROFILE, item, i, m) for i in range(10)]
+    first = bloom_positions(PROFILE, item, m, 10)
+    again = bloom_positions(PROFILE, item, m, 10)
     assert first == again
     assert all(0 <= p < m for p in first)
 
@@ -96,8 +96,8 @@ def test_index_is_documented_double_hash():
     m = 14_378
     h1 = int.from_bytes(PROFILE.digest(item.data + b"A").data[0:8], "big")
     h2 = int.from_bytes(PROFILE.digest(item.data + b"B").data[8:16], "big")
-    for i in range(10):
-        assert bloom_index(PROFILE, item, i, m) == (h1 + i * h2) % m
+    assert bloom_positions(PROFILE, item, m, 10) == [
+        (h1 + i * h2) % m for i in range(10)]
 
 
 def test_index_distribution_uniform_chi_squared():
@@ -107,8 +107,8 @@ def test_index_distribution_uniform_chi_squared():
     k = 10
     for _ in range(100_000 // k):
         item = _digest(rng)
-        for i in range(k):
-            counts[bloom_index(PROFILE, item, i, m)] += 1
+        for pos in bloom_positions(PROFILE, item, m, k):
+            counts[pos] += 1
     result = stats.chisquare(counts)
     assert result.pvalue > 0.01
 
@@ -302,8 +302,7 @@ def test_serialization_little_endian_lsb_first():
     m = acc.bit_size
     item = Digest(b"\x01" * 20)
     inserted = bloom_insert(PROFILE, acc, item)
-    positions = {bloom_index(PROFILE, item, i, m)
-                 for i in range(acc.hash_count)}
+    positions = set(bloom_positions(PROFILE, item, m, acc.hash_count))
     expected = bytearray(len(acc.bits))
     for p in positions:
         expected[p // 8] |= 1 << (p % 8)

@@ -3,8 +3,12 @@
 import base64
 import csv
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from locprov.cli import (
     bench_audit_rows,
@@ -12,8 +16,13 @@ from locprov.cli import (
     main,
     worst_case_positions,
 )
-from locprov.model import make_revealed_subsequence
+from locprov.model import canonical_encode, make_revealed_subsequence
 from locprov.audit import LocationClaim, audit
+from locprov.serialize import (
+    dump_chain_file,
+    load_chain_file,
+    load_registry_file,
+)
 
 
 @pytest.fixture()
@@ -71,8 +80,8 @@ def test_simulate_scheme_override(tmp_path, scenario_dir):
                  str(scenario_dir / "honest-baseline-hashchain.json"),
                  "--scheme", "bloom", "--out-dir", str(out_dir)])
     assert code == 0
-    chain = json.loads((out_dir / "chain.json").read_text())
-    assert chain["subsequence"]["scheme"] == "bloom"
+    _, sub, _ = load_chain_file((out_dir / "chain.json").read_text())
+    assert sub.scheme == "bloom"
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +102,19 @@ def test_audit_honest_export_exits_zero(tmp_path, scenario_dir):
 
 def test_audit_tampered_chain_exits_one(tmp_path, scenario_dir):
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
-    chain = json.loads((out_dir / "chain.json").read_text())
-    sig = chain["subsequence"]["entries"][0]["entry"]["proof"]["authority_sig"]
-    raw = bytearray(base64.b64decode(sig["data"]))
+    profile_name, sub, directory = load_chain_file(
+        (out_dir / "chain.json").read_text())
+    first = sub.entries[0]
+    proof = first.entry.elp.proof
+    raw = bytearray(proof.authority_sig.data)
     raw[0] ^= 0x01
-    sig["data"] = base64.b64encode(bytes(raw)).decode()
+    proof = replace(proof, authority_sig=replace(proof.authority_sig,
+                                                 data=bytes(raw)))
+    first = replace(first, entry=replace(
+        first.entry, elp=replace(first.entry.elp, proof=proof)))
+    sub = replace(sub, entries=(first,) + sub.entries[1:])
     tampered = out_dir / "tampered.json"
-    tampered.write_text(json.dumps(chain))
+    tampered.write_text(dump_chain_file(profile_name, sub, directory))
     code = main(["audit", "--chain", str(tampered),
                  "--claims", str(out_dir / "claims.json"),
                  "--registry", str(out_dir / "registry.json")])
@@ -118,6 +133,116 @@ def test_audit_unparseable_input_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     assert main(["audit", "--chain", str(bad), "--claims", str(bad)]) == 2
+
+
+def _audit_exit(out_dir, capsys, chain="chain.json", registry="registry.json"):
+    code = main(["audit", "--chain", str(out_dir / chain),
+                 "--claims", str(out_dir / "claims.json"),
+                 "--registry", str(out_dir / registry)])
+    return code, capsys.readouterr().err
+
+
+def test_audit_unknown_scheme_exits_two(tmp_path, scenario_dir, capsys):
+    _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
+    profile_name, sub, directory = load_chain_file(
+        (out_dir / "chain.json").read_text())
+    (out_dir / "merkle.json").write_text(dump_chain_file(
+        profile_name, replace(sub, scheme="merkle"), directory))
+    code, err = _audit_exit(out_dir, capsys, chain="merkle.json")
+    assert code == 2 and err.startswith("error:") and "merkle" in err
+
+
+def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
+    """A position spelled as a JSON string, in the per-type JSON layout
+    that files no longer use, under either version number."""
+    _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
+    chain = json.loads((out_dir / "chain.json").read_text())
+    for version in (1, 2):
+        chain["format_version"] = version
+        chain["subsequence"] = {
+            "scheme": "bloom", "chain_evidence": [],
+            "entries": [{"position": "1", "disclosed": [], "entry": {}}]}
+        (out_dir / "v1.json").write_text(json.dumps(chain))
+        code, err = _audit_exit(out_dir, capsys, chain="v1.json")
+        assert code == 2 and err.startswith("error:")
+
+
+def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
+    _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
+    profile_name, registry = load_registry_file(
+        (out_dir / "registry.json").read_text())
+    doc = json.loads((out_dir / "registry.json").read_text())
+    reports = registry.reports()
+    doc["reports"] = base64.b64encode(
+        canonical_encode(reports + reports[:1])).decode()
+    (out_dir / "twice.json").write_text(json.dumps(doc))
+    code, err = _audit_exit(out_dir, capsys, registry="twice.json")
+    assert code == 2 and err.startswith("error:")
+    assert "already published" in err
+
+
+# ---------------------------------------------------------------------------
+# audit on mutated files: a verdict or a parse error, never a crash
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """Honest exports of both schemes, as file texts by name."""
+    root = tmp_path_factory.mktemp("exported")
+    assert main(["scenarios", "--export", str(root / "s"),
+                 "--scheme", "hashchain"]) == 0
+    runs = []
+    for scheme in ("hashchain", "bloom"):
+        out = root / scheme
+        assert main(["simulate", str(root / "s/honest-baseline-hashchain.json"),
+                     "--scheme", scheme, "--out-dir", str(out)]) == 0
+        runs.append({name: (out / name).read_text()
+                     for name in ("chain.json", "claims.json",
+                                  "registry.json")})
+    return runs
+
+
+def _mutate_text(text: str, data) -> str:
+    at = data.draw(st.integers(0, len(text)))
+    cut = data.draw(st.integers(0, 8))
+    return text[:at] + data.draw(st.text(max_size=4)) + text[at + cut:]
+
+
+def _mutate_body(text: str, data) -> str:
+    """Flip, drop or insert bytes inside the base64 canonical encoding."""
+    doc = json.loads(text)
+    field = "subsequence" if "subsequence" in doc else "reports"
+    body = bytearray(base64.b64decode(doc[field]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(body) - 1))
+        op = data.draw(st.sampled_from(["flip", "drop", "insert"]))
+        if op == "flip":
+            body[at] ^= data.draw(st.integers(1, 255))
+        elif op == "drop":
+            del body[at]
+        else:
+            body.insert(at, data.draw(st.integers(0, 255)))
+    doc[field] = base64.b64encode(bytes(body)).decode()
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_audit_mutated_files_exit_0_1_or_2(exported, data):
+    files = dict(data.draw(st.sampled_from(exported)))
+    name = data.draw(st.sampled_from(sorted(files)))
+    if name == "claims.json" or data.draw(st.booleans()):
+        files[name] = _mutate_text(files[name], data)
+    else:
+        files[name] = _mutate_body(files[name], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, text in files.items():
+            Path(tmp, fname).write_text(text)
+        code = main(["audit", "--chain", str(Path(tmp, "chain.json")),
+                     "--claims", str(Path(tmp, "claims.json")),
+                     "--registry", str(Path(tmp, "registry.json"))])
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

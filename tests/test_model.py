@@ -8,10 +8,14 @@ from locprov.crypto import LEGACY, MODERN
 from locprov.model import (
     BindingError,
     BloomAccumulator,
+    ChainSlot,
+    EncodingError,
     EndorsedLocationProof,
+    EpochReport,
     HashChainLink,
     ProvenanceChain,
     ProvenanceEntry,
+    RevealedSubsequence,
     TimestampAttestation,
     ValidationError,
     WindowError,
@@ -243,7 +247,7 @@ def test_encoding_distinguishes_field_boundaries():
 
 
 def _random_object(rng: random.Random):
-    kind = rng.randrange(6)
+    kind = rng.randrange(11)
     t = rng.randrange(0, 10**9)
     user = f"u{rng.randrange(100)}"
     loc = f"loc{rng.randrange(100)}"
@@ -264,7 +268,40 @@ def _random_object(rng: random.Random):
     if kind == 4:
         return elp
     link = HashChainLink(PROFILE.sign(KEYS_AUTH.private_key, rng.randbytes(20)))
-    return ProvenanceEntry(elp, link)
+    if kind == 5:
+        return ProvenanceEntry(elp, link)
+    slot = ChainSlot(rng.randrange(1, 10**6), loc, proof_digest(PROFILE, lp),
+                     link)
+    if kind == 6:
+        return slot
+    if kind in (7, 8):
+        # a blinded entry with a random subset of its openings disclosed
+        lsp = make_private_statement(PROFILE, user, loc, t,
+                                     ["IL", "Chicago", "Block 5"], rng)
+        plp = make_proof(PROFILE, KEYS_AUTH, lsp)
+        pelp = EndorsedLocationProof(plp, (_make_endorsement_at(plp, t),))
+        revealed = make_revealed_entry(
+            slot.position, ProvenanceEntry(pelp, link),
+            disclose=rng.sample([1, 2, 3], rng.randrange(4)))
+        if kind == 7:
+            return revealed
+        return RevealedSubsequence("hashchain", (revealed,), (slot,))
+    reports = tuple(_random_report(rng, loc) for _ in range(rng.randrange(3)))
+    if kind == 9:
+        return reports[0] if reports else _random_report(rng, loc)
+    return reports
+
+
+def _random_report(rng: random.Random, loc: str) -> EpochReport:
+    epoch = rng.randrange(10**6)
+    acc = BloomAccumulator(
+        bits=rng.randbytes(rng.randrange(1, 40)), hash_count=rng.randrange(1, 12),
+        capacity=rng.randrange(1, 5000), target_fpr=rng.random(),
+        inserted_count=rng.randrange(100),
+        authority_sig=rng.choice(
+            [None, PROFILE.sign(KEYS_AUTH.private_key, rng.randbytes(8))]))
+    sig = rng.choice([None, PROFILE.sign(KEYS_AUTH.private_key, b"report")])
+    return EpochReport(loc, epoch, epoch * 1000, epoch * 1000 + 1000, acc, sig)
 
 
 def _make_endorsement_at(lp, endorsed_at):
@@ -292,6 +329,26 @@ def test_roundtrip_chain_and_bloom():
                            authority_sig=lp.authority_sig)
     chain = ProvenanceChain("bloom", (ProvenanceEntry(elp, acc),))
     assert canonical_decode(canonical_encode(chain), PROFILE) == chain
+
+
+def _unsigned_bloom_encoding() -> bytes:
+    return canonical_encode(BloomAccumulator(bytes(2), 1, 1, 0.5))
+
+
+@pytest.mark.parametrize("data, error", [
+    pytest.param(b"", "truncated", id="empty"),
+    pytest.param(bytes([0x03]), "truncated", id="proof-without-statement"),
+    pytest.param(bytes([0x20, 0, 0, 0, 1]), "truncated",
+                 id="sequence-missing-item"),
+    pytest.param(bytes([0x20, 0, 0, 0, 1, 0x20, 0, 0, 0, 0]), "do not nest",
+                 id="nested-sequence"),
+    pytest.param(_unsigned_bloom_encoding()[:-1] + b"\x02", "presence flag",
+                 id="signature-flag-2"),
+    pytest.param(bytes([0x01, 0, 0, 0, 1, 0xFF]), "UTF-8", id="invalid-utf8"),
+])
+def test_decode_rejects_malformed_input(data, error):
+    with pytest.raises(EncodingError, match=error):
+        canonical_decode(data, PROFILE)
 
 
 def test_signed_bit_mutation_fuzz_no_false_accepts():
