@@ -69,7 +69,8 @@ EXIT_USAGE = 2
 def cmd_simulate(args) -> int:
     try:
         scenario = scenario_from_json(Path(args.scenario).read_text())
-    except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            ValidationError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None:

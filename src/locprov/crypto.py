@@ -19,6 +19,15 @@ that wants to endorse anonymously would register a pseudonymous identity
 under a scheme whose verification key does not identify a person (a group
 signature, say). No such construction ships here; everything above this
 module only ever calls sign/verify through a profile.
+
+Ed25519 private keys are loaded once: loading one derives its public key
+with a scalar multiplication, which costs more than the signature itself.
+Loaded keys sit in an LRU cache keyed by the 32 private-key bytes and
+bounded by a fixed size that holds every party of a simulated world; a key
+evicted from it is simply loaded again. Public keys are not cached: loading
+one needs no scalar multiplication, and load-and-verify measured level with
+verify on a key object loaded beforehand, so a cache would hold memory and
+save nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -177,10 +187,20 @@ def _ed25519_keypair(seed: bytes) -> tuple[bytes, bytes]:
     return key.public_key().public_bytes_raw(), private
 
 
+# Loaded signing keys kept by _ed25519_signing_key; a world holds one key
+# per authority, witness and user.
+_ED25519_KEY_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_ED25519_KEY_CACHE_SIZE)
+def _ed25519_signing_key(private_key: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(private_key)
+
+
 def _ed25519_sign(private_key: bytes, message: bytes) -> bytes:
     if len(private_key) != 32:
         raise CryptoError("malformed ed25519 private key")
-    return Ed25519PrivateKey.from_private_bytes(private_key).sign(message)
+    return _ed25519_signing_key(bytes(private_key)).sign(message)
 
 
 def _ed25519_verify(public_key: bytes, message: bytes, sig: bytes) -> bool:

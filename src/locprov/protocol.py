@@ -44,6 +44,7 @@ from .model import (
     ProvenanceEntry,
     TimestampAttestation,
     ValidationError,
+    WindowError,
     SCHEME_BLOOM,
     SCHEME_HASHCHAIN,
     assemble_elp,
@@ -182,14 +183,20 @@ class Directory:
 
 
 class MessageBus:
-    """FIFO queue plus an append-only trace of every delivered message."""
+    """FIFO queue plus an append-only trace of every delivered message.
+
+    Delivery records only the clock and the message; ``trace`` renders the
+    entries when read. That gives the same bytes as rendering at delivery
+    because payload values are frozen objects or scalars and no handler
+    mutates a payload dict.
+    """
 
     def __init__(self, clock: SimClock, config: ProtocolConfig):
         self.clock = clock
         self.config = config
         self.queue: deque[Message] = deque()
         self.handlers: dict[str, Callable[[Message], None]] = {}
-        self.trace: list[dict] = []
+        self._delivered: list[tuple[int, Message]] = []
 
     def register(self, party_id: str, handler: Callable[[Message], None]) -> None:
         self.handlers[party_id] = handler
@@ -201,21 +208,26 @@ class MessageBus:
         while self.queue:
             msg = self.queue.popleft()
             self.clock.advance(self.config.hop_delay_ms)
-            self.trace.append(self._trace_entry(msg))
+            self._delivered.append((self.clock.now, msg))
             handler = self.handlers.get(msg.receiver)
             if handler is None:
                 raise UnknownPartyError(f"no handler for {msg.receiver!r}")
             handler(msg)
 
-    def _trace_entry(self, msg: Message) -> dict:
-        return {
-            "seq": len(self.trace),
-            "clock": self.clock.now,
-            "kind": msg.kind,
-            "sender": msg.sender,
-            "receiver": msg.receiver,
-            "payload": _payload_fingerprint(msg.payload),
-        }
+    @property
+    def trace(self) -> list[dict]:
+        """One dict per delivered message, in delivery order."""
+        return [
+            {
+                "seq": seq,
+                "clock": clock,
+                "kind": msg.kind,
+                "sender": msg.sender,
+                "receiver": msg.receiver,
+                "payload": _payload_fingerprint(msg.payload),
+            }
+            for seq, (clock, msg) in enumerate(self._delivered)
+        ]
 
 
 def _payload_fingerprint(payload: dict) -> dict:
@@ -572,13 +584,18 @@ class WitnessAgent:
             if abs(endorsed_at - self.local_now()) > self.config.witness_clock_tolerance_ms:
                 self._refuse(pending.sender, REFUSE_CLOCK_DISAGREEMENT)
                 return
-        endorsement = make_endorsement(
-            self.profile, self.keys, self.id, lp, endorsed_at,
-            msg.payload["time_sig"],
-            # a colluding witness signs whatever window it is handed
-            window_ms=(1 << 62) if self.behavior.ignore_time_checks
-            else self.config.endorsement_window_ms,
-        )
+        try:
+            endorsement = make_endorsement(
+                self.profile, self.keys, self.id, lp, endorsed_at,
+                msg.payload["time_sig"],
+                # a colluding witness signs whatever window it is handed
+                window_ms=(1 << 62) if self.behavior.ignore_time_checks
+                else self.config.endorsement_window_ms,
+            )
+        except WindowError:
+            # ... except one that ends before the visit began
+            self._refuse(pending.sender, REFUSE_BAD_WINDOW)
+            return
         self.bus.send(Message(ERESP, self.id, pending.sender,
                               {"endorsement": endorsement, "proof": lp}))
 
@@ -689,6 +706,8 @@ class World:
         self.profile = profile
         self.scheme = scheme
         self.config = config or ProtocolConfig()
+        if not 0 <= seed < 1 << 64:
+            raise ValidationError(f"seed {seed} is not a 64-bit unsigned int")
         self.master_seed = seed.to_bytes(8, "big") + bytes(24)
         self.rng = random.Random(seed)
         self.clock = SimClock()

@@ -29,11 +29,11 @@ against a party that simply stays silent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, replace as dataclass_replace
+from dataclasses import dataclass, field, fields, asdict, replace as dataclass_replace
 from typing import Optional
 
 from .audit import AuditReport, LocationClaim, audit, classify_failure
-from .crypto import CryptoProfile, derive_seed, get_profile
+from .crypto import CryptoError, CryptoProfile, derive_seed, get_profile
 from .model import (
     EndorsedLocationProof,
     ProvenanceChain,
@@ -96,9 +96,174 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
+        """Build a scenario from its JSON form, raising ``ValidationError``
+        on anything it could not run: a missing, unknown or mistyped field,
+        an unknown scheme or profile, or a script naming an undeclared user
+        or a behavior its party does not have."""
+        _check_scenario(obj)
         actors = [ActorSpec(**a) for a in obj["actors"]]
         kwargs = {k: v for k, v in obj.items() if k != "actors"}
         return cls(actors=actors, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Scenario-file validation
+# ---------------------------------------------------------------------------
+# Field tables: name -> accepted JSON type(s); a trailing "?" marks a field
+# that may be left out.
+
+_OPTIONAL_STR = (str, type(None))
+_OPTIONAL_LIST = (list, type(None))
+
+_SCENARIO_FIELDS = {
+    "name": str, "threat_row": str, "attack": str, "description": str,
+    "seed": int, "scheme": str, "actors": list, "script": list,
+    "expected_detection": bool, "profile_name?": str, "config?": dict,
+    "reveal?": dict, "claims?": (str, list), "notes?": str,
+}
+
+_ACTOR_FIELDS = {
+    "actor_id": str, "role": str, "honest?": bool, "behavior?": dict,
+    "granularities?": _OPTIONAL_LIST, "skew_ms?": int,
+    "location?": _OPTIONAL_STR, "trusted_proxies?": _OPTIONAL_LIST,
+    "proxy_parent?": _OPTIONAL_STR,
+}
+
+_SCRIPT_OPS = {
+    "advance": {"ms": int},
+    "move": {"party": str, "location": str},
+    "clone": {"identity": str, "location": str},
+    "set_behavior": {"party": str, "field": str, "value": (bool, int)},
+    "visit": {"user": str, "location": str, "witness": str, "attack?": bool},
+    "replay_construct": {"user": str, "position": int},
+    "drop_presented": {"positions": list},
+    "switch_proof": {"proof_from": int, "endorsements_from": int},
+    "fabricate_visit": {
+        "user": str, "location": str, "witness": str,
+        "forge_authority?": bool, "forge_witness?": bool,
+        "record_epoch?": bool, "visit_time_shift_ms?": int,
+        "endorsement_delay_ms?": int,
+    },
+}
+
+_REVEAL_FIELDS = {"positions?": (str, list), "disclose?": dict,
+                  "presentation_order?": list}
+
+_CLAIM_FIELDS = {"location_id": str, "visit_time": int}
+
+_BEHAVIORS = {"authority": AuthorityBehavior, "witness": WitnessBehavior}
+
+
+def _defaults_table(cls) -> dict:
+    """Field table of a dataclass whose fields all default to a scalar; an
+    int is accepted where the default is a float."""
+    return {f.name + "?": (int, float) if isinstance(f.default, float)
+            else type(f.default) for f in fields(cls)}
+
+
+def _check_type(value, types, what: str) -> None:
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types):
+        raise ValidationError(f"{what}: unexpected {type(value).__name__}")
+
+
+def _check_list(value, types, what: str) -> None:
+    for item in value or ():
+        _check_type(item, types, what)
+
+
+def _check_fields(obj, table: dict, what: str) -> None:
+    _check_type(obj, dict, what)
+    names = {name.rstrip("?") for name in table}
+    unknown = sorted(set(obj) - names, key=str)
+    if unknown:
+        raise ValidationError(f"{what}: unknown field {unknown[0]!r}")
+    for name, types in table.items():
+        key = name.rstrip("?")
+        if key in obj:
+            _check_type(obj[key], types, f"{what}.{key}")
+        elif not name.endswith("?"):
+            raise ValidationError(f"{what}: missing field {key!r}")
+
+
+def _check_scenario(obj) -> None:
+    _check_fields(obj, _SCENARIO_FIELDS, "scenario")
+    if obj["scheme"] not in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
+        raise ValidationError(f"unknown scheme {obj['scheme']!r}")
+    try:
+        get_profile(obj.get("profile_name", "modern"))
+    except CryptoError as exc:
+        raise ValidationError(str(exc)) from None
+    _check_fields(obj.get("config", {}), _defaults_table(ProtocolConfig),
+                  "config")
+
+    roles: dict[str, str] = {}
+    for actor in obj["actors"]:
+        _check_fields(actor, _ACTOR_FIELDS, "actor")
+        role = actor["role"]
+        if role not in ("user", *_BEHAVIORS):
+            raise ValidationError(f"unknown role {role!r}")
+        if actor.get("behavior"):
+            if role not in _BEHAVIORS:
+                raise ValidationError(f"a {role} has no behavior")
+            _check_fields(actor["behavior"],
+                          _defaults_table(_BEHAVIORS[role]), "behavior")
+        _check_list(actor.get("granularities"), str, "granularities")
+        _check_list(actor.get("trusted_proxies"), str, "trusted_proxies")
+        roles[actor["actor_id"]] = role
+
+    for op in obj["script"]:
+        _check_type(op, dict, "script op")
+        name = op.get("op")
+        if not isinstance(name, str) or name not in _SCRIPT_OPS:
+            raise ValidationError(f"unknown script op {name!r}")
+        _check_fields({k: v for k, v in op.items() if k != "op"},
+                      _SCRIPT_OPS[name], name)
+        if name in ("visit", "replay_construct") and \
+                roles.get(op["user"]) != "user":
+            raise ValidationError(f"{name}: no user {op['user']!r}")
+        if name == "drop_presented":
+            _check_list(op["positions"], int, "positions")
+        if name == "set_behavior":
+            role = roles.get(op["party"])
+            if role not in _BEHAVIORS:
+                raise ValidationError(
+                    f"set_behavior: no authority or witness {op['party']!r}")
+            table = _defaults_table(_BEHAVIORS[role])
+            _check_fields({op["field"]: op["value"]}, table, "set_behavior")
+        if name == "fabricate_visit":
+            if not op.get("forge_authority", True) and \
+                    roles.get(op["location"]) != "authority":
+                raise ValidationError(
+                    f"fabricate_visit: no authority {op['location']!r}")
+            if not op.get("forge_witness", True) and \
+                    roles.get(op["witness"]) != "witness":
+                raise ValidationError(
+                    f"fabricate_visit: no witness {op['witness']!r}")
+
+    reveal = obj.get("reveal", {})
+    _check_fields(reveal, _REVEAL_FIELDS, "reveal")
+    if isinstance(reveal.get("positions"), str):
+        if reveal["positions"] != "all":
+            raise ValidationError("reveal.positions: a list or \"all\"")
+    else:
+        _check_list(reveal.get("positions"), int, "reveal.positions")
+    _check_list(reveal.get("presentation_order"), int,
+                "reveal.presentation_order")
+    for position, indexes in reveal.get("disclose", {}).items():
+        if not (isinstance(position, int) or str(position).isdigit()):
+            raise ValidationError(f"reveal.disclose: position {position!r}")
+        _check_type(indexes, list, "reveal.disclose")
+        _check_list(indexes, int, "reveal.disclose")
+
+    claims = obj.get("claims", "truthful")
+    if isinstance(claims, str):
+        if claims != "truthful":
+            raise ValidationError(f"unknown claims spec {claims!r}")
+    else:
+        for claim in claims:
+            _check_fields(claim, _CLAIM_FIELDS, "claim")
 
 
 @dataclass
@@ -253,27 +418,36 @@ class _Runner:
                     f"honest visit refused: {outcome.reason} "
                     f"({op['user']} at {op['location']})")
 
+    def _presented_index(self, position: int) -> int:
+        if not 1 <= position <= len(self.presented):
+            raise ScriptError(f"no presented entry at position {position}")
+        return position - 1
+
     def _op_replay_construct(self, op: dict) -> None:
-        self.world.users[op["user"]].replay_construct_from(op["position"])
+        user = self.world.users[op["user"]]
+        if not 1 <= op["position"] <= len(user.chain.entries):
+            raise ScriptError(f"no chain entry at position {op['position']}")
+        user.replay_construct_from(op["position"])
         self._event(event="replay_construct", user=op["user"],
                     position=op["position"])
 
     def _op_drop_presented(self, op: dict) -> None:
         # The presenter simply leaves entries out of the history she shows.
         for position in sorted(op["positions"], reverse=True):
-            del self.presented[position - 1]
+            del self.presented[self._presented_index(position)]
         self._event(event="drop_presented", positions=op["positions"])
 
     def _op_switch_proof(self, op: dict) -> None:
         """Rebind a genuine proof to another entry's endorsements."""
         i, j = op["proof_from"], op["endorsements_from"]
-        victim = self.presented[i - 1]
-        donor = self.presented[j - 1]
+        at = self._presented_index(i)
+        victim = self.presented[at]
+        donor = self.presented[self._presented_index(j)]
         switched = ProvenanceEntry(
             elp=EndorsedLocationProof(victim.elp.proof, donor.elp.endorsements),
             ordering=victim.ordering,
         )
-        self.presented[i - 1] = switched
+        self.presented[at] = switched
         self._event(event="switch_proof", proof_from=i, endorsements_from=j)
 
     def _op_fabricate_visit(self, op: dict) -> None:
@@ -304,7 +478,10 @@ class _Runner:
             self.world.authorities[location_id].pending_digests.append(digest)
             self.world.authorities[location_id].issue_log[digest.data] = t
 
-        endorsed_at = t + op.get("endorsement_delay_ms", 1_000)
+        delay = op.get("endorsement_delay_ms", 1_000)
+        if delay < 0:
+            raise ScriptError("an endorsement cannot precede its visit")
+        endorsed_at = t + delay
         attestation = TimestampAttestation(digest, endorsed_at)
         time_sig = self.profile.sign(authority_keys.private_key,
                                      canonical_encode(attestation))
@@ -339,6 +516,10 @@ class _Runner:
         order = reveal.get("presentation_order")
         if order:
             by_position = {r.position: r for r in sub.entries}
+            missing = set(order) - set(by_position)
+            if missing:
+                raise ScriptError(f"presentation order names unrevealed "
+                                  f"position {min(missing)}")
             sub = dataclass_replace(
                 sub, entries=tuple(by_position[p] for p in order))
 

@@ -69,6 +69,26 @@ def test_simulate_malformed_file_exits_two(tmp_path):
     assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("actors", {}),                         # the script still names u1
+    ("seed", "x"),
+    ("script", "visit"),
+    ("config", {"hop_delay": 5}),
+    ("profile_name", "rot13"),
+], ids=["actors", "seed", "script", "config", "profile"])
+def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
+                                               field, value):
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load scenario")
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_file_exits_two(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path / "o")]) == 2

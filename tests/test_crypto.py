@@ -5,6 +5,7 @@ import random
 import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import dsa
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature,
     encode_dss_signature,
@@ -21,6 +22,8 @@ from locprov.crypto import (
     _DSA_G,
     _DSA_P,
     _DSA_Q,
+    _ED25519_KEY_CACHE_SIZE,
+    _ed25519_signing_key,
 )
 
 PROFILES = [MODERN, LEGACY]
@@ -110,6 +113,30 @@ def test_signing_is_deterministic(profile):
     # byte-identical scenario replays depend on this
     kp = profile.keygen(SEED_A)
     assert profile.sign(kp.private_key, b"x") == profile.sign(kp.private_key, b"x")
+
+
+def test_cached_ed25519_signer_matches_cryptography():
+    """Signatures through the key cache equal those of a key loaded afresh,
+    on cache misses, hits, and a key loaded again after eviction."""
+    keys = [MODERN.keygen(derive_seed(SEED_A, f"cache-{i}"))
+            for i in range(_ED25519_KEY_CACHE_SIZE + 1)]
+
+    def check(kp, msg):
+        expected = Ed25519PrivateKey.from_private_bytes(kp.private_key).sign(msg)
+        assert MODERN.sign(kp.private_key, msg).data == expected
+
+    _ed25519_signing_key.cache_clear()
+    for i, kp in enumerate(keys):           # one more key than the cache holds
+        check(kp, b"miss %d" % i)
+        check(keys[max(i - 1, 0)], b"hit %d" % i)
+    info = _ed25519_signing_key.cache_info()
+    assert info.misses == len(keys) and info.hits == len(keys)
+    assert info.currsize == _ED25519_KEY_CACHE_SIZE
+    check(keys[0], b"first key, evicted")
+    assert _ed25519_signing_key.cache_info().misses == len(keys) + 1
+
+    with pytest.raises(CryptoError):
+        MODERN.sign(keys[0].private_key[:31], b"x")
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,18 @@ def test_visit_time_is_authority_local_time():
     assert stmt.visit_time == world.bus.trace[0]["clock"] + 12_345
 
 
+def test_trace_read_between_visits_lists_delivered_messages():
+    world = _world()
+    world.run_visit("u1", "cafe-7", "w1")
+    first = world.bus.trace
+    assert first == world.bus.trace
+    assert [e["seq"] for e in first] == list(range(len(first)))
+    assert first[0]["kind"] == "pReq" and first[-1]["kind"] == "eResp"
+    world.run_visit("u1", "cafe-7", "w1")
+    second = world.bus.trace
+    assert len(second) == 2 * len(first) and second[:len(first)] == first
+
+
 def test_second_visit_chains_from_first_construct():
     world = _world()
     first = world.run_visit("u1", "cafe-7", "w1")

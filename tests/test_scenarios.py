@@ -1,5 +1,7 @@
 """Attack-scenario engine: the collusion matrix, determinism, serialization."""
 
+import hashlib
+
 import pytest
 
 from locprov.audit import CLAIM_BAD_SIGNATURE, CLAIM_EPOCH_EXCLUDED
@@ -166,6 +168,14 @@ def test_same_seed_byte_identical_trace():
     assert first.trace_jsonl() == second.trace_jsonl()
     assert first.audit_report == second.audit_report
     assert first.matched == second.matched
+
+
+def test_builtin_suite_traces_pinned(outcomes):
+    """The hash-chain suite, then the Bloom suite, at the default seed: the
+    traces' bytes must not drift with changes to how they are recorded."""
+    jsonl = "".join(o.trace_jsonl() for o in outcomes)
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == (
+        "74a5775e04778c9b249555eb7b7af15249bce5fbad7204fcc2c1c79adca3f22a")
 
 
 def test_different_seed_changes_trace():
