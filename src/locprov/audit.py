@@ -17,6 +17,7 @@ threat taxonomy (``classify_failure``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -70,24 +71,21 @@ class ClaimVerdict:
 class AuditReport:
     claim_verdicts: tuple[ClaimVerdict, ...]
     ordering: OrderingVerdict
-    signatures_verified: int
+    # Signature verifies by kind: proof, witness, timestamp, report, link
+    # and accumulator.
+    checks: Counter
     warnings: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return all(v.ok for v in self.claim_verdicts) and self.ordering.ok
 
+    @property
+    def signatures_verified(self) -> int:
+        return self.checks.total()
+
     def failures(self) -> list[ClaimVerdict]:
         return [v for v in self.claim_verdicts if not v.ok]
-
-
-class _Tally:
-    def __init__(self):
-        self.count = 0
-
-    def verify(self, profile: CryptoProfile, public_key, message, sig) -> bool:
-        self.count += 1
-        return profile.verify(public_key, message, sig)
 
 
 def audit(
@@ -107,7 +105,7 @@ def audit(
     deployments without published reports remain auditable.
     """
     warnings: list[str] = []
-    tally = _Tally()
+    checks: Counter = Counter()
 
     if len(claims) != len(sub.entries):
         return AuditReport(
@@ -116,28 +114,28 @@ def audit(
                 status=ORDER_INCOMPLETE,
                 detail=(f"{len(claims)} claims for {len(sub.entries)} "
                         "revealed entries")),
-            signatures_verified=0,
+            checks=checks,
         )
     if registry is None:
         warnings.append("no epoch registry supplied; epoch inclusion not checked")
 
     verdicts = tuple(
         _audit_claim(profile, i, claim, revealed, pubkeys, registry,
-                     endorsement_window_ms, tally)
+                     endorsement_window_ms, checks)
         for i, (claim, revealed) in enumerate(zip(claims, sub.entries))
     )
 
     if sub.scheme == SCHEME_HASHCHAIN:
-        ordering = chain_verify_subsequence(profile, sub, pubkeys)
+        ordering = chain_verify_subsequence(profile, sub, pubkeys, checks)
     elif sub.scheme == SCHEME_BLOOM:
-        ordering = bloom_order_verify(profile, sub, pubkeys)
+        ordering = bloom_order_verify(profile, sub, pubkeys, checks)
     else:
         raise ValidationError(f"unknown ordering scheme {sub.scheme!r}")
 
     return AuditReport(
         claim_verdicts=verdicts,
         ordering=ordering,
-        signatures_verified=tally.count + ordering.signatures_verified,
+        checks=checks,
         warnings=tuple(warnings),
     )
 
@@ -150,7 +148,7 @@ def _audit_claim(
     pubkeys: Mapping[str, bytes],
     registry: Optional[EpochRegistry],
     window_ms: int,
-    tally: _Tally,
+    checks: Counter,
 ) -> ClaimVerdict:
     lp = revealed.entry.elp.proof
     stmt = lp.statement
@@ -163,8 +161,9 @@ def _audit_claim(
     issuer_key = pubkeys.get(issuer)
     if issuer_key is None:
         return fail(CLAIM_BAD_SIGNATURE, f"unknown issuer {issuer!r}")
-    if not tally.verify(profile, issuer_key, statement_signing_bytes(stmt),
-                        lp.authority_sig):
+    checks["proof"] += 1
+    if not profile.verify(issuer_key, statement_signing_bytes(stmt),
+                          lp.authority_sig):
         return fail(CLAIM_BAD_SIGNATURE, "authority signature invalid")
 
     # Endorsements.
@@ -186,12 +185,14 @@ def _audit_claim(
         if witness_key is None:
             return fail(CLAIM_BAD_SIGNATURE,
                         f"unknown witness {es.witness_id!r}")
-        if not tally.verify(profile, witness_key, canonical_encode(es),
-                            endorsement.witness_sig):
+        checks["witness"] += 1
+        if not profile.verify(witness_key, canonical_encode(es),
+                              endorsement.witness_sig):
             return fail(CLAIM_BAD_SIGNATURE, "witness signature invalid")
         attestation = TimestampAttestation(es.proof_digest, es.endorsed_at)
-        if not tally.verify(profile, issuer_key, canonical_encode(attestation),
-                            endorsement.authority_time_sig):
+        checks["timestamp"] += 1
+        if not profile.verify(issuer_key, canonical_encode(attestation),
+                              endorsement.authority_time_sig):
             return fail(CLAIM_BAD_SIGNATURE, "timestamp signature invalid")
         if not stmt.visit_time <= es.endorsed_at <= stmt.visit_time + window_ms:
             return fail(CLAIM_TIME_MISMATCH,
@@ -217,8 +218,8 @@ def _audit_claim(
             return fail(CLAIM_EPOCH_MISSING,
                         f"no epoch report covers t={stmt.visit_time} "
                         f"at {issuer!r}")
+        checks["report"] += 1
         try:
-            tally.count += 1
             included = check_inclusion(profile, issuer_key, report, lp)
         except RegistryError as exc:
             return fail(CLAIM_BAD_SIGNATURE, f"epoch report: {exc}")
@@ -308,7 +309,8 @@ def render_text_report(report: AuditReport) -> str:
     lines.append(f"  ordering: {o.status}{detail}")
     lines.append(
         f"  checks: signatures={report.signatures_verified} "
-        f"links={o.links_checked} accumulators={o.accumulators_checked}")
+        f"links={report.checks['link']} "
+        f"accumulators={report.checks['accumulator']}")
     for w in report.warnings:
         lines.append(f"  warning: {w}")
     if not report.ok:

@@ -23,6 +23,7 @@ byte (j // 8).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 from typing import Mapping
 
@@ -146,51 +147,46 @@ def bloom_order_verify(
     profile: CryptoProfile,
     sub: RevealedSubsequence,
     authority_pubkeys: Mapping[str, bytes],
+    checks: Counter,
 ) -> OrderingVerdict:
     """Check claimed order using only the revealed entries' accumulators.
 
     Each revealed entry must carry a validly signed accumulator containing
-    its own proof digest, and each accumulator must be a strict subset of
-    the next one presented. Equal accumulators never arise from honest
-    insertion and are rejected as ordering evidence.
+    its own proof digest, and each accumulator must be a subset of the next
+    one presented. The subset need not be strict: an honest insertion whose
+    bits were all set already leaves the image unchanged, so two entries
+    can carry equal accumulators and then either order passes. Each
+    accumulator signature verified counts one ``accumulator`` in ``checks``.
     """
     if sub.scheme != SCHEME_BLOOM:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")
 
-    checked = 0
-    signatures = 0
     previous = None
     for revealed in sub.entries:
         acc = revealed.entry.ordering
         if not isinstance(acc, BloomAccumulator):
             return OrderingVerdict(
-                status=ORDER_INCOMPLETE, accumulators_checked=checked,
-                signatures_verified=signatures,
+                status=ORDER_INCOMPLETE,
                 detail=f"entry at position {revealed.position} has no accumulator")
         if not bloom_well_formed(acc):
             return OrderingVerdict(
-                status=ORDER_INCOMPLETE, accumulators_checked=checked,
-                signatures_verified=signatures,
+                status=ORDER_INCOMPLETE,
                 detail=f"malformed accumulator at position {revealed.position}")
         issuer = revealed.entry.elp.proof.statement.location_id
         public_key = authority_pubkeys.get(issuer)
         if public_key is None or acc.authority_sig is None:
             return OrderingVerdict(
-                status=ORDER_INCOMPLETE, accumulators_checked=checked,
-                signatures_verified=signatures,
+                status=ORDER_INCOMPLETE,
                 detail=f"unverifiable accumulator at position {revealed.position}")
-        checked += 1
-        signatures += 1
+        checks["accumulator"] += 1
         if not verify_accumulator(profile, public_key, acc):
             return OrderingVerdict(
-                status=ORDER_REORDERED, accumulators_checked=checked,
-                signatures_verified=signatures,
+                status=ORDER_REORDERED,
                 detail=f"accumulator signature invalid at position {revealed.position}")
         own = proof_digest(profile, revealed.entry.elp.proof)
         if not bloom_contains(profile, acc, own):
             return OrderingVerdict(
-                status=ORDER_REORDERED, accumulators_checked=checked,
-                signatures_verified=signatures,
+                status=ORDER_REORDERED,
                 detail=f"own proof not in accumulator at position {revealed.position}")
         if previous is not None:
             prev_pos, prev_acc = previous
@@ -198,23 +194,14 @@ def bloom_order_verify(
                 is_subset = bloom_subset(prev_acc, acc)
             except BloomParameterError:
                 return OrderingVerdict(
-                    status=ORDER_REORDERED, accumulators_checked=checked,
-                    signatures_verified=signatures,
+                    status=ORDER_REORDERED,
                     detail=(f"accumulator geometry changed between positions "
                             f"{prev_pos} and {revealed.position}"))
-            if prev_acc.bits == acc.bits:
-                return OrderingVerdict(
-                    status=ORDER_REORDERED, accumulators_checked=checked,
-                    signatures_verified=signatures,
-                    detail=(f"equal accumulators at positions {prev_pos} and "
-                            f"{revealed.position}"))
             if not is_subset:
                 return OrderingVerdict(
-                    status=ORDER_REORDERED, accumulators_checked=checked,
-                    signatures_verified=signatures,
+                    status=ORDER_REORDERED,
                     detail=(f"accumulator at position {prev_pos} is not a subset "
                             f"of position {revealed.position}"))
         previous = (revealed.position, acc)
 
-    return OrderingVerdict(status=ORDER_OK, accumulators_checked=checked,
-                           signatures_verified=signatures)
+    return OrderingVerdict(status=ORDER_OK)

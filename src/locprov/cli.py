@@ -39,7 +39,7 @@ from .model import (
     ValidationError,
     make_revealed_subsequence,
 )
-from .protocol import ProtocolConfig, World
+from .protocol import Directory, ProtocolConfig, World
 from .scenarios import (
     builtin_suite,
     run_scenario,
@@ -131,16 +131,12 @@ def cmd_audit(args) -> int:
         return EXIT_USAGE
 
     profile = get_profile(profile_name)
-    report = audit(profile, claims, sub, _directory_pubkeys(directory),
+    report = audit(profile, claims, sub, Directory(directory).pubkeys(),
                    registry)
     if args.out:
         Path(args.out).write_text(dump_audit_report_file(report))
     print(render_text_report(report))
     return EXIT_OK if report.ok else EXIT_AUDIT_FAILURE
-
-
-def _directory_pubkeys(directory: dict) -> dict[str, bytes]:
-    return {pid: meta["public_key"] for pid, meta in directory.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +227,16 @@ def worst_case_positions(n: int, pct: float) -> list[int]:
 
 
 def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
-                     profile_name: str = "modern", seed: int = 7,
-                     reveal_counts: list[int] | None = None) -> list[dict]:
+                     profile_name: str = "modern",
+                     seed: int = 7) -> list[dict]:
     """Audit an honest chain of length ``chain_n`` under both schemes,
     revealing worst-case subsets, and record instrumented operation counts
-    plus wall time. ``reveal_counts`` overrides the percentage sweep with
-    absolute reveal sizes."""
+    plus wall time."""
     rows = []
     for scheme in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
         world, chain = build_honest_chain(scheme, chain_n, profile_name, seed)
-        sweeps: list[tuple[str, object]] = [("pct", p) for p in reveal_pcts]
-        if reveal_counts:
-            sweeps += [("count", c) for c in reveal_counts]
-        for kind, value in sweeps:
-            if kind == "pct":
-                positions = worst_case_positions(chain_n, value)
-            else:
-                pct_equiv = 100.0 * value / chain_n
-                positions = worst_case_positions(chain_n, pct_equiv)
+        for pct in reveal_pcts:
+            positions = worst_case_positions(chain_n, pct)
             sub = make_revealed_subsequence(world.profile, chain, positions)
             claims = [
                 LocationClaim(r.entry.elp.proof.statement.location_id,
@@ -262,16 +250,14 @@ def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
             if not report.ok:
                 raise ValidationError(
                     f"honest bench audit failed: {render_text_report(report)}")
-            ordering = report.ordering
             rows.append({
                 "scheme": scheme,
                 "n": chain_n,
-                "pct": (value if kind == "pct"
-                        else round(100.0 * value / chain_n, 4)),
+                "pct": pct,
                 "revealed": len(positions),
-                "ops_count": (ordering.links_checked
+                "ops_count": (report.checks["link"]
                               if scheme == SCHEME_HASHCHAIN
-                              else ordering.accumulators_checked),
+                              else report.checks["accumulator"]),
                 "signatures_verified": report.signatures_verified,
                 "wall_time_s": round(elapsed, 6),
             })

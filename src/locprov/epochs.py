@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Optional
 
-from .bloom import (
-    bloom_contains,
-    bloom_insert,
-    bloom_new,
-    bloom_well_formed,
-    sign_accumulator,
-)
+from .bloom import bloom_contains, bloom_insert, bloom_new, bloom_well_formed
 from .crypto import CryptoProfile, Digest, KeyPair
 from .model import (
     EpochReport,
@@ -56,11 +50,13 @@ def build_epoch_report(
     capacity: int = 4096,
     target_fpr: float = 0.001,
 ) -> EpochReport:
-    """Accumulate an epoch's issued-proof digests and sign the report."""
+    """Accumulate an epoch's issued-proof digests and sign the report.
+
+    The report signature covers the accumulator's bytes, so the
+    accumulator itself is left unsigned."""
     acc = bloom_new(capacity, target_fpr)
     for d in digests:
         acc = bloom_insert(profile, acc, d)
-    acc = sign_accumulator(profile, authority_keys, acc)
     start, end = epoch_bounds(epoch_id, epoch_len_ms)
     report = EpochReport(location_id, epoch_id, start, end, acc)
     sig = profile.sign(authority_keys.private_key, report_signing_bytes(report))

@@ -15,6 +15,7 @@ were revealed.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Optional
 
 from .crypto import CryptoProfile, Digest, KeyPair
@@ -76,6 +77,7 @@ def chain_verify_subsequence(
     profile: CryptoProfile,
     sub: RevealedSubsequence,
     authority_pubkeys: Mapping[str, bytes],
+    checks: Counter,
 ) -> OrderingVerdict:
     """Check that the revealed entries appear in the order claimed.
 
@@ -84,7 +86,8 @@ def chain_verify_subsequence(
     anything missing yields an Incomplete verdict. Every link in that
     prefix is replayed and its signature verified, every revealed entry
     must sit at its claimed position, and claimed positions must strictly
-    increase.
+    increase. Each link signature verified counts one ``link`` in
+    ``checks``.
     """
     if sub.scheme != SCHEME_HASHCHAIN:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not hash chain")
@@ -131,7 +134,6 @@ def chain_verify_subsequence(
             )
 
     # Replay the chain prefix.
-    links_checked = 0
     prev_link: Optional[HashChainLink] = None
     for position in range(1, last + 1):
         slot = slots[position]
@@ -139,23 +141,15 @@ def chain_verify_subsequence(
         if public_key is None:
             return OrderingVerdict(
                 status=ORDER_INCOMPLETE,
-                links_checked=links_checked,
-                signatures_verified=links_checked,
                 detail=f"no public key for issuer {slot.issuer_id!r}",
             )
-        links_checked += 1
+        checks["link"] += 1
         if not verify_link(profile, public_key, slot.link,
                            slot.proof_digest, prev_link):
             return OrderingVerdict(
                 status=ORDER_REORDERED,
-                links_checked=links_checked,
-                signatures_verified=links_checked,
                 detail=f"link verification failed at position {position}",
             )
         prev_link = slot.link
 
-    return OrderingVerdict(
-        status=ORDER_OK,
-        links_checked=links_checked,
-        signatures_verified=links_checked,
-    )
+    return OrderingVerdict(status=ORDER_OK)

@@ -300,12 +300,10 @@ ORDER_INCOMPLETE = "Incomplete"
 @dataclass(frozen=True)
 class OrderingVerdict:
     """Outcome of verifying the chronological-order evidence of a revealed
-    subsequence, with instrumented work counters for cost comparisons."""
+    subsequence. The verifiers count their signature checks in a
+    ``Counter`` that the caller passes (see ``audit``)."""
 
     status: str
-    links_checked: int = 0
-    accumulators_checked: int = 0
-    signatures_verified: int = 0
     detail: str = ""
 
     @property

@@ -183,8 +183,8 @@ def dump_audit_report_file(report: AuditReport) -> str:
         ],
         "ordering": {
             "status": report.ordering.status,
-            "links_checked": report.ordering.links_checked,
-            "accumulators_checked": report.ordering.accumulators_checked,
+            "links_checked": report.checks["link"],
+            "accumulators_checked": report.checks["accumulator"],
             "detail": report.ordering.detail,
         },
         "signatures_verified": report.signatures_verified,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -256,9 +257,11 @@ def _bloom_world(n=4, scheme="bloom"):
 def test_order_verify_checks_only_revealed_entries():
     world, chain = _bloom_world(6)
     sub = make_revealed_subsequence(world.profile, chain, [1, 4, 6])
-    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys())
+    checks = Counter()
+    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
+                                 checks)
     assert verdict.status == ORDER_OK
-    assert verdict.accumulators_checked == 3
+    assert checks["accumulator"] == 3
 
 
 def test_order_verify_1000_chain_three_reveals_three_checks(honest_chain_factory):
@@ -266,9 +269,11 @@ def test_order_verify_1000_chain_three_reveals_three_checks(honest_chain_factory
     # checks no matter how long the chain is
     world, chain = honest_chain_factory("bloom", 1000)
     sub = make_revealed_subsequence(world.profile, chain, [1, 50, 999])
-    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys())
+    checks = Counter()
+    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
+                                 checks)
     assert verdict.status == ORDER_OK
-    assert verdict.accumulators_checked == 3
+    assert checks["accumulator"] == 3
 
 
 def test_order_verify_flags_swapped_presentation():
@@ -276,13 +281,13 @@ def test_order_verify_flags_swapped_presentation():
     sub = make_revealed_subsequence(world.profile, chain, [2, 3])
     swapped = replace(sub, entries=(sub.entries[1], sub.entries[0]))
     verdict = bloom_order_verify(world.profile, swapped,
-                                 world.directory.pubkeys())
+                                 world.directory.pubkeys(), Counter())
     assert verdict.status == ORDER_REORDERED
 
 
 def test_order_verify_flags_equal_accumulators():
-    """A duplicate insert leaves the bit image unchanged; equal accumulators
-    are rejected as ordering evidence."""
+    """An entry that reuses its predecessor's accumulator is rejected: its
+    own proof is not in the reused image."""
     world, chain = _bloom_world(2)
     first = chain.entries[0]
     # forge a second entry reusing the exact same accumulator
@@ -290,7 +295,8 @@ def test_order_verify_flags_equal_accumulators():
     from locprov.model import ProvenanceChain
     forged = ProvenanceChain("bloom", (first, duplicated))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
-    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys())
+    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
+                                 Counter())
     assert verdict.status == ORDER_REORDERED
     assert "equal" in verdict.detail or "own proof" in verdict.detail
 
@@ -326,6 +332,7 @@ def test_malformed_accumulator_rejected_not_crashing():
     from locprov.model import ProvenanceChain
     forged = ProvenanceChain("bloom", (chain.entries[0], forged_entry))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
-    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys())
+    verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
+                                 Counter())
     assert verdict.status == "Incomplete"
     assert "malformed" in verdict.detail

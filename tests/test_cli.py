@@ -346,5 +346,5 @@ def test_bloom_ops_independent_of_chain_length(honest_chain_factory):
         report = audit(world.profile, claims, sub, world.directory.pubkeys(),
                        world.registry)
         assert report.ok
-        ops.append(report.ordering.accumulators_checked)
+        ops.append(report.checks["accumulator"])
     assert ops[0] == ops[1] == ops[2]

@@ -1,6 +1,7 @@
 """Epoch reports: publication, lookup, inclusion, privacy."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,8 @@ from locprov.model import (
     proof_digest,
 )
 from locprov.protocol import ProtocolConfig, World
-from locprov.bloom import bloom_contains
+from locprov.bloom import bloom_contains, sign_accumulator
+from locprov.serialize import dump_registry_file, load_registry_file
 
 PROFILE = MODERN
 KEYS = PROFILE.keygen(bytes(range(32)))
@@ -61,7 +63,6 @@ def test_proof_absent_from_next_epoch_report():
 
 
 def test_check_inclusion_refuses_bad_report_signature():
-    from dataclasses import replace
     report = _report(0, [_proof(1000)])
     other = PROFILE.keygen(bytes(range(1, 33)))
     with pytest.raises(RegistryError):
@@ -69,6 +70,23 @@ def test_check_inclusion_refuses_bad_report_signature():
     forged = replace(report, epoch_id=5)
     with pytest.raises(RegistryError):
         check_inclusion(PROFILE, KEYS.public_key, forged, _proof(1000))
+
+
+def test_report_signature_alone_covers_the_accumulator():
+    proofs = [_proof(t) for t in (1000, 2000)]
+    report = _report(0, proofs)
+    assert report.accumulator.authority_sig is None
+    for lp in proofs:
+        assert check_inclusion(PROFILE, KEYS.public_key, report, lp)
+    # Earlier versions also signed the accumulator itself. Registry files
+    # holding such reports still load, and their reports still verify.
+    registry = EpochRegistry()
+    registry.publish(replace(report, accumulator=sign_accumulator(
+        PROFILE, KEYS, report.accumulator)))
+    _, loaded = load_registry_file(dump_registry_file("modern", registry))
+    for lp in proofs:
+        assert check_inclusion(PROFILE, KEYS.public_key,
+                               loaded.reports()[0], lp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Signed hash-chain ordering: construction, verification, tamper sweeps."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -115,18 +116,22 @@ def _sub(slots, revealed_positions, proofs, links, order=None):
 def test_full_chain_reveal_first_and_last_checks_all_links():
     proofs, links = _build_links(4)
     sub = _sub(_slots(proofs, links), [1, 4], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    checks = Counter()
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       checks)
     assert verdict.status == ORDER_OK
-    assert verdict.links_checked == 4
+    assert checks["link"] == 4
 
 
 def test_reveal_middle_checks_prefix_only():
     proofs, links = _build_links(4)
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    checks = Counter()
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       checks)
     assert verdict.status == ORDER_OK
     # independent oracle: required work is the largest revealed position
-    assert verdict.links_checked == max([2, 3])
+    assert checks["link"] == max([2, 3])
 
 
 def test_swapped_links_detected():
@@ -135,7 +140,8 @@ def test_swapped_links_detected():
     slots[1], slots[2] = (replace(slots[2], position=2),
                           replace(slots[1], position=3))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       Counter())
     assert verdict.status == ORDER_REORDERED
 
 
@@ -145,14 +151,16 @@ def test_substituted_proof_detected():
     slots = list(_slots(proofs, links))
     slots[1] = replace(slots[1], proof_digest=proof_digest(PROFILE, impostor))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       Counter())
     assert verdict.status == ORDER_REORDERED
 
 
 def test_claimed_order_must_ascend():
     proofs, links = _build_links(4)
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links, order=[3, 2])
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       Counter())
     assert verdict.status == ORDER_REORDERED
 
 
@@ -160,29 +168,33 @@ def test_missing_prefix_evidence_is_incomplete():
     proofs, links = _build_links(4)
     slots = [s for s in _slots(proofs, links) if s.position != 2]
     sub = _sub(tuple(slots), [3], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       Counter())
     assert verdict.status == ORDER_INCOMPLETE
 
 
 def test_unknown_issuer_is_incomplete():
     proofs, links = _build_links(2)
     sub = _sub(_slots(proofs, links), [2], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {})
+    verdict = chain_verify_subsequence(PROFILE, sub, {}, Counter())
     assert verdict.status == ORDER_INCOMPLETE
 
 
 def test_empty_reveal_is_ok_and_costs_nothing():
     proofs, links = _build_links(2)
     sub = RevealedSubsequence("hashchain", (), _slots(proofs, links))
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    checks = Counter()
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       checks)
     assert verdict.status == ORDER_OK
-    assert verdict.links_checked == 0
+    assert checks["link"] == 0
 
 
 def test_wrong_scheme_rejected():
     with pytest.raises(ValidationError):
         chain_verify_subsequence(PROFILE,
-                                 RevealedSubsequence("bloom", (), ()), {})
+                                 RevealedSubsequence("bloom", (), ()), {},
+                                 Counter())
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +219,11 @@ def test_links_checked_equals_last_revealed_for_random_subsets():
         count = rng.randrange(1, 10)
         positions = sorted(rng.sample(range(1, 25), count))
         sub = _sub(slots, positions, proofs, links)
+        checks = Counter()
         verdict = chain_verify_subsequence(PROFILE, sub,
-                                           {"cafe-7": AUTH.public_key})
+                                           {"cafe-7": AUTH.public_key}, checks)
         assert verdict.status == ORDER_OK
-        assert verdict.links_checked == positions[-1]
+        assert checks["link"] == positions[-1]
 
 
 def test_exhaustive_single_tamper_n8_all_detected():
@@ -232,7 +245,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
             slots[i] = ChainSlot(i + 1, si.issuer_id, sj.proof_digest, sj.link)
             slots[j] = ChainSlot(j + 1, sj.issuer_id, si.proof_digest, si.link)
             sub = _sub(tuple(slots), [1, n], proofs, links)
-            verdict = chain_verify_subsequence(PROFILE, sub, pubkeys)
+            verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
             total += 1
             detected += verdict.status != ORDER_OK
 
@@ -245,7 +258,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
         remaining_proofs = [p for idx, p in enumerate(proofs) if idx != k]
         remaining_links = [l for idx, l in enumerate(links) if idx != k]
         sub = _sub(slots, [1, n - 1], remaining_proofs, remaining_links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys)
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -255,7 +268,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
         slots = list(clean)
         slots[k] = replace(slots[k], proof_digest=impostor_digest)
         sub = _sub(tuple(slots), [1, n], proofs, links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys)
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -267,14 +280,16 @@ def test_completeness_long_chain_and_random_subsets(honest_chain_factory):
     pubkeys = world.directory.pubkeys()
     full = make_revealed_subsequence(world.profile, chain,
                                      list(range(1, 10_001)))
-    assert chain_verify_subsequence(world.profile, full, pubkeys).status == ORDER_OK
+    verdict = chain_verify_subsequence(world.profile, full, pubkeys, Counter())
+    assert verdict.status == ORDER_OK
     rng = random.Random(5)
     for _ in range(3):
         positions = sorted(rng.sample(range(1, 10_001), 25))
         sub = make_revealed_subsequence(world.profile, chain, positions)
-        verdict = chain_verify_subsequence(world.profile, sub, pubkeys)
+        checks = Counter()
+        verdict = chain_verify_subsequence(world.profile, sub, pubkeys, checks)
         assert verdict.status == ORDER_OK
-        assert verdict.links_checked == positions[-1]
+        assert checks["link"] == positions[-1]
 
 
 def test_multi_authority_chain_resolves_per_entry_keys():
@@ -289,10 +304,11 @@ def test_multi_authority_chain_resolves_per_entry_keys():
         assert world.run_visit("u1", stop, "w1").ok
         world.advance(1000)
     sub = make_revealed_subsequence(world.profile, user.chain, [1, 3])
+    checks = Counter()
     verdict = chain_verify_subsequence(world.profile, sub,
-                                       world.directory.pubkeys())
+                                       world.directory.pubkeys(), checks)
     assert verdict.status == ORDER_OK
-    assert verdict.links_checked == 3
+    assert checks["link"] == 3
 
 
 def test_duplicate_evidence_positions_incomplete():
@@ -300,5 +316,6 @@ def test_duplicate_evidence_positions_incomplete():
     slots = list(_slots(proofs, links))
     slots.append(slots[1])  # two slots claim position 2
     sub = _sub(tuple(slots), [1, 3], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key})
+    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
+                                       Counter())
     assert verdict.status == ORDER_INCOMPLETE

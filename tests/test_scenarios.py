@@ -4,7 +4,11 @@ import hashlib
 
 import pytest
 
-from locprov.audit import CLAIM_BAD_SIGNATURE, CLAIM_EPOCH_EXCLUDED
+from locprov.audit import (
+    CLAIM_BAD_SIGNATURE,
+    CLAIM_EPOCH_EXCLUDED,
+    render_text_report,
+)
 from locprov.model import SCHEME_BLOOM, SCHEME_HASHCHAIN, ORDER_REORDERED
 from locprov.scenarios import (
     builtin_suite,
@@ -14,6 +18,7 @@ from locprov.scenarios import (
     scenario_to_json,
     suite_summary,
 )
+from locprov.serialize import dump_audit_report_file
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +181,18 @@ def test_builtin_suite_traces_pinned(outcomes):
     jsonl = "".join(o.trace_jsonl() for o in outcomes)
     assert hashlib.sha256(jsonl.encode()).hexdigest() == (
         "74a5775e04778c9b249555eb7b7af15249bce5fbad7204fcc2c1c79adca3f22a")
+
+
+def test_builtin_suite_audit_reports_pinned(outcomes):
+    """The text and JSON audit report of every built-in scenario, in suite
+    order: the reports' bytes must not drift with changes to how the
+    auditor counts its checks."""
+    h = hashlib.sha256()
+    for o in outcomes:
+        h.update(render_text_report(o.audit_report).encode())
+        h.update(dump_audit_report_file(o.audit_report).encode())
+    assert h.hexdigest() == (
+        "83a5d5f0b524702036faa7b6be2fcd1aab5e3bc77a9d49edb92e4330031b2eef")
 
 
 def test_different_seed_changes_trace():
