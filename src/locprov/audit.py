@@ -8,8 +8,11 @@ claimed location matches the proof (exactly, or through a verified
 granularity opening for blinded statements); that the claimed time equals
 the proof's visit time; and, when an epoch registry is available, that the
 proof's digest is included in the published report for the epoch its
-timestamp falls in. Chronological order of the whole presentation is then
-delegated to the active ordering scheme's verifier.
+timestamp falls in. Each distinct epoch report is verified (signature and
+accumulator shape) once per audit, by the first claim that falls in it;
+later claims in the same report reuse that result and only test membership.
+Chronological order of the whole presentation is then delegated to the
+active ordering scheme's verifier.
 
 Verdicts separate what failed so that failures can be mapped back onto the
 threat taxonomy (``classify_failure``).
@@ -21,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .bloom import bloom_order_verify
+from .bloom import bloom_contains, bloom_order_verify
 from .crypto import CryptoProfile
 from .epochs import EpochRegistry, RegistryError, check_inclusion
 from .hashchain import chain_verify_subsequence
@@ -106,6 +109,9 @@ def audit(
     """
     warnings: list[str] = []
     checks: Counter = Counter()
+    # (location, epoch) of each report verified so far -> None when it
+    # verified, else the failure detail every claim in it gets.
+    report_errors: dict[tuple[str, int], Optional[str]] = {}
 
     if len(claims) != len(sub.entries):
         return AuditReport(
@@ -121,7 +127,7 @@ def audit(
 
     verdicts = tuple(
         _audit_claim(profile, i, claim, revealed, pubkeys, registry,
-                     endorsement_window_ms, checks)
+                     endorsement_window_ms, checks, report_errors)
         for i, (claim, revealed) in enumerate(zip(claims, sub.entries))
     )
 
@@ -149,6 +155,7 @@ def _audit_claim(
     registry: Optional[EpochRegistry],
     window_ms: int,
     checks: Counter,
+    report_errors: dict[tuple[str, int], Optional[str]],
 ) -> ClaimVerdict:
     lp = revealed.entry.elp.proof
     stmt = lp.statement
@@ -218,11 +225,20 @@ def _audit_claim(
             return fail(CLAIM_EPOCH_MISSING,
                         f"no epoch report covers t={stmt.visit_time} "
                         f"at {issuer!r}")
-        checks["report"] += 1
-        try:
-            included = check_inclusion(profile, issuer_key, report, lp)
-        except RegistryError as exc:
-            return fail(CLAIM_BAD_SIGNATURE, f"epoch report: {exc}")
+        key = (report.location_id, report.epoch_id)
+        if key in report_errors:
+            if report_errors[key] is not None:
+                return fail(CLAIM_BAD_SIGNATURE, report_errors[key])
+            included = bloom_contains(profile, report.accumulator,
+                                      expected_digest)
+        else:
+            checks["report"] += 1
+            try:
+                included = check_inclusion(profile, issuer_key, report, lp)
+            except RegistryError as exc:
+                report_errors[key] = f"epoch report: {exc}"
+                return fail(CLAIM_BAD_SIGNATURE, report_errors[key])
+            report_errors[key] = None
         if not included:
             return fail(CLAIM_EPOCH_EXCLUDED,
                         f"digest absent from epoch {report.epoch_id} report")

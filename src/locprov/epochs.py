@@ -10,6 +10,14 @@ minted at some other time (backdated or future-dated).
 Reports expose digests only; recovering identities from a report requires
 the preimage proof. The registry is an append-only trusted store: once a
 report for (location, epoch) is published it cannot be replaced.
+
+The registry keys reports by ``(location_id, epoch_id)`` and keeps one epoch
+length per location, set by the first report published there. A report's
+``[start, end)`` must be ``epoch_bounds(epoch_id, length)`` for that length,
+so the epochs of a location tile time without overlap and ``lookup`` finds
+the report covering ``t`` directly, at epoch ``t // length``. A report that
+breaks the rule is refused on publication, so a registry file holding one
+does not load.
 """
 
 from __future__ import annotations
@@ -92,29 +100,37 @@ def check_inclusion(profile: CryptoProfile, public_key: bytes,
 
 
 class EpochRegistry:
-    """Append-only store of published epoch reports, keyed by location."""
+    """Append-only store of published epoch reports, keyed by
+    (location, epoch), with one epoch length per location."""
 
     def __init__(self):
-        self._reports: dict[str, dict[int, EpochReport]] = {}
+        self._reports: dict[tuple[str, int], EpochReport] = {}
+        self._epoch_len: dict[str, int] = {}
 
     def publish(self, report: EpochReport) -> None:
-        per_location = self._reports.setdefault(report.location_id, {})
-        if report.epoch_id in per_location:
+        key = (report.location_id, report.epoch_id)
+        if key in self._reports:
             raise RegistryError(
                 f"report for {report.location_id!r} epoch {report.epoch_id} "
                 "already published")
-        per_location[report.epoch_id] = report
+        length = self._epoch_len.get(report.location_id,
+                                     report.end - report.start)
+        if length < 1 or (report.start, report.end) != epoch_bounds(
+                report.epoch_id, length):
+            raise RegistryError(
+                f"report for {report.location_id!r} epoch {report.epoch_id} "
+                f"spans [{report.start}, {report.end}), not an epoch of "
+                f"{length} ms")
+        self._epoch_len.setdefault(report.location_id, length)
+        self._reports[key] = report
 
     def lookup(self, location_id: str, t: int) -> Optional[EpochReport]:
         """The unique report whose [start, end) interval contains t."""
-        for report in self._reports.get(location_id, {}).values():
-            if report.start <= t < report.end:
-                return report
-        return None
+        length = self._epoch_len.get(location_id)
+        if length is None:
+            return None
+        return self._reports.get((location_id, epoch_of(t, length)))
 
     def reports(self) -> list[EpochReport]:
-        out = []
-        for per_location in self._reports.values():
-            out.extend(per_location.values())
-        out.sort(key=lambda r: (r.location_id, r.epoch_id))
-        return out
+        return sorted(self._reports.values(),
+                      key=lambda r: (r.location_id, r.epoch_id))

@@ -402,11 +402,13 @@ class AuthorityAgent:
         lp = self._build_proof(user_id, visit_time)
         if self.proxy_parent is not None:
             # Hand the proof to the broader-area authority for re-signing;
-            # reply to the user once it comes back.
+            # reply to the user once it comes back. The parent echoes the
+            # original proof's digest, which names the request it answers.
             digest = proof_digest(self.profile, lp)
             self._pending_proxy[digest.data] = msg
             self.bus.send(Message(PROXY_REQ, self.id, self.proxy_parent, {
-                "proof": lp, "prev_construct": prev, "requester": user_id}))
+                "proof": lp, "prev_construct": prev, "requester": user_id,
+                "original_digest": digest}))
             return
         construct = issue_construct(self.profile, self.keys, self.scheme,
                                     self.config, lp, prev)
@@ -464,7 +466,8 @@ class AuthorityAgent:
             new_lp = proxy_resign(self.profile, self, msg.sender, lp)
         except (TrustError, ProtocolError) as exc:
             self.bus.send(Message(REFUSAL, self.id, msg.sender, {
-                "reason": str(exc), "re": PROXY_REQ}))
+                "reason": str(exc), "re": PROXY_REQ,
+                "original_digest": msg.payload["original_digest"]}))
             return
         construct = issue_construct(self.profile, self.keys, self.scheme,
                                     self.config, new_lp,
@@ -472,27 +475,27 @@ class AuthorityAgent:
         self._record_issue(new_lp, new_lp.statement.visit_time)
         self.bus.send(Message(PROXY_RESP, self.id, msg.sender, {
             "proof": new_lp, "construct": construct,
-            "requester": msg.payload["requester"]}))
+            "requester": msg.payload["requester"],
+            "original_digest": msg.payload["original_digest"]}))
+
+    def _pop_pending_proxy(self, msg: Message) -> Message:
+        """The user request that a parent's reply answers."""
+        original = self._pending_proxy.pop(
+            msg.payload["original_digest"].data, None)
+        if original is None:
+            raise ProtocolError(f"{msg.kind} without a pending proxy request")
+        return original
 
     def _handle_proxy_resp(self, msg: Message) -> None:
-        lp: LocationProof = msg.payload["proof"]
-        # match the original user request by requester id
-        original = None
-        for key, pending in list(self._pending_proxy.items()):
-            if pending.payload["user_id"] == msg.payload["requester"]:
-                original = self._pending_proxy.pop(key)
-                break
-        if original is None:
-            raise ProtocolError("proxy response without a pending request")
+        original = self._pop_pending_proxy(msg)
         self.bus.send(Message(PRESP, self.id, original.sender, {
-            "proof": lp, "construct": msg.payload["construct"]}))
+            "proof": msg.payload["proof"],
+            "construct": msg.payload["construct"]}))
 
     def _handle_parent_refusal(self, msg: Message) -> None:
         # The broader-area authority declined to re-sign; pass the refusal
-        # on to whoever is still waiting for a proof.
-        for key, pending in list(self._pending_proxy.items()):
-            del self._pending_proxy[key]
-            self._refuse(pending, msg.payload["reason"], PREQ)
+        # on to the user waiting for that proof.
+        self._refuse(self._pop_pending_proxy(msg), msg.payload["reason"], PREQ)
 
 
 def proxy_resign(profile: CryptoProfile, broad_authority: AuthorityAgent,

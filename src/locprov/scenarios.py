@@ -43,6 +43,7 @@ from .model import (
     SCHEME_BLOOM,
     SCHEME_HASHCHAIN,
     assemble_elp,
+    bloom_bit_size,
     canonical_encode,
     make_endorsement,
     make_proof,
@@ -153,6 +154,10 @@ _CLAIM_FIELDS = {"location_id": str, "visit_time": int}
 
 _BEHAVIORS = {"authority": AuthorityBehavior, "witness": WitnessBehavior}
 
+# Largest Bloom filter, in bits, that a scenario's config may ask for
+# (2 MiB per filter).
+MAX_FILTER_BITS = 1 << 24
+
 
 def _defaults_table(cls) -> dict:
     """Field table of a dataclass whose fields all default to a scalar; an
@@ -187,6 +192,29 @@ def _check_fields(obj, table: dict, what: str) -> None:
             raise ValidationError(f"{what}: missing field {key!r}")
 
 
+def _check_config(config: dict) -> None:
+    """Bound the work a config asks for: a non-positive epoch length would
+    never close an epoch, and filter geometry sets the memory of every
+    accumulator and epoch report."""
+    if config["epoch_len_ms"] < 1:
+        raise ValidationError("config.epoch_len_ms must be at least 1")
+    for prefix in ("epoch", "chain"):
+        capacity = config[f"{prefix}_capacity"]
+        fpr = config[f"{prefix}_fpr"]
+        if capacity < 1:
+            raise ValidationError(f"config.{prefix}_capacity must be at least 1")
+        if not 0 < fpr < 1:
+            raise ValidationError(f"config.{prefix}_fpr must be in (0, 1)")
+        try:
+            too_big = bloom_bit_size(capacity, fpr) > MAX_FILTER_BITS
+        except OverflowError:
+            too_big = True
+        if too_big:
+            raise ValidationError(
+                f"config.{prefix}_capacity and {prefix}_fpr ask for a filter "
+                f"of more than {MAX_FILTER_BITS} bits")
+
+
 def _check_scenario(obj) -> None:
     _check_fields(obj, _SCENARIO_FIELDS, "scenario")
     if obj["scheme"] not in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
@@ -197,6 +225,7 @@ def _check_scenario(obj) -> None:
         raise ValidationError(str(exc)) from None
     _check_fields(obj.get("config", {}), _defaults_table(ProtocolConfig),
                   "config")
+    _check_config(asdict(ProtocolConfig(**obj.get("config", {}))))
 
     roles: dict[str, str] = {}
     for actor in obj["actors"]:

@@ -1,8 +1,7 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
-Each test prints a single PASS line on success (run pytest with -s or
-check test_output.txt); pytest failure output identifies any criterion
-that does not hold.
+Each test prints a single PASS line on success (run pytest with -s to see
+them); pytest failure output identifies any criterion that does not hold.
 """
 
 import random

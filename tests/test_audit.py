@@ -1,7 +1,9 @@
 """Auditor: per-claim checks, ordering delegation, threat classification."""
 
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,17 +28,27 @@ from locprov.audit import (
 )
 from locprov.cli import build_honest_chain
 from locprov.crypto import MODERN
+from locprov.epochs import EpochRegistry
 from locprov.model import (
     OrderingVerdict,
     RevealedEntry,
     RevealedSubsequence,
     ValidationError,
     make_revealed_subsequence,
+    report_signing_bytes,
     ORDER_OK,
     ORDER_REORDERED,
     ORDER_INCOMPLETE,
 )
-from locprov.protocol import ProtocolConfig, World
+from locprov.protocol import Directory, ProtocolConfig, World
+from locprov.serialize import (
+    dump_audit_report_file,
+    load_chain_file,
+    load_claims_file,
+    load_registry_file,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _world(scheme="hashchain", private=False, seed=9):
@@ -221,6 +233,84 @@ def test_counter_law_hashchain_last_revealed_index():
         report = audit(world.profile, _truthful_claims(sub), sub,
                        world.directory.pubkeys(), world.registry)
         assert report.checks["link"] == expected
+
+
+# ---------------------------------------------------------------------------
+# epoch reports: verified once per audit
+# ---------------------------------------------------------------------------
+
+def _shared_epoch_audit(registry_change=None):
+    """Three claims in cafe-7's epoch-0 report, two in lib-2's, audited
+    against the world's registry with ``registry_change`` applied to
+    cafe-7's report."""
+    world, user = _world("bloom")
+    _tour(world, ["cafe-7", "lib-2", "cafe-7", "lib-2", "cafe-7"])
+    registry = EpochRegistry()
+    for r in world.registry.reports():
+        if registry_change is not None and r.location_id == "cafe-7":
+            r = registry_change(world, r)
+        registry.publish(r)
+    sub = make_revealed_subsequence(world.profile, user.chain,
+                                    [1, 2, 3, 4, 5])
+    return audit(world.profile, _truthful_claims(sub), sub,
+                 world.directory.pubkeys(), registry)
+
+
+def test_each_epoch_report_counted_once_per_audit():
+    report = _shared_epoch_audit()
+    assert report.ok
+    assert report.checks["report"] == 2
+    assert report.checks["proof"] == 5
+
+
+def _flip_report_sig(world, r):
+    sig = r.report_sig
+    return replace(r, report_sig=replace(
+        sig, data=bytes([sig.data[0] ^ 1]) + sig.data[1:]))
+
+
+def _sign_malformed_accumulator(world, r):
+    bad = replace(r, accumulator=replace(r.accumulator,
+                                         bits=r.accumulator.bits[:5]))
+    keys = world.authorities["cafe-7"].keys
+    return replace(bad, report_sig=world.profile.sign(
+        keys.private_key, report_signing_bytes(bad)))
+
+
+@pytest.mark.parametrize("change, detail", [
+    (_flip_report_sig,
+     "epoch report: report signature invalid for 'cafe-7' epoch 0"),
+    (_sign_malformed_accumulator,
+     "epoch report: malformed accumulator in report for 'cafe-7' epoch 0"),
+], ids=["flipped-signature", "malformed-accumulator"])
+def test_bad_epoch_report_fails_every_claim_in_it(change, detail):
+    report = _shared_epoch_audit(change)
+    statuses = [(v.status, v.detail) for v in report.claim_verdicts]
+    bad = (CLAIM_BAD_SIGNATURE, detail)
+    assert statuses == [bad, (CLAIM_OK, ""), bad, (CLAIM_OK, ""), bad]
+    assert report.checks["report"] == 2
+
+
+def test_registry_file_written_before_keyed_lookup_audits_the_same():
+    """Files exported by ``locprov simulate`` on ``scenario.json`` when the
+    registry scanned every report and the auditor verified a report once
+    per claim; ``report.json`` is the audit written then. The registry
+    holds empty reports, and several claims share a report. Verdicts and
+    ordering counts are unchanged; only the report verifies fall."""
+    folder = DATA / "shared-epochs-bloom"
+    _, sub, directory = load_chain_file((folder / "chain.json").read_text())
+    claims = load_claims_file((folder / "claims.json").read_text())
+    _, registry = load_registry_file((folder / "registry.json").read_text())
+    assert any(r.accumulator.bits == bytes(len(r.accumulator.bits))
+               for r in registry.reports())
+    report = audit(MODERN, claims, sub, Directory(directory).pubkeys(),
+                   registry)
+    then = json.loads((folder / "report.json").read_text())["report"]
+    now = json.loads(dump_audit_report_file(report))["report"]
+    assert now["signatures_verified"] == then.pop("signatures_verified") - 3
+    del now["signatures_verified"]
+    assert now == then
+    assert report.checks["report"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,36 @@ def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config", [
+    {"epoch_len_ms": 0},
+    {"epoch_len_ms": -300_000},
+    {"epoch_capacity": 0},
+    {"chain_capacity": -1},
+    {"epoch_fpr": 0},
+    {"chain_fpr": 1.0},
+    {"epoch_fpr": 1.5},
+    {"epoch_capacity": 2**64},
+    {"chain_capacity": 2**21},
+    {"chain_capacity": 10**400},
+    {"epoch_capacity": 100_000, "epoch_fpr": 1e-100},
+], ids=["epoch-len-0", "epoch-len-negative", "epoch-capacity-0",
+        "chain-capacity-negative", "epoch-fpr-0", "chain-fpr-1",
+        "epoch-fpr-above-1", "epoch-capacity-2^64", "chain-capacity-2^21",
+        "chain-capacity-10^400", "epoch-capacity-and-fpr"])
+def test_simulate_unbounded_config_exits_two(tmp_path, scenario_dir, capsys,
+                                             config):
+    """Refused while the file loads: no filter is built, no epoch rolled."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    doc["config"] = config
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load scenario: config.")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_missing_file_exits_two(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path / "o")]) == 2

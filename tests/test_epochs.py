@@ -1,5 +1,7 @@
 """Epoch reports: publication, lookup, inclusion, privacy."""
 
+import base64
+import json
 import random
 from dataclasses import replace
 
@@ -22,7 +24,11 @@ from locprov.model import (
 )
 from locprov.protocol import ProtocolConfig, World
 from locprov.bloom import bloom_contains, sign_accumulator
-from locprov.serialize import dump_registry_file, load_registry_file
+from locprov.serialize import (
+    FormatError,
+    dump_registry_file,
+    load_registry_file,
+)
 
 PROFILE = MODERN
 KEYS = PROFILE.keygen(bytes(range(32)))
@@ -33,9 +39,9 @@ def _proof(t, user="u1", location="cafe-7"):
     return make_proof(PROFILE, KEYS, make_statement(user, location, t))
 
 
-def _report(epoch_id, proofs, location="cafe-7"):
+def _report(epoch_id, proofs, location="cafe-7", epoch_len=EPOCH_LEN):
     return build_epoch_report(
-        PROFILE, KEYS, location, epoch_id, EPOCH_LEN,
+        PROFILE, KEYS, location, epoch_id, epoch_len,
         [proof_digest(PROFILE, lp) for lp in proofs])
 
 
@@ -117,6 +123,55 @@ def test_registry_is_append_only():
     registry.publish(_report(0, []))
     with pytest.raises(RegistryError):
         registry.publish(_report(0, [_proof(5)]))
+
+
+def test_lookup_agrees_with_linear_scan_across_gaps():
+    registry = EpochRegistry()
+    for location, epoch_len, epochs in (("cafe-7", 10, (0, 2, 3, 7)),
+                                        ("lib-2", 25, (1, 4))):
+        for epoch_id in epochs:
+            registry.publish(_report(epoch_id, [], location, epoch_len))
+    reports = registry.reports()
+    for location in ("cafe-7", "lib-2", "park-9"):
+        for t in range(-30, 160):
+            scan = next((r for r in reports if r.location_id == location
+                         and r.start <= t < r.end), None)
+            assert registry.lookup(location, t) is scan, (location, t)
+
+
+@pytest.mark.parametrize("bounds", [
+    (1, EPOCH_LEN + 1),                 # shifted
+    (0, EPOCH_LEN - 1),                 # shortened
+    (EPOCH_LEN, EPOCH_LEN),             # empty
+    (2 * EPOCH_LEN, 3 * EPOCH_LEN),     # another epoch's
+], ids=["shifted", "shortened", "empty", "other-epoch"])
+def test_publish_refuses_bounds_off_the_epoch_grid(bounds):
+    registry = EpochRegistry()
+    start, end = bounds
+    with pytest.raises(RegistryError):
+        registry.publish(replace(_report(1, []), start=start, end=end))
+    assert registry.reports() == []
+
+
+def test_publish_refuses_second_epoch_length_for_a_location():
+    registry = EpochRegistry()
+    registry.publish(_report(0, []))
+    with pytest.raises(RegistryError):
+        registry.publish(_report(1, [], epoch_len=2 * EPOCH_LEN))
+    # another location may use another length
+    registry.publish(_report(1, [], location="lib-2", epoch_len=2 * EPOCH_LEN))
+    assert registry.lookup("cafe-7", EPOCH_LEN) is None
+    assert registry.lookup("lib-2", 2 * EPOCH_LEN).epoch_id == 1
+
+
+def test_registry_file_with_bounds_off_the_grid_does_not_load():
+    registry = EpochRegistry()
+    registry.publish(_report(0, []))
+    doc = json.loads(dump_registry_file("modern", registry))
+    shifted = replace(registry.reports()[0], start=1, end=EPOCH_LEN + 1)
+    doc["reports"] = base64.b64encode(canonical_encode([shifted])).decode()
+    with pytest.raises(FormatError):
+        load_registry_file(json.dumps(doc))
 
 
 def test_epoch_of_matches_bounds():

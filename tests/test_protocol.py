@@ -12,7 +12,9 @@ from locprov.model import (
 )
 from locprov.protocol import (
     Message,
+    PROXY_REQ,
     ProtocolConfig,
+    REFUSE_BAD_PROOF,
     TREQ,
     UnknownPartyError,
     World,
@@ -274,6 +276,34 @@ def test_proxy_refused_for_untrusted_pair():
     world.place("u1", "block-6")
     outcome = world.run_visit("u1", "block-6", "w1")
     assert not outcome.ok
+
+
+def test_overlapping_proxy_requests_each_get_their_own_answer():
+    """Two users' requests wait at block-5 for the city; the city refuses
+    u1's (its proof arrives tampered) and re-signs u2's."""
+    from dataclasses import replace
+    world = _proxy_world()
+    world.add_user("u2")
+    world.place("u2", "block-5")
+    city_handler = world.bus.handlers["chicago-city"]
+
+    def tamper_u1(msg):
+        if msg.kind == PROXY_REQ and msg.payload["requester"] == "u1":
+            lp = msg.payload["proof"]
+            msg = replace(msg, payload={**msg.payload, "proof": replace(
+                lp, statement=replace(lp.statement, visit_time=1))})
+        city_handler(msg)
+
+    world.bus.register("chicago-city", tamper_u1)
+    world.users["u1"].start_visit("block-5", "w1")
+    world.users["u2"].start_visit("block-5", "w1")
+    world.bus.run()
+    (u1_outcome,) = world.users["u1"].visit_log
+    (u2_outcome,) = world.users["u2"].visit_log
+    assert not u1_outcome.ok and u1_outcome.reason == REFUSE_BAD_PROOF
+    assert u2_outcome.ok
+    assert u2_outcome.entry.elp.proof.statement.user_id == "u2"
+    assert world.authorities["block-5"]._pending_proxy == {}
 
 
 def test_proxy_resign_rejects_tampered_original():

@@ -192,7 +192,7 @@ def test_builtin_suite_audit_reports_pinned(outcomes):
         h.update(render_text_report(o.audit_report).encode())
         h.update(dump_audit_report_file(o.audit_report).encode())
     assert h.hexdigest() == (
-        "83a5d5f0b524702036faa7b6be2fcd1aab5e3bc77a9d49edb92e4330031b2eef")
+        "98915b127aa2978d12a3bc80bf6ac1c4e808546778b49ec8e0f8df378b85ca00")
 
 
 def test_different_seed_changes_trace():
