@@ -69,7 +69,6 @@ from .bloom import (
 from .epochs import EpochRegistry, EpochReport, build_epoch_report, check_inclusion
 from .protocol import (
     AuthorityBehavior,
-    LocalizationOracle,
     ProtocolConfig,
     WitnessBehavior,
     World,

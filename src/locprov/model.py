@@ -63,7 +63,8 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
-from .crypto import Commitment, CryptoProfile, Digest, KeyPair, Signature
+from .crypto import (LEGACY, MODERN, Commitment, CryptoProfile, Digest,
+                     KeyPair, Signature)
 
 
 class ModelError(Exception):
@@ -337,9 +338,9 @@ TAG_PRIVATE_STATEMENT_CORE = 0x12
 TAG_BLOOM_CORE = 0x1B
 TAG_EPOCH_REPORT_CORE = 0x1D
 
-_SCHEME_TAGS = {"ed25519": 0x01, "dsa1024-sha1": 0x02}
-_SCHEME_FROM_TAG = {t: (s, n) for (s, n), t in zip(
-    [("ed25519", 64), ("dsa1024-sha1", 40)], [0x01, 0x02])}
+# Wire tag of each signature scheme; the profile gives its signature length.
+_SIG_PROFILES = {0x01: MODERN, 0x02: LEGACY}
+_SCHEME_TAGS = {p.scheme_id: tag for tag, p in _SIG_PROFILES.items()}
 
 
 def _u32(n: int) -> bytes:
@@ -535,10 +536,11 @@ class _Reader:
     def sig(self) -> Signature:
         tag = self.byte()
         try:
-            scheme, length = _SCHEME_FROM_TAG[tag]
+            profile = _SIG_PROFILES[tag]
         except KeyError:
             raise EncodingError(f"unknown signature scheme tag {tag:#04x}") from None
-        return Signature(scheme_id=scheme, data=self.take(length))
+        return Signature(scheme_id=profile.scheme_id,
+                         data=self.take(profile.signature_len))
 
     def optional_sig(self) -> Optional[Signature]:
         flag = self.byte()

@@ -3,11 +3,11 @@
 One visit is a request-response cascade. The user discovers the location
 authority and sends a proof request (``pReq``) carrying her identity and
 the ordering construct from the last entry of her chain (or a genesis
-marker). The authority runs secure localization (abstracted behind a
-pluggable oracle) to confirm she is actually present, then builds and
-signs the location proof, derives the new ordering construct from the
-supplied one, records the proof digest in its pending epoch list, and
-replies (``pResp``). The user forwards the proof to a nearby witness
+marker). The authority runs secure localization (abstracted as a lookup
+in the simulator's ground truth) to confirm she is actually present, then
+builds and signs the location proof, derives the new ordering construct
+from the supplied one, records the proof digest for its current epoch,
+and replies (``pResp``). The user forwards the proof to a nearby witness
 (``eReq``); the witness runs its own localization check against the user,
 asks the proof's authority to timestamp the endorsement (``tReq`` /
 ``tResp``, refused when the request arrives long after issuance), accepts
@@ -53,7 +53,6 @@ from .model import (
     make_private_statement,
     make_proof,
     make_statement,
-    ordering_scheme,
     proof_digest,
     statement_signing_bytes,
 )
@@ -77,7 +76,6 @@ REFUSE_BAD_WINDOW = "endorsement-window-violated"
 REFUSE_CLOCK_DISAGREEMENT = "timestamp-implausible"
 REFUSE_UNKNOWN_PROOF = "unknown-proof"
 REFUSE_BAD_PROOF = "proof-verification-failed"
-REFUSE_BAD_SCHEME = "ordering-scheme-mismatch"
 
 
 class ProtocolError(ValidationError):
@@ -85,10 +83,6 @@ class ProtocolError(ValidationError):
 
 
 class UnknownPartyError(ProtocolError):
-    pass
-
-
-class TrustError(ProtocolError):
     pass
 
 
@@ -126,19 +120,10 @@ class SimClock:
         self.now += ms
 
 
-@dataclass(frozen=True)
-class LocalizationOracle:
-    """Stand-in for physical secure localization (distance bounding and
-    friends): answers whether a prover is at a location at a sim time."""
-
-    policy: Callable[[str, str, int], bool]
-
-    def present(self, prover_id: str, location_id: str, now: int) -> bool:
-        return bool(self.policy(prover_id, location_id, now))
-
-
 class GroundTruth:
-    """Actual positions of parties; the honest oracle consults this."""
+    """Actual positions of parties. Honest authorities and witnesses ask it
+    whether a prover is present, standing in for physical secure
+    localization (distance bounding and friends)."""
 
     def __init__(self):
         self._positions: dict[str, set[str]] = {}
@@ -153,9 +138,8 @@ class GroundTruth:
     def locations_of(self, party_id: str) -> set[str]:
         return self._positions.get(party_id, set())
 
-    def oracle(self) -> LocalizationOracle:
-        return LocalizationOracle(
-            lambda prover, loc, now: loc in self.locations_of(prover))
+    def present(self, prover_id: str, location_id: str) -> bool:
+        return location_id in self.locations_of(prover_id)
 
 
 @dataclass
@@ -264,8 +248,6 @@ class AuthorityBehavior:
     visit_time_shift_ms: int = 0
     # added to the authority-local clock when signing endorsement timestamps
     timestamp_shift_ms: int = 0
-    approve_stale_timestamps: bool = False
-    suppress_epoch_record: bool = False
     # record the digest in the epoch containing the (shifted) visit time
     # instead of the epoch it was actually issued in (post-dating)
     defer_record_to_visit_epoch: bool = False
@@ -315,7 +297,7 @@ class AuthorityAgent:
 
     def __init__(self, authority_id: str, keys: KeyPair, profile: CryptoProfile,
                  config: ProtocolConfig, clock: SimClock,
-                 oracle: LocalizationOracle, registry: EpochRegistry,
+                 ground_truth: GroundTruth, registry: EpochRegistry,
                  scheme: str, rng: random.Random, bus: "MessageBus",
                  directory: Directory,
                  granularities: Optional[list[str]] = None,
@@ -328,7 +310,7 @@ class AuthorityAgent:
         self.profile = profile
         self.config = config
         self.clock = clock
-        self.oracle = oracle
+        self.ground_truth = ground_truth
         self.registry = registry
         self.scheme = scheme
         self.rng = rng
@@ -340,8 +322,8 @@ class AuthorityAgent:
         self.trusted_proxies = trusted_proxies or set()
         self.proxy_parent = proxy_parent
 
-        self.pending_digests: list[Digest] = []
-        self.deferred_digests: dict[int, list[Digest]] = {}
+        # digests of issued proofs, by the epoch whose report will hold them
+        self.epoch_digests: dict[int, list[Digest]] = {}
         self.issue_log: dict[bytes, int] = {}
         self.current_epoch = 0
         self.last_timestamp = 0
@@ -358,8 +340,7 @@ class AuthorityAgent:
             self._close_current_epoch()
 
     def _close_current_epoch(self) -> None:
-        digests = list(self.pending_digests)
-        digests.extend(self.deferred_digests.pop(self.current_epoch, []))
+        digests = self.epoch_digests.pop(self.current_epoch, [])
         report = build_epoch_report(
             self.profile, self.keys, self.id, self.current_epoch,
             self.config.epoch_len_ms, digests,
@@ -367,7 +348,6 @@ class AuthorityAgent:
             target_fpr=self.config.epoch_fpr,
         )
         self.registry.publish(report)
-        self.pending_digests.clear()
         self.current_epoch += 1
 
     # -- message handling ----------------------------------------------------
@@ -394,8 +374,8 @@ class AuthorityAgent:
     def _handle_preq(self, msg: Message) -> None:
         user_id = msg.payload["user_id"]
         prev = msg.payload.get("prev_construct")
-        if not self.behavior.skip_localization and not self.oracle.present(
-                user_id, self.id, self.clock.now):
+        if not self.behavior.skip_localization and \
+                not self.ground_truth.present(user_id, self.id):
             self._refuse(msg, REFUSE_NOT_PRESENT, PREQ)
             return
         visit_time = self.local_now() + self.behavior.visit_time_shift_ms
@@ -412,7 +392,7 @@ class AuthorityAgent:
             return
         construct = issue_construct(self.profile, self.keys, self.scheme,
                                     self.config, lp, prev)
-        self._record_issue(lp, visit_time)
+        self.record_issue(lp, visit_time)
         self.bus.send(Message(PRESP, self.id, msg.sender, {
             "proof": lp, "construct": construct}))
 
@@ -425,27 +405,24 @@ class AuthorityAgent:
             stmt = make_statement(user_id, self.id, visit_time)
         return make_proof(self.profile, self.keys, stmt)
 
-    def _record_issue(self, lp: LocationProof, visit_time: int) -> None:
+    def record_issue(self, lp: LocationProof, visit_time: int) -> None:
+        """Log ``lp`` as issued now and queue its digest for the current
+        epoch's report, or for the visit's epoch when deferring."""
         digest = proof_digest(self.profile, lp)
         self.issue_log[digest.data] = self.local_now()
-        if self.behavior.suppress_epoch_record:
-            return
+        epoch = self.current_epoch
         if self.behavior.defer_record_to_visit_epoch:
-            target = epoch_of(visit_time, self.config.epoch_len_ms)
-            if target != self.current_epoch:
-                self.deferred_digests.setdefault(target, []).append(digest)
-                return
-        self.pending_digests.append(digest)
+            epoch = epoch_of(visit_time, self.config.epoch_len_ms)
+        self.epoch_digests.setdefault(epoch, []).append(digest)
 
     def _handle_treq(self, msg: Message) -> None:
         digest: Digest = msg.payload["proof_digest"]
         issued_at = self.issue_log.get(digest.data)
-        if issued_at is None and not self.behavior.approve_stale_timestamps:
+        if issued_at is None:
             self._refuse(msg, REFUSE_UNKNOWN_PROOF, TREQ)
             return
         now = self.local_now()
-        if (not self.behavior.approve_stale_timestamps
-                and now - issued_at > self.config.timestamp_lag_ms):
+        if now - issued_at > self.config.timestamp_lag_ms:
             self._refuse(msg, REFUSE_STALE_PROOF, TREQ)
             return
         endorsed_at = max(now + self.behavior.timestamp_shift_ms,
@@ -464,7 +441,7 @@ class AuthorityAgent:
         lp: LocationProof = msg.payload["proof"]
         try:
             new_lp = proxy_resign(self.profile, self, msg.sender, lp)
-        except (TrustError, ProtocolError) as exc:
+        except ProtocolError as exc:
             self.bus.send(Message(REFUSAL, self.id, msg.sender, {
                 "reason": str(exc), "re": PROXY_REQ,
                 "original_digest": msg.payload["original_digest"]}))
@@ -472,7 +449,7 @@ class AuthorityAgent:
         construct = issue_construct(self.profile, self.keys, self.scheme,
                                     self.config, new_lp,
                                     msg.payload.get("prev_construct"))
-        self._record_issue(new_lp, new_lp.statement.visit_time)
+        self.record_issue(new_lp, new_lp.statement.visit_time)
         self.bus.send(Message(PROXY_RESP, self.id, msg.sender, {
             "proof": new_lp, "construct": construct,
             "requester": msg.payload["requester"],
@@ -507,7 +484,7 @@ def proxy_resign(profile: CryptoProfile, broad_authority: AuthorityAgent,
     original proof must verify under the requesting authority's key.
     """
     if requesting_authority_id not in broad_authority.trusted_proxies:
-        raise TrustError(
+        raise ProtocolError(
             f"{broad_authority.id!r} does not proxy for "
             f"{requesting_authority_id!r}")
     original_key = broad_authority.directory.public_key(requesting_authority_id)
@@ -523,15 +500,13 @@ class WitnessAgent:
 
     def __init__(self, witness_id: str, keys: KeyPair, profile: CryptoProfile,
                  config: ProtocolConfig, clock: SimClock,
-                 oracle: LocalizationOracle, ground_truth: GroundTruth,
-                 bus: "MessageBus", skew_ms: int = 0,
+                 ground_truth: GroundTruth, bus: "MessageBus", skew_ms: int = 0,
                  behavior: Optional[WitnessBehavior] = None):
         self.id = witness_id
         self.keys = keys
         self.profile = profile
         self.config = config
         self.clock = clock
-        self.oracle = oracle
         self.ground_truth = ground_truth
         self.bus = bus
         self.skew_ms = skew_ms
@@ -564,7 +539,7 @@ class WitnessAgent:
         user_id = lp.statement.user_id
         here = self.current_location()
         if not self.behavior.skip_localization:
-            if here is None or not self.oracle.present(user_id, here, self.clock.now):
+            if here is None or not self.ground_truth.present(user_id, here):
                 self._refuse(msg.sender, REFUSE_NOT_COLOCATED)
                 return
         digest = proof_digest(self.profile, lp)
@@ -622,13 +597,10 @@ class VisitOutcome:
 class UserAgent:
     """Mobile user collecting endorsed proofs into a provenance chain."""
 
-    def __init__(self, user_id: str, keys: KeyPair, profile: CryptoProfile,
-                 config: ProtocolConfig, scheme: str, directory: Directory,
-                 bus: "MessageBus"):
+    def __init__(self, user_id: str, profile: CryptoProfile, scheme: str,
+                 directory: Directory, bus: "MessageBus"):
         self.id = user_id
-        self.keys = keys
         self.profile = profile
-        self.config = config
         self.directory = directory
         self.bus = bus
         self.chain = ProvenanceChain(scheme)
@@ -636,10 +608,6 @@ class UserAgent:
         self._pending_construct: Optional[OrderingConstruct] = None
         self._pending_witness: Optional[str] = None
         self._replay_construct: Optional[OrderingConstruct] = None
-
-    @property
-    def latest_construct(self) -> Optional[OrderingConstruct]:
-        return self.chain.latest_construct
 
     def replay_construct_from(self, position: int) -> None:
         """Arrange for the next proof request to present the ordering
@@ -650,7 +618,7 @@ class UserAgent:
         if not self.directory.has(location_id):
             raise UnknownPartyError(f"authority {location_id!r} not in directory")
         prev = self._replay_construct if self._replay_construct is not None \
-            else self.latest_construct
+            else self.chain.latest_construct
         self._replay_construct = None
         self._pending_witness = witness_id
         self.bus.send(Message(PREQ, self.id, location_id, {
@@ -685,16 +653,10 @@ class UserAgent:
         lp: LocationProof = msg.payload["proof"]
         elp = assemble_elp(self.profile, lp, [endorsement])
         entry = ProvenanceEntry(elp, self._pending_construct)
-        self.append_entry(entry)
+        self.chain = self.chain.append(entry)
         self._pending_construct = None
         self._pending_witness = None
         self.visit_log.append(VisitOutcome(True, entry=entry))
-
-    def append_entry(self, entry: ProvenanceEntry) -> ProvenanceChain:
-        if ordering_scheme(entry.ordering) != self.chain.scheme:
-            raise ProtocolError(REFUSE_BAD_SCHEME)
-        self.chain = self.chain.append(entry)
-        return self.chain
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +677,6 @@ class World:
         self.rng = random.Random(seed)
         self.clock = SimClock()
         self.ground_truth = GroundTruth()
-        self.oracle = self.ground_truth.oracle()
         self.directory = Directory()
         self.registry = EpochRegistry()
         self.bus = MessageBus(self.clock, self.config)
@@ -728,8 +689,8 @@ class World:
 
     def add_user(self, user_id: str) -> UserAgent:
         keys = self._keys_for("user:" + user_id)
-        agent = UserAgent(user_id, keys, self.profile, self.config,
-                          self.scheme, self.directory, self.bus)
+        agent = UserAgent(user_id, self.profile, self.scheme, self.directory,
+                          self.bus)
         self.users[user_id] = agent
         self.directory.register(user_id, "user", keys.public_key,
                                 keys.scheme_id)
@@ -745,7 +706,7 @@ class World:
         keys = self._keys_for("authority:" + authority_id)
         agent = AuthorityAgent(
             authority_id, keys, self.profile, self.config, self.clock,
-            self.oracle, self.registry, self.scheme, self.rng, self.bus,
+            self.ground_truth, self.registry, self.scheme, self.rng, self.bus,
             self.directory,
             granularities=granularities, skew_ms=skew_ms, behavior=behavior,
             trusted_proxies=trusted_proxies, proxy_parent=proxy_parent)
@@ -759,8 +720,8 @@ class World:
                     behavior: Optional[WitnessBehavior] = None) -> WitnessAgent:
         keys = self._keys_for("witness:" + witness_id)
         agent = WitnessAgent(witness_id, keys, self.profile, self.config,
-                             self.clock, self.oracle, self.ground_truth,
-                             self.bus, skew_ms=skew_ms, behavior=behavior)
+                             self.clock, self.ground_truth, self.bus,
+                             skew_ms=skew_ms, behavior=behavior)
         self.witnesses[witness_id] = agent
         self.directory.register(witness_id, "witness", keys.public_key,
                                 keys.scheme_id)
@@ -794,19 +755,14 @@ class World:
         """Advance time past the current epoch boundary everywhere and
         publish all outstanding reports, so freshly issued proofs become
         auditable against the registry."""
-        horizon = max(
-            (a.current_epoch + 1) * self.config.epoch_len_ms - a.skew_ms
-            for a in self.authorities.values()
-        )
-        # Jump far enough that every authority, and any deferred epoch
-        # record, has passed its boundary.
-        deferred_horizon = max(
-            ((target + 1) * self.config.epoch_len_ms - a.skew_ms
+        # Jump far enough that every authority's current epoch, and every
+        # epoch holding a deferred digest, has passed its boundary.
+        target_time = max(
+            ((epoch + 1) * self.config.epoch_len_ms - a.skew_ms
              for a in self.authorities.values()
-             for target in a.deferred_digests),
-            default=0,
+             for epoch in (a.current_epoch, *a.epoch_digests)),
+            default=self.clock.now,
         )
-        target_time = max(horizon, deferred_horizon, self.clock.now)
         if target_time > self.clock.now:
             self.clock.advance(target_time - self.clock.now)
         for authority in self.authorities.values():

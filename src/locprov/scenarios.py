@@ -143,7 +143,6 @@ _SCRIPT_OPS = {
         "user": str, "location": str, "witness": str,
         "forge_authority?": bool, "forge_witness?": bool,
         "record_epoch?": bool, "visit_time_shift_ms?": int,
-        "endorsement_delay_ms?": int,
     },
 }
 
@@ -230,6 +229,8 @@ def _check_scenario(obj) -> None:
     roles: dict[str, str] = {}
     for actor in obj["actors"]:
         _check_fields(actor, _ACTOR_FIELDS, "actor")
+        if actor["actor_id"] in roles:
+            raise ValidationError(f"actor {actor['actor_id']!r} declared twice")
         role = actor["role"]
         if role not in ("user", *_BEHAVIORS):
             raise ValidationError(f"unknown role {role!r}")
@@ -354,12 +355,10 @@ class _Runner:
                     trusted_proxies=set(actor.trusted_proxies or ()),
                     proxy_parent=actor.proxy_parent,
                 )
-            elif actor.role == "witness":
+            else:
                 behavior = WitnessBehavior(**actor.behavior)
                 self.world.add_witness(actor.actor_id, skew_ms=actor.skew_ms,
                                        behavior=behavior)
-            else:
-                raise ScriptError(f"unknown role {actor.role!r}")
             if actor.location:
                 self.world.place(actor.actor_id, actor.location)
 
@@ -377,10 +376,7 @@ class _Runner:
 
     def run(self) -> ScenarioOutcome:
         for op in self.scenario.script:
-            handler = getattr(self, "_op_" + op["op"], None)
-            if handler is None:
-                raise ScriptError(f"unknown script op {op['op']!r}")
-            handler(op)
+            getattr(self, "_op_" + op["op"])(op)
         self.world.finalize_epochs()
         report, sub, claims = self._audit_presentation()
         outcome = ScenarioOutcome(
@@ -419,11 +415,7 @@ class _Runner:
     def _op_set_behavior(self, op: dict) -> None:
         party = op["party"]
         agent = (self.world.authorities.get(party)
-                 or self.world.witnesses.get(party))
-        if agent is None:
-            raise ScriptError(f"no authority or witness {party!r}")
-        if not hasattr(agent.behavior, op["field"]):
-            raise ScriptError(f"no behavior field {op['field']!r}")
+                 or self.world.witnesses[party])
         setattr(agent.behavior, op["field"], op["value"])
         self._event(event="set_behavior", party=party, field=op["field"],
                     value=op["value"])
@@ -502,15 +494,11 @@ class _Runner:
         digest = proof_digest(self.profile, lp)
 
         if not forge_authority and op.get("record_epoch", False):
-            # A colluding authority quietly adds the digest to its pending
-            # epoch list so the epoch check will not give the forgery away.
-            self.world.authorities[location_id].pending_digests.append(digest)
-            self.world.authorities[location_id].issue_log[digest.data] = t
+            # A colluding authority quietly records the digest as issued so
+            # the epoch check will not give the forgery away.
+            self.world.authorities[location_id].record_issue(lp, t)
 
-        delay = op.get("endorsement_delay_ms", 1_000)
-        if delay < 0:
-            raise ScriptError("an endorsement cannot precede its visit")
-        endorsed_at = t + delay
+        endorsed_at = t + 1_000
         attestation = TimestampAttestation(digest, endorsed_at)
         time_sig = self.profile.sign(authority_keys.private_key,
                                      canonical_encode(attestation))
@@ -572,13 +560,14 @@ class _Runner:
                     location = stmt.location_id
                 claims.append(LocationClaim(location, stmt.visit_time))
             return claims
-        if isinstance(spec, list):
-            return [LocationClaim(c["location_id"], c["visit_time"]) for c in spec]
-        raise ScriptError(f"unknown claims spec {spec!r}")
+        return [LocationClaim(c["location_id"], c["visit_time"]) for c in spec]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:
-    """Execute one scenario deterministically and audit the result."""
+    """Execute one scenario deterministically and audit the result. The
+    scenario passes the same check as one read from a file, so a bad one
+    raises ``ValidationError`` before anything runs."""
+    _check_scenario(asdict(scenario))
     return _Runner(scenario).run()
 
 
@@ -880,7 +869,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         notes="framing a user for a past visit fails against the "
               "already-published epoch report; framing in the live epoch "
               "is blocked by key-bound secure localization, which the "
-              "localization oracle abstracts away",
+              "simulator's ground truth stands in for",
     )
 
     # Row ul(bar)w(bar): everyone colludes.

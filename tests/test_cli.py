@@ -124,6 +124,21 @@ def test_simulate_missing_file_exits_two(tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_simulate_scenario_without_authority_exits_zero(tmp_path, capsys):
+    """With no authority there are no epochs to close: the run is clean."""
+    doc = {"name": "lone-user", "threat_row": "U", "attack": "none",
+           "description": "one user, no authority", "seed": 1,
+           "scheme": "hashchain", "expected_detection": False,
+           "actors": [{"actor_id": "u1", "role": "user"}],
+           "script": [{"op": "advance", "ms": 1000}]}
+    path = tmp_path / "lone-user.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
+    assert outcome["matched"] and not outcome["detected"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_simulate_scheme_override(tmp_path, scenario_dir):
     out_dir = tmp_path / "override"
     code = main(["simulate",

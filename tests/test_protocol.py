@@ -110,7 +110,7 @@ def test_absent_user_gets_no_proof():
     assert outcome.reason == "localization-failed"
     # no proof without presence: nothing was ever issued or logged
     assert world.authorities["cafe-7"].issue_log == {}
-    assert world.authorities["cafe-7"].pending_digests == []
+    assert world.authorities["cafe-7"].epoch_digests == {}
 
 
 def test_witness_refuses_non_colocated_user():

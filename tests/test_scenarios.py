@@ -9,8 +9,12 @@ from locprov.audit import (
     CLAIM_EPOCH_EXCLUDED,
     render_text_report,
 )
-from locprov.model import SCHEME_BLOOM, SCHEME_HASHCHAIN, ORDER_REORDERED
+from locprov.model import (
+    SCHEME_BLOOM, SCHEME_HASHCHAIN, ORDER_REORDERED, ValidationError)
 from locprov.scenarios import (
+    ActorSpec,
+    Scenario,
+    ScriptError,
     builtin_suite,
     run_builtin_suite,
     run_scenario,
@@ -242,3 +246,38 @@ def test_custom_scenario_with_midscript_behavior_change():
     assert statuses == {CLAIM_EPOCH_EXCLUDED}
     # the first, honestly issued entry still audits clean
     assert outcome.audit_report.claim_verdicts[0].ok
+
+
+def _in_code_scenario(extra_actors=(), script=()):
+    return Scenario(
+        name="in-code", threat_row="ULW", attack="none",
+        description="one honest visit, then the step under test",
+        seed=5, scheme=SCHEME_HASHCHAIN,
+        actors=[ActorSpec("u1", "user", location="cafe-7"),
+                ActorSpec("cafe-7", "authority"),
+                ActorSpec("w1", "witness", location="cafe-7"),
+                *extra_actors],
+        script=[{"op": "visit", "user": "u1", "location": "cafe-7",
+                 "witness": "w1"}, *script],
+        expected_detection=False,
+    )
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (_in_code_scenario(script=[{"op": "teleport", "user": "u1"}]),
+     "unknown script op 'teleport'"),
+    (_in_code_scenario(extra_actors=[ActorSpec("a1", "auditor")]),
+     "unknown role 'auditor'"),
+    (_in_code_scenario(script=[{"op": "set_behavior", "party": "w1",
+                                "field": "visit_time_shift_ms",
+                                "value": -50_000}]),
+     "set_behavior: unknown field 'visit_time_shift_ms'"),
+    (_in_code_scenario(extra_actors=[ActorSpec("w1", "authority")]),
+     "actor 'w1' declared twice"),
+], ids=["unknown-op", "unknown-role", "set-behavior-field", "duplicate-actor"])
+def test_in_code_scenario_checked_before_it_runs(scenario, message):
+    """A scenario built in code passes the same check as a file: the error
+    comes from the check, not from a runner that already started."""
+    with pytest.raises(ValidationError, match=message) as info:
+        run_scenario(scenario)
+    assert not isinstance(info.value, ScriptError)
