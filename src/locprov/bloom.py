@@ -25,12 +25,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Mapping
+from functools import partial
+from typing import Mapping, Optional
 
 from .crypto import CryptoProfile, Digest, KeyPair
+from .fanout import first_invalid
 from .model import (
     BloomAccumulator,
     OrderingVerdict,
+    RevealedEntry,
     RevealedSubsequence,
     SCHEME_BLOOM,
     ValidationError,
@@ -91,17 +94,22 @@ def bloom_positions(profile: CryptoProfile, item: Digest, m: int,
 
 
 def bloom_insert(profile: CryptoProfile, acc: BloomAccumulator,
-                 item: Digest) -> BloomAccumulator:
-    """Set the item's bit positions, returning a new unsigned accumulator.
+                 *items: Digest) -> BloomAccumulator:
+    """Set the items' bit positions, returning a new unsigned accumulator.
 
+    The image is copied once per call, however many items it sets, so an
+    epoch report built from many digests costs one copy, not one per digest.
     Inserting past capacity is allowed (the false-positive rate degrades);
     the inserted count records it. The previous signature is dropped: the
     issuing authority signs the new image before release.
     """
     bits = bytearray(acc.bits)
-    for pos in bloom_positions(profile, item, acc.bit_size, acc.hash_count):
-        bits[pos // 8] |= 1 << (pos % 8)
-    return replace(acc, bits=bytes(bits), inserted_count=acc.inserted_count + 1,
+    for item in items:
+        for pos in bloom_positions(profile, item, acc.bit_size,
+                                   acc.hash_count):
+            bits[pos // 8] |= 1 << (pos % 8)
+    return replace(acc, bits=bytes(bits),
+                   inserted_count=acc.inserted_count + len(items),
                    authority_sig=None)
 
 
@@ -156,52 +164,83 @@ def bloom_order_verify(
     one presented. The subset need not be strict: an honest insertion whose
     bits were all set already leaves the image unchanged, so two entries
     can carry equal accumulators and then either order passes. Each
-    accumulator signature verified counts one ``accumulator`` in ``checks``.
+    accumulator signature verified counts one ``accumulator`` in ``checks``,
+    up to and including the first that fails, as if the entries were
+    checked one by one. Many signatures are verified across the machine's
+    CPUs (see ``fanout``).
     """
     if sub.scheme != SCHEME_BLOOM:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")
 
+    # One pass makes every check but the signatures, stopping where the
+    # entry-by-entry walk would; the signatures of the entries it reached
+    # are then checked together, and a bad one at or before the stop
+    # decides the verdict.
+    jobs = []
+    verdict = OrderingVerdict(status=ORDER_OK)
     previous = None
     for revealed in sub.entries:
+        verdict = _unsigned_verdict(profile, revealed, previous,
+                                    authority_pubkeys)
+        if verdict.status == ORDER_INCOMPLETE:
+            break
         acc = revealed.entry.ordering
-        if not isinstance(acc, BloomAccumulator):
-            return OrderingVerdict(
-                status=ORDER_INCOMPLETE,
-                detail=f"entry at position {revealed.position} has no accumulator")
-        if not bloom_well_formed(acc):
-            return OrderingVerdict(
-                status=ORDER_INCOMPLETE,
-                detail=f"malformed accumulator at position {revealed.position}")
         issuer = revealed.entry.elp.proof.statement.location_id
-        public_key = authority_pubkeys.get(issuer)
-        if public_key is None or acc.authority_sig is None:
-            return OrderingVerdict(
-                status=ORDER_INCOMPLETE,
-                detail=f"unverifiable accumulator at position {revealed.position}")
-        checks["accumulator"] += 1
-        if not verify_accumulator(profile, public_key, acc):
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=f"accumulator signature invalid at position {revealed.position}")
-        own = proof_digest(profile, revealed.entry.elp.proof)
-        if not bloom_contains(profile, acc, own):
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=f"own proof not in accumulator at position {revealed.position}")
-        if previous is not None:
-            prev_pos, prev_acc = previous
-            try:
-                is_subset = bloom_subset(prev_acc, acc)
-            except BloomParameterError:
-                return OrderingVerdict(
-                    status=ORDER_REORDERED,
-                    detail=(f"accumulator geometry changed between positions "
-                            f"{prev_pos} and {revealed.position}"))
-            if not is_subset:
-                return OrderingVerdict(
-                    status=ORDER_REORDERED,
-                    detail=(f"accumulator at position {prev_pos} is not a subset "
-                            f"of position {revealed.position}"))
+        jobs.append((authority_pubkeys[issuer], acc))
+        if not verdict.ok:
+            break
         previous = (revealed.position, acc)
 
+    bad = first_invalid(partial(verify_accumulator, profile), jobs)
+    if bad is not None:
+        checks["accumulator"] += bad + 1
+        return OrderingVerdict(
+            status=ORDER_REORDERED,
+            detail=("accumulator signature invalid at position "
+                    f"{sub.entries[bad].position}"))
+    checks["accumulator"] += len(jobs)
+    return verdict
+
+
+def _unsigned_verdict(profile: CryptoProfile, revealed: RevealedEntry,
+                      previous: Optional[tuple[int, BloomAccumulator]],
+                      authority_pubkeys: Mapping[str, bytes]) -> OrderingVerdict:
+    """Every check of one revealed entry but its signature: Incomplete if
+    the signature cannot be checked, Reordered if the accumulator lacks the
+    entry's own proof or does not contain ``previous``, the (position,
+    accumulator) of the entry presented before it."""
+    position = revealed.position
+    acc = revealed.entry.ordering
+    if not isinstance(acc, BloomAccumulator):
+        return OrderingVerdict(
+            status=ORDER_INCOMPLETE,
+            detail=f"entry at position {position} has no accumulator")
+    if not bloom_well_formed(acc):
+        return OrderingVerdict(
+            status=ORDER_INCOMPLETE,
+            detail=f"malformed accumulator at position {position}")
+    issuer = revealed.entry.elp.proof.statement.location_id
+    if authority_pubkeys.get(issuer) is None or acc.authority_sig is None:
+        return OrderingVerdict(
+            status=ORDER_INCOMPLETE,
+            detail=f"unverifiable accumulator at position {position}")
+    own = proof_digest(profile, revealed.entry.elp.proof)
+    if not bloom_contains(profile, acc, own):
+        return OrderingVerdict(
+            status=ORDER_REORDERED,
+            detail=f"own proof not in accumulator at position {position}")
+    if previous is not None:
+        prev_pos, prev_acc = previous
+        try:
+            is_subset = bloom_subset(prev_acc, acc)
+        except BloomParameterError:
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=(f"accumulator geometry changed between positions "
+                        f"{prev_pos} and {position}"))
+        if not is_subset:
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=(f"accumulator at position {prev_pos} is not a subset "
+                        f"of position {position}"))
     return OrderingVerdict(status=ORDER_OK)

@@ -23,7 +23,7 @@ does not load.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .bloom import bloom_contains, bloom_insert, bloom_new, bloom_well_formed
 from .crypto import CryptoProfile, Digest, KeyPair
@@ -54,17 +54,18 @@ def build_epoch_report(
     location_id: str,
     epoch_id: int,
     epoch_len_ms: int,
-    digests: Iterable[Digest],
+    digests: Sequence[Digest],
     capacity: int = 4096,
     target_fpr: float = 0.001,
 ) -> EpochReport:
     """Accumulate an epoch's issued-proof digests and sign the report.
 
-    The report signature covers the accumulator's bytes, so the
-    accumulator itself is left unsigned."""
+    All digests are set in one copy of the empty filter's image, and an
+    empty report copies nothing. The report signature covers the
+    accumulator's bytes, so the accumulator itself is left unsigned."""
     acc = bloom_new(capacity, target_fpr)
-    for d in digests:
-        acc = bloom_insert(profile, acc, d)
+    if digests:
+        acc = bloom_insert(profile, acc, *digests)
     start, end = epoch_bounds(epoch_id, epoch_len_ms)
     report = EpochReport(location_id, epoch_id, start, end, acc)
     sig = profile.sign(authority_keys.private_key, report_signing_bytes(report))

@@ -157,6 +157,16 @@ _BEHAVIORS = {"authority": AuthorityBehavior, "witness": WitnessBehavior}
 # (2 MiB per filter).
 MAX_FILTER_BITS = 1 << 24
 
+# Most epoch reports a scenario may make its authorities build and sign,
+# and most filter bits those reports may hold together (128 MiB).
+MAX_EPOCH_REPORTS = 10_000
+MAX_EPOCH_REPORT_BITS = 1 << 30
+
+# Most messages one visit delivers, each after the configured hop delay:
+# proof request, proxy request and response, proof, endorsement request,
+# timestamp request and response, endorsement.
+MESSAGES_PER_VISIT = 8
+
 
 def _defaults_table(cls) -> dict:
     """Field table of a dataclass whose fields all default to a scalar; an
@@ -197,6 +207,8 @@ def _check_config(config: dict) -> None:
     accumulator and epoch report."""
     if config["epoch_len_ms"] < 1:
         raise ValidationError("config.epoch_len_ms must be at least 1")
+    if config["hop_delay_ms"] < 0:
+        raise ValidationError("config.hop_delay_ms must not be negative")
     for prefix in ("epoch", "chain"):
         capacity = config[f"{prefix}_capacity"]
         fpr = config[f"{prefix}_fpr"]
@@ -224,7 +236,8 @@ def _check_scenario(obj) -> None:
         raise ValidationError(str(exc)) from None
     _check_fields(obj.get("config", {}), _defaults_table(ProtocolConfig),
                   "config")
-    _check_config(asdict(ProtocolConfig(**obj.get("config", {}))))
+    config = asdict(ProtocolConfig(**obj.get("config", {})))
+    _check_config(config)
 
     roles: dict[str, str] = {}
     for actor in obj["actors"]:
@@ -253,6 +266,8 @@ def _check_scenario(obj) -> None:
         if name in ("visit", "replay_construct") and \
                 roles.get(op["user"]) != "user":
             raise ValidationError(f"{name}: no user {op['user']!r}")
+        if name == "advance" and op["ms"] < 0:
+            raise ValidationError("advance: ms must not be negative")
         if name == "drop_presented":
             _check_list(op["positions"], int, "positions")
         if name == "set_behavior":
@@ -271,6 +286,8 @@ def _check_scenario(obj) -> None:
                     roles.get(op["witness"]) != "witness":
                 raise ValidationError(
                     f"fabricate_visit: no witness {op['witness']!r}")
+
+    _check_epoch_work(obj, config)
 
     reveal = obj.get("reveal", {})
     _check_fields(reveal, _REVEAL_FIELDS, "reveal")
@@ -294,6 +311,37 @@ def _check_scenario(obj) -> None:
     else:
         for claim in claims:
             _check_fields(claim, _CLAIM_FIELDS, "claim")
+
+
+def _check_epoch_work(obj: dict, config: dict) -> None:
+    """Bound the epoch reports a scenario makes its authorities build and
+    sign: one per authority for every epoch that simulated time passes.
+    Time moves by ``advance`` ops and by the hop delay of each message;
+    clock skews and shifted visit times move an authority's epochs further
+    (a shifted, deferred record is published when its epoch ends)."""
+    script = obj["script"]
+    elapsed = sum(op["ms"] for op in script if op["op"] == "advance")
+    visits = sum(op["op"] == "visit" for op in script)
+    elapsed += MESSAGES_PER_VISIT * config["hop_delay_ms"] * visits
+    shifts = [actor.get("skew_ms", 0) for actor in obj["actors"]]
+    shifts += [actor.get("behavior", {}).get("visit_time_shift_ms", 0)
+               for actor in obj["actors"]]
+    shifts += [op.get("visit_time_shift_ms", 0) for op in script
+               if op["op"] == "fabricate_visit"]
+    shifts += [op["value"] for op in script if op["op"] == "set_behavior"
+               and op["field"] == "visit_time_shift_ms"]
+    horizon = elapsed + max(abs(shift) for shift in [0, *shifts])
+    authorities = sum(actor["role"] == "authority" for actor in obj["actors"])
+    reports = authorities * (horizon // config["epoch_len_ms"] + 2)
+    if reports > MAX_EPOCH_REPORTS:
+        raise ValidationError(
+            f"script closes about {reports} epoch reports, more than "
+            f"{MAX_EPOCH_REPORTS}")
+    report_bits = bloom_bit_size(config["epoch_capacity"], config["epoch_fpr"])
+    if reports * report_bits > MAX_EPOCH_REPORT_BITS:
+        raise ValidationError(
+            f"script closes {reports} epoch reports of {report_bits} bits, "
+            f"more than {MAX_EPOCH_REPORT_BITS} bits in all")
 
 
 @dataclass

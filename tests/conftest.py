@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from locprov.cli import build_honest_chain
@@ -15,3 +17,22 @@ def honest_chain_factory():
             _chain_cache[key] = build_honest_chain(scheme, n)
         return _chain_cache[key]
     return factory
+
+
+@pytest.fixture()
+def serial_and_fanned_out(monkeypatch, caplog):
+    """Run ``check`` once in the calling process and once split over three
+    processes with no size threshold; return both results."""
+    from locprov import fanout
+
+    def run(check):
+        monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
+        serial = check()
+        monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="locprov.fanout"):
+            fanned_out = check()
+        assert "in 3 processes" in caplog.text
+        return serial, fanned_out
+    return run

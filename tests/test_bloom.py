@@ -336,3 +336,71 @@ def test_malformed_accumulator_rejected_not_crashing():
                                  Counter())
     assert verdict.status == "Incomplete"
     assert "malformed" in verdict.detail
+
+
+# ---------------------------------------------------------------------------
+# accumulator signatures checked across processes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def twelve_visits():
+    world, chain = _bloom_world(12)
+    sub = make_revealed_subsequence(world.profile, chain, list(range(1, 13)))
+    return world, sub
+
+
+def _bad_signature(acc):
+    sig = acc.authority_sig
+    return replace(acc, authority_sig=replace(
+        sig, data=bytes([sig.data[0] ^ 1]) + sig.data[1:]))
+
+
+def _malformed(acc):
+    return replace(acc, bits=acc.bits[:10])
+
+
+# 12 accumulators over 3 processes: positions 1-4 stay in the caller, 5-8
+# and 9-12 go to the two workers.
+@pytest.mark.parametrize("tamper, order, status, detail, accumulators", [
+    ({}, None, ORDER_OK, "", 12),
+    ({2: _bad_signature}, None, ORDER_REORDERED,
+     "accumulator signature invalid at position 2", 2),
+    ({11: _bad_signature}, None, ORDER_REORDERED,
+     "accumulator signature invalid at position 11", 11),
+    ({5: _bad_signature}, None, ORDER_REORDERED,
+     "accumulator signature invalid at position 5", 5),
+    ({4: _malformed, 9: _bad_signature}, None, "Incomplete",
+     "malformed accumulator at position 4", 3),
+    ({3: _bad_signature, 8: _malformed}, None, ORDER_REORDERED,
+     "accumulator signature invalid at position 3", 3),
+    ({10: _bad_signature}, [1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11, 12],
+     ORDER_REORDERED, "accumulator at position 7 is not a subset of "
+     "position 6", 7),
+    ({6: _bad_signature}, [1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11, 12],
+     ORDER_REORDERED, "accumulator signature invalid at position 6", 7),
+], ids=["clean", "first-chunk", "last-chunk", "start-of-second-chunk",
+        "malformed-before-bad", "malformed-after-bad", "order-before-bad",
+        "bad-where-order-breaks"])
+def test_signatures_in_processes_match_serial(serial_and_fanned_out,
+                                              twelve_visits, tamper, order,
+                                              status, detail, accumulators):
+    world, sub = twelve_visits
+    by_position = {}
+    for revealed in sub.entries:
+        acc = revealed.entry.ordering
+        if revealed.position in tamper:
+            acc = tamper[revealed.position](acc)
+        by_position[revealed.position] = replace(
+            revealed, entry=replace(revealed.entry, ordering=acc))
+    presented = replace(sub, entries=tuple(
+        by_position[p] for p in order or sorted(by_position)))
+
+    def check():
+        checks = Counter()
+        verdict = bloom_order_verify(world.profile, presented,
+                                     world.directory.pubkeys(), checks)
+        return verdict.status, verdict.detail, checks
+
+    serial, fanned_out = serial_and_fanned_out(check)
+    assert serial == fanned_out == (status, detail,
+                                    Counter(accumulator=accumulators))

@@ -119,6 +119,64 @@ def test_simulate_unbounded_config_exits_two(tmp_path, scenario_dir, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def _long_advance(doc, ms):
+    doc["script"].append({"op": "advance", "ms": ms})
+
+
+def _set_actor(doc, actor_id, **fields):
+    actor = next(a for a in doc["actors"] if a["actor_id"] == actor_id)
+    actor.update(fields)
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    (lambda d: _long_advance(d, 10**12), "epoch reports"),
+    (lambda d: (d.update(config={"epoch_len_ms": 1}),
+                _long_advance(d, 100_000)), "epoch reports"),
+    (lambda d: d.update(config={"hop_delay_ms": 10**11}), "epoch reports"),
+    (lambda d: _set_actor(d, "cafe-7", skew_ms=10**12), "epoch reports"),
+    (lambda d: _set_actor(d, "lib-2", skew_ms=-10**12), "epoch reports"),
+    (lambda d: _set_actor(d, "cafe-7", behavior={
+        "visit_time_shift_ms": 10**12, "defer_record_to_visit_epoch": True}),
+     "epoch reports"),
+    (lambda d: (d.update(config={"epoch_capacity": 500_000}),
+                _long_advance(d, 60 * 300_000)), "bits in all"),
+    (lambda d: _long_advance(d, -1), "advance: ms must not be negative"),
+    (lambda d: d.update(config={"hop_delay_ms": -1}),
+     "config.hop_delay_ms must not be negative"),
+], ids=["advance-10^12", "epoch-len-1-long-advance", "hop-delay-10^11",
+        "authority-skew-10^12", "authority-skew-minus-10^12",
+        "deferred-visit-time-shift-10^12", "large-reports", "negative-advance",
+        "negative-hop-delay"])
+def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
+                                                 capsys, edit, refusal):
+    """Refused while the file loads, before any epoch report is built: each
+    file asks for at least 10^5 signed reports, 128 MiB of report filters,
+    or time that runs backwards."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load scenario: ")
+    assert refusal in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_long_run_within_the_bound_exits_zero(tmp_path, scenario_dir):
+    """A day of simulated time at the default 5-minute epochs closes
+    3 x 290 reports, well inside the bound."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    _long_advance(doc, 86_400_000)
+    path = tmp_path / "day.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
+    assert outcome["matched"]
+
+
 def test_simulate_missing_file_exits_two(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path / "o")]) == 2

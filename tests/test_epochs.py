@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from locprov.crypto import MODERN, derive_seed
+from locprov.crypto import Digest, MODERN, derive_seed
 from locprov.epochs import (
     EpochRegistry,
     RegistryError,
@@ -23,7 +23,12 @@ from locprov.model import (
     proof_digest,
 )
 from locprov.protocol import ProtocolConfig, World
-from locprov.bloom import bloom_contains, sign_accumulator
+from locprov.bloom import (
+    bloom_contains,
+    bloom_insert,
+    bloom_new,
+    sign_accumulator,
+)
 from locprov.serialize import (
     FormatError,
     dump_registry_file,
@@ -296,3 +301,19 @@ def test_epoch_completeness_multiple_proofs_per_epoch():
         report = world.registry.lookup("cafe-7", lp.statement.visit_time)
         assert report is not None
         assert check_inclusion(PROFILE, pub, report, lp)
+
+
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_report_image_equals_one_insert_per_digest(count):
+    """The report sets all its digests' bits in one copy of the image; the
+    result is byte for byte the fold of one ``bloom_insert`` per digest."""
+    rng = random.Random(count)
+    digests = [Digest(rng.randbytes(32)) for _ in range(count)]
+    folded = bloom_new(4096, 0.001)
+    for digest in digests:
+        folded = bloom_insert(PROFILE, folded, digest)
+    report = build_epoch_report(PROFILE, KEYS, "cafe-7", 3, EPOCH_LEN,
+                                digests)
+    assert report.accumulator == folded
+    assert report.accumulator.inserted_count == count
+    assert verify_report(PROFILE, KEYS.public_key, report)

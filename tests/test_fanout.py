@@ -1,0 +1,147 @@
+"""Signature checks split across processes: the same answer on every path."""
+
+import errno
+import logging
+import multiprocessing
+import os
+import threading
+
+import pytest
+
+from locprov import fanout
+
+LOGGER = "locprov.fanout"
+
+
+def _jobs(n, bad):
+    """``n`` jobs for ``bool``; those at the indexes in ``bad`` fail."""
+    return [(i not in bad,) for i in range(n)]
+
+
+def _refuse_context(method):
+    raise ValueError(f"cannot find context for {method!r}")
+
+
+def _refuse_fork():
+    raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+
+@pytest.fixture()
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
+
+
+def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
+    jobs = _jobs(fanout.FANOUT_MIN_JOBS - 1, {7})
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.first_invalid(bool, jobs) == 7
+    assert not caplog.records
+
+
+def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
+    monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.first_invalid(bool, _jobs(9, {8})) == 8
+    assert not caplog.records
+
+
+def test_cpu_count_follows_affinity():
+    assert fanout._cpu_count() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("bad", [set(), {0}, {2}, {3}, {4}, {6}, {3, 6},
+                                 {4, 5}, {6, 0}],
+                         ids=lambda bad: "-".join(map(str, sorted(bad)))
+                         or "none")
+def test_fan_out_finds_the_first_failure(three_cpus, caplog, bad):
+    """7 jobs over 3 CPUs: chunks [0, 2), [2, 4), [4, 7)."""
+    jobs = _jobs(7, bad)
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.first_invalid(bool, jobs) == min(bad, default=None)
+    assert [r.getMessage() for r in caplog.records] == [
+        "verifying 7 signatures in 3 processes"]
+
+
+def test_workers_see_closures_without_pickling(three_cpus):
+    # a lambda cannot be pickled; fork hands it to the workers as it is
+    wanted = {5}
+    jobs = [(i,) for i in range(9)]
+    assert fanout.first_invalid(lambda i: i not in wanted, jobs) == 5
+
+
+def _worker_dies(monkeypatch):
+    """Every worker dies on its first job; the caller's jobs run."""
+    caller = os.getpid()
+
+    def verify(ok):
+        if os.getpid() != caller:
+            os._exit(1)
+        return ok
+    return verify
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
+    return bool
+
+
+def _fork_fails(monkeypatch):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    return bool
+
+
+def _second_fork_fails(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) > 1:
+            _refuse_fork()
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return bool
+
+
+@pytest.mark.parametrize("bad", [set(), {1}, {5}])
+@pytest.mark.parametrize("failure, error", [
+    (_no_fork, "ValueError"),
+    (_fork_fails, "OSError"),
+    (_second_fork_fails, "OSError"),
+    (_worker_dies, "BrokenProcessPool"),
+], ids=["no-fork", "fork-fails", "second-fork-fails", "worker-dies"])
+def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
+                                          failure, error, bad):
+    verify = failure(monkeypatch)
+    jobs = _jobs(7, bad)
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert fanout.first_invalid(verify, jobs) == min(bad, default=None)
+    if error == "BrokenProcessPool" and bad == {1}:
+        # the caller's own chunk decides before any worker is asked
+        assert not caplog.records
+        return
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert error in record.getMessage()
+    assert "serially" in record.getMessage()
+    assert multiprocessing.active_children() == []
+
+
+def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
+    """Forking a process that runs threads is unsafe."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        with caplog.at_level(logging.DEBUG, logger=LOGGER):
+            assert fanout.first_invalid(bool, _jobs(7, {4})) == 4
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not caplog.records

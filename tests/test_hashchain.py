@@ -319,3 +319,49 @@ def test_duplicate_evidence_positions_incomplete():
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
                                        Counter())
     assert verdict.status == ORDER_INCOMPLETE
+
+
+# ---------------------------------------------------------------------------
+# link replay split across processes
+# ---------------------------------------------------------------------------
+
+def _bad_link(slot):
+    sig = slot.link.signature
+    flipped = replace(sig, data=bytes([sig.data[0] ^ 1]) + sig.data[1:])
+    return replace(slot, link=replace(slot.link, signature=flipped))
+
+
+# 24 links over 3 processes: positions 1-8 stay in the caller, 9-16 and
+# 17-24 go to the two workers.
+@pytest.mark.parametrize("bad, keyless, status, detail, links_checked", [
+    (None, None, ORDER_OK, "", 24),
+    (3, None, ORDER_REORDERED, "link verification failed at position 3", 3),
+    (23, None, ORDER_REORDERED, "link verification failed at position 23",
+     23),
+    (8, None, ORDER_REORDERED, "link verification failed at position 8", 8),
+    (9, None, ORDER_REORDERED, "link verification failed at position 9", 9),
+    (12, 5, ORDER_INCOMPLETE, "no public key for issuer 'elsewhere'", 4),
+    (5, 12, ORDER_REORDERED, "link verification failed at position 5", 5),
+    (None, 20, ORDER_INCOMPLETE, "no public key for issuer 'elsewhere'", 19),
+], ids=["clean", "first-chunk", "last-chunk", "end-of-first-chunk",
+        "start-of-second-chunk", "keyless-before-bad", "keyless-after-bad",
+        "keyless-in-last-chunk"])
+def test_replay_in_processes_matches_serial(serial_and_fanned_out, bad,
+                                            keyless, status, detail,
+                                            links_checked):
+    proofs, links = _build_links(24)
+    slots = list(_slots(proofs, links))
+    if bad is not None:
+        slots[bad - 1] = _bad_link(slots[bad - 1])
+    if keyless is not None:
+        slots[keyless - 1] = replace(slots[keyless - 1], issuer_id="elsewhere")
+    sub = _sub(tuple(slots), [24], proofs, links)
+
+    def check():
+        checks = Counter()
+        verdict = chain_verify_subsequence(
+            PROFILE, sub, {"cafe-7": AUTH.public_key}, checks)
+        return verdict.status, verdict.detail, checks
+
+    serial, fanned_out = serial_and_fanned_out(check)
+    assert serial == fanned_out == (status, detail, Counter(link=links_checked))
