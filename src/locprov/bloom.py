@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from functools import partial
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .crypto import CryptoProfile, Digest, KeyPair
-from .fanout import first_invalid
+from .fanout import verify_each
 from .model import (
     BloomAccumulator,
     OrderingVerdict,
@@ -169,14 +168,30 @@ def bloom_order_verify(
     checked one by one. Many signatures are verified across the machine's
     CPUs (see ``fanout``).
     """
+    jobs: list[tuple] = []
+    decide = plan_bloom_order(profile, sub, authority_pubkeys, jobs)
+    return decide(verify_each(jobs), checks)
+
+
+def plan_bloom_order(
+    profile: CryptoProfile,
+    sub: RevealedSubsequence,
+    authority_pubkeys: Mapping[str, bytes],
+    jobs: list[tuple],
+) -> Callable[[Sequence[bool], Counter], OrderingVerdict]:
+    """The two halves of ``bloom_order_verify`` around its accumulator
+    signatures: make every other check, append one ``fanout`` job per
+    signature to check to ``jobs``, and return the function that decides the
+    verdict from the results of all of ``jobs`` and counts the accumulators
+    verified."""
     if sub.scheme != SCHEME_BLOOM:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")
 
     # One pass makes every check but the signatures, stopping where the
     # entry-by-entry walk would; the signatures of the entries it reached
-    # are then checked together, and a bad one at or before the stop
-    # decides the verdict.
-    jobs = []
+    # are checked in the batch, and a bad one at or before the stop decides
+    # the verdict.
+    start = len(jobs)
     verdict = OrderingVerdict(status=ORDER_OK)
     previous = None
     for revealed in sub.entries:
@@ -186,20 +201,25 @@ def bloom_order_verify(
             break
         acc = revealed.entry.ordering
         issuer = revealed.entry.elp.proof.statement.location_id
-        jobs.append((authority_pubkeys[issuer], acc))
+        jobs.append((verify_accumulator, profile, authority_pubkeys[issuer],
+                     acc))
         if not verdict.ok:
             break
         previous = (revealed.position, acc)
+    stop = len(jobs)
 
-    bad = first_invalid(partial(verify_accumulator, profile), jobs)
-    if bad is not None:
-        checks["accumulator"] += bad + 1
-        return OrderingVerdict(
-            status=ORDER_REORDERED,
-            detail=("accumulator signature invalid at position "
-                    f"{sub.entries[bad].position}"))
-    checks["accumulator"] += len(jobs)
-    return verdict
+    def decide(results: Sequence[bool], checks: Counter) -> OrderingVerdict:
+        signed = results[start:stop]
+        if False in signed:
+            bad = signed.index(False)
+            checks["accumulator"] += bad + 1
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=("accumulator signature invalid at position "
+                        f"{sub.entries[bad].position}"))
+        checks["accumulator"] += stop - start
+        return verdict
+    return decide
 
 
 def _unsigned_verdict(profile: CryptoProfile, revealed: RevealedEntry,

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``simulate``   -- run a scenario file; export chain, claims, registry,
-                    trace and outcome. Exits 0 when the outcome matched
+                    trace and outcome; print the audit and the count of
+                    refusals by reason. Exits 0 when the outcome matched
                     the scenario's expectation.
 * ``audit``      -- audit an exported chain against a claims file (and an
                     optional registry). Exits 0 on a clean audit, 1 when
@@ -28,6 +29,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .audit import LocationClaim, audit, render_text_report
@@ -111,6 +113,9 @@ def cmd_simulate(args) -> int:
     print(f"{outcome.scenario}: {status} "
           f"({'matched' if outcome.matched else 'MISMATCH'})")
     print(render_text_report(outcome.audit_report))
+    refusals = sorted(Counter(outcome.refusals).items())
+    print("refusals: " + (", ".join(f"{reason} {count}"
+                                    for reason, count in refusals) or "none"))
     return EXIT_OK if outcome.matched else EXIT_AUDIT_FAILURE
 
 

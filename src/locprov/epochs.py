@@ -81,14 +81,19 @@ def verify_report(profile: CryptoProfile, public_key: bytes,
 
 
 def check_inclusion(profile: CryptoProfile, public_key: bytes,
-                    report: EpochReport, lp: LocationProof) -> bool:
+                    report: EpochReport, lp: LocationProof,
+                    signature_valid: Optional[bool] = None) -> bool:
     """True iff the proof's digest is a member of the report accumulator.
 
     The report signature must verify first; a report that does not is no
-    evidence either way. A structurally inconsistent accumulator (even a
-    signed one) is likewise rejected rather than probed.
+    evidence either way. A caller that has already verified it passes the
+    result of ``verify_report`` as ``signature_valid``. A structurally
+    inconsistent accumulator (even a signed one) is likewise rejected rather
+    than probed.
     """
-    if not verify_report(profile, public_key, report):
+    if signature_valid is None:
+        signature_valid = verify_report(profile, public_key, report)
+    if not signature_valid:
         raise RegistryError(
             f"report signature invalid for {report.location_id!r} "
             f"epoch {report.epoch_id}")

@@ -1,23 +1,27 @@
 """Independent signature checks, split across the machine's CPUs.
 
-An audit replays signatures that do not depend on one another: every link
-of a hash-chain prefix, every revealed Bloom accumulator. The
-``cryptography`` package has no batch Ed25519 verify and holds the
-interpreter lock while it verifies, so threads gain nothing; processes do.
+An audit verifies signatures that do not depend on one another: every
+revealed claim's proof, witness and timestamp signatures, each epoch report
+it meets, and every hash-chain link or revealed Bloom accumulator of its
+ordering evidence. ``audit`` plans all of them into one batch and hands it
+here once, so at most one pool starts per audit. The ``cryptography``
+package has no batch Ed25519 verify and holds the interpreter lock while it
+verifies, so threads gain nothing; processes do.
 
-``first_invalid(verify, jobs)`` returns the index of the first job for
-which ``verify(*job)`` is false, or ``None``. With fewer than
-``FANOUT_MIN_JOBS`` jobs, on a single CPU, or while the calling process
-runs other threads (forking one is unsafe), it checks them in order in the
-calling process. Otherwise it cuts the jobs into one contiguous chunk per
-CPU the process may run on (``os.sched_getaffinity``); a ``fork`` pool of
-one worker per CPU but one checks every chunk but the first, while the
-caller checks the first. The workers inherit ``verify`` and the jobs
-through the fork, so neither is pickled; only chunk bounds and results
-cross a pipe. The pool lives for one call. Where ``fork`` is missing, a
-worker cannot start or one dies, the unchecked jobs are checked serially,
-so the answer never depends on the path taken. The ``locprov.fanout``
-logger records each split at DEBUG and each fall-back at WARNING.
+``verify_each(jobs)`` returns ``[check(*args) for check, *args in jobs]``:
+every job's result, in order, because the caller reads all of them. With
+fewer than ``FANOUT_MIN_JOBS`` jobs, on a single CPU, or while the calling
+process runs other threads (forking one is unsafe), it checks them in order
+in the calling process. Otherwise it cuts the jobs into one contiguous chunk
+per CPU the process may run on (``os.sched_getaffinity``); a ``fork`` pool
+of one worker per CPU but one checks every chunk but the first, while the
+caller checks the first. Every chunk is checked to its end, whatever fails
+in it. The workers inherit the jobs through the fork, so no job is pickled
+and a job may hold a closure; only chunk bounds and results cross a pipe.
+The pool lives for one call. Where ``fork`` is missing, a worker cannot
+start or one dies, the workers' jobs are checked serially, so the answer
+never depends on the path taken. The ``locprov.fanout`` logger records each
+split at DEBUG and each fall-back at WARNING.
 
 Calls made in a worker are not seen by anything that wraps or counts
 calls in the calling process.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 # Fewest jobs worth a pool. On a 2-CPU guest, starting and stopping a
 # one-worker fork pool measured 14-20 ms and one hash-chain link verify
@@ -37,14 +41,13 @@ from typing import Callable, Optional, Sequence
 FANOUT_MIN_JOBS = 512
 
 
-def first_invalid(verify: Callable[..., bool],
-                  jobs: Sequence[tuple]) -> Optional[int]:
-    """Index of the first job for which ``verify(*job)`` is false, or
-    ``None`` if every job verifies (see module doc)."""
+def verify_each(jobs: Sequence[tuple]) -> list[bool]:
+    """``check(*args)`` for every job ``(check, *args)``, in order (see
+    module doc)."""
     cpus = _cpu_count()
     if len(jobs) < FANOUT_MIN_JOBS or cpus < 2 or threading.active_count() > 1:
-        return _scan(verify, jobs, 0, len(jobs))
-    return _fan_out(verify, jobs, cpus)
+        return _check(jobs, 0, len(jobs))
+    return _fan_out(jobs, cpus)
 
 
 def _cpu_count() -> int:
@@ -55,16 +58,11 @@ def _cpu_count() -> int:
         return 1
 
 
-def _scan(verify: Callable[..., bool], jobs: Sequence[tuple], start: int,
-          stop: int) -> Optional[int]:
-    for i in range(start, stop):
-        if not verify(*jobs[i]):
-            return i
-    return None
+def _check(jobs: Sequence[tuple], start: int, stop: int) -> list[bool]:
+    return [bool(job[0](*job[1:])) for job in jobs[start:stop]]
 
 
-def _fan_out(verify: Callable[..., bool], jobs: Sequence[tuple],
-             cpus: int) -> Optional[int]:
+def _fan_out(jobs: Sequence[tuple], cpus: int) -> list[bool]:
     # Imported on this path only: a process that never splits its checks
     # does not pay for them (``logging`` alone measured 0.6-1.1 MB of peak
     # memory), and ``concurrent.futures`` imports ``logging`` anyway.
@@ -75,23 +73,23 @@ def _fan_out(verify: Callable[..., bool], jobs: Sequence[tuple],
 
     logger = logging.getLogger(__name__)
 
-    def fall_back(start: int, exc: BaseException) -> Optional[int]:
+    def fall_back(start: int, exc: BaseException) -> list[bool]:
         logger.warning("worker processes unavailable (%s: %s); verifying %d "
                        "signatures serially", type(exc).__name__, exc,
                        len(jobs) - start)
-        return _scan(verify, jobs, start, len(jobs))
+        return _check(jobs, start, len(jobs))
 
     bounds = [len(jobs) * i // cpus for i in range(cpus + 1)]
     try:
         pool = ProcessPoolExecutor(
             cpus - 1, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=(verify, jobs))
+            initializer=_init_worker, initargs=(jobs,))
     except ValueError as exc:  # no fork on this platform
         return fall_back(0, exc)
     with pool:
         others = set(multiprocessing.active_children())
         try:
-            futures = [pool.submit(_scan_in_worker, start, stop)
+            futures = [pool.submit(_check_in_worker, start, stop)
                        for start, stop in zip(bounds[1:-1], bounds[2:])]
         except OSError as exc:  # a fork failed
             # Workers forked before the failure wait for tasks that never
@@ -102,25 +100,23 @@ def _fan_out(verify: Callable[..., bool], jobs: Sequence[tuple],
             return fall_back(0, exc)
         logger.debug("verifying %d signatures in %d processes",
                      len(jobs), cpus)
-        bad = _scan(verify, jobs, 0, bounds[1])
-        if bad is not None:
-            return bad
+        results = _check(jobs, 0, bounds[1])
         try:
-            results = [future.result() for future in futures]
+            for future in futures:
+                results += future.result()
         except BrokenProcessPool as exc:  # a worker died
-            return fall_back(bounds[1], exc)
-    return next((bad for bad in results if bad is not None), None)
+            return results[:bounds[1]] + fall_back(bounds[1], exc)
+    return results
 
 
 # What a forked worker checks, set once by the pool initializer.
-_worker_verify: Optional[Callable[..., bool]] = None
 _worker_jobs: Sequence[tuple] = ()
 
 
-def _init_worker(verify: Callable[..., bool], jobs: Sequence[tuple]) -> None:
-    global _worker_verify, _worker_jobs
-    _worker_verify, _worker_jobs = verify, jobs
+def _init_worker(jobs: Sequence[tuple]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
 
 
-def _scan_in_worker(start: int, stop: int) -> Optional[int]:
-    return _scan(_worker_verify, _worker_jobs, start, stop)
+def _check_in_worker(start: int, stop: int) -> list[bool]:
+    return _check(_worker_jobs, start, stop)

@@ -11,21 +11,26 @@ here: verifying a revealed subsequence means replaying every link from the
 start of the chain through the last revealed position, so the work grows
 with the position of the last revealed entry, not with how many entries
 were revealed. One signature verify per link is the floor (``cryptography``
-has no batch Ed25519 verify), but the links are independent of one another:
-a prefix of ``fanout.FANOUT_MIN_JOBS`` links or more is verified in chunks
-across the machine's CPUs (see ``fanout``), which divides the wall time of
-a long replay by up to the CPU count and leaves the work the same.
+has no batch Ed25519 verify), but the links are independent of one another.
+``plan_chain_order`` makes every check that needs no signature and plans
+one job per link; ``audit`` puts those jobs in the same batch as its claims'
+signatures, and a batch of ``fanout.FANOUT_MIN_JOBS`` jobs or more is
+verified in chunks across the machine's CPUs (see ``fanout``), which
+divides the wall time of a long replay by up to the CPU count. A batch
+verifies every planned link, including those after the first bad one, which
+a one-by-one replay never reaches; verdicts and the ``link`` count are those
+of the one-by-one replay, so only failing audits do more work.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .crypto import CryptoProfile, Digest, KeyPair
-from .fanout import first_invalid
+from .fanout import verify_each
 from .model import (
+    ChainSlot,
     HashChainLink,
     LocationProof,
     OrderingVerdict,
@@ -96,12 +101,71 @@ def chain_verify_subsequence(
     ``checks``, up to and including the first that fails, as if the links
     were replayed one by one.
     """
+    jobs: list[tuple] = []
+    decide = plan_chain_order(profile, sub, authority_pubkeys, jobs)
+    return decide(verify_each(jobs), checks)
+
+
+def plan_chain_order(
+    profile: CryptoProfile,
+    sub: RevealedSubsequence,
+    authority_pubkeys: Mapping[str, bytes],
+    jobs: list[tuple],
+) -> Callable[[Sequence[bool], Counter], OrderingVerdict]:
+    """The two halves of ``chain_verify_subsequence`` around its link
+    signatures: make every other check, append one ``fanout`` job per link
+    to replay to ``jobs``, and return the function that decides the verdict
+    from the results of all of ``jobs`` and counts the links verified."""
     if sub.scheme != SCHEME_HASHCHAIN:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not hash chain")
+    slots = {slot.position: slot for slot in sub.chain_evidence}
+    verdict = _unsigned_verdict(profile, sub, slots)
+    if verdict is not None:
+        return lambda results, checks: verdict
+
+    # One link job per position, up to the first issuer without a key. A
+    # bad link before that position decides the verdict; the missing key
+    # decides it otherwise.
+    start = len(jobs)
+    prev_link: Optional[HashChainLink] = None
+    verdict = OrderingVerdict(status=ORDER_OK)
+    for position in range(1, max(e.position for e in sub.entries) + 1):
+        slot = slots[position]
+        public_key = authority_pubkeys.get(slot.issuer_id)
+        if public_key is None:
+            verdict = OrderingVerdict(
+                status=ORDER_INCOMPLETE,
+                detail=f"no public key for issuer {slot.issuer_id!r}",
+            )
+            break
+        jobs.append((verify_link, profile, public_key, slot.link,
+                     slot.proof_digest, prev_link))
+        prev_link = slot.link
+    stop = len(jobs)
+
+    def decide(results: Sequence[bool], checks: Counter) -> OrderingVerdict:
+        replayed = results[start:stop]
+        if False in replayed:
+            bad = replayed.index(False)
+            checks["link"] += bad + 1
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=f"link verification failed at position {bad + 1}",
+            )
+        checks["link"] += stop - start
+        return verdict
+    return decide
+
+
+def _unsigned_verdict(
+    profile: CryptoProfile,
+    sub: RevealedSubsequence,
+    slots: Mapping[int, ChainSlot],
+) -> Optional[OrderingVerdict]:
+    """The verdict of the checks that need no signature, given the evidence
+    by position, or None when they all pass."""
     if not sub.entries:
         return OrderingVerdict(status=ORDER_OK)
-
-    slots = {slot.position: slot for slot in sub.chain_evidence}
     if len(slots) != len(sub.chain_evidence):
         return OrderingVerdict(
             status=ORDER_INCOMPLETE,
@@ -139,31 +203,4 @@ def chain_verify_subsequence(
                 status=ORDER_REORDERED,
                 detail=f"link mismatch at position {revealed.position}",
             )
-
-    # Replay the chain prefix: one link job per position, up to the first
-    # issuer without a key. A bad link before that position decides the
-    # verdict; the missing key decides it otherwise.
-    jobs = []
-    prev_link: Optional[HashChainLink] = None
-    verdict = OrderingVerdict(status=ORDER_OK)
-    for position in range(1, last + 1):
-        slot = slots[position]
-        public_key = authority_pubkeys.get(slot.issuer_id)
-        if public_key is None:
-            verdict = OrderingVerdict(
-                status=ORDER_INCOMPLETE,
-                detail=f"no public key for issuer {slot.issuer_id!r}",
-            )
-            break
-        jobs.append((public_key, slot.link, slot.proof_digest, prev_link))
-        prev_link = slot.link
-
-    bad = first_invalid(partial(verify_link, profile), jobs)
-    if bad is not None:
-        checks["link"] += bad + 1
-        return OrderingVerdict(
-            status=ORDER_REORDERED,
-            detail=f"link verification failed at position {bad + 1}",
-        )
-    checks["link"] += len(jobs)
-    return verdict
+    return None

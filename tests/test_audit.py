@@ -239,11 +239,11 @@ def test_counter_law_hashchain_last_revealed_index():
 # epoch reports: verified once per audit
 # ---------------------------------------------------------------------------
 
-def _shared_epoch_audit(registry_change=None):
-    """Three claims in cafe-7's epoch-0 report, two in lib-2's, audited
-    against the world's registry with ``registry_change`` applied to
+def _shared_epoch_inputs(scheme="bloom", registry_change=None):
+    """Five visits revealed in full, three in cafe-7's epoch-0 report and
+    two in lib-2's, with a registry where ``registry_change`` is applied to
     cafe-7's report."""
-    world, user = _world("bloom")
+    world, user = _world(scheme)
     _tour(world, ["cafe-7", "lib-2", "cafe-7", "lib-2", "cafe-7"])
     registry = EpochRegistry()
     for r in world.registry.reports():
@@ -252,6 +252,11 @@ def _shared_epoch_audit(registry_change=None):
         registry.publish(r)
     sub = make_revealed_subsequence(world.profile, user.chain,
                                     [1, 2, 3, 4, 5])
+    return world, sub, registry
+
+
+def _shared_epoch_audit(registry_change=None):
+    world, sub, registry = _shared_epoch_inputs("bloom", registry_change)
     return audit(world.profile, _truthful_claims(sub), sub,
                  world.directory.pubkeys(), registry)
 
@@ -263,10 +268,12 @@ def test_each_epoch_report_counted_once_per_audit():
     assert report.checks["proof"] == 5
 
 
+def _flip(sig):
+    return replace(sig, data=bytes([sig.data[0] ^ 1]) + sig.data[1:])
+
+
 def _flip_report_sig(world, r):
-    sig = r.report_sig
-    return replace(r, report_sig=replace(
-        sig, data=bytes([sig.data[0] ^ 1]) + sig.data[1:]))
+    return replace(r, report_sig=_flip(r.report_sig))
 
 
 def _sign_malformed_accumulator(world, r):
@@ -363,3 +370,149 @@ def test_text_report_renders_failures():
     report = _report_with(CLAIM_BAD_SIGNATURE, "authority signature invalid")
     text = render_text_report(report)
     assert "FAIL" in text and "BadSignature" in text and "false-presence" in text
+
+
+# ---------------------------------------------------------------------------
+# one signature batch per audit: split and serial paths agree
+# ---------------------------------------------------------------------------
+
+def _at(sub, position, change):
+    """``sub`` with ``change`` applied to the entry revealed at
+    ``position``."""
+    return replace(sub, entries=tuple(
+        replace(r, entry=change(r.entry)) if r.position == position else r
+        for r in sub.entries))
+
+
+def _endorsement(entry, change):
+    """``entry`` with ``change`` applied to its first endorsement."""
+    first, *rest = entry.elp.endorsements
+    return replace(entry, elp=replace(
+        entry.elp, endorsements=(change(first), *rest)))
+
+
+def _flip_proof(position):
+    return lambda sub: _at(sub, position, lambda e: replace(e, elp=replace(
+        e.elp, proof=replace(e.elp.proof, authority_sig=_flip(
+            e.elp.proof.authority_sig)))))
+
+
+def _flip_witness(position):
+    return lambda sub: _at(sub, position, lambda e: _endorsement(
+        e, lambda d: replace(d, witness_sig=_flip(d.witness_sig))))
+
+
+def _flip_timestamp(sub):
+    return _at(sub, 4, lambda e: _endorsement(e, lambda d: replace(
+        d, authority_time_sig=_flip(d.authority_time_sig))))
+
+
+def _other_digest(sub):
+    digest = sub.entries[0].entry.elp.endorsements[0].statement.proof_digest
+    return _at(sub, 2, lambda e: _endorsement(e, lambda d: replace(
+        d, statement=replace(d.statement, proof_digest=digest))))
+
+
+def _unknown_witness(sub):
+    return _at(sub, 5, lambda e: _endorsement(e, lambda d: replace(
+        d, statement=replace(d.statement, witness_id="w9"))))
+
+
+def _flip_hidden_link(sub):
+    """Hide position 3 and flip its link signature."""
+    slots = list(sub.chain_evidence)
+    slots[2] = replace(slots[2], link=replace(
+        slots[2].link, signature=_flip(slots[2].link.signature)))
+    return replace(sub, entries=tuple(
+        r for r in sub.entries if r.position != 3),
+        chain_evidence=tuple(slots))
+
+
+def _flip_accumulator(sub):
+    return _at(sub, 4, lambda e: replace(e, ordering=replace(
+        e.ordering, authority_sig=_flip(e.ordering.authority_sig))))
+
+
+def _batch_audit(serial_and_fanned_out, scheme, change_sub=None,
+                 change_report=None):
+    """Audit ``_shared_epoch_inputs`` in one process and split over three;
+    cafe-7's report covers claims 1, 3 and 5."""
+    world, sub, registry = _shared_epoch_inputs(scheme, change_report)
+    if change_sub is not None:
+        sub = change_sub(sub)
+
+    def check():
+        report = audit(world.profile, _truthful_claims(sub), sub,
+                       world.directory.pubkeys(), registry)
+        return (report.claim_verdicts, report.ordering, report.checks,
+                render_text_report(report))
+
+    serial, fanned_out = serial_and_fanned_out(check)
+    assert serial == fanned_out
+    verdicts, ordering, checks, _ = serial
+    return ([(v.status, v.detail) for v in verdicts],
+            (ordering.status, ordering.detail), checks)
+
+
+OK = (CLAIM_OK, "")
+REPORT_BAD = (CLAIM_BAD_SIGNATURE,
+              "epoch report: report signature invalid for 'cafe-7' epoch 0")
+CLEAN_CHECKS = dict(proof=5, witness=5, timestamp=5, report=2)
+
+
+@pytest.mark.parametrize("scheme, change_sub, change_report, verdicts, "
+                         "ordering, checks", [
+    ("bloom", _flip_proof(3), None,
+     [OK, OK, (CLAIM_BAD_SIGNATURE, "authority signature invalid"), OK, OK],
+     (ORDER_REORDERED, "own proof not in accumulator at position 3"),
+     dict(proof=5, witness=4, timestamp=4, report=2, accumulator=3)),
+    ("bloom", _flip_witness(2), None,
+     [OK, (CLAIM_BAD_SIGNATURE, "witness signature invalid"), OK, OK, OK],
+     (ORDER_OK, ""),
+     dict(proof=5, witness=5, timestamp=4, report=2, accumulator=5)),
+    ("bloom", _flip_timestamp, None,
+     [OK, OK, OK, (CLAIM_BAD_SIGNATURE, "timestamp signature invalid"), OK],
+     (ORDER_OK, ""), dict(CLEAN_CHECKS, accumulator=5)),
+    ("bloom", None, _flip_report_sig,
+     [REPORT_BAD, OK, REPORT_BAD, OK, REPORT_BAD],
+     (ORDER_OK, ""), dict(CLEAN_CHECKS, accumulator=5)),
+    ("hashchain", _flip_hidden_link, None,
+     [OK, OK, OK, OK],
+     (ORDER_REORDERED, "link verification failed at position 3"),
+     dict(proof=4, witness=4, timestamp=4, report=2, link=3)),
+    ("bloom", _flip_accumulator, None,
+     [OK, OK, OK, OK, OK],
+     (ORDER_REORDERED, "accumulator signature invalid at position 4"),
+     dict(CLEAN_CHECKS, accumulator=4)),
+    ("bloom", _other_digest, None,
+     [OK, (CLAIM_ENDORSEMENT_MISMATCH,
+           "digest: endorsement refers to a different proof"), OK, OK, OK],
+     (ORDER_OK, ""),
+     dict(proof=5, witness=4, timestamp=4, report=2, accumulator=5)),
+    ("bloom", _unknown_witness, None,
+     [OK, OK, OK, OK, (CLAIM_BAD_SIGNATURE, "unknown witness 'w9'")],
+     (ORDER_OK, ""),
+     dict(proof=5, witness=4, timestamp=4, report=2, accumulator=5)),
+    # Claim 1 plans cafe-7's report but fails before its epoch step, so
+    # claim 3 is the first to verify it.
+    ("hashchain", _flip_witness(1), _flip_report_sig,
+     [(CLAIM_BAD_SIGNATURE, "witness signature invalid"), OK, REPORT_BAD, OK,
+      REPORT_BAD],
+     (ORDER_OK, ""),
+     dict(proof=5, witness=5, timestamp=4, report=2, link=5)),
+    ("bloom", None, None, [OK] * 5, (ORDER_OK, ""),
+     dict(CLEAN_CHECKS, accumulator=5)),
+    ("hashchain", None, None, [OK] * 5, (ORDER_OK, ""),
+     dict(CLEAN_CHECKS, link=5)),
+], ids=["proof", "witness", "timestamp", "report", "link", "accumulator",
+        "endorsement-digest", "unknown-witness", "shared-bad-report",
+        "clean-bloom", "clean-hashchain"])
+def test_one_batch_split_matches_serial(serial_and_fanned_out, scheme,
+                                        change_sub, change_report, verdicts,
+                                        ordering, checks):
+    """Each signature kind flipped, two structural failures and two clean
+    full reveals: one batch per audit, split over three processes or not,
+    gives the verdicts, details and counts of a one-by-one walk."""
+    assert _batch_audit(serial_and_fanned_out, scheme, change_sub,
+                        change_report) == (verdicts, ordering,
+                                           Counter(checks))

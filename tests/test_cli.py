@@ -63,6 +63,19 @@ def test_simulate_backdating_reports_detected(tmp_path, scenario_dir):
     assert outcome["threat_label"] == "backdating/future-dating"
 
 
+@pytest.mark.parametrize("name, refusals, line", [
+    ("offline-fake-proof-hashchain", ["co-location-failed"],
+     "refusals: co-location-failed 1"),
+    ("honest-baseline-hashchain", [], "refusals: none"),
+])
+def test_simulate_prints_refusals_by_reason(tmp_path, scenario_dir, capsys,
+                                            name, refusals, line):
+    _, out_dir = _simulate(tmp_path, scenario_dir, name)
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    outcome = json.loads((out_dir / "outcome.json").read_text())
+    assert outcome["refusals"] == refusals
+
+
 def test_simulate_malformed_file_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

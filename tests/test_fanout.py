@@ -14,8 +14,12 @@ LOGGER = "locprov.fanout"
 
 
 def _jobs(n, bad):
-    """``n`` jobs for ``bool``; those at the indexes in ``bad`` fail."""
-    return [(i not in bad,) for i in range(n)]
+    """``n`` jobs of ``bool``; those at the indexes in ``bad`` fail."""
+    return [(bool, i not in bad) for i in range(n)]
+
+
+def _results(n, bad):
+    return [i not in bad for i in range(n)]
 
 
 def _refuse_context(method):
@@ -35,9 +39,9 @@ def three_cpus(monkeypatch):
 def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
     monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
-    jobs = _jobs(fanout.FANOUT_MIN_JOBS - 1, {7})
+    n = fanout.FANOUT_MIN_JOBS - 1
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.first_invalid(bool, jobs) == 7
+        assert fanout.verify_each(_jobs(n, {7})) == _results(n, {7})
     assert not caplog.records
 
 
@@ -46,7 +50,7 @@ def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
     monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.first_invalid(bool, _jobs(9, {8})) == 8
+        assert fanout.verify_each(_jobs(9, {8})) == _results(9, {8})
     assert not caplog.records
 
 
@@ -59,19 +63,26 @@ def test_cpu_count_follows_affinity():
                          ids=lambda bad: "-".join(map(str, sorted(bad)))
                          or "none")
 def test_fan_out_finds_the_first_failure(three_cpus, caplog, bad):
-    """7 jobs over 3 CPUs: chunks [0, 2), [2, 4), [4, 7)."""
-    jobs = _jobs(7, bad)
+    """7 jobs over 3 CPUs: chunks [0, 2), [2, 4), [4, 7). Every result is
+    returned, the first failure's and those after it."""
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.first_invalid(bool, jobs) == min(bad, default=None)
+        assert fanout.verify_each(_jobs(7, bad)) == _results(7, bad)
     assert [r.getMessage() for r in caplog.records] == [
         "verifying 7 signatures in 3 processes"]
+
+
+def test_failures_in_every_chunk_all_reported(three_cpus):
+    """Two failures in each of the three chunks of 12 jobs, [0, 4), [4, 8)
+    and [8, 12): no chunk stops at its first."""
+    bad = {1, 3, 4, 6, 9, 11}
+    assert fanout.verify_each(_jobs(12, bad)) == _results(12, bad)
 
 
 def test_workers_see_closures_without_pickling(three_cpus):
     # a lambda cannot be pickled; fork hands it to the workers as it is
     wanted = {5}
-    jobs = [(i,) for i in range(9)]
-    assert fanout.first_invalid(lambda i: i not in wanted, jobs) == 5
+    jobs = [(lambda i: i not in wanted, i) for i in range(9)]
+    assert fanout.verify_each(jobs) == _results(9, wanted)
 
 
 def _worker_dies(monkeypatch):
@@ -118,13 +129,9 @@ def _second_fork_fails(monkeypatch):
 def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
                                           failure, error, bad):
     verify = failure(monkeypatch)
-    jobs = _jobs(7, bad)
+    jobs = [(verify, ok) for _, ok in _jobs(7, bad)]
     with caplog.at_level(logging.WARNING, logger=LOGGER):
-        assert fanout.first_invalid(verify, jobs) == min(bad, default=None)
-    if error == "BrokenProcessPool" and bad == {1}:
-        # the caller's own chunk decides before any worker is asked
-        assert not caplog.records
-        return
+        assert fanout.verify_each(jobs) == _results(7, bad)
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert error in record.getMessage()
@@ -139,7 +146,7 @@ def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
     thread.start()
     try:
         with caplog.at_level(logging.DEBUG, logger=LOGGER):
-            assert fanout.first_invalid(bool, _jobs(7, {4})) == 4
+            assert fanout.verify_each(_jobs(7, {4})) == _results(7, {4})
     finally:
         release.set()
         thread.join(timeout=10)
