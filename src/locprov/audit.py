@@ -11,25 +11,18 @@ proof's digest is included in the published report for the epoch its
 timestamp falls in. Each distinct epoch report is verified (signature and
 accumulator shape) once per audit, by the first claim that falls in it;
 later claims in the same report reuse that result and only test membership.
-Chronological order of the whole presentation is then checked by the active
-ordering scheme (``hashchain.plan_chain_order``, ``bloom.plan_bloom_order``),
-with the verdict and counts of ``chain_verify_subsequence`` or
-``bloom_order_verify``.
+Chronological order of the whole presentation is then delegated to the
+active ordering scheme's verifier.
 
-Every signature an audit may check goes into one batch, verified by one
-``fanout.verify_each`` call, so a presentation of ``FANOUT_MIN_JOBS``
-signatures or more is split across the machine's CPUs, at most once per
-audit. The batch is planned first: per claim, the proof signature and each
-endorsement's witness and timestamp signatures (up to the first unknown
-witness), and each epoch report the first time a claim meets it; then the
-ordering scheme's links or accumulators, after its structural checks. The
-claims and the ordering are then walked in order, reading the results, with
-the early exits, details and ``checks`` counts of a one-by-one walk. The
-plan may verify more than that walk reads: the signatures after a claim's
-first failure, the report of a claim that fails before its epoch step (the
-next claim in that report reads it, if any does), and the links or
-accumulators after the first bad one. Only failing audits do that extra
-work; a clean audit verifies exactly what the walk reads.
+First, one ``fanout.prefetch`` call verifies, in one batch split across
+the machine's CPUs when it is large, every signature a clean audit checks:
+each claim's proof, witness and timestamp signatures and epoch report
+(``_claim_jobs``), then the links (``hashchain.link_jobs``) or accumulators
+(``bloom.accumulator_jobs``). The claims and the ordering are then walked
+one by one, every signature check answered from the batch through the
+``verify`` it returns, or verified on the spot if the batch lacks it. So
+the batch changes how fast an audit runs, never its verdict; a failing
+audit may verify signatures the walk never reads.
 
 Verdicts separate what failed so that failures can be mapped back onto the
 threat taxonomy (``classify_failure``).
@@ -39,14 +32,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import epochs
-from .bloom import bloom_contains, bloom_order_verify, plan_bloom_order
+from .bloom import accumulator_jobs, bloom_contains, bloom_order_verify
 from .crypto import CryptoProfile, Signature
 from .epochs import EpochRegistry, RegistryError, check_inclusion
-from .fanout import verify_each
-from .hashchain import chain_verify_subsequence, plan_chain_order
+from .fanout import prefetch
+from .hashchain import chain_verify_subsequence, link_jobs
 from .model import (
     EndorsementStatement,
     EpochReport,
@@ -112,16 +105,6 @@ class AuditReport:
         return [v for v in self.claim_verdicts if not v.ok]
 
 
-# Each scheme's ordering check, split around its signatures.
-# ``chain_verify_subsequence`` and ``bloom_order_verify`` run the same halves
-# around a batch of their own; they stay importable from this module for
-# callers that look them up here.
-_ORDER_PLANS = {
-    SCHEME_HASHCHAIN: plan_chain_order,
-    SCHEME_BLOOM: plan_bloom_order,
-}
-
-
 def audit(
     profile: CryptoProfile,
     claims: Sequence[LocationClaim],
@@ -155,62 +138,48 @@ def audit(
         )
     if registry is None:
         warnings.append("no epoch registry supplied; epoch inclusion not checked")
-    plan_order = _ORDER_PLANS.get(sub.scheme)
-    if plan_order is None:
+    # Looked up in this module, so that wrappers installed here (the
+    # benchmark times the verifiers) see the calls.
+    if sub.scheme == SCHEME_HASHCHAIN:
+        order_jobs, verify_order = link_jobs, chain_verify_subsequence
+    elif sub.scheme == SCHEME_BLOOM:
+        order_jobs, verify_order = accumulator_jobs, bloom_order_verify
+    else:
         raise ValidationError(f"unknown ordering scheme {sub.scheme!r}")
 
-    jobs: list[tuple] = []
-    report_jobs: dict[tuple[str, int], int] = {}
-    plans = [_plan_claim(profile, revealed, pubkeys, registry, jobs,
-                         report_jobs)
-             for revealed in sub.entries]
-    decide_order = plan_order(profile, sub, pubkeys, jobs)
-    results = verify_each(jobs)
+    reports = [None if registry is None else registry.lookup(
+        r.entry.elp.proof.statement.location_id,
+        r.entry.elp.proof.statement.visit_time) for r in sub.entries]
+    verify = prefetch([
+        *(job for revealed, report in zip(sub.entries, reports)
+          for job in _claim_jobs(profile, revealed, report, pubkeys)),
+        *order_jobs(profile, sub, pubkeys)])
 
     verdicts = tuple(
-        _audit_claim(profile, i, claim, revealed, plan, results, pubkeys,
-                     registry, endorsement_window_ms, checks, report_errors)
-        for i, (claim, revealed, plan) in enumerate(
-            zip(claims, sub.entries, plans))
+        _audit_claim(profile, i, claim, revealed, report, pubkeys, registry,
+                     endorsement_window_ms, checks, report_errors, verify)
+        for i, (claim, revealed, report) in enumerate(
+            zip(claims, sub.entries, reports))
     )
     return AuditReport(
         claim_verdicts=verdicts,
-        ordering=decide_order(results, checks),
+        ordering=verify_order(profile, sub, pubkeys, checks, verify),
         checks=checks,
         warnings=tuple(warnings),
     )
 
 
-@dataclass(frozen=True)
-class _ClaimPlan:
-    # Where the claim's proof, witness and timestamp signature results sit
-    # in the batch, in the order ``_audit_claim`` reads them.
-    signatures: slice
-    # The epoch report covering the proof, and where its signature result
-    # sits in the batch.
-    report: Optional[EpochReport] = None
-    report_job: int = -1
-
-
-def _plan_claim(
-    profile: CryptoProfile,
-    revealed: RevealedEntry,
-    pubkeys: Mapping[str, bytes],
-    registry: Optional[EpochRegistry],
-    jobs: list[tuple],
-    report_jobs: dict[tuple[str, int], int],
-) -> _ClaimPlan:
-    """Append to ``jobs`` every signature ``_audit_claim`` may check for
-    one claim and that no earlier claim planned: the proof, then the
-    witness and timestamp signatures of each endorsement up to the first
-    unknown witness, then the epoch report, once per audit."""
+def _claim_jobs(profile: CryptoProfile, revealed: RevealedEntry,
+                report: Optional[EpochReport],
+                pubkeys: Mapping[str, bytes]) -> list[tuple]:
+    """The signatures ``_audit_claim`` checks for one claim, as ``fanout``
+    jobs, given ``report``, the epoch report covering its proof."""
     lp = revealed.entry.elp.proof
-    stmt = lp.statement
-    issuer_key = pubkeys.get(stmt.location_id)
+    issuer_key = pubkeys.get(lp.statement.location_id)
     if issuer_key is None:  # the claim fails before any signature
-        return _ClaimPlan(slice(0, 0))
-    start = len(jobs)
-    jobs.append((_proof_signed, profile, issuer_key, stmt, lp.authority_sig))
+        return []
+    jobs = [(_proof_signed, profile, issuer_key, lp.statement,
+             lp.authority_sig)]
     for endorsement in revealed.entry.elp.endorsements:
         es = endorsement.statement
         witness_key = pubkeys.get(es.witness_id)
@@ -220,20 +189,11 @@ def _plan_claim(
                      endorsement.witness_sig))
         jobs.append((_timestamp_signed, profile, issuer_key, es,
                      endorsement.authority_time_sig))
-    signatures = slice(start, len(jobs))
-    if registry is None:
-        return _ClaimPlan(signatures)
-    report = registry.lookup(stmt.location_id, stmt.visit_time)
-    if report is None:
-        return _ClaimPlan(signatures)
-    key = (report.location_id, report.epoch_id)
-    if key not in report_jobs:
-        report_jobs[key] = len(jobs)
-        # Through the module, so that a wrapper installed on
-        # ``epochs.verify_report`` (the benchmark's tracer counts it) sees
-        # the call.
+    if report is not None:
+        # Looked up as ``check_inclusion`` looks it up, so that the batch
+        # answers for a wrapper installed there (the benchmark counts it).
         jobs.append((epochs.verify_report, profile, issuer_key, report))
-    return _ClaimPlan(signatures, report, report_jobs[key])
+    return jobs
 
 
 # The signature checks of a claim, each building the bytes it verifies in
@@ -260,19 +220,17 @@ def _audit_claim(
     index: int,
     claim: LocationClaim,
     revealed: RevealedEntry,
-    plan: _ClaimPlan,
-    results: Sequence[bool],
+    report: Optional[EpochReport],
     pubkeys: Mapping[str, bytes],
     registry: Optional[EpochRegistry],
     window_ms: int,
     checks: Counter,
     report_errors: dict[tuple[str, int], Optional[str]],
+    verify: Callable[..., bool],
 ) -> ClaimVerdict:
     lp = revealed.entry.elp.proof
     stmt = lp.statement
     issuer = stmt.location_id
-    # The results of the claim's planned signatures, in the order read here.
-    signed = iter(results[plan.signatures])
 
     def fail(status: str, detail: str) -> ClaimVerdict:
         return ClaimVerdict(index=index, status=status, detail=detail)
@@ -282,7 +240,7 @@ def _audit_claim(
     if issuer_key is None:
         return fail(CLAIM_BAD_SIGNATURE, f"unknown issuer {issuer!r}")
     checks["proof"] += 1
-    if not next(signed):
+    if not verify(_proof_signed, profile, issuer_key, stmt, lp.authority_sig):
         return fail(CLAIM_BAD_SIGNATURE, "authority signature invalid")
 
     # Endorsements.
@@ -300,14 +258,17 @@ def _audit_claim(
                 stmt.user_id, stmt.location_id, stmt.visit_time):
             return fail(CLAIM_ENDORSEMENT_MISMATCH,
                         "fields: endorsement disagrees with the proof")
-        if pubkeys.get(es.witness_id) is None:
+        witness_key = pubkeys.get(es.witness_id)
+        if witness_key is None:
             return fail(CLAIM_BAD_SIGNATURE,
                         f"unknown witness {es.witness_id!r}")
         checks["witness"] += 1
-        if not next(signed):
+        if not verify(_witness_signed, profile, witness_key, es,
+                      endorsement.witness_sig):
             return fail(CLAIM_BAD_SIGNATURE, "witness signature invalid")
         checks["timestamp"] += 1
-        if not next(signed):
+        if not verify(_timestamp_signed, profile, issuer_key, es,
+                      endorsement.authority_time_sig):
             return fail(CLAIM_BAD_SIGNATURE, "timestamp signature invalid")
         if not stmt.visit_time <= es.endorsed_at <= stmt.visit_time + window_ms:
             return fail(CLAIM_TIME_MISMATCH,
@@ -328,7 +289,6 @@ def _audit_claim(
 
     # Epoch inclusion.
     if registry is not None:
-        report = plan.report
         if report is None:
             return fail(CLAIM_EPOCH_MISSING,
                         f"no epoch report covers t={stmt.visit_time} "
@@ -343,7 +303,7 @@ def _audit_claim(
             checks["report"] += 1
             try:
                 included = check_inclusion(profile, issuer_key, report, lp,
-                                           results[plan.report_job])
+                                           verify)
             except RegistryError as exc:
                 report_errors[key] = f"epoch report: {exc}"
                 return fail(CLAIM_BAD_SIGNATURE, report_errors[key])

@@ -6,7 +6,10 @@ only ever gains bits, an earlier entry's filter is a bitwise subset of
 every later one: order between any two revealed entries is decided by a
 single AND, without touching the hidden entries in between. That makes
 audit cost proportional to the number of *revealed* entries, at the price
-of a per-entry filter sized for the whole chain.
+of a per-entry filter sized for the whole chain. ``audit`` verifies the
+accumulators' signatures (``accumulator_jobs``) in one batch with its
+other signatures (``fanout.prefetch``); ``bloom_order_verify`` reads each
+result from the batch as it walks the entries.
 
 Double-hashing index derivation (bit-exact, so independent
 implementations interoperate):
@@ -25,14 +28,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping
 
 from .crypto import CryptoProfile, Digest, KeyPair
-from .fanout import verify_each
 from .model import (
     BloomAccumulator,
     OrderingVerdict,
-    RevealedEntry,
     RevealedSubsequence,
     SCHEME_BLOOM,
     ValidationError,
@@ -150,11 +151,29 @@ def verify_accumulator(profile: CryptoProfile, public_key: bytes,
     return profile.verify(public_key, bloom_signing_bytes(acc), acc.authority_sig)
 
 
+def accumulator_jobs(profile: CryptoProfile, sub: RevealedSubsequence,
+                     authority_pubkeys: Mapping[str, bytes]) -> list[tuple]:
+    """The accumulator signatures ``bloom_order_verify`` checks for ``sub``
+    as ``fanout`` jobs, up to the first entry whose signature it cannot
+    check."""
+    jobs = []
+    for revealed in sub.entries:
+        acc = revealed.entry.ordering
+        public_key = authority_pubkeys.get(
+            revealed.entry.elp.proof.statement.location_id)
+        if not (isinstance(acc, BloomAccumulator) and bloom_well_formed(acc)
+                and public_key is not None and acc.authority_sig is not None):
+            break
+        jobs.append((verify_accumulator, profile, public_key, acc))
+    return jobs
+
+
 def bloom_order_verify(
     profile: CryptoProfile,
     sub: RevealedSubsequence,
     authority_pubkeys: Mapping[str, bytes],
     checks: Counter,
+    verify: Callable[..., bool],
 ) -> OrderingVerdict:
     """Check claimed order using only the revealed entries' accumulators.
 
@@ -163,104 +182,53 @@ def bloom_order_verify(
     one presented. The subset need not be strict: an honest insertion whose
     bits were all set already leaves the image unchanged, so two entries
     can carry equal accumulators and then either order passes. Each
-    accumulator signature verified counts one ``accumulator`` in ``checks``,
-    up to and including the first that fails, as if the entries were
-    checked one by one. Many signatures are verified across the machine's
-    CPUs (see ``fanout``).
+    accumulator signature is verified through ``verify`` (see
+    ``fanout.prefetch``) and counts one ``accumulator`` in ``checks``.
     """
-    jobs: list[tuple] = []
-    decide = plan_bloom_order(profile, sub, authority_pubkeys, jobs)
-    return decide(verify_each(jobs), checks)
-
-
-def plan_bloom_order(
-    profile: CryptoProfile,
-    sub: RevealedSubsequence,
-    authority_pubkeys: Mapping[str, bytes],
-    jobs: list[tuple],
-) -> Callable[[Sequence[bool], Counter], OrderingVerdict]:
-    """The two halves of ``bloom_order_verify`` around its accumulator
-    signatures: make every other check, append one ``fanout`` job per
-    signature to check to ``jobs``, and return the function that decides the
-    verdict from the results of all of ``jobs`` and counts the accumulators
-    verified."""
     if sub.scheme != SCHEME_BLOOM:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")
 
-    # One pass makes every check but the signatures, stopping where the
-    # entry-by-entry walk would; the signatures of the entries it reached
-    # are checked in the batch, and a bad one at or before the stop decides
-    # the verdict.
-    start = len(jobs)
-    verdict = OrderingVerdict(status=ORDER_OK)
     previous = None
     for revealed in sub.entries:
-        verdict = _unsigned_verdict(profile, revealed, previous,
-                                    authority_pubkeys)
-        if verdict.status == ORDER_INCOMPLETE:
-            break
         acc = revealed.entry.ordering
+        if not isinstance(acc, BloomAccumulator):
+            return OrderingVerdict(
+                status=ORDER_INCOMPLETE,
+                detail=f"entry at position {revealed.position} has no accumulator")
+        if not bloom_well_formed(acc):
+            return OrderingVerdict(
+                status=ORDER_INCOMPLETE,
+                detail=f"malformed accumulator at position {revealed.position}")
         issuer = revealed.entry.elp.proof.statement.location_id
-        jobs.append((verify_accumulator, profile, authority_pubkeys[issuer],
-                     acc))
-        if not verdict.ok:
-            break
+        public_key = authority_pubkeys.get(issuer)
+        if public_key is None or acc.authority_sig is None:
+            return OrderingVerdict(
+                status=ORDER_INCOMPLETE,
+                detail=f"unverifiable accumulator at position {revealed.position}")
+        checks["accumulator"] += 1
+        if not verify(verify_accumulator, profile, public_key, acc):
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=f"accumulator signature invalid at position {revealed.position}")
+        own = proof_digest(profile, revealed.entry.elp.proof)
+        if not bloom_contains(profile, acc, own):
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=f"own proof not in accumulator at position {revealed.position}")
+        if previous is not None:
+            prev_pos, prev_acc = previous
+            try:
+                is_subset = bloom_subset(prev_acc, acc)
+            except BloomParameterError:
+                return OrderingVerdict(
+                    status=ORDER_REORDERED,
+                    detail=(f"accumulator geometry changed between positions "
+                            f"{prev_pos} and {revealed.position}"))
+            if not is_subset:
+                return OrderingVerdict(
+                    status=ORDER_REORDERED,
+                    detail=(f"accumulator at position {prev_pos} is not a subset "
+                            f"of position {revealed.position}"))
         previous = (revealed.position, acc)
-    stop = len(jobs)
 
-    def decide(results: Sequence[bool], checks: Counter) -> OrderingVerdict:
-        signed = results[start:stop]
-        if False in signed:
-            bad = signed.index(False)
-            checks["accumulator"] += bad + 1
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=("accumulator signature invalid at position "
-                        f"{sub.entries[bad].position}"))
-        checks["accumulator"] += stop - start
-        return verdict
-    return decide
-
-
-def _unsigned_verdict(profile: CryptoProfile, revealed: RevealedEntry,
-                      previous: Optional[tuple[int, BloomAccumulator]],
-                      authority_pubkeys: Mapping[str, bytes]) -> OrderingVerdict:
-    """Every check of one revealed entry but its signature: Incomplete if
-    the signature cannot be checked, Reordered if the accumulator lacks the
-    entry's own proof or does not contain ``previous``, the (position,
-    accumulator) of the entry presented before it."""
-    position = revealed.position
-    acc = revealed.entry.ordering
-    if not isinstance(acc, BloomAccumulator):
-        return OrderingVerdict(
-            status=ORDER_INCOMPLETE,
-            detail=f"entry at position {position} has no accumulator")
-    if not bloom_well_formed(acc):
-        return OrderingVerdict(
-            status=ORDER_INCOMPLETE,
-            detail=f"malformed accumulator at position {position}")
-    issuer = revealed.entry.elp.proof.statement.location_id
-    if authority_pubkeys.get(issuer) is None or acc.authority_sig is None:
-        return OrderingVerdict(
-            status=ORDER_INCOMPLETE,
-            detail=f"unverifiable accumulator at position {position}")
-    own = proof_digest(profile, revealed.entry.elp.proof)
-    if not bloom_contains(profile, acc, own):
-        return OrderingVerdict(
-            status=ORDER_REORDERED,
-            detail=f"own proof not in accumulator at position {position}")
-    if previous is not None:
-        prev_pos, prev_acc = previous
-        try:
-            is_subset = bloom_subset(prev_acc, acc)
-        except BloomParameterError:
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=(f"accumulator geometry changed between positions "
-                        f"{prev_pos} and {position}"))
-        if not is_subset:
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=(f"accumulator at position {prev_pos} is not a subset "
-                        f"of position {position}"))
     return OrderingVerdict(status=ORDER_OK)

@@ -17,8 +17,8 @@ Subcommands:
                     scenario files.
 
 Exit codes everywhere: 0 success/clean, 1 audit failure or expectation
-mismatch detected, 2 usage/parse errors. All commands are deterministic
-for a fixed ``--seed`` (wall-time columns excepted).
+mismatch detected, 2 usage, parse or write errors. All commands are
+deterministic for a fixed ``--seed`` (wall-time columns excepted).
 """
 
 from __future__ import annotations
@@ -86,15 +86,6 @@ def cmd_simulate(args) -> int:
         print(f"error: scenario failed to run: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "chain.json").write_text(dump_chain_file(
-        outcome.profile_name, outcome.subsequence, outcome.directory))
-    (out_dir / "claims.json").write_text(dump_claims_file(outcome.claims))
-    (out_dir / "registry.json").write_text(dump_registry_file(
-        outcome.profile_name, outcome.registry))
-    (out_dir / "trace.jsonl").write_text(outcome.trace_jsonl())
-
     summary = {
         "scenario": outcome.scenario,
         "scheme": outcome.scheme,
@@ -106,8 +97,19 @@ def cmd_simulate(args) -> int:
         "audit_ok": outcome.audit_report.ok,
         "refusals": outcome.refusals,
     }
-    (out_dir / "outcome.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "chain.json").write_text(dump_chain_file(
+            outcome.profile_name, outcome.subsequence, outcome.directory))
+        (out_dir / "claims.json").write_text(dump_claims_file(outcome.claims))
+        (out_dir / "registry.json").write_text(dump_registry_file(
+            outcome.profile_name, outcome.registry))
+        (out_dir / "trace.jsonl").write_text(outcome.trace_jsonl())
+        (out_dir / "outcome.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True))
+    except OSError as exc:
+        return _cannot_write(exc)
 
     status = "detected" if outcome.detected else "clean"
     print(f"{outcome.scenario}: {status} "
@@ -139,7 +141,10 @@ def cmd_audit(args) -> int:
     report = audit(profile, claims, sub, Directory(directory).pubkeys(),
                    registry)
     if args.out:
-        Path(args.out).write_text(dump_audit_report_file(report))
+        try:
+            Path(args.out).write_text(dump_audit_report_file(report))
+        except OSError as exc:
+            return _cannot_write(exc)
     print(render_text_report(report))
     return EXIT_OK if report.ok else EXIT_AUDIT_FAILURE
 
@@ -182,9 +187,8 @@ def bench_space_rows(max_n: int, fpr: float, profile_name: str) -> list[dict]:
 
 def cmd_bench_space(args) -> int:
     rows = bench_space_rows(args.max_n, args.fpr, args.profile)
-    _write_csv(args.out, rows,
-               ["n", "hashchain_bytes_per_entry", "bloom_bytes_per_entry"])
-    return EXIT_OK
+    return _write_csv(args.out, rows, ["n", "hashchain_bytes_per_entry",
+                                       "bloom_bytes_per_entry"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +274,31 @@ def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
 
 
 def cmd_bench_audit(args) -> int:
-    try:
-        pcts = [float(p) for p in args.reveal_pct.split(",") if p]
-    except ValueError:
-        print("error: --reveal-pct expects a comma-separated list of numbers",
-              file=sys.stderr)
-        return EXIT_USAGE
-    rows = bench_audit_rows(args.chain_n, pcts, args.profile, args.seed)
-    _write_csv(args.out, rows,
-               ["scheme", "n", "pct", "revealed", "ops_count",
-                "signatures_verified", "wall_time_s"])
-    return EXIT_OK
+    rows = bench_audit_rows(args.chain_n, args.reveal_pct, args.profile,
+                            args.seed)
+    return _write_csv(args.out, rows,
+                      ["scheme", "n", "pct", "revealed", "ops_count",
+                       "signatures_verified", "wall_time_s"])
 
 
-def _write_csv(out: str | None, rows: list[dict], fields: list[str]) -> None:
+def _write_csv(out: str | None, rows: list[dict], fields: list[str]) -> int:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fields)
     writer.writeheader()
     writer.writerows(rows)
-    if out:
-        Path(out).write_text(buffer.getvalue())
-    else:
+    if not out:
         sys.stdout.write(buffer.getvalue())
+        return EXIT_OK
+    try:
+        Path(out).write_text(buffer.getvalue())
+    except OSError as exc:
+        return _cannot_write(exc)
+    return EXIT_OK
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +326,43 @@ def cmd_scenarios(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# Argument types for sizes and rates; each rejects what the commands cannot
+# run on, NaN included, so that argparse exits 2 with an error line.
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer of at least 1, "
+                                         f"got {text!r}")
+    return value
+
+
+def _rate(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expects a number in (0, 1), "
+                                         f"got {text!r}")
+    return value
+
+
+def _percentages(text: str) -> list[float]:
+    try:
+        values = [float(p) for p in text.split(",") if p]
+    except ValueError:
+        values = []
+    if not values or not all(0.0 < v <= 100.0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expects a comma-separated list of numbers in (0, 100], "
+            f"got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locprov",
@@ -341,15 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("bench-space", help="per-entry metadata size sweep")
-    p.add_argument("--max-n", type=int, default=10_000)
-    p.add_argument("--fpr", type=float, default=0.001)
+    p.add_argument("--max-n", type=_positive_int, default=10_000)
+    p.add_argument("--fpr", type=_rate, default=0.001)
     p.add_argument("--profile", choices=["legacy", "modern"], default="legacy")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench_space)
 
     p = sub.add_parser("bench-audit", help="instrumented audit cost sweep")
-    p.add_argument("--chain-n", type=int, default=10_000)
-    p.add_argument("--reveal-pct", default="1,10,50,100")
+    p.add_argument("--chain-n", type=_positive_int, default=10_000)
+    p.add_argument("--reveal-pct", type=_percentages, default="1,10,50,100")
     p.add_argument("--profile", choices=["legacy", "modern"], default="modern")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)

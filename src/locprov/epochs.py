@@ -23,7 +23,7 @@ does not load.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bloom import bloom_contains, bloom_insert, bloom_new, bloom_well_formed
 from .crypto import CryptoProfile, Digest, KeyPair
@@ -82,18 +82,15 @@ def verify_report(profile: CryptoProfile, public_key: bytes,
 
 def check_inclusion(profile: CryptoProfile, public_key: bytes,
                     report: EpochReport, lp: LocationProof,
-                    signature_valid: Optional[bool] = None) -> bool:
+                    verify: Callable[..., bool]) -> bool:
     """True iff the proof's digest is a member of the report accumulator.
 
-    The report signature must verify first; a report that does not is no
-    evidence either way. A caller that has already verified it passes the
-    result of ``verify_report`` as ``signature_valid``. A structurally
-    inconsistent accumulator (even a signed one) is likewise rejected rather
-    than probed.
+    The report signature must verify first, through ``verify`` (see
+    ``fanout.prefetch``); a report that does not is no evidence either way.
+    A structurally inconsistent accumulator (even a signed one) is likewise
+    rejected rather than probed.
     """
-    if signature_valid is None:
-        signature_valid = verify_report(profile, public_key, report)
-    if not signature_valid:
+    if not verify(verify_report, profile, public_key, report):
         raise RegistryError(
             f"report signature invalid for {report.location_id!r} "
             f"epoch {report.epoch_id}")

@@ -3,10 +3,17 @@
 An audit verifies signatures that do not depend on one another: every
 revealed claim's proof, witness and timestamp signatures, each epoch report
 it meets, and every hash-chain link or revealed Bloom accumulator of its
-ordering evidence. ``audit`` plans all of them into one batch and hands it
-here once, so at most one pool starts per audit. The ``cryptography``
-package has no batch Ed25519 verify and holds the interpreter lock while it
-verifies, so threads gain nothing; processes do.
+ordering evidence. ``audit`` lists all of them and hands them to
+``prefetch`` once, so at most one pool starts per audit. The
+``cryptography`` package has no batch Ed25519 verify and holds the
+interpreter lock while it verifies, so threads gain nothing; processes do.
+
+``prefetch(jobs)`` verifies the distinct jobs ``(check, *args)`` with one
+``verify_each`` call and returns ``verify(check, *args)``, which answers
+from the batch when ``check`` and every argument are the very objects of a
+batched job, else calls ``check(*args)``. Identity, not equality: ``0.0 ==
+-0.0``, yet the two sign different bytes. What a caller batches changes how
+fast it runs, never what it decides.
 
 ``verify_each(jobs)`` returns ``[check(*args) for check, *args in jobs]``:
 every job's result, in order, because the caller reads all of them. With
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 # Fewest jobs worth a pool. On a 2-CPU guest, starting and stopping a
 # one-worker fork pool measured 14-20 ms and one hash-chain link verify
@@ -39,6 +46,21 @@ from typing import Sequence
 # pay for itself from about 150-200 jobs. Measured end to end, the split ran
 # at 0.95-1.04x the serial speed at 384 links and 1.08-1.20x at 512.
 FANOUT_MIN_JOBS = 512
+
+
+def prefetch(jobs: Iterable[tuple]) -> Callable[..., bool]:
+    """Verify the distinct ``jobs`` in one batch; return the ``verify``
+    that answers from it (see module doc)."""
+    batch = {(job[0], *map(id, job[1:])): job for job in jobs}
+    distinct = list(batch.values())
+    # Each answer keeps its job alive, so no id in a key can be reused
+    # while the table lives.
+    answers = dict(zip(batch, zip(distinct, verify_each(distinct))))
+
+    def verify(check: Callable[..., bool], *args) -> bool:
+        answer = answers.get((check, *map(id, args)))
+        return answer[1] if answer is not None else bool(check(*args))
+    return verify
 
 
 def verify_each(jobs: Sequence[tuple]) -> list[bool]:

@@ -12,25 +12,20 @@ start of the chain through the last revealed position, so the work grows
 with the position of the last revealed entry, not with how many entries
 were revealed. One signature verify per link is the floor (``cryptography``
 has no batch Ed25519 verify), but the links are independent of one another.
-``plan_chain_order`` makes every check that needs no signature and plans
-one job per link; ``audit`` puts those jobs in the same batch as its claims'
-signatures, and a batch of ``fanout.FANOUT_MIN_JOBS`` jobs or more is
-verified in chunks across the machine's CPUs (see ``fanout``), which
-divides the wall time of a long replay by up to the CPU count. A batch
-verifies every planned link, including those after the first bad one, which
-a one-by-one replay never reaches; verdicts and the ``link`` count are those
-of the one-by-one replay, so only failing audits do more work.
+``audit`` verifies ``link_jobs`` in one batch with its claims' signatures
+(``fanout.prefetch``), split across the machine's CPUs when it is large,
+which divides the wall time of a long replay by up to the CPU count.
+``chain_verify_subsequence`` still replays link by link, reading each
+result from the batch, so its verdict and ``link`` count are unchanged.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .crypto import CryptoProfile, Digest, KeyPair
-from .fanout import verify_each
 from .model import (
-    ChainSlot,
     HashChainLink,
     LocationProof,
     OrderingVerdict,
@@ -84,88 +79,47 @@ def verify_link(profile: CryptoProfile, public_key: bytes, link: HashChainLink,
     return profile.verify(public_key, link_payload(current, prev), link.signature)
 
 
+def link_jobs(profile: CryptoProfile, sub: RevealedSubsequence,
+              authority_pubkeys: Mapping[str, bytes]) -> list[tuple]:
+    """The link signatures ``chain_verify_subsequence`` replays for ``sub``
+    as ``fanout`` jobs, up to the first position without evidence or key."""
+    slots = {slot.position: slot for slot in sub.chain_evidence}
+    jobs = []
+    prev_link: Optional[HashChainLink] = None
+    last = max((e.position for e in sub.entries), default=0)
+    for position in range(1, last + 1):
+        slot = slots.get(position)
+        if slot is None or authority_pubkeys.get(slot.issuer_id) is None:
+            break
+        jobs.append((verify_link, profile, authority_pubkeys[slot.issuer_id],
+                     slot.link, slot.proof_digest, prev_link))
+        prev_link = slot.link
+    return jobs
+
+
 def chain_verify_subsequence(
     profile: CryptoProfile,
     sub: RevealedSubsequence,
     authority_pubkeys: Mapping[str, bytes],
     checks: Counter,
+    verify: Callable[..., bool],
 ) -> OrderingVerdict:
     """Check that the revealed entries appear in the order claimed.
 
     Requires per-position evidence (link, proof digest, issuer) for every
     position from the start of the chain through the last revealed one;
     anything missing yields an Incomplete verdict. Every link in that
-    prefix is replayed and its signature verified, every revealed entry
-    must sit at its claimed position, and claimed positions must strictly
-    increase. Each link signature verified counts one ``link`` in
-    ``checks``, up to and including the first that fails, as if the links
-    were replayed one by one.
+    prefix is replayed and its signature verified through ``verify`` (see
+    ``fanout.prefetch``), every revealed entry must sit at its claimed
+    position, and claimed positions must strictly increase. Each link
+    signature verified counts one ``link`` in ``checks``.
     """
-    jobs: list[tuple] = []
-    decide = plan_chain_order(profile, sub, authority_pubkeys, jobs)
-    return decide(verify_each(jobs), checks)
-
-
-def plan_chain_order(
-    profile: CryptoProfile,
-    sub: RevealedSubsequence,
-    authority_pubkeys: Mapping[str, bytes],
-    jobs: list[tuple],
-) -> Callable[[Sequence[bool], Counter], OrderingVerdict]:
-    """The two halves of ``chain_verify_subsequence`` around its link
-    signatures: make every other check, append one ``fanout`` job per link
-    to replay to ``jobs``, and return the function that decides the verdict
-    from the results of all of ``jobs`` and counts the links verified."""
     if sub.scheme != SCHEME_HASHCHAIN:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not hash chain")
-    slots = {slot.position: slot for slot in sub.chain_evidence}
-    verdict = _unsigned_verdict(profile, sub, slots)
-    if verdict is not None:
-        return lambda results, checks: verdict
-
-    # One link job per position, up to the first issuer without a key. A
-    # bad link before that position decides the verdict; the missing key
-    # decides it otherwise.
-    start = len(jobs)
-    prev_link: Optional[HashChainLink] = None
-    verdict = OrderingVerdict(status=ORDER_OK)
-    for position in range(1, max(e.position for e in sub.entries) + 1):
-        slot = slots[position]
-        public_key = authority_pubkeys.get(slot.issuer_id)
-        if public_key is None:
-            verdict = OrderingVerdict(
-                status=ORDER_INCOMPLETE,
-                detail=f"no public key for issuer {slot.issuer_id!r}",
-            )
-            break
-        jobs.append((verify_link, profile, public_key, slot.link,
-                     slot.proof_digest, prev_link))
-        prev_link = slot.link
-    stop = len(jobs)
-
-    def decide(results: Sequence[bool], checks: Counter) -> OrderingVerdict:
-        replayed = results[start:stop]
-        if False in replayed:
-            bad = replayed.index(False)
-            checks["link"] += bad + 1
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=f"link verification failed at position {bad + 1}",
-            )
-        checks["link"] += stop - start
-        return verdict
-    return decide
-
-
-def _unsigned_verdict(
-    profile: CryptoProfile,
-    sub: RevealedSubsequence,
-    slots: Mapping[int, ChainSlot],
-) -> Optional[OrderingVerdict]:
-    """The verdict of the checks that need no signature, given the evidence
-    by position, or None when they all pass."""
     if not sub.entries:
         return OrderingVerdict(status=ORDER_OK)
+
+    slots = {slot.position: slot for slot in sub.chain_evidence}
     if len(slots) != len(sub.chain_evidence):
         return OrderingVerdict(
             status=ORDER_INCOMPLETE,
@@ -203,4 +157,24 @@ def _unsigned_verdict(
                 status=ORDER_REORDERED,
                 detail=f"link mismatch at position {revealed.position}",
             )
-    return None
+
+    # Replay the chain prefix.
+    prev_link: Optional[HashChainLink] = None
+    for position in range(1, last + 1):
+        slot = slots[position]
+        public_key = authority_pubkeys.get(slot.issuer_id)
+        if public_key is None:
+            return OrderingVerdict(
+                status=ORDER_INCOMPLETE,
+                detail=f"no public key for issuer {slot.issuer_id!r}",
+            )
+        checks["link"] += 1
+        if not verify(verify_link, profile, public_key, slot.link,
+                      slot.proof_digest, prev_link):
+            return OrderingVerdict(
+                status=ORDER_REORDERED,
+                detail=f"link verification failed at position {position}",
+            )
+        prev_link = slot.link
+
+    return OrderingVerdict(status=ORDER_OK)

@@ -12,6 +12,7 @@ from locprov.audit import LocationClaim, audit
 from locprov.bloom import bloom_contains, bloom_insert, bloom_new, sign_accumulator
 from locprov.cli import bench_space_rows, worst_case_positions
 from locprov.crypto import Digest, LEGACY, MODERN, derive_seed
+from locprov.fanout import prefetch
 from locprov.hashchain import chain_extend, chain_genesis
 from locprov.model import (
     make_private_statement,
@@ -259,7 +260,8 @@ def _property_hashchain_single_tampers_n8():
                 EndorsedLocationProof(proofs[p - 1], ()), links[p - 1]))
             for p in (1, last))
         sub = RevealedSubsequence("hashchain", entries, tuple(slots))
-        return chain_verify_subsequence(MODERN, sub, pubkeys, Counter())
+        return chain_verify_subsequence(MODERN, sub, pubkeys, Counter(),
+                                        prefetch(()))
 
     # sanity: the clean chain verifies
     assert verdict_for(clean, 8).status == ORDER_OK
@@ -283,7 +285,8 @@ def _property_hashchain_single_tampers_n8():
             for p in (1, 7))
         sub = RevealedSubsequence("hashchain", entries, tuple(slots))
         outcomes.append(
-            chain_verify_subsequence(MODERN, sub, pubkeys, Counter()).status
+            chain_verify_subsequence(MODERN, sub, pubkeys, Counter(),
+                                     prefetch(())).status
             != ORDER_OK)
     impostor = proof_digest(
         MODERN, make_proof(MODERN, keys, make_statement("u1", "L", 9999)))

@@ -26,8 +26,9 @@ from locprov.audit import (
     classify_failure,
     render_text_report,
 )
+from locprov import fanout
 from locprov.cli import build_honest_chain
-from locprov.crypto import MODERN
+from locprov.crypto import MODERN, CryptoProfile, get_profile
 from locprov.epochs import EpochRegistry
 from locprov.model import (
     OrderingVerdict,
@@ -41,6 +42,7 @@ from locprov.model import (
     ORDER_INCOMPLETE,
 )
 from locprov.protocol import Directory, ProtocolConfig, World
+from locprov.scenarios import run_builtin_suite
 from locprov.serialize import (
     dump_audit_report_file,
     load_chain_file,
@@ -516,3 +518,71 @@ def test_one_batch_split_matches_serial(serial_and_fanned_out, scheme,
     assert _batch_audit(serial_and_fanned_out, scheme, change_sub,
                         change_report) == (verdicts, ordering,
                                            Counter(checks))
+
+
+def test_signature_object_shared_by_two_proofs_checked_per_proof():
+    """Entry 1's proof carries entry 2's signature object: the batch holds
+    both proofs' checks of that one object, and each gets its own answer."""
+    world, user = _world()
+    _tour(world, ["cafe-7", "cafe-7"])
+    sub = make_revealed_subsequence(world.profile, user.chain, [1, 2])
+    stolen = sub.entries[1].entry.elp.proof.authority_sig
+    sub = _at(sub, 1, lambda e: replace(e, elp=replace(e.elp, proof=replace(
+        e.elp.proof, authority_sig=stolen))))
+    report = audit(world.profile, _truthful_claims(sub), sub,
+                   world.directory.pubkeys(), world.registry)
+    assert [(v.status, v.detail) for v in report.claim_verdicts] == [
+        (CLAIM_BAD_SIGNATURE, "authority signature invalid"), OK]
+
+
+# ---------------------------------------------------------------------------
+# a clean audit batches exactly the signatures it counts
+# ---------------------------------------------------------------------------
+
+def _batches_and_verifies(monkeypatch, run):
+    """``run()``'s result, the sizes of the batches it verified and the
+    number of signatures it verified in all, all in this process."""
+    batches, verifies = [], []
+    real_verify_each = fanout.verify_each
+    real_verify = CryptoProfile.verify
+
+    def verify_each(jobs):
+        batches.append(len(jobs))
+        return real_verify_each(jobs)
+
+    def verify(profile, *args):
+        verifies.append(args)
+        return real_verify(profile, *args)
+
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(fanout, "verify_each", verify_each)
+    monkeypatch.setattr(CryptoProfile, "verify", verify)
+    return run(), batches, len(verifies)
+
+
+def _clean_audits():
+    for scheme in ("hashchain", "bloom"):
+        world, chain = build_honest_chain(scheme, 40)
+        sub = make_revealed_subsequence(world.profile, chain, range(1, 41))
+        yield (f"full-{scheme}", world.profile, _truthful_claims(sub), sub,
+               world.directory.pubkeys(), world.registry)
+    for outcome in run_builtin_suite():
+        if not outcome.expected_detection:
+            yield (outcome.scenario, get_profile(outcome.profile_name),
+                   outcome.claims, outcome.subsequence,
+                   Directory(outcome.directory).pubkeys(), outcome.registry)
+
+
+def test_clean_audit_batches_exactly_what_it_counts(monkeypatch):
+    """One batch of exactly the signatures counted, and every signature
+    verified once, in that batch: none is verified on the spot."""
+    seen = []
+    for name, profile, claims, sub, pubkeys, registry in _clean_audits():
+        report, batches, verifies = _batches_and_verifies(
+            monkeypatch,
+            lambda: audit(profile, claims, sub, pubkeys, registry))
+        assert report.ok, name
+        assert batches == [report.signatures_verified], name
+        assert verifies == report.signatures_verified, name
+        seen.append(name)
+    assert len(seen) == 14

@@ -11,6 +11,7 @@ from scipy import stats
 from locprov.crypto import Digest, LEGACY, MODERN
 from locprov.bloom import (
     BloomParameterError,
+    accumulator_jobs,
     bloom_contains,
     bloom_hash_count,
     bloom_insert,
@@ -22,6 +23,7 @@ from locprov.bloom import (
     sign_accumulator,
     verify_accumulator,
 )
+from locprov.fanout import prefetch
 from locprov.model import (
     ValidationError,
     bloom_bit_size,
@@ -259,7 +261,7 @@ def test_order_verify_checks_only_revealed_entries():
     sub = make_revealed_subsequence(world.profile, chain, [1, 4, 6])
     checks = Counter()
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 checks)
+                                 checks, prefetch(()))
     assert verdict.status == ORDER_OK
     assert checks["accumulator"] == 3
 
@@ -271,7 +273,7 @@ def test_order_verify_1000_chain_three_reveals_three_checks(honest_chain_factory
     sub = make_revealed_subsequence(world.profile, chain, [1, 50, 999])
     checks = Counter()
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 checks)
+                                 checks, prefetch(()))
     assert verdict.status == ORDER_OK
     assert checks["accumulator"] == 3
 
@@ -281,7 +283,8 @@ def test_order_verify_flags_swapped_presentation():
     sub = make_revealed_subsequence(world.profile, chain, [2, 3])
     swapped = replace(sub, entries=(sub.entries[1], sub.entries[0]))
     verdict = bloom_order_verify(world.profile, swapped,
-                                 world.directory.pubkeys(), Counter())
+                                 world.directory.pubkeys(), Counter(),
+                                 prefetch(()))
     assert verdict.status == ORDER_REORDERED
 
 
@@ -296,7 +299,7 @@ def test_order_verify_flags_equal_accumulators():
     forged = ProvenanceChain("bloom", (first, duplicated))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 Counter())
+                                 Counter(), prefetch(()))
     assert verdict.status == ORDER_REORDERED
     assert "equal" in verdict.detail or "own proof" in verdict.detail
 
@@ -333,7 +336,7 @@ def test_malformed_accumulator_rejected_not_crashing():
     forged = ProvenanceChain("bloom", (chain.entries[0], forged_entry))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 Counter())
+                                 Counter(), prefetch(()))
     assert verdict.status == "Incomplete"
     assert "malformed" in verdict.detail
 
@@ -397,8 +400,10 @@ def test_signatures_in_processes_match_serial(serial_and_fanned_out,
 
     def check():
         checks = Counter()
-        verdict = bloom_order_verify(world.profile, presented,
-                                     world.directory.pubkeys(), checks)
+        pubkeys = world.directory.pubkeys()
+        verify = prefetch(accumulator_jobs(world.profile, presented, pubkeys))
+        verdict = bloom_order_verify(world.profile, presented, pubkeys, checks,
+                                     verify)
         return verdict.status, verdict.detail, checks
 
     serial, fanned_out = serial_and_fanned_out(check)

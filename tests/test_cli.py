@@ -441,9 +441,44 @@ def test_bench_audit_csv_schema(tmp_path):
     assert {r["scheme"] for r in rows} == {"hashchain", "bloom"}
 
 
-def test_bench_audit_rejects_bad_pct_list():
-    assert main(["bench-audit", "--chain-n", "10",
-                 "--reveal-pct", "ten,20"]) == 2
+SHARED = Path(__file__).parent / "data" / "shared-epochs-bloom"
+# A file in a directory that does not exist.
+UNWRITABLE = "{tmp}/missing/out"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-audit", "--chain-n", "10", "--reveal-pct", "ten,20"],
+    ["bench-audit", "--chain-n", "10", "--reveal-pct", "nan"],
+    ["bench-audit", "--chain-n", "10", "--reveal-pct", "10,inf"],
+    ["bench-audit", "--chain-n", "10", "--reveal-pct", "0,50"],
+    ["bench-audit", "--chain-n", "10", "--reveal-pct", "100.5"],
+    ["bench-audit", "--chain-n", "10", "--reveal-pct", ","],
+    ["bench-audit", "--chain-n", "0"],
+    ["bench-space", "--max-n", "0"],
+    ["bench-space", "--fpr", "0"],
+    ["bench-space", "--fpr", "1.5"],
+    ["bench-space", "--fpr", "nan"],
+    ["bench-space", "--max-n", "5", "--out", UNWRITABLE],
+    ["bench-audit", "--chain-n", "2", "--reveal-pct", "100",
+     "--out", UNWRITABLE],
+    ["audit", "--chain", str(SHARED / "chain.json"),
+     "--claims", str(SHARED / "claims.json"), "--out", UNWRITABLE],
+    # The output directory is an existing file.
+    ["simulate", str(SHARED / "scenario.json"),
+     "--out-dir", str(SHARED / "scenario.json")],
+], ids=["bench-audit-pct-not-a-number", "bench-audit-pct-nan",
+        "bench-audit-pct-inf", "bench-audit-pct-0",
+        "bench-audit-pct-above-100", "bench-audit-pct-empty",
+        "bench-audit-chain-n-0", "bench-space-max-n-0", "bench-space-fpr-0",
+        "bench-space-fpr-above-1", "bench-space-fpr-nan", "bench-space-out",
+        "bench-audit-out", "audit-out", "simulate-out-dir"])
+def test_usage_errors_exit_two(tmp_path, capsys, argv):
+    """Bad sizes, rates and percentages, and outputs that cannot be
+    written: an error line and exit 2, the code for usage errors, never a
+    traceback (exit 1 reads as a flagged audit)."""
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bloom_ops_independent_of_chain_length(honest_chain_factory):

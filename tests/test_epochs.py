@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from locprov.crypto import Digest, MODERN, derive_seed
+from locprov.fanout import prefetch
 from locprov.epochs import (
     EpochRegistry,
     RegistryError,
@@ -58,29 +59,34 @@ def test_report_contains_every_issued_digest():
     proofs = [_proof(t) for t in (1000, 2000, 3000)]
     report = _report(0, proofs)
     for lp in proofs:
-        assert check_inclusion(PROFILE, KEYS.public_key, report, lp)
+        assert check_inclusion(PROFILE, KEYS.public_key, report, lp,
+                               prefetch(()))
 
 
 def test_empty_epoch_report_is_valid():
     report = _report(0, [])
     assert verify_report(PROFILE, KEYS.public_key, report)
-    assert not check_inclusion(PROFILE, KEYS.public_key, report, _proof(1))
+    assert not check_inclusion(PROFILE, KEYS.public_key, report, _proof(1),
+                               prefetch(()))
 
 
 def test_proof_absent_from_next_epoch_report():
     lp = _proof(1000)
     report_next = _report(1, [])
-    assert not check_inclusion(PROFILE, KEYS.public_key, report_next, lp)
+    assert not check_inclusion(PROFILE, KEYS.public_key, report_next, lp,
+                               prefetch(()))
 
 
 def test_check_inclusion_refuses_bad_report_signature():
     report = _report(0, [_proof(1000)])
     other = PROFILE.keygen(bytes(range(1, 33)))
     with pytest.raises(RegistryError):
-        check_inclusion(PROFILE, other.public_key, report, _proof(1000))
+        check_inclusion(PROFILE, other.public_key, report, _proof(1000),
+                        prefetch(()))
     forged = replace(report, epoch_id=5)
     with pytest.raises(RegistryError):
-        check_inclusion(PROFILE, KEYS.public_key, forged, _proof(1000))
+        check_inclusion(PROFILE, KEYS.public_key, forged, _proof(1000),
+                        prefetch(()))
 
 
 def test_report_signature_alone_covers_the_accumulator():
@@ -88,7 +94,8 @@ def test_report_signature_alone_covers_the_accumulator():
     report = _report(0, proofs)
     assert report.accumulator.authority_sig is None
     for lp in proofs:
-        assert check_inclusion(PROFILE, KEYS.public_key, report, lp)
+        assert check_inclusion(PROFILE, KEYS.public_key, report, lp,
+                               prefetch(()))
     # Earlier versions also signed the accumulator itself. Registry files
     # holding such reports still load, and their reports still verify.
     registry = EpochRegistry()
@@ -97,7 +104,7 @@ def test_report_signature_alone_covers_the_accumulator():
     _, loaded = load_registry_file(dump_registry_file("modern", registry))
     for lp in proofs:
         assert check_inclusion(PROFILE, KEYS.public_key,
-                               loaded.reports()[0], lp)
+                               loaded.reports()[0], lp, prefetch(()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +211,7 @@ def test_authority_publishes_on_epoch_roll():
     report = world.registry.lookup("cafe-7", stmt.visit_time)
     assert report is not None
     assert check_inclusion(PROFILE, world.directory.public_key("cafe-7"),
-                           report, outcome.entry.elp.proof)
+                           report, outcome.entry.elp.proof, prefetch(()))
 
 
 def test_backdated_fabrication_excluded_from_closed_epoch():
@@ -216,7 +223,8 @@ def test_backdated_fabrication_excluded_from_closed_epoch():
     report = world.registry.lookup("cafe-7", 250_000)
     assert report is not None
     assert not check_inclusion(
-        PROFILE, world.directory.public_key("cafe-7"), report, backdated)
+        PROFILE, world.directory.public_key("cafe-7"), report, backdated,
+        prefetch(()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +287,7 @@ def test_malformed_signed_accumulator_rejected():
         report_sig=PROFILE.sign(KEYS.private_key,
                                 report_signing_bytes(bad_report)))
     with pytest.raises(RegistryError):
-        check_inclusion(PROFILE, KEYS.public_key, bad_report, lp)
+        check_inclusion(PROFILE, KEYS.public_key, bad_report, lp, prefetch(()))
 
 
 def test_epoch_completeness_multiple_proofs_per_epoch():
@@ -300,7 +308,7 @@ def test_epoch_completeness_multiple_proofs_per_epoch():
     for lp in proofs:
         report = world.registry.lookup("cafe-7", lp.statement.visit_time)
         assert report is not None
-        assert check_inclusion(PROFILE, pub, report, lp)
+        assert check_inclusion(PROFILE, pub, report, lp, prefetch(()))
 
 
 @pytest.mark.parametrize("count", [0, 1, 300])

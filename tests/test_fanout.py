@@ -1,7 +1,9 @@
-"""Signature checks split across processes: the same answer on every path."""
+"""Signature checks split across processes, and answered from one batch:
+the same answer on every path."""
 
 import errno
 import logging
+import math
 import multiprocessing
 import os
 import threading
@@ -9,6 +11,7 @@ import threading
 import pytest
 
 from locprov import fanout
+from locprov.crypto import MODERN
 
 LOGGER = "locprov.fanout"
 
@@ -152,3 +155,66 @@ def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert not caplog.records
+
+
+# ---------------------------------------------------------------------------
+# prefetch: answers from one batch, or on the spot
+# ---------------------------------------------------------------------------
+
+def _counted(check):
+    """``check`` and the list of the arguments of each call made to it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    return counted, calls
+
+
+def test_prefetch_checks_an_equal_distinct_argument_on_the_spot():
+    """0.0 == -0.0, but only the batched object is answered from the batch."""
+    check, calls = _counted(lambda x: math.copysign(1.0, x) > 0)
+    batched, equal = 0.0, -0.0
+    verify = fanout.prefetch([(check, batched)])
+    assert verify(check, batched) is True
+    assert len(calls) == 1
+    assert verify(check, equal) is False
+    assert calls == [(batched,), (equal,)]
+
+
+def test_prefetch_one_signature_under_two_keys_gets_two_results():
+    keys = MODERN.keygen(bytes(32))
+    sig = MODERN.sign(keys.private_key, b"signed")
+    signed, other = b"signed", b"other"
+    check, calls = _counted(
+        lambda message, s: MODERN.verify(keys.public_key, message, s))
+    verify = fanout.prefetch([(check, signed, sig), (check, other, sig)])
+    assert len(calls) == 2
+    assert verify(check, signed, sig) is True
+    assert verify(check, other, sig) is False
+    assert len(calls) == 2
+
+
+def test_prefetch_verifies_duplicate_jobs_once(monkeypatch):
+    batches = []
+    real_verify_each = fanout.verify_each
+
+    def verify_each(jobs):
+        batches.append(len(jobs))
+        return real_verify_each(jobs)
+    monkeypatch.setattr(fanout, "verify_each", verify_each)
+    check, calls = _counted(bool)
+    item = object()
+    verify = fanout.prefetch([(check, item), (check, item), (bool, item)])
+    assert batches == [2]
+    assert calls == [(item,)]
+    assert verify(check, item) is True
+    assert calls == [(item,)]
+
+
+def test_prefetch_answers_false_from_the_batch():
+    check, calls = _counted(lambda x: False)
+    item = object()
+    verify = fanout.prefetch([(check, item)])
+    assert verify(check, item) is False
+    assert calls == [(item,)]

@@ -7,11 +7,13 @@ from dataclasses import replace
 import pytest
 
 from locprov.crypto import LEGACY, MODERN
+from locprov.fanout import prefetch
 from locprov.hashchain import (
     GENESIS_SENTINEL,
     chain_extend,
     chain_genesis,
     chain_verify_subsequence,
+    link_jobs,
     verify_link,
 )
 from locprov.model import (
@@ -118,7 +120,7 @@ def test_full_chain_reveal_first_and_last_checks_all_links():
     sub = _sub(_slots(proofs, links), [1, 4], proofs, links)
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks)
+                                       checks, prefetch(()))
     assert verdict.status == ORDER_OK
     assert checks["link"] == 4
 
@@ -128,7 +130,7 @@ def test_reveal_middle_checks_prefix_only():
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links)
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks)
+                                       checks, prefetch(()))
     assert verdict.status == ORDER_OK
     # independent oracle: required work is the largest revealed position
     assert checks["link"] == max([2, 3])
@@ -141,7 +143,7 @@ def test_swapped_links_detected():
                           replace(slots[1], position=3))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter())
+                                       Counter(), prefetch(()))
     assert verdict.status == ORDER_REORDERED
 
 
@@ -152,7 +154,7 @@ def test_substituted_proof_detected():
     slots[1] = replace(slots[1], proof_digest=proof_digest(PROFILE, impostor))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter())
+                                       Counter(), prefetch(()))
     assert verdict.status == ORDER_REORDERED
 
 
@@ -160,7 +162,7 @@ def test_claimed_order_must_ascend():
     proofs, links = _build_links(4)
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links, order=[3, 2])
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter())
+                                       Counter(), prefetch(()))
     assert verdict.status == ORDER_REORDERED
 
 
@@ -169,14 +171,15 @@ def test_missing_prefix_evidence_is_incomplete():
     slots = [s for s in _slots(proofs, links) if s.position != 2]
     sub = _sub(tuple(slots), [3], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter())
+                                       Counter(), prefetch(()))
     assert verdict.status == ORDER_INCOMPLETE
 
 
 def test_unknown_issuer_is_incomplete():
     proofs, links = _build_links(2)
     sub = _sub(_slots(proofs, links), [2], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {}, Counter())
+    verdict = chain_verify_subsequence(PROFILE, sub, {}, Counter(),
+                                       prefetch(()))
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -185,7 +188,7 @@ def test_empty_reveal_is_ok_and_costs_nothing():
     sub = RevealedSubsequence("hashchain", (), _slots(proofs, links))
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks)
+                                       checks, prefetch(()))
     assert verdict.status == ORDER_OK
     assert checks["link"] == 0
 
@@ -194,7 +197,7 @@ def test_wrong_scheme_rejected():
     with pytest.raises(ValidationError):
         chain_verify_subsequence(PROFILE,
                                  RevealedSubsequence("bloom", (), ()), {},
-                                 Counter())
+                                 Counter(), prefetch(()))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,8 @@ def test_links_checked_equals_last_revealed_for_random_subsets():
         sub = _sub(slots, positions, proofs, links)
         checks = Counter()
         verdict = chain_verify_subsequence(PROFILE, sub,
-                                           {"cafe-7": AUTH.public_key}, checks)
+                                           {"cafe-7": AUTH.public_key}, checks,
+                                           prefetch(()))
         assert verdict.status == ORDER_OK
         assert checks["link"] == positions[-1]
 
@@ -245,7 +249,8 @@ def test_exhaustive_single_tamper_n8_all_detected():
             slots[i] = ChainSlot(i + 1, si.issuer_id, sj.proof_digest, sj.link)
             slots[j] = ChainSlot(j + 1, sj.issuer_id, si.proof_digest, si.link)
             sub = _sub(tuple(slots), [1, n], proofs, links)
-            verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
+            verdict = chain_verify_subsequence(PROFILE, sub, pubkeys,
+                                               Counter(), prefetch(()))
             total += 1
             detected += verdict.status != ORDER_OK
 
@@ -258,7 +263,8 @@ def test_exhaustive_single_tamper_n8_all_detected():
         remaining_proofs = [p for idx, p in enumerate(proofs) if idx != k]
         remaining_links = [l for idx, l in enumerate(links) if idx != k]
         sub = _sub(slots, [1, n - 1], remaining_proofs, remaining_links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter(),
+                                           prefetch(()))
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -268,7 +274,8 @@ def test_exhaustive_single_tamper_n8_all_detected():
         slots = list(clean)
         slots[k] = replace(slots[k], proof_digest=impostor_digest)
         sub = _sub(tuple(slots), [1, n], proofs, links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter(),
+                                           prefetch(()))
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -280,14 +287,16 @@ def test_completeness_long_chain_and_random_subsets(honest_chain_factory):
     pubkeys = world.directory.pubkeys()
     full = make_revealed_subsequence(world.profile, chain,
                                      list(range(1, 10_001)))
-    verdict = chain_verify_subsequence(world.profile, full, pubkeys, Counter())
+    verdict = chain_verify_subsequence(world.profile, full, pubkeys, Counter(),
+                                       prefetch(()))
     assert verdict.status == ORDER_OK
     rng = random.Random(5)
     for _ in range(3):
         positions = sorted(rng.sample(range(1, 10_001), 25))
         sub = make_revealed_subsequence(world.profile, chain, positions)
         checks = Counter()
-        verdict = chain_verify_subsequence(world.profile, sub, pubkeys, checks)
+        verdict = chain_verify_subsequence(world.profile, sub, pubkeys, checks,
+                                           prefetch(()))
         assert verdict.status == ORDER_OK
         assert checks["link"] == positions[-1]
 
@@ -306,7 +315,8 @@ def test_multi_authority_chain_resolves_per_entry_keys():
     sub = make_revealed_subsequence(world.profile, user.chain, [1, 3])
     checks = Counter()
     verdict = chain_verify_subsequence(world.profile, sub,
-                                       world.directory.pubkeys(), checks)
+                                       world.directory.pubkeys(), checks,
+                                       prefetch(()))
     assert verdict.status == ORDER_OK
     assert checks["link"] == 3
 
@@ -317,7 +327,7 @@ def test_duplicate_evidence_positions_incomplete():
     slots.append(slots[1])  # two slots claim position 2
     sub = _sub(tuple(slots), [1, 3], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter())
+                                       Counter(), prefetch(()))
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -359,8 +369,10 @@ def test_replay_in_processes_matches_serial(serial_and_fanned_out, bad,
 
     def check():
         checks = Counter()
-        verdict = chain_verify_subsequence(
-            PROFILE, sub, {"cafe-7": AUTH.public_key}, checks)
+        pubkeys = {"cafe-7": AUTH.public_key}
+        verify = prefetch(link_jobs(PROFILE, sub, pubkeys))
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, checks,
+                                           verify)
         return verdict.status, verdict.detail, checks
 
     serial, fanned_out = serial_and_fanned_out(check)
