@@ -414,3 +414,162 @@ def test_chain_append_rejects_scheme_mismatch():
     chain = ProvenanceChain("bloom")
     with pytest.raises(ValidationError):
         chain.append(ProvenanceEntry(elp, link))
+
+
+# ---------------------------------------------------------------------------
+# golden vectors: the byte layout of every tag, pinned
+# ---------------------------------------------------------------------------
+
+def _golden_objects():
+    """One deterministic object per layout, built from fixed byte patterns
+    so that no key or random draw enters the bytes."""
+    from locprov.crypto import Commitment, Digest, Signature
+    from locprov.model import (
+        Endorsement, EndorsementStatement, LocationProof, LocationStatement,
+        PrivateLocationStatement, RevealedEntry, bloom_signing_bytes,
+        report_signing_bytes, timestamp_signing_bytes)
+
+    def sig(profile, fill):
+        return Signature(profile.scheme_id, bytes([fill]) * profile.signature_len)
+
+    def digest(fill):
+        return Digest(bytes([fill]) * PROFILE.digest_len)
+
+    stmt = LocationStatement("u1", "cafe-7", 1_000)
+    lsp = PrivateLocationStatement(
+        "u1", "cafe-7", 1_000, (Commitment(digest(0xC1)), Commitment(digest(0xC2))),
+        (b"\x01\x02\x03\x04", b"\x05\x06\x07\x08"), ("IL", "Chicago"))
+    lp = LocationProof(stmt, sig(MODERN, 0xA1))
+    plp = LocationProof(lsp, sig(MODERN, 0xA2))
+    es = EndorsementStatement("w1", "u1", "cafe-7", 1_000, digest(0xD1), 1_005)
+    att = TimestampAttestation(digest(0xD1), 1_005)
+    endorsement = Endorsement(es, sig(MODERN, 0xB1), sig(LEGACY, 0xB2))
+    elp = EndorsedLocationProof(lp, (endorsement,))
+    link = HashChainLink(sig(MODERN, 0xE1))
+    unsigned = BloomAccumulator(bytes(range(8)), 3, 20, 0.01, 2)
+    signed = BloomAccumulator(bytes(range(8)), 3, 20, 0.01, 21, sig(LEGACY, 0xF1))
+    hc_entry = ProvenanceEntry(elp, link)
+    bloom_entry = ProvenanceEntry(elp, signed)
+    report = EpochReport("cafe-7", 7, 7_000, 8_000, unsigned)
+    signed_report = EpochReport("cafe-7", 7, 7_000, 8_000, signed, sig(MODERN, 0xF2))
+    revealed = RevealedEntry(4, ProvenanceEntry(
+        EndorsedLocationProof(plp, (endorsement,)), link),
+        ((2, "Chicago", b"\x05\x06\x07\x08"),))
+    slot = ChainSlot(4, "cafe-7", digest(0xD2), link)
+    encode = canonical_encode
+    return {
+        "0x01-statement": encode(stmt),
+        "0x02-private-statement-with-nonces": encode(lsp),
+        "0x03-proof": encode(lp),
+        "0x03-proof-legacy-signature": encode(LocationProof(stmt, sig(LEGACY, 0xA3))),
+        "0x03-proof-private": encode(plp),
+        "0x04-endorsement-statement": encode(es),
+        "0x05-endorsement": encode(endorsement),
+        "0x06-endorsed-proof": encode(elp),
+        "0x07-entry-hashchain": encode(hc_entry),
+        "0x07-entry-bloom": encode(bloom_entry),
+        "0x08-chain": encode(ProvenanceChain("hashchain", (hc_entry, hc_entry))),
+        "0x0A-link": encode(link),
+        "0x0B-bloom-unsigned": encode(unsigned),
+        "0x0B-bloom-signed": encode(signed),
+        "0x0C-timestamp": encode(att),
+        "0x0D-report-unsigned": encode(report),
+        "0x0D-report-signed": encode(signed_report),
+        "0x0E-revealed-entry-disclosed": encode(revealed),
+        "0x0F-chain-slot": encode(slot),
+        "0x10-revealed-subsequence": encode(
+            RevealedSubsequence("hashchain", (revealed,), (slot, slot))),
+        "0x20-sequence": encode([report, signed_report, stmt]),
+        "0x20-sequence-empty": encode(()),
+        "0x01-view-statement": statement_signing_bytes(stmt),
+        "0x0C-view-timestamp": timestamp_signing_bytes(att),
+        "0x12-view-private-statement": statement_signing_bytes(lsp),
+        "0x1B-view-bloom": bloom_signing_bytes(signed),
+        "0x1D-view-report": report_signing_bytes(signed_report),
+    }
+
+
+GOLDEN_SHA256 = {
+    "0x01-statement":
+        "3f5e7cf3ced5bc459b76793196295bb57dd73f0a6183d06be3ea6120149c45a5",
+    "0x02-private-statement-with-nonces":
+        "a284b46e5a0ba040d0345138d1809cc9da2576ecfac08223ce2d90d7c60d78d4",
+    "0x03-proof":
+        "dd4d6ba0f885495e35d1ddb055b5fa9df6b96d12345465b2a047145ebc2e0c4c",
+    "0x03-proof-legacy-signature":
+        "11de56984f19572ba21428ea6603b0f76b5f5e477c2114c835c49aa777b3298b",
+    "0x03-proof-private":
+        "efbb15c3ef525d7270e9c9bb9b16e1a285f0f6a582df84dddbb8ff09da3fbdc4",
+    "0x04-endorsement-statement":
+        "bc3f428e4cb52f2a26d25cf6b52ece6a6ab7d47d847bbf7a7f3d9ff0caa251d8",
+    "0x05-endorsement":
+        "965f0edb34e8086c6222c86d00d4f1608377d3873fc8952f83d674776c23537e",
+    "0x06-endorsed-proof":
+        "bc3f4d30d6afbe3196c045bea91773251b8aa9aedc601c0aa918b835f4df48da",
+    "0x07-entry-hashchain":
+        "da301d8b901cbb1d5051585a3317e8b1d2c17c076e9b5eaca90e24174e6ffe9b",
+    "0x07-entry-bloom":
+        "6d449a8874b94614da06338c36257941fe55d16fa727cbb1c7853861750d4676",
+    "0x08-chain":
+        "61f3c480c917f5f3ed6fcdf517644cbbfcfa28e3511f397023ab36b0fe8d9054",
+    "0x0A-link":
+        "860663de8c94158d9c4a5882081411e81fc5c17e33052e0fae53f7ce5d8d1815",
+    "0x0B-bloom-unsigned":
+        "c017f6f423789a817d796d9040241fd002b409567c8fc640d1eb9249eed7d9b1",
+    "0x0B-bloom-signed":
+        "e278506bae0ae15e042f9d6367264bd44de45cc9d6c46d8f6779ad11e72b2bc8",
+    "0x0C-timestamp":
+        "2279b896f41a6535846739b79502d87acd638f021085b15c9ea27d67d3612eb6",
+    "0x0D-report-unsigned":
+        "0970bc697614179d0f1074fab612d1dc5654cf77a7b85c61cf16ba2f35c41901",
+    "0x0D-report-signed":
+        "8961f4c000b5a158c886ca5bf77ec4b5081cb368f5b68a82c95c92d1ab834843",
+    "0x0E-revealed-entry-disclosed":
+        "19c68adc332cb41e245e10c9432104e2d8f15a95f1b891ad686b5a408a5358ab",
+    "0x0F-chain-slot":
+        "cab0c694829a9b7496da6e1597acc9c4a0ed9fc7b4deea0b437c2d27f1124887",
+    "0x10-revealed-subsequence":
+        "ebe4bb5ed1d4b2567875a79f94ce955367899c9d2f5e11ae1cf71117c237fa5b",
+    "0x20-sequence":
+        "75431254370e05cddc8323015316af49c66c00f9bbb784bec7d3e1484159e7db",
+    "0x20-sequence-empty":
+        "ccef7d892e752044c89d5471eac8af79087c0e04e45c9ae566b05be88de30d1c",
+    "0x01-view-statement":
+        "3f5e7cf3ced5bc459b76793196295bb57dd73f0a6183d06be3ea6120149c45a5",
+    "0x0C-view-timestamp":
+        "2279b896f41a6535846739b79502d87acd638f021085b15c9ea27d67d3612eb6",
+    "0x12-view-private-statement":
+        "2ace9f96fdc15b726614d050a20b87d8a3a0b23909a73e689e5935c0a178d08b",
+    "0x1B-view-bloom":
+        "69e9681d07c8d834d1a6f1f800fbde9dbdcf5ab807ae452169b649a443fa5740",
+    "0x1D-view-report":
+        "2f4127d0cd775f7b547199585b7145c6a6eebac79b3a7e684a7c95057c066108",
+}
+
+
+def test_golden_vectors_pin_every_layout():
+    import hashlib
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in _golden_objects().items()}
+    assert got == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("view", ["0x1B-view-bloom", "0x1D-view-report"])
+def test_signing_views_do_not_decode(view):
+    body = _golden_objects()[view]
+    with pytest.raises(EncodingError, match="unknown type tag"):
+        canonical_decode(body, PROFILE)
+    with pytest.raises(EncodingError, match="unknown type tag"):
+        canonical_decode(bytes([0x20, 0, 0, 0, 1]) + body, PROFILE)
+
+
+def test_golden_wire_vectors_decode_back():
+    """Every wire vector, and the 0x12 view, decodes to an object that
+    encodes to the same bytes."""
+    for name, data in _golden_objects().items():
+        if "view" in name and not name.startswith("0x12"):
+            continue
+        obj = canonical_decode(data, PROFILE)
+        again = (statement_signing_bytes(obj) if name.startswith("0x12")
+                 else canonical_encode(obj))
+        assert again == data, name
