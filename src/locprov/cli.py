@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Callable
 
 from .audit import LocationClaim, audit, render_text_report
 from .bloom import bloom_new
@@ -186,9 +187,9 @@ def bench_space_rows(max_n: int, fpr: float, profile_name: str) -> list[dict]:
 
 
 def cmd_bench_space(args) -> int:
-    rows = bench_space_rows(args.max_n, args.fpr, args.profile)
-    return _write_csv(args.out, rows, ["n", "hashchain_bytes_per_entry",
-                                       "bloom_bytes_per_entry"])
+    return _write_csv(
+        args.out, lambda: bench_space_rows(args.max_n, args.fpr, args.profile),
+        ["n", "hashchain_bytes_per_entry", "bloom_bytes_per_entry"])
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +275,24 @@ def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
 
 
 def cmd_bench_audit(args) -> int:
-    rows = bench_audit_rows(args.chain_n, args.reveal_pct, args.profile,
-                            args.seed)
-    return _write_csv(args.out, rows,
-                      ["scheme", "n", "pct", "revealed", "ops_count",
-                       "signatures_verified", "wall_time_s"])
+    return _write_csv(
+        args.out, lambda: bench_audit_rows(args.chain_n, args.reveal_pct,
+                                           args.profile, args.seed),
+        ["scheme", "n", "pct", "revealed", "ops_count", "signatures_verified",
+         "wall_time_s"])
 
 
-def _write_csv(out: str | None, rows: list[dict], fields: list[str]) -> int:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
-    if not out:
-        sys.stdout.write(buffer.getvalue())
-        return EXIT_OK
+def _write_csv(out: str | None, make_rows: Callable[[], list[dict]],
+               fields: list[str]) -> int:
+    """Write the rows that ``make_rows`` returns to ``out``, or to standard
+    output. ``out`` is opened first, so that an unwritable path fails before
+    any row is made."""
     try:
-        Path(out).write_text(buffer.getvalue())
+        with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+            rows = make_rows()
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rows)
     except OSError as exc:
         return _cannot_write(exc)
     return EXIT_OK

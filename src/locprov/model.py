@@ -22,20 +22,12 @@ The centerpiece types, from the inside out:
 Canonical encoding
 ------------------
 Every model object has exactly one byte encoding: a 1-byte type tag, then
-the fields in declared order. Variable-length fields (ids, bit images)
-carry a 4-byte big-endian length prefix; timestamps and epoch ids are
-8-byte big-endian, positions and granularity indexes 4-byte big-endian;
-fixed-width cryptographic values (digests, commitments, nonces) are emitted
-raw, their width fixed by the crypto profile; lists carry a 4-byte count;
-an optional signature is a 0x00 byte, or 0x01 and the signature. The
-encoding is injective and decodable, which the test suite exercises by
-round-tripping randomized objects.
-
-Signatures and digests are taken over these bytes, and the chain and
-registry files (``serialize``) carry them too, base64-encoded, so
-``canonical_decode`` is the one decoder of everything an auditor reads
-from a file. It rejects anything that is not exactly one well-formed
-encoding with ``EncodingError``.
+its fields. ``LAYOUTS`` is the one statement of every layout, signing views
+included, each field with its kind; the encoder, the decoder and the signing
+views are all compiled from it. Signatures and digests are taken over these
+bytes, and the chain and registry files (``serialize``) carry them, so
+``canonical_decode``, which rejects anything that is not exactly one
+encoding with ``EncodingError``, is the one decoder of what an auditor reads.
 
 Wire tags: 0x01 statement, 0x02 private statement, 0x03 proof, 0x04
 endorsement statement, 0x05 endorsement, 0x06 endorsed proof, 0x07 chain
@@ -59,8 +51,11 @@ Two deliberate asymmetries, both in the private-statement path:
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .crypto import (LEGACY, MODERN, Commitment, CryptoProfile, Digest,
@@ -106,7 +101,7 @@ class PrivateLocationStatement:
 
     ``commitments[i]`` commits to the i-th granularity of the location
     (coarsest first, e.g. state / city / block). ``nonces[i]`` is the
-    commitment's blinding nonce, held by the user and never signed.
+    commitment's blinding nonce: held by the user, never signed, () once stripped.
     ``granularity_values`` are the cleartext granularity names; they are
     user-side context excluded from both equality and encoding.
     """
@@ -115,7 +110,7 @@ class PrivateLocationStatement:
     location_id: str
     visit_time: int
     commitments: tuple[Commitment, ...]
-    nonces: tuple[bytes, ...]
+    nonces: tuple[bytes, ...] = ()
     granularity_values: tuple[str, ...] = field(default=(), compare=False)
 
 
@@ -194,7 +189,7 @@ class BloomAccumulator:
     inserted_count: int = 0
     authority_sig: Optional[Signature] = None
 
-    @property
+    @cached_property
     def bit_size(self) -> int:
         return bloom_bit_size(self.capacity, self.target_fpr)
 
@@ -204,8 +199,6 @@ class BloomAccumulator:
 
 
 def bloom_bit_size(capacity: int, target_fpr: float) -> int:
-    import math
-
     return math.ceil(capacity * math.log(1.0 / target_fpr) / math.log(2) ** 2)
 
 
@@ -341,6 +334,7 @@ TAG_EPOCH_REPORT_CORE = 0x1D
 # Wire tag of each signature scheme; the profile gives its signature length.
 _SIG_PROFILES = {0x01: MODERN, 0x02: LEGACY}
 _SCHEME_TAGS = {p.scheme_id: tag for tag, p in _SIG_PROFILES.items()}
+_F64 = struct.Struct(">d")
 
 
 def _u32(n: int) -> bytes:
@@ -353,137 +347,15 @@ def _u64(n: int) -> bytes:
     return n.to_bytes(8, "big")
 
 
-def _blob(data: bytes) -> bytes:
+def _text(s: str) -> bytes:
+    data = s.encode("utf-8")
     return _u32(len(data)) + data
 
 
-def _text(s: str) -> bytes:
-    return _blob(s.encode("utf-8"))
-
-
 def _sig_bytes(sig: Signature) -> bytes:
-    try:
-        tag = _SCHEME_TAGS[sig.scheme_id]
-    except KeyError:
-        raise EncodingError(f"unknown signature scheme {sig.scheme_id!r}") from None
-    return bytes([tag]) + sig.data
-
-
-def statement_signing_bytes(stmt: Statement) -> bytes:
-    """The bytes a location authority signs: for private statements this
-    covers the commitments but never the nonces."""
-    if isinstance(stmt, LocationStatement):
-        return canonical_encode(stmt)
-    if isinstance(stmt, PrivateLocationStatement):
-        out = [bytes([TAG_PRIVATE_STATEMENT_CORE]),
-               _text(stmt.user_id), _text(stmt.location_id),
-               _u64(stmt.visit_time), _u32(len(stmt.commitments))]
-        out += [c.digest.data for c in stmt.commitments]
-        return b"".join(out)
-    raise EncodingError(f"not a statement: {type(stmt).__name__}")
-
-
-def timestamp_signing_bytes(att: TimestampAttestation) -> bytes:
-    return (bytes([TAG_TIMESTAMP]) + att.proof_digest.data
-            + _u64(att.endorsed_at))
-
-
-def bloom_signing_bytes(acc: BloomAccumulator) -> bytes:
-    return (bytes([TAG_BLOOM_CORE]) + _blob(acc.bits) + _u32(acc.hash_count)
-            + _u32(acc.capacity) + struct.pack(">d", acc.target_fpr))
-
-
-def report_signing_bytes(report: EpochReport) -> bytes:
-    return (bytes([TAG_EPOCH_REPORT_CORE]) + _text(report.location_id)
-            + _u64(report.epoch_id) + _u64(report.start) + _u64(report.end)
-            + bloom_signing_bytes(report.accumulator))
-
-
-def _optional_sig(sig: Optional[Signature]) -> bytes:
-    return b"\x00" if sig is None else b"\x01" + _sig_bytes(sig)
-
-
-def canonical_encode(obj) -> bytes:
-    """Injective, deterministic wire encoding of any model object."""
-    if isinstance(obj, LocationStatement):
-        return (bytes([TAG_STATEMENT]) + _text(obj.user_id)
-                + _text(obj.location_id) + _u64(obj.visit_time))
-    if isinstance(obj, PrivateLocationStatement):
-        out = [bytes([TAG_PRIVATE_STATEMENT]),
-               _text(obj.user_id), _text(obj.location_id),
-               _u64(obj.visit_time), _u32(len(obj.commitments))]
-        out += [c.digest.data for c in obj.commitments]
-        out.append(_u32(len(obj.nonces)))
-        out += list(obj.nonces)
-        return b"".join(out)
-    if isinstance(obj, LocationProof):
-        # Embeds the signing view of the statement so that the proof's
-        # encoding (and therefore every endorsement's digest binding) is
-        # unchanged by stripping or disclosing openings.
-        return (bytes([TAG_PROOF]) + statement_signing_bytes(obj.statement)
-                + _sig_bytes(obj.authority_sig))
-    if isinstance(obj, EndorsementStatement):
-        return (bytes([TAG_ENDORSEMENT_STATEMENT]) + _text(obj.witness_id)
-                + _text(obj.user_id) + _text(obj.location_id)
-                + _u64(obj.visit_time) + obj.proof_digest.data
-                + _u64(obj.endorsed_at))
-    if isinstance(obj, TimestampAttestation):
-        return timestamp_signing_bytes(obj)
-    if isinstance(obj, Endorsement):
-        return (bytes([TAG_ENDORSEMENT]) + canonical_encode(obj.statement)
-                + _sig_bytes(obj.witness_sig)
-                + _sig_bytes(obj.authority_time_sig))
-    if isinstance(obj, EndorsedLocationProof):
-        out = [bytes([TAG_ENDORSED_PROOF]), canonical_encode(obj.proof),
-               _u32(len(obj.endorsements))]
-        out += [canonical_encode(e) for e in obj.endorsements]
-        return b"".join(out)
-    if isinstance(obj, HashChainLink):
-        return bytes([TAG_CHAIN_LINK]) + _sig_bytes(obj.signature)
-    if isinstance(obj, BloomAccumulator):
-        return (bytes([TAG_BLOOM]) + bloom_signing_bytes(obj)[1:]
-                + _u32(obj.inserted_count) + _optional_sig(obj.authority_sig))
-    if isinstance(obj, ProvenanceEntry):
-        return (bytes([TAG_ENTRY]) + canonical_encode(obj.elp)
-                + canonical_encode(obj.ordering))
-    if isinstance(obj, ProvenanceChain):
-        out = [bytes([TAG_CHAIN]), _text(obj.scheme), _u32(len(obj.entries))]
-        out += [canonical_encode(e) for e in obj.entries]
-        return b"".join(out)
-    if isinstance(obj, RevealedEntry):
-        out = [bytes([TAG_REVEALED_ENTRY]), _u32(obj.position),
-               canonical_encode(obj.entry), _u32(len(obj.disclosed))]
-        out += [_u32(index) + _text(value) + nonce
-                for index, value, nonce in obj.disclosed]
-        return b"".join(out)
-    if isinstance(obj, ChainSlot):
-        return (bytes([TAG_CHAIN_SLOT]) + _u32(obj.position)
-                + _text(obj.issuer_id) + obj.proof_digest.data
-                + canonical_encode(obj.link))
-    if isinstance(obj, RevealedSubsequence):
-        out = [bytes([TAG_REVEALED_SUBSEQUENCE]), _text(obj.scheme),
-               _u32(len(obj.entries))]
-        out += [canonical_encode(e) for e in obj.entries]
-        out.append(_u32(len(obj.chain_evidence)))
-        out += [canonical_encode(s) for s in obj.chain_evidence]
-        return b"".join(out)
-    if isinstance(obj, EpochReport):
-        return (bytes([TAG_EPOCH_REPORT]) + _text(obj.location_id)
-                + _u64(obj.epoch_id) + _u64(obj.start) + _u64(obj.end)
-                + canonical_encode(obj.accumulator)
-                + _optional_sig(obj.report_sig))
-    if isinstance(obj, (tuple, list)):
-        if any(isinstance(item, (tuple, list)) for item in obj):
-            raise EncodingError("sequences do not nest")
-        out = [bytes([TAG_SEQUENCE]), _u32(len(obj))]
-        out += [canonical_encode(item) for item in obj]
-        return b"".join(out)
-    raise EncodingError(f"cannot encode {type(obj).__name__}")
-
-
-def proof_digest(profile: CryptoProfile, lp: LocationProof) -> Digest:
-    """Digest binding endorsements and ordering constructs to a proof."""
-    return profile.digest(canonical_encode(lp))
+    if sig.scheme_id not in _SCHEME_TAGS:
+        raise EncodingError(f"unknown signature scheme {sig.scheme_id!r}")
+    return bytes([_SCHEME_TAGS[sig.scheme_id]]) + sig.data
 
 
 class _Reader:
@@ -508,52 +380,217 @@ class _Reader:
             raise EncodingError("truncated encoding")
         return self.data[self.pos]
 
-    def byte(self) -> int:
-        value = self.peek()
-        self.pos += 1
-        return value
-
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
 
     def blob(self) -> bytes:
         return self.take(self.u32())
 
     def text(self) -> str:
         try:
-            return self.blob().decode("utf-8")
+            return self.take(self.u32()).decode("utf-8")
         except UnicodeDecodeError:
             raise EncodingError("invalid UTF-8 in text field") from None
 
-    def tag(self, expected: int) -> None:
-        got = self.byte()
-        if got != expected:
-            raise EncodingError(f"expected tag {expected:#04x}, got {got:#04x}")
-
     def sig(self) -> Signature:
-        tag = self.byte()
-        try:
-            profile = _SIG_PROFILES[tag]
-        except KeyError:
-            raise EncodingError(f"unknown signature scheme tag {tag:#04x}") from None
+        tag = self.take(1)[0]
+        if tag not in _SIG_PROFILES:
+            raise EncodingError(f"unknown signature scheme tag {tag:#04x}")
+        profile = _SIG_PROFILES[tag]
         return Signature(scheme_id=profile.scheme_id,
                          data=self.take(profile.signature_len))
 
     def optional_sig(self) -> Optional[Signature]:
-        flag = self.byte()
+        flag = self.take(1)[0]
         if flag > 1:
             raise EncodingError(f"bad signature presence flag {flag:#04x}")
         return self.sig() if flag else None
 
-    def digest(self) -> Digest:
-        return Digest(self.take(self.profile.digest_len))
 
-    def done(self) -> None:
-        if self.pos != self.size:
-            raise EncodingError("trailing bytes after encoding")
+# Field kinds. Each scalar kind is a (writer, reader) pair: the writer maps
+# a field's value to its bytes, the reader takes one value from a _Reader.
+# Integers, lengths and counts are big-endian.
+TEXT = (_text, _Reader.text)  # UTF-8 behind a 4-byte length
+U32 = (_u32, _Reader.u32)
+U64 = (_u64, lambda r: int.from_bytes(r.take(8), "big"))  # non-negative
+F64 = (_F64.pack, lambda r: _F64.unpack(r.take(8))[0])  # IEEE 754 double
+BLOB = (lambda data: _u32(len(data)) + data, _Reader.blob)  # behind a 4-byte length
+DIGEST = (attrgetter("data"), lambda r: Digest(r.take(r.profile.digest_len)))  # raw
+COMMITMENT = (attrgetter("digest.data"), lambda r: Commitment(DIGEST[1](r)))
+NONCE = (lambda nonce: nonce, lambda r: r.take(r.profile.nonce_len))  # raw
+SIG = (_sig_bytes, _Reader.sig)  # scheme tag, then the signature
+OPTIONAL_SIG = (lambda sig: b"\x00" if sig is None else b"\x01" + _sig_bytes(sig),
+                _Reader.optional_sig)
+OPENING = (lambda o: _u32(o[0]) + _text(o[1]) + o[2],  # (index, value, nonce)
+           lambda r: (r.u32(), r.text(), NONCE[1](r)))
+
+
+# Compound kinds: ``counted(kind)`` is a 4-byte count, then the items;
+# ``nested(*tags)`` is one object, in whichever layout of ``tags`` is for its
+# class. Each of ``tags`` comes earlier in ``LAYOUTS``.
+def counted(kind) -> tuple:
+    return ("counted", kind)
+
+
+def nested(*tags: int) -> tuple:
+    return ("nested", tags)
+
+
+_STATEMENT = (("user_id", TEXT), ("location_id", TEXT), ("visit_time", U64))
+_BLOOM_CORE = (("bits", BLOB), ("hash_count", U32), ("capacity", U32),
+               ("target_fpr", F64))
+_REPORT_HEAD = (("location_id", TEXT), ("epoch_id", U64), ("start", U64), ("end", U64))
+
+# The one statement of every layout: (tag, class, fields in wire order).
+# The fields are the first fields of the class, which the decoder fills by
+# position; the class's other fields keep their defaults.
+LAYOUTS = (
+    (TAG_STATEMENT, LocationStatement, _STATEMENT),
+    (TAG_PRIVATE_STATEMENT, PrivateLocationStatement, _STATEMENT + (
+        ("commitments", counted(COMMITMENT)), ("nonces", counted(NONCE)))),
+    (TAG_PRIVATE_STATEMENT_CORE, PrivateLocationStatement,
+     _STATEMENT + (("commitments", counted(COMMITMENT)),)),
+    (TAG_PROOF, LocationProof, (
+        ("statement", nested(TAG_STATEMENT, TAG_PRIVATE_STATEMENT_CORE)),
+        ("authority_sig", SIG))),
+    (TAG_ENDORSEMENT_STATEMENT, EndorsementStatement, (
+        ("witness_id", TEXT), *_STATEMENT, ("proof_digest", DIGEST),
+        ("endorsed_at", U64))),
+    (TAG_TIMESTAMP, TimestampAttestation, (
+        ("proof_digest", DIGEST), ("endorsed_at", U64))),
+    (TAG_ENDORSEMENT, Endorsement, (
+        ("statement", nested(TAG_ENDORSEMENT_STATEMENT)),
+        ("witness_sig", SIG), ("authority_time_sig", SIG))),
+    (TAG_ENDORSED_PROOF, EndorsedLocationProof, (
+        ("proof", nested(TAG_PROOF)),
+        ("endorsements", counted(nested(TAG_ENDORSEMENT))))),
+    (TAG_CHAIN_LINK, HashChainLink, (("signature", SIG),)),
+    (TAG_BLOOM_CORE, BloomAccumulator, _BLOOM_CORE),
+    (TAG_BLOOM, BloomAccumulator, _BLOOM_CORE + (
+        ("inserted_count", U32), ("authority_sig", OPTIONAL_SIG))),
+    (TAG_ENTRY, ProvenanceEntry, (
+        ("elp", nested(TAG_ENDORSED_PROOF)),
+        ("ordering", nested(TAG_CHAIN_LINK, TAG_BLOOM)))),
+    (TAG_CHAIN, ProvenanceChain, (
+        ("scheme", TEXT), ("entries", counted(nested(TAG_ENTRY))))),
+    (TAG_REVEALED_ENTRY, RevealedEntry, (
+        ("position", U32), ("entry", nested(TAG_ENTRY)),
+        ("disclosed", counted(OPENING)))),
+    (TAG_CHAIN_SLOT, ChainSlot, (
+        ("position", U32), ("issuer_id", TEXT), ("proof_digest", DIGEST),
+        ("link", nested(TAG_CHAIN_LINK)))),
+    (TAG_REVEALED_SUBSEQUENCE, RevealedSubsequence, (
+        ("scheme", TEXT), ("entries", counted(nested(TAG_REVEALED_ENTRY))),
+        ("chain_evidence", counted(nested(TAG_CHAIN_SLOT))))),
+    (TAG_EPOCH_REPORT_CORE, EpochReport, _REPORT_HEAD + (
+        ("accumulator", nested(TAG_BLOOM_CORE)),)),
+    (TAG_EPOCH_REPORT, EpochReport, _REPORT_HEAD + (
+        ("accumulator", nested(TAG_BLOOM)), ("report_sig", OPTIONAL_SIG))),
+)
+# canonical_encode never gives a signing view. The decoder reads 0x12, which
+# proofs carry, but not the views that are only ever signed.
+SIGNING_VIEWS = {TAG_PRIVATE_STATEMENT_CORE, TAG_BLOOM_CORE, TAG_EPOCH_REPORT_CORE}
+_SIGNED_ONLY = {TAG_BLOOM_CORE, TAG_EPOCH_REPORT_CORE}
+
+# Compiled layouts by tag. A reader starts at the tag byte its caller checked.
+_ENCODERS: dict = {}
+_READERS: dict = {}
+
+
+def _field_codec(kind) -> tuple:
+    """(writer, reader) of one field kind."""
+    if kind[0] == "counted":
+        write_item, read_item = _field_codec(kind[1])
+        return (lambda items: b"".join([_u32(len(items)), *map(write_item, items)]),
+                lambda r: tuple([read_item(r) for _ in range(r.u32())]))
+    if kind[0] != "nested":
+        return kind
+    tags = kind[1]
+    by_class = {cls: _ENCODERS[tag] for tag, cls, _ in LAYOUTS if tag in tags}
+    by_tag = {tag: _READERS[tag] for tag in tags}
+    expected = " or ".join(f"{tag:#04x}" for tag in tags)
+
+    def write(obj) -> bytes:
+        encode = by_class.get(type(obj))
+        if encode is None:
+            raise EncodingError(f"cannot encode {type(obj).__name__} as tag {expected}")
+        return encode(obj)
+
+    def read(r: _Reader):
+        read_tag = by_tag.get(r.peek())
+        if read_tag is None:
+            raise EncodingError(f"expected tag {expected}, got {r.peek():#04x}")
+        return read_tag(r)
+
+    return write, read
+
+
+def _compile(tag: int, cls: type, fields) -> None:
+    names = [name for name, _ in fields]
+    assert names == [f.name for f in dataclass_fields(cls)][:len(names)]
+    writers, readers = zip(*(_field_codec(kind) for _, kind in fields))
+    steps = tuple(zip(names, writers))
+    head = bytes([tag])
+
+    def encode(obj) -> bytes:
+        out = [head]
+        for name, write in steps:
+            out.append(write(getattr(obj, name)))
+        return b"".join(out)
+
+    def read(r: _Reader):
+        r.pos += 1
+        values = []
+        for read_field in readers:
+            values.append(read_field(r))
+        return cls(*values)
+
+    _ENCODERS[tag], _READERS[tag] = encode, read
+
+
+for _layout in LAYOUTS:
+    _compile(*_layout)
+_WIRE_ENCODERS = {cls: _ENCODERS[tag] for tag, cls, _ in LAYOUTS
+                  if tag not in SIGNING_VIEWS}
+_write_signed_statement, _ = _field_codec(
+    nested(TAG_STATEMENT, TAG_PRIVATE_STATEMENT_CORE))
+
+
+def statement_signing_bytes(stmt: Statement) -> bytes:
+    """The bytes a location authority signs: for private statements this
+    covers the commitments but never the nonces."""
+    return _write_signed_statement(stmt)
+
+
+def timestamp_signing_bytes(att: TimestampAttestation) -> bytes:
+    return _ENCODERS[TAG_TIMESTAMP](att)
+
+
+def bloom_signing_bytes(acc: BloomAccumulator) -> bytes:
+    return _ENCODERS[TAG_BLOOM_CORE](acc)
+
+
+def report_signing_bytes(report: EpochReport) -> bytes:
+    return _ENCODERS[TAG_EPOCH_REPORT_CORE](report)
+
+
+def canonical_encode(obj) -> bytes:
+    """Injective, deterministic wire encoding of any model object, or of a
+    tuple or list of them (a sequence)."""
+    encode = _WIRE_ENCODERS.get(type(obj))
+    if encode is not None:
+        return encode(obj)
+    if isinstance(obj, (tuple, list)):
+        if any(isinstance(item, (tuple, list)) for item in obj):
+            raise EncodingError("sequences do not nest")
+        return b"".join([bytes([TAG_SEQUENCE]), _u32(len(obj)),
+                         *map(canonical_encode, obj)])
+    raise EncodingError(f"cannot encode {type(obj).__name__}")
+
+
+def proof_digest(profile: CryptoProfile, lp: LocationProof) -> Digest:
+    """Digest binding endorsements and ordering constructs to a proof."""
+    return profile.digest(canonical_encode(lp))
 
 
 def canonical_decode(data: bytes, profile: CryptoProfile):
@@ -562,165 +599,27 @@ def canonical_decode(data: bytes, profile: CryptoProfile):
     payloads are user-side context and come back empty. Any input that is
     not exactly one encoding raises ``EncodingError``."""
     r = _Reader(data, profile)
-    obj = _decode_any(r)
-    r.done()
+    if r.peek() == TAG_SEQUENCE:
+        r.pos += 1
+        obj = tuple([_read_item(r) for _ in range(r.u32())])
+    else:
+        obj = _read_item(r)
+    if r.pos != r.size:
+        raise EncodingError("trailing bytes after encoding")
     return obj
 
 
-def _decode_any(r: _Reader):
-    tag = r.peek()
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
-        raise EncodingError(f"unknown type tag {tag:#04x}")
-    return decoder(r)
-
-
-def _decode_statement(r: _Reader) -> LocationStatement:
-    r.tag(TAG_STATEMENT)
-    return LocationStatement(r.text(), r.text(), r.u64())
-
-
-def _decode_private_statement(r: _Reader) -> PrivateLocationStatement:
-    r.tag(TAG_PRIVATE_STATEMENT)
-    user_id, location_id, t = r.text(), r.text(), r.u64()
-    commitments = tuple(Commitment(r.digest()) for _ in range(r.u32()))
-    nonces = tuple(r.take(r.profile.nonce_len) for _ in range(r.u32()))
-    return PrivateLocationStatement(user_id, location_id, t, commitments, nonces)
-
-
-def _decode_private_core(r: _Reader) -> PrivateLocationStatement:
-    r.tag(TAG_PRIVATE_STATEMENT_CORE)
-    user_id, location_id, t = r.text(), r.text(), r.u64()
-    commitments = tuple(Commitment(r.digest()) for _ in range(r.u32()))
-    return PrivateLocationStatement(user_id, location_id, t, commitments, ())
-
-
-def _decode_proof(r: _Reader) -> LocationProof:
-    r.tag(TAG_PROOF)
-    inner = r.peek()
-    if inner == TAG_STATEMENT:
-        stmt: Statement = _decode_statement(r)
-    elif inner == TAG_PRIVATE_STATEMENT_CORE:
-        stmt = _decode_private_core(r)
-    else:
-        raise EncodingError(f"unexpected statement tag {inner:#04x} in proof")
-    return LocationProof(stmt, r.sig())
-
-
-def _decode_endorsement_statement(r: _Reader) -> EndorsementStatement:
-    r.tag(TAG_ENDORSEMENT_STATEMENT)
-    return EndorsementStatement(
-        r.text(), r.text(), r.text(), r.u64(), r.digest(), r.u64())
-
-
-def _decode_timestamp(r: _Reader) -> TimestampAttestation:
-    r.tag(TAG_TIMESTAMP)
-    return TimestampAttestation(r.digest(), r.u64())
-
-
-def _decode_endorsement(r: _Reader) -> Endorsement:
-    r.tag(TAG_ENDORSEMENT)
-    return Endorsement(_decode_endorsement_statement(r), r.sig(), r.sig())
-
-
-def _decode_endorsed_proof(r: _Reader) -> EndorsedLocationProof:
-    r.tag(TAG_ENDORSED_PROOF)
-    proof = _decode_proof(r)
-    endorsements = tuple(_decode_endorsement(r) for _ in range(r.u32()))
-    return EndorsedLocationProof(proof, endorsements)
-
-
-def _decode_link(r: _Reader) -> HashChainLink:
-    r.tag(TAG_CHAIN_LINK)
-    return HashChainLink(r.sig())
-
-
-def _decode_bloom(r: _Reader) -> BloomAccumulator:
-    r.tag(TAG_BLOOM)
-    bits = r.blob()
-    hash_count, capacity = r.u32(), r.u32()
-    target_fpr = struct.unpack(">d", r.take(8))[0]
-    inserted = r.u32()
-    return BloomAccumulator(bits, hash_count, capacity, target_fpr, inserted,
-                            r.optional_sig())
-
-
-def _decode_construct(r: _Reader) -> OrderingConstruct:
-    if r.peek() == TAG_CHAIN_LINK:
-        return _decode_link(r)
-    return _decode_bloom(r)
-
-
-def _decode_entry(r: _Reader) -> ProvenanceEntry:
-    r.tag(TAG_ENTRY)
-    elp = _decode_endorsed_proof(r)
-    return ProvenanceEntry(elp, _decode_construct(r))
-
-
-def _decode_chain(r: _Reader) -> ProvenanceChain:
-    r.tag(TAG_CHAIN)
-    scheme = r.text()
-    entries = tuple(_decode_entry(r) for _ in range(r.u32()))
-    return ProvenanceChain(scheme, entries)
-
-
-def _decode_revealed_entry(r: _Reader) -> RevealedEntry:
-    r.tag(TAG_REVEALED_ENTRY)
-    position, entry = r.u32(), _decode_entry(r)
-    disclosed = tuple((r.u32(), r.text(), r.take(r.profile.nonce_len))
-                      for _ in range(r.u32()))
-    return RevealedEntry(position, entry, disclosed)
-
-
-def _decode_chain_slot(r: _Reader) -> ChainSlot:
-    r.tag(TAG_CHAIN_SLOT)
-    return ChainSlot(r.u32(), r.text(), r.digest(), _decode_link(r))
-
-
-def _decode_revealed_subsequence(r: _Reader) -> RevealedSubsequence:
-    r.tag(TAG_REVEALED_SUBSEQUENCE)
-    scheme = r.text()
-    entries = tuple(_decode_revealed_entry(r) for _ in range(r.u32()))
-    evidence = tuple(_decode_chain_slot(r) for _ in range(r.u32()))
-    return RevealedSubsequence(scheme, entries, evidence)
-
-
-def _decode_epoch_report(r: _Reader) -> EpochReport:
-    r.tag(TAG_EPOCH_REPORT)
-    location_id, epoch_id, start, end = r.text(), r.u64(), r.u64(), r.u64()
-    return EpochReport(location_id, epoch_id, start, end, _decode_bloom(r),
-                       r.optional_sig())
-
-
-def _decode_sequence(r: _Reader) -> tuple:
-    r.tag(TAG_SEQUENCE)
-    items = []
-    for _ in range(r.u32()):
+def _read_item(r: _Reader):
+    read = _ITEM_READERS.get(r.peek())
+    if read is None:
         if r.peek() == TAG_SEQUENCE:
             raise EncodingError("sequences do not nest")
-        items.append(_decode_any(r))
-    return tuple(items)
+        raise EncodingError(f"unknown type tag {r.peek():#04x}")
+    return read(r)
 
 
-_DECODERS = {
-    TAG_STATEMENT: _decode_statement,
-    TAG_PRIVATE_STATEMENT: _decode_private_statement,
-    TAG_PRIVATE_STATEMENT_CORE: _decode_private_core,
-    TAG_PROOF: _decode_proof,
-    TAG_ENDORSEMENT_STATEMENT: _decode_endorsement_statement,
-    TAG_TIMESTAMP: _decode_timestamp,
-    TAG_ENDORSEMENT: _decode_endorsement,
-    TAG_ENDORSED_PROOF: _decode_endorsed_proof,
-    TAG_CHAIN_LINK: _decode_link,
-    TAG_BLOOM: _decode_bloom,
-    TAG_ENTRY: _decode_entry,
-    TAG_CHAIN: _decode_chain,
-    TAG_REVEALED_ENTRY: _decode_revealed_entry,
-    TAG_CHAIN_SLOT: _decode_chain_slot,
-    TAG_REVEALED_SUBSEQUENCE: _decode_revealed_subsequence,
-    TAG_EPOCH_REPORT: _decode_epoch_report,
-    TAG_SEQUENCE: _decode_sequence,
-}
+# What the decoder reads alone or as an item of a sequence.
+_ITEM_READERS = {tag: read for tag, read in _READERS.items() if tag not in _SIGNED_ONLY}
 
 
 # ---------------------------------------------------------------------------

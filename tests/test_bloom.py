@@ -19,6 +19,7 @@ from locprov.bloom import (
     bloom_order_verify,
     bloom_positions,
     bloom_subset,
+    bloom_well_formed,
     popcount,
     sign_accumulator,
     verify_accumulator,
@@ -302,6 +303,39 @@ def test_order_verify_flags_equal_accumulators():
                                  Counter(), prefetch(()))
     assert verdict.status == ORDER_REORDERED
     assert "equal" in verdict.detail or "own proof" in verdict.detail
+
+
+@pytest.mark.parametrize("geometry", [
+    pytest.param({"target_fpr": 0.0}, id="fpr-0"),
+    pytest.param({"target_fpr": 1.0}, id="fpr-1"),
+    pytest.param({"target_fpr": -0.5}, id="fpr-negative"),
+    pytest.param({"target_fpr": math.nan}, id="fpr-nan"),
+    pytest.param({"capacity": 0}, id="capacity-0"),
+    pytest.param({"hash_count": 0}, id="hash-count-0"),
+    pytest.param({"capacity": 2**64}, id="capacity-2^64"),
+    pytest.param({"capacity": 10**400}, id="capacity-10^400"),
+])
+def test_hostile_geometry_is_malformed_not_a_crash(geometry):
+    acc = replace(bloom_new(16, 0.01), **geometry)
+    assert not bloom_well_formed(acc)
+
+
+def test_bit_size_computed_once_per_object(monkeypatch):
+    from locprov import model
+    calls = []
+
+    def counted_bit_size(capacity, target_fpr):
+        calls.append((capacity, target_fpr))
+        return bloom_bit_size(capacity, target_fpr)
+
+    monkeypatch.setattr(model, "bloom_bit_size", counted_bit_size)
+    acc = bloom_new(16, 0.01)
+    assert {acc.bit_size for _ in range(3)} == {bloom_bit_size(16, 0.01)}
+    assert calls == [(16, 0.01)]
+    # the cached value is no field: equality and bytes ignore it
+    fresh = replace(acc)
+    assert fresh == acc and hash(fresh) == hash(acc)
+    assert model.canonical_encode(fresh) == model.canonical_encode(acc)
 
 
 def test_serialization_little_endian_lsb_first():

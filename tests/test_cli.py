@@ -481,6 +481,25 @@ def test_usage_errors_exit_two(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bench-audit", "--chain-n", "10"], id="bench-audit"),
+    pytest.param(["bench-space", "--max-n", "10"], id="bench-space"),
+])
+def test_unwritable_bench_out_fails_before_any_work(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    """The output path is checked before the (at default sizes, minutes
+    long) sweep is run, not after."""
+    from locprov import cli
+
+    def no_work(*args):
+        raise AssertionError("rows made for an output that cannot be written")
+
+    monkeypatch.setattr(cli, "bench_audit_rows", no_work)
+    monkeypatch.setattr(cli, "bench_space_rows", no_work)
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.csv")]) == 2
+    assert "error: cannot write output" in capsys.readouterr().err
+
+
 def test_bloom_ops_independent_of_chain_length(honest_chain_factory):
     """Fixed reveal count, growing chains: accumulator checks stay flat."""
     ops = []

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from locprov.crypto import LEGACY, MODERN
+from locprov import model
+from locprov.crypto import LEGACY, MODERN, Commitment, Digest, Signature
 from locprov.model import (
     BindingError,
     BloomAccumulator,
@@ -414,6 +416,75 @@ def test_chain_append_rejects_scheme_mismatch():
     chain = ProvenanceChain("bloom")
     with pytest.raises(ValidationError):
         chain.append(ProvenanceEntry(elp, link))
+
+
+# ---------------------------------------------------------------------------
+# round trips drawn from the layout table
+# ---------------------------------------------------------------------------
+
+def _sigs():
+    return st.one_of([
+        st.binary(min_size=p.signature_len, max_size=p.signature_len).map(
+            lambda data, p=p: Signature(p.scheme_id, data))
+        for p in (MODERN, LEGACY)])
+
+
+def _digests():
+    return st.binary(min_size=PROFILE.digest_len,
+                     max_size=PROFILE.digest_len).map(Digest)
+
+
+def _nonces():
+    return st.binary(min_size=PROFILE.nonce_len, max_size=PROFILE.nonce_len)
+
+
+_SCALAR_STRATEGIES = {
+    model.TEXT: st.text(max_size=8),
+    model.U32: st.integers(0, 2**32 - 1),
+    model.U64: st.integers(0, 2**64 - 1),
+    model.F64: st.floats(allow_nan=False),
+    model.BLOB: st.binary(max_size=16),
+    model.DIGEST: _digests(),
+    model.COMMITMENT: _digests().map(Commitment),
+    model.NONCE: _nonces(),
+    model.SIG: _sigs(),
+    model.OPTIONAL_SIG: st.none() | _sigs(),
+    model.OPENING: st.tuples(st.integers(0, 2**32 - 1), st.text(max_size=8),
+                             _nonces()),
+}
+_LAYOUTS = {tag: (cls, fields) for tag, cls, fields in model.LAYOUTS}
+
+
+def _kind_strategy(kind):
+    if kind[0] == "counted":
+        return st.lists(_kind_strategy(kind[1]), max_size=2).map(tuple)
+    if kind[0] == "nested":
+        return st.one_of([_layout_strategy(tag) for tag in kind[1]])
+    return _SCALAR_STRATEGIES[kind]
+
+
+def _layout_strategy(tag):
+    cls, fields = _LAYOUTS[tag]
+    return st.builds(cls, *[_kind_strategy(kind) for _, kind in fields])
+
+
+_WIRE_OBJECTS = st.one_of([_layout_strategy(tag) for tag in _LAYOUTS
+                           if tag not in model.SIGNING_VIEWS])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=_WIRE_OBJECTS | st.lists(_WIRE_OBJECTS, max_size=2).map(tuple))
+def test_roundtrip_every_layout(obj):
+    assert canonical_decode(canonical_encode(obj), PROFILE) == obj
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(stmt=_layout_strategy(model.TAG_PRIVATE_STATEMENT_CORE))
+def test_private_statement_view_decodes_without_nonces(stmt):
+    data = statement_signing_bytes(stmt)
+    assert data[0] == model.TAG_PRIVATE_STATEMENT_CORE
+    assert canonical_decode(data, PROFILE) == stmt
 
 
 # ---------------------------------------------------------------------------
