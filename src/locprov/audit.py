@@ -14,15 +14,16 @@ later claims in the same report reuse that result and only test membership.
 Chronological order of the whole presentation is then delegated to the
 active ordering scheme's verifier.
 
-First, one ``fanout.prefetch`` call verifies, in one batch split across
-the machine's CPUs when it is large, every signature a clean audit checks:
-each claim's proof, witness and timestamp signatures and epoch report
-(``_claim_jobs``), then the links (``hashchain.link_jobs``) or accumulators
-(``bloom.accumulator_jobs``). The claims and the ordering are then walked
-one by one, every signature check answered from the batch through the
-``verify`` it returns, or verified on the spot if the batch lacks it. So
-the batch changes how fast an audit runs, never its verdict; a failing
-audit may verify signatures the walk never reads.
+The whole audit, claims then ordering, is one walk handed to
+``fanout.batched``. Every signature check in it goes through the ``verify``
+it is given, and a failed one only ends that claim or the ordering early.
+So a first run that answers every check with True reaches each signature
+a real run can check, and ``batched`` verifies all of them in one batch,
+split across the machine's CPUs when it is large. When they all verify,
+that run was the audit. Otherwise the walk runs again, answered from the
+batch. The batch changes how fast an audit runs, never its verdict; a
+failing audit verifies, beyond what it counts, only signatures after its
+first bad one.
 
 Verdicts separate what failed so that failures can be mapped back onto the
 threat taxonomy (``classify_failure``).
@@ -34,12 +35,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from . import epochs
-from .bloom import accumulator_jobs, bloom_contains, bloom_order_verify
+from .bloom import bloom_contains, bloom_order_verify
 from .crypto import CryptoProfile, Signature
 from .epochs import EpochRegistry, RegistryError, check_inclusion
-from .fanout import prefetch
-from .hashchain import chain_verify_subsequence, link_jobs
+from .fanout import batched
+from .hashchain import chain_verify_subsequence
 from .model import (
     EndorsementStatement,
     EpochReport,
@@ -122,11 +122,6 @@ def audit(
     deployments without published reports remain auditable.
     """
     warnings: list[str] = []
-    checks: Counter = Counter()
-    # (location, epoch) of each report verified so far -> None when it
-    # verified, else the failure detail every claim in it gets.
-    report_errors: dict[tuple[str, int], Optional[str]] = {}
-
     if len(claims) != len(sub.entries):
         return AuditReport(
             claim_verdicts=(),
@@ -134,66 +129,41 @@ def audit(
                 status=ORDER_INCOMPLETE,
                 detail=(f"{len(claims)} claims for {len(sub.entries)} "
                         "revealed entries")),
-            checks=checks,
+            checks=Counter(),
         )
     if registry is None:
         warnings.append("no epoch registry supplied; epoch inclusion not checked")
     # Looked up in this module, so that wrappers installed here (the
     # benchmark times the verifiers) see the calls.
     if sub.scheme == SCHEME_HASHCHAIN:
-        order_jobs, verify_order = link_jobs, chain_verify_subsequence
+        verify_order = chain_verify_subsequence
     elif sub.scheme == SCHEME_BLOOM:
-        order_jobs, verify_order = accumulator_jobs, bloom_order_verify
+        verify_order = bloom_order_verify
     else:
         raise ValidationError(f"unknown ordering scheme {sub.scheme!r}")
 
     reports = [None if registry is None else registry.lookup(
         r.entry.elp.proof.statement.location_id,
         r.entry.elp.proof.statement.visit_time) for r in sub.entries]
-    verify = prefetch([
-        *(job for revealed, report in zip(sub.entries, reports)
-          for job in _claim_jobs(profile, revealed, report, pubkeys)),
-        *order_jobs(profile, sub, pubkeys)])
 
-    verdicts = tuple(
-        _audit_claim(profile, i, claim, revealed, report, pubkeys, registry,
-                     endorsement_window_ms, checks, report_errors, verify)
-        for i, (claim, revealed, report) in enumerate(
-            zip(claims, sub.entries, reports))
-    )
-    return AuditReport(
-        claim_verdicts=verdicts,
-        ordering=verify_order(profile, sub, pubkeys, checks, verify),
-        checks=checks,
-        warnings=tuple(warnings),
-    )
-
-
-def _claim_jobs(profile: CryptoProfile, revealed: RevealedEntry,
-                report: Optional[EpochReport],
-                pubkeys: Mapping[str, bytes]) -> list[tuple]:
-    """The signatures ``_audit_claim`` checks for one claim, as ``fanout``
-    jobs, given ``report``, the epoch report covering its proof."""
-    lp = revealed.entry.elp.proof
-    issuer_key = pubkeys.get(lp.statement.location_id)
-    if issuer_key is None:  # the claim fails before any signature
-        return []
-    jobs = [(_proof_signed, profile, issuer_key, lp.statement,
-             lp.authority_sig)]
-    for endorsement in revealed.entry.elp.endorsements:
-        es = endorsement.statement
-        witness_key = pubkeys.get(es.witness_id)
-        if witness_key is None:
-            break
-        jobs.append((_witness_signed, profile, witness_key, es,
-                     endorsement.witness_sig))
-        jobs.append((_timestamp_signed, profile, issuer_key, es,
-                     endorsement.authority_time_sig))
-    if report is not None:
-        # Looked up as ``check_inclusion`` looks it up, so that the batch
-        # answers for a wrapper installed there (the benchmark counts it).
-        jobs.append((epochs.verify_report, profile, issuer_key, report))
-    return jobs
+    def walk(verify: Callable[..., bool]) -> AuditReport:
+        checks: Counter = Counter()
+        # (location, epoch) of each report verified so far -> None when it
+        # verified, else the failure detail every claim in it gets.
+        report_errors: dict[tuple[str, int], Optional[str]] = {}
+        verdicts = tuple(
+            _audit_claim(profile, i, claim, revealed, report, pubkeys,
+                         registry, endorsement_window_ms, checks,
+                         report_errors, verify)
+            for i, (claim, revealed, report) in enumerate(
+                zip(claims, sub.entries, reports)))
+        return AuditReport(
+            claim_verdicts=verdicts,
+            ordering=verify_order(profile, sub, pubkeys, checks, verify),
+            checks=checks,
+            warnings=tuple(warnings),
+        )
+    return batched(walk)
 
 
 # The signature checks of a claim, each building the bytes it verifies in
@@ -302,8 +272,8 @@ def _audit_claim(
         else:
             checks["report"] += 1
             try:
-                included = check_inclusion(profile, issuer_key, report, lp,
-                                           verify)
+                included = check_inclusion(profile, issuer_key, report,
+                                           expected_digest, verify)
             except RegistryError as exc:
                 report_errors[key] = f"epoch report: {exc}"
                 return fail(CLAIM_BAD_SIGNATURE, report_errors[key])

@@ -6,10 +6,10 @@ only ever gains bits, an earlier entry's filter is a bitwise subset of
 every later one: order between any two revealed entries is decided by a
 single AND, without touching the hidden entries in between. That makes
 audit cost proportional to the number of *revealed* entries, at the price
-of a per-entry filter sized for the whole chain. ``audit`` verifies the
-accumulators' signatures (``accumulator_jobs``) in one batch with its
-other signatures (``fanout.prefetch``); ``bloom_order_verify`` reads each
-result from the batch as it walks the entries.
+of a per-entry filter sized for the whole chain. ``bloom_order_verify``
+asks for each accumulator signature through the ``verify`` it is given, so
+under ``fanout.batched`` an audit verifies them in one batch with its other
+signatures.
 
 Double-hashing index derivation (bit-exact, so independent
 implementations interoperate):
@@ -151,23 +151,6 @@ def verify_accumulator(profile: CryptoProfile, public_key: bytes,
     return profile.verify(public_key, bloom_signing_bytes(acc), acc.authority_sig)
 
 
-def accumulator_jobs(profile: CryptoProfile, sub: RevealedSubsequence,
-                     authority_pubkeys: Mapping[str, bytes]) -> list[tuple]:
-    """The accumulator signatures ``bloom_order_verify`` checks for ``sub``
-    as ``fanout`` jobs, up to the first entry whose signature it cannot
-    check."""
-    jobs = []
-    for revealed in sub.entries:
-        acc = revealed.entry.ordering
-        public_key = authority_pubkeys.get(
-            revealed.entry.elp.proof.statement.location_id)
-        if not (isinstance(acc, BloomAccumulator) and bloom_well_formed(acc)
-                and public_key is not None and acc.authority_sig is not None):
-            break
-        jobs.append((verify_accumulator, profile, public_key, acc))
-    return jobs
-
-
 def bloom_order_verify(
     profile: CryptoProfile,
     sub: RevealedSubsequence,
@@ -183,7 +166,7 @@ def bloom_order_verify(
     bits were all set already leaves the image unchanged, so two entries
     can carry equal accumulators and then either order passes. Each
     accumulator signature is verified through ``verify`` (see
-    ``fanout.prefetch``) and counts one ``accumulator`` in ``checks``.
+    ``fanout.batched``) and counts one ``accumulator`` in ``checks``.
     """
     if sub.scheme != SCHEME_BLOOM:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")

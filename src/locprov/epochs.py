@@ -27,13 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .bloom import bloom_contains, bloom_insert, bloom_new, bloom_well_formed
 from .crypto import CryptoProfile, Digest, KeyPair
-from .model import (
-    EpochReport,
-    LocationProof,
-    ValidationError,
-    proof_digest,
-    report_signing_bytes,
-)
+from .model import EpochReport, ValidationError, report_signing_bytes
 
 
 class RegistryError(ValidationError):
@@ -81,12 +75,12 @@ def verify_report(profile: CryptoProfile, public_key: bytes,
 
 
 def check_inclusion(profile: CryptoProfile, public_key: bytes,
-                    report: EpochReport, lp: LocationProof,
+                    report: EpochReport, digest: Digest,
                     verify: Callable[..., bool]) -> bool:
-    """True iff the proof's digest is a member of the report accumulator.
+    """True iff a proof's ``digest`` is a member of the report accumulator.
 
     The report signature must verify first, through ``verify`` (see
-    ``fanout.prefetch``); a report that does not is no evidence either way.
+    ``fanout.batched``); a report that does not is no evidence either way.
     A structurally inconsistent accumulator (even a signed one) is likewise
     rejected rather than probed.
     """
@@ -98,8 +92,7 @@ def check_inclusion(profile: CryptoProfile, public_key: bytes,
         raise RegistryError(
             f"malformed accumulator in report for {report.location_id!r} "
             f"epoch {report.epoch_id}")
-    return bloom_contains(profile, report.accumulator,
-                          proof_digest(profile, lp))
+    return bloom_contains(profile, report.accumulator, digest)
 
 
 class EpochRegistry:

@@ -3,17 +3,25 @@
 An audit verifies signatures that do not depend on one another: every
 revealed claim's proof, witness and timestamp signatures, each epoch report
 it meets, and every hash-chain link or revealed Bloom accumulator of its
-ordering evidence. ``audit`` lists all of them and hands them to
-``prefetch`` once, so at most one pool starts per audit. The
-``cryptography`` package has no batch Ed25519 verify and holds the
-interpreter lock while it verifies, so threads gain nothing; processes do.
+ordering evidence. ``audit`` hands its walk over all of them to ``batched``
+once, so at most one pool starts per audit. The ``cryptography`` package
+has no batch Ed25519 verify and holds the interpreter lock while it
+verifies, so threads gain nothing; processes do.
 
-``prefetch(jobs)`` verifies the distinct jobs ``(check, *args)`` with one
-``verify_each`` call and returns ``verify(check, *args)``, which answers
-from the batch when ``check`` and every argument are the very objects of a
-batched job, else calls ``check(*args)``. Identity, not equality: ``0.0 ==
--0.0``, yet the two sign different bytes. What a caller batches changes how
-fast it runs, never what it decides.
+``batched(walk)`` lets the walk be its own plan. A walk takes a ``verify``
+and asks it ``verify(check, *args)`` before each signature it relies on;
+it reads the answer only to exit early. ``batched`` first runs
+``walk(record)``, where ``record`` keeps the job ``(check, *args)`` and
+answers True. Such a run reaches every check a real run can reach, with
+the very same objects. The distinct jobs are then verified with one
+``verify_each`` call. If every one passed, the first run was the real one
+and its result is returned. Otherwise ``walk`` runs once more, with a
+``verify`` that answers from the batch when ``check`` and every argument
+are the very objects of a batched job, else calls ``check(*args)``.
+Identity, not equality: ``0.0 == -0.0``, yet the two sign different bytes.
+So the batch changes how fast a walk runs, never what it decides. The one
+signature work it adds: a failing walk's batch holds the checks after its
+first bad signature, which the second run never reads.
 
 ``verify_each(jobs)`` returns ``[check(*args) for check, *args in jobs]``:
 every job's result, in order, because the caller reads all of them. With
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 # Fewest jobs worth a pool. On a 2-CPU guest, starting and stopping a
 # one-worker fork pool measured 14-20 ms and one hash-chain link verify
@@ -48,19 +56,27 @@ from typing import Callable, Iterable, Sequence
 FANOUT_MIN_JOBS = 512
 
 
-def prefetch(jobs: Iterable[tuple]) -> Callable[..., bool]:
-    """Verify the distinct ``jobs`` in one batch; return the ``verify``
-    that answers from it (see module doc)."""
-    batch = {(job[0], *map(id, job[1:])): job for job in jobs}
-    distinct = list(batch.values())
-    # Each answer keeps its job alive, so no id in a key can be reused
-    # while the table lives.
-    answers = dict(zip(batch, zip(distinct, verify_each(distinct))))
+def batched(walk: Callable[[Callable[..., bool]], Any]) -> Any:
+    """``walk``'s result, its signature checks verified in one batch (see
+    module doc)."""
+    jobs: dict[tuple, tuple] = {}
+
+    def record(check: Callable[..., bool], *args) -> bool:
+        jobs.setdefault((check, *map(id, args)), (check, *args))
+        return True
+
+    result = walk(record)
+    passed = verify_each(list(jobs.values()))
+    if all(passed):
+        return result
+    # ``jobs`` keeps every batched object alive, so no id in a key can be
+    # reused while the second run asks.
+    answers = dict(zip(jobs, passed))
 
     def verify(check: Callable[..., bool], *args) -> bool:
         answer = answers.get((check, *map(id, args)))
-        return answer[1] if answer is not None else bool(check(*args))
-    return verify
+        return bool(check(*args)) if answer is None else answer
+    return walk(verify)
 
 
 def verify_each(jobs: Sequence[tuple]) -> list[bool]:
@@ -113,9 +129,11 @@ def _fan_out(jobs: Sequence[tuple], cpus: int) -> list[bool]:
         try:
             futures = [pool.submit(_check_in_worker, start, stop)
                        for start, stop in zip(bounds[1:-1], bounds[2:])]
-        except OSError as exc:  # a fork failed
-            # Workers forked before the failure wait for tasks that never
-            # come, and the interpreter would wait for them at exit.
+        except (OSError, BrokenProcessPool) as exc:
+            # A fork failed, or a worker died before the last chunk was
+            # submitted. Workers forked before the failure wait for tasks
+            # that never come, and the interpreter would wait for them at
+            # exit.
             for worker in set(multiprocessing.active_children()) - others:
                 worker.terminate()
                 worker.join()

@@ -12,11 +12,12 @@ start of the chain through the last revealed position, so the work grows
 with the position of the last revealed entry, not with how many entries
 were revealed. One signature verify per link is the floor (``cryptography``
 has no batch Ed25519 verify), but the links are independent of one another.
-``audit`` verifies ``link_jobs`` in one batch with its claims' signatures
-(``fanout.prefetch``), split across the machine's CPUs when it is large,
-which divides the wall time of a long replay by up to the CPU count.
-``chain_verify_subsequence`` still replays link by link, reading each
-result from the batch, so its verdict and ``link`` count are unchanged.
+``chain_verify_subsequence`` asks for each link through the ``verify`` it
+is given, so under ``fanout.batched`` an audit's links are verified in one
+batch with its claims' signatures, split across the machine's CPUs when it
+is large, which divides the wall time of a long replay by up to the CPU
+count. The walk still replays link by link, so its verdict and ``link``
+count are unchanged.
 """
 
 from __future__ import annotations
@@ -79,24 +80,6 @@ def verify_link(profile: CryptoProfile, public_key: bytes, link: HashChainLink,
     return profile.verify(public_key, link_payload(current, prev), link.signature)
 
 
-def link_jobs(profile: CryptoProfile, sub: RevealedSubsequence,
-              authority_pubkeys: Mapping[str, bytes]) -> list[tuple]:
-    """The link signatures ``chain_verify_subsequence`` replays for ``sub``
-    as ``fanout`` jobs, up to the first position without evidence or key."""
-    slots = {slot.position: slot for slot in sub.chain_evidence}
-    jobs = []
-    prev_link: Optional[HashChainLink] = None
-    last = max((e.position for e in sub.entries), default=0)
-    for position in range(1, last + 1):
-        slot = slots.get(position)
-        if slot is None or authority_pubkeys.get(slot.issuer_id) is None:
-            break
-        jobs.append((verify_link, profile, authority_pubkeys[slot.issuer_id],
-                     slot.link, slot.proof_digest, prev_link))
-        prev_link = slot.link
-    return jobs
-
-
 def chain_verify_subsequence(
     profile: CryptoProfile,
     sub: RevealedSubsequence,
@@ -110,7 +93,7 @@ def chain_verify_subsequence(
     position from the start of the chain through the last revealed one;
     anything missing yields an Incomplete verdict. Every link in that
     prefix is replayed and its signature verified through ``verify`` (see
-    ``fanout.prefetch``), every revealed entry must sit at its claimed
+    ``fanout.batched``), every revealed entry must sit at its claimed
     position, and claimed positions must strictly increase. Each link
     signature verified counts one ``link`` in ``checks``.
     """

@@ -562,10 +562,6 @@ def statement_signing_bytes(stmt: Statement) -> bytes:
     return _write_signed_statement(stmt)
 
 
-def timestamp_signing_bytes(att: TimestampAttestation) -> bytes:
-    return _ENCODERS[TAG_TIMESTAMP](att)
-
-
 def bloom_signing_bytes(acc: BloomAccumulator) -> bytes:
     return _ENCODERS[TAG_BLOOM_CORE](acc)
 

@@ -586,3 +586,58 @@ def test_clean_audit_batches_exactly_what_it_counts(monkeypatch):
         assert verifies == report.signatures_verified, name
         seen.append(name)
     assert len(seen) == 14
+
+
+def _adjacent_swap(sub):
+    entries = list(sub.entries)
+    entries[3:5] = entries[4], entries[3]
+    sub = replace(sub, entries=tuple(entries))
+    return sub, _truthful_claims(sub)
+
+
+def _switch_proof(sub):
+    """Entry 4 carries entry 9's endorsements."""
+    donor = sub.entries[8].entry.elp.endorsements
+    sub = _at(sub, 4, lambda e: replace(e, elp=replace(
+        e.elp, endorsements=donor)))
+    return sub, _truthful_claims(sub)
+
+
+def _wrong_time(sub):
+    claims = _truthful_claims(sub)
+    claims[3] = replace(claims[3], visit_time=claims[3].visit_time + 1)
+    return sub, claims
+
+
+def _wrong_location(sub):
+    claims = _truthful_claims(sub)
+    claims[3] = replace(claims[3], location_id="elsewhere")
+    return sub, claims
+
+
+@pytest.mark.parametrize("scheme, tamper, failure, signatures", [
+    ("hashchain", _adjacent_swap, (ORDER_REORDERED, None), 38),
+    ("bloom", _adjacent_swap, (ORDER_REORDERED, None), 43),
+    ("bloom", _switch_proof, (ORDER_OK, CLAIM_ENDORSEMENT_MISMATCH), 48),
+    ("hashchain", _wrong_time, (ORDER_OK, CLAIM_TIME_MISMATCH), 50),
+    ("bloom", _wrong_location, (ORDER_OK, CLAIM_GRANULARITY_MISMATCH), 50),
+], ids=["reorder-hashchain", "reorder-bloom", "switch-proof", "wrong-time",
+        "wrong-location"])
+def test_audit_with_good_signatures_batches_exactly_what_it_counts(
+        monkeypatch, scheme, tamper, failure, signatures):
+    """A 12-entry full reveal that fails for a reason other than a
+    signature: one batch of exactly the signatures counted, each verified
+    once, as in a clean audit."""
+    world, chain = build_honest_chain(scheme, 12)
+    sub, claims = tamper(make_revealed_subsequence(world.profile, chain,
+                                                   range(1, 13)))
+    report, batches, verifies = _batches_and_verifies(
+        monkeypatch, lambda: audit(world.profile, claims, sub,
+                                   world.directory.pubkeys(), world.registry))
+    ordering, claim_status = failure
+    assert report.ordering.status == ordering
+    assert [v.status for v in report.failures()] == (
+        [] if claim_status is None else [claim_status])
+    assert report.signatures_verified == signatures
+    assert batches == [signatures]
+    assert verifies == signatures

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from operator import call
 
 import pytest
 from scipy import stats
@@ -11,7 +12,6 @@ from scipy import stats
 from locprov.crypto import Digest, LEGACY, MODERN
 from locprov.bloom import (
     BloomParameterError,
-    accumulator_jobs,
     bloom_contains,
     bloom_hash_count,
     bloom_insert,
@@ -24,7 +24,7 @@ from locprov.bloom import (
     sign_accumulator,
     verify_accumulator,
 )
-from locprov.fanout import prefetch
+from locprov.fanout import batched
 from locprov.model import (
     ValidationError,
     bloom_bit_size,
@@ -262,7 +262,7 @@ def test_order_verify_checks_only_revealed_entries():
     sub = make_revealed_subsequence(world.profile, chain, [1, 4, 6])
     checks = Counter()
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 checks, prefetch(()))
+                                 checks, call)
     assert verdict.status == ORDER_OK
     assert checks["accumulator"] == 3
 
@@ -274,7 +274,7 @@ def test_order_verify_1000_chain_three_reveals_three_checks(honest_chain_factory
     sub = make_revealed_subsequence(world.profile, chain, [1, 50, 999])
     checks = Counter()
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 checks, prefetch(()))
+                                 checks, call)
     assert verdict.status == ORDER_OK
     assert checks["accumulator"] == 3
 
@@ -285,7 +285,7 @@ def test_order_verify_flags_swapped_presentation():
     swapped = replace(sub, entries=(sub.entries[1], sub.entries[0]))
     verdict = bloom_order_verify(world.profile, swapped,
                                  world.directory.pubkeys(), Counter(),
-                                 prefetch(()))
+                                 call)
     assert verdict.status == ORDER_REORDERED
 
 
@@ -300,7 +300,7 @@ def test_order_verify_flags_equal_accumulators():
     forged = ProvenanceChain("bloom", (first, duplicated))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 Counter(), prefetch(()))
+                                 Counter(), call)
     assert verdict.status == ORDER_REORDERED
     assert "equal" in verdict.detail or "own proof" in verdict.detail
 
@@ -370,7 +370,7 @@ def test_malformed_accumulator_rejected_not_crashing():
     forged = ProvenanceChain("bloom", (chain.entries[0], forged_entry))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 Counter(), prefetch(()))
+                                 Counter(), call)
     assert verdict.status == "Incomplete"
     assert "malformed" in verdict.detail
 
@@ -432,14 +432,12 @@ def test_signatures_in_processes_match_serial(serial_and_fanned_out,
     presented = replace(sub, entries=tuple(
         by_position[p] for p in order or sorted(by_position)))
 
-    def check():
+    def walk(verify):
         checks = Counter()
-        pubkeys = world.directory.pubkeys()
-        verify = prefetch(accumulator_jobs(world.profile, presented, pubkeys))
-        verdict = bloom_order_verify(world.profile, presented, pubkeys, checks,
-                                     verify)
+        verdict = bloom_order_verify(world.profile, presented,
+                                     world.directory.pubkeys(), checks, verify)
         return verdict.status, verdict.detail, checks
 
-    serial, fanned_out = serial_and_fanned_out(check)
+    serial, fanned_out = serial_and_fanned_out(lambda: batched(walk))
     assert serial == fanned_out == (status, detail,
                                     Counter(accumulator=accumulators))

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor, wait
 
 import pytest
 
@@ -142,6 +143,26 @@ def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
     assert multiprocessing.active_children() == []
 
 
+def test_worker_dying_before_the_last_submit_falls_back(three_cpus,
+                                                       monkeypatch, caplog):
+    """A worker that dies before every chunk is handed out breaks the pool
+    under ``submit`` itself."""
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(pool, *args):
+        future = real_submit(pool, *args)
+        wait([future], timeout=10)  # the worker that took it has died
+        return future
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    jobs = [(_worker_dies(monkeypatch), ok) for _, ok in _jobs(7, {5})]
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert fanout.verify_each(jobs) == _results(7, {5})
+    [record] = caplog.records
+    assert "BrokenProcessPool" in record.getMessage()
+    assert "serially" in record.getMessage()
+    assert multiprocessing.active_children() == []
+
+
 def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
     """Forking a process that runs threads is unsafe."""
     release = threading.Event()
@@ -158,7 +179,7 @@ def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
 
 
 # ---------------------------------------------------------------------------
-# prefetch: answers from one batch, or on the spot
+# batched: a walk recorded, verified in one batch, rerun only on a failure
 # ---------------------------------------------------------------------------
 
 def _counted(check):
@@ -171,50 +192,105 @@ def _counted(check):
     return counted, calls
 
 
-def test_prefetch_checks_an_equal_distinct_argument_on_the_spot():
-    """0.0 == -0.0, but only the batched object is answered from the batch."""
+def _walk(*jobs):
+    """A walk that asks for ``jobs`` in order and stops at the first that
+    fails, returning the answers it read, and the list of its runs."""
+    runs = []
+
+    def walk(verify):
+        runs.append(verify)
+        answers = []
+        for check, *args in jobs:
+            answers.append(verify(check, *args))
+            if not answers[-1]:
+                break
+        return answers
+    return walk, runs
+
+
+@pytest.fixture()
+def batches(monkeypatch):
+    """The size of every batch verified."""
+    sizes = []
+    real_verify_each = fanout.verify_each
+
+    def verify_each(jobs):
+        sizes.append(len(jobs))
+        return real_verify_each(jobs)
+    monkeypatch.setattr(fanout, "verify_each", verify_each)
+    return sizes
+
+
+def test_batched_walks_once_when_every_check_passes(batches):
+    check, calls = _counted(bool)
+    a, b = object(), object()
+    walk, runs = _walk((check, a), (check, b))
+    assert fanout.batched(walk) == [True, True]
+    assert len(runs) == 1
+    assert batches == [2]
+    assert calls == [(a,), (b,)]
+
+
+def test_batched_walks_twice_when_a_check_fails(batches):
+    """The first run reads True past the failure and batches every check
+    after it; the second is answered from the batch and stops there."""
+    good, bad, after = object(), object(), object()
+    check, calls = _counted(lambda x: x is not bad)
+    walk, runs = _walk((check, good), (check, bad), (check, after))
+    assert fanout.batched(walk) == [True, False]
+    assert len(runs) == 2
+    assert batches == [3]
+    assert calls == [(good,), (bad,), (after,)]
+
+
+def test_batched_verifies_a_job_recorded_twice_once(batches):
+    check, calls = _counted(bool)
+    item = object()
+    walk, _ = _walk((check, item), (check, item), (bool, item))
+    assert fanout.batched(walk) == [True, True, True]
+    assert batches == [2]
+    assert calls == [(item,)]
+
+
+def test_batched_answers_false_from_the_batch(batches):
+    check, calls = _counted(lambda x: False)
+    item = object()
+    walk, runs = _walk((check, item))
+    assert fanout.batched(walk) == [False]
+    assert len(runs) == 2
+    assert batches == [1]
+    assert calls == [(item,)]
+
+
+def test_batched_checks_an_equal_distinct_argument_on_the_spot(batches):
+    """0.0 == -0.0, but only the batched object is answered from the batch:
+    a second run that asks for an equal one verifies it on the spot."""
     check, calls = _counted(lambda x: math.copysign(1.0, x) > 0)
-    batched, equal = 0.0, -0.0
-    verify = fanout.prefetch([(check, batched)])
-    assert verify(check, batched) is True
-    assert len(calls) == 1
-    assert verify(check, equal) is False
-    assert calls == [(batched,), (equal,)]
+    recorded, equal, failing = 0.0, -0.0, -1.0
+    asked = [recorded, equal]
+
+    def walk(verify):
+        return verify(check, asked.pop(0)), verify(check, failing)
+
+    assert fanout.batched(walk) == (False, False)
+    assert batches == [2]
+    assert calls == [(recorded,), (failing,), (equal,)]
 
 
-def test_prefetch_one_signature_under_two_keys_gets_two_results():
+def test_batched_one_signature_under_two_keys_gets_two_results(batches):
     keys = MODERN.keygen(bytes(32))
     sig = MODERN.sign(keys.private_key, b"signed")
     signed, other = b"signed", b"other"
     check, calls = _counted(
         lambda message, s: MODERN.verify(keys.public_key, message, s))
-    verify = fanout.prefetch([(check, signed, sig), (check, other, sig)])
-    assert len(calls) == 2
-    assert verify(check, signed, sig) is True
-    assert verify(check, other, sig) is False
-    assert len(calls) == 2
+    answers = []
 
+    def walk(verify):
+        answers.append((verify(check, signed, sig),
+                        verify(check, other, sig)))
+        return answers[-1]
 
-def test_prefetch_verifies_duplicate_jobs_once(monkeypatch):
-    batches = []
-    real_verify_each = fanout.verify_each
-
-    def verify_each(jobs):
-        batches.append(len(jobs))
-        return real_verify_each(jobs)
-    monkeypatch.setattr(fanout, "verify_each", verify_each)
-    check, calls = _counted(bool)
-    item = object()
-    verify = fanout.prefetch([(check, item), (check, item), (bool, item)])
+    assert fanout.batched(walk) == (True, False)
     assert batches == [2]
-    assert calls == [(item,)]
-    assert verify(check, item) is True
-    assert calls == [(item,)]
-
-
-def test_prefetch_answers_false_from_the_batch():
-    check, calls = _counted(lambda x: False)
-    item = object()
-    verify = fanout.prefetch([(check, item)])
-    assert verify(check, item) is False
-    assert calls == [(item,)]
+    assert answers == [(True, True), (True, False)]
+    assert len(calls) == 2

@@ -3,17 +3,17 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from operator import call
 
 import pytest
 
 from locprov.crypto import LEGACY, MODERN
-from locprov.fanout import prefetch
+from locprov.fanout import batched
 from locprov.hashchain import (
     GENESIS_SENTINEL,
     chain_extend,
     chain_genesis,
     chain_verify_subsequence,
-    link_jobs,
     verify_link,
 )
 from locprov.model import (
@@ -120,7 +120,7 @@ def test_full_chain_reveal_first_and_last_checks_all_links():
     sub = _sub(_slots(proofs, links), [1, 4], proofs, links)
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks, prefetch(()))
+                                       checks, call)
     assert verdict.status == ORDER_OK
     assert checks["link"] == 4
 
@@ -130,7 +130,7 @@ def test_reveal_middle_checks_prefix_only():
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links)
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks, prefetch(()))
+                                       checks, call)
     assert verdict.status == ORDER_OK
     # independent oracle: required work is the largest revealed position
     assert checks["link"] == max([2, 3])
@@ -143,7 +143,7 @@ def test_swapped_links_detected():
                           replace(slots[1], position=3))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), prefetch(()))
+                                       Counter(), call)
     assert verdict.status == ORDER_REORDERED
 
 
@@ -154,7 +154,7 @@ def test_substituted_proof_detected():
     slots[1] = replace(slots[1], proof_digest=proof_digest(PROFILE, impostor))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), prefetch(()))
+                                       Counter(), call)
     assert verdict.status == ORDER_REORDERED
 
 
@@ -162,7 +162,7 @@ def test_claimed_order_must_ascend():
     proofs, links = _build_links(4)
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links, order=[3, 2])
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), prefetch(()))
+                                       Counter(), call)
     assert verdict.status == ORDER_REORDERED
 
 
@@ -171,7 +171,7 @@ def test_missing_prefix_evidence_is_incomplete():
     slots = [s for s in _slots(proofs, links) if s.position != 2]
     sub = _sub(tuple(slots), [3], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), prefetch(()))
+                                       Counter(), call)
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -179,7 +179,7 @@ def test_unknown_issuer_is_incomplete():
     proofs, links = _build_links(2)
     sub = _sub(_slots(proofs, links), [2], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {}, Counter(),
-                                       prefetch(()))
+                                       call)
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -188,7 +188,7 @@ def test_empty_reveal_is_ok_and_costs_nothing():
     sub = RevealedSubsequence("hashchain", (), _slots(proofs, links))
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks, prefetch(()))
+                                       checks, call)
     assert verdict.status == ORDER_OK
     assert checks["link"] == 0
 
@@ -197,7 +197,7 @@ def test_wrong_scheme_rejected():
     with pytest.raises(ValidationError):
         chain_verify_subsequence(PROFILE,
                                  RevealedSubsequence("bloom", (), ()), {},
-                                 Counter(), prefetch(()))
+                                 Counter(), call)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_links_checked_equals_last_revealed_for_random_subsets():
         checks = Counter()
         verdict = chain_verify_subsequence(PROFILE, sub,
                                            {"cafe-7": AUTH.public_key}, checks,
-                                           prefetch(()))
+                                           call)
         assert verdict.status == ORDER_OK
         assert checks["link"] == positions[-1]
 
@@ -250,7 +250,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
             slots[j] = ChainSlot(j + 1, sj.issuer_id, si.proof_digest, si.link)
             sub = _sub(tuple(slots), [1, n], proofs, links)
             verdict = chain_verify_subsequence(PROFILE, sub, pubkeys,
-                                               Counter(), prefetch(()))
+                                               Counter(), call)
             total += 1
             detected += verdict.status != ORDER_OK
 
@@ -264,7 +264,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
         remaining_links = [l for idx, l in enumerate(links) if idx != k]
         sub = _sub(slots, [1, n - 1], remaining_proofs, remaining_links)
         verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter(),
-                                           prefetch(()))
+                                           call)
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -275,7 +275,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
         slots[k] = replace(slots[k], proof_digest=impostor_digest)
         sub = _sub(tuple(slots), [1, n], proofs, links)
         verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter(),
-                                           prefetch(()))
+                                           call)
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -288,7 +288,7 @@ def test_completeness_long_chain_and_random_subsets(honest_chain_factory):
     full = make_revealed_subsequence(world.profile, chain,
                                      list(range(1, 10_001)))
     verdict = chain_verify_subsequence(world.profile, full, pubkeys, Counter(),
-                                       prefetch(()))
+                                       call)
     assert verdict.status == ORDER_OK
     rng = random.Random(5)
     for _ in range(3):
@@ -296,7 +296,7 @@ def test_completeness_long_chain_and_random_subsets(honest_chain_factory):
         sub = make_revealed_subsequence(world.profile, chain, positions)
         checks = Counter()
         verdict = chain_verify_subsequence(world.profile, sub, pubkeys, checks,
-                                           prefetch(()))
+                                           call)
         assert verdict.status == ORDER_OK
         assert checks["link"] == positions[-1]
 
@@ -316,7 +316,7 @@ def test_multi_authority_chain_resolves_per_entry_keys():
     checks = Counter()
     verdict = chain_verify_subsequence(world.profile, sub,
                                        world.directory.pubkeys(), checks,
-                                       prefetch(()))
+                                       call)
     assert verdict.status == ORDER_OK
     assert checks["link"] == 3
 
@@ -327,7 +327,7 @@ def test_duplicate_evidence_positions_incomplete():
     slots.append(slots[1])  # two slots claim position 2
     sub = _sub(tuple(slots), [1, 3], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), prefetch(()))
+                                       Counter(), call)
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -367,13 +367,11 @@ def test_replay_in_processes_matches_serial(serial_and_fanned_out, bad,
         slots[keyless - 1] = replace(slots[keyless - 1], issuer_id="elsewhere")
     sub = _sub(tuple(slots), [24], proofs, links)
 
-    def check():
+    def walk(verify):
         checks = Counter()
-        pubkeys = {"cafe-7": AUTH.public_key}
-        verify = prefetch(link_jobs(PROFILE, sub, pubkeys))
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, checks,
-                                           verify)
+        verdict = chain_verify_subsequence(
+            PROFILE, sub, {"cafe-7": AUTH.public_key}, checks, verify)
         return verdict.status, verdict.detail, checks
 
-    serial, fanned_out = serial_and_fanned_out(check)
+    serial, fanned_out = serial_and_fanned_out(lambda: batched(walk))
     assert serial == fanned_out == (status, detail, Counter(link=links_checked))

@@ -498,7 +498,7 @@ def _golden_objects():
     from locprov.model import (
         Endorsement, EndorsementStatement, LocationProof, LocationStatement,
         PrivateLocationStatement, RevealedEntry, bloom_signing_bytes,
-        report_signing_bytes, timestamp_signing_bytes)
+        report_signing_bytes)
 
     def sig(profile, fill):
         return Signature(profile.scheme_id, bytes([fill]) * profile.signature_len)
@@ -553,7 +553,6 @@ def _golden_objects():
         "0x20-sequence": encode([report, signed_report, stmt]),
         "0x20-sequence-empty": encode(()),
         "0x01-view-statement": statement_signing_bytes(stmt),
-        "0x0C-view-timestamp": timestamp_signing_bytes(att),
         "0x12-view-private-statement": statement_signing_bytes(lsp),
         "0x1B-view-bloom": bloom_signing_bytes(signed),
         "0x1D-view-report": report_signing_bytes(signed_report),
@@ -607,8 +606,6 @@ GOLDEN_SHA256 = {
         "ccef7d892e752044c89d5471eac8af79087c0e04e45c9ae566b05be88de30d1c",
     "0x01-view-statement":
         "3f5e7cf3ced5bc459b76793196295bb57dd73f0a6183d06be3ea6120149c45a5",
-    "0x0C-view-timestamp":
-        "2279b896f41a6535846739b79502d87acd638f021085b15c9ea27d67d3612eb6",
     "0x12-view-private-statement":
         "2ace9f96fdc15b726614d050a20b87d8a3a0b23909a73e689e5935c0a178d08b",
     "0x1B-view-bloom":
