@@ -74,12 +74,16 @@ def bloom_new(capacity: int, target_fpr: float) -> BloomAccumulator:
 def bloom_well_formed(acc: BloomAccumulator) -> bool:
     """Structural sanity of a possibly hostile accumulator: the bit image
     must match the length its declared parameters imply, so that indexing
-    during membership checks cannot run off the end."""
+    during membership checks cannot run off the end, and the hash count
+    must be the one ``bloom_new`` derives from them. That bounds a
+    membership check at about 1,000 positions, whatever the 32-bit wire
+    field says, before anything has checked the accumulator's signature."""
     try:
-        if not (acc.capacity >= 1 and 0.0 < acc.target_fpr < 1.0
-                and acc.hash_count >= 1):
+        if not (acc.capacity >= 1 and 0.0 < acc.target_fpr < 1.0):
             return False
-        return len(acc.bits) == (acc.bit_size + 7) // 8
+        return (len(acc.bits) == (acc.bit_size + 7) // 8
+                and acc.hash_count == bloom_hash_count(acc.capacity,
+                                                       acc.target_fpr))
     except (TypeError, ValueError, OverflowError):
         return False
 

@@ -19,7 +19,11 @@ and its result is returned. Otherwise ``walk`` runs once more, with a
 ``verify`` that answers from the batch when ``check`` and every argument
 are the very objects of a batched job, else calls ``check(*args)``.
 Identity, not equality: ``0.0 == -0.0``, yet the two sign different bytes.
-So the batch changes how fast a walk runs, never what it decides. The one
+So the batch changes how fast a walk runs, never what it decides. In the
+first run, though, code past a ``verify`` call sees input whose signature
+nothing has checked yet, so it must cost no more than the size of that
+input: a forged field must not buy unbounded work (``bloom_well_formed``
+bounds a membership check this way). The one
 signature work it adds: a failing walk's batch holds the checks after its
 first bad signature, which the second run never reads.
 

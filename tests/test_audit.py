@@ -26,7 +26,7 @@ from locprov.audit import (
     classify_failure,
     render_text_report,
 )
-from locprov import fanout
+from locprov import bloom, fanout
 from locprov.cli import build_honest_chain
 from locprov.crypto import MODERN, CryptoProfile, get_profile
 from locprov.epochs import EpochRegistry
@@ -35,6 +35,7 @@ from locprov.model import (
     RevealedEntry,
     RevealedSubsequence,
     ValidationError,
+    bloom_signing_bytes,
     make_revealed_subsequence,
     report_signing_bytes,
     ORDER_OK,
@@ -533,6 +534,79 @@ def test_signature_object_shared_by_two_proofs_checked_per_proof():
                    world.directory.pubkeys(), world.registry)
     assert [(v.status, v.detail) for v in report.claim_verdicts] == [
         (CLAIM_BAD_SIGNATURE, "authority signature invalid"), OK]
+
+
+# ---------------------------------------------------------------------------
+# a forged hash count costs nothing before its signature is checked
+# ---------------------------------------------------------------------------
+
+def _huge_hash_count(acc):
+    """``acc`` with one byte of bits for capacity 1 at rate 0.5, and the
+    largest hash count the wire carries: probing it would build a list of
+    2**32 - 1 positions."""
+    return replace(acc, bits=b"\x00", capacity=1, target_fpr=0.5,
+                   hash_count=2**32 - 1)
+
+
+@pytest.fixture
+def bounded_positions(monkeypatch):
+    """Fail, rather than exhaust memory, when a membership check asks for
+    more positions than any well-formed accumulator has."""
+    real = bloom.bloom_positions
+
+    def positions(profile, item, m, k):
+        assert k <= 2_000, f"membership check of {k} positions"
+        return real(profile, item, m, k)
+    monkeypatch.setattr(bloom, "bloom_positions", positions)
+
+
+def _unsigned(world, key_owner, signed, sig):
+    return None
+
+
+def _flipped(world, key_owner, signed, sig):
+    return _flip(sig)
+
+
+def _signed(world, key_owner, signed, sig):
+    keys = world.authorities[key_owner].keys
+    return world.profile.sign(keys.private_key, signed)
+
+
+@pytest.mark.parametrize("sign", [_unsigned, _flipped, _signed],
+                         ids=["unsigned", "bad-signature", "signed"])
+def test_forged_hash_count_in_bloom_reveal_is_malformed(bounded_positions,
+                                                        sign):
+    world, sub, registry = _shared_epoch_inputs("bloom")
+
+    def forge(entry):
+        acc = _huge_hash_count(entry.ordering)
+        return replace(entry, ordering=replace(acc, authority_sig=sign(
+            world, "lib-2", bloom_signing_bytes(acc), acc.authority_sig)))
+    sub = _at(sub, 4, forge)
+    report = audit(world.profile, _truthful_claims(sub), sub,
+                   world.directory.pubkeys(), registry)
+    assert [v.status for v in report.claim_verdicts] == [CLAIM_OK] * 5
+    assert (report.ordering.status, report.ordering.detail) == (
+        ORDER_INCOMPLETE, "malformed accumulator at position 4")
+
+
+@pytest.mark.parametrize("sign, detail", [
+    (_unsigned, "report signature invalid"),
+    (_flipped, "report signature invalid"),
+    (_signed, "malformed accumulator in report"),
+], ids=["unsigned", "bad-signature", "signed"])
+def test_forged_hash_count_in_epoch_report_fails_its_claims(
+        bounded_positions, sign, detail):
+    def forge(world, r):
+        r = replace(r, accumulator=_huge_hash_count(r.accumulator))
+        return replace(r, report_sig=sign(
+            world, "cafe-7", report_signing_bytes(r), r.report_sig))
+    report = _shared_epoch_audit(forge)
+    bad = (CLAIM_BAD_SIGNATURE, f"epoch report: {detail} for 'cafe-7' epoch 0")
+    assert [(v.status, v.detail) for v in report.claim_verdicts] == [
+        bad, OK, bad, OK, bad]
+    assert report.ordering.ok
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,9 @@ def test_order_verify_flags_equal_accumulators():
     pytest.param({"target_fpr": math.nan}, id="fpr-nan"),
     pytest.param({"capacity": 0}, id="capacity-0"),
     pytest.param({"hash_count": 0}, id="hash-count-0"),
+    pytest.param({"hash_count": bloom_hash_count(16, 0.01) + 1},
+                 id="hash-count-off-geometry"),
+    pytest.param({"hash_count": 2**32 - 1}, id="hash-count-2^32-1"),
     pytest.param({"capacity": 2**64}, id="capacity-2^64"),
     pytest.param({"capacity": 10**400}, id="capacity-10^400"),
 ])
