@@ -311,10 +311,13 @@ def cmd_scenarios(args) -> int:
     suite = builtin_suite(args.scheme)
     if args.export:
         out_dir = Path(args.export)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for scenario in suite:
-            path = out_dir / f"{scenario.name}.json"
-            path.write_text(scenario_to_json(scenario))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for scenario in suite:
+                path = out_dir / f"{scenario.name}.json"
+                path.write_text(scenario_to_json(scenario))
+        except OSError as exc:
+            return _cannot_write(exc)
         print(f"wrote {len(suite)} scenario files to {out_dir}")
     else:
         for scenario in suite:

@@ -16,10 +16,12 @@ its own clock, signs the endorsement statement, and replies (``eResp``).
 The user assembles the endorsed proof into a new chain entry.
 
 All parties run as single-threaded state machines over a FIFO message
-queue; a scenario is a deterministic event loop given its seed. Dishonest
-behavior is expressed through per-role override hooks (skip localization,
-shift timestamps, defer epoch records, ...) so attacks compose instead of
-being hard-coded.
+queue; a scenario is a deterministic event loop given its seed. Each agent
+acts through the ``World`` it belongs to (its clock, bus, directory, ...)
+and takes each message kind through its role's table of handlers.
+Dishonest behavior is expressed through per-role override hooks (skip
+localization, shift timestamps, defer epoch records, ...) so attacks
+compose instead of being hard-coded.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .epochs import EpochRegistry, build_epoch_report, epoch_of
 from .model import (
     BloomAccumulator,
     Endorsement,
+    EncodingError,
     HashChainLink,
     LocationProof,
     OrderingConstruct,
@@ -148,10 +151,10 @@ class Directory:
 
     parties: dict[str, dict] = dataclass_field(default_factory=dict)
 
-    def register(self, party_id: str, role: str, public_key: bytes,
-                 scheme_id: str) -> None:
+    def register(self, party_id: str, role: str, keys: KeyPair) -> None:
         self.parties[party_id] = {
-            "role": role, "public_key": public_key, "scheme_id": scheme_id}
+            "role": role, "public_key": keys.public_key,
+            "scheme_id": keys.scheme_id}
 
     def public_key(self, party_id: str) -> bytes:
         try:
@@ -228,7 +231,7 @@ def _payload_fingerprint(payload: dict) -> dict:
         else:
             try:
                 out[key] = canonical_encode(value).hex()[:48]
-            except Exception:
+            except EncodingError:
                 out[key] = repr(value)
     return out
 
@@ -291,33 +294,63 @@ def issue_construct(profile: CryptoProfile, keys: KeyPair, scheme: str,
 # Agents
 # ---------------------------------------------------------------------------
 
-class AuthorityAgent:
+class _Party:
+    """One party of a ``World``: its identity, keys and clock skew. It reads
+    everything shared (profile, config, clock, ground truth, directory,
+    registry, scheme, rng, bus) from its world, and takes each message kind
+    in its role's ``HANDLERS`` table (kind -> method)."""
+
+    ROLE: str
+    HANDLERS: dict[str, Callable[..., None]]
+
+    def __init__(self, world: World, party_id: str, keys: KeyPair, *,
+                 skew_ms: int = 0):
+        self.world = world
+        self.id = party_id
+        self.keys = keys
+        self.skew_ms = skew_ms
+
+    def local_now(self) -> int:
+        return self.world.clock.now + self.skew_ms
+
+    def send(self, kind: str, receiver: str, payload: dict) -> None:
+        self.world.bus.send(Message(kind, self.id, receiver, payload))
+
+    def handle(self, msg: Message) -> None:
+        handler = self.HANDLERS.get(msg.kind)
+        if handler is None:
+            raise ProtocolError(f"{self.ROLE} cannot handle {msg.kind!r}")
+        handler(self, msg)
+
+    def _refuse(self, receiver: str, reason: str, re_kind: str,
+                **echo) -> None:
+        """Refuse ``receiver``'s ``re_kind`` request, naming it by ``echo``."""
+        self.send(REFUSAL, receiver, {"reason": reason, "re": re_kind, **echo})
+
+    def _pop_request(self, pending: dict[bytes, Message], msg: Message,
+                     key: str) -> Message:
+        """The open request that the reply ``msg`` answers, named by the
+        proof digest at ``key`` in its payload."""
+        request = pending.pop(msg.payload[key].data, None)
+        if request is None:
+            raise ProtocolError(f"{msg.kind} answers no open {self.ROLE} request")
+        return request
+
+
+class AuthorityAgent(_Party):
     """Location authority: issues proofs, ordering constructs, endorsement
     timestamps, and per-epoch reports."""
 
-    def __init__(self, authority_id: str, keys: KeyPair, profile: CryptoProfile,
-                 config: ProtocolConfig, clock: SimClock,
-                 ground_truth: GroundTruth, registry: EpochRegistry,
-                 scheme: str, rng: random.Random, bus: "MessageBus",
-                 directory: Directory,
+    ROLE = "authority"
+
+    def __init__(self, world: World, authority_id: str, keys: KeyPair, *,
                  granularities: Optional[list[str]] = None,
                  skew_ms: int = 0,
                  behavior: Optional[AuthorityBehavior] = None,
                  trusted_proxies: Optional[set[str]] = None,
                  proxy_parent: Optional[str] = None):
-        self.id = authority_id
-        self.keys = keys
-        self.profile = profile
-        self.config = config
-        self.clock = clock
-        self.ground_truth = ground_truth
-        self.registry = registry
-        self.scheme = scheme
-        self.rng = rng
-        self.bus = bus
-        self.directory = directory
+        super().__init__(world, authority_id, keys, skew_ms=skew_ms)
         self.granularities = granularities
-        self.skew_ms = skew_ms
         self.behavior = behavior or AuthorityBehavior()
         self.trusted_proxies = trusted_proxies or set()
         self.proxy_parent = proxy_parent
@@ -331,52 +364,31 @@ class AuthorityAgent:
 
     # -- time ----------------------------------------------------------------
 
-    def local_now(self) -> int:
-        return self.clock.now + self.skew_ms
-
     def roll_epochs(self) -> None:
         """Publish reports for every fully elapsed epoch."""
-        while self.local_now() >= (self.current_epoch + 1) * self.config.epoch_len_ms:
-            self._close_current_epoch()
-
-    def _close_current_epoch(self) -> None:
-        digests = self.epoch_digests.pop(self.current_epoch, [])
-        report = build_epoch_report(
-            self.profile, self.keys, self.id, self.current_epoch,
-            self.config.epoch_len_ms, digests,
-            capacity=self.config.epoch_capacity,
-            target_fpr=self.config.epoch_fpr,
-        )
-        self.registry.publish(report)
-        self.current_epoch += 1
+        config = self.world.config
+        while self.local_now() >= (self.current_epoch + 1) * config.epoch_len_ms:
+            digests = self.epoch_digests.pop(self.current_epoch, [])
+            self.world.registry.publish(build_epoch_report(
+                self.world.profile, self.keys, self.id, self.current_epoch,
+                config.epoch_len_ms, digests,
+                capacity=config.epoch_capacity,
+                target_fpr=config.epoch_fpr,
+            ))
+            self.current_epoch += 1
 
     # -- message handling ----------------------------------------------------
 
     def handle(self, msg: Message) -> None:
         self.roll_epochs()
-        if msg.kind == PREQ:
-            self._handle_preq(msg)
-        elif msg.kind == TREQ:
-            self._handle_treq(msg)
-        elif msg.kind == PROXY_REQ:
-            self._handle_proxy_req(msg)
-        elif msg.kind == PROXY_RESP:
-            self._handle_proxy_resp(msg)
-        elif msg.kind == REFUSAL:
-            self._handle_parent_refusal(msg)
-        else:
-            raise ProtocolError(f"authority cannot handle {msg.kind!r}")
-
-    def _refuse(self, msg: Message, reason: str, re_kind: str) -> None:
-        self.bus.send(Message(REFUSAL, self.id, msg.sender,
-                              {"reason": reason, "re": re_kind}))
+        super().handle(msg)
 
     def _handle_preq(self, msg: Message) -> None:
         user_id = msg.payload["user_id"]
         prev = msg.payload.get("prev_construct")
         if not self.behavior.skip_localization and \
-                not self.ground_truth.present(user_id, self.id):
-            self._refuse(msg, REFUSE_NOT_PRESENT, PREQ)
+                not self.world.ground_truth.present(user_id, self.id):
+            self._refuse(msg.sender, REFUSE_NOT_PRESENT, PREQ)
             return
         visit_time = self.local_now() + self.behavior.visit_time_shift_ms
         lp = self._build_proof(user_id, visit_time)
@@ -384,95 +396,101 @@ class AuthorityAgent:
             # Hand the proof to the broader-area authority for re-signing;
             # reply to the user once it comes back. The parent echoes the
             # original proof's digest, which names the request it answers.
-            digest = proof_digest(self.profile, lp)
+            digest = proof_digest(self.world.profile, lp)
             self._pending_proxy[digest.data] = msg
-            self.bus.send(Message(PROXY_REQ, self.id, self.proxy_parent, {
+            self.send(PROXY_REQ, self.proxy_parent, {
                 "proof": lp, "prev_construct": prev, "requester": user_id,
-                "original_digest": digest}))
+                "original_digest": digest})
             return
-        construct = issue_construct(self.profile, self.keys, self.scheme,
-                                    self.config, lp, prev)
-        self.record_issue(lp, visit_time)
-        self.bus.send(Message(PRESP, self.id, msg.sender, {
-            "proof": lp, "construct": construct}))
+        self._issue(msg.sender, lp, prev, visit_time)
 
     def _build_proof(self, user_id: str, visit_time: int) -> LocationProof:
+        profile = self.world.profile
         if self.granularities:
             stmt = make_private_statement(
-                self.profile, user_id, self.id, visit_time,
-                self.granularities, self.rng)
+                profile, user_id, self.id, visit_time,
+                self.granularities, self.world.rng)
         else:
             stmt = make_statement(user_id, self.id, visit_time)
-        return make_proof(self.profile, self.keys, stmt)
+        return make_proof(profile, self.keys, stmt)
+
+    def _issue(self, receiver: str, lp: LocationProof,
+               prev: Optional[OrderingConstruct], visit_time: int,
+               kind: str = PRESP, **echo) -> None:
+        """Issue ``lp`` with its ordering construct onto ``prev`` and send
+        both to ``receiver``."""
+        world = self.world
+        construct = issue_construct(world.profile, self.keys, world.scheme,
+                                    world.config, lp, prev)
+        self.record_issue(lp, visit_time)
+        self.send(kind, receiver, {"proof": lp, "construct": construct, **echo})
 
     def record_issue(self, lp: LocationProof, visit_time: int) -> None:
         """Log ``lp`` as issued now and queue its digest for the current
         epoch's report, or for the visit's epoch when deferring."""
-        digest = proof_digest(self.profile, lp)
+        digest = proof_digest(self.world.profile, lp)
         self.issue_log[digest.data] = self.local_now()
         epoch = self.current_epoch
         if self.behavior.defer_record_to_visit_epoch:
-            epoch = epoch_of(visit_time, self.config.epoch_len_ms)
+            epoch = epoch_of(visit_time, self.world.config.epoch_len_ms)
         self.epoch_digests.setdefault(epoch, []).append(digest)
 
     def _handle_treq(self, msg: Message) -> None:
         digest: Digest = msg.payload["proof_digest"]
         issued_at = self.issue_log.get(digest.data)
+        # the digest names the request among the witness's open ones
         if issued_at is None:
-            self._refuse(msg, REFUSE_UNKNOWN_PROOF, TREQ)
+            self._refuse(msg.sender, REFUSE_UNKNOWN_PROOF, TREQ,
+                         proof_digest=digest)
             return
         now = self.local_now()
-        if now - issued_at > self.config.timestamp_lag_ms:
-            self._refuse(msg, REFUSE_STALE_PROOF, TREQ)
+        if now - issued_at > self.world.config.timestamp_lag_ms:
+            self._refuse(msg.sender, REFUSE_STALE_PROOF, TREQ,
+                         proof_digest=digest)
             return
         endorsed_at = max(now + self.behavior.timestamp_shift_ms,
                           self.last_timestamp)
         self.last_timestamp = endorsed_at
         attestation = TimestampAttestation(digest, endorsed_at)
-        sig = self.profile.sign(self.keys.private_key,
-                                canonical_encode(attestation))
-        self.bus.send(Message(TRESP, self.id, msg.sender, {
+        sig = self.world.profile.sign(self.keys.private_key,
+                                      canonical_encode(attestation))
+        self.send(TRESP, msg.sender, {
             "proof_digest": digest, "endorsed_at": endorsed_at,
-            "time_sig": sig}))
+            "time_sig": sig})
 
     # -- proxy re-signing ----------------------------------------------------
 
     def _handle_proxy_req(self, msg: Message) -> None:
         lp: LocationProof = msg.payload["proof"]
+        echo = {"original_digest": msg.payload["original_digest"]}
         try:
-            new_lp = proxy_resign(self.profile, self, msg.sender, lp)
+            new_lp = proxy_resign(self.world.profile, self, msg.sender, lp)
         except ProtocolError as exc:
-            self.bus.send(Message(REFUSAL, self.id, msg.sender, {
-                "reason": str(exc), "re": PROXY_REQ,
-                "original_digest": msg.payload["original_digest"]}))
+            self._refuse(msg.sender, str(exc), PROXY_REQ, **echo)
             return
-        construct = issue_construct(self.profile, self.keys, self.scheme,
-                                    self.config, new_lp,
-                                    msg.payload.get("prev_construct"))
-        self.record_issue(new_lp, new_lp.statement.visit_time)
-        self.bus.send(Message(PROXY_RESP, self.id, msg.sender, {
-            "proof": new_lp, "construct": construct,
-            "requester": msg.payload["requester"],
-            "original_digest": msg.payload["original_digest"]}))
-
-    def _pop_pending_proxy(self, msg: Message) -> Message:
-        """The user request that a parent's reply answers."""
-        original = self._pending_proxy.pop(
-            msg.payload["original_digest"].data, None)
-        if original is None:
-            raise ProtocolError(f"{msg.kind} without a pending proxy request")
-        return original
+        self._issue(msg.sender, new_lp, msg.payload.get("prev_construct"),
+                    new_lp.statement.visit_time, PROXY_RESP,
+                    requester=msg.payload["requester"], **echo)
 
     def _handle_proxy_resp(self, msg: Message) -> None:
-        original = self._pop_pending_proxy(msg)
-        self.bus.send(Message(PRESP, self.id, original.sender, {
+        original = self._pop_request(self._pending_proxy, msg, "original_digest")
+        self.send(PRESP, original.sender, {
             "proof": msg.payload["proof"],
-            "construct": msg.payload["construct"]}))
+            "construct": msg.payload["construct"]})
 
     def _handle_parent_refusal(self, msg: Message) -> None:
         # The broader-area authority declined to re-sign; pass the refusal
         # on to the user waiting for that proof.
-        self._refuse(self._pop_pending_proxy(msg), msg.payload["reason"], PREQ)
+        original = self._pop_request(self._pending_proxy, msg, "original_digest")
+        self._refuse(original.sender, msg.payload["reason"], PREQ)
+
+    HANDLERS = {
+        PREQ: _handle_preq,
+        TREQ: _handle_treq,
+        PROXY_REQ: _handle_proxy_req,
+        PROXY_RESP: _handle_proxy_resp,
+        REFUSAL: _handle_parent_refusal,
+    }
 
 
 def proxy_resign(profile: CryptoProfile, broad_authority: AuthorityAgent,
@@ -487,7 +505,8 @@ def proxy_resign(profile: CryptoProfile, broad_authority: AuthorityAgent,
         raise ProtocolError(
             f"{broad_authority.id!r} does not proxy for "
             f"{requesting_authority_id!r}")
-    original_key = broad_authority.directory.public_key(requesting_authority_id)
+    original_key = broad_authority.world.directory.public_key(
+        requesting_authority_id)
     if not profile.verify(original_key, statement_signing_bytes(lp.statement),
                           lp.authority_sig):
         raise ProtocolError(REFUSE_BAD_PROOF)
@@ -495,96 +514,66 @@ def proxy_resign(profile: CryptoProfile, broad_authority: AuthorityAgent,
     return make_proof(profile, broad_authority.keys, new_statement)
 
 
-class WitnessAgent:
+class WitnessAgent(_Party):
     """Co-located third party that endorses location proofs."""
 
-    def __init__(self, witness_id: str, keys: KeyPair, profile: CryptoProfile,
-                 config: ProtocolConfig, clock: SimClock,
-                 ground_truth: GroundTruth, bus: "MessageBus", skew_ms: int = 0,
-                 behavior: Optional[WitnessBehavior] = None):
-        self.id = witness_id
-        self.keys = keys
-        self.profile = profile
-        self.config = config
-        self.clock = clock
-        self.ground_truth = ground_truth
-        self.bus = bus
-        self.skew_ms = skew_ms
+    ROLE = "witness"
+
+    def __init__(self, world: World, witness_id: str, keys: KeyPair, *,
+                 skew_ms: int = 0, behavior: Optional[WitnessBehavior] = None):
+        super().__init__(world, witness_id, keys, skew_ms=skew_ms)
         self.behavior = behavior or WitnessBehavior()
         self._pending: dict[bytes, Message] = {}
 
-    def local_now(self) -> int:
-        return self.clock.now + self.skew_ms
-
-    def current_location(self) -> Optional[str]:
-        locations = self.ground_truth.locations_of(self.id)
-        return next(iter(sorted(locations)), None)
-
-    def handle(self, msg: Message) -> None:
-        if msg.kind == EREQ:
-            self._handle_ereq(msg)
-        elif msg.kind == TRESP:
-            self._handle_tresp(msg)
-        elif msg.kind == REFUSAL:
-            self._handle_authority_refusal(msg)
-        else:
-            raise ProtocolError(f"witness cannot handle {msg.kind!r}")
-
-    def _refuse(self, requester: str, reason: str) -> None:
-        self.bus.send(Message(REFUSAL, self.id, requester,
-                              {"reason": reason, "re": EREQ}))
-
     def _handle_ereq(self, msg: Message) -> None:
         lp: LocationProof = msg.payload["proof"]
-        user_id = lp.statement.user_id
-        here = self.current_location()
+        ground_truth = self.world.ground_truth
         if not self.behavior.skip_localization:
-            if here is None or not self.ground_truth.present(user_id, here):
-                self._refuse(msg.sender, REFUSE_NOT_COLOCATED)
+            here = min(ground_truth.locations_of(self.id), default=None)
+            if here is None or not ground_truth.present(lp.statement.user_id, here):
+                self._refuse(msg.sender, REFUSE_NOT_COLOCATED, EREQ)
                 return
-        digest = proof_digest(self.profile, lp)
+        digest = proof_digest(self.world.profile, lp)
         self._pending[digest.data] = msg
-        self.bus.send(Message(TREQ, self.id, lp.statement.location_id,
-                              {"proof_digest": digest}))
+        self.send(TREQ, lp.statement.location_id, {"proof_digest": digest})
 
     def _handle_tresp(self, msg: Message) -> None:
-        digest: Digest = msg.payload["proof_digest"]
-        pending = self._pending.pop(digest.data, None)
-        if pending is None:
-            raise ProtocolError("timestamp for a proof the witness never saw")
+        pending = self._pop_request(self._pending, msg, "proof_digest")
         lp: LocationProof = pending.payload["proof"]
         endorsed_at: int = msg.payload["endorsed_at"]
         t = lp.statement.visit_time
+        config = self.world.config
         if not self.behavior.ignore_time_checks:
-            if not t <= endorsed_at <= t + self.config.endorsement_window_ms:
-                self._refuse(pending.sender, REFUSE_BAD_WINDOW)
+            if not t <= endorsed_at <= t + config.endorsement_window_ms:
+                self._refuse(pending.sender, REFUSE_BAD_WINDOW, EREQ)
                 return
-            if abs(endorsed_at - self.local_now()) > self.config.witness_clock_tolerance_ms:
-                self._refuse(pending.sender, REFUSE_CLOCK_DISAGREEMENT)
+            if abs(endorsed_at - self.local_now()) > config.witness_clock_tolerance_ms:
+                self._refuse(pending.sender, REFUSE_CLOCK_DISAGREEMENT, EREQ)
                 return
         try:
             endorsement = make_endorsement(
-                self.profile, self.keys, self.id, lp, endorsed_at,
+                self.world.profile, self.keys, self.id, lp, endorsed_at,
                 msg.payload["time_sig"],
                 # a colluding witness signs whatever window it is handed
                 window_ms=(1 << 62) if self.behavior.ignore_time_checks
-                else self.config.endorsement_window_ms,
+                else config.endorsement_window_ms,
             )
         except WindowError:
             # ... except one that ends before the visit began
-            self._refuse(pending.sender, REFUSE_BAD_WINDOW)
+            self._refuse(pending.sender, REFUSE_BAD_WINDOW, EREQ)
             return
-        self.bus.send(Message(ERESP, self.id, pending.sender,
-                              {"endorsement": endorsement, "proof": lp}))
+        self.send(ERESP, pending.sender, {"endorsement": endorsement, "proof": lp})
 
     def _handle_authority_refusal(self, msg: Message) -> None:
-        # The authority declined to timestamp; give up on every pending
-        # endorsement tied to it (there is at most one in practice).
-        for digest, pending in list(self._pending.items()):
-            lp: LocationProof = pending.payload["proof"]
-            if lp.statement.location_id == msg.sender:
-                del self._pending[digest]
-                self._refuse(pending.sender, msg.payload["reason"])
+        # The authority declined to timestamp; give up on that endorsement.
+        pending = self._pop_request(self._pending, msg, "proof_digest")
+        self._refuse(pending.sender, msg.payload["reason"], EREQ)
+
+    HANDLERS = {
+        EREQ: _handle_ereq,
+        TRESP: _handle_tresp,
+        REFUSAL: _handle_authority_refusal,
+    }
 
 
 @dataclass
@@ -594,16 +583,14 @@ class VisitOutcome:
     entry: Optional[ProvenanceEntry] = None
 
 
-class UserAgent:
+class UserAgent(_Party):
     """Mobile user collecting endorsed proofs into a provenance chain."""
 
-    def __init__(self, user_id: str, profile: CryptoProfile, scheme: str,
-                 directory: Directory, bus: "MessageBus"):
-        self.id = user_id
-        self.profile = profile
-        self.directory = directory
-        self.bus = bus
-        self.chain = ProvenanceChain(scheme)
+    ROLE = "user"
+
+    def __init__(self, world: World, user_id: str, keys: KeyPair):
+        super().__init__(world, user_id, keys)
+        self.chain = ProvenanceChain(world.scheme)
         self.visit_log: list[VisitOutcome] = []
         self._pending_construct: Optional[OrderingConstruct] = None
         self._pending_witness: Optional[str] = None
@@ -615,48 +602,46 @@ class UserAgent:
         self._replay_construct = self.chain.entries[position - 1].ordering
 
     def start_visit(self, location_id: str, witness_id: str) -> None:
-        if not self.directory.has(location_id):
+        if not self.world.directory.has(location_id):
             raise UnknownPartyError(f"authority {location_id!r} not in directory")
         prev = self._replay_construct if self._replay_construct is not None \
             else self.chain.latest_construct
         self._replay_construct = None
         self._pending_witness = witness_id
-        self.bus.send(Message(PREQ, self.id, location_id, {
-            "user_id": self.id, "prev_construct": prev}))
-
-    def handle(self, msg: Message) -> None:
-        if msg.kind == PRESP:
-            self._handle_presp(msg)
-        elif msg.kind == ERESP:
-            self._handle_eresp(msg)
-        elif msg.kind == REFUSAL:
-            self.visit_log.append(VisitOutcome(False, msg.payload["reason"]))
-            self._pending_construct = None
-            self._pending_witness = None
-        else:
-            raise ProtocolError(f"user cannot handle {msg.kind!r}")
+        self.send(PREQ, location_id, {"user_id": self.id, "prev_construct": prev})
 
     def _handle_presp(self, msg: Message) -> None:
         lp: LocationProof = msg.payload["proof"]
-        issuer_key = self.directory.public_key(lp.statement.location_id)
-        if not self.profile.verify(issuer_key,
-                                   statement_signing_bytes(lp.statement),
-                                   lp.authority_sig):
+        issuer_key = self.world.directory.public_key(lp.statement.location_id)
+        if not self.world.profile.verify(issuer_key,
+                                         statement_signing_bytes(lp.statement),
+                                         lp.authority_sig):
             self.visit_log.append(VisitOutcome(False, REFUSE_BAD_PROOF))
             return
         self._pending_construct = msg.payload["construct"]
-        self.bus.send(Message(EREQ, self.id, self._pending_witness,
-                              {"proof": lp}))
+        self.send(EREQ, self._pending_witness, {"proof": lp})
 
     def _handle_eresp(self, msg: Message) -> None:
         endorsement: Endorsement = msg.payload["endorsement"]
         lp: LocationProof = msg.payload["proof"]
-        elp = assemble_elp(self.profile, lp, [endorsement])
+        elp = assemble_elp(self.world.profile, lp, [endorsement])
         entry = ProvenanceEntry(elp, self._pending_construct)
         self.chain = self.chain.append(entry)
+        self._end_visit(VisitOutcome(True, entry=entry))
+
+    def _handle_refusal(self, msg: Message) -> None:
+        self._end_visit(VisitOutcome(False, msg.payload["reason"]))
+
+    def _end_visit(self, outcome: VisitOutcome) -> None:
+        self.visit_log.append(outcome)
         self._pending_construct = None
         self._pending_witness = None
-        self.visit_log.append(VisitOutcome(True, entry=entry))
+
+    HANDLERS = {
+        PRESP: _handle_presp,
+        ERESP: _handle_eresp,
+        REFUSAL: _handle_refusal,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -684,49 +669,28 @@ class World:
         self.authorities: dict[str, AuthorityAgent] = {}
         self.witnesses: dict[str, WitnessAgent] = {}
 
-    def _keys_for(self, label: str) -> KeyPair:
-        return self.profile.keygen(derive_seed(self.master_seed, label))
+    def _join(self, role: type[_Party], party_id: str, members: dict,
+              **options) -> _Party:
+        """Derive ``party_id``'s keys from its role, build its agent with
+        ``options`` (the role's keywords), and register it in ``members``,
+        the directory and on the bus."""
+        keys = self.profile.keygen(
+            derive_seed(self.master_seed, f"{role.ROLE}:{party_id}"))
+        agent = role(self, party_id, keys, **options)
+        members[party_id] = agent
+        self.directory.register(party_id, role.ROLE, keys)
+        self.bus.register(party_id, agent.handle)
+        return agent
 
     def add_user(self, user_id: str) -> UserAgent:
-        keys = self._keys_for("user:" + user_id)
-        agent = UserAgent(user_id, self.profile, self.scheme, self.directory,
-                          self.bus)
-        self.users[user_id] = agent
-        self.directory.register(user_id, "user", keys.public_key,
-                                keys.scheme_id)
-        self.bus.register(user_id, agent.handle)
-        return agent
+        return self._join(UserAgent, user_id, self.users)
 
-    def add_authority(self, authority_id: str, *,
-                      granularities: Optional[list[str]] = None,
-                      skew_ms: int = 0,
-                      behavior: Optional[AuthorityBehavior] = None,
-                      trusted_proxies: Optional[set[str]] = None,
-                      proxy_parent: Optional[str] = None) -> AuthorityAgent:
-        keys = self._keys_for("authority:" + authority_id)
-        agent = AuthorityAgent(
-            authority_id, keys, self.profile, self.config, self.clock,
-            self.ground_truth, self.registry, self.scheme, self.rng, self.bus,
-            self.directory,
-            granularities=granularities, skew_ms=skew_ms, behavior=behavior,
-            trusted_proxies=trusted_proxies, proxy_parent=proxy_parent)
-        self.authorities[authority_id] = agent
-        self.directory.register(authority_id, "authority", keys.public_key,
-                                keys.scheme_id)
-        self.bus.register(authority_id, agent.handle)
-        return agent
+    def add_authority(self, authority_id: str, **options) -> AuthorityAgent:
+        return self._join(AuthorityAgent, authority_id, self.authorities,
+                          **options)
 
-    def add_witness(self, witness_id: str, *, skew_ms: int = 0,
-                    behavior: Optional[WitnessBehavior] = None) -> WitnessAgent:
-        keys = self._keys_for("witness:" + witness_id)
-        agent = WitnessAgent(witness_id, keys, self.profile, self.config,
-                             self.clock, self.ground_truth, self.bus,
-                             skew_ms=skew_ms, behavior=behavior)
-        self.witnesses[witness_id] = agent
-        self.directory.register(witness_id, "witness", keys.public_key,
-                                keys.scheme_id)
-        self.bus.register(witness_id, agent.handle)
-        return agent
+    def add_witness(self, witness_id: str, **options) -> WitnessAgent:
+        return self._join(WitnessAgent, witness_id, self.witnesses, **options)
 
     def place(self, party_id: str, location_id: str) -> None:
         self.ground_truth.place(party_id, location_id)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, asdict, replace as dataclass_r
 from typing import Optional
 
 from .audit import AuditReport, LocationClaim, audit, classify_failure
-from .crypto import CryptoError, CryptoProfile, derive_seed, get_profile
+from .crypto import CryptoError, derive_seed, get_profile
 from .model import (
     EndorsedLocationProof,
     ProvenanceChain,
@@ -376,10 +376,8 @@ class ScenarioOutcome:
 class _Runner:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.config = ProtocolConfig(**scenario.config)
-        self.profile: CryptoProfile = get_profile(scenario.profile_name)
-        self.world = World(self.profile, scenario.scheme, self.config,
-                           seed=scenario.seed)
+        self.world = World(get_profile(scenario.profile_name), scenario.scheme,
+                           ProtocolConfig(**scenario.config), seed=scenario.seed)
         self.presented: list[ProvenanceEntry] = []
         self.prevented = False
         self.refusals: list[str] = []
@@ -394,19 +392,17 @@ class _Runner:
             if actor.role == "user":
                 self.world.add_user(actor.actor_id)
             elif actor.role == "authority":
-                behavior = AuthorityBehavior(**actor.behavior)
                 self.world.add_authority(
                     actor.actor_id,
                     granularities=actor.granularities,
                     skew_ms=actor.skew_ms,
-                    behavior=behavior,
+                    behavior=AuthorityBehavior(**actor.behavior),
                     trusted_proxies=set(actor.trusted_proxies or ()),
                     proxy_parent=actor.proxy_parent,
                 )
             else:
-                behavior = WitnessBehavior(**actor.behavior)
                 self.world.add_witness(actor.actor_id, skew_ms=actor.skew_ms,
-                                       behavior=behavior)
+                                       behavior=WitnessBehavior(**actor.behavior))
             if actor.location:
                 self.world.place(actor.actor_id, actor.location)
 
@@ -417,7 +413,7 @@ class _Runner:
     def _forged_keypair(self, label: str):
         if label not in self._forged_keys:
             seed = derive_seed(self.world.master_seed, "forged:" + label)
-            self._forged_keys[label] = self.profile.keygen(seed)
+            self._forged_keys[label] = self.world.profile.keygen(seed)
         return self._forged_keys[label]
 
     # -- script ops ----------------------------------------------------------
@@ -532,14 +528,15 @@ class _Runner:
         forge_authority = op.get("forge_authority", True)
         forge_witness = op.get("forge_witness", True)
         t = self.world.clock.now + op.get("visit_time_shift_ms", 0)
+        profile = self.world.profile
 
         if forge_authority:
             authority_keys = self._forged_keypair("authority:" + location_id)
         else:
             authority_keys = self.world.authorities[location_id].keys
         stmt = make_statement(user_id, location_id, t)
-        lp = make_proof(self.profile, authority_keys, stmt)
-        digest = proof_digest(self.profile, lp)
+        lp = make_proof(profile, authority_keys, stmt)
+        digest = proof_digest(profile, lp)
 
         if not forge_authority and op.get("record_epoch", False):
             # A colluding authority quietly records the digest as issued so
@@ -548,20 +545,20 @@ class _Runner:
 
         endorsed_at = t + 1_000
         attestation = TimestampAttestation(digest, endorsed_at)
-        time_sig = self.profile.sign(authority_keys.private_key,
-                                     canonical_encode(attestation))
+        time_sig = profile.sign(authority_keys.private_key,
+                                canonical_encode(attestation))
         if forge_witness:
             witness_keys = self._forged_keypair("witness:" + witness_id)
         else:
             witness_keys = self.world.witnesses[witness_id].keys
         endorsement = make_endorsement(
-            self.profile, witness_keys, witness_id, lp, endorsed_at,
+            profile, witness_keys, witness_id, lp, endorsed_at,
             time_sig, window_ms=(1 << 62))
-        elp = assemble_elp(self.profile, lp, [endorsement])
+        elp = assemble_elp(profile, lp, [endorsement])
 
         prev = self.presented[-1].ordering if self.presented else None
-        construct = issue_construct(self.profile, authority_keys,
-                                    self.scenario.scheme, self.config, lp, prev)
+        construct = issue_construct(profile, authority_keys, self.world.scheme,
+                                    self.world.config, lp, prev)
         self.presented.append(ProvenanceEntry(elp, construct))
         self._event(event="fabricate_visit", user=user_id,
                     location=location_id, witness=witness_id, visit_time=t,
@@ -576,7 +573,8 @@ class _Runner:
         if positions in (None, "all"):
             positions = list(range(1, len(self.presented) + 1))
         disclose = {int(k): v for k, v in reveal.get("disclose", {}).items()}
-        sub = make_revealed_subsequence(self.profile, chain, positions, disclose)
+        sub = make_revealed_subsequence(self.world.profile, chain, positions,
+                                        disclose)
 
         order = reveal.get("presentation_order")
         if order:
@@ -590,9 +588,9 @@ class _Runner:
 
         claims = self._build_claims(sub)
         report = audit(
-            self.profile, claims, sub, self.world.directory.pubkeys(),
+            self.world.profile, claims, sub, self.world.directory.pubkeys(),
             self.world.registry,
-            endorsement_window_ms=self.config.endorsement_window_ms,
+            endorsement_window_ms=self.world.config.endorsement_window_ms,
         )
         return report, sub, claims
 

@@ -466,12 +466,14 @@ UNWRITABLE = "{tmp}/missing/out"
     # The output directory is an existing file.
     ["simulate", str(SHARED / "scenario.json"),
      "--out-dir", str(SHARED / "scenario.json")],
+    ["scenarios", "--export", str(SHARED / "scenario.json")],
 ], ids=["bench-audit-pct-not-a-number", "bench-audit-pct-nan",
         "bench-audit-pct-inf", "bench-audit-pct-0",
         "bench-audit-pct-above-100", "bench-audit-pct-empty",
         "bench-audit-chain-n-0", "bench-space-max-n-0", "bench-space-fpr-0",
         "bench-space-fpr-above-1", "bench-space-fpr-nan", "bench-space-out",
-        "bench-audit-out", "audit-out", "simulate-out-dir"])
+        "bench-audit-out", "audit-out", "simulate-out-dir",
+        "scenarios-export"])
 def test_usage_errors_exit_two(tmp_path, capsys, argv):
     """Bad sizes, rates and percentages, and outputs that cannot be
     written: an error line and exit 2, the code for usage errors, never a

@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from operator import call
 
 import pytest
 
@@ -33,6 +32,12 @@ from locprov.protocol import World
 
 PROFILE = MODERN
 AUTH = PROFILE.keygen(bytes(range(32)))
+
+
+def call(check, *args):
+    """Run one signature check on the spot, as ``operator.call`` (3.11+)
+    does."""
+    return check(*args)
 
 
 def _proof(i, authority=AUTH, location="cafe-7"):

@@ -1,20 +1,29 @@
 """Protocol roles over the message bus: visits, refusals, timestamps, proxy."""
 
+import re
+
 import pytest
 
 from locprov.crypto import MODERN
 from locprov.model import (
     HashChainLink,
     ValidationError,
+    make_proof,
     make_revealed_subsequence,
+    make_statement,
     proof_digest,
     statement_signing_bytes,
 )
 from locprov.protocol import (
+    EREQ,
+    ERESP,
     Message,
+    PREQ,
     PROXY_REQ,
     ProtocolConfig,
+    ProtocolError,
     REFUSE_BAD_PROOF,
+    REFUSE_UNKNOWN_PROOF,
     TREQ,
     UnknownPartyError,
     World,
@@ -132,6 +141,19 @@ def test_user_rejects_proof_with_bad_signature():
     assert outcome.reason == "proof-verification-failed"
 
 
+@pytest.mark.parametrize("role, party, kind", [
+    ("authority", "cafe-7", ERESP),
+    ("witness", "w1", PREQ),
+    ("user", "u1", TREQ),
+])
+def test_each_role_rejects_a_kind_it_does_not_take(role, party, kind):
+    world = _world()
+    world.bus.send(Message(kind, "u1", party, {}))
+    with pytest.raises(ProtocolError,
+                       match=re.escape(f"{role} cannot handle {kind!r}")):
+        world.bus.run()
+
+
 # ---------------------------------------------------------------------------
 # endorsement timestamps
 # ---------------------------------------------------------------------------
@@ -217,6 +239,25 @@ def test_witness_refuses_timestamp_far_from_own_clock():
     outcome = world.run_visit("u1", "cafe-7", "w1")
     assert not outcome.ok
     assert outcome.reason == "timestamp-implausible"
+
+
+def test_authority_refusal_reaches_only_the_request_it_refuses():
+    """While u1's visit runs, u2 asks the same witness to endorse a proof
+    cafe-7 never issued. cafe-7 refuses that timestamp request; the refusal
+    names its proof, so u1's endorsement still goes through."""
+    world = _world()
+    world.add_user("u2")
+    world.place("u2", "cafe-7")
+    never_issued = make_proof(world.profile, world.authorities["cafe-7"].keys,
+                              make_statement("u2", "cafe-7", 1_000))
+    world.users["u1"].start_visit("cafe-7", "w1")
+    world.bus.send(Message(EREQ, "u2", "w1", {"proof": never_issued}))
+    world.bus.run()
+    (u1_outcome,) = world.users["u1"].visit_log
+    (u2_outcome,) = world.users["u2"].visit_log
+    assert u1_outcome.ok
+    assert not u2_outcome.ok and u2_outcome.reason == REFUSE_UNKNOWN_PROOF
+    assert world.witnesses["w1"]._pending == {}
 
 
 def test_bloom_construct_accumulates_and_is_resigned():
