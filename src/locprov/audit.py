@@ -14,6 +14,10 @@ later claims in the same report reuse that result and only test membership.
 Chronological order of the whole presentation is then delegated to the
 active ordering scheme's verifier.
 
+The signature, binding and window rules are the parties' own (``model``'s
+``proof_signed``, ``binding_fault``, ``ENDORSEMENT_WINDOW_MS``), and no
+caller sets its own, so every tool auditing the same files agrees.
+
 The whole audit, claims then ordering, is one walk handed to
 ``fanout.batched``. Every signature check in it goes through the ``verify``
 it is given, and a failed one only ends that claim or the ordering early.
@@ -41,6 +45,7 @@ from .epochs import EpochRegistry, RegistryError, check_inclusion
 from .fanout import batched
 from .hashchain import chain_verify_subsequence
 from .model import (
+    ENDORSEMENT_WINDOW_MS,
     EndorsementStatement,
     EpochReport,
     LocationStatement,
@@ -52,9 +57,10 @@ from .model import (
     ValidationError,
     SCHEME_BLOOM,
     SCHEME_HASHCHAIN,
+    binding_fault,
     canonical_encode,
     proof_digest,
-    statement_signing_bytes,
+    proof_signed,
     ORDER_INCOMPLETE,
 )
 
@@ -111,8 +117,6 @@ def audit(
     sub: RevealedSubsequence,
     pubkeys: Mapping[str, bytes],
     registry: Optional[EpochRegistry] = None,
-    *,
-    endorsement_window_ms: int = 60_000,
 ) -> AuditReport:
     """Audit claims against a revealed subsequence.
 
@@ -153,8 +157,7 @@ def audit(
         report_errors: dict[tuple[str, int], Optional[str]] = {}
         verdicts = tuple(
             _audit_claim(profile, i, claim, revealed, report, pubkeys,
-                         registry, endorsement_window_ms, checks,
-                         report_errors, verify)
+                         registry, checks, report_errors, verify)
             for i, (claim, revealed, report) in enumerate(
                 zip(claims, sub.entries, reports)))
         return AuditReport(
@@ -168,11 +171,6 @@ def audit(
 
 # The signature checks of a claim, each building the bytes it verifies in
 # the process that runs it.
-
-def _proof_signed(profile: CryptoProfile, public_key: bytes, stmt,
-                  sig: Signature) -> bool:
-    return profile.verify(public_key, statement_signing_bytes(stmt), sig)
-
 
 def _witness_signed(profile: CryptoProfile, public_key: bytes,
                     es: EndorsementStatement, sig: Signature) -> bool:
@@ -193,7 +191,6 @@ def _audit_claim(
     report: Optional[EpochReport],
     pubkeys: Mapping[str, bytes],
     registry: Optional[EpochRegistry],
-    window_ms: int,
     checks: Counter,
     report_errors: dict[tuple[str, int], Optional[str]],
     verify: Callable[..., bool],
@@ -210,7 +207,7 @@ def _audit_claim(
     if issuer_key is None:
         return fail(CLAIM_BAD_SIGNATURE, f"unknown issuer {issuer!r}")
     checks["proof"] += 1
-    if not verify(_proof_signed, profile, issuer_key, stmt, lp.authority_sig):
+    if not verify(proof_signed, profile, issuer_key, lp):
         return fail(CLAIM_BAD_SIGNATURE, "authority signature invalid")
 
     # Endorsements.
@@ -221,13 +218,9 @@ def _audit_claim(
         es = endorsement.statement
         # Structural binding first: a digest or field mismatch means the
         # endorsement belongs to some other proof, whoever signed it.
-        if es.proof_digest != expected_digest:
-            return fail(CLAIM_ENDORSEMENT_MISMATCH,
-                        "digest: endorsement refers to a different proof")
-        if (es.user_id, es.location_id, es.visit_time) != (
-                stmt.user_id, stmt.location_id, stmt.visit_time):
-            return fail(CLAIM_ENDORSEMENT_MISMATCH,
-                        "fields: endorsement disagrees with the proof")
+        fault = binding_fault(stmt, expected_digest, es)
+        if fault is not None:
+            return fail(CLAIM_ENDORSEMENT_MISMATCH, fault)
         witness_key = pubkeys.get(es.witness_id)
         if witness_key is None:
             return fail(CLAIM_BAD_SIGNATURE,
@@ -240,7 +233,8 @@ def _audit_claim(
         if not verify(_timestamp_signed, profile, issuer_key, es,
                       endorsement.authority_time_sig):
             return fail(CLAIM_BAD_SIGNATURE, "timestamp signature invalid")
-        if not stmt.visit_time <= es.endorsed_at <= stmt.visit_time + window_ms:
+        if not stmt.visit_time <= es.endorsed_at <= \
+                stmt.visit_time + ENDORSEMENT_WINDOW_MS:
             return fail(CLAIM_TIME_MISMATCH,
                         "endorsement-window: timestamp outside window")
 

@@ -37,8 +37,8 @@ from .audit import LocationClaim, audit, render_text_report
 from .bloom import bloom_new
 from .crypto import get_profile
 from .model import (
-    SCHEME_BLOOM,
     SCHEME_HASHCHAIN,
+    SCHEMES,
     ValidationError,
     make_revealed_subsequence,
 )
@@ -243,7 +243,7 @@ def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
     revealing worst-case subsets, and record instrumented operation counts
     plus wall time."""
     rows = []
-    for scheme in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
+    for scheme in SCHEMES:
         world, chain = build_honest_chain(scheme, chain_n, profile_name, seed)
         for pct in reveal_pcts:
             positions = worst_case_positions(chain_n, pct)
@@ -265,9 +265,7 @@ def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
                 "n": chain_n,
                 "pct": pct,
                 "revealed": len(positions),
-                "ops_count": (report.checks["link"]
-                              if scheme == SCHEME_HASHCHAIN
-                              else report.checks["accumulator"]),
+                "ops_count": report.checks["link"] + report.checks["accumulator"],
                 "signatures_verified": report.signatures_verified,
                 "wall_time_s": round(elapsed, 6),
             })
@@ -377,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scheme", choices=[SCHEME_HASHCHAIN, SCHEME_BLOOM],
-                   default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--out-dir", default="simulate-out")
     p.set_defaults(func=cmd_simulate)
 
@@ -405,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_audit)
 
     p = sub.add_parser("scenarios", help="list or export built-in scenarios")
-    p.add_argument("--scheme", choices=[SCHEME_HASHCHAIN, SCHEME_BLOOM],
-                   default=SCHEME_HASHCHAIN)
+    p.add_argument("--scheme", choices=SCHEMES, default=SCHEME_HASHCHAIN)
     p.add_argument("--export", default=None, metavar="DIR")
     p.set_defaults(func=cmd_scenarios)
 

@@ -36,6 +36,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -45,7 +46,7 @@ from cryptography.exceptions import InvalidSignature
 
 
 class CryptoError(Exception):
-    """Raised on unsupported schemes or malformed key material."""
+    """Raised on unknown profiles or malformed key material."""
 
 
 # ---------------------------------------------------------------------------
@@ -219,35 +220,29 @@ def _ed25519_verify(public_key: bytes, message: bytes, sig: bytes) -> bool:
 
 @dataclass(frozen=True)
 class CryptoProfile:
-    """Bundle of primitive choices plus their fixed output lengths."""
+    """Bundle of primitive choices plus their fixed output lengths: a
+    seed-to-(public, private) ``keypair`` and raw-byte sign and verify."""
 
     name: str
     scheme_id: str
     hash_name: str
     digest_len: int
     signature_len: int
+    keypair: Callable[[bytes], tuple[bytes, bytes]]
+    raw_sign: Callable[[bytes, bytes], bytes]
+    raw_verify: Callable[[bytes, bytes, bytes], bool]
     nonce_len: int = 4
 
     def keygen(self, seed: bytes) -> KeyPair:
         """Derive a keypair from a 32-byte seed. Same seed, same keys."""
         if len(seed) != 32:
             raise CryptoError("seed must be exactly 32 bytes")
-        if self.scheme_id == "dsa1024-sha1":
-            pub, priv = _dsa_keypair(seed)
-        elif self.scheme_id == "ed25519":
-            pub, priv = _ed25519_keypair(seed)
-        else:
-            raise CryptoError(f"unsupported scheme {self.scheme_id!r}")
+        pub, priv = self.keypair(seed)
         return KeyPair(scheme_id=self.scheme_id, public_key=pub, private_key=priv)
 
     def sign(self, private_key: bytes, message: bytes) -> Signature:
-        if self.scheme_id == "dsa1024-sha1":
-            raw = _dsa_sign(private_key, message)
-        elif self.scheme_id == "ed25519":
-            raw = _ed25519_sign(private_key, message)
-        else:
-            raise CryptoError(f"unsupported scheme {self.scheme_id!r}")
-        return Signature(scheme_id=self.scheme_id, data=raw)
+        return Signature(scheme_id=self.scheme_id,
+                         data=self.raw_sign(private_key, message))
 
     def verify(self, public_key: bytes, message: bytes, sig: Signature) -> bool:
         """True iff sig was produced over exactly message by the matching key.
@@ -256,11 +251,7 @@ class CryptoProfile:
         """
         if not isinstance(sig, Signature) or sig.scheme_id != self.scheme_id:
             return False
-        if self.scheme_id == "dsa1024-sha1":
-            return _dsa_verify(public_key, message, sig.data)
-        if self.scheme_id == "ed25519":
-            return _ed25519_verify(public_key, message, sig.data)
-        return False
+        return self.raw_verify(public_key, message, sig.data)
 
     def digest(self, message: bytes) -> Digest:
         return Digest(hashlib.new(self.hash_name, message).digest())
@@ -296,6 +287,9 @@ MODERN = CryptoProfile(
     hash_name="sha256",
     digest_len=32,
     signature_len=64,
+    keypair=_ed25519_keypair,
+    raw_sign=_ed25519_sign,
+    raw_verify=_ed25519_verify,
 )
 
 LEGACY = CryptoProfile(
@@ -304,6 +298,9 @@ LEGACY = CryptoProfile(
     hash_name="sha1",
     digest_len=20,
     signature_len=40,
+    keypair=_dsa_keypair,
+    raw_sign=_dsa_sign,
+    raw_verify=_dsa_verify,
 )
 
 _PROFILES = {p.name: p for p in (MODERN, LEGACY)}

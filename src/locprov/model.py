@@ -206,6 +206,7 @@ OrderingConstruct = Union[HashChainLink, BloomAccumulator]
 
 SCHEME_HASHCHAIN = "hashchain"
 SCHEME_BLOOM = "bloom"
+SCHEMES = (SCHEME_HASHCHAIN, SCHEME_BLOOM)
 
 
 def ordering_scheme(construct: OrderingConstruct) -> str:
@@ -677,6 +678,18 @@ def make_proof(profile: CryptoProfile, authority_keys: KeyPair,
     )
 
 
+def proof_signed(profile: CryptoProfile, public_key: bytes,
+                 lp: LocationProof) -> bool:
+    """Whether ``lp`` carries its authority's signature under ``public_key``."""
+    return profile.verify(public_key, statement_signing_bytes(lp.statement),
+                          lp.authority_sig)
+
+
+# Latest a witness endorses a proof, and an auditor accepts the endorsement,
+# by its authority-signed timestamp counted from the proof's visit time.
+ENDORSEMENT_WINDOW_MS = 60_000
+
+
 def make_endorsement(
     profile: CryptoProfile,
     witness_keys: KeyPair,
@@ -689,15 +702,13 @@ def make_endorsement(
     """Build the witness's endorsement of a proof.
 
     ``endorsed_at`` must lie in [t, t + window_ms] relative to the proof's
-    visit time; outside that window the witness refuses.
+    visit time; outside that window the witness refuses. An honest witness
+    passes ``ENDORSEMENT_WINDOW_MS``.
     """
     t = lp.statement.visit_time
-    if endorsed_at < t:
-        raise WindowError(f"endorsement time {endorsed_at} precedes visit time {t}")
-    if endorsed_at - t > window_ms:
-        raise WindowError(
-            f"endorsement time {endorsed_at} exceeds visit time {t} "
-            f"by more than {window_ms} ms")
+    if not t <= endorsed_at <= t + window_ms:
+        raise WindowError(f"endorsement time {endorsed_at} is outside "
+                          f"[{t}, {t} + {window_ms}]")
     es = EndorsementStatement(
         witness_id=witness_id,
         user_id=lp.statement.user_id,
@@ -710,21 +721,29 @@ def make_endorsement(
     return Endorsement(es, witness_sig, authority_time_sig)
 
 
+def binding_fault(stmt: Statement, digest: Digest,
+                  es: EndorsementStatement) -> Optional[str]:
+    """None when ``es`` endorses the proof of ``stmt`` whose digest is
+    ``digest``; else why it belongs to some other proof."""
+    if es.proof_digest != digest:
+        return "digest: endorsement refers to a different proof"
+    if (es.user_id, es.location_id, es.visit_time) != (
+            stmt.user_id, stmt.location_id, stmt.visit_time):
+        return "fields: endorsement disagrees with the proof"
+    return None
+
+
 def assemble_elp(profile: CryptoProfile, lp: LocationProof,
                  endorsements: Iterable[Endorsement]) -> EndorsedLocationProof:
     """Bind endorsements to a proof, rejecting any that refer elsewhere."""
     endorsements = tuple(endorsements)
     if not endorsements:
         raise ValidationError("an endorsed proof needs at least one endorsement")
-    expected = proof_digest(profile, lp)
+    digest = proof_digest(profile, lp)
     for e in endorsements:
-        if e.statement.proof_digest != expected:
-            raise BindingError("endorsement digest refers to a different proof")
-        if (e.statement.user_id, e.statement.location_id,
-                e.statement.visit_time) != (
-                lp.statement.user_id, lp.statement.location_id,
-                lp.statement.visit_time):
-            raise BindingError("endorsement fields disagree with the proof")
+        fault = binding_fault(lp.statement, digest, e.statement)
+        if fault is not None:
+            raise BindingError(fault)
     return EndorsedLocationProof(lp, endorsements)
 
 

@@ -10,10 +10,11 @@ from the supplied one, records the proof digest for its current epoch,
 and replies (``pResp``). The user forwards the proof to a nearby witness
 (``eReq``); the witness runs its own localization check against the user,
 asks the proof's authority to timestamp the endorsement (``tReq`` /
-``tResp``, refused when the request arrives long after issuance), accepts
-the timestamp only if it follows the visit time closely and agrees with
-its own clock, signs the endorsement statement, and replies (``eResp``).
-The user assembles the endorsed proof into a new chain entry.
+``tResp``, refused more than ``TIMESTAMP_LAG_MS`` after issuance), accepts
+the timestamp only within ``model.ENDORSEMENT_WINDOW_MS`` after the visit
+time and within ``WITNESS_CLOCK_TOLERANCE_MS`` of its own clock, signs the
+endorsement statement, and replies (``eResp``). The user assembles the
+endorsed proof into a new chain entry. The auditor checks the same window.
 
 All parties run as single-threaded state machines over a FIFO message
 queue; a scenario is a deterministic event loop given its seed. Each agent
@@ -34,12 +35,12 @@ from typing import Callable, Optional
 
 from . import hashchain
 from .bloom import bloom_insert, bloom_new, sign_accumulator
-from .crypto import CryptoProfile, Digest, KeyPair, derive_seed
+from .crypto import CryptoProfile, Digest, KeyPair, Signature, derive_seed
 from .epochs import EpochRegistry, build_epoch_report, epoch_of
 from .model import (
     BloomAccumulator,
+    ENDORSEMENT_WINDOW_MS,
     Endorsement,
-    EncodingError,
     HashChainLink,
     LocationProof,
     OrderingConstruct,
@@ -57,7 +58,7 @@ from .model import (
     make_proof,
     make_statement,
     proof_digest,
-    statement_signing_bytes,
+    proof_signed,
 )
 
 # Message kinds
@@ -89,12 +90,14 @@ class UnknownPartyError(ProtocolError):
     pass
 
 
+# Timing rules of an endorsement (see the module doc).
+TIMESTAMP_LAG_MS = 30_000
+WITNESS_CLOCK_TOLERANCE_MS = 60_000
+
+
 @dataclass
 class ProtocolConfig:
-    endorsement_window_ms: int = 60_000
-    timestamp_lag_ms: int = 30_000
     epoch_len_ms: int = 300_000
-    witness_clock_tolerance_ms: int = 60_000
     epoch_capacity: int = 4096
     epoch_fpr: float = 0.001
     chain_capacity: int = 1000
@@ -228,11 +231,11 @@ def _payload_fingerprint(payload: dict) -> dict:
             out[key] = value.hex()
         elif isinstance(value, Digest):
             out[key] = value.data.hex()
+        elif isinstance(value, Signature):
+            out[key] = (f"Signature(scheme_id={value.scheme_id!r}, "
+                        f"data={value.data!r})")
         else:
-            try:
-                out[key] = canonical_encode(value).hex()[:48]
-            except EncodingError:
-                out[key] = repr(value)
+            out[key] = canonical_encode(value).hex()[:48]
     return out
 
 
@@ -444,7 +447,7 @@ class AuthorityAgent(_Party):
                          proof_digest=digest)
             return
         now = self.local_now()
-        if now - issued_at > self.world.config.timestamp_lag_ms:
+        if now - issued_at > TIMESTAMP_LAG_MS:
             self._refuse(msg.sender, REFUSE_STALE_PROOF, TREQ,
                          proof_digest=digest)
             return
@@ -507,8 +510,7 @@ def proxy_resign(profile: CryptoProfile, broad_authority: AuthorityAgent,
             f"{requesting_authority_id!r}")
     original_key = broad_authority.world.directory.public_key(
         requesting_authority_id)
-    if not profile.verify(original_key, statement_signing_bytes(lp.statement),
-                          lp.authority_sig):
+    if not proof_signed(profile, original_key, lp):
         raise ProtocolError(REFUSE_BAD_PROOF)
     new_statement = dataclass_replace(lp.statement, location_id=broad_authority.id)
     return make_proof(profile, broad_authority.keys, new_statement)
@@ -541,26 +543,21 @@ class WitnessAgent(_Party):
         pending = self._pop_request(self._pending, msg, "proof_digest")
         lp: LocationProof = pending.payload["proof"]
         endorsed_at: int = msg.payload["endorsed_at"]
-        t = lp.statement.visit_time
-        config = self.world.config
-        if not self.behavior.ignore_time_checks:
-            if not t <= endorsed_at <= t + config.endorsement_window_ms:
-                self._refuse(pending.sender, REFUSE_BAD_WINDOW, EREQ)
-                return
-            if abs(endorsed_at - self.local_now()) > config.witness_clock_tolerance_ms:
-                self._refuse(pending.sender, REFUSE_CLOCK_DISAGREEMENT, EREQ)
-                return
+        colluding = self.behavior.ignore_time_checks
         try:
             endorsement = make_endorsement(
                 self.world.profile, self.keys, self.id, lp, endorsed_at,
                 msg.payload["time_sig"],
-                # a colluding witness signs whatever window it is handed
-                window_ms=(1 << 62) if self.behavior.ignore_time_checks
-                else config.endorsement_window_ms,
+                # a colluding witness signs whatever window it is handed,
+                # except one that ends before the visit began
+                window_ms=(1 << 62) if colluding else ENDORSEMENT_WINDOW_MS,
             )
         except WindowError:
-            # ... except one that ends before the visit began
             self._refuse(pending.sender, REFUSE_BAD_WINDOW, EREQ)
+            return
+        if not colluding and \
+                abs(endorsed_at - self.local_now()) > WITNESS_CLOCK_TOLERANCE_MS:
+            self._refuse(pending.sender, REFUSE_CLOCK_DISAGREEMENT, EREQ)
             return
         self.send(ERESP, pending.sender, {"endorsement": endorsement, "proof": lp})
 
@@ -613,9 +610,7 @@ class UserAgent(_Party):
     def _handle_presp(self, msg: Message) -> None:
         lp: LocationProof = msg.payload["proof"]
         issuer_key = self.world.directory.public_key(lp.statement.location_id)
-        if not self.world.profile.verify(issuer_key,
-                                         statement_signing_bytes(lp.statement),
-                                         lp.authority_sig):
+        if not proof_signed(self.world.profile, issuer_key, lp):
             self.visit_log.append(VisitOutcome(False, REFUSE_BAD_PROOF))
             return
         self._pending_construct = msg.payload["construct"]

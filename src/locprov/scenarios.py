@@ -5,7 +5,8 @@ overrides, a script of timed visits and attack actions, and a presentation
 (which chain positions get revealed, in what claimed order, with which
 granularity openings). Running one replays the protocol event loop with
 the scripted misbehavior, audits whatever the presenting side ends up
-holding, and compares the outcome against the expectation.
+holding, and compares the outcome against the expectation. A ``config``
+sets only ``ProtocolConfig`` fields: endorsement timing rules are constants.
 
 An attack counts as defeated when either the audit flags the presented
 history (``detected``) or an honest party's refusal prevented the artifact
@@ -40,8 +41,7 @@ from .model import (
     ProvenanceEntry,
     TimestampAttestation,
     ValidationError,
-    SCHEME_BLOOM,
-    SCHEME_HASHCHAIN,
+    SCHEMES,
     assemble_elp,
     bloom_bit_size,
     canonical_encode,
@@ -228,7 +228,7 @@ def _check_config(config: dict) -> None:
 
 def _check_scenario(obj) -> None:
     _check_fields(obj, _SCENARIO_FIELDS, "scenario")
-    if obj["scheme"] not in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
+    if obj["scheme"] not in SCHEMES:
         raise ValidationError(f"unknown scheme {obj['scheme']!r}")
     try:
         get_profile(obj.get("profile_name", "modern"))
@@ -587,11 +587,8 @@ class _Runner:
                 sub, entries=tuple(by_position[p] for p in order))
 
         claims = self._build_claims(sub)
-        report = audit(
-            self.world.profile, claims, sub, self.world.directory.pubkeys(),
-            self.world.registry,
-            endorsement_window_ms=self.world.config.endorsement_window_ms,
-        )
+        report = audit(self.world.profile, claims, sub,
+                       self.world.directory.pubkeys(), self.world.registry)
         return report, sub, claims
 
     def _build_claims(self, sub) -> list[LocationClaim]:
@@ -977,7 +974,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
 def run_builtin_suite(seed: int = 20_260_811) -> list[ScenarioOutcome]:
     """Run the whole matrix under both ordering schemes."""
     outcomes = []
-    for scheme in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
+    for scheme in SCHEMES:
         for scenario in builtin_suite(scheme, seed=seed):
             outcomes.append(run_scenario(scenario))
     return outcomes

@@ -29,8 +29,7 @@ from .model import (
     EncodingError,
     EpochReport,
     RevealedSubsequence,
-    SCHEME_BLOOM,
-    SCHEME_HASHCHAIN,
+    SCHEMES,
     ValidationError,
     canonical_decode,
     canonical_encode,
@@ -129,7 +128,7 @@ def load_chain_file(text: str) -> tuple[str, RevealedSubsequence, dict[str, dict
     obj = _load(text, "chain")
     profile = _profile(obj, "chain")
     sub = _decode(obj, "subsequence", "chain", profile, RevealedSubsequence)
-    if sub.scheme not in (SCHEME_HASHCHAIN, SCHEME_BLOOM):
+    if sub.scheme not in SCHEMES:
         raise FormatError(f"unknown ordering scheme {sub.scheme!r}")
     return obj["profile"], sub, _directory_from_json(obj.get("directory"))
 

@@ -16,7 +16,7 @@ from locprov.cli import (
     main,
     worst_case_positions,
 )
-from locprov.model import canonical_encode, make_revealed_subsequence
+from locprov.model import SCHEMES, canonical_encode, make_revealed_subsequence
 from locprov.audit import LocationClaim, audit
 from locprov.serialize import (
     dump_chain_file,
@@ -87,8 +87,12 @@ def test_simulate_malformed_file_exits_two(tmp_path):
     ("seed", "x"),
     ("script", "visit"),
     ("config", {"hop_delay": 5}),
+    ("config", {"endorsement_window_ms": 20_000}),
+    ("config", {"timestamp_lag_ms": 30_000}),
+    ("config", {"witness_clock_tolerance_ms": 60_000}),
     ("profile_name", "rot13"),
-], ids=["actors", "seed", "script", "config", "profile"])
+], ids=["actors", "seed", "script", "config", "config-endorsement-window",
+        "config-timestamp-lag", "config-witness-clock-tolerance", "profile"])
 def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
                                                field, value):
     doc = json.loads(
@@ -315,6 +319,27 @@ def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
     code, err = _audit_exit(out_dir, capsys, registry="twice.json")
     assert code == 2 and err.startswith("error:")
     assert "already published" in err
+
+
+def test_audit_gives_the_verdict_simulate_gave(tmp_path, capsys):
+    """``locprov audit`` on each simulation's exported chain, claims and
+    registry exits 0 exactly when the simulation's own audit passed: the
+    parties and every auditor hold one endorsement policy."""
+    for scheme in SCHEMES:
+        assert main(["scenarios", "--export", str(tmp_path / "s"),
+                     "--scheme", scheme]) == 0
+    files = sorted((tmp_path / "s").glob("*.json"))
+    assert len(files) == 32
+    verdicts = set()
+    for i, scenario in enumerate([*files, SHARED / "scenario.json"]):
+        out_dir = tmp_path / f"run-{i}"
+        assert main(["simulate", str(scenario),
+                     "--out-dir", str(out_dir)]) in (0, 1)
+        audit_ok = json.loads((out_dir / "outcome.json").read_text())["audit_ok"]
+        code, _ = _audit_exit(out_dir, capsys)
+        assert code == (0 if audit_ok else 1), scenario.name
+        verdicts.add(audit_ok)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
