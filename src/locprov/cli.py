@@ -33,7 +33,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
-from .audit import LocationClaim, audit, render_text_report
+from .audit import audit, render_text_report, truthful_claims
 from .bloom import bloom_new
 from .crypto import get_profile
 from .model import (
@@ -248,11 +248,7 @@ def bench_audit_rows(chain_n: int, reveal_pcts: list[float],
         for pct in reveal_pcts:
             positions = worst_case_positions(chain_n, pct)
             sub = make_revealed_subsequence(world.profile, chain, positions)
-            claims = [
-                LocationClaim(r.entry.elp.proof.statement.location_id,
-                              r.entry.elp.proof.statement.visit_time)
-                for r in sub.entries
-            ]
+            claims = truthful_claims(sub)
             started = time.perf_counter()
             report = audit(world.profile, claims, sub,
                            world.directory.pubkeys(), world.registry)

@@ -721,6 +721,26 @@ def make_endorsement(
     return Endorsement(es, witness_sig, authority_time_sig)
 
 
+def endorsement_signed(profile: CryptoProfile, public_key: bytes,
+                       es: EndorsementStatement, sig: Signature) -> bool:
+    """Whether ``sig`` is the witness signature ``make_endorsement`` gave."""
+    return profile.verify(public_key, canonical_encode(es), sig)
+
+
+def sign_timestamp(profile: CryptoProfile, keys: KeyPair, digest: Digest,
+                   endorsed_at: int) -> Signature:
+    """The authority's signature dating the endorsement of proof ``digest``."""
+    return profile.sign(keys.private_key, canonical_encode(
+        TimestampAttestation(digest, endorsed_at)))
+
+
+def timestamp_signed(profile: CryptoProfile, public_key: bytes,
+                     es: EndorsementStatement, sig: Signature) -> bool:
+    """Whether ``sig`` is the timestamp ``sign_timestamp`` gave ``es``."""
+    return profile.verify(public_key, canonical_encode(
+        TimestampAttestation(es.proof_digest, es.endorsed_at)), sig)
+
+
 def binding_fault(stmt: Statement, digest: Digest,
                   es: EndorsementStatement) -> Optional[str]:
     """None when ``es`` endorses the proof of ``stmt`` whose digest is

@@ -46,7 +46,6 @@ from .model import (
     OrderingConstruct,
     ProvenanceChain,
     ProvenanceEntry,
-    TimestampAttestation,
     ValidationError,
     WindowError,
     SCHEME_BLOOM,
@@ -59,6 +58,7 @@ from .model import (
     make_statement,
     proof_digest,
     proof_signed,
+    sign_timestamp,
 )
 
 # Message kinds
@@ -454,12 +454,10 @@ class AuthorityAgent(_Party):
         endorsed_at = max(now + self.behavior.timestamp_shift_ms,
                           self.last_timestamp)
         self.last_timestamp = endorsed_at
-        attestation = TimestampAttestation(digest, endorsed_at)
-        sig = self.world.profile.sign(self.keys.private_key,
-                                      canonical_encode(attestation))
         self.send(TRESP, msg.sender, {
             "proof_digest": digest, "endorsed_at": endorsed_at,
-            "time_sig": sig})
+            "time_sig": sign_timestamp(self.world.profile, self.keys, digest,
+                                       endorsed_at)})
 
     # -- proxy re-signing ----------------------------------------------------
 
@@ -580,6 +578,13 @@ class VisitOutcome:
     entry: Optional[ProvenanceEntry] = None
 
 
+@dataclass
+class _OpenVisit:
+    request: str  # whose answer the user awaits: pReq, then eReq
+    witness_id: str
+    construct: Optional[OrderingConstruct] = None  # issued with the proof
+
+
 class UserAgent(_Party):
     """Mobile user collecting endorsed proofs into a provenance chain."""
 
@@ -589,8 +594,7 @@ class UserAgent(_Party):
         super().__init__(world, user_id, keys)
         self.chain = ProvenanceChain(world.scheme)
         self.visit_log: list[VisitOutcome] = []
-        self._pending_construct: Optional[OrderingConstruct] = None
-        self._pending_witness: Optional[str] = None
+        self._visit: Optional[_OpenVisit] = None
         self._replay_construct: Optional[OrderingConstruct] = None
 
     def replay_construct_from(self, position: int) -> None:
@@ -604,33 +608,42 @@ class UserAgent(_Party):
         prev = self._replay_construct if self._replay_construct is not None \
             else self.chain.latest_construct
         self._replay_construct = None
-        self._pending_witness = witness_id
+        self._visit = _OpenVisit(PREQ, witness_id)
         self.send(PREQ, location_id, {"user_id": self.id, "prev_construct": prev})
 
+    def _open_visit(self, msg: Message, request: str) -> _OpenVisit:
+        """The open visit, when ``msg`` answers its ``request``."""
+        if self._visit is None or self._visit.request != request:
+            raise ProtocolError(f"{msg.kind} answers no open user {request}")
+        return self._visit
+
     def _handle_presp(self, msg: Message) -> None:
+        visit = self._open_visit(msg, PREQ)
         lp: LocationProof = msg.payload["proof"]
         issuer_key = self.world.directory.public_key(lp.statement.location_id)
         if not proof_signed(self.world.profile, issuer_key, lp):
-            self.visit_log.append(VisitOutcome(False, REFUSE_BAD_PROOF))
+            self._end_visit(VisitOutcome(False, REFUSE_BAD_PROOF))
             return
-        self._pending_construct = msg.payload["construct"]
-        self.send(EREQ, self._pending_witness, {"proof": lp})
+        visit.request = EREQ
+        visit.construct = msg.payload["construct"]
+        self.send(EREQ, visit.witness_id, {"proof": lp})
 
     def _handle_eresp(self, msg: Message) -> None:
+        visit = self._open_visit(msg, EREQ)
         endorsement: Endorsement = msg.payload["endorsement"]
         lp: LocationProof = msg.payload["proof"]
         elp = assemble_elp(self.world.profile, lp, [endorsement])
-        entry = ProvenanceEntry(elp, self._pending_construct)
+        entry = ProvenanceEntry(elp, visit.construct)
         self.chain = self.chain.append(entry)
         self._end_visit(VisitOutcome(True, entry=entry))
 
     def _handle_refusal(self, msg: Message) -> None:
+        self._open_visit(msg, msg.payload["re"])
         self._end_visit(VisitOutcome(False, msg.payload["reason"]))
 
     def _end_visit(self, outcome: VisitOutcome) -> None:
         self.visit_log.append(outcome)
-        self._pending_construct = None
-        self._pending_witness = None
+        self._visit = None
 
     HANDLERS = {
         PRESP: _handle_presp,

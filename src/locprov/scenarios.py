@@ -1,12 +1,13 @@
 """Deterministic attack-scenario engine for the collusion threat matrix.
 
-A scenario is declarative data: actors with honesty flags and behavior
-overrides, a script of timed visits and attack actions, and a presentation
-(which chain positions get revealed, in what claimed order, with which
-granularity openings). Running one replays the protocol event loop with
-the scripted misbehavior, audits whatever the presenting side ends up
-holding, and compares the outcome against the expectation. A ``config``
-sets only ``ProtocolConfig`` fields: endorsement timing rules are constants.
+A scenario is declarative data: actors with behavior overrides (who is
+malicious shows in its ``threat_row``), a script of timed visits and
+attack actions, and a presentation (which chain positions get revealed, in
+what claimed order, with which granularity openings). Running one replays
+the protocol event loop with the scripted misbehavior, audits whatever the
+presenting side ends up holding, and compares the outcome against the
+expectation. A ``config`` sets only ``ProtocolConfig`` fields: endorsement
+timing rules are constants.
 
 An attack counts as defeated when either the audit flags the presented
 history (``detected``) or an honest party's refusal prevented the artifact
@@ -33,23 +34,23 @@ import json
 from dataclasses import dataclass, field, fields, asdict, replace as dataclass_replace
 from typing import Optional
 
-from .audit import AuditReport, LocationClaim, audit, classify_failure
+from .audit import (AuditReport, LocationClaim, audit, classify_failure,
+                    truthful_claims)
 from .crypto import CryptoError, derive_seed, get_profile
 from .model import (
     EndorsedLocationProof,
     ProvenanceChain,
     ProvenanceEntry,
-    TimestampAttestation,
     ValidationError,
     SCHEMES,
     assemble_elp,
     bloom_bit_size,
-    canonical_encode,
     make_endorsement,
     make_proof,
     make_statement,
     make_revealed_subsequence,
     proof_digest,
+    sign_timestamp,
 )
 from .protocol import (
     AuthorityBehavior,
@@ -69,7 +70,6 @@ class ScriptError(ValidationError):
 class ActorSpec:
     actor_id: str
     role: str  # "user" | "authority" | "witness"
-    honest: bool = True
     behavior: dict = field(default_factory=dict)
     granularities: Optional[list[str]] = None
     skew_ms: int = 0
@@ -124,7 +124,7 @@ _SCENARIO_FIELDS = {
 }
 
 _ACTOR_FIELDS = {
-    "actor_id": str, "role": str, "honest?": bool, "behavior?": dict,
+    "actor_id": str, "role": str, "behavior?": dict,
     "granularities?": _OPTIONAL_LIST, "skew_ms?": int,
     "location?": _OPTIONAL_STR, "trusted_proxies?": _OPTIONAL_LIST,
     "proxy_parent?": _OPTIONAL_STR,
@@ -536,7 +536,6 @@ class _Runner:
             authority_keys = self.world.authorities[location_id].keys
         stmt = make_statement(user_id, location_id, t)
         lp = make_proof(profile, authority_keys, stmt)
-        digest = proof_digest(profile, lp)
 
         if not forge_authority and op.get("record_epoch", False):
             # A colluding authority quietly records the digest as issued so
@@ -544,9 +543,8 @@ class _Runner:
             self.world.authorities[location_id].record_issue(lp, t)
 
         endorsed_at = t + 1_000
-        attestation = TimestampAttestation(digest, endorsed_at)
-        time_sig = profile.sign(authority_keys.private_key,
-                                canonical_encode(attestation))
+        time_sig = sign_timestamp(profile, authority_keys,
+                                  proof_digest(profile, lp), endorsed_at)
         if forge_witness:
             witness_keys = self._forged_keypair("witness:" + witness_id)
         else:
@@ -586,24 +584,12 @@ class _Runner:
             sub = dataclass_replace(
                 sub, entries=tuple(by_position[p] for p in order))
 
-        claims = self._build_claims(sub)
+        spec = self.scenario.claims
+        claims = truthful_claims(sub) if spec == "truthful" else [
+            LocationClaim(c["location_id"], c["visit_time"]) for c in spec]
         report = audit(self.world.profile, claims, sub,
                        self.world.directory.pubkeys(), self.world.registry)
         return report, sub, claims
-
-    def _build_claims(self, sub) -> list[LocationClaim]:
-        spec = self.scenario.claims
-        if spec == "truthful":
-            claims = []
-            for revealed in sub.entries:
-                stmt = revealed.entry.elp.proof.statement
-                if revealed.disclosed:
-                    location = revealed.disclosed[0][1]
-                else:
-                    location = stmt.location_id
-                claims.append(LocationClaim(location, stmt.visit_time))
-            return claims
-        return [LocationClaim(c["location_id"], c["visit_time"]) for c in spec]
 
 
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:
@@ -618,17 +604,15 @@ def run_scenario(scenario: Scenario) -> ScenarioOutcome:
 # Built-in suite
 # ---------------------------------------------------------------------------
 
-def _std_actors(*, user_honest=True, authority_honest=True,
-                authority_behavior=None, witness_honest=True,
-                witness_behavior=None, extra=()) -> list[ActorSpec]:
+def _std_actors(*, authority_behavior=None, witness_behavior=None,
+                extra=()) -> list[ActorSpec]:
     actors = [
-        ActorSpec("u1", "user", honest=user_honest, location="cafe-7"),
-        ActorSpec("cafe-7", "authority", honest=authority_honest,
-                  behavior=authority_behavior or {}),
+        ActorSpec("u1", "user", location="cafe-7"),
+        ActorSpec("cafe-7", "authority", behavior=authority_behavior or {}),
         ActorSpec("lib-2", "authority"),
         ActorSpec("park-9", "authority"),
-        ActorSpec("w1", "witness", honest=witness_honest,
-                  behavior=witness_behavior or {}, location="cafe-7"),
+        ActorSpec("w1", "witness", behavior=witness_behavior or {},
+                  location="cafe-7"),
     ]
     actors.extend(extra)
     return actors
@@ -683,7 +667,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         "false-presence",
         threat_row="uLW", attack="false-presence",
         description="user fabricates a proof and endorsement from thin air",
-        actors=_std_actors(user_honest=False),
+        actors=_std_actors(),
         script=[
             {"op": "advance", "ms": 2_000},
             {"op": "fabricate_visit", "user": "u1", "location": "lib-2",
@@ -698,7 +682,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         "reordering",
         threat_row="uLW", attack="reordering",
         description="user presents genuine entries in a swapped order",
-        actors=_std_actors(user_honest=False),
+        actors=_std_actors(),
         script=_tour("cafe-7", "lib-2", "park-9"),
         # per-entry claims stay truthful; the forged presentation order is
         # the attack
@@ -710,7 +694,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         "proof-switching",
         threat_row="uLW", attack="proof-switching",
         description="genuine proof rebound to another entry's endorsement",
-        actors=_std_actors(user_honest=False),
+        actors=_std_actors(),
         script=_tour("cafe-7", "lib-2") + [
             {"op": "switch_proof", "proof_from": 1, "endorsements_from": 2},
         ],
@@ -721,7 +705,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         "denial-of-presence",
         threat_row="uLW", attack="denial-of-presence",
         description="user withholds a visited location from the auditor",
-        actors=_std_actors(user_honest=False),
+        actors=_std_actors(),
         script=_tour("cafe-7", "lib-2", "park-9"),
         reveal={"positions": [1, 3]},
         expected_detection=False,
@@ -734,7 +718,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="uLW", attack="doppelganger",
         description="user shares keys with an accomplice who collects a "
                     "genuine proof elsewhere",
-        actors=_std_actors(user_honest=False, extra=(
+        actors=_std_actors(extra=(
             ActorSpec("w2", "witness", location="lib-2"),)),
         script=_tour("cafe-7") + [
             {"op": "clone", "identity": "u1", "location": "lib-2"},
@@ -752,7 +736,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="uLW", attack="chain-fork",
         description="user replays an old ordering construct to fork her "
                     "chain, then mixes both branches in one presentation",
-        actors=_std_actors(user_honest=False),
+        actors=_std_actors(),
         script=_tour("cafe-7", "lib-2", "park-9") + [
             {"op": "replay_construct", "user": "u1", "position": 1},
             {"op": "move", "party": "u1", "location": "lib-2"},
@@ -771,7 +755,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="uLW", attack="chain-fork",
         description="forked chain presented as a self-consistent view "
                     "that hides the abandoned branch",
-        actors=_std_actors(user_honest=False),
+        actors=_std_actors(),
         script=_tour("cafe-7", "lib-2", "park-9") + [
             {"op": "replay_construct", "user": "u1", "position": 1},
             {"op": "move", "party": "u1", "location": "lib-2"},
@@ -792,7 +776,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="UlW", attack="false-time",
         description="authority stamps the visit far in the past; the honest "
                     "witness refuses the implausible timestamp",
-        actors=_std_actors(authority_honest=False, authority_behavior={
+        actors=_std_actors(authority_behavior={
             "visit_time_shift_ms": -120_000}),
         script=[
             {"op": "advance", "ms": 400_000},
@@ -812,8 +796,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="ULw", attack="skipped-localization",
         description="witness endorses without checking co-location, but the "
                     "user really is present",
-        actors=_std_actors(witness_honest=False,
-                           witness_behavior={"skip_localization": True}),
+        actors=_std_actors(witness_behavior={"skip_localization": True}),
         script=_tour("cafe-7", "lib-2"),
         expected_detection=False,
         notes="a lone malicious witness can at worst refuse service; a "
@@ -827,8 +810,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         description="user and location mint a proof while the user is "
                     "absent; the honest witness refuses, so they forge the "
                     "endorsement",
-        actors=_std_actors(user_honest=False, authority_honest=False,
-                           authority_behavior={"skip_localization": True}),
+        actors=_std_actors(authority_behavior={"skip_localization": True}),
         script=[
             {"op": "advance", "ms": 2_000},
             {"op": "move", "party": "u1", "location": "far-away"},
@@ -852,9 +834,8 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="ulW", attack="backdating",
         description="colluders stamp a proof 50 s into the just-closed "
                     "epoch; the published report cannot contain it",
-        actors=_std_actors(user_honest=False, authority_honest=False,
-                           authority_behavior={
-                               "visit_time_shift_ms": -50_000}),
+        actors=_std_actors(authority_behavior={
+            "visit_time_shift_ms": -50_000}),
         script=[
             # park just past an epoch boundary so the shifted timestamp
             # lands in the closed epoch while staying inside the
@@ -876,8 +857,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="uLw", attack="false-endorsement",
         description="witness endorses an absent user, but the honest "
                     "location never signed a proof, so one is forged",
-        actors=_std_actors(user_honest=False, witness_honest=False,
-                           witness_behavior={"skip_localization": True,
+        actors=_std_actors(witness_behavior={"skip_localization": True,
                                              "ignore_time_checks": True}),
         script=[
             {"op": "advance", "ms": 2_000},
@@ -895,8 +875,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="Ulw", attack="implication",
         description="location and witness fabricate a past visit for a "
                     "user who never participated",
-        actors=_std_actors(authority_honest=False, witness_honest=False,
-                           witness_behavior={"skip_localization": True,
+        actors=_std_actors(witness_behavior={"skip_localization": True,
                                              "ignore_time_checks": True}),
         script=[
             # u1 is never anywhere near cafe-7 and takes no part; the
@@ -921,14 +900,12 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="ulw", attack="future-dating",
         description="all three collude on a proof stamped into the next "
                     "epoch without managing the epoch record",
-        actors=_std_actors(user_honest=False, authority_honest=False,
-                           witness_honest=False,
-                           authority_behavior={
-                               "skip_localization": True,
-                               "visit_time_shift_ms": 400_000,
-                               "timestamp_shift_ms": 400_000},
-                           witness_behavior={"skip_localization": True,
-                                             "ignore_time_checks": True}),
+        actors=_std_actors(
+            authority_behavior={"skip_localization": True,
+                                "visit_time_shift_ms": 400_000,
+                                "timestamp_shift_ms": 400_000},
+            witness_behavior={"skip_localization": True,
+                              "ignore_time_checks": True}),
         script=[
             {"op": "advance", "ms": 2_000},
             {"op": "move", "party": "u1", "location": "cafe-7"},
@@ -946,15 +923,13 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
         threat_row="ulw", attack="post-dating",
         description="all three collude on a future-dated proof AND "
                     "premeditate its epoch record for the target epoch",
-        actors=_std_actors(user_honest=False, authority_honest=False,
-                           witness_honest=False,
-                           authority_behavior={
-                               "skip_localization": True,
-                               "visit_time_shift_ms": 400_000,
-                               "timestamp_shift_ms": 400_000,
-                               "defer_record_to_visit_epoch": True},
-                           witness_behavior={"skip_localization": True,
-                                             "ignore_time_checks": True}),
+        actors=_std_actors(
+            authority_behavior={"skip_localization": True,
+                                "visit_time_shift_ms": 400_000,
+                                "timestamp_shift_ms": 400_000,
+                                "defer_record_to_visit_epoch": True},
+            witness_behavior={"skip_localization": True,
+                              "ignore_time_checks": True}),
         script=[
             {"op": "advance", "ms": 2_000},
             {"op": "move", "party": "u1", "location": "cafe-7"},

@@ -8,7 +8,7 @@ import random
 import time
 from collections import Counter
 
-from locprov.audit import LocationClaim, audit
+from locprov.audit import LocationClaim, audit, truthful_claims
 from locprov.bloom import bloom_contains, bloom_insert, bloom_new, sign_accumulator
 from locprov.cli import bench_space_rows, worst_case_positions
 from locprov.crypto import Digest, LEGACY, MODERN, derive_seed
@@ -340,13 +340,7 @@ def _property_honest_completeness(runs: int) -> list:
                     disclose[p] = [rng.randrange(1, len(stmt.commitments) + 1)]
             sub = make_revealed_subsequence(world.profile, user.chain,
                                             positions, disclose)
-            claims = []
-            for revealed in sub.entries:
-                stmt = revealed.entry.elp.proof.statement
-                location = (revealed.disclosed[0][1] if revealed.disclosed
-                            else stmt.location_id)
-                claims.append(LocationClaim(location, stmt.visit_time))
-            report = audit(world.profile, claims, sub,
+            report = audit(world.profile, truthful_claims(sub), sub,
                            world.directory.pubkeys(), world.registry)
             if not report.ok:
                 failures.append((seed, "audit", report))

@@ -25,6 +25,7 @@ from locprov.audit import (
     audit,
     classify_failure,
     render_text_report,
+    truthful_claims,
 )
 from locprov import bloom, fanout
 from locprov.cli import build_honest_chain
@@ -77,22 +78,12 @@ def _tour(world, stops):
     return entries
 
 
-def _truthful_claims(sub):
-    claims = []
-    for revealed in sub.entries:
-        stmt = revealed.entry.elp.proof.statement
-        location = (revealed.disclosed[0][1] if revealed.disclosed
-                    else stmt.location_id)
-        claims.append(LocationClaim(location, stmt.visit_time))
-    return claims
-
-
 @pytest.mark.parametrize("scheme", ["hashchain", "bloom"])
 def test_honest_chain_reveal_2_3_all_ok(scheme):
     world, user = _world(scheme)
     _tour(world, ["cafe-7", "lib-2", "cafe-7", "lib-2"])
     sub = make_revealed_subsequence(world.profile, user.chain, [2, 3])
-    report = audit(world.profile, _truthful_claims(sub), sub,
+    report = audit(world.profile, truthful_claims(sub), sub,
                    world.directory.pubkeys(), world.registry)
     assert report.ok, render_text_report(report)
     if scheme == "hashchain":
@@ -107,14 +98,14 @@ def test_honest_bloom_chain_with_equal_accumulators_audits_clean():
     world, chain = build_honest_chain("bloom", 300, seed=7)
     assert chain.entries[265].ordering.bits == chain.entries[266].ordering.bits
     sub = make_revealed_subsequence(world.profile, chain, range(1, 301))
-    report = audit(world.profile, _truthful_claims(sub), sub,
+    report = audit(world.profile, truthful_claims(sub), sub,
                    world.directory.pubkeys(), world.registry)
     assert report.ok, render_text_report(report)
     assert report.checks["accumulator"] == 300
     # Known limitation: equal images cannot order their two entries.
     swapped = make_revealed_subsequence(world.profile, chain, [266, 267])
     swapped = replace(swapped, entries=swapped.entries[::-1])
-    report = audit(world.profile, _truthful_claims(swapped), swapped,
+    report = audit(world.profile, truthful_claims(swapped), swapped,
                    world.directory.pubkeys(), world.registry)
     assert report.ok, render_text_report(report)
 
@@ -124,7 +115,7 @@ def test_claims_out_of_order_reordered():
     _tour(world, ["cafe-7", "lib-2", "cafe-7"])
     sub = make_revealed_subsequence(world.profile, user.chain, [2, 3])
     swapped = replace(sub, entries=(sub.entries[1], sub.entries[0]))
-    report = audit(world.profile, _truthful_claims(swapped), swapped,
+    report = audit(world.profile, truthful_claims(swapped), swapped,
                    world.directory.pubkeys(), world.registry)
     assert report.ordering.status == ORDER_REORDERED
     assert classify_failure(report) == LABEL_REORDERING
@@ -148,6 +139,21 @@ def test_granularity_claims():
     assert report.claim_verdicts[0].status == CLAIM_GRANULARITY_MISMATCH
 
 
+def test_truthful_claims_name_the_disclosed_granularity():
+    """An entry with an opening is claimed at the opened granularity; one
+    without is claimed at its authority."""
+    world, user = _world(private=True)
+    _tour(world, ["cafe-7", "lib-2"])
+    first, second = (e.elp.proof.statement for e in user.chain.entries)
+    sub = make_revealed_subsequence(world.profile, user.chain, [1, 2],
+                                    disclose={1: [2]})
+    claims = truthful_claims(sub)
+    assert claims == [LocationClaim("Chicago", first.visit_time),
+                      LocationClaim("lib-2", second.visit_time)]
+    assert audit(world.profile, claims, sub, world.directory.pubkeys(),
+                 world.registry).ok
+
+
 def test_unrevealed_openings_never_consulted():
     """Verdicts are identical whether or not the input still carries the
     openings the user chose not to reveal."""
@@ -162,7 +168,7 @@ def test_unrevealed_openings_never_consulted():
                        disclosed=redacted.entries[0].disclosed),),
         redacted.chain_evidence,
     )
-    claims = _truthful_claims(redacted)
+    claims = truthful_claims(redacted)
     report_a = audit(world.profile, claims, redacted,
                      world.directory.pubkeys(), world.registry)
     report_b = audit(world.profile, claims, unredacted,
@@ -175,7 +181,7 @@ def test_claim_time_must_match_exactly():
     world, user = _world()
     _tour(world, ["cafe-7"])
     sub = make_revealed_subsequence(world.profile, user.chain, [1])
-    truthful = _truthful_claims(sub)[0]
+    truthful = truthful_claims(sub)[0]
     report = audit(world.profile,
                    [LocationClaim(truthful.location_id,
                                   truthful.visit_time + 1)],
@@ -187,7 +193,7 @@ def test_no_registry_warns_but_passes():
     world, user = _world()
     _tour(world, ["cafe-7"])
     sub = make_revealed_subsequence(world.profile, user.chain, [1])
-    report = audit(world.profile, _truthful_claims(sub), sub,
+    report = audit(world.profile, truthful_claims(sub), sub,
                    world.directory.pubkeys(), registry=None)
     assert report.ok
     assert any("registry" in w for w in report.warnings)
@@ -201,7 +207,7 @@ def test_missing_epoch_report_flags_claim():
         world.place("w1", stop)
         assert world.run_visit("u1", stop, "w1").ok
     sub = make_revealed_subsequence(world.profile, user.chain, [1])
-    report = audit(world.profile, _truthful_claims(sub), sub,
+    report = audit(world.profile, truthful_claims(sub), sub,
                    world.directory.pubkeys(), world.registry)
     assert report.claim_verdicts[0].status == CLAIM_EPOCH_MISSING
     assert classify_failure(report) == LABEL_FALSE_TIME
@@ -222,7 +228,7 @@ def test_counter_law_bloom_independent_of_chain_length():
         world, user = _world("bloom", seed=20 + n)
         _tour(world, ["cafe-7", "lib-2"] * (n // 2))
         sub = make_revealed_subsequence(world.profile, user.chain, [1, n])
-        report = audit(world.profile, _truthful_claims(sub), sub,
+        report = audit(world.profile, truthful_claims(sub), sub,
                        world.directory.pubkeys(), world.registry)
         assert report.ok
         assert report.checks["accumulator"] == 2
@@ -233,7 +239,7 @@ def test_counter_law_hashchain_last_revealed_index():
     _tour(world, ["cafe-7", "lib-2", "cafe-7", "lib-2", "cafe-7"])
     for positions, expected in ([1, 2], 2), ([2, 4], 4), ([5], 5):
         sub = make_revealed_subsequence(world.profile, user.chain, positions)
-        report = audit(world.profile, _truthful_claims(sub), sub,
+        report = audit(world.profile, truthful_claims(sub), sub,
                        world.directory.pubkeys(), world.registry)
         assert report.checks["link"] == expected
 
@@ -260,7 +266,7 @@ def _shared_epoch_inputs(scheme="bloom", registry_change=None):
 
 def _shared_epoch_audit(registry_change=None):
     world, sub, registry = _shared_epoch_inputs("bloom", registry_change)
-    return audit(world.profile, _truthful_claims(sub), sub,
+    return audit(world.profile, truthful_claims(sub), sub,
                  world.directory.pubkeys(), registry)
 
 
@@ -445,7 +451,7 @@ def _batch_audit(serial_and_fanned_out, scheme, change_sub=None,
         sub = change_sub(sub)
 
     def check():
-        report = audit(world.profile, _truthful_claims(sub), sub,
+        report = audit(world.profile, truthful_claims(sub), sub,
                        world.directory.pubkeys(), registry)
         return (report.claim_verdicts, report.ordering, report.checks,
                 render_text_report(report))
@@ -530,7 +536,7 @@ def test_signature_object_shared_by_two_proofs_checked_per_proof():
     stolen = sub.entries[1].entry.elp.proof.authority_sig
     sub = _at(sub, 1, lambda e: replace(e, elp=replace(e.elp, proof=replace(
         e.elp.proof, authority_sig=stolen))))
-    report = audit(world.profile, _truthful_claims(sub), sub,
+    report = audit(world.profile, truthful_claims(sub), sub,
                    world.directory.pubkeys(), world.registry)
     assert [(v.status, v.detail) for v in report.claim_verdicts] == [
         (CLAIM_BAD_SIGNATURE, "authority signature invalid"), OK]
@@ -584,7 +590,7 @@ def test_forged_hash_count_in_bloom_reveal_is_malformed(bounded_positions,
         return replace(entry, ordering=replace(acc, authority_sig=sign(
             world, "lib-2", bloom_signing_bytes(acc), acc.authority_sig)))
     sub = _at(sub, 4, forge)
-    report = audit(world.profile, _truthful_claims(sub), sub,
+    report = audit(world.profile, truthful_claims(sub), sub,
                    world.directory.pubkeys(), registry)
     assert [v.status for v in report.claim_verdicts] == [CLAIM_OK] * 5
     assert (report.ordering.status, report.ordering.detail) == (
@@ -638,7 +644,7 @@ def _clean_audits():
     for scheme in ("hashchain", "bloom"):
         world, chain = build_honest_chain(scheme, 40)
         sub = make_revealed_subsequence(world.profile, chain, range(1, 41))
-        yield (f"full-{scheme}", world.profile, _truthful_claims(sub), sub,
+        yield (f"full-{scheme}", world.profile, truthful_claims(sub), sub,
                world.directory.pubkeys(), world.registry)
     for outcome in run_builtin_suite():
         if not outcome.expected_detection:
@@ -666,7 +672,7 @@ def _adjacent_swap(sub):
     entries = list(sub.entries)
     entries[3:5] = entries[4], entries[3]
     sub = replace(sub, entries=tuple(entries))
-    return sub, _truthful_claims(sub)
+    return sub, truthful_claims(sub)
 
 
 def _switch_proof(sub):
@@ -674,17 +680,17 @@ def _switch_proof(sub):
     donor = sub.entries[8].entry.elp.endorsements
     sub = _at(sub, 4, lambda e: replace(e, elp=replace(
         e.elp, endorsements=donor)))
-    return sub, _truthful_claims(sub)
+    return sub, truthful_claims(sub)
 
 
 def _wrong_time(sub):
-    claims = _truthful_claims(sub)
+    claims = truthful_claims(sub)
     claims[3] = replace(claims[3], visit_time=claims[3].visit_time + 1)
     return sub, claims
 
 
 def _wrong_location(sub):
-    claims = _truthful_claims(sub)
+    claims = truthful_claims(sub)
     claims[3] = replace(claims[3], location_id="elsewhere")
     return sub, claims
 

@@ -17,7 +17,7 @@ from locprov.cli import (
     worst_case_positions,
 )
 from locprov.model import SCHEMES, canonical_encode, make_revealed_subsequence
-from locprov.audit import LocationClaim, audit
+from locprov.audit import audit, truthful_claims
 from locprov.serialize import (
     dump_chain_file,
     load_chain_file,
@@ -82,8 +82,20 @@ def test_simulate_malformed_file_exits_two(tmp_path):
     assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+# The honest baseline's actors, u1 marked with a flag actors do not have.
+_ACTORS_WITH_HONESTY_FLAG = [
+    {"actor_id": "u1", "role": "user", "honest": False, "location": "cafe-7"},
+    {"actor_id": "cafe-7", "role": "authority",
+     "granularities": ["IL", "Chicago", "Block 5"]},
+    {"actor_id": "lib-2", "role": "authority"},
+    {"actor_id": "park-9", "role": "authority"},
+    {"actor_id": "w1", "role": "witness", "location": "cafe-7"},
+]
+
+
 @pytest.mark.parametrize("field, value", [
     ("actors", {}),                         # the script still names u1
+    ("actors", _ACTORS_WITH_HONESTY_FLAG),
     ("seed", "x"),
     ("script", "visit"),
     ("config", {"hop_delay": 5}),
@@ -91,8 +103,9 @@ def test_simulate_malformed_file_exits_two(tmp_path):
     ("config", {"timestamp_lag_ms": 30_000}),
     ("config", {"witness_clock_tolerance_ms": 60_000}),
     ("profile_name", "rot13"),
-], ids=["actors", "seed", "script", "config", "config-endorsement-window",
-        "config-timestamp-lag", "config-witness-clock-tolerance", "profile"])
+], ids=["actors", "actor-honest", "seed", "script", "config",
+        "config-endorsement-window", "config-timestamp-lag",
+        "config-witness-clock-tolerance", "profile"])
 def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
                                                field, value):
     doc = json.loads(
@@ -535,13 +548,8 @@ def test_bloom_ops_independent_of_chain_length(honest_chain_factory):
         positions = sorted(set([1, n] + [1 + i * (n - 1) // 9 for i in range(10)]))
         positions = positions[:10] if len(positions) > 10 else positions
         sub = make_revealed_subsequence(world.profile, chain, positions)
-        claims = [
-            LocationClaim(r.entry.elp.proof.statement.location_id,
-                          r.entry.elp.proof.statement.visit_time)
-            for r in sub.entries
-        ]
-        report = audit(world.profile, claims, sub, world.directory.pubkeys(),
-                       world.registry)
+        report = audit(world.profile, truthful_claims(sub), sub,
+                       world.directory.pubkeys(), world.registry)
         assert report.ok
         ops.append(report.checks["accumulator"])
     assert ops[0] == ops[1] == ops[2]

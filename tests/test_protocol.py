@@ -19,11 +19,13 @@ from locprov.protocol import (
     ERESP,
     Message,
     PREQ,
+    PRESP,
     PROXY_REQ,
     ProtocolConfig,
     ProtocolError,
     REFUSE_BAD_PROOF,
     REFUSE_UNKNOWN_PROOF,
+    REFUSAL,
     TREQ,
     UnknownPartyError,
     World,
@@ -141,6 +143,17 @@ def test_user_rejects_proof_with_bad_signature():
     assert outcome.reason == "proof-verification-failed"
 
 
+def test_visit_after_a_bad_proof_completes():
+    world = _world()
+    rogue = world.add_authority("rogue-1")
+    rogue.keys = world.profile.keygen(bytes(range(7, 39)))
+    world.place("u1", "rogue-1")
+    assert world.run_visit("u1", "rogue-1", "w1").reason == REFUSE_BAD_PROOF
+    assert world.users["u1"]._visit is None
+    world.place("u1", "cafe-7")
+    assert world.run_visit("u1", "cafe-7", "w1").ok
+
+
 @pytest.mark.parametrize("role, party, kind", [
     ("authority", "cafe-7", ERESP),
     ("witness", "w1", PREQ),
@@ -242,11 +255,13 @@ def test_witness_refuses_timestamp_far_from_own_clock():
 
 
 def test_authority_refusal_reaches_only_the_request_it_refuses():
-    """While u1's visit runs, u2 asks the same witness to endorse a proof
-    cafe-7 never issued. cafe-7 refuses that timestamp request; the refusal
-    names its proof, so u1's endorsement still goes through."""
+    """While u1's visit runs, u2, a bare party rather than a user agent,
+    asks the same witness to endorse a proof cafe-7 never issued. cafe-7
+    refuses that timestamp request; the refusal names its proof, so u1's
+    endorsement still goes through and only u2 hears of the refusal."""
     world = _world()
-    world.add_user("u2")
+    u2 = _Collector()
+    world.bus.register("u2", u2.handle)
     world.place("u2", "cafe-7")
     never_issued = make_proof(world.profile, world.authorities["cafe-7"].keys,
                               make_statement("u2", "cafe-7", 1_000))
@@ -254,10 +269,39 @@ def test_authority_refusal_reaches_only_the_request_it_refuses():
     world.bus.send(Message(EREQ, "u2", "w1", {"proof": never_issued}))
     world.bus.run()
     (u1_outcome,) = world.users["u1"].visit_log
-    (u2_outcome,) = world.users["u2"].visit_log
     assert u1_outcome.ok
-    assert not u2_outcome.ok and u2_outcome.reason == REFUSE_UNKNOWN_PROOF
+    (refusal,) = u2.messages
+    assert refusal.kind == REFUSAL
+    assert refusal.payload["reason"] == REFUSE_UNKNOWN_PROOF
     assert world.witnesses["w1"]._pending == {}
+
+
+def test_user_refuses_a_refusal_with_no_open_visit():
+    world = _world()
+    world.bus.send(Message(REFUSAL, "w1", "u1", {
+        "reason": REFUSE_UNKNOWN_PROOF, "re": EREQ}))
+    with pytest.raises(ProtocolError, match="answers no open user eReq"):
+        world.bus.run()
+    assert world.users["u1"].visit_log == []
+
+
+@pytest.mark.parametrize("kind, payload", [
+    (REFUSAL, {"reason": REFUSE_UNKNOWN_PROOF, "re": PREQ}),
+    (PRESP, {}),
+])
+def test_user_refuses_a_reply_to_a_request_it_is_past(kind, payload):
+    """u1 has its proof and awaits the endorsement from w9 (a bare party
+    that never answers): a refusal of its proof request, or a second proof,
+    answers nothing it has open and leaves the visit as it was."""
+    world = _world()
+    world.bus.register("w9", _Collector().handle)
+    user = world.users["u1"]
+    user.start_visit("cafe-7", "w9")
+    world.bus.run()
+    world.bus.send(Message(kind, "cafe-7", "u1", payload))
+    with pytest.raises(ProtocolError, match="answers no open user pReq"):
+        world.bus.run()
+    assert user.visit_log == [] and user._visit.request == EREQ
 
 
 def test_bloom_construct_accumulates_and_is_resigned():

@@ -26,7 +26,7 @@ from locprov.serialize import (
     load_claims_file,
     load_registry_file,
 )
-from locprov.audit import LocationClaim, audit
+from locprov.audit import LocationClaim, audit, truthful_claims
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +81,7 @@ def test_chain_file_reaudits_identically(world_and_chain):
     # position 3 is a blinded statement: disclose and claim a granularity
     sub = make_revealed_subsequence(world.profile, chain, [2, 3],
                                     disclose={3: [2]})
-    claims = [
-        LocationClaim(r.disclosed[0][1] if r.disclosed
-                      else r.entry.elp.proof.statement.location_id,
-                      r.entry.elp.proof.statement.visit_time)
-        for r in sub.entries
-    ]
+    claims = truthful_claims(sub)
     direct = audit(world.profile, claims, sub, world.directory.pubkeys(),
                    world.registry)
 
