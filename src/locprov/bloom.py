@@ -46,6 +46,11 @@ from .model import (
 )
 
 
+# False-positive rate of every filter the simulator sizes: user
+# accumulators and epoch reports. A filter read from a file carries its own.
+TARGET_FPR = 0.001
+
+
 class BloomParameterError(ValidationError):
     """Filters with different geometry cannot be compared."""
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from .audit import audit, render_text_report, truthful_claims
-from .bloom import bloom_new
+from .bloom import TARGET_FPR, bloom_new
 from .crypto import get_profile
 from .model import (
     SCHEME_HASHCHAIN,
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-space", help="per-entry metadata size sweep")
     p.add_argument("--max-n", type=_positive_int, default=10_000)
-    p.add_argument("--fpr", type=_rate, default=0.001)
+    p.add_argument("--fpr", type=_rate, default=TARGET_FPR)
     p.add_argument("--profile", choices=["legacy", "modern"], default="legacy")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench_space)

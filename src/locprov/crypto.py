@@ -231,7 +231,8 @@ class CryptoProfile:
     keypair: Callable[[bytes], tuple[bytes, bytes]]
     raw_sign: Callable[[bytes, bytes], bytes]
     raw_verify: Callable[[bytes, bytes, bytes], bool]
-    nonce_len: int = 4
+    # commitment nonce length, the same in every profile
+    nonce_len = 4
 
     def keygen(self, seed: bytes) -> KeyPair:
         """Derive a keypair from a 32-byte seed. Same seed, same keys."""

@@ -25,9 +25,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
-from .bloom import bloom_contains, bloom_insert, bloom_new, bloom_well_formed
+from .bloom import (TARGET_FPR, bloom_contains, bloom_insert, bloom_new,
+                    bloom_well_formed)
 from .crypto import CryptoProfile, Digest, KeyPair
 from .model import EpochReport, ValidationError, report_signing_bytes
+
+
+# Digests an epoch report is sized for, unless the config says otherwise.
+EPOCH_CAPACITY = 4096
 
 
 class RegistryError(ValidationError):
@@ -49,15 +54,14 @@ def build_epoch_report(
     epoch_id: int,
     epoch_len_ms: int,
     digests: Sequence[Digest],
-    capacity: int = 4096,
-    target_fpr: float = 0.001,
+    capacity: int = EPOCH_CAPACITY,
 ) -> EpochReport:
     """Accumulate an epoch's issued-proof digests and sign the report.
 
     All digests are set in one copy of the empty filter's image, and an
     empty report copies nothing. The report signature covers the
     accumulator's bytes, so the accumulator itself is left unsigned."""
-    acc = bloom_new(capacity, target_fpr)
+    acc = bloom_new(capacity, TARGET_FPR)
     if digests:
         acc = bloom_insert(profile, acc, *digests)
     start, end = epoch_bounds(epoch_id, epoch_len_ms)

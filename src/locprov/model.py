@@ -178,8 +178,7 @@ class BloomAccumulator:
 
     ``bits`` is the little-endian byte image (bit j lives at byte ``j // 8``,
     mask ``1 << (j % 8)``). The signature covers bits, hash count, capacity
-    and target false-positive rate; ``inserted_count`` is unsigned metadata
-    used to flag over-capacity filters.
+    and target false-positive rate; ``inserted_count`` is unsigned metadata.
     """
 
     bits: bytes
@@ -192,10 +191,6 @@ class BloomAccumulator:
     @cached_property
     def bit_size(self) -> int:
         return bloom_bit_size(self.capacity, self.target_fpr)
-
-    @property
-    def over_capacity(self) -> bool:
-        return self.inserted_count > self.capacity
 
 
 def bloom_bit_size(capacity: int, target_fpr: float) -> int:
@@ -688,6 +683,9 @@ def proof_signed(profile: CryptoProfile, public_key: bytes,
 # Latest a witness endorses a proof, and an auditor accepts the endorsement,
 # by its authority-signed timestamp counted from the proof's visit time.
 ENDORSEMENT_WINDOW_MS = 60_000
+# The window a colluding witness signs in: whatever timestamp it is handed,
+# except one before the visit began.
+COLLUDING_WINDOW_MS = 1 << 62
 
 
 def make_endorsement(

@@ -34,11 +34,12 @@ from dataclasses import dataclass, field as dataclass_field, replace as dataclas
 from typing import Callable, Optional
 
 from . import hashchain
-from .bloom import bloom_insert, bloom_new, sign_accumulator
+from .bloom import TARGET_FPR, bloom_insert, bloom_new, sign_accumulator
 from .crypto import CryptoProfile, Digest, KeyPair, Signature, derive_seed
-from .epochs import EpochRegistry, build_epoch_report, epoch_of
+from .epochs import EPOCH_CAPACITY, EpochRegistry, build_epoch_report, epoch_of
 from .model import (
     BloomAccumulator,
+    COLLUDING_WINDOW_MS,
     ENDORSEMENT_WINDOW_MS,
     Endorsement,
     HashChainLink,
@@ -98,10 +99,8 @@ WITNESS_CLOCK_TOLERANCE_MS = 60_000
 @dataclass
 class ProtocolConfig:
     epoch_len_ms: int = 300_000
-    epoch_capacity: int = 4096
-    epoch_fpr: float = 0.001
+    epoch_capacity: int = EPOCH_CAPACITY
     chain_capacity: int = 1000
-    chain_fpr: float = 0.001
     # simulated transmission delay applied before each message delivery
     hop_delay_ms: int = 200
 
@@ -117,8 +116,8 @@ class Message:
 class SimClock:
     """Global discrete simulation clock (milliseconds)."""
 
-    def __init__(self, now: int = 0):
-        self.now = now
+    def __init__(self):
+        self.now = 0
 
     def advance(self, ms: int) -> None:
         if ms < 0:
@@ -227,8 +226,6 @@ def _payload_fingerprint(payload: dict) -> dict:
         value = payload[key]
         if value is None or isinstance(value, (bool, int, str)):
             out[key] = value
-        elif isinstance(value, bytes):
-            out[key] = value.hex()
         elif isinstance(value, Digest):
             out[key] = value.data.hex()
         elif isinstance(value, Signature):
@@ -283,7 +280,7 @@ def issue_construct(profile: CryptoProfile, keys: KeyPair, scheme: str,
         return hashchain.chain_extend(profile, keys, lp, prev)
     if scheme == SCHEME_BLOOM:
         if prev is None:
-            acc = bloom_new(config.chain_capacity, config.chain_fpr)
+            acc = bloom_new(config.chain_capacity, TARGET_FPR)
         elif isinstance(prev, BloomAccumulator):
             acc = prev
         else:
@@ -376,7 +373,6 @@ class AuthorityAgent(_Party):
                 self.world.profile, self.keys, self.id, self.current_epoch,
                 config.epoch_len_ms, digests,
                 capacity=config.epoch_capacity,
-                target_fpr=config.epoch_fpr,
             ))
             self.current_epoch += 1
 
@@ -546,9 +542,7 @@ class WitnessAgent(_Party):
             endorsement = make_endorsement(
                 self.world.profile, self.keys, self.id, lp, endorsed_at,
                 msg.payload["time_sig"],
-                # a colluding witness signs whatever window it is handed,
-                # except one that ends before the visit began
-                window_ms=(1 << 62) if colluding else ENDORSEMENT_WINDOW_MS,
+                window_ms=COLLUDING_WINDOW_MS if colluding else ENDORSEMENT_WINDOW_MS,
             )
         except WindowError:
             self._refuse(pending.sender, REFUSE_BAD_WINDOW, EREQ)

@@ -36,8 +36,10 @@ from typing import Optional
 
 from .audit import (AuditReport, LocationClaim, audit, classify_failure,
                     truthful_claims)
+from .bloom import TARGET_FPR
 from .crypto import CryptoError, derive_seed, get_profile
 from .model import (
+    COLLUDING_WINDOW_MS,
     EndorsedLocationProof,
     ProvenanceChain,
     ProvenanceEntry,
@@ -203,27 +205,24 @@ def _check_fields(obj, table: dict, what: str) -> None:
 
 def _check_config(config: dict) -> None:
     """Bound the work a config asks for: a non-positive epoch length would
-    never close an epoch, and filter geometry sets the memory of every
+    never close an epoch, and the capacities set the memory of every
     accumulator and epoch report."""
     if config["epoch_len_ms"] < 1:
         raise ValidationError("config.epoch_len_ms must be at least 1")
     if config["hop_delay_ms"] < 0:
         raise ValidationError("config.hop_delay_ms must not be negative")
-    for prefix in ("epoch", "chain"):
-        capacity = config[f"{prefix}_capacity"]
-        fpr = config[f"{prefix}_fpr"]
+    for key in ("epoch_capacity", "chain_capacity"):
+        capacity = config[key]
         if capacity < 1:
-            raise ValidationError(f"config.{prefix}_capacity must be at least 1")
-        if not 0 < fpr < 1:
-            raise ValidationError(f"config.{prefix}_fpr must be in (0, 1)")
+            raise ValidationError(f"config.{key} must be at least 1")
         try:
-            too_big = bloom_bit_size(capacity, fpr) > MAX_FILTER_BITS
+            too_big = bloom_bit_size(capacity, TARGET_FPR) > MAX_FILTER_BITS
         except OverflowError:
             too_big = True
         if too_big:
             raise ValidationError(
-                f"config.{prefix}_capacity and {prefix}_fpr ask for a filter "
-                f"of more than {MAX_FILTER_BITS} bits")
+                f"config.{key} asks for a filter of more than "
+                f"{MAX_FILTER_BITS} bits")
 
 
 def _check_scenario(obj) -> None:
@@ -337,7 +336,7 @@ def _check_epoch_work(obj: dict, config: dict) -> None:
         raise ValidationError(
             f"script closes about {reports} epoch reports, more than "
             f"{MAX_EPOCH_REPORTS}")
-    report_bits = bloom_bit_size(config["epoch_capacity"], config["epoch_fpr"])
+    report_bits = bloom_bit_size(config["epoch_capacity"], TARGET_FPR)
     if reports * report_bits > MAX_EPOCH_REPORT_BITS:
         raise ValidationError(
             f"script closes {reports} epoch reports of {report_bits} bits, "
@@ -551,7 +550,7 @@ class _Runner:
             witness_keys = self.world.witnesses[witness_id].keys
         endorsement = make_endorsement(
             profile, witness_keys, witness_id, lp, endorsed_at,
-            time_sig, window_ms=(1 << 62))
+            time_sig, window_ms=COLLUDING_WINDOW_MS)
         elp = assemble_elp(profile, lp, [endorsement])
 
         prev = self.presented[-1].ordering if self.presented else None
@@ -618,21 +617,20 @@ def _std_actors(*, authority_behavior=None, witness_behavior=None,
     return actors
 
 
-def _tour(*stops: str, user="u1", witness="w1", gap_ms=5_000,
-          attack=False) -> list[dict]:
-    script: list[dict] = []
-    for stop in stops:
-        script.append({"op": "move", "party": user, "location": stop})
-        script.append({"op": "move", "party": witness, "location": stop})
-        visit = {"op": "visit", "user": user, "location": stop, "witness": witness}
-        if attack:
-            visit["attack"] = True
-        script.append(visit)
-        script.append({"op": "advance", "ms": gap_ms})
-    return script
+def _tour(*stops: str) -> list[dict]:
+    """u1 and w1 visit each stop in turn, 5 s apart."""
+    return [op for stop in stops for op in (
+        {"op": "move", "party": "u1", "location": stop},
+        {"op": "move", "party": "w1", "location": stop},
+        {"op": "visit", "user": "u1", "location": stop, "witness": "w1"},
+        {"op": "advance", "ms": 5_000})]
 
 
-def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
+# Seed of the first built-in scenario; each later one takes the next.
+SUITE_SEED = 20_260_811
+
+
+def builtin_suite(scheme: str) -> list[Scenario]:
     """Every threat-matrix row plus the named attacks, for one ordering
     scheme. Expectations follow the security analysis: everything is
     detected or prevented except post-dating and the doppelganger."""
@@ -640,7 +638,7 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
 
     def add(name: str, **kwargs) -> None:
         scenarios.append(Scenario(
-            name=f"{name}-{scheme}", seed=seed + len(scenarios),
+            name=f"{name}-{scheme}", seed=SUITE_SEED + len(scenarios),
             scheme=scheme, **kwargs))
 
     # Row ULW: everyone honest; includes blinded granularities and a
@@ -946,13 +944,10 @@ def builtin_suite(scheme: str, seed: int = 20_260_811) -> list[Scenario]:
     return scenarios
 
 
-def run_builtin_suite(seed: int = 20_260_811) -> list[ScenarioOutcome]:
+def run_builtin_suite() -> list[ScenarioOutcome]:
     """Run the whole matrix under both ordering schemes."""
-    outcomes = []
-    for scheme in SCHEMES:
-        for scenario in builtin_suite(scheme, seed=seed):
-            outcomes.append(run_scenario(scenario))
-    return outcomes
+    return [run_scenario(scenario)
+            for scheme in SCHEMES for scenario in builtin_suite(scheme)]
 
 
 def suite_summary(outcomes: list[ScenarioOutcome]) -> str:

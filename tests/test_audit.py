@@ -18,6 +18,8 @@ from locprov.audit import (
     CLAIM_GRANULARITY_MISMATCH,
     CLAIM_OK,
     CLAIM_TIME_MISMATCH,
+    LABEL_FALSE_ENDORSEMENT,
+    LABEL_FALSE_PRESENCE,
     LABEL_FALSE_TIME,
     LABEL_PROOF_SWITCHING,
     LABEL_REORDERING,
@@ -27,7 +29,7 @@ from locprov.audit import (
     render_text_report,
     truthful_claims,
 )
-from locprov import bloom, fanout
+from locprov import bloom, fanout, hashchain
 from locprov.cli import build_honest_chain
 from locprov.crypto import MODERN, CryptoProfile, get_profile
 from locprov.epochs import EpochRegistry
@@ -38,6 +40,7 @@ from locprov.model import (
     ValidationError,
     bloom_signing_bytes,
     make_revealed_subsequence,
+    proof_digest,
     report_signing_bytes,
     ORDER_OK,
     ORDER_REORDERED,
@@ -721,3 +724,138 @@ def test_audit_with_good_signatures_batches_exactly_what_it_counts(
     assert report.signatures_verified == signatures
     assert batches == [signatures]
     assert verifies == signatures
+
+
+# ---------------------------------------------------------------------------
+# hostile presentations: each claim and ordering fault, serial and split
+# ---------------------------------------------------------------------------
+
+def _changed_audit(serial_and_fanned_out, scheme, change):
+    """Audit ``_shared_epoch_inputs`` after ``change(world, sub, pubkeys)``
+    returns the presentation (it may also edit ``pubkeys``), in one process
+    and split over three; both give the same report."""
+    world, sub, registry = _shared_epoch_inputs(scheme)
+    pubkeys = world.directory.pubkeys()
+    sub = change(world, sub, pubkeys)
+
+    def check():
+        report = audit(world.profile, truthful_claims(sub), sub, pubkeys,
+                       registry)
+        return report, render_text_report(report)
+
+    serial, fanned_out = serial_and_fanned_out(check)
+    assert serial == fanned_out
+    report = serial[0]
+    return report, [(v.status, v.detail) for v in report.claim_verdicts]
+
+
+def _drop_issuer(world, sub, pubkeys):
+    del pubkeys["lib-2"]
+    return sub
+
+
+def _wrong_user_in_endorsement(world, sub, pubkeys):
+    return _at(sub, 2, lambda e: _endorsement(e, lambda d: replace(
+        d, statement=replace(d.statement, user_id="u9"))))
+
+
+def _no_endorsements(world, sub, pubkeys):
+    return _at(sub, 2, lambda e: replace(e, elp=replace(
+        e.elp, endorsements=())))
+
+
+UNKNOWN_ISSUER = (CLAIM_BAD_SIGNATURE, "unknown issuer 'lib-2'")
+
+
+@pytest.mark.parametrize("change, verdicts, ordering, label", [
+    (_drop_issuer, [OK, UNKNOWN_ISSUER, OK, UNKNOWN_ISSUER, OK],
+     (ORDER_INCOMPLETE, "unverifiable accumulator at position 2"),
+     LABEL_FALSE_PRESENCE),
+    (_wrong_user_in_endorsement,
+     [OK, (CLAIM_ENDORSEMENT_MISMATCH,
+           "fields: endorsement disagrees with the proof"), OK, OK, OK],
+     (ORDER_OK, ""), LABEL_FALSE_ENDORSEMENT),
+    (_no_endorsements,
+     [OK, (CLAIM_ENDORSEMENT_MISMATCH, "no endorsements"), OK, OK, OK],
+     (ORDER_OK, ""), LABEL_PROOF_SWITCHING),
+], ids=["unknown-issuer", "endorsement-fields", "no-endorsements"])
+def test_hostile_claim_faults(serial_and_fanned_out, change, verdicts,
+                              ordering, label):
+    report, got = _changed_audit(serial_and_fanned_out, "bloom", change)
+    assert got == verdicts
+    assert (report.ordering.status, report.ordering.detail) == ordering
+    assert classify_failure(report) == label
+
+
+@pytest.mark.parametrize("disclosed, detail", [
+    (lambda index, value, nonce: (9, value, nonce),
+     "disclosed index 9 out of range"),
+    (lambda index, value, nonce: (index, value, bytes(len(nonce))),
+     "opening for 'Chicago' does not match its commitment"),
+], ids=["index-out-of-range", "wrong-nonce"])
+def test_bad_disclosure_fails_the_granularity_claim(disclosed, detail):
+    world, user = _world(private=True)
+    _tour(world, ["cafe-7"])
+    sub = make_revealed_subsequence(world.profile, user.chain, [1],
+                                    disclose={1: [2]})
+    (revealed,) = sub.entries
+    sub = replace(sub, entries=(replace(
+        revealed, disclosed=(disclosed(*revealed.disclosed[0]),)),))
+    claim = LocationClaim("Chicago",
+                          revealed.entry.elp.proof.statement.visit_time)
+    report = audit(world.profile, [claim], sub, world.directory.pubkeys(),
+                   world.registry)
+    assert [(v.status, v.detail) for v in report.claim_verdicts] == [
+        (CLAIM_GRANULARITY_MISMATCH, detail)]
+
+
+def _link_in_bloom_presentation(world, sub, pubkeys):
+    keys = world.authorities["lib-2"].keys
+    return _at(sub, 2, lambda e: replace(e, ordering=hashchain.chain_genesis(
+        world.profile, keys, e.elp.proof)))
+
+
+def _unsigned_accumulator(world, sub, pubkeys):
+    return _at(sub, 3, lambda e: replace(e, ordering=replace(
+        e.ordering, authority_sig=None)))
+
+
+def _smaller_accumulator(world, sub, pubkeys):
+    """Position 3 carries a validly signed 64-entry filter holding its own
+    proof, where the others are sized for 1,000 entries."""
+    profile = world.profile
+    keys = world.authorities["cafe-7"].keys
+
+    def change(entry):
+        acc = bloom.bloom_insert(profile, bloom.bloom_new(64, bloom.TARGET_FPR),
+                                 proof_digest(profile, entry.elp.proof))
+        return replace(entry, ordering=bloom.sign_accumulator(profile, keys,
+                                                              acc))
+    return _at(sub, 3, change)
+
+
+def _link_of_position_2(world, sub, pubkeys):
+    link = sub.entries[1].entry.ordering
+    return _at(sub, 3, lambda e: replace(e, ordering=link))
+
+
+@pytest.mark.parametrize("scheme, change, verdicts, ordering", [
+    ("bloom", _link_in_bloom_presentation, [OK] * 5,
+     (ORDER_INCOMPLETE, "entry at position 2 has no accumulator")),
+    ("bloom", _unsigned_accumulator, [OK] * 5,
+     (ORDER_INCOMPLETE, "unverifiable accumulator at position 3")),
+    ("bloom", _smaller_accumulator, [OK] * 5,
+     (ORDER_REORDERED,
+      "accumulator geometry changed between positions 2 and 3")),
+    ("hashchain", _link_of_position_2, [OK] * 5,
+     (ORDER_REORDERED, "link mismatch at position 3")),
+], ids=["link-in-bloom", "unsigned-accumulator", "geometry-change",
+        "link-off-its-slot"])
+def test_hostile_ordering_faults(serial_and_fanned_out, scheme, change,
+                                 verdicts, ordering):
+    """Each fault leaves every claim clean and is named by the ordering
+    verdict; an unknown issuer's accumulator is covered by
+    ``test_hostile_claim_faults``."""
+    report, got = _changed_audit(serial_and_fanned_out, scheme, change)
+    assert got == verdicts
+    assert (report.ordering.status, report.ordering.detail) == ordering

@@ -102,10 +102,16 @@ _ACTORS_WITH_HONESTY_FLAG = [
     ("config", {"endorsement_window_ms": 20_000}),
     ("config", {"timestamp_lag_ms": 30_000}),
     ("config", {"witness_clock_tolerance_ms": 60_000}),
+    ("config", {"epoch_fpr": 0}),
+    ("config", {"chain_fpr": 1.0}),
+    ("config", {"epoch_fpr": 1.5}),
+    ("config", {"epoch_capacity": 100_000, "epoch_fpr": 1e-100}),
     ("profile_name", "rot13"),
 ], ids=["actors", "actor-honest", "seed", "script", "config",
         "config-endorsement-window", "config-timestamp-lag",
-        "config-witness-clock-tolerance", "profile"])
+        "config-witness-clock-tolerance", "config-epoch-fpr-0",
+        "config-chain-fpr-1", "config-epoch-fpr-above-1",
+        "config-epoch-capacity-and-fpr", "profile"])
 def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
                                                field, value):
     doc = json.loads(
@@ -124,17 +130,12 @@ def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
     {"epoch_len_ms": -300_000},
     {"epoch_capacity": 0},
     {"chain_capacity": -1},
-    {"epoch_fpr": 0},
-    {"chain_fpr": 1.0},
-    {"epoch_fpr": 1.5},
     {"epoch_capacity": 2**64},
     {"chain_capacity": 2**21},
     {"chain_capacity": 10**400},
-    {"epoch_capacity": 100_000, "epoch_fpr": 1e-100},
 ], ids=["epoch-len-0", "epoch-len-negative", "epoch-capacity-0",
-        "chain-capacity-negative", "epoch-fpr-0", "chain-fpr-1",
-        "epoch-fpr-above-1", "epoch-capacity-2^64", "chain-capacity-2^21",
-        "chain-capacity-10^400", "epoch-capacity-and-fpr"])
+        "chain-capacity-negative", "epoch-capacity-2^64", "chain-capacity-2^21",
+        "chain-capacity-10^400"])
 def test_simulate_unbounded_config_exits_two(tmp_path, scenario_dir, capsys,
                                              config):
     """Refused while the file loads: no filter is built, no epoch rolled."""
@@ -235,6 +236,37 @@ def test_simulate_scheme_override(tmp_path, scenario_dir):
     assert code == 0
     _, sub, _ = load_chain_file((out_dir / "chain.json").read_text())
     assert sub.scheme == "bloom"
+
+
+def test_simulate_seed_override(tmp_path, scenario_dir):
+    """``--seed 5`` runs the file as if its seed field read 5."""
+    name = "honest-baseline-hashchain"
+    doc = json.loads((scenario_dir / f"{name}.json").read_text())
+    assert doc["seed"] != 5
+    doc["seed"] = 5
+    (tmp_path / "seed-5.json").write_text(json.dumps(doc))
+    runs = {}
+    for run, argv in [
+            ("file", [str(scenario_dir / f"{name}.json")]),
+            ("flag", [str(scenario_dir / f"{name}.json"), "--seed", "5"]),
+            ("edited", [str(tmp_path / "seed-5.json")])]:
+        out_dir = tmp_path / run
+        assert main(["simulate", *argv, "--out-dir", str(out_dir)]) == 0
+        runs[run] = [(out_dir / f).read_text()
+                     for f in ("chain.json", "trace.jsonl")]
+    assert runs["flag"] == runs["edited"]
+    assert runs["flag"] != runs["file"]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scenarios_lists_the_suite(capsys, scheme):
+    assert main(["scenarios", "--scheme", scheme]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    assert lines[0].split() == [f"honest-baseline-{scheme}", "row=ULW",
+                                "attack=none", "expect=pass"]
+    assert all(line.endswith(("expect=pass", "expect=detect"))
+               for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +477,20 @@ def test_bench_space_csv_schema(tmp_path):
         assert reader.fieldnames == ["n", "hashchain_bytes_per_entry",
                                      "bloom_bytes_per_entry"]
         assert len(list(reader)) > 0
+
+
+@pytest.mark.parametrize("args, last_row", [
+    ([], ["1000", "40", "1798"]),
+    (["--fpr", "0.01"], ["1000", "40", "1199"]),
+], ids=["default-rate", "fpr-0.01"])
+def test_bench_space_fpr_sweeps_the_rate(tmp_path, args, last_row):
+    """The simulator's filters use one fixed rate; ``--fpr`` still sizes the
+    sweep's accumulators at another."""
+    out = tmp_path / "space.csv"
+    assert main(["bench-space", "--max-n", "1000", *args,
+                 "--out", str(out)]) == 0
+    with out.open() as fh:
+        assert list(csv.reader(fh))[-1] == last_row
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,15 @@ import hashlib
 
 import pytest
 
+from dataclasses import replace
+
 from locprov.audit import (
     CLAIM_BAD_SIGNATURE,
     CLAIM_EPOCH_EXCLUDED,
+    CLAIM_GRANULARITY_MISMATCH,
+    CLAIM_TIME_MISMATCH,
+    LABEL_FALSE_ENDORSEMENT,
+    LocationClaim,
     render_text_report,
 )
 from locprov.model import (
@@ -281,3 +287,64 @@ def test_in_code_scenario_checked_before_it_runs(scenario, message):
     with pytest.raises(ValidationError, match=message) as info:
         run_scenario(scenario)
     assert not isinstance(info.value, ScriptError)
+
+
+# ---------------------------------------------------------------------------
+# scenario features the built-in suite does not use
+# ---------------------------------------------------------------------------
+
+def test_late_timestamp_signed_by_colluding_witness_is_false_endorsement():
+    """cafe-7 dates the endorsement 90 s after the visit, past the 60 s
+    window, and a witness that ignores time checks signs it: the visit goes
+    through, and the audit finds the endorsement outside its window."""
+    scenario = _in_code_scenario()
+    scenario = replace(
+        scenario, threat_row="Ulw", attack="false-endorsement",
+        actors=[ActorSpec("u1", "user", location="cafe-7"),
+                ActorSpec("cafe-7", "authority",
+                          behavior={"timestamp_shift_ms": 90_000}),
+                ActorSpec("w1", "witness", location="cafe-7",
+                          behavior={"ignore_time_checks": True})],
+        script=[dict(scenario.script[0], attack=True)],
+        expected_detection=True)
+    outcome = run_scenario(scenario)
+    assert outcome.refusals == [] and not outcome.prevented
+    assert [(v.status, v.detail) for v in outcome.audit_report.claim_verdicts] \
+        == [(CLAIM_TIME_MISMATCH, "endorsement-window: timestamp outside window")]
+    assert outcome.threat_label == LABEL_FALSE_ENDORSEMENT
+    assert outcome.matched
+
+
+def test_scenario_with_a_claims_list_audits_those_claims():
+    truthful = run_scenario(_in_code_scenario())
+    (claim,) = truthful.claims
+
+    def listed(location_id):
+        return replace(_in_code_scenario(), claims=[
+            {"location_id": location_id, "visit_time": claim.visit_time}])
+
+    same = run_scenario(scenario_from_json(scenario_to_json(listed("cafe-7"))))
+    assert same.claims == [claim] and same.audit_report.ok
+    false = run_scenario(listed("lib-2"))
+    assert false.claims == [LocationClaim("lib-2", claim.visit_time)]
+    assert [v.status for v in false.audit_report.claim_verdicts] == [
+        CLAIM_GRANULARITY_MISMATCH]
+
+
+def test_set_behavior_turns_a_witness():
+    """w1 stands elsewhere for u1's second visit: honest, it refuses to
+    endorse; told by ``set_behavior`` to skip localization, it endorses."""
+    away = [{"op": "move", "party": "w1", "location": "lib-2"},
+            {"op": "advance", "ms": 5_000}]
+    second = {"op": "visit", "user": "u1", "location": "cafe-7",
+              "witness": "w1"}
+    turn = {"op": "set_behavior", "party": "w1",
+            "field": "skip_localization", "value": True}
+    with pytest.raises(ScriptError, match="co-location-failed"):
+        run_scenario(_in_code_scenario(script=[*away, second]))
+    outcome = run_scenario(_in_code_scenario(script=[*away, turn, second]))
+    assert outcome.refusals == [] and outcome.audit_report.ok
+    assert len(outcome.audit_report.claim_verdicts) == 2
+    assert [(e["party"], e["field"], e["value"]) for e in outcome.trace
+            if e.get("event") == "set_behavior"] == [
+        ("w1", "skip_localization", True)]
