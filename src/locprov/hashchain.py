@@ -14,10 +14,11 @@ were revealed. One signature verify per link is the floor (``cryptography``
 has no batch Ed25519 verify), but the links are independent of one another.
 ``chain_verify_subsequence`` asks for each link through the ``verify`` it
 is given, so under ``fanout.batched`` an audit's links are verified in one
-batch with its claims' signatures, split across the machine's CPUs when it
-is large, which divides the wall time of a long replay by up to the CPU
-count. The walk still replays link by link, so its verdict and ``link``
-count are unchanged.
+batch with its claims' signatures, split across the machine's CPUs once the
+batch holds ``fanout.FANOUT_MIN_JOBS`` (48) signatures or more, which
+divides the wall time of a long replay by up to the CPU count. The walk
+still replays link by link, so its verdict and ``link`` count are
+unchanged.
 """
 
 from __future__ import annotations

@@ -950,17 +950,6 @@ def run_builtin_suite() -> list[ScenarioOutcome]:
             for scheme in SCHEMES for scenario in builtin_suite(scheme)]
 
 
-def suite_summary(outcomes: list[ScenarioOutcome]) -> str:
-    lines = []
-    for o in outcomes:
-        status = "matched" if o.matched else "MISMATCH"
-        how = ("prevented" if o.prevented
-               else ("audit-flagged" if not o.audit_report.ok else "clean"))
-        label = f" [{o.threat_label}]" if o.threat_label else ""
-        lines.append(f"{o.scenario:40s} {how:14s}{label:30s} {status}")
-    return "\n".join(lines)
-
-
 def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(asdict(scenario), indent=2, sort_keys=True)
 

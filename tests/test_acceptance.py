@@ -25,7 +25,7 @@ from locprov.model import (
     SCHEME_HASHCHAIN,
 )
 from locprov.protocol import ProtocolConfig, World
-from locprov.scenarios import builtin_suite, run_builtin_suite, suite_summary
+from locprov.scenarios import builtin_suite, run_builtin_suite
 
 
 def call(check, *args):
@@ -173,7 +173,7 @@ def test_criterion_6_attack_matrix():
     outcomes = run_builtin_suite()
     assert len(outcomes) == 2 * len(suite)
     mismatches = [o.scenario for o in outcomes if not o.matched]
-    assert not mismatches, suite_summary(outcomes)
+    assert not mismatches, mismatches
 
     undetected = {o.scenario.rsplit("-", 1)[0]
                   for o in outcomes

@@ -93,35 +93,96 @@ _ACTORS_WITH_HONESTY_FLAG = [
 ]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("actors", {}),                         # the script still names u1
-    ("actors", _ACTORS_WITH_HONESTY_FLAG),
-    ("seed", "x"),
-    ("script", "visit"),
-    ("config", {"hop_delay": 5}),
-    ("config", {"endorsement_window_ms": 20_000}),
-    ("config", {"timestamp_lag_ms": 30_000}),
-    ("config", {"witness_clock_tolerance_ms": 60_000}),
-    ("config", {"epoch_fpr": 0}),
-    ("config", {"chain_fpr": 1.0}),
-    ("config", {"epoch_fpr": 1.5}),
-    ("config", {"epoch_capacity": 100_000, "epoch_fpr": 1e-100}),
-    ("profile_name", "rot13"),
-], ids=["actors", "actor-honest", "seed", "script", "config",
-        "config-endorsement-window", "config-timestamp-lag",
-        "config-witness-clock-tolerance", "config-epoch-fpr-0",
-        "config-chain-fpr-1", "config-epoch-fpr-above-1",
-        "config-epoch-capacity-and-fpr", "profile"])
+# The honest baseline's actors, u1 given a behavior only parties have.
+_ACTORS_WITH_USER_BEHAVIOR = [
+    {"actor_id": "u1", "role": "user", "location": "cafe-7",
+     "behavior": {"skip_localization": True}},
+    *_ACTORS_WITH_HONESTY_FLAG[1:],
+]
+
+_MISSING = object()  # the field is deleted
+_LOAD = "error: cannot load scenario"
+_RUN = "error: scenario failed to run: "
+
+
+@pytest.mark.parametrize("field, value, error", [
+    pytest.param("actors", {}, _LOAD,  # the script still names u1
+                 id="actors"),
+    pytest.param("actors", _ACTORS_WITH_HONESTY_FLAG, _LOAD,
+                 id="actor-honest"),
+    pytest.param("seed", "x", _LOAD, id="seed"),
+    pytest.param("script", "visit", _LOAD, id="script"),
+    pytest.param("config", {"hop_delay": 5}, _LOAD, id="config"),
+    pytest.param("config", {"endorsement_window_ms": 20_000}, _LOAD,
+                 id="config-endorsement-window"),
+    pytest.param("config", {"timestamp_lag_ms": 30_000}, _LOAD,
+                 id="config-timestamp-lag"),
+    pytest.param("config", {"witness_clock_tolerance_ms": 60_000}, _LOAD,
+                 id="config-witness-clock-tolerance"),
+    pytest.param("config", {"epoch_fpr": 0}, _LOAD, id="config-epoch-fpr-0"),
+    pytest.param("config", {"chain_fpr": 1.0}, _LOAD,
+                 id="config-chain-fpr-1"),
+    pytest.param("config", {"epoch_fpr": 1.5}, _LOAD,
+                 id="config-epoch-fpr-above-1"),
+    pytest.param("config", {"epoch_capacity": 100_000, "epoch_fpr": 1e-100},
+                 _LOAD, id="config-epoch-capacity-and-fpr"),
+    pytest.param("profile_name", "rot13", _LOAD, id="profile"),
+    pytest.param("expected_detection", _MISSING,
+                 f"{_LOAD}: scenario: missing field 'expected_detection'",
+                 id="missing-field"),
+    pytest.param("scheme", "merkle", f"{_LOAD}: unknown scheme 'merkle'",
+                 id="scheme"),
+    pytest.param("actors", _ACTORS_WITH_USER_BEHAVIOR,
+                 f"{_LOAD}: a user has no behavior", id="user-behavior"),
+    pytest.param("script", [{"op": "visit", "user": "w1",
+                             "location": "cafe-7", "witness": "w1"}],
+                 f"{_LOAD}: visit: no user 'w1'", id="visit-no-user"),
+    pytest.param("script", [{"op": "set_behavior", "party": "u1",
+                             "field": "skip_localization", "value": True}],
+                 f"{_LOAD}: set_behavior: no authority or witness 'u1'",
+                 id="set-behavior-no-party"),
+    pytest.param("script", [{"op": "fabricate_visit", "user": "u1",
+                             "location": "mall-3", "witness": "w1",
+                             "forge_authority": False}],
+                 f"{_LOAD}: fabricate_visit: no authority 'mall-3'",
+                 id="fabricate-no-authority"),
+    pytest.param("script", [{"op": "fabricate_visit", "user": "u1",
+                             "location": "cafe-7", "witness": "cafe-7",
+                             "forge_witness": False}],
+                 f"{_LOAD}: fabricate_visit: no witness 'cafe-7'",
+                 id="fabricate-no-witness"),
+    pytest.param("reveal", {"positions": "some"},
+                 f'{_LOAD}: reveal.positions: a list or "all"',
+                 id="reveal-positions"),
+    pytest.param("reveal", {"disclose": {"first": [2]}},
+                 f"{_LOAD}: reveal.disclose: position 'first'",
+                 id="reveal-disclose-key"),
+    pytest.param("claims", "lies", f"{_LOAD}: unknown claims spec 'lies'",
+                 id="claims"),
+    pytest.param("script", [{"op": "drop_presented", "positions": [1]}],
+                 f"{_RUN}no presented entry at position 1",
+                 id="presented-position"),
+    pytest.param("script", [{"op": "replay_construct", "user": "u1",
+                             "position": 1}],
+                 f"{_RUN}no chain entry at position 1", id="chain-position"),
+    pytest.param("reveal", {"positions": [1, 2, 4],
+                            "presentation_order": [4, 3, 1]},
+                 f"{_RUN}presentation order names unrevealed position 3",
+                 id="order-unrevealed"),
+])
 def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
-                                               field, value):
+                                               field, value, error):
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
-    doc[field] = value
+    if value is _MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot load scenario")
+    assert err.startswith(error)
     assert "Traceback" not in err
 
 

@@ -4,10 +4,10 @@ the same answer on every path."""
 import errno
 import logging
 import math
-import multiprocessing
 import os
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor, wait
+import time
 
 import pytest
 
@@ -26,12 +26,14 @@ def _results(n, bad):
     return [i not in bad for i in range(n)]
 
 
-def _refuse_context(method):
-    raise ValueError(f"cannot find context for {method!r}")
-
-
 def _refuse_fork():
     raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+
+def _assert_no_child_left():
+    """Every process ``verify_each`` forked has exited and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()
@@ -42,7 +44,7 @@ def three_cpus(monkeypatch):
 
 def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
+    monkeypatch.delattr(os, "fork")
     n = fanout.FANOUT_MIN_JOBS - 1
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
         assert fanout.verify_each(_jobs(n, {7})) == _results(n, {7})
@@ -52,7 +54,7 @@ def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
 def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
     monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
-    monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
+    monkeypatch.delattr(os, "fork")
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
         assert fanout.verify_each(_jobs(9, {8})) == _results(9, {8})
     assert not caplog.records
@@ -60,6 +62,21 @@ def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
 
 def test_cpu_count_follows_affinity():
     assert fanout._cpu_count() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("n, processes", [(3, 1), (4, 2), (7, 3), (40, 3)])
+def test_each_process_gets_half_the_threshold(monkeypatch, caplog, n,
+                                              processes):
+    """A fork costs the caller about ``FANOUT_MIN_JOBS / 2`` verifies, so no
+    process gets fewer jobs than that."""
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 4)
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.verify_each(_jobs(n, {2})) == _results(n, {2})
+    assert [r.getMessage() for r in caplog.records] == (
+        [f"verifying {n} signatures in {processes} processes"]
+        if processes > 1 else [])
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("bad", [set(), {0}, {2}, {3}, {4}, {6}, {3, 6},
@@ -73,6 +90,7 @@ def test_fan_out_finds_the_first_failure(three_cpus, caplog, bad):
         assert fanout.verify_each(_jobs(7, bad)) == _results(7, bad)
     assert [r.getMessage() for r in caplog.records] == [
         "verifying 7 signatures in 3 processes"]
+    _assert_no_child_left()
 
 
 def test_failures_in_every_chunk_all_reported(three_cpus):
@@ -80,6 +98,7 @@ def test_failures_in_every_chunk_all_reported(three_cpus):
     and [8, 12): no chunk stops at its first."""
     bad = {1, 3, 4, 6, 9, 11}
     assert fanout.verify_each(_jobs(12, bad)) == _results(12, bad)
+    _assert_no_child_left()
 
 
 def test_workers_see_closures_without_pickling(three_cpus):
@@ -87,21 +106,45 @@ def test_workers_see_closures_without_pickling(three_cpus):
     wanted = {5}
     jobs = [(lambda i: i not in wanted, i) for i in range(9)]
     assert fanout.verify_each(jobs) == _results(9, wanted)
+    _assert_no_child_left()
 
 
-def _worker_dies(monkeypatch):
-    """Every worker dies on its first job; the caller's jobs run."""
+def _in_workers(act):
+    """A check that runs ``act()`` in a worker and passes its argument
+    through in the caller."""
     caller = os.getpid()
 
     def verify(ok):
         if os.getpid() != caller:
-            os._exit(1)
+            act()
         return ok
     return verify
 
 
+def _worker_dies(monkeypatch):
+    """Every worker exits with status 1 on its first job."""
+    return _in_workers(lambda: os._exit(1))
+
+
+def _worker_killed(monkeypatch):
+    return _in_workers(lambda: os.kill(os.getpid(), signal.SIGKILL))
+
+
+def _short_read(monkeypatch):
+    """Every worker writes all its results but the last, and exits 0."""
+    caller, real_write = os.getpid(), os.write
+
+    def write(fd, data):
+        if os.getpid() == caller:
+            return real_write(fd, data)
+        real_write(fd, bytes(data[:-1]))
+        os._exit(0)
+    monkeypatch.setattr(os, "write", write)
+    return bool
+
+
 def _no_fork(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_context", _refuse_context)
+    monkeypatch.delattr(os, "fork")
     return bool
 
 
@@ -124,14 +167,19 @@ def _second_fork_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [set(), {1}, {5}])
-@pytest.mark.parametrize("failure, error", [
-    (_no_fork, "ValueError"),
-    (_fork_fails, "OSError"),
-    (_second_fork_fails, "OSError"),
-    (_worker_dies, "BrokenProcessPool"),
-], ids=["no-fork", "fork-fails", "second-fork-fails", "worker-dies"])
+@pytest.mark.parametrize("failure, error, serial", [
+    (_no_fork, "AttributeError", 5),
+    (_fork_fails, "OSError", 5),
+    (_second_fork_fails, "OSError", 3),
+    (_worker_dies, "exit status 1", 5),
+    (_worker_killed, f"killed by signal {signal.SIGKILL:d}", 5),
+    (_short_read, "short read: 1 of 2", 5),
+], ids=["no-fork", "fork-fails", "second-fork-fails", "worker-dies",
+        "worker-killed", "short-read"])
 def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
-                                          failure, error, bad):
+                                          failure, error, serial, bad):
+    """7 jobs over 3 CPUs: the caller checks [0, 2) and every chunk no
+    worker answered for, [2, 4) or [4, 7) or both, under one warning."""
     verify = failure(monkeypatch)
     jobs = [(verify, ok) for _, ok in _jobs(7, bad)]
     with caplog.at_level(logging.WARNING, logger=LOGGER):
@@ -139,28 +187,47 @@ def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert error in record.getMessage()
-    assert "serially" in record.getMessage()
-    assert multiprocessing.active_children() == []
+    assert f"verifying {serial} signatures serially" in record.getMessage()
+    _assert_no_child_left()
 
 
-def test_worker_dying_before_the_last_submit_falls_back(three_cpus,
-                                                       monkeypatch, caplog):
-    """A worker that dies before every chunk is handed out breaks the pool
-    under ``submit`` itself."""
-    real_submit = ProcessPoolExecutor.submit
+def _raises_at(index, exc):
+    def check(i):
+        if i == index:
+            raise exc(f"job {i}")
+        return True
+    return check
 
-    def submit(pool, *args):
-        future = real_submit(pool, *args)
-        wait([future], timeout=10)  # the worker that took it has died
-        return future
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
-    jobs = [(_worker_dies(monkeypatch), ok) for _, ok in _jobs(7, {5})]
+
+def test_check_raising_in_a_worker_raises_in_the_caller(three_cpus, caplog):
+    """The worker exits non-zero; the caller checks its chunk again and
+    raises what a serial run raises."""
+    jobs = [(_raises_at(5, ValueError), i) for i in range(7)]
+    with pytest.raises(ValueError, match="job 5"):
+        fanout._check(jobs, 0, 7)
     with caplog.at_level(logging.WARNING, logger=LOGGER):
-        assert fanout.verify_each(jobs) == _results(7, {5})
+        with pytest.raises(ValueError, match="job 5"):
+            fanout.verify_each(jobs)
     [record] = caplog.records
-    assert "BrokenProcessPool" in record.getMessage()
-    assert "serially" in record.getMessage()
-    assert multiprocessing.active_children() == []
+    assert "exit status 1" in record.getMessage()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_check_raising_in_the_caller_kills_the_workers(three_cpus, exc):
+    """The workers would check for 30 s; they are killed and reaped as the
+    caller's exception propagates."""
+    caller = os.getpid()
+
+    def check(i):
+        if os.getpid() != caller:
+            time.sleep(30)
+        return _raises_at(0, exc)(i)
+    began = time.monotonic()
+    with pytest.raises(exc, match="job 0"):
+        fanout.verify_each([(check, i) for i in range(7)])
+    assert time.monotonic() - began < 10
+    _assert_no_child_left()
 
 
 def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
