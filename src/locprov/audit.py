@@ -20,16 +20,16 @@ The signature, binding and window rules are the parties' own (``model``'s
 ``binding_fault``, ``ENDORSEMENT_WINDOW_MS``), and no caller sets its own,
 so every tool auditing the same files agrees.
 
-The whole audit, claims then ordering, is one walk handed to
-``fanout.batched``. Every signature check in it goes through the ``verify``
-it is given, and a failed one only ends that claim or the ordering early.
-So a first run that answers every check with True reaches each signature
-a real run can check, and ``batched`` verifies all of them in one batch,
-split across the machine's CPUs when it is large. When they all verify,
-that run was the audit. Otherwise the walk runs again, answered from the
-batch. The batch changes how fast an audit runs, never its verdict; a
-failing audit verifies, beyond what it counts, only signatures after its
-first bad one.
+The whole audit, claims then ordering, is one walk of the profile it is
+handed, given to ``fanout.batched``. Every signature check in it ends in
+that profile's ``verify``, and a failed one only ends that claim or the
+ordering early. So a first run whose profile records each signature and
+answers True reaches each signature a real run can check, and ``batched``
+verifies all of them in one batch, split across the machine's CPUs. When
+they all verify, that run was the audit. Otherwise the walk runs again,
+answered from the batch. The batch changes how fast an audit runs, never
+its verdict; a failing audit verifies, beyond what it counts, only
+signatures after its first bad one.
 
 Verdicts separate what failed so that failures can be mapped back onto the
 threat taxonomy (``classify_failure``).
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .bloom import bloom_order_verify
 from .crypto import CryptoProfile
@@ -148,21 +148,21 @@ def audit(
     else:
         raise ValidationError(f"unknown ordering scheme {sub.scheme!r}")
 
-    def walk(verify: Callable[..., bool]) -> AuditReport:
+    def walk(profile: CryptoProfile) -> AuditReport:
         checks: Counter = Counter()
         # (location, epoch) of each report counted so far
         reports: set[tuple[str, int]] = set()
         verdicts = tuple(
             _audit_claim(profile, i, claim, revealed, pubkeys, registry,
-                         checks, reports, verify)
+                         checks, reports)
             for i, (claim, revealed) in enumerate(zip(claims, sub.entries)))
         return AuditReport(
             claim_verdicts=verdicts,
-            ordering=verify_order(profile, sub, pubkeys, checks, verify),
+            ordering=verify_order(profile, sub, pubkeys, checks),
             checks=checks,
             warnings=tuple(warnings),
         )
-    return batched(walk)
+    return batched(profile, walk)
 
 
 def truthful_claims(sub: RevealedSubsequence) -> list[LocationClaim]:
@@ -184,7 +184,6 @@ def _audit_claim(
     registry: Optional[EpochRegistry],
     checks: Counter,
     reports: set[tuple[str, int]],
-    verify: Callable[..., bool],
 ) -> ClaimVerdict:
     lp = revealed.entry.elp.proof
     stmt = lp.statement
@@ -198,7 +197,7 @@ def _audit_claim(
     if issuer_key is None:
         return fail(CLAIM_BAD_SIGNATURE, f"unknown issuer {issuer!r}")
     checks["proof"] += 1
-    if not verify(proof_signed, profile, issuer_key, lp):
+    if not proof_signed(profile, issuer_key, lp):
         return fail(CLAIM_BAD_SIGNATURE, "authority signature invalid")
 
     # Endorsements.
@@ -217,12 +216,12 @@ def _audit_claim(
             return fail(CLAIM_BAD_SIGNATURE,
                         f"unknown witness {es.witness_id!r}")
         checks["witness"] += 1
-        if not verify(endorsement_signed, profile, witness_key, es,
-                      endorsement.witness_sig):
+        if not endorsement_signed(profile, witness_key, es,
+                                  endorsement.witness_sig):
             return fail(CLAIM_BAD_SIGNATURE, "witness signature invalid")
         checks["timestamp"] += 1
-        if not verify(timestamp_signed, profile, issuer_key, es,
-                      endorsement.authority_time_sig):
+        if not timestamp_signed(profile, issuer_key, es,
+                                endorsement.authority_time_sig):
             return fail(CLAIM_BAD_SIGNATURE, "timestamp signature invalid")
         if not stmt.visit_time <= es.endorsed_at <= \
                 stmt.visit_time + ENDORSEMENT_WINDOW_MS:
@@ -255,7 +254,7 @@ def _audit_claim(
             checks["report"] += 1
         try:
             included = check_inclusion(profile, issuer_key, report,
-                                       expected_digest, verify)
+                                       expected_digest)
         except RegistryError as exc:
             return fail(CLAIM_BAD_SIGNATURE, f"epoch report: {exc}")
         if not included:

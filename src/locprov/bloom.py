@@ -6,10 +6,9 @@ only ever gains bits, an earlier entry's filter is a bitwise subset of
 every later one: order between any two revealed entries is decided by a
 single AND, without touching the hidden entries in between. That makes
 audit cost proportional to the number of *revealed* entries, at the price
-of a per-entry filter sized for the whole chain. ``bloom_order_verify``
-asks for each accumulator signature through the ``verify`` it is given, so
-under ``fanout.batched`` an audit verifies them in one batch with its other
-signatures.
+of a per-entry filter sized for the whole chain. Under ``fanout.batched``
+an audit verifies the accumulator signatures ``bloom_order_verify`` checks
+in one batch with its other signatures.
 
 Double-hashing index derivation (bit-exact, so independent
 implementations interoperate):
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .crypto import CryptoProfile, Digest, KeyPair
 from .model import (
@@ -165,7 +164,6 @@ def bloom_order_verify(
     sub: RevealedSubsequence,
     authority_pubkeys: Mapping[str, bytes],
     checks: Counter,
-    verify: Callable[..., bool],
 ) -> OrderingVerdict:
     """Check claimed order using only the revealed entries' accumulators.
 
@@ -174,8 +172,8 @@ def bloom_order_verify(
     one presented. The subset need not be strict: an honest insertion whose
     bits were all set already leaves the image unchanged, so two entries
     can carry equal accumulators and then either order passes. Each
-    accumulator signature is verified through ``verify`` (see
-    ``fanout.batched``) and counts one ``accumulator`` in ``checks``.
+    accumulator signature verified counts one ``accumulator`` in
+    ``checks``.
     """
     if sub.scheme != SCHEME_BLOOM:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")
@@ -198,7 +196,7 @@ def bloom_order_verify(
                 status=ORDER_INCOMPLETE,
                 detail=f"unverifiable accumulator at position {revealed.position}")
         checks["accumulator"] += 1
-        if not verify(verify_accumulator, profile, public_key, acc):
+        if not verify_accumulator(profile, public_key, acc):
             return OrderingVerdict(
                 status=ORDER_REORDERED,
                 detail=f"accumulator signature invalid at position {revealed.position}")

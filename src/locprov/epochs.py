@@ -23,7 +23,7 @@ does not load.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bloom import (TARGET_FPR, bloom_contains, bloom_insert, bloom_new,
                     bloom_well_formed)
@@ -79,16 +79,14 @@ def verify_report(profile: CryptoProfile, public_key: bytes,
 
 
 def check_inclusion(profile: CryptoProfile, public_key: bytes,
-                    report: EpochReport, digest: Digest,
-                    verify: Callable[..., bool]) -> bool:
+                    report: EpochReport, digest: Digest) -> bool:
     """True iff a proof's ``digest`` is a member of the report accumulator.
 
-    The report signature must verify first, through ``verify`` (see
-    ``fanout.batched``); a report that does not is no evidence either way.
-    A structurally inconsistent accumulator (even a signed one) is likewise
-    rejected rather than probed.
+    The report signature must verify first; a report that does not is no
+    evidence either way. A structurally inconsistent accumulator (even a
+    signed one) is likewise rejected rather than probed.
     """
-    if not verify(verify_report, profile, public_key, report):
+    if not verify_report(profile, public_key, report):
         raise RegistryError(
             f"report signature invalid for {report.location_id!r} "
             f"epoch {report.epoch_id}")

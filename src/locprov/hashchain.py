@@ -12,19 +12,18 @@ start of the chain through the last revealed position, so the work grows
 with the position of the last revealed entry, not with how many entries
 were revealed. One signature verify per link is the floor (``cryptography``
 has no batch Ed25519 verify), but the links are independent of one another.
-``chain_verify_subsequence`` asks for each link through the ``verify`` it
-is given, so under ``fanout.batched`` an audit's links are verified in one
-batch with its claims' signatures, split across the machine's CPUs once the
-batch holds ``fanout.FANOUT_MIN_JOBS`` (48) signatures or more, which
-divides the wall time of a long replay by up to the CPU count. The walk
-still replays link by link, so its verdict and ``link`` count are
-unchanged.
+Under ``fanout.batched`` the profile ``chain_verify_subsequence`` is given
+records each link's signature, so an audit's links are verified in one
+batch with its claims' signatures, split across the machine's CPUs by
+workers that live as long as the auditing process, which divides the wall
+time of a long replay by up to the CPU count. The walk still replays link
+by link, so its verdict and ``link`` count are unchanged.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .crypto import CryptoProfile, Digest, KeyPair
 from .model import (
@@ -86,17 +85,16 @@ def chain_verify_subsequence(
     sub: RevealedSubsequence,
     authority_pubkeys: Mapping[str, bytes],
     checks: Counter,
-    verify: Callable[..., bool],
 ) -> OrderingVerdict:
     """Check that the revealed entries appear in the order claimed.
 
     Requires per-position evidence (link, proof digest, issuer) for every
     position from the start of the chain through the last revealed one;
     anything missing yields an Incomplete verdict. Every link in that
-    prefix is replayed and its signature verified through ``verify`` (see
-    ``fanout.batched``), every revealed entry must sit at its claimed
-    position, and claimed positions must strictly increase. Each link
-    signature verified counts one ``link`` in ``checks``.
+    prefix is replayed and its signature verified, every revealed entry
+    must sit at its claimed position, and claimed positions must strictly
+    increase. Each link signature verified counts one ``link`` in
+    ``checks``.
     """
     if sub.scheme != SCHEME_HASHCHAIN:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not hash chain")
@@ -153,8 +151,8 @@ def chain_verify_subsequence(
                 detail=f"no public key for issuer {slot.issuer_id!r}",
             )
         checks["link"] += 1
-        if not verify(verify_link, profile, public_key, slot.link,
-                      slot.proof_digest, prev_link):
+        if not verify_link(profile, public_key, slot.link, slot.proof_digest,
+                           prev_link):
             return OrderingVerdict(
                 status=ORDER_REORDERED,
                 detail=f"link verification failed at position {position}",

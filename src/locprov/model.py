@@ -121,6 +121,10 @@ Statement = Union[LocationStatement, PrivateLocationStatement]
 class LocationProof:
     statement: Statement
     authority_sig: Signature
+    # (hash name, digest) memo of ``proof_digest``; never encoded, compared
+    # or copied by ``replace``, which builds a new proof.
+    _digest: Optional[tuple[str, Digest]] = field(
+        default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -581,8 +585,14 @@ def canonical_encode(obj) -> bytes:
 
 
 def proof_digest(profile: CryptoProfile, lp: LocationProof) -> Digest:
-    """Digest binding endorsements and ordering constructs to a proof."""
-    return profile.digest(canonical_encode(lp))
+    """Digest binding endorsements and ordering constructs to a proof,
+    computed once per proof and hash."""
+    memo = lp._digest
+    if memo is not None and memo[0] == profile.hash_name:
+        return memo[1]
+    digest = profile.digest(canonical_encode(lp))
+    object.__setattr__(lp, "_digest", (profile.hash_name, digest))
+    return digest
 
 
 def canonical_decode(data: bytes, profile: CryptoProfile):

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from locprov import fanout
 from locprov.cli import build_honest_chain
 
 # building 10,000-entry chains through the whole protocol is the expensive
@@ -19,11 +20,19 @@ def honest_chain_factory():
     return factory
 
 
+@pytest.fixture(autouse=True)
+def no_verify_workers():
+    """Each test starts and ends without verify workers: a worker forked
+    under one test's monkeypatches would answer the next test's batches."""
+    fanout._shutdown()
+    yield
+    fanout._shutdown()
+
+
 @pytest.fixture()
 def serial_and_fanned_out(monkeypatch, caplog):
     """Run ``check`` once in the calling process and once split over three
     processes with no size threshold; return both results."""
-    from locprov import fanout
 
     def run(check):
         monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)

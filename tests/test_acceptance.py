@@ -28,12 +28,6 @@ from locprov.protocol import ProtocolConfig, World
 from locprov.scenarios import builtin_suite, run_builtin_suite
 
 
-def call(check, *args):
-    """Run one signature check on the spot, as ``operator.call`` (3.11+)
-    does."""
-    return check(*args)
-
-
 def _claims_for(sub):
     return [
         LocationClaim(r.entry.elp.proof.statement.location_id,
@@ -265,8 +259,7 @@ def _property_hashchain_single_tampers_n8():
                 EndorsedLocationProof(proofs[p - 1], ()), links[p - 1]))
             for p in (1, last))
         sub = RevealedSubsequence("hashchain", entries, tuple(slots))
-        return chain_verify_subsequence(MODERN, sub, pubkeys, Counter(),
-                                        call)
+        return chain_verify_subsequence(MODERN, sub, pubkeys, Counter())
 
     # sanity: the clean chain verifies
     assert verdict_for(clean, 8).status == ORDER_OK
@@ -290,8 +283,7 @@ def _property_hashchain_single_tampers_n8():
             for p in (1, 7))
         sub = RevealedSubsequence("hashchain", entries, tuple(slots))
         outcomes.append(
-            chain_verify_subsequence(MODERN, sub, pubkeys, Counter(),
-                                     call).status
+            chain_verify_subsequence(MODERN, sub, pubkeys, Counter()).status
             != ORDER_OK)
     impostor = proof_digest(
         MODERN, make_proof(MODERN, keys, make_statement("u1", "L", 9999)))

@@ -29,9 +29,9 @@ from locprov.audit import (
     render_text_report,
     truthful_claims,
 )
-from locprov import bloom, fanout, hashchain
+from locprov import bloom, crypto, fanout, hashchain
 from locprov.cli import build_honest_chain
-from locprov.crypto import MODERN, CryptoProfile, get_profile
+from locprov.crypto import MODERN, get_profile
 from locprov.epochs import EpochRegistry
 from locprov.model import (
     OrderingVerdict,
@@ -622,25 +622,27 @@ def test_forged_hash_count_in_epoch_report_fails_its_claims(
 # a clean audit batches exactly the signatures it counts
 # ---------------------------------------------------------------------------
 
-def _batches_and_verifies(monkeypatch, run):
-    """``run()``'s result, the sizes of the batches it verified and the
-    number of signatures it verified in all, all in this process."""
+def _batches_and_verifies(monkeypatch, profile, run):
+    """``run(profile)``'s result, the sizes of the batches it verified and
+    the number of raw signature verifies it made in all, in the batch or on
+    the spot, all in this process."""
     batches, verifies = [], []
     real_verify_each = fanout.verify_each
-    real_verify = CryptoProfile.verify
 
     def verify_each(jobs):
         batches.append(len(jobs))
         return real_verify_each(jobs)
 
-    def verify(profile, *args):
+    def raw_verify(*args):
         verifies.append(args)
-        return real_verify(profile, *args)
+        return profile.raw_verify(*args)
 
+    counting = replace(profile, raw_verify=raw_verify)
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
     monkeypatch.setattr(fanout, "verify_each", verify_each)
-    monkeypatch.setattr(CryptoProfile, "verify", verify)
-    return run(), batches, len(verifies)
+    # the batch verifies through the profile registered under the name
+    monkeypatch.setitem(crypto._PROFILES, profile.name, counting)
+    return run(counting), batches, len(verifies)
 
 
 def _clean_audits():
@@ -662,8 +664,8 @@ def test_clean_audit_batches_exactly_what_it_counts(monkeypatch):
     seen = []
     for name, profile, claims, sub, pubkeys, registry in _clean_audits():
         report, batches, verifies = _batches_and_verifies(
-            monkeypatch,
-            lambda: audit(profile, claims, sub, pubkeys, registry))
+            monkeypatch, profile,
+            lambda p: audit(p, claims, sub, pubkeys, registry))
         assert report.ok, name
         assert batches == [report.signatures_verified], name
         assert verifies == report.signatures_verified, name
@@ -715,8 +717,9 @@ def test_audit_with_good_signatures_batches_exactly_what_it_counts(
     sub, claims = tamper(make_revealed_subsequence(world.profile, chain,
                                                    range(1, 13)))
     report, batches, verifies = _batches_and_verifies(
-        monkeypatch, lambda: audit(world.profile, claims, sub,
-                                   world.directory.pubkeys(), world.registry))
+        monkeypatch, world.profile,
+        lambda p: audit(p, claims, sub, world.directory.pubkeys(),
+                        world.registry))
     ordering, claim_status = failure
     assert report.ordering.status == ordering
     assert [v.status for v in report.failures()] == (

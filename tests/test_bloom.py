@@ -36,12 +36,6 @@ from locprov.protocol import World
 PROFILE = LEGACY  # 20-byte digests, the space-accounting profile
 
 
-def call(check, *args):
-    """Run one signature check on the spot, as ``operator.call`` (3.11+)
-    does."""
-    return check(*args)
-
-
 def _digest(rng: random.Random) -> Digest:
     return Digest(rng.randbytes(PROFILE.digest_len))
 
@@ -267,7 +261,7 @@ def test_order_verify_checks_only_revealed_entries():
     sub = make_revealed_subsequence(world.profile, chain, [1, 4, 6])
     checks = Counter()
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 checks, call)
+                                 checks)
     assert verdict.status == ORDER_OK
     assert checks["accumulator"] == 3
 
@@ -279,7 +273,7 @@ def test_order_verify_1000_chain_three_reveals_three_checks(honest_chain_factory
     sub = make_revealed_subsequence(world.profile, chain, [1, 50, 999])
     checks = Counter()
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 checks, call)
+                                 checks)
     assert verdict.status == ORDER_OK
     assert checks["accumulator"] == 3
 
@@ -289,8 +283,7 @@ def test_order_verify_flags_swapped_presentation():
     sub = make_revealed_subsequence(world.profile, chain, [2, 3])
     swapped = replace(sub, entries=(sub.entries[1], sub.entries[0]))
     verdict = bloom_order_verify(world.profile, swapped,
-                                 world.directory.pubkeys(), Counter(),
-                                 call)
+                                 world.directory.pubkeys(), Counter())
     assert verdict.status == ORDER_REORDERED
 
 
@@ -305,7 +298,7 @@ def test_order_verify_flags_equal_accumulators():
     forged = ProvenanceChain("bloom", (first, duplicated))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 Counter(), call)
+                                 Counter())
     assert verdict.status == ORDER_REORDERED
     assert "equal" in verdict.detail or "own proof" in verdict.detail
 
@@ -378,7 +371,7 @@ def test_malformed_accumulator_rejected_not_crashing():
     forged = ProvenanceChain("bloom", (chain.entries[0], forged_entry))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
-                                 Counter(), call)
+                                 Counter())
     assert verdict.status == "Incomplete"
     assert "malformed" in verdict.detail
 
@@ -440,12 +433,13 @@ def test_signatures_in_processes_match_serial(serial_and_fanned_out,
     presented = replace(sub, entries=tuple(
         by_position[p] for p in order or sorted(by_position)))
 
-    def walk(verify):
+    def walk(profile):
         checks = Counter()
-        verdict = bloom_order_verify(world.profile, presented,
-                                     world.directory.pubkeys(), checks, verify)
+        verdict = bloom_order_verify(profile, presented,
+                                     world.directory.pubkeys(), checks)
         return verdict.status, verdict.detail, checks
 
-    serial, fanned_out = serial_and_fanned_out(lambda: batched(walk))
+    serial, fanned_out = serial_and_fanned_out(
+        lambda: batched(world.profile, walk))
     assert serial == fanned_out == (status, detail,
                                     Counter(accumulator=accumulators))

@@ -40,12 +40,6 @@ KEYS = PROFILE.keygen(bytes(range(32)))
 EPOCH_LEN = 300_000
 
 
-def call(check, *args):
-    """Run one signature check on the spot, as ``operator.call`` (3.11+)
-    does."""
-    return check(*args)
-
-
 def _proof(t, user="u1", location="cafe-7"):
     return make_proof(PROFILE, KEYS, make_statement(user, location, t))
 
@@ -65,21 +59,21 @@ def test_report_contains_every_issued_digest():
     report = _report(0, proofs)
     for lp in proofs:
         assert check_inclusion(PROFILE, KEYS.public_key, report,
-                               proof_digest(PROFILE, lp), call)
+                               proof_digest(PROFILE, lp))
 
 
 def test_empty_epoch_report_is_valid():
     report = _report(0, [])
     assert verify_report(PROFILE, KEYS.public_key, report)
     assert not check_inclusion(PROFILE, KEYS.public_key, report,
-                               proof_digest(PROFILE, _proof(1)), call)
+                               proof_digest(PROFILE, _proof(1)))
 
 
 def test_proof_absent_from_next_epoch_report():
     lp = _proof(1000)
     report_next = _report(1, [])
     assert not check_inclusion(PROFILE, KEYS.public_key, report_next,
-                               proof_digest(PROFILE, lp), call)
+                               proof_digest(PROFILE, lp))
 
 
 def test_check_inclusion_refuses_bad_report_signature():
@@ -87,11 +81,11 @@ def test_check_inclusion_refuses_bad_report_signature():
     other = PROFILE.keygen(bytes(range(1, 33)))
     with pytest.raises(RegistryError):
         check_inclusion(PROFILE, other.public_key, report,
-                        proof_digest(PROFILE, _proof(1000)), call)
+                        proof_digest(PROFILE, _proof(1000)))
     forged = replace(report, epoch_id=5)
     with pytest.raises(RegistryError):
         check_inclusion(PROFILE, KEYS.public_key, forged,
-                        proof_digest(PROFILE, _proof(1000)), call)
+                        proof_digest(PROFILE, _proof(1000)))
 
 
 def test_report_signature_alone_covers_the_accumulator():
@@ -100,7 +94,7 @@ def test_report_signature_alone_covers_the_accumulator():
     assert report.accumulator.authority_sig is None
     for lp in proofs:
         assert check_inclusion(PROFILE, KEYS.public_key, report,
-                               proof_digest(PROFILE, lp), call)
+                               proof_digest(PROFILE, lp))
     # Earlier versions also signed the accumulator itself. Registry files
     # holding such reports still load, and their reports still verify.
     registry = EpochRegistry()
@@ -109,8 +103,7 @@ def test_report_signature_alone_covers_the_accumulator():
     _, loaded = load_registry_file(dump_registry_file("modern", registry))
     for lp in proofs:
         assert check_inclusion(PROFILE, KEYS.public_key,
-                               loaded.reports()[0], proof_digest(PROFILE, lp),
-                               call)
+                               loaded.reports()[0], proof_digest(PROFILE, lp))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +211,7 @@ def test_authority_publishes_on_epoch_roll():
     assert report is not None
     assert check_inclusion(PROFILE, world.directory.public_key("cafe-7"),
                            report,
-                           proof_digest(PROFILE, outcome.entry.elp.proof),
-                           call)
+                           proof_digest(PROFILE, outcome.entry.elp.proof))
 
 
 def test_backdated_fabrication_excluded_from_closed_epoch():
@@ -232,7 +224,7 @@ def test_backdated_fabrication_excluded_from_closed_epoch():
     assert report is not None
     assert not check_inclusion(
         PROFILE, world.directory.public_key("cafe-7"), report,
-        proof_digest(PROFILE, backdated), call)
+        proof_digest(PROFILE, backdated))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +288,7 @@ def test_malformed_signed_accumulator_rejected():
                                 report_signing_bytes(bad_report)))
     with pytest.raises(RegistryError):
         check_inclusion(PROFILE, KEYS.public_key, bad_report,
-                        proof_digest(PROFILE, lp), call)
+                        proof_digest(PROFILE, lp))
 
 
 def test_epoch_completeness_multiple_proofs_per_epoch():
@@ -318,7 +310,7 @@ def test_epoch_completeness_multiple_proofs_per_epoch():
         report = world.registry.lookup("cafe-7", lp.statement.visit_time)
         assert report is not None
         assert check_inclusion(PROFILE, pub, report,
-                               proof_digest(PROFILE, lp), call)
+                               proof_digest(PROFILE, lp))
 
 
 @pytest.mark.parametrize("count", [0, 1, 300])

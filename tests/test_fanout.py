@@ -1,29 +1,51 @@
-"""Signature checks split across processes, and answered from one batch:
-the same answer on every path."""
+"""Signature checks split across a pool of worker processes, and answered
+from one batch: the same answer on every path."""
 
 import errno
 import logging
-import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from locprov import fanout
-from locprov.crypto import MODERN
+from locprov import crypto, fanout
+from locprov.crypto import LEGACY, MODERN
 
 LOGGER = "locprov.fanout"
+KEYS = MODERN.keygen(bytes(32))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _jobs(n, bad):
-    """``n`` jobs of ``bool``; those at the indexes in ``bad`` fail."""
-    return [(bool, i not in bad) for i in range(n)]
+def _signed(n, bad):
+    """``n`` Ed25519 jobs; those at the indexes in ``bad`` carry a
+    signature over another message."""
+    return [("modern", KEYS.public_key, b"%d" % i,
+             MODERN.raw_sign(KEYS.private_key,
+                             b"%d" % (i + 1 if i in bad else i)))
+            for i in range(n)]
 
 
 def _results(n, bad):
     return [i not in bad for i in range(n)]
+
+
+def _fake(monkeypatch, raw_verify):
+    """Register a profile named "fake" whose ``raw_verify`` is given; each
+    job's message is its index."""
+    monkeypatch.setitem(crypto._PROFILES, "fake",
+                        replace(MODERN, name="fake", raw_verify=raw_verify))
+
+
+def _fake_jobs(n, bad=()):
+    """``n`` jobs of the fake profile; those in ``bad`` carry signature 0."""
+    return [("fake", b"", b"%d" % i, b"\0" if i in bad else b"\1")
+            for i in range(n)]
 
 
 def _refuse_fork():
@@ -31,9 +53,14 @@ def _refuse_fork():
 
 
 def _assert_no_child_left():
-    """Every process ``verify_each`` forked has exited and been reaped."""
+    """Every process the pool forked has exited and been reaped."""
+    assert fanout._pool == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _messages(caplog):
+    return [r.getMessage() for r in caplog.records]
 
 
 @pytest.fixture()
@@ -47,7 +74,7 @@ def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.delattr(os, "fork")
     n = fanout.FANOUT_MIN_JOBS - 1
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.verify_each(_jobs(n, {7})) == _results(n, {7})
+        assert fanout.verify_each(_signed(n, {3})) == _results(n, {3})
     assert not caplog.records
 
 
@@ -56,7 +83,7 @@ def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
     monkeypatch.delattr(os, "fork")
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.verify_each(_jobs(9, {8})) == _results(9, {8})
+        assert fanout.verify_each(_signed(9, {8})) == _results(9, {8})
     assert not caplog.records
 
 
@@ -67,16 +94,17 @@ def test_cpu_count_follows_affinity():
 @pytest.mark.parametrize("n, processes", [(3, 1), (4, 2), (7, 3), (40, 3)])
 def test_each_process_gets_half_the_threshold(monkeypatch, caplog, n,
                                               processes):
-    """A fork costs the caller about ``FANOUT_MIN_JOBS / 2`` verifies, so no
-    process gets fewer jobs than that."""
+    """Handing a chunk to a worker costs the caller about
+    ``FANOUT_MIN_JOBS / 2`` verifies, so no process gets fewer jobs than
+    that, and the pool forks no worker the split does not use."""
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
     monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 4)
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.verify_each(_jobs(n, {2})) == _results(n, {2})
-    assert [r.getMessage() for r in caplog.records] == (
+        assert fanout.verify_each(_signed(n, {2})) == _results(n, {2})
+    assert _messages(caplog) == (
         [f"verifying {n} signatures in {processes} processes"]
         if processes > 1 else [])
-    _assert_no_child_left()
+    assert len(fanout._pool) == processes - 1
 
 
 @pytest.mark.parametrize("bad", [set(), {0}, {2}, {3}, {4}, {6}, {3, 6},
@@ -87,47 +115,81 @@ def test_fan_out_finds_the_first_failure(three_cpus, caplog, bad):
     """7 jobs over 3 CPUs: chunks [0, 2), [2, 4), [4, 7). Every result is
     returned, the first failure's and those after it."""
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.verify_each(_jobs(7, bad)) == _results(7, bad)
-    assert [r.getMessage() for r in caplog.records] == [
-        "verifying 7 signatures in 3 processes"]
-    _assert_no_child_left()
+        assert fanout.verify_each(_signed(7, bad)) == _results(7, bad)
+    assert _messages(caplog) == ["verifying 7 signatures in 3 processes"]
 
 
 def test_failures_in_every_chunk_all_reported(three_cpus):
     """Two failures in each of the three chunks of 12 jobs, [0, 4), [4, 8)
     and [8, 12): no chunk stops at its first."""
     bad = {1, 3, 4, 6, 9, 11}
-    assert fanout.verify_each(_jobs(12, bad)) == _results(12, bad)
-    _assert_no_child_left()
+    assert fanout.verify_each(_signed(12, bad)) == _results(12, bad)
 
 
-def test_workers_see_closures_without_pickling(three_cpus):
-    # a lambda cannot be pickled; fork hands it to the workers as it is
-    wanted = {5}
-    jobs = [(lambda i: i not in wanted, i) for i in range(9)]
-    assert fanout.verify_each(jobs) == _results(9, wanted)
-    _assert_no_child_left()
+def test_workers_get_any_triple_as_bytes(three_cpus):
+    """Both profiles, empty and oversized fields, and a message larger than
+    a pipe holds all reach a worker intact."""
+    legacy = LEGACY.keygen(bytes(32))
+    big = bytes(range(256)) * 1024
+    jobs = [
+        ("legacy", legacy.public_key, b"", LEGACY.raw_sign(legacy.private_key,
+                                                          b"")),
+        ("modern", KEYS.public_key, big, MODERN.raw_sign(KEYS.private_key,
+                                                         big)),
+        ("modern", b"", b"m", b""),
+        ("legacy", legacy.public_key, big[:-1],
+         LEGACY.raw_sign(legacy.private_key, big)),
+        *_signed(5, {4}),
+        ("modern", KEYS.public_key, big, bytes(64)),
+    ]
+    assert fanout.verify_each(jobs) == fanout._verify(jobs) == [
+        True, True, False, False, True, True, True, True, False, False]
+    assert len(fanout._pool) == 2
+
+
+def test_workers_are_forked_once_and_reused(three_cpus, monkeypatch, caplog):
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        for bad in ({1}, {4}, set()):
+            assert fanout.verify_each(_signed(7, bad)) == _results(7, bad)
+    assert len(forks) == 2
+    assert _messages(caplog) == ["verifying 7 signatures in 3 processes"] * 3
 
 
 def _in_workers(act):
-    """A check that runs ``act()`` in a worker and passes its argument
-    through in the caller."""
+    """A fake ``raw_verify`` that runs ``act(index)`` in a worker, and
+    answers by the signature byte."""
     caller = os.getpid()
 
-    def verify(ok):
+    def raw_verify(public_key, message, signature):
         if os.getpid() != caller:
-            act()
-        return ok
-    return verify
+            act(int(message))
+        return signature == b"\1"
+    return raw_verify
+
+
+def _exit_at_4(index):
+    if index >= 4:
+        os._exit(1)
+
+
+def _kill_at_4(index):
+    if index >= 4:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _worker_dies(monkeypatch):
-    """Every worker exits with status 1 on its first job."""
-    return _in_workers(lambda: os._exit(1))
+    """The worker given [4, 7) exits with status 1 on its first job."""
+    _fake(monkeypatch, _in_workers(_exit_at_4))
 
 
 def _worker_killed(monkeypatch):
-    return _in_workers(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    _fake(monkeypatch, _in_workers(_kill_at_4))
 
 
 def _short_read(monkeypatch):
@@ -140,17 +202,17 @@ def _short_read(monkeypatch):
         real_write(fd, bytes(data[:-1]))
         os._exit(0)
     monkeypatch.setattr(os, "write", write)
-    return bool
+    _fake(monkeypatch, _in_workers(lambda index: None))
 
 
 def _no_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    return bool
+    _fake(monkeypatch, _in_workers(lambda index: None))
 
 
 def _fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    return bool
+    _fake(monkeypatch, _in_workers(lambda index: None))
 
 
 def _second_fork_fails(monkeypatch):
@@ -163,27 +225,27 @@ def _second_fork_fails(monkeypatch):
             _refuse_fork()
         return real_fork()
     monkeypatch.setattr(os, "fork", fork)
-    return bool
+    _fake(monkeypatch, _in_workers(lambda index: None))
 
 
 @pytest.mark.parametrize("bad", [set(), {1}, {5}])
 @pytest.mark.parametrize("failure, error, serial", [
     (_no_fork, "AttributeError", 5),
     (_fork_fails, "OSError", 5),
-    (_second_fork_fails, "OSError", 3),
-    (_worker_dies, "exit status 1", 5),
-    (_worker_killed, f"killed by signal {signal.SIGKILL:d}", 5),
-    (_short_read, "short read: 1 of 2", 5),
+    (_second_fork_fails, "OSError", 5),
+    (_worker_dies, "0 of 3", 3),
+    (_worker_killed, "0 of 3", 3),
+    (_short_read, "1 of 2", 5),
 ], ids=["no-fork", "fork-fails", "second-fork-fails", "worker-dies",
         "worker-killed", "short-read"])
 def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
                                           failure, error, serial, bad):
-    """7 jobs over 3 CPUs: the caller checks [0, 2) and every chunk no
-    worker answered for, [2, 4) or [4, 7) or both, under one warning."""
-    verify = failure(monkeypatch)
-    jobs = [(verify, ok) for _, ok in _jobs(7, bad)]
+    """7 jobs over 3 CPUs: the caller verifies [0, 2) and every chunk no
+    worker answered, [4, 7) or both [2, 4) and [4, 7), under one warning,
+    and the whole pool is killed and reaped."""
+    failure(monkeypatch)
     with caplog.at_level(logging.WARNING, logger=LOGGER):
-        assert fanout.verify_each(jobs) == _results(7, bad)
+        assert fanout.verify_each(_fake_jobs(7, bad)) == _results(7, bad)
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert error in record.getMessage()
@@ -192,83 +254,254 @@ def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
 
 
 def _raises_at(index, exc):
-    def check(i):
-        if i == index:
-            raise exc(f"job {i}")
+    def raw_verify(public_key, message, signature):
+        if int(message) == index:
+            raise exc(f"job {index}")
         return True
-    return check
+    return raw_verify
 
 
-def test_check_raising_in_a_worker_raises_in_the_caller(three_cpus, caplog):
-    """The worker exits non-zero; the caller checks its chunk again and
-    raises what a serial run raises."""
-    jobs = [(_raises_at(5, ValueError), i) for i in range(7)]
+def test_check_raising_in_a_worker_raises_in_the_caller(three_cpus,
+                                                        monkeypatch, caplog):
+    """The worker exits; the caller verifies its chunk again and raises
+    what a serial run raises."""
+    _fake(monkeypatch, _raises_at(5, ValueError))
+    jobs = _fake_jobs(7)
     with pytest.raises(ValueError, match="job 5"):
-        fanout._check(jobs, 0, 7)
+        fanout._verify(jobs)
     with caplog.at_level(logging.WARNING, logger=LOGGER):
         with pytest.raises(ValueError, match="job 5"):
             fanout.verify_each(jobs)
     [record] = caplog.records
-    assert "exit status 1" in record.getMessage()
+    assert "short read" in record.getMessage()
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
-def test_check_raising_in_the_caller_kills_the_workers(three_cpus, exc):
-    """The workers would check for 30 s; they are killed and reaped as the
-    caller's exception propagates."""
+def test_check_raising_in_the_caller_kills_the_workers(three_cpus,
+                                                       monkeypatch, exc):
+    """The workers would verify for 30 s; they are killed and reaped as the
+    caller's exception propagates, and the next batch forks afresh."""
     caller = os.getpid()
+    raising = _raises_at(0, exc)
 
-    def check(i):
+    def raw_verify(public_key, message, signature):
         if os.getpid() != caller:
             time.sleep(30)
-        return _raises_at(0, exc)(i)
+        return raising(public_key, message, signature)
+    _fake(monkeypatch, raw_verify)
     began = time.monotonic()
     with pytest.raises(exc, match="job 0"):
-        fanout.verify_each([(check, i) for i in range(7)])
+        fanout.verify_each(_fake_jobs(7))
     assert time.monotonic() - began < 10
     _assert_no_child_left()
+    assert fanout.verify_each(_signed(7, {6})) == _results(7, {6})
+    assert len(fanout._pool) == 2
 
 
 def test_other_threads_keep_the_check_in_the_caller(three_cpus, caplog):
-    """Forking a process that runs threads is unsafe."""
+    """Forking, or using workers forked before, while the process runs
+    other threads is unsafe."""
+    assert fanout.verify_each(_signed(7, set())) == _results(7, set())
+    pool = list(fanout._pool)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(10,))
     thread.start()
     try:
         with caplog.at_level(logging.DEBUG, logger=LOGGER):
-            assert fanout.verify_each(_jobs(7, {4})) == _results(7, {4})
+            assert fanout.verify_each(_signed(7, {4})) == _results(7, {4})
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert not caplog.records
+    assert fanout._pool == pool
+
+
+# ---------------------------------------------------------------------------
+# the pool's lifetime: killed workers, forked children, exiting owners
+# ---------------------------------------------------------------------------
+
+def test_worker_killed_between_batches_falls_back_then_splits_again(
+        three_cpus, caplog):
+    jobs, expected = _signed(7, {5}), _results(7, {5})
+    assert fanout.verify_each(jobs) == expected
+    os.kill(fanout._pool[0][0], signal.SIGKILL)
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.verify_each(jobs) == expected
+    [warning] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert "verifying 5 signatures serially" in warning.getMessage()
+    _assert_no_child_left()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.verify_each(jobs) == expected
+    assert _messages(caplog) == ["verifying 7 signatures in 3 processes"]
+    assert len(fanout._pool) == 2
+
+
+def _closed(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return True
+    return False
+
+
+def test_forked_child_never_touches_the_owners_pipes(three_cpus, caplog):
+    """A child forked from the owner finds the owner's pipe ends closed and
+    no pool; its own split forks its own workers. The owner's workers then
+    answer the owner's next batch in step."""
+    jobs, expected = _signed(7, {2}), _results(7, {2})
+    assert fanout.verify_each(jobs) == expected
+    pool = list(fanout._pool)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            ok = (fanout._pool == []
+                  and all(_closed(fd) for _, job_fd, result_fd in pool
+                          for fd in (job_fd, result_fd))
+                  and fanout.verify_each(jobs) == expected
+                  and len(fanout._pool) == 2
+                  and {p for p, _, _ in fanout._pool}.isdisjoint(
+                      p for p, _, _ in pool))
+            fanout._shutdown()
+            os.write(write_end, b"1" if ok else b"0")
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        answer = os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.waitpid(pid, 0)
+    assert answer == b"1"
+    other, other_expected = _signed(9, {0, 8}), _results(9, {0, 8})
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.verify_each(other) == other_expected
+    assert _messages(caplog) == ["verifying 9 signatures in 3 processes"]
+    assert fanout._pool == pool
+
+
+# A process that splits one batch over three processes, prints its workers'
+# pids and whether it imported pickle, then exits, or waits on stdin when
+# given "wait".
+_OWNER = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+from locprov import fanout
+from locprov.crypto import MODERN
+fanout._cpu_count = lambda: 3
+fanout.FANOUT_MIN_JOBS = 2
+keys = MODERN.keygen(bytes(32))
+jobs = [("modern", keys.public_key, b"%d" % i,
+         MODERN.raw_sign(keys.private_key, b"%d" % i)) for i in range(8)]
+assert fanout.verify_each(jobs) == [True] * 8
+print(*(pid for pid, _, _ in fanout._pool), "pickle" in sys.modules,
+      flush=True)
+if sys.argv[1:] == ["wait"]:
+    sys.stdin.read()
+"""
+
+
+def _live_in_session(sid):
+    """Pids of the processes of session ``sid`` that are not zombies."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:  # exited meanwhile
+            continue
+        # pid (comm) state ppid pgrp session ...; comm may hold spaces
+        state, _, _, session = stat.rsplit(")", 1)[1].split()[:4]
+        if int(session) == sid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
+                                reason="reads sessions from /proc")
+
+
+@needs_proc
+def test_no_worker_outlives_an_owner_that_exits():
+    """The owner's stdout reaches end of file as it exits (no worker holds
+    it), and then no process of its session remains."""
+    owner = subprocess.Popen([sys.executable, "-c", _OWNER],
+                             start_new_session=True, stdout=subprocess.PIPE,
+                             text=True)
+    out, _ = owner.communicate(timeout=60)
+    assert owner.returncode == 0
+    *workers, pickled = out.split()
+    assert len(workers) == 2
+    assert pickled == "False"
+    # start_new_session: the owner's pid is its session's id
+    assert _live_in_session(owner.pid) == []
+
+
+@needs_proc
+def test_workers_exit_after_their_owner_is_killed():
+    owner = subprocess.Popen([sys.executable, "-c", _OWNER, "wait"],
+                             start_new_session=True, stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()[:-1]]
+        assert len(workers) == 2
+        assert set(workers) <= set(_live_in_session(owner.pid))
+    finally:
+        owner.kill()
+        owner.wait(timeout=10)
+        owner.stdin.close()
+        owner.stdout.close()
+    deadline = time.monotonic() + 10
+    while _live_in_session(owner.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_in_session(owner.pid) == []
 
 
 # ---------------------------------------------------------------------------
 # batched: a walk recorded, verified in one batch, rerun only on a failure
 # ---------------------------------------------------------------------------
 
-def _counted(check):
-    """``check`` and the list of the arguments of each call made to it."""
+def _signature(message, signed=None):
+    """A modern signature by ``KEYS`` over ``signed`` (default: the
+    message itself)."""
+    return crypto.Signature("ed25519", MODERN.raw_sign(
+        KEYS.private_key, message if signed is None else signed))
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """A modern profile that lists the message of each raw verify it makes,
+    in the batch or on the spot, and that list. Batches stay in this
+    process, where the list is."""
     calls = []
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
 
-    def counted(*args):
-        calls.append(args)
-        return check(*args)
-    return counted, calls
+    def raw_verify(public_key, message, signature):
+        calls.append(message)
+        return MODERN.raw_verify(public_key, message, signature)
+    profile = replace(MODERN, raw_verify=raw_verify)
+    monkeypatch.setitem(crypto._PROFILES, "modern", profile)
+    return profile, calls
 
 
-def _walk(*jobs):
-    """A walk that asks for ``jobs`` in order and stops at the first that
-    fails, returning the answers it read, and the list of its runs."""
+def _walk(*checks):
+    """A walk that verifies ``checks``, (message, signature) pairs, in order
+    and stops at the first that fails, returning the answers it read, and
+    the list of its runs."""
     runs = []
 
-    def walk(verify):
-        runs.append(verify)
+    def walk(profile):
+        runs.append(profile)
         answers = []
-        for check, *args in jobs:
-            answers.append(verify(check, *args))
+        for message, sig in checks:
+            answers.append(profile.verify(KEYS.public_key, message, sig))
             if not answers[-1]:
                 break
         return answers
@@ -288,76 +521,92 @@ def batches(monkeypatch):
     return sizes
 
 
-def test_batched_walks_once_when_every_check_passes(batches):
-    check, calls = _counted(bool)
-    a, b = object(), object()
-    walk, runs = _walk((check, a), (check, b))
-    assert fanout.batched(walk) == [True, True]
+def test_batched_walks_once_when_every_check_passes(counted, batches):
+    profile, calls = counted
+    walk, runs = _walk((b"a", _signature(b"a")), (b"b", _signature(b"b")))
+    assert fanout.batched(profile, walk) == [True, True]
     assert len(runs) == 1
     assert batches == [2]
-    assert calls == [(a,), (b,)]
+    assert calls == [b"a", b"b"]
 
 
-def test_batched_walks_twice_when_a_check_fails(batches):
+def test_batched_walks_twice_when_a_check_fails(counted, batches):
     """The first run reads True past the failure and batches every check
     after it; the second is answered from the batch and stops there."""
-    good, bad, after = object(), object(), object()
-    check, calls = _counted(lambda x: x is not bad)
-    walk, runs = _walk((check, good), (check, bad), (check, after))
-    assert fanout.batched(walk) == [True, False]
+    profile, calls = counted
+    walk, runs = _walk((b"good", _signature(b"good")),
+                       (b"bad", _signature(b"bad", b"other")),
+                       (b"after", _signature(b"after")))
+    assert fanout.batched(profile, walk) == [True, False]
     assert len(runs) == 2
     assert batches == [3]
-    assert calls == [(good,), (bad,), (after,)]
+    assert calls == [b"good", b"bad", b"after"]
 
 
-def test_batched_verifies_a_job_recorded_twice_once(batches):
-    check, calls = _counted(bool)
-    item = object()
-    walk, _ = _walk((check, item), (check, item), (bool, item))
-    assert fanout.batched(walk) == [True, True, True]
+def test_batched_verifies_a_job_recorded_twice_once(counted, batches):
+    """Jobs are keyed by value: equal bytes in distinct objects are one
+    job."""
+    profile, calls = counted
+    sig = _signature(b"item")
+    walk, _ = _walk((b"item", sig), (bytes(bytearray(b"item")), replace(sig)),
+                    (b"other", _signature(b"other")))
+    assert fanout.batched(profile, walk) == [True, True, True]
     assert batches == [2]
-    assert calls == [(item,)]
+    assert calls == [b"item", b"other"]
 
 
-def test_batched_answers_false_from_the_batch(batches):
-    check, calls = _counted(lambda x: False)
-    item = object()
-    walk, runs = _walk((check, item))
-    assert fanout.batched(walk) == [False]
+def test_batched_answers_false_from_the_batch(counted, batches):
+    profile, calls = counted
+    walk, runs = _walk((b"item", _signature(b"item", b"other")))
+    assert fanout.batched(profile, walk) == [False]
     assert len(runs) == 2
     assert batches == [1]
-    assert calls == [(item,)]
+    assert calls == [b"item"]
 
 
-def test_batched_checks_an_equal_distinct_argument_on_the_spot(batches):
-    """0.0 == -0.0, but only the batched object is answered from the batch:
-    a second run that asks for an equal one verifies it on the spot."""
-    check, calls = _counted(lambda x: math.copysign(1.0, x) > 0)
-    recorded, equal, failing = 0.0, -0.0, -1.0
-    asked = [recorded, equal]
+def test_batched_checks_a_triple_it_does_not_hold_on_the_spot(counted,
+                                                              batches):
+    """A second run that asks for a signature the first did not is
+    verified on the spot."""
+    profile, calls = counted
+    asked = [b"recorded", b"new"]
+    failing = _signature(b"failing", b"other")
 
-    def walk(verify):
-        return verify(check, asked.pop(0)), verify(check, failing)
+    def walk(profile):
+        message = asked.pop(0)
+        return (profile.verify(KEYS.public_key, message, _signature(message)),
+                profile.verify(KEYS.public_key, b"failing", failing))
 
-    assert fanout.batched(walk) == (False, False)
+    assert fanout.batched(profile, walk) == (True, False)
     assert batches == [2]
-    assert calls == [(recorded,), (failing,), (equal,)]
+    assert calls == [b"recorded", b"failing", b"new"]
 
 
-def test_batched_one_signature_under_two_keys_gets_two_results(batches):
-    keys = MODERN.keygen(bytes(32))
-    sig = MODERN.sign(keys.private_key, b"signed")
-    signed, other = b"signed", b"other"
-    check, calls = _counted(
-        lambda message, s: MODERN.verify(keys.public_key, message, s))
+def test_batched_one_signature_under_two_keys_gets_two_results(counted,
+                                                               batches):
+    profile, calls = counted
+    sig = _signature(b"signed")
     answers = []
 
-    def walk(verify):
-        answers.append((verify(check, signed, sig),
-                        verify(check, other, sig)))
+    def walk(profile):
+        answers.append((profile.verify(KEYS.public_key, b"signed", sig),
+                        profile.verify(KEYS.public_key, b"other", sig)))
         return answers[-1]
 
-    assert fanout.batched(walk) == (True, False)
+    assert fanout.batched(profile, walk) == (True, False)
     assert batches == [2]
     assert answers == [(True, True), (True, False)]
     assert len(calls) == 2
+
+
+def test_batched_refuses_a_foreign_scheme_without_a_job(counted, batches):
+    """``CryptoProfile.verify``'s scheme and type check runs for real in
+    the recording run: a signature of another scheme reads False there and
+    reaches no batch."""
+    profile, calls = counted
+    legacy = replace(_signature(b"item"), scheme_id=LEGACY.scheme_id)
+    walk, runs = _walk((b"a", _signature(b"a")), (b"item", legacy))
+    assert fanout.batched(profile, walk) == [True, False]
+    assert len(runs) == 1
+    assert batches == [1]
+    assert calls == [b"a"]

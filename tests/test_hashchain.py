@@ -34,12 +34,6 @@ PROFILE = MODERN
 AUTH = PROFILE.keygen(bytes(range(32)))
 
 
-def call(check, *args):
-    """Run one signature check on the spot, as ``operator.call`` (3.11+)
-    does."""
-    return check(*args)
-
-
 def _proof(i, authority=AUTH, location="cafe-7"):
     return make_proof(PROFILE, authority, make_statement("u1", location, 100 + i))
 
@@ -125,7 +119,7 @@ def test_full_chain_reveal_first_and_last_checks_all_links():
     sub = _sub(_slots(proofs, links), [1, 4], proofs, links)
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks, call)
+                                       checks)
     assert verdict.status == ORDER_OK
     assert checks["link"] == 4
 
@@ -135,7 +129,7 @@ def test_reveal_middle_checks_prefix_only():
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links)
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks, call)
+                                       checks)
     assert verdict.status == ORDER_OK
     # independent oracle: required work is the largest revealed position
     assert checks["link"] == max([2, 3])
@@ -148,7 +142,7 @@ def test_swapped_links_detected():
                           replace(slots[1], position=3))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), call)
+                                       Counter())
     assert verdict.status == ORDER_REORDERED
 
 
@@ -159,7 +153,7 @@ def test_substituted_proof_detected():
     slots[1] = replace(slots[1], proof_digest=proof_digest(PROFILE, impostor))
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), call)
+                                       Counter())
     assert verdict.status == ORDER_REORDERED
 
 
@@ -167,7 +161,7 @@ def test_claimed_order_must_ascend():
     proofs, links = _build_links(4)
     sub = _sub(_slots(proofs, links), [2, 3], proofs, links, order=[3, 2])
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), call)
+                                       Counter())
     assert verdict.status == ORDER_REORDERED
 
 
@@ -176,15 +170,14 @@ def test_missing_prefix_evidence_is_incomplete():
     slots = [s for s in _slots(proofs, links) if s.position != 2]
     sub = _sub(tuple(slots), [3], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), call)
+                                       Counter())
     assert verdict.status == ORDER_INCOMPLETE
 
 
 def test_unknown_issuer_is_incomplete():
     proofs, links = _build_links(2)
     sub = _sub(_slots(proofs, links), [2], proofs, links)
-    verdict = chain_verify_subsequence(PROFILE, sub, {}, Counter(),
-                                       call)
+    verdict = chain_verify_subsequence(PROFILE, sub, {}, Counter())
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -193,7 +186,7 @@ def test_empty_reveal_is_ok_and_costs_nothing():
     sub = RevealedSubsequence("hashchain", (), _slots(proofs, links))
     checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks, call)
+                                       checks)
     assert verdict.status == ORDER_OK
     assert checks["link"] == 0
 
@@ -202,7 +195,7 @@ def test_wrong_scheme_rejected():
     with pytest.raises(ValidationError):
         chain_verify_subsequence(PROFILE,
                                  RevealedSubsequence("bloom", (), ()), {},
-                                 Counter(), call)
+                                 Counter())
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +222,7 @@ def test_links_checked_equals_last_revealed_for_random_subsets():
         sub = _sub(slots, positions, proofs, links)
         checks = Counter()
         verdict = chain_verify_subsequence(PROFILE, sub,
-                                           {"cafe-7": AUTH.public_key}, checks,
-                                           call)
+                                           {"cafe-7": AUTH.public_key}, checks)
         assert verdict.status == ORDER_OK
         assert checks["link"] == positions[-1]
 
@@ -255,7 +247,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
             slots[j] = ChainSlot(j + 1, sj.issuer_id, si.proof_digest, si.link)
             sub = _sub(tuple(slots), [1, n], proofs, links)
             verdict = chain_verify_subsequence(PROFILE, sub, pubkeys,
-                                               Counter(), call)
+                                               Counter())
             total += 1
             detected += verdict.status != ORDER_OK
 
@@ -268,8 +260,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
         remaining_proofs = [p for idx, p in enumerate(proofs) if idx != k]
         remaining_links = [l for idx, l in enumerate(links) if idx != k]
         sub = _sub(slots, [1, n - 1], remaining_proofs, remaining_links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter(),
-                                           call)
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -279,8 +270,7 @@ def test_exhaustive_single_tamper_n8_all_detected():
         slots = list(clean)
         slots[k] = replace(slots[k], proof_digest=impostor_digest)
         sub = _sub(tuple(slots), [1, n], proofs, links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter(),
-                                           call)
+        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
         total += 1
         detected += verdict.status != ORDER_OK
 
@@ -292,16 +282,14 @@ def test_completeness_long_chain_and_random_subsets(honest_chain_factory):
     pubkeys = world.directory.pubkeys()
     full = make_revealed_subsequence(world.profile, chain,
                                      list(range(1, 10_001)))
-    verdict = chain_verify_subsequence(world.profile, full, pubkeys, Counter(),
-                                       call)
+    verdict = chain_verify_subsequence(world.profile, full, pubkeys, Counter())
     assert verdict.status == ORDER_OK
     rng = random.Random(5)
     for _ in range(3):
         positions = sorted(rng.sample(range(1, 10_001), 25))
         sub = make_revealed_subsequence(world.profile, chain, positions)
         checks = Counter()
-        verdict = chain_verify_subsequence(world.profile, sub, pubkeys, checks,
-                                           call)
+        verdict = chain_verify_subsequence(world.profile, sub, pubkeys, checks)
         assert verdict.status == ORDER_OK
         assert checks["link"] == positions[-1]
 
@@ -320,8 +308,7 @@ def test_multi_authority_chain_resolves_per_entry_keys():
     sub = make_revealed_subsequence(world.profile, user.chain, [1, 3])
     checks = Counter()
     verdict = chain_verify_subsequence(world.profile, sub,
-                                       world.directory.pubkeys(), checks,
-                                       call)
+                                       world.directory.pubkeys(), checks)
     assert verdict.status == ORDER_OK
     assert checks["link"] == 3
 
@@ -332,7 +319,7 @@ def test_duplicate_evidence_positions_incomplete():
     slots.append(slots[1])  # two slots claim position 2
     sub = _sub(tuple(slots), [1, 3], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter(), call)
+                                       Counter())
     assert verdict.status == ORDER_INCOMPLETE
 
 
@@ -372,11 +359,12 @@ def test_replay_in_processes_matches_serial(serial_and_fanned_out, bad,
         slots[keyless - 1] = replace(slots[keyless - 1], issuer_id="elsewhere")
     sub = _sub(tuple(slots), [24], proofs, links)
 
-    def walk(verify):
+    def walk(profile):
         checks = Counter()
         verdict = chain_verify_subsequence(
-            PROFILE, sub, {"cafe-7": AUTH.public_key}, checks, verify)
+            profile, sub, {"cafe-7": AUTH.public_key}, checks)
         return verdict.status, verdict.detail, checks
 
-    serial, fanned_out = serial_and_fanned_out(lambda: batched(walk))
+    serial, fanned_out = serial_and_fanned_out(
+        lambda: batched(PROFILE, walk))
     assert serial == fanned_out == (status, detail, Counter(link=links_checked))
