@@ -25,43 +25,39 @@ its first bad signature.
 
 ``verify_each(jobs)`` takes jobs ``(profile name, public key, message,
 signature bytes)`` and returns each one's ``get_profile(name).raw_verify``
-result, in order. With fewer than ``FANOUT_MIN_JOBS`` jobs, on one CPU, or
-while the process runs other threads, it verifies them in the calling
-process. Otherwise it cuts them into one contiguous chunk per CPU the
-process may run on (``os.sched_getaffinity``), but into no more chunks than
-give each ``FANOUT_MIN_JOBS / 2`` jobs. The caller writes each chunk but the
-first to one worker of its pool, verifies the first chunk itself, then reads
-one byte per job back from each worker. A worker reads one length-prefixed
-frame of triples at a time from its own job pipe (``struct`` lengths, no
-``pickle``), verifies them and writes the results to its own result pipe.
+result, in order. It cuts them into one contiguous chunk per CPU the
+process may run on (``os.sched_getaffinity``), but no more chunks than
+jobs: even one job per process pays (``BENCH_workers.json``). The caller
+writes each chunk but the first to one worker of its pool as one
+length-prefixed frame (``struct`` lengths, no ``pickle``), verifies the
+first chunk itself, then reads one result byte per job from each worker.
 The ``locprov.fanout`` logger records each split at DEBUG and each
 fall-back at WARNING.
 
 The pool lives as long as the process, under these rules:
 
 * It forks, and is used, only while ``threading.active_count() == 1``:
-  forking a process that runs threads is unsafe. The first batch that
-  needs workers forks them, at most one per extra CPU; later batches reuse
-  them and fork only the workers a larger split needs.
+  forking a process that runs threads is unsafe. Else, on one CPU or for
+  one job, the caller verifies every job. A worker is forked the first
+  time a split needs it, and serves every later batch.
 * It belongs to the process that forked it. In any process forked from
   that one, a worker included, an ``os.register_at_fork`` hook closes the
-  inherited caller-side pipe ends and forgets the pool, so that process
-  never touches them and EOF reaches every worker when its owner dies.
-* A worker points its stdin, stdout and stderr at ``/dev/null``, so it
-  holds none of the owner's output open. It leaves through ``os._exit`` on
-  EOF or on any exception, never returning into the owner's stack.
-* An ``atexit`` handler in the owner kills and reaps every worker.
-* Any failure kills and reaps the whole pool: a fork that fails, a write
-  to a worker that has gone (``EPIPE``), a short read from one that died,
-  or an exception in the caller's own chunk (``KeyboardInterrupt``
-  included), which is then re-raised. Otherwise the chunks no worker
-  answered are verified in the caller, under one WARNING. The next batch
-  may fork afresh. The results, and any exception a check raises, never
-  depend on the path.
+  inherited caller-side pipe ends and forgets the pool, so EOF reaches
+  every worker when its owner dies.
+* A worker's stdin, stdout and stderr are ``/dev/null``: it holds none of
+  the owner's output open. It leaves through ``os._exit`` on EOF or on any
+  exception, never returning into the owner's stack.
+* An ``atexit`` handler kills and reaps every worker of the exiting owner.
+* A pool failure (a fork that fails, ``EPIPE``, a short read) kills and
+  reaps the pool, and the caller verifies the whole batch, under one
+  WARNING. An exception in the caller's own chunk (``KeyboardInterrupt``
+  included) kills and reaps the pool and propagates. The next batch may
+  fork afresh. Neither results nor exceptions depend on the path.
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import os
 import signal
@@ -70,13 +66,6 @@ import threading
 from typing import Any, Callable, Sequence
 
 from .crypto import CryptoProfile, get_profile
-
-# Fewest jobs worth a 2-way split: handing a chunk to a live worker and
-# reading its answer cost the caller 0.05-0.08 ms in a 50 MB process on a
-# 2-CPU guest, a verify 0.2 ms, so even one job per process pays; timed
-# against one process, a 2-job split won 86% of repetitions
-# (BENCH_workers.json).
-FANOUT_MIN_JOBS = 2
 
 # A job: profile name, public key, message, signature bytes.
 Job = tuple[str, bytes, bytes, bytes]
@@ -117,7 +106,7 @@ def batched(profile: CryptoProfile,
 def verify_each(jobs: Sequence[Job]) -> list[bool]:
     """Each job's ``get_profile(name).raw_verify`` result, in order (see
     module doc)."""
-    cpus = min(_cpu_count(), 2 * len(jobs) // FANOUT_MIN_JOBS)
+    cpus = min(_cpu_count(), len(jobs))
     if cpus < 2 or threading.active_count() > 1:
         return _verify(jobs)
     return _fan_out(jobs, cpus)
@@ -141,47 +130,34 @@ def _fan_out(jobs: Sequence[Job], cpus: int) -> list[bool]:
 
     logger = logging.getLogger(__name__)
     bounds = [len(jobs) * i // cpus for i in range(cpus + 1)]
-    chunks = [jobs[start:stop] for start, stop in zip(bounds[1:], bounds[2:])]
-    answered: list[bool] = []
+    chunks = list(zip(bounds[1:], bounds[2:]))
+
+    def serially(failure: str) -> list[bool]:
+        _shutdown()
+        logger.warning("verify workers failed (%s); verifying %d signatures "
+                       "serially", failure, len(jobs))
+        return _verify(jobs)
     try:
         try:
-            workers = _workers(cpus - 1)
-            for (_, job_fd, _), chunk in zip(workers, chunks):
-                _send(job_fd, chunk)
-        except (AttributeError, OSError) as exc:  # no os.fork, or EPIPE
-            failure = f"{type(exc).__name__}: {exc}"
-        else:
-            failure = None
-            logger.debug("verifying %d signatures in %d processes",
-                         len(jobs), cpus)
+            while len(_pool) < len(chunks):
+                _pool.append(_start_worker())
+            for (_, job_fd, _), (start, stop) in zip(_pool, chunks):
+                _send(job_fd, jobs[start:stop])
+        except OSError as exc:  # a fork failed, or EPIPE
+            return serially(f"{type(exc).__name__}: {exc}")
+        logger.debug("verifying %d signatures in %d processes", len(jobs),
+                     cpus)
         results = _verify(jobs[:bounds[1]])
-        if failure is None:
-            failure = _collect(workers, chunks, answered)
+        for (pid, _, result_fd), (start, stop) in zip(_pool, chunks):
+            got = _read(result_fd, stop - start)
+            if len(got) != stop - start:
+                return serially(f"short read from worker {pid}: "
+                                f"{len(got)} of {stop - start}")
+            results += map(bool, got)
     except BaseException:  # the caller's chunk raised, or an interrupt
         _shutdown()
         raise
-    if failure is not None:
-        _shutdown()
-        unanswered = [job for chunk in chunks for job in chunk][len(answered):]
-        logger.warning("verify workers failed (%s); verifying %d signatures "
-                       "serially", failure, len(unanswered))
-        answered += _verify(unanswered)
-    return results + answered
-
-
-def _collect(workers: list[tuple[int, int, int]], chunks: list,
-             answered: list[bool]) -> str | None:
-    """Read each worker's answer to its chunk onto ``answered``; why one
-    gave none, or None when all did."""
-    for (pid, _, result_fd), chunk in zip(workers, chunks):
-        try:
-            got = _read(result_fd, len(chunk))
-        except OSError as exc:
-            return f"{type(exc).__name__}: {exc}"
-        if len(got) != len(chunk):
-            return f"short read from worker {pid}: {len(got)} of {len(chunk)}"
-        answered += map(bool, got)
-    return None
+    return results
 
 
 def _send(fd: int, jobs: Sequence[Job]) -> None:
@@ -229,17 +205,6 @@ def _write(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
-
-
-def _workers(count: int) -> list[tuple[int, int, int]]:
-    """The pool's first ``count`` workers, forking those it lacks."""
-    if not _pool:
-        import atexit
-        atexit.unregister(_shutdown)  # registered once, however many pools
-        atexit.register(_shutdown)
-    while len(_pool) < count:
-        _pool.append(_start_worker())
-    return _pool[:count]
 
 
 def _start_worker() -> tuple[int, int, int]:
@@ -300,5 +265,6 @@ def _forget_pool() -> list[int]:
     return pids
 
 
+atexit.register(_shutdown)
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)

@@ -10,14 +10,9 @@ The cost asymmetry that motivates the alternative accumulator scheme lives
 here: verifying a revealed subsequence means replaying every link from the
 start of the chain through the last revealed position, so the work grows
 with the position of the last revealed entry, not with how many entries
-were revealed. One signature verify per link is the floor (``cryptography``
-has no batch Ed25519 verify), but the links are independent of one another.
-Under ``fanout.batched`` the profile ``chain_verify_subsequence`` is given
-records each link's signature, so an audit's links are verified in one
-batch with its claims' signatures, split across the machine's CPUs by
-workers that live as long as the auditing process, which divides the wall
-time of a long replay by up to the CPU count. The walk still replays link
-by link, so its verdict and ``link`` count are unchanged.
+were revealed. One signature verify per link is the floor; the links are
+independent, so an audit verifies them in one batch with its other
+signatures, split across the machine's CPUs (see ``fanout``).
 """
 
 from __future__ import annotations

@@ -32,13 +32,12 @@ def no_verify_workers():
 @pytest.fixture()
 def serial_and_fanned_out(monkeypatch, caplog):
     """Run ``check`` once in the calling process and once split over three
-    processes with no size threshold; return both results."""
+    processes; return both results."""
 
     def run(check):
         monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
         serial = check()
         monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="locprov.fanout"):
             fanned_out = check()

@@ -66,21 +66,10 @@ def _messages(caplog):
 @pytest.fixture()
 def three_cpus(monkeypatch):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
-
-
-def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
-    monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
-    monkeypatch.delattr(os, "fork")
-    n = fanout.FANOUT_MIN_JOBS - 1
-    with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.verify_each(_signed(n, {3})) == _results(n, {3})
-    assert not caplog.records
 
 
 def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 2)
     monkeypatch.delattr(os, "fork")
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
         assert fanout.verify_each(_signed(9, {8})) == _results(9, {8})
@@ -91,16 +80,15 @@ def test_cpu_count_follows_affinity():
     assert fanout._cpu_count() == len(os.sched_getaffinity(0))
 
 
-@pytest.mark.parametrize("n, processes", [(3, 1), (4, 2), (7, 3), (40, 3)])
-def test_each_process_gets_half_the_threshold(monkeypatch, caplog, n,
-                                              processes):
-    """Handing a chunk to a worker costs the caller about
-    ``FANOUT_MIN_JOBS / 2`` verifies, so no process gets fewer jobs than
-    that, and the pool forks no worker the split does not use."""
-    monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(fanout, "FANOUT_MIN_JOBS", 4)
+@pytest.mark.parametrize("n, processes", [(1, 1), (2, 2), (7, 3), (40, 3)])
+def test_one_process_per_job_up_to_the_cpu_count(three_cpus, monkeypatch,
+                                                 caplog, n, processes):
+    """Even one job per process pays, so no process gets none, and the pool
+    forks no worker the split does not use."""
+    if processes == 1:
+        monkeypatch.delattr(os, "fork")
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
-        assert fanout.verify_each(_signed(n, {2})) == _results(n, {2})
+        assert fanout.verify_each(_signed(n, {0})) == _results(n, {0})
     assert _messages(caplog) == (
         [f"verifying {n} signatures in {processes} processes"]
         if processes > 1 else [])
@@ -205,11 +193,6 @@ def _short_read(monkeypatch):
     _fake(monkeypatch, _in_workers(lambda index: None))
 
 
-def _no_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    _fake(monkeypatch, _in_workers(lambda index: None))
-
-
 def _fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", _refuse_fork)
     _fake(monkeypatch, _in_workers(lambda index: None))
@@ -229,27 +212,25 @@ def _second_fork_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [set(), {1}, {5}])
-@pytest.mark.parametrize("failure, error, serial", [
-    (_no_fork, "AttributeError", 5),
-    (_fork_fails, "OSError", 5),
-    (_second_fork_fails, "OSError", 5),
-    (_worker_dies, "0 of 3", 3),
-    (_worker_killed, "0 of 3", 3),
-    (_short_read, "1 of 2", 5),
-], ids=["no-fork", "fork-fails", "second-fork-fails", "worker-dies",
-        "worker-killed", "short-read"])
+@pytest.mark.parametrize("failure, error", [
+    (_fork_fails, "OSError"),
+    (_second_fork_fails, "OSError"),
+    (_worker_dies, "0 of 3"),
+    (_worker_killed, "0 of 3"),
+    (_short_read, "1 of 2"),
+], ids=["fork-fails", "second-fork-fails", "worker-dies", "worker-killed",
+        "short-read"])
 def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
-                                          failure, error, serial, bad):
-    """7 jobs over 3 CPUs: the caller verifies [0, 2) and every chunk no
-    worker answered, [4, 7) or both [2, 4) and [4, 7), under one warning,
-    and the whole pool is killed and reaped."""
+                                          failure, error, bad):
+    """7 jobs over 3 CPUs: the whole pool is killed and reaped, and the
+    caller verifies all 7, under one warning."""
     failure(monkeypatch)
     with caplog.at_level(logging.WARNING, logger=LOGGER):
         assert fanout.verify_each(_fake_jobs(7, bad)) == _results(7, bad)
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert error in record.getMessage()
-    assert f"verifying {serial} signatures serially" in record.getMessage()
+    assert "verifying 7 signatures serially" in record.getMessage()
     _assert_no_child_left()
 
 
@@ -263,7 +244,7 @@ def _raises_at(index, exc):
 
 def test_check_raising_in_a_worker_raises_in_the_caller(three_cpus,
                                                         monkeypatch, caplog):
-    """The worker exits; the caller verifies its chunk again and raises
+    """The worker exits; the caller verifies the whole batch and raises
     what a serial run raises."""
     _fake(monkeypatch, _raises_at(5, ValueError))
     jobs = _fake_jobs(7)
@@ -330,7 +311,7 @@ def test_worker_killed_between_batches_falls_back_then_splits_again(
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
         assert fanout.verify_each(jobs) == expected
     [warning] = [r for r in caplog.records if r.levelno == logging.WARNING]
-    assert "verifying 5 signatures serially" in warning.getMessage()
+    assert "verifying 7 signatures serially" in warning.getMessage()
     _assert_no_child_left()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger=LOGGER):
@@ -388,18 +369,26 @@ def test_forked_child_never_touches_the_owners_pipes(three_cpus, caplog):
 
 # A process that splits one batch over three processes, prints its workers'
 # pids and whether it imported pickle, then exits, or waits on stdin when
-# given "wait".
+# given "wait". Given "refork", it first kills a worker, splits again (the
+# pool fails, and the batch is verified serially), and splits once more,
+# which forks a fresh pool.
 _OWNER = f"""
-import sys
+import os, signal, sys
 sys.path.insert(0, {str(SRC)!r})
 from locprov import fanout
 from locprov.crypto import MODERN
 fanout._cpu_count = lambda: 3
-fanout.FANOUT_MIN_JOBS = 2
 keys = MODERN.keygen(bytes(32))
 jobs = [("modern", keys.public_key, b"%d" % i,
          MODERN.raw_sign(keys.private_key, b"%d" % i)) for i in range(8)]
 assert fanout.verify_each(jobs) == [True] * 8
+if sys.argv[1:] == ["refork"]:
+    killed = [pid for pid, _, _ in fanout._pool]
+    os.kill(killed[0], signal.SIGKILL)
+    assert fanout.verify_each(jobs) == [True] * 8
+    assert fanout._pool == []
+    assert fanout.verify_each(jobs) == [True] * 8
+    assert killed[0] not in (pid for pid, _, _ in fanout._pool)
 print(*(pid for pid, _, _ in fanout._pool), "pickle" in sys.modules,
       flush=True)
 if sys.argv[1:] == ["wait"]:
@@ -428,11 +417,11 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc"),
                                 reason="reads sessions from /proc")
 
 
-@needs_proc
-def test_no_worker_outlives_an_owner_that_exits():
-    """The owner's stdout reaches end of file as it exits (no worker holds
-    it), and then no process of its session remains."""
-    owner = subprocess.Popen([sys.executable, "-c", _OWNER],
+def _owner_exits_alone(*args):
+    """Run ``_OWNER`` with ``args`` in a session of its own: its stdout
+    reaches end of file as it exits (no worker holds it), and then no
+    process of its session remains."""
+    owner = subprocess.Popen([sys.executable, "-c", _OWNER, *args],
                              start_new_session=True, stdout=subprocess.PIPE,
                              text=True)
     out, _ = owner.communicate(timeout=60)
@@ -442,6 +431,17 @@ def test_no_worker_outlives_an_owner_that_exits():
     assert pickled == "False"
     # start_new_session: the owner's pid is its session's id
     assert _live_in_session(owner.pid) == []
+
+
+@needs_proc
+def test_no_worker_outlives_an_owner_that_exits():
+    _owner_exits_alone()
+
+
+@needs_proc
+def test_no_worker_outlives_an_owner_that_reforked_its_pool():
+    """The exit hook kills a pool forked after an earlier one failed."""
+    _owner_exits_alone("refork")
 
 
 @needs_proc
