@@ -68,6 +68,16 @@ def three_cpus(monkeypatch):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 3)
 
 
+def test_below_threshold_runs_in_the_caller(monkeypatch, caplog):
+    """A split needs two jobs: one job never forks, whatever the CPU
+    count."""
+    monkeypatch.delattr(os, "fork")
+    with caplog.at_level(logging.DEBUG, logger=LOGGER):
+        assert fanout.verify_each(_signed(1, {0})) == _results(1, {0})
+    assert not caplog.records
+    assert fanout._pool == []
+
+
 def test_single_cpu_runs_in_the_caller(monkeypatch, caplog):
     monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
     monkeypatch.delattr(os, "fork")
