@@ -1,4 +1,5 @@
 import logging
+import zlib
 
 import pytest
 
@@ -18,6 +19,31 @@ def honest_chain_factory():
             _chain_cache[key] = build_honest_chain(scheme, n)
         return _chain_cache[key]
     return factory
+
+
+def _flip_last_bit(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+# Hostile version 3 file bodies: name -> (the body, made from a file's
+# canonical bytes; a fragment of the FormatError it must raise). 16 MiB of
+# zeros deflate 1,028:1, past the 1,024:1 cap.
+DEFLATE_ATTACKS = {
+    "bomb": (lambda body: zlib.compress(bytes(16 << 20)), "inflates past"),
+    "truncated": (lambda body: zlib.compress(body)[:-10],
+                  "truncated deflate stream"),
+    "trailing-bytes": (lambda body: zlib.compress(body) + b"\0",
+                       "trailing bytes after its deflate stream"),
+    "bad-adler32": (lambda body: _flip_last_bit(zlib.compress(body)),
+                    "incorrect data check"),
+    "not-deflated": (lambda body: body, "does not inflate"),
+}
+
+
+@pytest.fixture(params=sorted(DEFLATE_ATTACKS))
+def deflate_attack(request):
+    """One of ``DEFLATE_ATTACKS``: a hostile body maker and its error."""
+    return DEFLATE_ATTACKS[request.param]
 
 
 @pytest.fixture(autouse=True)

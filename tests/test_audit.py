@@ -317,19 +317,46 @@ def test_registry_file_written_before_keyed_lookup_audits_the_same():
     holds empty reports, and several claims share a report. Verdicts and
     ordering counts are unchanged; only the report verifies fall."""
     folder = DATA / "shared-epochs-bloom"
-    _, sub, directory = load_chain_file((folder / "chain.json").read_text())
-    claims = load_claims_file((folder / "claims.json").read_text())
     _, registry = load_registry_file((folder / "registry.json").read_text())
     assert any(r.accumulator.bits == bytes(len(r.accumulator.bits))
                for r in registry.reports())
-    report = audit(MODERN, claims, sub, Directory(directory).pubkeys(),
-                   registry)
+    report = _audit_shared(folder)
     then = json.loads((folder / "report.json").read_text())["report"]
     now = json.loads(dump_audit_report_file(report))["report"]
     assert now["signatures_verified"] == then.pop("signatures_verified") - 3
     del now["signatures_verified"]
     assert now == then
     assert report.checks["report"] == 3
+
+
+def _audit_shared(folder):
+    """Audit the chain and registry files in ``folder`` on the committed
+    claims."""
+    _, sub, directory = load_chain_file((folder / "chain.json").read_text())
+    claims = load_claims_file(
+        (DATA / "shared-epochs-bloom" / "claims.json").read_text())
+    _, registry = load_registry_file((folder / "registry.json").read_text())
+    return audit(MODERN, claims, sub, Directory(directory).pubkeys(),
+                 registry)
+
+
+def test_version_2_and_version_3_files_audit_alike():
+    """The same simulation's chain and registry files, written undeflated
+    (version 2) and deflated (version 3), both give the committed
+    ``report.json``, with the report verifies the keyed lookup saves (see
+    above)."""
+    then = json.loads((DATA / "shared-epochs-bloom" / "report.json")
+                      .read_text())["report"]
+    then["signatures_verified"] -= 3
+    reports = []
+    for folder, version in ((DATA / "shared-epochs-bloom-v2", 2),
+                            (DATA / "shared-epochs-bloom", 3)):
+        for name in ("chain.json", "registry.json"):
+            doc = json.loads((folder / name).read_text())
+            assert doc["format_version"] == version
+        reports.append(_audit_shared(folder))
+        assert json.loads(dump_audit_report_file(reports[-1]))["report"] == then
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

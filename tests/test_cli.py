@@ -4,6 +4,7 @@ import base64
 import csv
 import json
 import tempfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -400,10 +401,10 @@ def test_audit_unknown_scheme_exits_two(tmp_path, scenario_dir, capsys):
 
 def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
-    that files no longer use, under either version number."""
+    that files no longer use, under any version number."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     chain = json.loads((out_dir / "chain.json").read_text())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         chain["format_version"] = version
         chain["subsequence"] = {
             "scheme": "bloom", "chain_evidence": [],
@@ -419,8 +420,9 @@ def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
         (out_dir / "registry.json").read_text())
     doc = json.loads((out_dir / "registry.json").read_text())
     reports = registry.reports()
-    doc["reports"] = base64.b64encode(
-        canonical_encode(reports + reports[:1])).decode()
+    assert doc["format_version"] == 3
+    doc["reports"] = base64.b64encode(zlib.compress(
+        canonical_encode(reports + reports[:1]))).decode()
     (out_dir / "twice.json").write_text(json.dumps(doc))
     code, err = _audit_exit(out_dir, capsys, registry="twice.json")
     assert code == 2 and err.startswith("error:")
@@ -476,10 +478,11 @@ def _mutate_text(text: str, data) -> str:
 
 
 def _mutate_body(text: str, data) -> str:
-    """Flip, drop or insert bytes inside the base64 canonical encoding."""
+    """Flip, drop or insert bytes inside the canonical encoding, and deflate
+    it again: the mutation reaches the decoder, not the inflate check."""
     doc = json.loads(text)
     field = "subsequence" if "subsequence" in doc else "reports"
-    body = bytearray(base64.b64decode(doc[field]))
+    body = bytearray(zlib.decompress(base64.b64decode(doc[field])))
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(body) - 1))
         op = data.draw(st.sampled_from(["flip", "drop", "insert"]))
@@ -489,7 +492,7 @@ def _mutate_body(text: str, data) -> str:
             del body[at]
         else:
             body.insert(at, data.draw(st.integers(0, 255)))
-    doc[field] = base64.b64encode(bytes(body)).decode()
+    doc[field] = base64.b64encode(zlib.compress(bytes(body))).decode()
     return json.dumps(doc)
 
 
@@ -510,6 +513,24 @@ def test_audit_mutated_files_exit_0_1_or_2(exported, data):
                      "--claims", str(Path(tmp, "claims.json")),
                      "--registry", str(Path(tmp, "registry.json"))])
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name, field", [("chain.json", "subsequence"),
+                                         ("registry.json", "reports")])
+def test_audit_hostile_deflate_body_exits_two(tmp_path, exported, capsys,
+                                              deflate_attack, name, field):
+    """A bomb, a truncated stream, trailing bytes, a bad Adler-32 or an
+    undeflated body in a version 3 file: an error line and exit 2."""
+    make, expected = deflate_attack
+    for fname, text in exported[0].items():
+        (tmp_path / fname).write_text(text)
+    doc = json.loads(exported[0][name])
+    body = zlib.decompress(base64.b64decode(doc[field]))
+    doc[field] = base64.b64encode(make(body)).decode()
+    (tmp_path / name).write_text(json.dumps(doc))
+    code, err = _audit_exit(tmp_path, capsys)
+    assert code == 2 and err.startswith("error:") and expected in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

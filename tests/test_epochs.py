@@ -3,6 +3,7 @@
 import base64
 import json
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -180,8 +181,9 @@ def test_registry_file_with_bounds_off_the_grid_does_not_load():
     registry.publish(_report(0, []))
     doc = json.loads(dump_registry_file("modern", registry))
     shifted = replace(registry.reports()[0], start=1, end=EPOCH_LEN + 1)
-    doc["reports"] = base64.b64encode(canonical_encode([shifted])).decode()
-    with pytest.raises(FormatError):
+    doc["reports"] = base64.b64encode(
+        zlib.compress(canonical_encode([shifted]))).decode()
+    with pytest.raises(FormatError, match="not an epoch of"):
         load_registry_file(json.dumps(doc))
 
 

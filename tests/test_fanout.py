@@ -1,6 +1,7 @@
 """Signature checks split across a pool of worker processes, and answered
 from one batch: the same answer on every path."""
 
+import contextlib
 import errno
 import logging
 import os
@@ -452,6 +453,37 @@ def test_no_worker_outlives_an_owner_that_exits():
 def test_no_worker_outlives_an_owner_that_reforked_its_pool():
     """The exit hook kills a pool forked after an earlier one failed."""
     _owner_exits_alone("refork")
+
+
+# ``_OWNER`` that, before it exits, starts a process that holds its first
+# worker's job pipe open (``subprocess`` runs no fork hook) and prints that
+# process's pid.
+_HOLDER = _OWNER + """
+import subprocess
+holder = subprocess.Popen(
+    [sys.executable, "-c", "import time; time.sleep(60)"],
+    pass_fds=[fanout._pool[0][1]], stdin=subprocess.DEVNULL,
+    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+print(holder.pid, flush=True)
+"""
+
+
+@needs_proc
+def test_exit_hook_kills_a_worker_whose_pipe_another_process_holds():
+    """No EOF reaches a worker whose job pipe another process holds open:
+    only its owner's exit hook stops it as the owner exits."""
+    owner = subprocess.Popen([sys.executable, "-c", _HOLDER],
+                             start_new_session=True, stdout=subprocess.PIPE,
+                             text=True)
+    try:
+        out, _ = owner.communicate(timeout=60)
+        assert owner.returncode == 0
+        holder = int(out.splitlines()[-1])
+        assert _live_in_session(owner.pid) == [holder]
+    finally:
+        # the holder, and any worker left: the owner's pid is the group's id
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(owner.pid, signal.SIGKILL)
 
 
 @needs_proc

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -102,15 +103,18 @@ def test_chain_file_reaudits_identically(world_and_chain):
 
 
 def test_files_are_versioned(world_and_chain):
+    """Chain and registry files, whose bodies are deflated, are version 3;
+    claims and report files are still version 2."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     claims = [LocationClaim("cafe-7", 0)]
     report = audit(world.profile, claims, sub, world.directory.pubkeys())
-    for text in (dump_chain_file("modern", sub, dict(world.directory.parties)),
-                 dump_registry_file("modern", world.registry),
-                 dump_claims_file(claims),
-                 dump_audit_report_file(report)):
-        assert json.loads(text)["format_version"] == 2
+    for text, version in (
+            (dump_chain_file("modern", sub, dict(world.directory.parties)), 3),
+            (dump_registry_file("modern", world.registry), 3),
+            (dump_claims_file(claims), 2),
+            (dump_audit_report_file(report), 2)):
+        assert json.loads(text)["format_version"] == version
 
 
 def test_wrong_version_rejected(world_and_chain):
@@ -162,11 +166,15 @@ def chain_file(world_and_chain):
 
 
 def _with_body(obj: dict, field: str, body: bytes) -> str:
-    return json.dumps({**obj, field: base64.b64encode(body).decode()})
+    """The version 3 file ``obj`` with canonical bytes ``body``, deflated."""
+    assert obj["format_version"] == 3
+    return json.dumps({**obj,
+                       field: base64.b64encode(zlib.compress(body)).decode()})
 
 
 def _body(obj: dict, field: str) -> bytes:
-    return base64.b64decode(obj[field])
+    """The canonical bytes of the version 3 file ``obj``."""
+    return zlib.decompress(base64.b64decode(obj[field]))
 
 
 def _sig_tag_offset(sub) -> int:
@@ -219,12 +227,14 @@ def test_unknown_scheme_is_format_error(chain_file):
 
 def test_version_1_layout_is_format_error(chain_file):
     """The per-type JSON layout, string position and all, is not read
-    under either version number."""
+    under any version number."""
     _, obj = chain_file
     v1 = {"scheme": "bloom", "entries": [{"position": "1", "disclosed": []}],
           "chain_evidence": []}
-    for version in (1, 2):
-        with pytest.raises(FormatError):
+    for version, expected in ((1, "format_version"),
+                              (2, "must be a base64 string"),
+                              (3, "must be a base64 string")):
+        with pytest.raises(FormatError, match=expected):
             load_chain_file(json.dumps({**obj, "format_version": version,
                                         "subsequence": v1}))
 
@@ -244,10 +254,31 @@ def test_malformed_directory_is_format_error(chain_file, directory):
 @pytest.mark.parametrize("text", [
     "{not json", "[]", "[" * 100_000, '{"format_version": 2}',
     '{"format_version": 2, "profile": "rot13", "subsequence": ""}',
+    pytest.param('{"format_version": 3, "profile": "modern", '
+                 '"subsequence": ""}', id="v3-empty-body"),
+    pytest.param('{"format_version": 3, "profile": "modern", '
+                 '"subsequence": "AAAA"}', id="v3-undeflated-body"),
 ])
 def test_unreadable_envelope_is_format_error(text):
     with pytest.raises(FormatError):
         load_chain_file(text)
+
+
+@pytest.mark.parametrize("field", ["subsequence", "reports"])
+def test_hostile_deflate_body_is_format_error(world_and_chain, chain_file,
+                                             deflate_attack, field):
+    """Each hostile version 3 body is refused by the inflate check itself,
+    made from canonical bytes that load when deflated honestly."""
+    world, _ = world_and_chain
+    make, expected = deflate_attack
+    if field == "subsequence":
+        obj, load = chain_file[1], load_chain_file
+    else:
+        obj = json.loads(dump_registry_file("modern", world.registry))
+        load = load_registry_file
+    body = make(_body(obj, field))
+    with pytest.raises(FormatError, match=expected):
+        load(json.dumps({**obj, field: base64.b64encode(body).decode()}))
 
 
 def test_registry_repeating_a_report_is_format_error(world_and_chain):
