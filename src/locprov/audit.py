@@ -25,11 +25,12 @@ handed, given to ``fanout.batched``. Every signature check in it ends in
 that profile's ``verify``, and a failed one only ends that claim or the
 ordering early. So a first run whose profile records each signature and
 answers True reaches each signature a real run can check, and ``batched``
-verifies all of them in one batch, split across the machine's CPUs. When
-they all verify, that run was the audit. Otherwise the walk runs again,
-answered from the batch. The batch changes how fast an audit runs, never
-its verdict; a failing audit verifies, beyond what it counts, only
-signatures after its first bad one.
+verifies all of them in batches of at most about ``fanout.BATCH_BYTES``
+of messages, each split across the machine's CPUs. When they all verify,
+that run was the audit. Otherwise the walk runs again, answered from the
+batches. The batches change how fast an audit runs, never its verdict; a
+failing audit verifies, beyond what it counts, only signatures after its
+first bad one, and, past a flush, again those of earlier batches.
 
 Verdicts separate what failed so that failures can be mapped back onto the
 threat taxonomy (``classify_failure``).
@@ -163,6 +164,20 @@ def audit(
             warnings=tuple(warnings),
         )
     return batched(profile, walk)
+
+
+def signer_ids(sub: RevealedSubsequence) -> set[str]:
+    """The parties whose keys an audit of ``sub`` looks up: the issuer of
+    each revealed proof (whose key also checks its timestamps, its epoch
+    report and its accumulator), the witness of each revealed endorsement
+    and the issuer of each hash-chain slot. A chain file's directory holds
+    these parties only (``serialize.dump_chain_file``)."""
+    ids = {slot.issuer_id for slot in sub.chain_evidence}
+    for revealed in sub.entries:
+        elp = revealed.entry.elp
+        ids.add(elp.proof.statement.location_id)
+        ids.update(e.statement.witness_id for e in elp.endorsements)
+    return ids
 
 
 def truthful_claims(sub: RevealedSubsequence) -> list[LocationClaim]:

@@ -14,14 +14,23 @@ only to exit early. ``batched`` first runs the walk with a copy of
 ``CryptoProfile.verify``'s own scheme and type check still runs for real.
 So that run reaches every signature a real run can. The distinct triples,
 keyed by value under the profile's name (equal bytes give an equal
-result), are verified in one ``verify_each`` call. If all passed, that
-run's result is returned; else the walk runs again with a profile that
-answers from the batch, or verifies on the spot a triple the batch does not
-hold. So the batch changes how fast a walk runs, never what it decides.
-But code past a check in the first run sees unauthenticated input, so it
-must cost no more than the input's size (``bloom_well_formed`` bounds a
-membership check so). A failing walk's batch also holds the checks after
-its first bad signature.
+result), go to one ``verify_each`` call whenever their messages pass
+``BATCH_BYTES`` (8 MiB), and once more when the run ends. A batch's jobs
+that passed are then dropped, so the run holds at most about that budget
+of messages, plus the jobs that failed. No benchmark presentation reaches
+the budget: each is verified in one batch. If all passed, that run's
+result is returned; else the walk runs again with a profile that answers
+False for a failed triple and True for one of the last batch, and
+verifies on the spot any other: one that passed in an earlier batch, whose
+result was dropped, or one the first run did not ask. So the batches
+change how fast a walk runs, never what it decides. But code past a check
+in the first run sees unauthenticated input, so it must cost no more than
+the input's size (``bloom_well_formed`` bounds a membership check so).
+
+A failing walk's batches also hold the checks after its first bad
+signature. Past a flush, a failing walk verifies twice each signature of
+an earlier batch that its second run reaches: the second time one by one,
+in the calling process.
 
 ``verify_each(jobs)`` takes jobs ``(profile name, public key, message,
 signature bytes)`` and returns each one's ``get_profile(name).raw_verify``
@@ -73,6 +82,11 @@ Job = tuple[str, bytes, bytes, bytes]
 _FRAME = struct.Struct(">I")     # bytes in the frame that follows
 _FIELDS = struct.Struct(">IIII")  # lengths of one job's four fields
 
+# Message bytes the recording run of ``batched`` holds before it hands its
+# jobs to ``verify_each``. The largest benchmark presentation signs about
+# 300 KB in all.
+BATCH_BYTES = 8 << 20
+
 # (pid, job pipe write end, result pipe read end) of each worker, owned by
 # this process.
 _pool: list[tuple[int, int, int]] = []
@@ -80,20 +94,37 @@ _pool: list[tuple[int, int, int]] = []
 
 def batched(profile: CryptoProfile,
             walk: Callable[[CryptoProfile], Any]) -> Any:
-    """``walk(profile)``'s result, its signature checks verified in one
-    batch (see module doc)."""
+    """``walk(profile)``'s result, its signature checks verified in
+    batches of about ``BATCH_BYTES`` of messages (see module doc)."""
     name = profile.name
     jobs: dict[Job, None] = {}
+    held = 0  # message bytes in ``jobs``
+    failed: set[Job] = set()
+
+    def flush() -> None:
+        nonlocal held
+        if jobs:
+            failed.update(job for job, ok
+                          in zip(jobs, verify_each(list(jobs))) if not ok)
+        jobs.clear()
+        held = 0
 
     def record(public_key: bytes, message: bytes, signature: bytes) -> bool:
-        jobs[name, public_key, message, signature] = None
+        nonlocal held
+        job = name, public_key, message, signature
+        if job not in jobs:
+            jobs[job] = None
+            held += len(message)
+            if held > BATCH_BYTES:
+                flush()
         return True
 
     result = walk(dataclasses.replace(profile, raw_verify=record))
-    passed = verify_each(list(jobs))
-    if all(passed):
+    answers = dict.fromkeys(jobs, True)
+    flush()
+    if not failed:
         return result
-    answers = dict(zip(jobs, passed))
+    answers.update(dict.fromkeys(failed, False))
 
     def answer(public_key: bytes, message: bytes, signature: bytes) -> bool:
         got = answers.get((name, public_key, message, signature))

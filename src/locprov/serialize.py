@@ -2,10 +2,11 @@
 
 Four file formats, each a JSON object carrying a ``format_version`` field:
 
-* chain file (version 3) -- the crypto profile name, the public-key
-  directory needed for the audit, and ``subsequence``: the canonical
-  encoding of a revealed subsequence (a full chain is the reveal-all
-  case), deflated, in base64;
+* chain file (version 3) -- the crypto profile name, ``directory``: the
+  public keys of the parties whose keys an audit of the subsequence looks
+  up (``audit.signer_ids``) and of no one else, and ``subsequence``: the
+  canonical encoding of a revealed subsequence (a full chain is the
+  reveal-all case), deflated, in base64;
 * registry file (version 3) -- the crypto profile name and ``reports``:
   the canonical encoding of the sequence of published epoch reports,
   deflated, in base64;
@@ -13,6 +14,10 @@ Four file formats, each a JSON object carrying a ``format_version`` field:
   plain JSON;
 * report file (version 2) -- a machine-readable audit report, in plain
   JSON.
+
+Chain, registry and claims files are written as compact JSON, keys sorted
+and no whitespace; report files, which people read, are indented. Loaders
+read JSON values only, so files written indented are read alike.
 
 Everything signed or hashed therefore reaches an auditor in the one
 encoding of ``model``, decoded by ``model.canonical_decode``; this module
@@ -41,8 +46,9 @@ from __future__ import annotations
 import base64
 import json
 import zlib
+from typing import Optional
 
-from .audit import AuditReport, LocationClaim
+from .audit import AuditReport, LocationClaim, signer_ids
 from .crypto import CryptoError, CryptoProfile, get_profile
 from .epochs import EpochRegistry, RegistryError
 from .model import (
@@ -82,9 +88,11 @@ def _unb64(text, what: str) -> bytes:
         raise FormatError(f"{what} is not valid base64: {exc}") from None
 
 
-def _dump(fields: dict, version: int = PLAIN_VERSION) -> str:
-    return json.dumps({"format_version": version, **fields},
-                      indent=2, sort_keys=True)
+def _dump(fields: dict, version: int = PLAIN_VERSION,
+          indent: Optional[int] = None) -> str:
+    return json.dumps({"format_version": version, **fields}, indent=indent,
+                      separators=(",", ": " if indent else ":"),
+                      sort_keys=True)
 
 
 def _deflated(obj) -> str:
@@ -167,13 +175,16 @@ def _directory_from_json(obj) -> dict[str, dict]:
 
 def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
                     directory: dict[str, dict]) -> str:
+    """A chain file for ``sub``, whose directory holds the parties of
+    ``directory`` that an audit of ``sub`` looks up (``audit.signer_ids``)."""
+    signers = signer_ids(sub)
     return _dump({
         "profile": profile_name,
         "subsequence": _deflated(sub),
         "directory": {
             pid: {"role": meta["role"], "scheme": meta["scheme_id"],
                   "public_key": _b64(meta["public_key"])}
-            for pid, meta in sorted(directory.items())
+            for pid, meta in directory.items() if pid in signers
         },
     }, FORMAT_VERSION)
 
@@ -228,6 +239,8 @@ def load_claims_file(text: str) -> list[LocationClaim]:
 
 
 def dump_audit_report_file(report: AuditReport) -> str:
+    """The report file, indented: people read it, and it is no part of a
+    presentation."""
     return _dump({"report": {
         "ok": report.ok,
         "claims": [
@@ -242,4 +255,4 @@ def dump_audit_report_file(report: AuditReport) -> str:
         },
         "signatures_verified": report.signatures_verified,
         "warnings": list(report.warnings),
-    }})
+    }}, indent=2)

@@ -1,5 +1,6 @@
 """Auditor: per-claim checks, ordering delegation, threat classification."""
 
+import importlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -311,22 +312,23 @@ def test_bad_epoch_report_fails_every_claim_in_it(change, detail):
 
 
 def test_registry_file_written_before_keyed_lookup_audits_the_same():
-    """Files exported by ``locprov simulate`` on ``scenario.json`` when the
-    registry scanned every report and the auditor verified a report once
-    per claim; ``report.json`` is the audit written then. The registry
-    holds empty reports, and several claims share a report. Verdicts and
-    ordering counts are unchanged; only the report verifies fall."""
-    folder = DATA / "shared-epochs-bloom"
+    """The ``-v2`` files were exported by ``locprov simulate`` on
+    ``scenario.json`` when the registry scanned every report and the
+    auditor verified a report once per claim, which verified 30 signatures.
+    The registry holds empty reports, and several claims share a report.
+    They audit to the committed ``report.json``, written since: verdicts
+    and ordering counts are unchanged; only the report verifies fell, to
+    one per distinct report."""
+    folder = DATA / "shared-epochs-bloom-v2"
     _, registry = load_registry_file((folder / "registry.json").read_text())
     assert any(r.accumulator.bits == bytes(len(r.accumulator.bits))
                for r in registry.reports())
     report = _audit_shared(folder)
-    then = json.loads((folder / "report.json").read_text())["report"]
     now = json.loads(dump_audit_report_file(report))["report"]
-    assert now["signatures_verified"] == then.pop("signatures_verified") - 3
-    del now["signatures_verified"]
-    assert now == then
+    assert now == json.loads((DATA / "shared-epochs-bloom" / "report.json")
+                             .read_text())["report"]
     assert report.checks["report"] == 3
+    assert report.signatures_verified == 30 - 3
 
 
 def _audit_shared(folder):
@@ -342,12 +344,11 @@ def _audit_shared(folder):
 
 def test_version_2_and_version_3_files_audit_alike():
     """The same simulation's chain and registry files, written undeflated
-    (version 2) and deflated (version 3), both give the committed
-    ``report.json``, with the report verifies the keyed lookup saves (see
-    above)."""
+    (version 2, indented, with the world's whole directory) and deflated
+    (version 3, compact, with the signers only), both give the committed
+    ``report.json``."""
     then = json.loads((DATA / "shared-epochs-bloom" / "report.json")
                       .read_text())["report"]
-    then["signatures_verified"] -= 3
     reports = []
     for folder, version in ((DATA / "shared-epochs-bloom-v2", 2),
                             (DATA / "shared-epochs-bloom", 3)):
@@ -754,6 +755,47 @@ def test_audit_with_good_signatures_batches_exactly_what_it_counts(
     assert report.signatures_verified == signatures
     assert batches == [signatures]
     assert verifies == signatures
+
+
+# ---------------------------------------------------------------------------
+# a recorded batch past its byte budget is verified in pieces, same verdicts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", ["hashchain", "bloom"])
+@pytest.mark.parametrize("bad", [None, 11], ids=["honest", "bad-proof-11"])
+def test_flushed_batches_give_the_one_by_one_verdicts(monkeypatch, scheme,
+                                                      bad):
+    """With ``BATCH_BYTES`` patched small, a 12-entry full reveal is
+    verified in several batches, the bad signature, if any, well after the
+    first flush. Verdicts and counts are those of a walk that verifies each
+    signature as it comes; only the failing audit verifies anything on the
+    spot, the signatures of earlier batches that its second walk reaches."""
+    world, chain = build_honest_chain(scheme, 12)
+    sub = make_revealed_subsequence(world.profile, chain, range(1, 13))
+    if bad is not None:
+        sub = _flip_proof(bad)(sub)
+    claims = truthful_claims(sub)
+
+    def run(profile):
+        report = audit(profile, claims, sub, world.directory.pubkeys(),
+                       world.registry)
+        return report.claim_verdicts, report.ordering, report.checks
+
+    with monkeypatch.context() as one_by_one:
+        # the module, which ``locprov.audit``, the function, hides
+        one_by_one.setattr(importlib.import_module("locprov.audit"),
+                           "batched", lambda profile, walk: walk(profile))
+        expected = run(world.profile)
+    monkeypatch.setattr(fanout, "BATCH_BYTES", 1_000)
+    got, batches, verifies = _batches_and_verifies(monkeypatch,
+                                                   world.profile, run)
+    assert got == expected
+    assert len(batches) > 3
+    if bad is None:
+        assert verifies == sum(batches)
+    else:
+        assert [v.index for v in got[0] if not v.ok] == [bad - 1]
+        assert verifies > sum(batches)
 
 
 # ---------------------------------------------------------------------------

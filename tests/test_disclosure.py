@@ -1,0 +1,138 @@
+"""What an exported chain file discloses: its directory holds the signers
+only, and no hidden entry's field reaches the auditor but the hash-chain
+issuer ids."""
+
+import dataclasses
+import json
+from typing import Mapping
+
+import pytest
+
+from locprov import scenarios
+from locprov.audit import audit, signer_ids
+from locprov.crypto import get_profile
+from locprov.model import SCHEME_BLOOM, SCHEME_HASHCHAIN
+from locprov.protocol import Directory
+from locprov.scenarios import run_builtin_suite
+from locprov.serialize import dump_chain_file, load_chain_file
+
+
+@pytest.fixture(scope="module")
+def exported():
+    """(outcome, the chain it presented, its chain file as ``locprov
+    simulate`` writes it) for every built-in scenario in both schemes."""
+    chains = []
+    real = scenarios.make_revealed_subsequence
+
+    def recording(profile, chain, *args):
+        chains.append(chain)
+        return real(profile, chain, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "make_revealed_subsequence", recording)
+        outcomes = run_builtin_suite()
+    assert len(chains) == len(outcomes) == 32
+    return [(o, chain, dump_chain_file(o.profile_name, o.subsequence,
+                                       o.directory))
+            for o, chain in zip(outcomes, chains)]
+
+
+class _Recording(Mapping):
+    """A read-only mapping that records every key it is asked for."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+        self.asked = set()
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+def _report(report):
+    return report.claim_verdicts, report.ordering, report.checks
+
+
+def test_signer_directory_audits_as_the_full_one(exported):
+    """The exported file's directory holds exactly the world's parties
+    among ``signer_ids``; an audit with it gives the report an audit with
+    the world's whole directory gives, which looks up no one else."""
+    for outcome, _, text in exported:
+        _, sub, directory = load_chain_file(text)
+        signers = signer_ids(sub)
+        assert set(directory) == signers & set(outcome.directory), \
+            outcome.scenario
+        full = _Recording(Directory(outcome.directory).pubkeys())
+        with_full = audit(get_profile(outcome.profile_name),
+                          outcome.claims, sub, full, outcome.registry)
+        pruned = audit(get_profile(outcome.profile_name),
+                       outcome.claims, sub, Directory(directory).pubkeys(),
+                       outcome.registry)
+        assert full.asked <= signers, outcome.scenario
+        assert _report(pruned) == _report(with_full) == _report(
+            outcome.audit_report), outcome.scenario
+    # users sign nothing an audit checks: no file names one
+    assert not any(meta["role"] == "user"
+                   for _, _, text in exported
+                   for meta in json.loads(text)["directory"].values())
+
+
+def _atoms(value) -> set:
+    """Every string and integer in ``value``, a tree of dataclasses and
+    tuples."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        return {value}
+    if dataclasses.is_dataclass(value):
+        return set().union(*(_atoms(getattr(value, f.name))
+                             for f in dataclasses.fields(value)))
+    if isinstance(value, tuple):
+        return set().union(*map(_atoms, value))
+    return set()
+
+
+def _fields(entry) -> set:
+    """A hidden entry's location id, visit time, witness ids and
+    granularity values."""
+    stmt = entry.elp.proof.statement
+    return {stmt.location_id, stmt.visit_time,
+            *getattr(stmt, "granularity_values", ()),
+            *(e.statement.witness_id for e in entry.elp.endorsements)}
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_HASHCHAIN, SCHEME_BLOOM])
+def test_hidden_entries_disclose_only_hash_chain_issuers(exported, scheme):
+    """For each hidden entry of each exported presentation, the values of
+    its fields that no revealed entry carries and that appear anywhere in
+    the file, directory included. A hash-chain file discloses each hidden
+    slot's issuer id, which an audit needs to find the link's key; a Bloom
+    file discloses nothing."""
+    hidden_seen, disclosed = 0, set()
+    for outcome, chain, text in exported:
+        if outcome.scheme != scheme:
+            continue
+        envelope = json.loads(text)
+        _, sub, directory = load_chain_file(text)
+        revealed = {r.position for r in sub.entries}
+        hidden = {p for p in range(1, len(chain.entries) + 1)
+                  if p not in revealed}
+        hidden_seen += len(hidden)
+        carried = _atoms(sub.entries)
+        in_file = (_atoms(sub) | set(directory) | _atoms(tuple(
+            value for meta in envelope["directory"].values()
+            for value in meta.values())) | {envelope["profile"]})
+        leaked = set().union(*(
+            _fields(chain.entries[p - 1]) for p in hidden)) - carried
+        expected = set()
+        if scheme == SCHEME_HASHCHAIN:
+            expected = {slot.issuer_id for slot in sub.chain_evidence
+                        if slot.position in hidden} - carried
+        assert leaked & in_file == expected, outcome.scenario
+        disclosed |= expected
+    assert hidden_seen
+    assert bool(disclosed) == (scheme == SCHEME_HASHCHAIN)

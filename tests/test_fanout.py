@@ -652,3 +652,30 @@ def test_batched_refuses_a_foreign_scheme_without_a_job(counted, batches):
     assert len(runs) == 1
     assert batches == [1]
     assert calls == [b"a"]
+
+
+def test_batched_hands_jobs_to_a_batch_past_its_budget(counted, batches,
+                                                       monkeypatch):
+    """Jobs whose messages pass ``BATCH_BYTES`` go to a batch there and
+    then. Those that passed are dropped, so a second run verifies on the
+    spot each one it reaches again; a failed one it answers from the
+    batch."""
+    monkeypatch.setattr(fanout, "BATCH_BYTES", 5)
+    profile, calls = counted
+    walk, runs = _walk((b"one", _signature(b"one")),
+                       (b"two", _signature(b"two")),
+                       (b"bad", _signature(b"bad", b"other")),
+                       (b"last", _signature(b"last")))
+    assert fanout.batched(profile, walk) == [True, True, False]
+    assert len(runs) == 2
+    assert batches == [2, 2]
+    assert calls == [b"one", b"two", b"bad", b"last", b"one", b"two"]
+
+
+def test_batched_under_its_budget_is_one_batch(counted, batches,
+                                               monkeypatch):
+    monkeypatch.setattr(fanout, "BATCH_BYTES", 6)
+    profile, calls = counted
+    walk, _ = _walk((b"one", _signature(b"one")), (b"two", _signature(b"two")))
+    assert fanout.batched(profile, walk) == [True, True]
+    assert batches == [2]

@@ -16,7 +16,7 @@ from locprov.model import (
     make_revealed_subsequence,
     statement_signing_bytes,
 )
-from locprov.protocol import ProtocolConfig, World
+from locprov.protocol import Directory, ProtocolConfig, World
 from locprov.serialize import (
     FormatError,
     dump_audit_report_file,
@@ -94,12 +94,41 @@ def test_chain_file_reaudits_identically(world_and_chain):
     _, registry2 = load_registry_file(registry_text)
     claims2 = load_claims_file(claims_text)
     assert sub2 == sub and claims2 == claims
-    assert directory == dict(world.directory.parties)
+    # the signers only: the user u1 signs nothing an audit checks
+    assert directory == {pid: world.directory.parties[pid]
+                         for pid in ("cafe-7", "lib-2", "w1")}
     pubkeys = {pid: meta["public_key"] for pid, meta in directory.items()}
     reloaded = audit(get_profile(profile_name), claims2, sub2, pubkeys,
                      registry2)
     assert reloaded == direct
     assert reloaded.ok
+
+
+def test_indented_full_directory_chain_file_audits_alike(world_and_chain):
+    """A chain file in the form written before files were compact and held
+    the signers only, indented and naming every party of the world, audits
+    as the file written now."""
+    world, chain = world_and_chain
+    sub = make_revealed_subsequence(world.profile, chain, [2, 3],
+                                    disclose={3: [2]})
+    claims = truthful_claims(sub)
+    compact = dump_chain_file("modern", sub, dict(world.directory.parties))
+    assert compact == json.dumps(json.loads(compact), separators=(",", ":"),
+                                 sort_keys=True)
+    old = json.loads(compact)
+    old["directory"] = {
+        pid: {"role": meta["role"], "scheme": meta["scheme_id"],
+              "public_key": base64.b64encode(meta["public_key"]).decode()}
+        for pid, meta in world.directory.parties.items()}
+    indented = json.dumps(old, indent=2, sort_keys=True)
+    reports = []
+    for text in (compact, indented):
+        profile_name, sub2, directory = load_chain_file(text)
+        assert sub2 == sub
+        reports.append(audit(get_profile(profile_name), claims, sub2,
+                             Directory(directory).pubkeys(), world.registry))
+    assert reports[0] == reports[1]
+    assert reports[0].ok
 
 
 def test_files_are_versioned(world_and_chain):
