@@ -8,8 +8,12 @@ claimed location matches the proof (exactly, or through a verified
 granularity opening for blinded statements); that the claimed time equals
 the proof's visit time; and, when an epoch registry is available, that the
 proof's digest is included in the published report for the epoch its
-timestamp falls in. Every claim takes that check the same way
-(``check_inclusion``: report signature, accumulator shape, membership);
+timestamp falls in. An authority publishes a report only for an epoch in
+which it issued a proof, so a claim in any other epoch draws
+``EpochMissing`` (as does one in an empty report, which older registries
+hold), and one whose report lacks its digest ``EpochExcluded``. Every
+claim takes that check the same way (``check_inclusion``: report
+signature, accumulator shape, membership);
 the report signature is one job of the audit's batch, however many claims
 fall in the report, and counts as one ``report`` check per distinct report.
 Chronological order of the whole presentation is then delegated to the
@@ -30,7 +34,9 @@ of messages, each split across the machine's CPUs. When they all verify,
 that run was the audit. Otherwise the walk runs again, answered from the
 batches. The batches change how fast an audit runs, never its verdict; a
 failing audit verifies, beyond what it counts, only signatures after its
-first bad one, and, past a flush, again those of earlier batches.
+first bad one. Past a flush, a signature that an earlier batch passed is
+answered from the SHA-256 of its job, so there the verdict also rests on
+SHA-256's collision resistance.
 
 Verdicts separate what failed so that failures can be mapped back onto the
 threat taxonomy (``classify_failure``).
@@ -44,7 +50,8 @@ from typing import Mapping, Optional, Sequence
 
 from .bloom import bloom_order_verify
 from .crypto import CryptoProfile
-from .epochs import EpochRegistry, RegistryError, check_inclusion
+from .epochs import (EpochRegistry, RegistryError, check_inclusion,
+                     report_empty)
 from .fanout import batched
 from .hashchain import chain_verify_subsequence
 from .model import (
@@ -256,13 +263,15 @@ def _audit_claim(
                     f"claim-time: claimed {claim.visit_time}, "
                     f"proof says {stmt.visit_time}")
 
-    # Epoch inclusion.
+    # Epoch inclusion. An epoch with no proof has no report, or, in a
+    # registry written before such epochs were closed, an empty one; either
+    # reports no proof, whoever signed it, so the two audit alike.
     if registry is not None:
         report = registry.lookup(issuer, stmt.visit_time)
-        if report is None:
+        if report is None or report_empty(report):
             return fail(CLAIM_EPOCH_MISSING,
-                        f"no epoch report covers t={stmt.visit_time} "
-                        f"at {issuer!r}")
+                        f"no epoch report with a proof covers "
+                        f"t={stmt.visit_time} at {issuer!r}")
         key = (report.location_id, report.epoch_id)
         if key not in reports:
             reports.add(key)

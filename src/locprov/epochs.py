@@ -1,11 +1,13 @@
 """Per-location epoch reports: signed accumulators of issued-proof digests.
 
-At the end of every fixed-length epoch a location authority publishes a
-signed Bloom accumulator over the digests of all proofs it issued during
-that epoch. Auditors use the reports to pin a proof's claimed visit time
-to the window in which it was actually issued: a proof whose timestamp
-falls in an epoch whose published report does not contain its digest was
-minted at some other time (backdated or future-dated).
+At the end of every fixed-length epoch in which it issued a proof, a
+location authority publishes a signed Bloom accumulator over the digests
+of all proofs it issued during that epoch; an epoch that passes with no
+proof is closed in the registry instead, and gets no report. Auditors use
+the reports to pin a proof's claimed visit time to the window in which it
+was actually issued: a proof whose timestamp falls in an epoch whose
+published report does not contain its digest, or in an epoch with no
+report at all, was minted at some other time (backdated or future-dated).
 
 Reports expose digests only; recovering identities from a report requires
 the preimage proof. The registry is an append-only trusted store: once a
@@ -18,6 +20,19 @@ so the epochs of a location tile time without overlap and ``lookup`` finds
 the report covering ``t`` directly, at epoch ``t // length``. A report that
 breaks the rule is refused on publication, so a registry file holding one
 does not load.
+
+Late reports are refused. The registry keeps one watermark per location:
+the epoch after the latest one that location has published or closed
+(``close``). ``publish`` refuses a report for an epoch below the
+watermark, so a report can never enter an epoch once a later one is out,
+nor one that passed empty: a backdated proof finds its epoch either
+reported without it or closed for good. A repeated report is refused as
+already published before the watermark is read. A location's reports
+therefore go in in epoch order; a registry file lists them so (sorted by
+location, then epoch), and one that does not fails to load. Files written
+before epochs were closed hold an empty report for each epoch that passed
+with no proof; they still load, and ``report_empty`` tells such a report
+apart, so that an audit reads it as no report at all.
 """
 
 from __future__ import annotations
@@ -70,6 +85,15 @@ def build_epoch_report(
     return replace(report, report_sig=sig)
 
 
+def report_empty(report: EpochReport) -> bool:
+    """True iff the report's accumulator is well formed and has no bit set:
+    whoever signed it, it holds no digest. Authorities close an epoch with
+    no proof instead of reporting it, but registries written before they
+    did hold such reports."""
+    acc = report.accumulator
+    return acc.bits.count(0) == len(acc.bits) and bloom_well_formed(acc)
+
+
 def verify_report(profile: CryptoProfile, public_key: bytes,
                   report: EpochReport) -> bool:
     if report.report_sig is None:
@@ -104,6 +128,8 @@ class EpochRegistry:
     def __init__(self):
         self._reports: dict[tuple[str, int], EpochReport] = {}
         self._epoch_len: dict[str, int] = {}
+        # per location, the first epoch a report may still be published for
+        self._watermark: dict[str, int] = {}
 
     def publish(self, report: EpochReport) -> None:
         key = (report.location_id, report.epoch_id)
@@ -119,8 +145,20 @@ class EpochRegistry:
                 f"report for {report.location_id!r} epoch {report.epoch_id} "
                 f"spans [{report.start}, {report.end}), not an epoch of "
                 f"{length} ms")
+        watermark = self._watermark.get(report.location_id, 0)
+        if report.epoch_id < watermark:
+            raise RegistryError(
+                f"report for {report.location_id!r} epoch {report.epoch_id} "
+                f"comes late: epochs before {watermark} are closed")
         self._epoch_len.setdefault(report.location_id, length)
         self._reports[key] = report
+        self._watermark[report.location_id] = report.epoch_id + 1
+
+    def close(self, location_id: str, epoch_id: int) -> None:
+        """Close ``epoch_id`` at ``location_id`` with no report: no report
+        for it, or for any earlier epoch there, can be published after."""
+        self._watermark[location_id] = max(
+            self._watermark.get(location_id, 0), epoch_id + 1)
 
     def lookup(self, location_id: str, t: int) -> Optional[EpochReport]:
         """The unique report whose [start, end) interval contains t."""

@@ -15,22 +15,26 @@ only to exit early. ``batched`` first runs the walk with a copy of
 So that run reaches every signature a real run can. The distinct triples,
 keyed by value under the profile's name (equal bytes give an equal
 result), go to one ``verify_each`` call whenever their messages pass
-``BATCH_BYTES`` (8 MiB), and once more when the run ends. A batch's jobs
-that passed are then dropped, so the run holds at most about that budget
-of messages, plus the jobs that failed. No benchmark presentation reaches
-the budget: each is verified in one batch. If all passed, that run's
-result is returned; else the walk runs again with a profile that answers
-False for a failed triple and True for one of the last batch, and
-verifies on the spot any other: one that passed in an earlier batch, whose
-result was dropped, or one the first run did not ask. So the batches
-change how fast a walk runs, never what it decides. But code past a check
-in the first run sees unauthenticated input, so it must cost no more than
-the input's size (``bloom_well_formed`` bounds a membership check so).
+``BATCH_BYTES`` (8 MiB), and once more when the run ends. Of a batch
+flushed mid-run, past the budget, each job that passed is kept only as the
+SHA-256 of its length-prefixed fields, and its bytes are dropped; so the
+run holds at most about that budget of messages, plus 32 bytes per job
+that passed and the jobs that failed. No benchmark presentation reaches
+the budget: each is verified in one batch, the last, and hashes nothing.
+If all passed, that run's result is returned; else the walk runs again
+with a profile that answers False for a failed triple, True for one of
+the last batch or one whose hash an earlier batch passed, and verifies on
+the spot any other, one the first run did not ask. So the batches change
+how fast a walk runs, never what it decides, as far as SHA-256 is
+collision resistant: past a flush, a triple that hashes like one that
+passed would be answered True. But code past a check in the first run
+sees unauthenticated input, so it must cost no more than the input's size
+(``bloom_well_formed`` bounds a membership check so).
 
 A failing walk's batches also hold the checks after its first bad
-signature. Past a flush, a failing walk verifies twice each signature of
-an earlier batch that its second run reaches: the second time one by one,
-in the calling process.
+signature. Past a flush, a failing walk pays one more SHA-256 over each
+signature job of its second run that is not in the last batch; it
+verifies no signature twice.
 
 ``verify_each(jobs)`` takes jobs ``(profile name, public key, message,
 signature bytes)`` and returns each one's ``get_profile(name).raw_verify``
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import hashlib
 import os
 import signal
 import struct
@@ -100,12 +105,16 @@ def batched(profile: CryptoProfile,
     jobs: dict[Job, None] = {}
     held = 0  # message bytes in ``jobs``
     failed: set[Job] = set()
+    passed: set[bytes] = set()  # hashes of the jobs flushed batches passed
 
-    def flush() -> None:
+    def flush(last: bool) -> None:
         nonlocal held
         if jobs:
-            failed.update(job for job, ok
-                          in zip(jobs, verify_each(list(jobs))) if not ok)
+            for job, ok in zip(jobs, verify_each(list(jobs))):
+                if not ok:
+                    failed.add(job)
+                elif not last:
+                    passed.add(_job_hash(job))
         jobs.clear()
         held = 0
 
@@ -116,22 +125,36 @@ def batched(profile: CryptoProfile,
             jobs[job] = None
             held += len(message)
             if held > BATCH_BYTES:
-                flush()
+                flush(last=False)
         return True
 
     result = walk(dataclasses.replace(profile, raw_verify=record))
     answers = dict.fromkeys(jobs, True)
-    flush()
+    flush(last=True)
     if not failed:
         return result
     answers.update(dict.fromkeys(failed, False))
 
     def answer(public_key: bytes, message: bytes, signature: bytes) -> bool:
-        got = answers.get((name, public_key, message, signature))
+        job = name, public_key, message, signature
+        got = answers.get(job)
         if got is None:
+            if passed and _job_hash(job) in passed:
+                return True
             return profile.raw_verify(public_key, message, signature)
         return got
     return walk(dataclasses.replace(profile, raw_verify=answer))
+
+
+def _job_hash(job: Job) -> bytes:
+    """SHA-256 over ``job``'s four fields, each prefixed by its length."""
+    name, public_key, message, signature = job
+    name_bytes = name.encode()
+    h = hashlib.sha256(_FIELDS.pack(len(name_bytes), len(public_key),
+                                    len(message), len(signature)))
+    for field in (name_bytes, public_key, message, signature):
+        h.update(field)
+    return h.digest()
 
 
 def verify_each(jobs: Sequence[Job]) -> list[bool]:

@@ -365,15 +365,21 @@ class AuthorityAgent(_Party):
     # -- time ----------------------------------------------------------------
 
     def roll_epochs(self) -> None:
-        """Publish reports for every fully elapsed epoch."""
+        """Walk every fully elapsed epoch: publish a report for each that
+        holds a digest, and close each that holds none in the registry, so
+        that no report can be published for it later."""
         config = self.world.config
+        registry = self.world.registry
         while self.local_now() >= (self.current_epoch + 1) * config.epoch_len_ms:
             digests = self.epoch_digests.pop(self.current_epoch, [])
-            self.world.registry.publish(build_epoch_report(
-                self.world.profile, self.keys, self.id, self.current_epoch,
-                config.epoch_len_ms, digests,
-                capacity=config.epoch_capacity,
-            ))
+            if digests:
+                registry.publish(build_epoch_report(
+                    self.world.profile, self.keys, self.id,
+                    self.current_epoch, config.epoch_len_ms, digests,
+                    capacity=config.epoch_capacity,
+                ))
+            else:
+                registry.close(self.id, self.current_epoch)
             self.current_epoch += 1
 
     # -- message handling ----------------------------------------------------
@@ -698,10 +704,11 @@ class World:
         self.ground_truth.place(party_id, location_id)
 
     def advance(self, ms: int) -> None:
-        """Advance simulated time, letting authorities publish any epoch
-        reports whose boundaries pass. Prompt publication is what gives the
-        reports their anti-backdating power: once an epoch's report is out,
-        no later forgery can get into it."""
+        """Advance simulated time, letting authorities publish or close
+        every epoch whose boundary passes. Prompt publication is what gives
+        the reports their anti-backdating power: once an epoch's report is
+        out, or the epoch is closed with no proof, no later forgery can get
+        into it."""
         self.clock.advance(ms)
         for authority in self.authorities.values():
             authority.roll_epochs()
@@ -719,8 +726,8 @@ class World:
 
     def finalize_epochs(self) -> None:
         """Advance time past the current epoch boundary everywhere and
-        publish all outstanding reports, so freshly issued proofs become
-        auditable against the registry."""
+        publish or close every outstanding epoch, so freshly issued proofs
+        become auditable against the registry."""
         # Jump far enough that every authority's current epoch, and every
         # epoch holding a deferred digest, has passed its boundary.
         target_time = max(

@@ -314,10 +314,12 @@ def _check_scenario(obj) -> None:
 
 def _check_epoch_work(obj: dict, config: dict) -> None:
     """Bound the epoch reports a scenario makes its authorities build and
-    sign: one per authority for every epoch that simulated time passes.
-    Time moves by ``advance`` ops and by the hop delay of each message;
-    clock skews and shifted visit times move an authority's epochs further
-    (a shifted, deferred record is published when its epoch ends)."""
+    sign. Each authority walks every epoch that simulated time passes and
+    builds a report for each that holds a proof, closing the others, so
+    the bound counts every epoch walked: at most one report each. Time
+    moves by ``advance`` ops and by the hop delay of each message; clock
+    skews and shifted visit times move an authority's epochs further (a
+    shifted, deferred record is published when its epoch ends)."""
     script = obj["script"]
     elapsed = sum(op["ms"] for op in script if op["op"] == "advance")
     visits = sum(op["op"] == "visit" for op in script)
@@ -831,7 +833,7 @@ def builtin_suite(scheme: str) -> list[Scenario]:
         "backdating",
         threat_row="ulW", attack="backdating",
         description="colluders stamp a proof 50 s into the just-closed "
-                    "epoch; the published report cannot contain it",
+                    "epoch; no report for it can be published any more",
         actors=_std_actors(authority_behavior={
             "visit_time_shift_ms": -50_000}),
         script=[
@@ -845,8 +847,9 @@ def builtin_suite(scheme: str) -> list[Scenario]:
              "witness": "w1", "attack": True},
         ],
         expected_detection=True,
-        notes="the honest witness tolerates a 50 s gap, but the closed "
-              "epoch's accumulator was published before the proof existed",
+        notes="the honest witness tolerates a 50 s gap, but the epoch "
+              "closed before the proof existed: it passed with no proof, "
+              "so it has no report, and none can follow",
     )
 
     # Row uLw(bar): user and witness collude, location honest.
@@ -878,7 +881,7 @@ def builtin_suite(scheme: str) -> list[Scenario]:
         script=[
             # u1 is never anywhere near cafe-7 and takes no part; the
             # colluders sign everything themselves, claiming a visit in
-            # the previous (already reported) epoch
+            # the previous (already closed) epoch
             {"op": "advance", "ms": 400_000},
             {"op": "fabricate_visit", "user": "u1", "location": "cafe-7",
              "witness": "w1", "forge_authority": False,
@@ -887,7 +890,7 @@ def builtin_suite(scheme: str) -> list[Scenario]:
         ],
         expected_detection=True,
         notes="framing a user for a past visit fails against the "
-              "already-published epoch report; framing in the live epoch "
+              "already-closed epoch; framing in the live epoch "
               "is blocked by key-bound secure localization, which the "
               "simulator's ground truth stands in for",
     )

@@ -30,10 +30,10 @@ spelled every type out in JSON, are not read.
 A body is inflated to at most ``INFLATE_CAP`` (1,024) times its deflated
 length. The worst honest ratio measured with zlib 1.2.13 is 960:1, a
 registry of empty reports at the largest epoch capacity a scenario may
-ask for (2 MiB filters). A day of mostly empty default-capacity reports,
-6.5 MB and the largest body the tests write, is 77:1; the benchmark's
-registries are 42-48:1. Deflate itself cannot pass about 1,032:1, so the
-cap states the bound more than it tightens it.
+ask for (2 MiB filters); authorities write no empty report, but files
+that hold them still load. A day of the simulator's default-capacity
+reports, three of them, is 22 KB at 41:1. Deflate itself cannot pass
+about 1,032:1, so the cap states the bound more than it tightens it.
 A body that inflates past the cap, is truncated, has bytes after the end
 of its stream or fails its Adler-32 check is refused.
 

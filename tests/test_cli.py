@@ -17,6 +17,8 @@ from locprov.cli import (
     main,
     worst_case_positions,
 )
+from locprov.crypto import MODERN
+from locprov.epochs import build_epoch_report
 from locprov.model import SCHEMES, canonical_encode, make_revealed_subsequence
 from locprov.audit import audit, truthful_claims
 from locprov.serialize import (
@@ -258,8 +260,9 @@ def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
 
 
 def test_simulate_long_run_within_the_bound_exits_zero(tmp_path, scenario_dir):
-    """A day of simulated time at the default 5-minute epochs closes
-    3 x 290 reports, well inside the bound."""
+    """A day of simulated time at the default 5-minute epochs walks
+    3 x 290 epochs, well inside the bound; only those holding a proof get
+    a report."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
     _long_advance(doc, 86_400_000)
@@ -427,6 +430,25 @@ def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
     code, err = _audit_exit(out_dir, capsys, registry="twice.json")
     assert code == 2 and err.startswith("error:")
     assert "already published" in err
+
+
+def test_audit_registry_out_of_epoch_order_exits_two(tmp_path, scenario_dir,
+                                                    capsys):
+    """A registry file must list a location's reports in epoch order: one
+    that lists a later epoch first closes the earlier one."""
+    _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
+    _, registry = load_registry_file((out_dir / "registry.json").read_text())
+    doc = json.loads((out_dir / "registry.json").read_text())
+    first = registry.reports()[0]
+    later = build_epoch_report(MODERN, MODERN.keygen(bytes(32)),
+                               first.location_id, first.epoch_id + 1,
+                               first.end - first.start, [])
+    doc["reports"] = base64.b64encode(zlib.compress(
+        canonical_encode([later, *registry.reports()]))).decode()
+    (out_dir / "unordered.json").write_text(json.dumps(doc))
+    code, err = _audit_exit(out_dir, capsys, registry="unordered.json")
+    assert code == 2 and err.startswith("error:")
+    assert "late" in err
 
 
 def test_audit_gives_the_verdict_simulate_gave(tmp_path, capsys):

@@ -23,6 +23,7 @@ from locprov.model import (
     make_statement,
     proof_digest,
 )
+from locprov import protocol
 from locprov.protocol import ProtocolConfig, World
 from locprov.bloom import (
     bloom_contains,
@@ -219,14 +220,82 @@ def test_authority_publishes_on_epoch_roll():
 def test_backdated_fabrication_excluded_from_closed_epoch():
     world = World(PROFILE, "hashchain", ProtocolConfig(), seed=6)
     world.add_authority("cafe-7")
-    world.advance(400_000)  # epoch 0 closes, its report is out
-    backdated = make_proof(PROFILE, world.authorities["cafe-7"].keys,
+    world.advance(400_000)  # epoch 0 passes with no proof: closed, unreported
+    keys = world.authorities["cafe-7"].keys
+    backdated = make_proof(PROFILE, keys,
+                           make_statement("u1", "cafe-7", 250_000))
+    assert world.registry.lookup("cafe-7", 250_000) is None
+    late = build_epoch_report(PROFILE, keys, "cafe-7", 0, EPOCH_LEN,
+                              [proof_digest(PROFILE, backdated)])
+    with pytest.raises(RegistryError, match="late"):
+        world.registry.publish(late)
+    assert world.registry.lookup("cafe-7", 250_000) is None
+
+
+def test_backdated_fabrication_excluded_from_reported_epoch():
+    """An epoch that held a proof has a report, and a proof backdated into
+    it later is absent from that report."""
+    world = World(PROFILE, "hashchain", ProtocolConfig(), seed=6)
+    world.add_authority("cafe-7")
+    world.add_witness("w1")
+    world.add_user("u1")
+    world.place("u1", "cafe-7")
+    world.place("w1", "cafe-7")
+    assert world.run_visit("u1", "cafe-7", "w1").ok
+    world.advance(400_000)
+    keys = world.authorities["cafe-7"].keys
+    backdated = make_proof(PROFILE, keys,
                            make_statement("u1", "cafe-7", 250_000))
     report = world.registry.lookup("cafe-7", 250_000)
-    assert report is not None
-    assert not check_inclusion(
-        PROFILE, world.directory.public_key("cafe-7"), report,
-        proof_digest(PROFILE, backdated))
+    assert report is not None and report.epoch_id == 0
+    assert not check_inclusion(PROFILE, world.directory.public_key("cafe-7"),
+                               report, proof_digest(PROFILE, backdated))
+    with pytest.raises(RegistryError, match="already published"):
+        world.registry.publish(build_epoch_report(
+            PROFILE, keys, "cafe-7", 0, EPOCH_LEN,
+            [proof_digest(PROFILE, backdated)]))
+
+
+def test_idle_epochs_build_no_report(monkeypatch):
+    """Rolling over epochs that hold no proof builds and signs nothing, and
+    closes them: the registry then refuses a report for any of them."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[3])
+        return build_epoch_report(*args, **kwargs)
+    monkeypatch.setattr(protocol, "build_epoch_report", counted)
+    world = World(PROFILE, "hashchain", ProtocolConfig(), seed=7)
+    world.add_authority("cafe-7")
+    world.advance(10 * EPOCH_LEN)
+    assert built == []
+    assert world.authorities["cafe-7"].current_epoch == 10
+    assert world.registry.reports() == []
+    with pytest.raises(RegistryError, match="late"):
+        world.registry.publish(_report(4, []))
+    # the live epoch is still open
+    world.registry.publish(_report(10, []))
+
+
+def test_publish_refuses_an_epoch_below_the_watermark():
+    registry = EpochRegistry()
+    registry.publish(_report(3, []))
+    for epoch_id in (0, 2):
+        with pytest.raises(RegistryError, match="late"):
+            registry.publish(_report(epoch_id, []))
+    with pytest.raises(RegistryError, match="already published"):
+        registry.publish(_report(3, []))
+    registry.close("cafe-7", 5)
+    for epoch_id in (4, 5):
+        with pytest.raises(RegistryError, match="late"):
+            registry.publish(_report(epoch_id, []))
+    registry.publish(_report(6, []))
+    # closing an earlier epoch lowers nothing, and other locations are open
+    registry.close("cafe-7", 1)
+    registry.publish(_report(7, []))
+    registry.publish(_report(0, [], location="lib-2"))
+    assert [(r.location_id, r.epoch_id) for r in registry.reports()] == [
+        ("cafe-7", 3), ("cafe-7", 6), ("cafe-7", 7), ("lib-2", 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -657,9 +657,9 @@ def test_batched_refuses_a_foreign_scheme_without_a_job(counted, batches):
 def test_batched_hands_jobs_to_a_batch_past_its_budget(counted, batches,
                                                        monkeypatch):
     """Jobs whose messages pass ``BATCH_BYTES`` go to a batch there and
-    then. Those that passed are dropped, so a second run verifies on the
-    spot each one it reaches again; a failed one it answers from the
-    batch."""
+    then. Those that passed are kept as hashes only, and a second run
+    answers each one it reaches again from them, as it answers a failed
+    one from the batch: no signature is verified twice."""
     monkeypatch.setattr(fanout, "BATCH_BYTES", 5)
     profile, calls = counted
     walk, runs = _walk((b"one", _signature(b"one")),
@@ -669,7 +669,18 @@ def test_batched_hands_jobs_to_a_batch_past_its_budget(counted, batches,
     assert fanout.batched(profile, walk) == [True, True, False]
     assert len(runs) == 2
     assert batches == [2, 2]
-    assert calls == [b"one", b"two", b"bad", b"last", b"one", b"two"]
+    assert calls == [b"one", b"two", b"bad", b"last"]
+
+
+def test_job_hashes_tell_apart_fields_split_differently():
+    """A job's hash prefixes each field with its length: moving bytes from
+    one field to the next changes it."""
+    job = ("modern", b"key", b"message", b"signature")
+    hashes = {fanout._job_hash(j) for j in (
+        job, ("modern", b"keym", b"essage", b"signature"),
+        ("modern", b"key", b"messages", b"ignature"),
+        ("moder", b"nkey", b"message", b"signature"))}
+    assert len(hashes) == 4
 
 
 def test_batched_under_its_budget_is_one_batch(counted, batches,

@@ -9,6 +9,7 @@ from dataclasses import replace
 from locprov.audit import (
     CLAIM_BAD_SIGNATURE,
     CLAIM_EPOCH_EXCLUDED,
+    CLAIM_EPOCH_MISSING,
     CLAIM_GRANULARITY_MISMATCH,
     CLAIM_TIME_MISMATCH,
     LABEL_FALSE_ENDORSEMENT,
@@ -109,6 +110,29 @@ def test_proof_switching_caught_by_digest_binding(outcomes, scheme):
 @pytest.mark.parametrize("scheme", [SCHEME_HASHCHAIN, SCHEME_BLOOM])
 def test_backdating_caught_by_epoch_report(outcomes, scheme):
     o = _by_name(outcomes, "backdating", scheme)
+    assert o.detected
+    statuses = {v.status for v in o.audit_report.failures()}
+    # the backdated epoch passed with no proof: closed, with no report
+    assert statuses == {CLAIM_EPOCH_MISSING}
+    assert o.threat_label == "backdating/future-dating"
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_HASHCHAIN, SCHEME_BLOOM])
+def test_backdating_into_an_epoch_with_a_proof_is_excluded(scheme):
+    """The built-in backdating attack after an honest visit in the epoch it
+    backdates into: that epoch has a report, which lacks the digest."""
+    backdating = next(s for s in builtin_suite(scheme)
+                      if s.name == f"backdating-{scheme}")
+    assert backdating.script[0] == {"op": "advance", "ms": 330_000}
+    honest = [{"op": "advance", "ms": 100_000},
+              {"op": "move", "party": "u1", "location": "cafe-7"},
+              {"op": "move", "party": "w1", "location": "cafe-7"},
+              {"op": "visit", "user": "u1", "location": "cafe-7",
+               "witness": "w1"},
+              {"op": "advance", "ms": 230_000}]
+    o = run_scenario(replace(backdating, script=honest + backdating.script[1:]))
+    assert o.matched and o.detected
+    assert o.audit_report.claim_verdicts[0].ok
     statuses = {v.status for v in o.audit_report.failures()}
     assert statuses == {CLAIM_EPOCH_EXCLUDED}
     assert o.threat_label == "backdating/future-dating"
@@ -119,7 +143,8 @@ def test_implication_of_absent_user_detected(outcomes, scheme):
     o = _by_name(outcomes, "implication", scheme)
     assert o.detected
     statuses = {v.status for v in o.audit_report.failures()}
-    assert CLAIM_EPOCH_EXCLUDED in statuses
+    assert CLAIM_EPOCH_MISSING in statuses
+    assert o.threat_label == "backdating/future-dating"
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_HASHCHAIN, SCHEME_BLOOM])
@@ -200,7 +225,7 @@ def test_builtin_suite_audit_reports_pinned(outcomes):
         h.update(render_text_report(o.audit_report).encode())
         h.update(dump_audit_report_file(o.audit_report).encode())
     assert h.hexdigest() == (
-        "98915b127aa2978d12a3bc80bf6ac1c4e808546778b49ec8e0f8df378b85ca00")
+        "5052bc2430cb248c6732e0c7b5cdcbb86e9ccd61e90731d43a2fc4134d6fa3af")
 
 
 def test_different_seed_changes_trace():
