@@ -83,13 +83,13 @@ CLAIM_EPOCH_EXCLUDED = "EpochExcluded"
 CLAIM_TIME_MISMATCH = "TimeMismatch"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationClaim:
     location_id: str  # at whatever granularity the user chose to reveal
     visit_time: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimVerdict:
     index: int
     status: str
@@ -100,7 +100,7 @@ class ClaimVerdict:
         return self.status == CLAIM_OK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditReport:
     claim_verdicts: tuple[ClaimVerdict, ...]
     ordering: OrderingVerdict

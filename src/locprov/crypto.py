@@ -53,20 +53,20 @@ class CryptoError(Exception):
 # Value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     scheme_id: str
     public_key: bytes
     private_key: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     scheme_id: str
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
     data: bytes
 
@@ -74,7 +74,7 @@ class Digest:
         return len(self.data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Commitment:
     digest: Digest
 

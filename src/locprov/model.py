@@ -54,9 +54,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .crypto import (LEGACY, MODERN, Commitment, CryptoProfile, Digest,
                      KeyPair, Signature)
@@ -86,7 +85,7 @@ class EncodingError(ModelError):
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationStatement:
     # Identities are opaque strings bound to public keys by a directory;
     # an id may be a raw public-key fingerprint or an anonymized handle.
@@ -95,7 +94,7 @@ class LocationStatement:
     visit_time: int  # authority-local milliseconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrivateLocationStatement:
     """Statement with the location blinded behind granularity commitments.
 
@@ -117,7 +116,7 @@ class PrivateLocationStatement:
 Statement = Union[LocationStatement, PrivateLocationStatement]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationProof:
     statement: Statement
     authority_sig: Signature
@@ -127,7 +126,7 @@ class LocationProof:
         default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndorsementStatement:
     witness_id: str
     user_id: str
@@ -137,7 +136,7 @@ class EndorsementStatement:
     endorsed_at: int  # authority-signed timestamp, milliseconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimestampAttestation:
     """What the authority signs when timestamping an endorsement."""
 
@@ -145,7 +144,7 @@ class TimestampAttestation:
     endorsed_at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endorsement:
     statement: EndorsementStatement
     witness_sig: Signature
@@ -154,13 +153,13 @@ class Endorsement:
     authority_time_sig: Signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndorsedLocationProof:
     proof: LocationProof
     endorsements: tuple[Endorsement, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HashChainLink:
     """Ordering construct for the signed-hash-chain scheme.
 
@@ -175,7 +174,7 @@ class HashChainLink:
     signed_payload: bytes = field(default=b"", compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BloomAccumulator:
     """Ordering construct for the accumulator scheme: a signed Bloom filter
     over the digests of every proof issued to the user so far.
@@ -191,10 +190,16 @@ class BloomAccumulator:
     target_fpr: float
     inserted_count: int = 0
     authority_sig: Optional[Signature] = None
+    # memo of ``bit_size``; never encoded, compared or copied by ``replace``
+    _bit_size: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False)
 
-    @cached_property
+    @property
     def bit_size(self) -> int:
-        return bloom_bit_size(self.capacity, self.target_fpr)
+        if self._bit_size is None:
+            object.__setattr__(self, "_bit_size", bloom_bit_size(
+                self.capacity, self.target_fpr))
+        return self._bit_size
 
 
 def bloom_bit_size(capacity: int, target_fpr: float) -> int:
@@ -216,13 +221,13 @@ def ordering_scheme(construct: OrderingConstruct) -> str:
     raise ValidationError(f"not an ordering construct: {type(construct).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceEntry:
     elp: EndorsedLocationProof
     ordering: OrderingConstruct
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceChain:
     scheme: str
     entries: tuple[ProvenanceEntry, ...] = ()
@@ -240,7 +245,7 @@ class ProvenanceChain:
         return self.entries[-1].ordering if self.entries else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevealedEntry:
     """One disclosed chain entry, with openings limited to what the user
     chose to reveal: ``disclosed`` maps a 1-based granularity index to its
@@ -251,7 +256,7 @@ class RevealedEntry:
     disclosed: tuple[tuple[int, str, bytes], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainSlot:
     """Per-position ordering evidence for the hash-chain scheme: the link
     and proof digest for every position, including hidden ones, plus the
@@ -263,7 +268,7 @@ class ChainSlot:
     link: HashChainLink
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevealedSubsequence:
     scheme: str
     entries: tuple[RevealedEntry, ...]
@@ -273,7 +278,7 @@ class RevealedSubsequence:
     chain_evidence: tuple[ChainSlot, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochReport:
     """A location authority's signed accumulator of the digests of every
     proof it issued in one epoch (see ``epochs``)."""
@@ -291,7 +296,7 @@ ORDER_REORDERED = "Reordered"
 ORDER_INCOMPLETE = "Incomplete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderingVerdict:
     """Outcome of verifying the chronological-order evidence of a revealed
     subsequence. The verifiers count their signature checks in a
@@ -360,24 +365,44 @@ def _sig_bytes(sig: Signature) -> bytes:
 
 class _Reader:
     """Bounds-checked cursor: every read past the end, and every malformed
-    field, raises ``EncodingError``."""
+    field, raises ``EncodingError``.
 
-    def __init__(self, data: bytes, profile: CryptoProfile):
+    ``refill``, when given, is the rest of the encoding as a stream: called
+    with no arguments, it returns the next bytes, or ``b""`` at the end. The
+    reader calls it only on its slow path, a ``take`` or ``peek`` past the
+    buffered bytes, and keeps only the bytes not yet read."""
+
+    def __init__(self, data: bytes, profile: CryptoProfile,
+                 refill: Optional[Callable[[], bytes]] = None):
         self.data = data
         self.size = len(data)
         self.pos = 0
         self.profile = profile
+        self.refill = refill
+
+    def _fill(self, n: int) -> None:
+        """Buffer ``n`` unread bytes from the refill, or raise."""
+        parts, have = [self.data[self.pos:]], self.size - self.pos
+        while have < n and self.refill is not None:
+            more = self.refill()
+            if not more:
+                break
+            parts.append(more)
+            have += len(more)
+        if have < n:
+            raise EncodingError("truncated encoding")
+        self.data, self.size, self.pos = b"".join(parts), have, 0
 
     def take(self, n: int) -> bytes:
-        start, end = self.pos, self.pos + n
-        if end > self.size:
-            raise EncodingError("truncated encoding")
-        self.pos = end
-        return self.data[start:end]
+        if self.pos + n > self.size:
+            self._fill(n)
+        start = self.pos
+        self.pos += n
+        return self.data[start:self.pos]
 
     def peek(self) -> int:
         if self.pos >= self.size:
-            raise EncodingError("truncated encoding")
+            self._fill(1)
         return self.data[self.pos]
 
     def u32(self) -> int:
@@ -577,11 +602,20 @@ def canonical_encode(obj) -> bytes:
     if encode is not None:
         return encode(obj)
     if isinstance(obj, (tuple, list)):
-        if any(isinstance(item, (tuple, list)) for item in obj):
-            raise EncodingError("sequences do not nest")
-        return b"".join([bytes([TAG_SEQUENCE]), _u32(len(obj)),
-                         *map(canonical_encode, obj)])
+        return b"".join(encode_pieces(obj))
     raise EncodingError(f"cannot encode {type(obj).__name__}")
+
+
+def encode_pieces(obj) -> Iterator[bytes]:
+    """``canonical_encode(obj)`` in pieces that join to it, so that a caller
+    can stream them: a sequence's head, then each item."""
+    if not isinstance(obj, (tuple, list)):
+        yield canonical_encode(obj)
+        return
+    if any(isinstance(item, (tuple, list)) for item in obj):
+        raise EncodingError("sequences do not nest")
+    yield bytes([TAG_SEQUENCE]) + _u32(len(obj))
+    yield from map(canonical_encode, obj)
 
 
 def proof_digest(profile: CryptoProfile, lp: LocationProof) -> Digest:
@@ -595,18 +629,21 @@ def proof_digest(profile: CryptoProfile, lp: LocationProof) -> Digest:
     return digest
 
 
-def canonical_decode(data: bytes, profile: CryptoProfile):
+def canonical_decode(data: bytes, profile: CryptoProfile,
+                     refill: Optional[Callable[[], bytes]] = None):
     """Inverse of canonical_encode. Needs the crypto profile to know the
     widths of digests and nonces. Granularity values and hash-chain signed
     payloads are user-side context and come back empty. Any input that is
-    not exactly one encoding raises ``EncodingError``."""
-    r = _Reader(data, profile)
+    not exactly one encoding raises ``EncodingError``. ``refill`` streams
+    the encoding's bytes after ``data`` (see ``_Reader``); it is read to
+    its end before anything is returned."""
+    r = _Reader(data, profile, refill)
     if r.peek() == TAG_SEQUENCE:
         r.pos += 1
         obj = tuple([_read_item(r) for _ in range(r.u32())])
     else:
         obj = _read_item(r)
-    if r.pos != r.size:
+    if r.pos != r.size or (refill is not None and refill()):
         raise EncodingError("trailing bytes after encoding")
     return obj
 

@@ -105,7 +105,7 @@ class ProtocolConfig:
     hop_delay_ms: int = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     kind: str
     sender: str
@@ -174,10 +174,10 @@ class Directory:
 class MessageBus:
     """FIFO queue plus an append-only trace of every delivered message.
 
-    Delivery records only the clock and the message; ``trace`` renders the
-    entries when read. That gives the same bytes as rendering at delivery
-    because payload values are frozen objects or scalars and no handler
-    mutates a payload dict.
+    Delivery records one flat ``(clock, kind, sender, receiver, payload)``
+    tuple, not the message; ``trace`` renders the entries when read. That
+    gives the same bytes as rendering at delivery because payload values
+    are frozen objects or scalars and no handler mutates a payload dict.
     """
 
     def __init__(self, clock: SimClock, config: ProtocolConfig):
@@ -185,7 +185,7 @@ class MessageBus:
         self.config = config
         self.queue: deque[Message] = deque()
         self.handlers: dict[str, Callable[[Message], None]] = {}
-        self._delivered: list[tuple[int, Message]] = []
+        self._delivered: list[tuple[int, str, str, str, dict]] = []
 
     def register(self, party_id: str, handler: Callable[[Message], None]) -> None:
         self.handlers[party_id] = handler
@@ -197,7 +197,8 @@ class MessageBus:
         while self.queue:
             msg = self.queue.popleft()
             self.clock.advance(self.config.hop_delay_ms)
-            self._delivered.append((self.clock.now, msg))
+            self._delivered.append((self.clock.now, msg.kind, msg.sender,
+                                    msg.receiver, msg.payload))
             handler = self.handlers.get(msg.receiver)
             if handler is None:
                 raise UnknownPartyError(f"no handler for {msg.receiver!r}")
@@ -207,15 +208,10 @@ class MessageBus:
     def trace(self) -> list[dict]:
         """One dict per delivered message, in delivery order."""
         return [
-            {
-                "seq": seq,
-                "clock": clock,
-                "kind": msg.kind,
-                "sender": msg.sender,
-                "receiver": msg.receiver,
-                "payload": _payload_fingerprint(msg.payload),
-            }
-            for seq, (clock, msg) in enumerate(self._delivered)
+            {"seq": seq, "clock": clock, "kind": kind, "sender": sender,
+             "receiver": receiver, "payload": _payload_fingerprint(payload)}
+            for seq, (clock, kind, sender, receiver, payload)
+            in enumerate(self._delivered)
         ]
 
 
@@ -571,7 +567,7 @@ class WitnessAgent(_Party):
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class VisitOutcome:
     ok: bool
     reason: str = ""

@@ -315,14 +315,17 @@ def _check_scenario(obj) -> None:
 def _check_epoch_work(obj: dict, config: dict) -> None:
     """Bound the epoch reports a scenario makes its authorities build and
     sign. Each authority walks every epoch that simulated time passes and
-    builds a report for each that holds a proof, closing the others, so
-    the bound counts every epoch walked: at most one report each. Time
-    moves by ``advance`` ops and by the hop delay of each message; clock
-    skews and shifted visit times move an authority's epochs further (a
-    shifted, deferred record is published when its epoch ends)."""
+    builds a report only for one that holds a proof. So the count bound
+    covers every epoch walked, and the bits bound the reports that can be
+    built: one per recorded proof at most, and a ``visit`` (proxied or not)
+    or a ``fabricate_visit`` records one. Time moves by ``advance`` ops and
+    by the hop delay of each message; clock skews and shifted visit times
+    move an authority's epochs further (a shifted, deferred record is
+    published when its epoch ends)."""
     script = obj["script"]
     elapsed = sum(op["ms"] for op in script if op["op"] == "advance")
     visits = sum(op["op"] == "visit" for op in script)
+    recorded = visits + sum(op["op"] == "fabricate_visit" for op in script)
     elapsed += MESSAGES_PER_VISIT * config["hop_delay_ms"] * visits
     shifts = [actor.get("skew_ms", 0) for actor in obj["actors"]]
     shifts += [actor.get("behavior", {}).get("visit_time_shift_ms", 0)
@@ -338,11 +341,12 @@ def _check_epoch_work(obj: dict, config: dict) -> None:
         raise ValidationError(
             f"script closes about {reports} epoch reports, more than "
             f"{MAX_EPOCH_REPORTS}")
+    built = min(reports, recorded)
     report_bits = bloom_bit_size(config["epoch_capacity"], TARGET_FPR)
-    if reports * report_bits > MAX_EPOCH_REPORT_BITS:
+    if built * report_bits > MAX_EPOCH_REPORT_BITS:
         raise ValidationError(
-            f"script closes {reports} epoch reports of {report_bits} bits, "
-            f"more than {MAX_EPOCH_REPORT_BITS} bits in all")
+            f"script builds up to {built} epoch reports of {report_bits} "
+            f"bits, more than {MAX_EPOCH_REPORT_BITS} bits in all")
 
 
 @dataclass

@@ -27,6 +27,10 @@ signature and digest, are those of version 2, whose chain and registry
 files hold them undeflated and are still read. Version 1 files, which
 spelled every type out in JSON, are not read.
 
+Bodies are deflated and inflated as a stream, under the bound below: a
+sequence is deflated item by item (to the bytes of ``zlib.compress`` of the
+whole), and a body is decoded as it inflates, ``INFLATE_PIECE`` bytes at a
+time, its stream inflated to the end and checked before anything returns.
 A body is inflated to at most ``INFLATE_CAP`` (1,024) times its deflated
 length. The worst honest ratio measured with zlib 1.2.13 is 960:1, a
 registry of empty reports at the largest epoch capacity a scenario may
@@ -46,7 +50,7 @@ from __future__ import annotations
 import base64
 import json
 import zlib
-from typing import Optional
+from typing import Iterator, Optional
 
 from .audit import AuditReport, LocationClaim, signer_ids
 from .crypto import CryptoError, CryptoProfile, get_profile
@@ -58,7 +62,7 @@ from .model import (
     SCHEMES,
     ValidationError,
     canonical_decode,
-    canonical_encode,
+    encode_pieces,
 )
 
 # Chain and registry files are written at FORMAT_VERSION, with deflated
@@ -69,6 +73,7 @@ PLAIN_VERSION = 2
 _BODY_VERSIONS = (PLAIN_VERSION, FORMAT_VERSION)
 DEFLATE_LEVEL = 6
 INFLATE_CAP = 1024
+INFLATE_PIECE = 1 << 16
 
 
 class FormatError(ValidationError):
@@ -96,26 +101,36 @@ def _dump(fields: dict, version: int = PLAIN_VERSION,
 
 
 def _deflated(obj) -> str:
-    return _b64(zlib.compress(canonical_encode(obj), DEFLATE_LEVEL))
+    deflater = zlib.compressobj(DEFLATE_LEVEL)
+    body = [deflater.compress(piece) for piece in encode_pieces(obj)]
+    body.append(deflater.flush())
+    return _b64(b"".join(body))
 
 
-def _inflate(data: bytes, what: str) -> bytes:
-    cap = INFLATE_CAP * len(data)
+def _inflated(data: bytes, what: str) -> Iterator[bytes]:
+    """The deflated body ``data``, inflated a piece at a time, ending once
+    the stream has ended and passed every check of the module doc."""
+    cap, out = INFLATE_CAP * len(data), 0
     inflater = zlib.decompressobj()
-    try:
-        # one byte more than the cap tells a body that passes it
-        out = inflater.decompress(data, cap + 1)
-    except zlib.error as exc:  # not deflate, or a failed Adler-32 check
-        raise FormatError(f"{what} does not inflate: {exc}") from None
-    if len(out) > cap:
-        raise FormatError(f"{what} inflates past {INFLATE_CAP} times its "
-                          f"{len(data)} bytes")
-    if not inflater.eof:
-        raise FormatError(f"{what} is a truncated deflate stream")
+    while not inflater.eof:
+        try:
+            # one byte more than the cap tells a body that passes it
+            piece = inflater.decompress(data, min(INFLATE_PIECE, cap + 1 - out))
+        except zlib.error as exc:  # not deflate, or a failed Adler-32 check
+            raise FormatError(f"{what} does not inflate: {exc}") from None
+        # what is left of the input, so the input read is freed; the cap
+        # keeps its length for the message below
+        data, out = inflater.unconsumed_tail, out + len(piece)
+        if out > cap:
+            raise FormatError(f"{what} inflates past {INFLATE_CAP} times its "
+                              f"{cap // INFLATE_CAP} bytes")
+        if piece:
+            yield piece
+        elif not inflater.eof:  # no output and no input left
+            raise FormatError(f"{what} is a truncated deflate stream")
     if inflater.unused_data:
         raise FormatError(f"{what} has trailing bytes after its deflate "
                           "stream")
-    return out
 
 
 def _load(text: str, kind: str,
@@ -145,12 +160,14 @@ def _profile(obj: dict, kind: str) -> CryptoProfile:
 def _decode(obj: dict, field: str, kind: str, profile: CryptoProfile,
             expected: type):
     what = f"{kind} {field}"
-    data = _unb64(obj.get(field), what)
+    data, pieces = _unb64(obj.get(field), what), iter(())
     if obj["format_version"] == FORMAT_VERSION:
-        data = _inflate(data, what)
+        data, pieces = b"", _inflated(data, what)
     try:
-        value = canonical_decode(data, profile)
+        value = canonical_decode(data, profile, lambda: next(pieces, b""))
     except EncodingError as exc:
+        for _ in pieces:  # a fault of the stream outranks one of its encoding
+            pass
         raise FormatError(f"{what}: {exc}") from None
     if not isinstance(value, expected):
         raise FormatError(f"{what} encodes a {type(value).__name__}")

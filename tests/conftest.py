@@ -25,15 +25,29 @@ def _flip_last_bit(data: bytes) -> bytes:
     return data[:-1] + bytes([data[-1] ^ 1])
 
 
+def _half(data: bytes) -> bytes:
+    return data[:len(data) // 2]
+
+
 # Hostile version 3 file bodies: name -> (the body, made from a file's
 # canonical bytes; a fragment of the FormatError it must raise). 16 MiB of
-# zeros deflate 1,028:1, past the 1,024:1 cap.
+# zeros deflate 1,028:1, past the 1,024:1 cap. Bodies are decoded as they
+# inflate; a fault of the stream is reported over one of the encoding in
+# it, so the bomb, whose first byte is no type tag, still reads as a bomb.
 DEFLATE_ATTACKS = {
     "bomb": (lambda body: zlib.compress(bytes(16 << 20)), "inflates past"),
     "truncated": (lambda body: zlib.compress(body)[:-10],
                   "truncated deflate stream"),
+    "truncated-mid-body": (lambda body: _half(zlib.compress(body)),
+                           "truncated deflate stream"),
+    "truncated-bad-tag": (lambda body: zlib.compress(b"\x7f" + body[1:])[:-10],
+                          "truncated deflate stream"),
     "trailing-bytes": (lambda body: zlib.compress(body) + b"\0",
                        "trailing bytes after its deflate stream"),
+    "encoding-ends-first": (lambda body: zlib.compress(body + b"\0"),
+                            "trailing bytes after encoding"),
+    "length-past-end": (lambda body: zlib.compress(
+        body[:1] + b"\xff" * 4 + body[5:]), "truncated encoding"),
     "bad-adler32": (lambda body: _flip_last_bit(zlib.compress(body)),
                     "incorrect data check"),
     "not-deflated": (lambda body: body, "does not inflate"),

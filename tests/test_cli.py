@@ -218,6 +218,15 @@ def _long_advance(doc, ms):
     doc["script"].append({"op": "advance", "ms": ms})
 
 
+def _visit_every_epoch(doc, epochs):
+    """Append a visit to cafe-7 in each of ``epochs`` default-length epochs."""
+    doc["script"] += [{"op": "move", "party": party, "location": "cafe-7"}
+                      for party in ("u1", "w1")]
+    for _ in range(epochs):
+        doc["script"] += [{"op": "visit", "user": "u1", "location": "cafe-7",
+                           "witness": "w1"}, {"op": "advance", "ms": 300_000}]
+
+
 def _set_actor(doc, actor_id, **fields):
     actor = next(a for a in doc["actors"] if a["actor_id"] == actor_id)
     actor.update(fields)
@@ -233,8 +242,8 @@ def _set_actor(doc, actor_id, **fields):
     (lambda d: _set_actor(d, "cafe-7", behavior={
         "visit_time_shift_ms": 10**12, "defer_record_to_visit_epoch": True}),
      "epoch reports"),
-    (lambda d: (d.update(config={"epoch_capacity": 500_000}),
-                _long_advance(d, 60 * 300_000)), "bits in all"),
+    (lambda d: (d.update(config={"epoch_capacity": 1_000_000}),
+                _visit_every_epoch(d, 80)), "bits in all"),
     (lambda d: _long_advance(d, -1), "advance: ms must not be negative"),
     (lambda d: d.update(config={"hop_delay_ms": -1}),
      "config.hop_delay_ms must not be negative"),
@@ -245,8 +254,9 @@ def _set_actor(doc, actor_id, **fields):
 def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
                                                  capsys, edit, refusal):
     """Refused while the file loads, before any epoch report is built: each
-    file asks for at least 10^5 signed reports, 128 MiB of report filters,
-    or time that runs backwards."""
+    file asks for at least 10^5 signed reports, 128 MiB of report filters
+    (80 visits in 80 epochs, each report a 1.8 MB filter), or time that
+    runs backwards."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
     edit(doc)
@@ -257,6 +267,21 @@ def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
     assert err.startswith("error: cannot load scenario: ")
     assert refusal in err
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_idle_epochs_are_charged_no_report_bits(tmp_path,
+                                                          scenario_dir):
+    """Idle epochs build no report, so they are not charged one: 60 of
+    them at three authorities run to the end, at a capacity (0.9 MB
+    filters) at which a report for every epoch walked would pass the bits
+    bound."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    doc["config"] = {"epoch_capacity": 500_000}
+    _long_advance(doc, 60 * 300_000)
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_simulate_long_run_within_the_bound_exits_zero(tmp_path, scenario_dir):

@@ -1,11 +1,16 @@
 """Data model: constructors, canonical encoding, disclosure."""
 
+import copy
+import pickle
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from locprov import model
+from locprov.audit import AuditReport, ClaimVerdict, LocationClaim
 from locprov.crypto import LEGACY, MODERN, Commitment, Digest, Signature
 from locprov.model import (
     BindingError,
@@ -15,6 +20,7 @@ from locprov.model import (
     EndorsedLocationProof,
     EpochReport,
     HashChainLink,
+    OrderingVerdict,
     ProvenanceChain,
     ProvenanceEntry,
     RevealedSubsequence,
@@ -33,6 +39,7 @@ from locprov.model import (
     reveal_granularity,
     statement_signing_bytes,
 )
+from locprov.protocol import Message, VisitOutcome
 
 PROFILE = MODERN
 KEYS_AUTH = PROFILE.keygen(bytes(range(32)))
@@ -485,6 +492,55 @@ def test_private_statement_view_decodes_without_nonces(stmt):
     data = statement_signing_bytes(stmt)
     assert data[0] == model.TAG_PRIVATE_STATEMENT_CORE
     assert canonical_decode(data, PROFILE) == stmt
+
+
+# ---------------------------------------------------------------------------
+# slotted records
+# ---------------------------------------------------------------------------
+
+def _value_objects():
+    """An instance of each crypto value type, message and audit record."""
+    return [PROFILE.keygen(bytes(32)), Signature(MODERN.scheme_id, bytes(64)),
+            Digest(bytes(32)), Commitment(Digest(bytes(32))),
+            Message("pReq", "u1", "cafe-7", {}), VisitOutcome(False, "refused"), LocationClaim("cafe-7", 5),
+            ClaimVerdict(1, "OK"), OrderingVerdict("OK"),
+            AuditReport((ClaimVerdict(1, "OK"),), OrderingVerdict("OK"),
+                        Counter(proof=1))]
+
+
+@pytest.mark.parametrize("tag", sorted(_LAYOUTS))
+@settings(max_examples=5, derandomize=True, deadline=None,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_layout_records_hold_no_instance_dict(tag, data):
+    obj = data.draw(_layout_strategy(tag))
+    assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+@pytest.mark.parametrize("obj", _value_objects(),
+                         ids=lambda obj: type(obj).__name__)
+def test_value_objects_hold_no_instance_dict(obj):
+    assert not hasattr(obj, "__dict__")
+
+
+def test_slotted_records_copy_pickle_and_memoise():
+    """What a frozen slotted record is relied on for: ``replace``, a memo
+    set through ``object.__setattr__``, equality and hash, ``copy`` and
+    ``pickle``."""
+    lp = make_proof(PROFILE, KEYS_AUTH, _private_statement())
+    acc = model.BloomAccumulator(bytes(3), 1, 1, 0.5)
+    digest, size = proof_digest(PROFILE, lp), acc.bit_size
+    assert (lp._digest, acc._bit_size) == (("sha256", digest), size)
+    hashable = [lp, acc, *_value_objects()[:4]]  # the crypto values
+    for obj in hashable + _value_objects()[4:]:
+        for again in (replace(obj), copy.copy(obj), copy.deepcopy(obj),
+                      pickle.loads(pickle.dumps(obj))):
+            assert again == obj and type(again) is type(obj)
+    for obj in hashable:
+        assert hash(replace(obj)) == hash(copy.deepcopy(obj)) == hash(
+            pickle.loads(pickle.dumps(obj))) == hash(obj)
+    assert replace(lp)._digest is None and replace(acc)._bit_size is None
+    assert pickle.loads(pickle.dumps(lp))._digest == lp._digest
 
 
 # ---------------------------------------------------------------------------

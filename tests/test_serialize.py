@@ -1,13 +1,17 @@
 """Canonical round trips, versioned file formats and hostile file contents."""
 
 import base64
+import gc
 import json
+import random
+import tracemalloc
 import zlib
 from dataclasses import replace
 
 import pytest
 
-from locprov.crypto import MODERN, get_profile
+from locprov.crypto import MODERN, Digest, get_profile
+from locprov.epochs import EpochRegistry, build_epoch_report
 from locprov.model import (
     ProvenanceChain,
     canonical_decode,
@@ -18,6 +22,7 @@ from locprov.model import (
 )
 from locprov.protocol import Directory, ProtocolConfig, World
 from locprov.serialize import (
+    INFLATE_PIECE,
     FormatError,
     dump_audit_report_file,
     dump_chain_file,
@@ -296,8 +301,8 @@ def test_unreadable_envelope_is_format_error(text):
 @pytest.mark.parametrize("field", ["subsequence", "reports"])
 def test_hostile_deflate_body_is_format_error(world_and_chain, chain_file,
                                              deflate_attack, field):
-    """Each hostile version 3 body is refused by the inflate check itself,
-    made from canonical bytes that load when deflated honestly."""
+    """Each hostile version 3 body is refused while it is inflated and
+    decoded, made from canonical bytes that load when deflated honestly."""
     world, _ = world_and_chain
     make, expected = deflate_attack
     if field == "subsequence":
@@ -308,6 +313,66 @@ def test_hostile_deflate_body_is_format_error(world_and_chain, chain_file,
     body = make(_body(obj, field))
     with pytest.raises(FormatError, match=expected):
         load(json.dumps({**obj, field: base64.b64encode(body).decode()}))
+
+
+@pytest.fixture(scope="module")
+def many_reports():
+    """A registry of 300 signed reports, each a 7,361-byte filter image:
+    2.2 MB of canonical bytes, which deflate to about 54 KB."""
+    keys = MODERN.keygen(bytes(32))
+    rng = random.Random(5)
+    registry = EpochRegistry()
+    for epoch in range(300):
+        digests = [Digest(rng.randbytes(32)) for _ in range(3)]
+        registry.publish(build_epoch_report(MODERN, keys, "cafe-7", epoch,
+                                            300_000, digests))
+    return registry
+
+
+def test_streamed_dumps_match_one_shot_deflate(world_and_chain, chain_file,
+                                               many_reports):
+    """Bodies deflated item by item are the bytes of deflating the whole
+    encoding at once."""
+    sub, obj = chain_file
+    assert base64.b64decode(obj["subsequence"]) == zlib.compress(
+        canonical_encode(sub), 6)
+    for registry in (many_reports, world_and_chain[0].registry):
+        obj = json.loads(dump_registry_file("modern", registry))
+        assert base64.b64decode(obj["reports"]) == zlib.compress(
+            canonical_encode(registry.reports()), 6)
+
+
+def test_registry_dump_never_holds_the_whole_encoding(many_reports):
+    """Dumping peaks at a fixed slack, far below the 2.2 MB encoding: the
+    reports are encoded and deflated one at a time."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        size = len(dump_registry_file("modern", many_reports))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size + 8 * INFLATE_PIECE
+
+
+def test_registry_load_never_holds_the_whole_body(many_reports):
+    """Loading peaks at what the loaded registry keeps plus a fixed slack,
+    far below the 2.2 MB inflated body: the body is decoded as it inflates,
+    never held whole beside the reports copied out of it."""
+    text = dump_registry_file("modern", many_reports)
+    body_size = len(canonical_encode(many_reports.reports()))
+    slack = 8 * INFLATE_PIECE
+    assert body_size > 4 * slack
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, registry = load_registry_file(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert registry.reports() == many_reports.reports()
+    assert peak - start < kept - start + slack
 
 
 def test_registry_repeating_a_report_is_format_error(world_and_chain):
