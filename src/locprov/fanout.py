@@ -16,20 +16,23 @@ So that run reaches every signature a real run can. The distinct triples,
 keyed by value under the profile's name (equal bytes give an equal
 result), go to one ``verify_each`` call whenever their messages pass
 ``BATCH_BYTES`` (8 MiB), and once more when the run ends. Of a batch
-flushed mid-run, past the budget, each job that passed is kept only as the
-SHA-256 of its length-prefixed fields, and its bytes are dropped; so the
-run holds at most about that budget of messages, plus 32 bytes per job
-that passed and the jobs that failed. No benchmark presentation reaches
-the budget: each is verified in one batch, the last, and hashes nothing.
-If all passed, that run's result is returned; else the walk runs again
-with a profile that answers False for a failed triple, True for one of
-the last batch or one whose hash an earlier batch passed, and verifies on
-the spot any other, one the first run did not ask. So the batches change
-how fast a walk runs, never what it decides, as far as SHA-256 is
-collision resistant: past a flush, a triple that hashes like one that
-passed would be answered True. But code past a check in the first run
-sees unauthenticated input, so it must cost no more than the input's size
-(``bloom_well_formed`` bounds a membership check so).
+flushed mid-run, past the budget, each job is kept only as its verdict
+under the SHA-256 of its length-prefixed fields, and its bytes are
+dropped; so the run holds at most about that budget of messages, plus one
+hash and verdict per flushed job, whether it passed or failed. No
+benchmark presentation reaches the budget: each is verified in one batch,
+the last, and hashes nothing. If all passed, that run's result is
+returned; else the walk runs again with a profile that answers a triple of
+the last batch with its verdict, one of a flushed batch with the verdict
+of its hash, and verifies on the spot any other, one the first run did not
+ask. So the batches change how fast a walk runs, never what it decides, as
+far as SHA-256 is collision resistant: past a flush, a triple the first
+run did not ask that hashes like one that passed would be answered True.
+Flushed jobs that share a hash keep the verdict of both anded, so a
+collision among them can only make a signature read as failed. But code
+past a check in the first run sees unauthenticated input, so it must cost
+no more than the input's size (``bloom_well_formed`` bounds a membership
+check so).
 
 A failing walk's batches also hold the checks after its first bad
 signature. Past a flush, a failing walk pays one more SHA-256 over each
@@ -104,19 +107,7 @@ def batched(profile: CryptoProfile,
     name = profile.name
     jobs: dict[Job, None] = {}
     held = 0  # message bytes in ``jobs``
-    failed: set[Job] = set()
-    passed: set[bytes] = set()  # hashes of the jobs flushed batches passed
-
-    def flush(last: bool) -> None:
-        nonlocal held
-        if jobs:
-            for job, ok in zip(jobs, verify_each(list(jobs))):
-                if not ok:
-                    failed.add(job)
-                elif not last:
-                    passed.add(_job_hash(job))
-        jobs.clear()
-        held = 0
+    flushed: dict[bytes, bool] = {}  # verdicts of flushed batches, by hash
 
     def record(public_key: bytes, message: bytes, signature: bytes) -> bool:
         nonlocal held
@@ -125,22 +116,24 @@ def batched(profile: CryptoProfile,
             jobs[job] = None
             held += len(message)
             if held > BATCH_BYTES:
-                flush(last=False)
+                for flushed_job, ok in zip(jobs, verify_each(list(jobs))):
+                    key = _job_hash(flushed_job)
+                    flushed[key] = ok and flushed.get(key, True)
+                jobs.clear()
+                held = 0
         return True
 
     result = walk(dataclasses.replace(profile, raw_verify=record))
-    answers = dict.fromkeys(jobs, True)
-    flush(last=True)
-    if not failed:
+    answers = dict(zip(jobs, verify_each(list(jobs)))) if jobs else {}
+    if all(answers.values()) and all(flushed.values()):
         return result
-    answers.update(dict.fromkeys(failed, False))
 
     def answer(public_key: bytes, message: bytes, signature: bytes) -> bool:
         job = name, public_key, message, signature
         got = answers.get(job)
+        if got is None and flushed:
+            got = flushed.get(_job_hash(job))
         if got is None:
-            if passed and _job_hash(job) in passed:
-                return True
             return profile.raw_verify(public_key, message, signature)
         return got
     return walk(dataclasses.replace(profile, raw_verify=answer))

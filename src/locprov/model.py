@@ -347,8 +347,8 @@ def _u32(n: int) -> bytes:
 
 
 def _u64(n: int) -> bytes:
-    if n < 0:
-        raise EncodingError("timestamps must be non-negative")
+    if not 0 <= n < 1 << 64:
+        raise EncodingError("a time or epoch is outside 0..2^64-1")
     return n.to_bytes(8, "big")
 
 
@@ -437,7 +437,7 @@ class _Reader:
 # Integers, lengths and counts are big-endian.
 TEXT = (_text, _Reader.text)  # UTF-8 behind a 4-byte length
 U32 = (_u32, _Reader.u32)
-U64 = (_u64, lambda r: int.from_bytes(r.take(8), "big"))  # non-negative
+U64 = (_u64, lambda r: int.from_bytes(r.take(8), "big"))  # 0..2^64-1
 F64 = (_F64.pack, lambda r: _F64.unpack(r.take(8))[0])  # IEEE 754 double
 BLOB = (lambda data: _u32(len(data)) + data, _Reader.blob)  # behind a 4-byte length
 DIGEST = (attrgetter("data"), lambda r: Digest(r.take(r.profile.digest_len)))  # raw
@@ -857,8 +857,9 @@ def make_revealed_subsequence(
     honest presentation) with statements elsewhere withheld entirely.
 
     For the hash-chain scheme the result also carries the (link, proof
-    digest, issuer) triple for *every* chain position, which is exactly the
-    non-statement evidence an auditor needs to replay the chain.
+    digest, issuer) triple for every chain position up to the last revealed
+    one, which is exactly the non-statement evidence an auditor needs to
+    replay the chain; nothing of the visits after it is disclosed.
     """
     disclose = disclose or {}
     n = len(chain.entries)
@@ -880,6 +881,6 @@ def make_revealed_subsequence(
                 proof_digest=proof_digest(profile, e.elp.proof),
                 link=e.ordering,
             )
-            for i, e in enumerate(chain.entries)
+            for i, e in enumerate(chain.entries[:max(positions, default=0)])
         )
     return RevealedSubsequence(chain.scheme, revealed, evidence)

@@ -228,7 +228,7 @@ def _payload_fingerprint(payload: dict) -> dict:
             out[key] = (f"Signature(scheme_id={value.scheme_id!r}, "
                         f"data={value.data!r})")
         else:
-            out[key] = canonical_encode(value).hex()[:48]
+            out[key] = canonical_encode(value)[:24].hex()
     return out
 
 
@@ -361,22 +361,25 @@ class AuthorityAgent(_Party):
     # -- time ----------------------------------------------------------------
 
     def roll_epochs(self) -> None:
-        """Walk every fully elapsed epoch: publish a report for each that
-        holds a digest, and close each that holds none in the registry, so
-        that no report can be published for it later."""
+        """End every fully elapsed epoch in one step: publish a report for
+        each that holds a digest, in epoch order, then close them all in
+        the registry, so that no report can be published for any of them
+        later. The cost is in the epochs that hold digests, not in the
+        time passed. Digests deferred to an epoch already ended stay
+        unpublished."""
         config = self.world.config
-        registry = self.world.registry
-        while self.local_now() >= (self.current_epoch + 1) * config.epoch_len_ms:
-            digests = self.epoch_digests.pop(self.current_epoch, [])
-            if digests:
-                registry.publish(build_epoch_report(
-                    self.world.profile, self.keys, self.id,
-                    self.current_epoch, config.epoch_len_ms, digests,
-                    capacity=config.epoch_capacity,
-                ))
-            else:
-                registry.close(self.id, self.current_epoch)
-            self.current_epoch += 1
+        now = epoch_of(self.local_now(), config.epoch_len_ms)
+        if now <= self.current_epoch:
+            return
+        for epoch in sorted(e for e in self.epoch_digests
+                            if self.current_epoch <= e < now):
+            self.world.registry.publish(build_epoch_report(
+                self.world.profile, self.keys, self.id, epoch,
+                config.epoch_len_ms, self.epoch_digests.pop(epoch),
+                capacity=config.epoch_capacity,
+            ))
+        self.world.registry.close(self.id, now - 1)
+        self.current_epoch = now
 
     # -- message handling ----------------------------------------------------
 

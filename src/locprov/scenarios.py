@@ -40,10 +40,12 @@ from .bloom import TARGET_FPR
 from .crypto import CryptoError, derive_seed, get_profile
 from .model import (
     COLLUDING_WINDOW_MS,
+    EncodingError,
     EndorsedLocationProof,
     ProvenanceChain,
     ProvenanceEntry,
     ValidationError,
+    SCHEME_BLOOM,
     SCHEMES,
     assemble_elp,
     bloom_bit_size,
@@ -159,15 +161,9 @@ _BEHAVIORS = {"authority": AuthorityBehavior, "witness": WitnessBehavior}
 # (2 MiB per filter).
 MAX_FILTER_BITS = 1 << 24
 
-# Most epoch reports a scenario may make its authorities build and sign,
-# and most filter bits those reports may hold together (128 MiB).
-MAX_EPOCH_REPORTS = 10_000
-MAX_EPOCH_REPORT_BITS = 1 << 30
-
-# Most messages one visit delivers, each after the configured hop delay:
-# proof request, proxy request and response, proof, endorsement request,
-# timestamp request and response, endorsement.
-MESSAGES_PER_VISIT = 8
+# Most filter bits a scenario may make its parties build in all (128 MiB):
+# epoch reports and, under ``bloom``, chain accumulators.
+MAX_SCRIPT_FILTER_BITS = 1 << 30
 
 
 def _defaults_table(cls) -> dict:
@@ -286,7 +282,7 @@ def _check_scenario(obj) -> None:
                 raise ValidationError(
                     f"fabricate_visit: no witness {op['witness']!r}")
 
-    _check_epoch_work(obj, config)
+    _check_filter_work(obj, config)
 
     reveal = obj.get("reveal", {})
     _check_fields(reveal, _REVEAL_FIELDS, "reveal")
@@ -312,41 +308,21 @@ def _check_scenario(obj) -> None:
             _check_fields(claim, _CLAIM_FIELDS, "claim")
 
 
-def _check_epoch_work(obj: dict, config: dict) -> None:
-    """Bound the epoch reports a scenario makes its authorities build and
-    sign. Each authority walks every epoch that simulated time passes and
-    builds a report only for one that holds a proof. So the count bound
-    covers every epoch walked, and the bits bound the reports that can be
-    built: one per recorded proof at most, and a ``visit`` (proxied or not)
-    or a ``fabricate_visit`` records one. Time moves by ``advance`` ops and
-    by the hop delay of each message; clock skews and shifted visit times
-    move an authority's epochs further (a shifted, deferred record is
-    published when its epoch ends)."""
+def _check_filter_work(obj: dict, config: dict) -> None:
+    """Bound the filter bits a scenario makes its parties build. Each
+    recorded proof, from a ``visit`` (proxied or not) or a
+    ``fabricate_visit``, goes into at most one epoch report and, under
+    ``bloom``, one chain accumulator, so each is charged both. Epochs that
+    pass without a proof cost nothing, however many there are."""
     script = obj["script"]
-    elapsed = sum(op["ms"] for op in script if op["op"] == "advance")
-    visits = sum(op["op"] == "visit" for op in script)
-    recorded = visits + sum(op["op"] == "fabricate_visit" for op in script)
-    elapsed += MESSAGES_PER_VISIT * config["hop_delay_ms"] * visits
-    shifts = [actor.get("skew_ms", 0) for actor in obj["actors"]]
-    shifts += [actor.get("behavior", {}).get("visit_time_shift_ms", 0)
-               for actor in obj["actors"]]
-    shifts += [op.get("visit_time_shift_ms", 0) for op in script
-               if op["op"] == "fabricate_visit"]
-    shifts += [op["value"] for op in script if op["op"] == "set_behavior"
-               and op["field"] == "visit_time_shift_ms"]
-    horizon = elapsed + max(abs(shift) for shift in [0, *shifts])
-    authorities = sum(actor["role"] == "authority" for actor in obj["actors"])
-    reports = authorities * (horizon // config["epoch_len_ms"] + 2)
-    if reports > MAX_EPOCH_REPORTS:
+    proofs = sum(op["op"] in ("visit", "fabricate_visit") for op in script)
+    bits = bloom_bit_size(config["epoch_capacity"], TARGET_FPR)
+    if obj["scheme"] == SCHEME_BLOOM:
+        bits += bloom_bit_size(config["chain_capacity"], TARGET_FPR)
+    if proofs * bits > MAX_SCRIPT_FILTER_BITS:
         raise ValidationError(
-            f"script closes about {reports} epoch reports, more than "
-            f"{MAX_EPOCH_REPORTS}")
-    built = min(reports, recorded)
-    report_bits = bloom_bit_size(config["epoch_capacity"], TARGET_FPR)
-    if built * report_bits > MAX_EPOCH_REPORT_BITS:
-        raise ValidationError(
-            f"script builds up to {built} epoch reports of {report_bits} "
-            f"bits, more than {MAX_EPOCH_REPORT_BITS} bits in all")
+            f"script builds filters of {bits} bits for up to {proofs} "
+            f"proofs, more than {MAX_SCRIPT_FILTER_BITS} bits in all")
 
 
 @dataclass
@@ -600,9 +576,13 @@ class _Runner:
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Execute one scenario deterministically and audit the result. The
     scenario passes the same check as one read from a file, so a bad one
-    raises ``ValidationError`` before anything runs."""
+    raises ``ValidationError`` before anything runs; one that reaches a
+    time or epoch past the wire's 64 bits raises ``ScriptError``."""
     _check_scenario(asdict(scenario))
-    return _Runner(scenario).run()
+    try:
+        return _Runner(scenario).run()
+    except EncodingError as exc:
+        raise ScriptError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

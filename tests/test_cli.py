@@ -4,6 +4,7 @@ import base64
 import csv
 import json
 import tempfile
+import time
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -233,30 +234,17 @@ def _set_actor(doc, actor_id, **fields):
 
 
 @pytest.mark.parametrize("edit, refusal", [
-    (lambda d: _long_advance(d, 10**12), "epoch reports"),
-    (lambda d: (d.update(config={"epoch_len_ms": 1}),
-                _long_advance(d, 100_000)), "epoch reports"),
-    (lambda d: d.update(config={"hop_delay_ms": 10**11}), "epoch reports"),
-    (lambda d: _set_actor(d, "cafe-7", skew_ms=10**12), "epoch reports"),
-    (lambda d: _set_actor(d, "lib-2", skew_ms=-10**12), "epoch reports"),
-    (lambda d: _set_actor(d, "cafe-7", behavior={
-        "visit_time_shift_ms": 10**12, "defer_record_to_visit_epoch": True}),
-     "epoch reports"),
     (lambda d: (d.update(config={"epoch_capacity": 1_000_000}),
                 _visit_every_epoch(d, 80)), "bits in all"),
     (lambda d: _long_advance(d, -1), "advance: ms must not be negative"),
     (lambda d: d.update(config={"hop_delay_ms": -1}),
      "config.hop_delay_ms must not be negative"),
-], ids=["advance-10^12", "epoch-len-1-long-advance", "hop-delay-10^11",
-        "authority-skew-10^12", "authority-skew-minus-10^12",
-        "deferred-visit-time-shift-10^12", "large-reports", "negative-advance",
-        "negative-hop-delay"])
+], ids=["large-reports", "negative-advance", "negative-hop-delay"])
 def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
                                                  capsys, edit, refusal):
     """Refused while the file loads, before any epoch report is built: each
-    file asks for at least 10^5 signed reports, 128 MiB of report filters
-    (80 visits in 80 epochs, each report a 1.8 MB filter), or time that
-    runs backwards."""
+    file asks for 128 MiB of report filters (80 visits in 80 epochs, each
+    report a 1.8 MB filter), or time that runs backwards."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
     edit(doc)
@@ -269,12 +257,99 @@ def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_bloom_chain_filters_share_the_budget(tmp_path, scenario_dir,
+                                                       capsys):
+    """Under ``bloom`` each recorded proof is charged its chain accumulator
+    as well as its report: 80 visits at chain capacity 1,000,000 (14.4 Mbit
+    accumulators) pass the 2^30-bit budget and are refused while the file
+    loads. In a hash chain the same visits build reports only, and run."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    doc["config"] = {"chain_capacity": 1_000_000}
+    _visit_every_epoch(doc, 80)
+    path = tmp_path / "many.json"
+    for scheme, code in (("bloom", 2), ("hashchain", 0)):
+        doc["scheme"] = scheme
+        path.write_text(json.dumps(doc))
+        out = tmp_path / scheme
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == code
+        assert out.exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load scenario: ")
+    assert "bits in all" in err
+
+
+@pytest.mark.parametrize("edit, code, error", [
+    (lambda d: _long_advance(d, 10**12), 0, None),
+    (lambda d: (d.update(config={"epoch_len_ms": 1}),
+                _long_advance(d, 100_000)), 0, None),
+    (lambda d: d.update(config={"hop_delay_ms": 10**11}), 2,
+     "honest visit refused: timestamp-request-too-late"),
+    (lambda d: _set_actor(d, "cafe-7", skew_ms=10**12), 2,
+     "honest visit refused: timestamp-implausible"),
+    (lambda d: _set_actor(d, "lib-2", skew_ms=-10**12), 2,
+     "visit_time must be a non-negative integer"),
+    (lambda d: _set_actor(d, "cafe-7", behavior={
+        "visit_time_shift_ms": 10**12, "defer_record_to_visit_epoch": True}),
+     2, "honest visit refused: endorsement-window-violated"),
+], ids=["advance-10^12", "epoch-len-1-long-advance", "hop-delay-10^11",
+        "authority-skew-10^12", "authority-skew-minus-10^12",
+        "deferred-visit-time-shift-10^12"])
+def test_simulate_long_clock_runs_finish_quickly(tmp_path, scenario_dir,
+                                                 capsys, edit, code, error):
+    """Scripts whose clocks pass 10^5 to 10^12 epochs run to the end in
+    well under 5 s: an authority ends every elapsed epoch in one step.
+    Those that exit 2 do so for what the protocol refused, with one
+    ``error:`` line."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    edit(doc)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    got = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+    assert time.perf_counter() - started < 5
+    assert got == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1
+        assert err.startswith(_RUN + error)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["script"].insert(0, {"op": "advance", "ms": 2**64}),
+    lambda d: d.update(config={"epoch_len_ms": 2**64}),
+    lambda d: _set_actor(d, "cafe-7", behavior={"timestamp_shift_ms": 2**64}),
+    lambda d: _set_actor(d, "cafe-7", skew_ms=2**64),
+    lambda d: _set_actor(d, "cafe-7", behavior={"visit_time_shift_ms": 2**64}),
+    lambda d: d["script"].append({
+        "op": "fabricate_visit", "user": "u1", "location": "cafe-7",
+        "witness": "w1", "visit_time_shift_ms": 2**64}),
+], ids=["advance", "epoch-len", "timestamp-shift", "skew",
+        "visit-time-shift", "fabricate-visit-time-shift"])
+def test_simulate_time_past_64_bits_exits_two(tmp_path, scenario_dir, capsys,
+                                              edit):
+    """A time or epoch a script reaches that does not fit the wire's 64
+    bits is one rule, met while the scenario runs: exit 2, one ``error:``
+    line, no output written."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (_RUN + "a time or epoch is outside 0..2^64-1\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_idle_epochs_are_charged_no_report_bits(tmp_path,
                                                           scenario_dir):
     """Idle epochs build no report, so they are not charged one: 60 of
     them at three authorities run to the end, at a capacity (0.9 MB
-    filters) at which a report for every epoch walked would pass the bits
-    bound."""
+    filters) at which a report for every epoch passed would exceed the
+    filter budget."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
     doc["config"] = {"epoch_capacity": 500_000}
@@ -285,9 +360,8 @@ def test_simulate_idle_epochs_are_charged_no_report_bits(tmp_path,
 
 
 def test_simulate_long_run_within_the_bound_exits_zero(tmp_path, scenario_dir):
-    """A day of simulated time at the default 5-minute epochs walks
-    3 x 290 epochs, well inside the bound; only those holding a proof get
-    a report."""
+    """A day of simulated time at the default 5-minute epochs ends
+    3 x 290 epochs; only those holding a proof get a report."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
     _long_advance(doc, 86_400_000)

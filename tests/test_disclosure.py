@@ -9,7 +9,7 @@ from typing import Mapping
 import pytest
 
 from locprov import scenarios
-from locprov.audit import audit, signer_ids
+from locprov.audit import audit, signer_ids, truthful_claims
 from locprov.crypto import get_profile
 from locprov.model import SCHEME_BLOOM, SCHEME_HASHCHAIN
 from locprov.protocol import Directory
@@ -136,3 +136,42 @@ def test_hidden_entries_disclose_only_hash_chain_issuers(exported, scheme):
         disclosed |= expected
     assert hidden_seen
     assert bool(disclosed) == (scheme == SCHEME_HASHCHAIN)
+
+
+def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
+    """No presentation carries a chain slot past its last revealed
+    position: no audit reads one, and each would disclose the issuer of a
+    later visit and how many followed. Each built-in chain is presented as
+    its scenario presents it, and by its first entry and its middle one
+    alone. A presentation that still carries the later slots, as older
+    files do, audits alike."""
+    tails = 0
+    for outcome, chain, text in exported:
+        profile = get_profile(outcome.profile_name)
+        n = len(chain.entries)
+        presented = [load_chain_file(text)[1]] + [
+            load_chain_file(dump_chain_file(
+                outcome.profile_name,
+                scenarios.make_revealed_subsequence(profile, chain, [p]),
+                outcome.directory))[1]
+            for p in sorted({1, (n + 1) // 2}) if p < n]
+        for sub in presented:
+            last = max((r.position for r in sub.entries), default=0)
+            slots = [slot.position for slot in sub.chain_evidence]
+            if outcome.scheme == SCHEME_BLOOM:
+                assert slots == [], outcome.scenario
+                continue
+            assert slots == list(range(1, last + 1)), outcome.scenario
+            if last == n:
+                continue
+            tails += 1
+            with_tail = dataclasses.replace(
+                sub, chain_evidence=scenarios.make_revealed_subsequence(
+                    profile, chain, [n]).chain_evidence)
+            pubkeys = Directory(outcome.directory).pubkeys()
+            claims = truthful_claims(sub)
+            assert _report(audit(profile, claims, with_tail, pubkeys,
+                                 outcome.registry)) == _report(audit(
+                profile, claims, sub, pubkeys, outcome.registry)), \
+                outcome.scenario
+    assert tails

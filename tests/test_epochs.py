@@ -277,6 +277,95 @@ def test_idle_epochs_build_no_report(monkeypatch):
     world.registry.publish(_report(10, []))
 
 
+def _walk_epochs(authority):
+    """Reference roll: end elapsed epochs one at a time, publishing each
+    that holds digests and closing each that holds none."""
+    world = authority.world
+    length = world.config.epoch_len_ms
+    while authority.local_now() >= (authority.current_epoch + 1) * length:
+        digests = authority.epoch_digests.pop(authority.current_epoch, [])
+        if digests:
+            world.registry.publish(build_epoch_report(
+                world.profile, authority.keys, authority.id,
+                authority.current_epoch, length, digests,
+                capacity=world.config.epoch_capacity))
+        else:
+            world.registry.close(authority.id, authority.current_epoch)
+        authority.current_epoch += 1
+
+
+def _epoch_state(world):
+    authority = world.authorities["cafe-7"]
+    return (world.registry.reports(), dict(world.registry._watermark),
+            authority.current_epoch,
+            {e: list(d) for e, d in authority.epoch_digests.items()})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_step_roll_matches_an_epoch_by_epoch_walk(seed):
+    """Seeded schedules of clock steps and issued proofs, some recorded for
+    the current epoch and some deferred into past and future epochs, at a
+    negative clock skew or none: rolling in one step leaves the reports,
+    watermark, current epoch and leftover digests of the walk."""
+    rng = random.Random(seed)
+    length = rng.choice([1, 7, 50])
+    skew = rng.choice([0, -rng.randrange(1, 20 * length)])
+    worlds = []
+    for _ in range(2):
+        world = World(PROFILE, "hashchain",
+                      ProtocolConfig(epoch_len_ms=length, epoch_capacity=16),
+                      seed=seed)
+        world.add_authority("cafe-7", skew_ms=skew)
+        worlds.append(world)
+    fast, walked = (w.authorities["cafe-7"] for w in worlds)
+    published = 0
+    for step in range(120):
+        if rng.random() < 0.5:
+            ms = rng.choice([0, 1, rng.randrange(4 * length),
+                             rng.randrange(40 * length)])
+            for world in worlds:
+                world.clock.advance(ms)
+            fast.roll_epochs()
+            _walk_epochs(walked)
+        else:
+            defer = rng.random() < 0.6
+            epoch = fast.current_epoch + rng.randrange(-3, 6)
+            visit_time = max(0, epoch * length + rng.randrange(length))
+            lp = _proof(visit_time)
+            for authority in (fast, walked):
+                authority.behavior.defer_record_to_visit_epoch = defer
+                authority.record_issue(lp, visit_time)
+        assert _epoch_state(worlds[0]) == _epoch_state(worlds[1]), step
+        published = len(worlds[0].registry.reports())
+    assert published
+
+
+def test_an_idle_roll_of_10_to_the_12_epochs_closes_once(monkeypatch):
+    """10^12 epochs pass at once: one close for all of them, and one report
+    for each epoch that holds a digest, in epoch order."""
+    built, closed = [], []
+
+    def counted(*args, **kwargs):
+        built.append(args[3])
+        return build_epoch_report(*args, **kwargs)
+    monkeypatch.setattr(protocol, "build_epoch_report", counted)
+    world = World(PROFILE, "hashchain", ProtocolConfig(), seed=7)
+    authority = world.add_authority("cafe-7")
+    real_close = world.registry.close
+    monkeypatch.setattr(world.registry, "close",
+                        lambda *args: (closed.append(args), real_close(*args)))
+    authority.behavior.defer_record_to_visit_epoch = True
+    for epoch in (10**11, 0, 3):
+        authority.record_issue(_proof(epoch * EPOCH_LEN), epoch * EPOCH_LEN)
+    world.advance(10**12 * EPOCH_LEN)
+    assert closed == [("cafe-7", 10**12 - 1)]
+    assert built == [0, 3, 10**11]
+    assert authority.current_epoch == 10**12
+    assert authority.epoch_digests == {}
+    with pytest.raises(RegistryError, match="late"):
+        world.registry.publish(_report(10**12 - 1, []))
+
+
 def test_publish_refuses_an_epoch_below_the_watermark():
     registry = EpochRegistry()
     registry.publish(_report(3, []))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -670,6 +671,32 @@ def test_batched_hands_jobs_to_a_batch_past_its_budget(counted, batches,
     assert len(runs) == 2
     assert batches == [2, 2]
     assert calls == [b"one", b"two", b"bad", b"last"]
+
+
+def test_flushed_batches_keep_a_verdict_per_job_not_the_job(monkeypatch):
+    """Past a flush each job, failed or passed, is kept as its hash and
+    verdict only: when the second run of a walk whose N 4 KB signatures
+    all fail starts, the first has left about the budget plus 200 B a job,
+    not the failed jobs. The verdict is the same."""
+    monkeypatch.setattr(fanout, "BATCH_BYTES", 64 << 10)
+    monkeypatch.setattr(fanout, "_cpu_count", lambda: 1)
+    n = 600
+    bad = _signature(b"another message")
+    held = []
+
+    def walk(profile):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return [profile.verify(KEYS.public_key, b"%04d" % i * 1024, bad)
+                for i in range(n)]
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert fanout.batched(MODERN, walk) == [False] * n
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert held[1] - before < fanout.BATCH_BYTES + 200 * n
 
 
 def test_job_hashes_tell_apart_fields_split_differently():
