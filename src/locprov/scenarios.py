@@ -42,6 +42,7 @@ from .model import (
     COLLUDING_WINDOW_MS,
     EncodingError,
     EndorsedLocationProof,
+    PrivateLocationStatement,
     ProvenanceChain,
     ProvenanceEntry,
     ValidationError,
@@ -294,7 +295,8 @@ def _check_scenario(obj) -> None:
     _check_list(reveal.get("presentation_order"), int,
                 "reveal.presentation_order")
     for position, indexes in reveal.get("disclose", {}).items():
-        if not (isinstance(position, int) or str(position).isdigit()):
+        if not (isinstance(position, int) or (str(position).isdecimal()
+                                              and len(str(position)) <= 18)):
             raise ValidationError(f"reveal.disclose: position {position!r}")
         _check_type(indexes, list, "reveal.disclose")
         _check_list(indexes, int, "reveal.disclose")
@@ -566,8 +568,17 @@ class _Runner:
                 sub, entries=tuple(by_position[p] for p in order))
 
         spec = self.scenario.claims
-        claims = truthful_claims(sub) if spec == "truthful" else [
-            LocationClaim(c["location_id"], c["visit_time"]) for c in spec]
+        if spec != "truthful":
+            claims = [LocationClaim(c["location_id"], c["visit_time"])
+                      for c in spec]
+        else:
+            for r in sub.entries:
+                if not r.disclosed and isinstance(r.entry.elp.proof.statement,
+                                                  PrivateLocationStatement):
+                    # No location a truthful presenter could claim for it.
+                    raise ScriptError(f"truthful claims: blinded entry "
+                                      f"{r.position} discloses no granularity")
+            claims = truthful_claims(sub)
         report = audit(self.world.profile, claims, sub,
                        self.world.directory.pubkeys(), self.world.registry)
         return report, sub, claims
@@ -942,4 +953,8 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    return Scenario.from_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(str(exc)) from None
+    return Scenario.from_dict(obj)

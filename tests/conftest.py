@@ -4,7 +4,7 @@ import zlib
 import pytest
 
 from locprov import fanout
-from locprov.cli import build_honest_chain
+from locprov.experiments import build_honest_chain
 
 # building 10,000-entry chains through the whole protocol is the expensive
 # part of the suite; do it once per scheme and share

@@ -10,7 +10,7 @@ from collections import Counter
 
 from locprov.audit import LocationClaim, audit, truthful_claims
 from locprov.bloom import bloom_contains, bloom_insert, bloom_new, sign_accumulator
-from locprov.cli import bench_space_rows, worst_case_positions
+from locprov.experiments import bench_space_rows, worst_case_positions
 from locprov.crypto import Digest, LEGACY, MODERN, derive_seed
 from locprov.hashchain import chain_extend, chain_genesis
 from locprov.model import (

@@ -1,6 +1,5 @@
 """Auditor: per-claim checks, ordering delegation, threat classification."""
 
-import importlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -30,8 +29,9 @@ from locprov.audit import (
     render_text_report,
     truthful_claims,
 )
+from locprov import audit as audit_module
 from locprov import bloom, crypto, fanout, hashchain
-from locprov.cli import build_honest_chain
+from locprov.experiments import build_honest_chain
 from locprov.crypto import MODERN, get_profile
 from locprov.epochs import EpochRegistry, build_epoch_report
 from locprov.model import (
@@ -806,9 +806,8 @@ def test_flushed_batches_give_the_one_by_one_verdicts(monkeypatch, scheme,
         return report.claim_verdicts, report.ordering, report.checks
 
     with monkeypatch.context() as one_by_one:
-        # the module, which ``locprov.audit``, the function, hides
-        one_by_one.setattr(importlib.import_module("locprov.audit"),
-                           "batched", lambda profile, walk: walk(profile))
+        one_by_one.setattr(audit_module, "batched",
+                           lambda profile, walk: walk(profile))
         expected = run(world.profile)
     monkeypatch.setattr(fanout, "BATCH_BYTES", 1_000)
     got, batches, verifies = _batches_and_verifies(monkeypatch,

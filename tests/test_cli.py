@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from locprov.cli import (
+from locprov.cli import main
+from locprov.experiments import (
     bench_audit_rows,
     bench_space_rows,
-    main,
     worst_case_positions,
 )
 from locprov.crypto import MODERN
@@ -105,6 +105,12 @@ _ACTORS_WITH_USER_BEHAVIOR = [
 ]
 
 _MISSING = object()  # the field is deleted
+
+
+class _Raw(str):
+    """A field value written into the file as this JSON text, unquoted."""
+
+
 _LOAD = "error: cannot load scenario"
 _RUN = "error: scenario failed to run: "
 
@@ -161,8 +167,20 @@ _RUN = "error: scenario failed to run: "
     pytest.param("reveal", {"disclose": {"first": [2]}},
                  f"{_LOAD}: reveal.disclose: position 'first'",
                  id="reveal-disclose-key"),
+    pytest.param("reveal", {"disclose": {"\u00b2": [2]}},
+                 f"{_LOAD}: reveal.disclose: position '\u00b2'",
+                 id="reveal-disclose-superscript-digit"),
+    pytest.param("reveal", {"disclose": {"9" * 5000: [2]}},
+                 f"{_LOAD}: reveal.disclose: position '999",
+                 id="reveal-disclose-5000-digits"),
     pytest.param("claims", "lies", f"{_LOAD}: unknown claims spec 'lies'",
                  id="claims"),
+    pytest.param("seed", _Raw("9" * 5000),
+                 f"{_LOAD}: Exceeds the limit (4300 digits)",
+                 id="seed-5000-digits"),
+    pytest.param("script", _Raw("[" * 200_000 + "]" * 200_000),
+                 f"{_LOAD}: maximum recursion depth exceeded",
+                 id="script-200000-deep"),
     pytest.param("script", [{"op": "drop_presented", "positions": [1]}],
                  f"{_RUN}no presented entry at position 1",
                  id="presented-position"),
@@ -173,6 +191,9 @@ _RUN = "error: scenario failed to run: "
                             "presentation_order": [4, 3, 1]},
                  f"{_RUN}presentation order names unrevealed position 3",
                  id="order-unrevealed"),
+    pytest.param("reveal", {"positions": "all"},
+                 f"{_RUN}truthful claims: blinded entry 1 discloses no "
+                 f"granularity", id="truthful-claim-blinded"),
 ])
 def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
                                                field, value, error):
@@ -182,12 +203,43 @@ def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
         del doc[field]
     else:
         doc[field] = value
+    text = json.dumps(doc)
+    if isinstance(value, _Raw):
+        text = text.replace(json.dumps(value), value)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(text)
     assert main(["simulate", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(error)
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("disclose, code", [
+    ({"1": [2]}, 2),
+    ({str(p): [2] for p in range(1, 17)}, 0),
+], ids=["first-disclosed", "all-disclosed"])
+def test_simulate_truthful_claims_need_a_disclosed_granularity(
+        tmp_path, scenario_dir, capsys, disclose, code):
+    """16 visits at cafe-7, whose statements are blinded, all revealed: a
+    truthful presenter has a location to claim only for the entries that
+    open a granularity. With one of 16 disclosed the script cannot run (it
+    used to read as an audit that detected 15 granularity mismatches);
+    with all disclosed it audits clean."""
+    doc = json.loads(
+        (scenario_dir / "honest-baseline-hashchain.json").read_text())
+    doc["script"] = []
+    _visit_every_epoch(doc, 16)
+    doc["reveal"] = {"positions": "all", "disclose": disclose}
+    path = tmp_path / "blinded.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert (tmp_path / "o").exists() == (code == 0)
+    if code == 2:
+        assert err == (_RUN + "truthful claims: blinded entry 2 discloses "
+                       "no granularity\n")
 
 
 @pytest.mark.parametrize("config", [
