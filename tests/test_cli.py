@@ -176,7 +176,8 @@ _RUN = "error: scenario failed to run: "
     pytest.param("claims", "lies", f"{_LOAD}: unknown claims spec 'lies'",
                  id="claims"),
     pytest.param("seed", _Raw("9" * 5000),
-                 f"{_LOAD}: Exceeds the limit (4300 digits)",
+                 # Python 3.10 words it "(4300)", 3.11 "(4300 digits)"
+                 f"{_LOAD}: Exceeds the limit (4300",
                  id="seed-5000-digits"),
     pytest.param("script", _Raw("[" * 200_000 + "]" * 200_000),
                  f"{_LOAD}: maximum recursion depth exceeded",
@@ -214,32 +215,6 @@ def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("disclose, code", [
-    ({"1": [2]}, 2),
-    ({str(p): [2] for p in range(1, 17)}, 0),
-], ids=["first-disclosed", "all-disclosed"])
-def test_simulate_truthful_claims_need_a_disclosed_granularity(
-        tmp_path, scenario_dir, capsys, disclose, code):
-    """16 visits at cafe-7, whose statements are blinded, all revealed: a
-    truthful presenter has a location to claim only for the entries that
-    open a granularity. With one of 16 disclosed the script cannot run (it
-    used to read as an audit that detected 15 granularity mismatches);
-    with all disclosed it audits clean."""
-    doc = json.loads(
-        (scenario_dir / "honest-baseline-hashchain.json").read_text())
-    doc["script"] = []
-    _visit_every_epoch(doc, 16)
-    doc["reveal"] = {"positions": "all", "disclose": disclose}
-    path = tmp_path / "blinded.json"
-    path.write_text(json.dumps(doc))
-    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == code
-    err = capsys.readouterr().err
-    assert (tmp_path / "o").exists() == (code == 0)
-    if code == 2:
-        assert err == (_RUN + "truthful claims: blinded entry 2 discloses "
-                       "no granularity\n")
 
 
 @pytest.mark.parametrize("config", [
