@@ -56,7 +56,6 @@ from .fanout import batched
 from .hashchain import chain_verify_subsequence
 from .model import (
     ENDORSEMENT_WINDOW_MS,
-    LocationStatement,
     OrderingVerdict,
     PrivateLocationStatement,
     RevealedEntry,
@@ -187,12 +186,20 @@ def signer_ids(sub: RevealedSubsequence) -> set[str]:
     return ids
 
 
+def claimable_at(revealed: RevealedEntry) -> tuple[tuple, ...]:
+    """Where ``revealed`` can be claimed, as openings (index, location, nonce):
+    a blinded statement's disclosed ones, in disclosure order (none if it
+    discloses none); a plain statement's location, index and nonce None."""
+    stmt = revealed.entry.elp.proof.statement
+    return (revealed.disclosed if isinstance(stmt, PrivateLocationStatement)
+            else ((None, stmt.location_id, None),))
+
+
 def truthful_claims(sub: RevealedSubsequence) -> list[LocationClaim]:
-    """The claims a presenter makes who tells the truth about ``sub``: each
-    entry's location, at the first granularity it discloses if any, and its
-    visit time."""
-    return [LocationClaim(r.disclosed[0][1] if r.disclosed
-                          else r.entry.elp.proof.statement.location_id,
+    """Each entry of ``sub`` claimed truthfully: at its first claimable
+    location (else its authority's id, which the audit flags) and time."""
+    return [LocationClaim(next((where for _, where, _ in claimable_at(r)),
+                               r.entry.elp.proof.statement.location_id),
                           r.entry.elp.proof.statement.visit_time)
             for r in sub.entries]
 
@@ -251,10 +258,9 @@ def _audit_claim(
                         "endorsement-window: timestamp outside window")
 
     # Location claim at the revealed granularity.
-    granularity_verdict = _check_location_claim(profile, claim, stmt, revealed)
-    if granularity_verdict is not None:
-        return ClaimVerdict(index=index, status=CLAIM_GRANULARITY_MISMATCH,
-                            detail=granularity_verdict)
+    fault = _check_location_claim(profile, claim, stmt, revealed)
+    if fault is not None:
+        return fail(CLAIM_GRANULARITY_MISMATCH, fault)
 
     # Visit-time claim is exact: the time comes from the proof itself, so
     # any disagreement is a false claim, not clock skew.
@@ -291,15 +297,11 @@ def _audit_claim(
 def _check_location_claim(profile: CryptoProfile, claim: LocationClaim,
                           stmt, revealed: RevealedEntry) -> Optional[str]:
     """None when the claimed location is supported; else a failure detail."""
-    if isinstance(stmt, LocationStatement):
-        if claim.location_id != stmt.location_id:
-            return (f"claimed {claim.location_id!r}, proof names "
-                    f"{stmt.location_id!r}")
-        return None
-    assert isinstance(stmt, PrivateLocationStatement)
-    # Blinded statement: the claim must match a disclosed opening that
-    # verifies against its commitment. Unrevealed openings are never read.
-    for index, value, nonce in revealed.disclosed:
+    for index, value, nonce in claimable_at(revealed):
+        if index is None:  # a plain statement's one location
+            return None if claim.location_id == value else (
+                f"claimed {claim.location_id!r}, proof names {value!r}")
+        # A blinded statement's disclosed opening must verify; no other is read.
         if not 1 <= index <= len(stmt.commitments):
             return f"disclosed index {index} out of range"
         if value != claim.location_id:

@@ -34,15 +34,14 @@ import json
 from dataclasses import dataclass, field, fields, asdict, replace as dataclass_replace
 from typing import Optional
 
-from .audit import (AuditReport, LocationClaim, audit, classify_failure,
-                    truthful_claims)
+from .audit import (AuditReport, LocationClaim, audit, claimable_at,
+                    classify_failure, truthful_claims)
 from .bloom import TARGET_FPR
 from .crypto import CryptoError, derive_seed, get_profile
 from .model import (
     COLLUDING_WINDOW_MS,
     EncodingError,
     EndorsedLocationProof,
-    PrivateLocationStatement,
     ProvenanceChain,
     ProvenanceEntry,
     ValidationError,
@@ -573,9 +572,7 @@ class _Runner:
                       for c in spec]
         else:
             for r in sub.entries:
-                if not r.disclosed and isinstance(r.entry.elp.proof.statement,
-                                                  PrivateLocationStatement):
-                    # No location a truthful presenter could claim for it.
+                if not claimable_at(r):  # a blinded entry disclosing nothing
                     raise ScriptError(f"truthful claims: blinded entry "
                                       f"{r.position} discloses no granularity")
             claims = truthful_claims(sub)
