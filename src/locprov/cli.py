@@ -36,7 +36,7 @@ from .audit import audit, render_text_report
 from .bloom import TARGET_FPR
 from .crypto import get_profile
 from .experiments import bench_audit_rows, bench_space_rows
-from .model import SCHEME_HASHCHAIN, SCHEMES, ValidationError
+from .model import SCHEME_HASHCHAIN, SCHEMES, ValidationError, bloom_bit_size
 from .protocol import Directory
 from .scenarios import (
     builtin_suite,
@@ -149,6 +149,13 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench_space(args) -> int:
+    try:
+        bloom_bit_size(args.max_n, args.fpr)  # the sweep's largest filter
+    except OverflowError:
+        print(f"error: argument --max-n: a filter for {len(str(args.max_n))}"
+              f"-digit n at rate {args.fpr} is too large to size",
+              file=sys.stderr)
+        return EXIT_USAGE
     return _write_csv(
         args.out, lambda: bench_space_rows(args.max_n, args.fpr, args.profile),
         ["n", "hashchain_bytes_per_entry", "bloom_bytes_per_entry"])

@@ -7,9 +7,9 @@ from __future__ import annotations
 import time
 
 from .audit import audit, render_text_report, truthful_claims
-from .bloom import bloom_new
 from .crypto import get_profile
-from .model import SCHEMES, ValidationError, make_revealed_subsequence
+from .model import (SCHEMES, ValidationError, bloom_bit_size,
+                    make_revealed_subsequence)
 from .protocol import ProtocolConfig, World
 
 
@@ -32,17 +32,13 @@ def bench_space_rows(max_n: int, fpr: float, profile_name: str) -> list[dict]:
     """Per-entry ordering metadata bytes for both schemes at each chain
     length. The hash-chain is one signature regardless of length; the
     accumulator is sized for the whole chain at the target false-positive
-    rate."""
+    rate, its size computed, not allocated. Raises ``OverflowError`` where
+    that size passes a float's range."""
     profile = get_profile(profile_name)
-    rows = []
-    for n in _sweep(max_n):
-        accumulator = bloom_new(n, fpr)
-        rows.append({
-            "n": n,
-            "hashchain_bytes_per_entry": profile.signature_len,
-            "bloom_bytes_per_entry": len(accumulator.bits),
-        })
-    return rows
+    return [{"n": n,
+             "hashchain_bytes_per_entry": profile.signature_len,
+             "bloom_bytes_per_entry": (bloom_bit_size(n, fpr) + 7) // 8}
+            for n in _sweep(max_n)]
 
 
 def build_honest_chain(scheme: str, n: int, profile_name: str = "modern",

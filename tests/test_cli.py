@@ -723,6 +723,18 @@ def test_bench_space_fpr_sweeps_the_rate(tmp_path, args, last_row):
         assert list(csv.reader(fh))[-1] == last_row
 
 
+def test_bench_space_computes_sizes_it_could_not_allocate(tmp_path):
+    """Filter sizes are computed, not allocated: at n = 10^10 one filter
+    would be 18 GB."""
+    out = tmp_path / "space.csv"
+    assert main(["bench-space", "--max-n", "10000000000",
+                 "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[-1] == ["10000000000", "40", "17971984458"]
+    assert ["1000", "40", "1798"] in rows
+
+
 # ---------------------------------------------------------------------------
 # bench-audit
 # ---------------------------------------------------------------------------
@@ -772,6 +784,8 @@ UNWRITABLE = "{tmp}/missing/out"
     ["bench-space", "--fpr", "0"],
     ["bench-space", "--fpr", "1.5"],
     ["bench-space", "--fpr", "nan"],
+    # A filter size past a float's range.
+    ["bench-space", "--max-n", "1" + "0" * 400],
     ["bench-space", "--max-n", "5", "--out", UNWRITABLE],
     ["bench-audit", "--chain-n", "2", "--reveal-pct", "100",
      "--out", UNWRITABLE],
@@ -785,7 +799,8 @@ UNWRITABLE = "{tmp}/missing/out"
         "bench-audit-pct-inf", "bench-audit-pct-0",
         "bench-audit-pct-above-100", "bench-audit-pct-empty",
         "bench-audit-chain-n-0", "bench-space-max-n-0", "bench-space-fpr-0",
-        "bench-space-fpr-above-1", "bench-space-fpr-nan", "bench-space-out",
+        "bench-space-fpr-above-1", "bench-space-fpr-nan",
+        "bench-space-max-n-overflow", "bench-space-out",
         "bench-audit-out", "audit-out", "simulate-out-dir",
         "scenarios-export"])
 def test_usage_errors_exit_two(tmp_path, capsys, argv):
