@@ -520,6 +520,7 @@ _SIGNED_ONLY = {TAG_BLOOM_CORE, TAG_EPOCH_REPORT_CORE}
 # Compiled layouts by tag. A reader starts at the tag byte its caller checked.
 _ENCODERS: dict = {}
 _READERS: dict = {}
+_PIECES: dict = {}  # an encoding in the pieces of ``encode_pieces``
 
 
 def _field_codec(kind) -> tuple:
@@ -555,6 +556,9 @@ def _compile(tag: int, cls: type, fields) -> None:
     assert names == [f.name for f in dataclass_fields(cls)][:len(names)]
     writers, readers = zip(*(_field_codec(kind) for _, kind in fields))
     steps = tuple(zip(names, writers))
+    # each counted field's item writer, None for the other fields
+    item_writers = [_field_codec(kind[1])[0] if kind[0] == "counted" else None
+                    for _, kind in fields]
     head = bytes([tag])
 
     def encode(obj) -> bytes:
@@ -563,6 +567,16 @@ def _compile(tag: int, cls: type, fields) -> None:
             out.append(write(getattr(obj, name)))
         return b"".join(out)
 
+    def pieces(obj) -> Iterator[bytes]:
+        yield head
+        for (name, write), write_item in zip(steps, item_writers):
+            value = getattr(obj, name)
+            if write_item is None:
+                yield write(value)
+            else:
+                yield _u32(len(value))
+                yield from map(write_item, value)
+
     def read(r: _Reader):
         r.pos += 1
         values = []
@@ -570,13 +584,15 @@ def _compile(tag: int, cls: type, fields) -> None:
             values.append(read_field(r))
         return cls(*values)
 
-    _ENCODERS[tag], _READERS[tag] = encode, read
+    _ENCODERS[tag], _READERS[tag], _PIECES[tag] = encode, read, pieces
 
 
 for _layout in LAYOUTS:
     _compile(*_layout)
 _WIRE_ENCODERS = {cls: _ENCODERS[tag] for tag, cls, _ in LAYOUTS
                   if tag not in SIGNING_VIEWS}
+_WIRE_PIECES = {cls: _PIECES[tag] for tag, cls, _ in LAYOUTS
+                if tag not in SIGNING_VIEWS}
 _write_signed_statement, _ = _field_codec(
     nested(TAG_STATEMENT, TAG_PRIVATE_STATEMENT_CORE))
 
@@ -608,9 +624,14 @@ def canonical_encode(obj) -> bytes:
 
 def encode_pieces(obj) -> Iterator[bytes]:
     """``canonical_encode(obj)`` in pieces that join to it, so that a caller
-    can stream them: a sequence's head, then each item."""
+    can stream them: an object's tag and fields, each item of a counted field
+    apart; a sequence's head, then each item."""
+    pieces = _WIRE_PIECES.get(type(obj))
+    if pieces is not None:
+        yield from pieces(obj)
+        return
     if not isinstance(obj, (tuple, list)):
-        yield canonical_encode(obj)
+        yield canonical_encode(obj)  # raises EncodingError
         return
     if any(isinstance(item, (tuple, list)) for item in obj):
         raise EncodingError("sequences do not nest")

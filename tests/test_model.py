@@ -30,6 +30,7 @@ from locprov.model import (
     assemble_elp,
     canonical_decode,
     canonical_encode,
+    encode_pieces,
     make_endorsement,
     make_private_statement,
     make_proof,
@@ -484,6 +485,13 @@ _WIRE_OBJECTS = st.one_of([_layout_strategy(tag) for tag in _LAYOUTS
 @given(obj=_WIRE_OBJECTS | st.lists(_WIRE_OBJECTS, max_size=2).map(tuple))
 def test_roundtrip_every_layout(obj):
     assert canonical_decode(canonical_encode(obj), PROFILE) == obj
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(obj=_WIRE_OBJECTS | st.lists(_WIRE_OBJECTS, max_size=2).map(tuple))
+def test_pieces_join_to_the_encoding(obj):
+    assert b"".join(encode_pieces(obj)) == canonical_encode(obj)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

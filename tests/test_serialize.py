@@ -355,6 +355,23 @@ def test_registry_dump_never_holds_the_whole_encoding(many_reports):
     assert peak < size + 8 * INFLATE_PIECE
 
 
+def test_chain_dump_never_holds_the_whole_encoding(honest_chain_factory):
+    """Dumping a full reveal of a 1,000-entry Bloom chain peaks below its
+    2.2 MB encoding: the body is encoded and deflated an entry at a time."""
+    world, chain = honest_chain_factory("bloom", 1000)
+    sub = make_revealed_subsequence(world.profile, chain, list(range(1, 1001)))
+    size = len(canonical_encode(sub))
+    directory = dict(world.directory.parties)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dump_chain_file("modern", sub, directory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size
+
+
 def test_registry_load_never_holds_the_whole_body(many_reports):
     """Loading peaks at what the loaded registry keeps plus a fixed slack,
     far below the 2.2 MB inflated body: the body is decoded as it inflates,
