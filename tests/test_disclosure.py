@@ -1,6 +1,7 @@
 """What an exported chain file discloses: its directory holds the signers
 only, and no hidden entry's field reaches the auditor but the hash-chain
-issuer ids."""
+issuer ids. Where a revealed entry can be claimed follows from what it
+discloses, and the audit and the scenario runner agree on it."""
 
 import dataclasses
 import json
@@ -9,11 +10,12 @@ from typing import Mapping
 import pytest
 
 from locprov import scenarios
-from locprov.audit import audit, signer_ids, truthful_claims
+from locprov.audit import (CLAIM_GRANULARITY_MISMATCH, audit, claimable_at,
+                           signer_ids, truthful_claims)
 from locprov.crypto import get_profile
 from locprov.model import SCHEME_BLOOM, SCHEME_HASHCHAIN
 from locprov.protocol import Directory
-from locprov.scenarios import run_builtin_suite
+from locprov.scenarios import ScriptError, run_builtin_suite, run_scenario
 from locprov.serialize import dump_chain_file, load_chain_file
 
 
@@ -175,3 +177,45 @@ def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
                 profile, claims, sub, pubkeys, outcome.registry)), \
                 outcome.scenario
     assert tails
+
+
+def test_claim_sites_agree_on_where_an_entry_can_be_claimed(exported):
+    """Every entry of each built-in scenario with a granularity ladder,
+    presented alone with each granularity disclosed and with none: truthful
+    claims pass the location check exactly when ``claimable_at`` gives the
+    entry a location, and the runner refuses them exactly when it gives
+    none."""
+    laddered = {s.name: s for scheme in (SCHEME_HASHCHAIN, SCHEME_BLOOM)
+                for s in scenarios.builtin_suite(scheme)
+                if any(actor.granularities for actor in s.actors)}
+    seen = set()
+    for outcome, chain, _ in exported:
+        scenario = laddered.get(outcome.scenario)
+        if scenario is None:
+            continue
+        profile = get_profile(outcome.profile_name)
+        pubkeys = Directory(outcome.directory).pubkeys()
+        for position, entry in enumerate(chain.entries, 1):
+            stmt = entry.elp.proof.statement
+            ladder = range(1, len(getattr(stmt, "commitments", ())) + 1)
+            for disclose in [[]] + [[index] for index in ladder]:
+                case = (outcome.scenario, position, disclose)
+                sub = scenarios.make_revealed_subsequence(
+                    profile, chain, [position], {position: disclose})
+                claimable = bool(claimable_at(sub.entries[0]))
+                report = audit(profile, truthful_claims(sub), sub, pubkeys,
+                               outcome.registry)
+                statuses = {v.status for v in report.claim_verdicts}
+                assert (CLAIM_GRANULARITY_MISMATCH not in statuses) == \
+                    claimable, case
+                reveal = {"positions": [position],
+                          "disclose": {position: disclose}}
+                try:
+                    run_scenario(dataclasses.replace(scenario, reveal=reveal))
+                except ScriptError:
+                    assert not claimable, case
+                else:
+                    assert claimable, case
+                seen.add((scenario.scheme, claimable))
+    assert seen == {(scheme, claimable) for claimable in (True, False)
+                    for scheme in (SCHEME_HASHCHAIN, SCHEME_BLOOM)}
