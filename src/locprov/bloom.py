@@ -34,7 +34,6 @@ from .model import (
     BloomAccumulator,
     OrderingVerdict,
     RevealedSubsequence,
-    SCHEME_BLOOM,
     ValidationError,
     bloom_bit_size,
     bloom_signing_bytes,
@@ -154,8 +153,6 @@ def sign_accumulator(profile: CryptoProfile, authority_keys: KeyPair,
 
 def verify_accumulator(profile: CryptoProfile, public_key: bytes,
                        acc: BloomAccumulator) -> bool:
-    if acc.authority_sig is None:
-        return False
     return profile.verify(public_key, bloom_signing_bytes(acc), acc.authority_sig)
 
 
@@ -169,15 +166,13 @@ def bloom_order_verify(
 
     Each revealed entry must carry a validly signed accumulator containing
     its own proof digest, and each accumulator must be a subset of the next
-    one presented. The subset need not be strict: an honest insertion whose
-    bits were all set already leaves the image unchanged, so two entries
-    can carry equal accumulators and then either order passes. Each
-    accumulator signature verified counts one ``accumulator`` in
-    ``checks``.
+    one presented; an entry carrying anything else, a hash-chain link
+    included, leaves the order Incomplete. The subset need not be strict:
+    an honest insertion whose bits were all set already leaves the image
+    unchanged, so two entries can carry equal accumulators and then either
+    order passes. Each accumulator signature verified counts one
+    ``accumulator`` in ``checks``.
     """
-    if sub.scheme != SCHEME_BLOOM:
-        raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not bloom")
-
     previous = None
     for revealed in sub.entries:
         acc = revealed.entry.ordering

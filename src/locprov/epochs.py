@@ -96,8 +96,6 @@ def report_empty(report: EpochReport) -> bool:
 
 def verify_report(profile: CryptoProfile, public_key: bytes,
                   report: EpochReport) -> bool:
-    if report.report_sig is None:
-        return False
     return profile.verify(public_key, report_signing_bytes(report),
                           report.report_sig)
 

@@ -210,15 +210,9 @@ OrderingConstruct = Union[HashChainLink, BloomAccumulator]
 
 SCHEME_HASHCHAIN = "hashchain"
 SCHEME_BLOOM = "bloom"
-SCHEMES = (SCHEME_HASHCHAIN, SCHEME_BLOOM)
-
-
-def ordering_scheme(construct: OrderingConstruct) -> str:
-    if isinstance(construct, HashChainLink):
-        return SCHEME_HASHCHAIN
-    if isinstance(construct, BloomAccumulator):
-        return SCHEME_BLOOM
-    raise ValidationError(f"not an ordering construct: {type(construct).__name__}")
+# The scheme each construct class orders under.
+ORDERING_SCHEME = {HashChainLink: SCHEME_HASHCHAIN, BloomAccumulator: SCHEME_BLOOM}
+SCHEMES = tuple(ORDERING_SCHEME.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,9 +227,10 @@ class ProvenanceChain:
     entries: tuple[ProvenanceEntry, ...] = ()
 
     def append(self, entry: ProvenanceEntry) -> "ProvenanceChain":
-        if ordering_scheme(entry.ordering) != self.scheme:
+        scheme = ORDERING_SCHEME.get(type(entry.ordering))
+        if scheme != self.scheme:
             raise ValidationError(
-                f"entry ordering scheme {ordering_scheme(entry.ordering)!r} "
+                f"entry ordering scheme {scheme!r} "
                 f"does not match chain scheme {self.scheme!r}"
             )
         return ProvenanceChain(self.scheme, self.entries + (entry,))
@@ -844,6 +839,13 @@ def redact_statement(stmt: Statement) -> Statement:
     return stmt
 
 
+def check_openings(stmt: Statement, openings: Sequence) -> None:
+    """Refuse ``openings`` (granularity indexes, or disclosed openings) on
+    ``stmt`` unless it is blinded: a plain statement has none to open."""
+    if openings and not isinstance(stmt, PrivateLocationStatement):
+        raise ValidationError("plain statements have no granularities to open")
+
+
 def make_revealed_entry(position: int, entry: ProvenanceEntry,
                         disclose: Sequence[int] = ()) -> RevealedEntry:
     """Prepare one chain entry for disclosure to an auditor.
@@ -852,10 +854,9 @@ def make_revealed_entry(position: int, entry: ProvenanceEntry,
     statement is stripped of all other openings.
     """
     stmt = entry.elp.proof.statement
+    check_openings(stmt, disclose)
     disclosed = []
     for index in disclose:
-        if not isinstance(stmt, PrivateLocationStatement):
-            raise ValidationError("plain statements have no granularities to open")
         value, nonce = reveal_granularity(stmt, index)
         disclosed.append((index, value, nonce))
     redacted = replace(

@@ -49,7 +49,7 @@ from .model import (
     ProvenanceEntry,
     ValidationError,
     WindowError,
-    SCHEME_BLOOM,
+    SCHEMES,
     SCHEME_HASHCHAIN,
     assemble_elp,
     canonical_encode,
@@ -266,24 +266,23 @@ def issue_construct(profile: CryptoProfile, keys: KeyPair, scheme: str,
                     config: ProtocolConfig, lp: LocationProof,
                     prev: Optional[OrderingConstruct]) -> OrderingConstruct:
     """The ordering construct issued with ``lp``, signed with ``keys``: a
-    hash-chain link onto ``prev``, or ``prev``'s accumulator (a fresh one
-    sized by ``config`` for a first entry) with the proof's digest added."""
+    hash-chain link onto ``prev``, or else ``prev``'s accumulator (a fresh
+    one sized by ``config`` for a first entry) with the proof's digest added.
+    ``World`` has checked that ``scheme`` is one of ``SCHEMES``."""
     if scheme == SCHEME_HASHCHAIN:
         if prev is None:
             return hashchain.chain_genesis(profile, keys, lp)
         if not isinstance(prev, HashChainLink):
             raise ProtocolError("previous construct is not a hash-chain link")
         return hashchain.chain_extend(profile, keys, lp, prev)
-    if scheme == SCHEME_BLOOM:
-        if prev is None:
-            acc = bloom_new(config.chain_capacity, TARGET_FPR)
-        elif isinstance(prev, BloomAccumulator):
-            acc = prev
-        else:
-            raise ProtocolError("previous construct is not an accumulator")
-        acc = bloom_insert(profile, acc, proof_digest(profile, lp))
-        return sign_accumulator(profile, keys, acc)
-    raise ProtocolError(f"unknown ordering scheme {scheme!r}")
+    if prev is None:
+        acc = bloom_new(config.chain_capacity, TARGET_FPR)
+    elif isinstance(prev, BloomAccumulator):
+        acc = prev
+    else:
+        raise ProtocolError("previous construct is not an accumulator")
+    acc = bloom_insert(profile, acc, proof_digest(profile, lp))
+    return sign_accumulator(profile, keys, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +655,14 @@ class UserAgent(_Party):
 # ---------------------------------------------------------------------------
 
 class World:
-    """Everything one simulation run needs, wired together."""
+    """Everything one simulation run needs, wired together. ``scheme`` must
+    be one of ``model.SCHEMES``: any other name raises ``ValidationError``
+    here, before a party joins."""
 
     def __init__(self, profile: CryptoProfile, scheme: str,
                  config: Optional[ProtocolConfig] = None, seed: int = 0):
+        if scheme not in SCHEMES:
+            raise ValidationError(f"unknown ordering scheme {scheme!r}")
         self.profile = profile
         self.scheme = scheme
         self.config = config or ProtocolConfig()

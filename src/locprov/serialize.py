@@ -62,6 +62,7 @@ from .model import (
     SCHEMES,
     ValidationError,
     canonical_decode,
+    check_openings,
     encode_pieces,
 )
 
@@ -212,6 +213,13 @@ def load_chain_file(text: str) -> tuple[str, RevealedSubsequence, dict[str, dict
     sub = _decode(obj, "subsequence", "chain", profile, RevealedSubsequence)
     if sub.scheme not in SCHEMES:
         raise FormatError(f"unknown ordering scheme {sub.scheme!r}")
+    for revealed in sub.entries:
+        try:
+            check_openings(revealed.entry.elp.proof.statement,
+                           revealed.disclosed)
+        except ValidationError as exc:
+            raise FormatError(f"chain entry at position {revealed.position}: "
+                              f"{exc}") from None
     return obj["profile"], sub, _directory_from_json(obj.get("directory"))
 
 

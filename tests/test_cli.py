@@ -528,6 +528,27 @@ def test_audit_unknown_scheme_exits_two(tmp_path, scenario_dir, capsys):
     assert code == 2 and err.startswith("error:") and "merkle" in err
 
 
+def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
+    """A chain file disclosing an opening on a plain statement is refused
+    while loading, as ``make_revealed_entry`` refuses to make one: openings
+    exist only on blinded statements."""
+    data = SHARED.parent / "shared-epochs-hashchain"
+    profile_name, sub, directory = load_chain_file(
+        (data / "chain.json").read_text())
+    opened = replace(sub.entries[0],
+                     disclosed=((7, "anywhere", bytes(MODERN.nonce_len)),))
+    (tmp_path / "chain.json").write_text(dump_chain_file(
+        profile_name, replace(sub, entries=(opened, *sub.entries[1:])),
+        directory))
+    for name in ("claims.json", "registry.json"):
+        (tmp_path / name).write_text((data / name).read_text())
+    code, err = _audit_exit(tmp_path, capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        "error: cannot load inputs: chain entry at position 1: plain "
+        "statements have no granularities to open"]
+
+
 def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
     that files no longer use, under any version number."""

@@ -109,6 +109,13 @@ def test_unknown_authority_rejected():
         world.users["u1"].start_visit("nowhere-1", "w1")
 
 
+def test_unknown_scheme_refused_at_construction():
+    """A scheme outside ``SCHEMES`` is refused by ``World`` itself, not
+    by the first visit's message loop."""
+    with pytest.raises(ValidationError, match="merkle"):
+        World(MODERN, "merkle")
+
+
 # ---------------------------------------------------------------------------
 # refusals
 # ---------------------------------------------------------------------------
