@@ -601,6 +601,8 @@ class UserAgent(_Party):
         self._replay_construct = self.chain.entries[position - 1].ordering
 
     def start_visit(self, location_id: str, witness_id: str) -> None:
+        if self._visit is not None:  # replies could not tell two apart
+            raise ProtocolError(f"{self.id} already has a visit open")
         if not self.world.directory.has(location_id):
             raise UnknownPartyError(f"authority {location_id!r} not in directory")
         prev = self._replay_construct if self._replay_construct is not None \
@@ -722,8 +724,8 @@ class World:
         visits_before = len(user.visit_log)
         user.start_visit(location_id, witness_id)
         self.bus.run()
-        if len(user.visit_log) == visits_before:
-            return VisitOutcome(False, "visit never completed")
+        if len(user.visit_log) == visits_before:  # idle bus: no reply to come
+            user._end_visit(VisitOutcome(False, "visit never completed"))
         return user.visit_log[-1]
 
     def finalize_epochs(self) -> None:

@@ -31,8 +31,8 @@ against a party that simply stays silent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict, replace as dataclass_replace
-from typing import Optional
+from dataclasses import dataclass, field, asdict, replace as dataclass_replace
+from typing import Optional, Union
 
 from .audit import (AuditReport, LocationClaim, audit, claimable_at,
                     classify_failure, truthful_claims)
@@ -64,6 +64,8 @@ from .protocol import (
     issue_construct,
     trace_to_jsonl,
 )
+from .serialize import (CLAIM_FIELDS, check_fields, check_list, check_type,
+                        field_table)
 
 
 class ScriptError(ValidationError):
@@ -96,7 +98,7 @@ class Scenario:
     profile_name: str = "modern"
     config: dict = field(default_factory=dict)
     reveal: dict = field(default_factory=dict)
-    claims: object = "truthful"
+    claims: Union[str, list] = "truthful"
     notes: str = ""
 
     @classmethod
@@ -114,25 +116,14 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Scenario-file validation
 # ---------------------------------------------------------------------------
-# Field tables: name -> accepted JSON type(s); a trailing "?" marks a field
-# that may be left out.
+# Field tables (``serialize.field_table``): a record that a dataclass holds
+# takes its table from the class; script ops and the reveal, which no class
+# holds, are written out.
 
-_OPTIONAL_STR = (str, type(None))
-_OPTIONAL_LIST = (list, type(None))
+_BEHAVIORS = {"authority": AuthorityBehavior, "witness": WitnessBehavior}
 
-_SCENARIO_FIELDS = {
-    "name": str, "threat_row": str, "attack": str, "description": str,
-    "seed": int, "scheme": str, "actors": list, "script": list,
-    "expected_detection": bool, "profile_name?": str, "config?": dict,
-    "reveal?": dict, "claims?": (str, list), "notes?": str,
-}
-
-_ACTOR_FIELDS = {
-    "actor_id": str, "role": str, "behavior?": dict,
-    "granularities?": _OPTIONAL_LIST, "skew_ms?": int,
-    "location?": _OPTIONAL_STR, "trusted_proxies?": _OPTIONAL_LIST,
-    "proxy_parent?": _OPTIONAL_STR,
-}
+_FIELDS = {cls: field_table(cls) for cls in (
+    Scenario, ActorSpec, ProtocolConfig, *_BEHAVIORS.values())}
 
 _SCRIPT_OPS = {
     "advance": {"ms": int},
@@ -153,10 +144,6 @@ _SCRIPT_OPS = {
 _REVEAL_FIELDS = {"positions?": (str, list), "disclose?": dict,
                   "presentation_order?": list}
 
-_CLAIM_FIELDS = {"location_id": str, "visit_time": int}
-
-_BEHAVIORS = {"authority": AuthorityBehavior, "witness": WitnessBehavior}
-
 # Largest Bloom filter, in bits, that a scenario's config may ask for
 # (2 MiB per filter).
 MAX_FILTER_BITS = 1 << 24
@@ -164,39 +151,6 @@ MAX_FILTER_BITS = 1 << 24
 # Most filter bits a scenario may make its parties build in all (128 MiB):
 # epoch reports and, under ``bloom``, chain accumulators.
 MAX_SCRIPT_FILTER_BITS = 1 << 30
-
-
-def _defaults_table(cls) -> dict:
-    """Field table of a dataclass whose fields all default to a scalar; an
-    int is accepted where the default is a float."""
-    return {f.name + "?": (int, float) if isinstance(f.default, float)
-            else type(f.default) for f in fields(cls)}
-
-
-def _check_type(value, types, what: str) -> None:
-    types = types if isinstance(types, tuple) else (types,)
-    if not isinstance(value, types) or (
-            isinstance(value, bool) and bool not in types):
-        raise ValidationError(f"{what}: unexpected {type(value).__name__}")
-
-
-def _check_list(value, types, what: str) -> None:
-    for item in value or ():
-        _check_type(item, types, what)
-
-
-def _check_fields(obj, table: dict, what: str) -> None:
-    _check_type(obj, dict, what)
-    names = {name.rstrip("?") for name in table}
-    unknown = sorted(set(obj) - names, key=str)
-    if unknown:
-        raise ValidationError(f"{what}: unknown field {unknown[0]!r}")
-    for name, types in table.items():
-        key = name.rstrip("?")
-        if key in obj:
-            _check_type(obj[key], types, f"{what}.{key}")
-        elif not name.endswith("?"):
-            raise ValidationError(f"{what}: missing field {key!r}")
 
 
 def _check_config(config: dict) -> None:
@@ -222,21 +176,20 @@ def _check_config(config: dict) -> None:
 
 
 def _check_scenario(obj) -> None:
-    _check_fields(obj, _SCENARIO_FIELDS, "scenario")
+    check_fields(obj, _FIELDS[Scenario], "scenario")
     if obj["scheme"] not in SCHEMES:
         raise ValidationError(f"unknown scheme {obj['scheme']!r}")
     try:
         get_profile(obj.get("profile_name", "modern"))
     except CryptoError as exc:
         raise ValidationError(str(exc)) from None
-    _check_fields(obj.get("config", {}), _defaults_table(ProtocolConfig),
-                  "config")
+    check_fields(obj.get("config", {}), _FIELDS[ProtocolConfig], "config")
     config = asdict(ProtocolConfig(**obj.get("config", {})))
     _check_config(config)
 
     roles: dict[str, str] = {}
     for actor in obj["actors"]:
-        _check_fields(actor, _ACTOR_FIELDS, "actor")
+        check_fields(actor, _FIELDS[ActorSpec], "actor")
         if actor["actor_id"] in roles:
             raise ValidationError(f"actor {actor['actor_id']!r} declared twice")
         role = actor["role"]
@@ -245,60 +198,61 @@ def _check_scenario(obj) -> None:
         if actor.get("behavior"):
             if role not in _BEHAVIORS:
                 raise ValidationError(f"a {role} has no behavior")
-            _check_fields(actor["behavior"],
-                          _defaults_table(_BEHAVIORS[role]), "behavior")
-        _check_list(actor.get("granularities"), str, "granularities")
-        _check_list(actor.get("trusted_proxies"), str, "trusted_proxies")
+            check_fields(actor["behavior"], _FIELDS[_BEHAVIORS[role]],
+                         "behavior")
+        check_list(actor.get("granularities"), str, "granularities")
+        check_list(actor.get("trusted_proxies"), str, "trusted_proxies")
         roles[actor["actor_id"]] = role
 
     for op in obj["script"]:
-        _check_type(op, dict, "script op")
+        check_type(op, dict, "script op")
         name = op.get("op")
         if not isinstance(name, str) or name not in _SCRIPT_OPS:
             raise ValidationError(f"unknown script op {name!r}")
-        _check_fields({k: v for k, v in op.items() if k != "op"},
-                      _SCRIPT_OPS[name], name)
+        check_fields({k: v for k, v in op.items() if k != "op"},
+                     _SCRIPT_OPS[name], name)
         if name in ("visit", "replay_construct") and \
                 roles.get(op["user"]) != "user":
             raise ValidationError(f"{name}: no user {op['user']!r}")
         if name == "advance" and op["ms"] < 0:
             raise ValidationError("advance: ms must not be negative")
         if name == "drop_presented":
-            _check_list(op["positions"], int, "positions")
+            check_list(op["positions"], int, "positions")
         if name == "set_behavior":
             role = roles.get(op["party"])
             if role not in _BEHAVIORS:
                 raise ValidationError(
                     f"set_behavior: no authority or witness {op['party']!r}")
-            table = _defaults_table(_BEHAVIORS[role])
-            _check_fields({op["field"]: op["value"]}, table, "set_behavior")
-        if name == "fabricate_visit":
-            if not op.get("forge_authority", True) and \
+            check_fields({op["field"]: op["value"]}, _FIELDS[_BEHAVIORS[role]],
+                         "set_behavior")
+        if name in ("visit", "fabricate_visit"):
+            # a party whose signature is forged need not be declared; a
+            # visit forges none, a fabricated one both unless told otherwise
+            forged = name == "fabricate_visit"
+            if not op.get("forge_authority", forged) and \
                     roles.get(op["location"]) != "authority":
-                raise ValidationError(
-                    f"fabricate_visit: no authority {op['location']!r}")
-            if not op.get("forge_witness", True) and \
+                raise ValidationError(f"{name}: no authority {op['location']!r}")
+            if not op.get("forge_witness", forged) and \
                     roles.get(op["witness"]) != "witness":
-                raise ValidationError(
-                    f"fabricate_visit: no witness {op['witness']!r}")
+                raise ValidationError(f"{name}: no witness {op['witness']!r}")
 
     _check_filter_work(obj, config)
 
     reveal = obj.get("reveal", {})
-    _check_fields(reveal, _REVEAL_FIELDS, "reveal")
+    check_fields(reveal, _REVEAL_FIELDS, "reveal")
     if isinstance(reveal.get("positions"), str):
         if reveal["positions"] != "all":
             raise ValidationError("reveal.positions: a list or \"all\"")
     else:
-        _check_list(reveal.get("positions"), int, "reveal.positions")
-    _check_list(reveal.get("presentation_order"), int,
-                "reveal.presentation_order")
+        check_list(reveal.get("positions"), int, "reveal.positions")
+    check_list(reveal.get("presentation_order"), int,
+               "reveal.presentation_order")
     for position, indexes in reveal.get("disclose", {}).items():
         if not (isinstance(position, int) or (str(position).isdecimal()
                                               and len(str(position)) <= 18)):
             raise ValidationError(f"reveal.disclose: position {position!r}")
-        _check_type(indexes, list, "reveal.disclose")
-        _check_list(indexes, int, "reveal.disclose")
+        check_type(indexes, list, "reveal.disclose")
+        check_list(indexes, int, "reveal.disclose")
 
     claims = obj.get("claims", "truthful")
     if isinstance(claims, str):
@@ -306,7 +260,7 @@ def _check_scenario(obj) -> None:
             raise ValidationError(f"unknown claims spec {claims!r}")
     else:
         for claim in claims:
-            _check_fields(claim, _CLAIM_FIELDS, "claim")
+            check_fields(claim, CLAIM_FIELDS, "claim")
 
 
 def _check_filter_work(obj: dict, config: dict) -> None:
@@ -568,8 +522,7 @@ class _Runner:
 
         spec = self.scenario.claims
         if spec != "truthful":
-            claims = [LocationClaim(c["location_id"], c["visit_time"])
-                      for c in spec]
+            claims = [LocationClaim(**c) for c in spec]
         else:
             for r in sub.entries:
                 if not claimable_at(r):  # a blinded entry disclosing nothing

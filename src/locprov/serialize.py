@@ -42,7 +42,8 @@ A body that inflates past the cap, is truncated, has bytes after the end
 of its stream or fails its Adler-32 check is refused.
 
 Every loader raises ``FormatError`` for any input it cannot take, whatever
-is wrong with it.
+is wrong with it. A JSON record that a dataclass holds, here a claim, is
+checked against the fields of that class (``field_table``), its one schema.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from __future__ import annotations
 import base64
 import json
 import zlib
-from typing import Iterator, Optional
+from dataclasses import MISSING, asdict, fields
+from typing import Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .audit import AuditReport, LocationClaim, signer_ids
 from .crypto import CryptoError, CryptoProfile, get_profile
@@ -79,6 +81,50 @@ INFLATE_PIECE = 1 << 16
 
 class FormatError(ValidationError):
     """File contents do not match the expected schema."""
+
+
+def field_table(cls) -> dict:
+    """The JSON record of dataclass ``cls``: field name -> accepted JSON
+    types (a union's members, a generic's container), with a trailing "?"
+    on a field that has a default and so may be left out."""
+    hints, table = get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        members = get_args(hint) if get_origin(hint) is Union else (hint,)
+        optional = f.default is not MISSING or f.default_factory is not MISSING
+        table[f.name + "?" * optional] = tuple(get_origin(t) or t
+                                               for t in members)
+    return table
+
+
+def check_type(value, types, what: str) -> None:
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types):
+        raise FormatError(f"{what}: unexpected {type(value).__name__}")
+
+
+def check_list(value, types, what: str) -> None:
+    for item in value or ():
+        check_type(item, types, what)
+
+
+def check_fields(obj, table: dict, what: str) -> None:
+    """Check JSON object ``obj`` against ``table`` (see ``field_table``)."""
+    check_type(obj, dict, what)
+    names = {name.rstrip("?") for name in table}
+    unknown = sorted(set(obj) - names, key=str)
+    if unknown:
+        raise FormatError(f"{what}: unknown field {unknown[0]!r}")
+    for name, types in table.items():
+        key = name.rstrip("?")
+        if key in obj:
+            check_type(obj[key], types, f"{what}.{key}")
+        elif not name.endswith("?"):
+            raise FormatError(f"{what}: missing field {key!r}")
+
+
+CLAIM_FIELDS = field_table(LocationClaim)
 
 
 def _b64(data: bytes) -> str:
@@ -244,8 +290,7 @@ def load_registry_file(text: str) -> tuple[str, EpochRegistry]:
 
 
 def dump_claims_file(claims: list[LocationClaim]) -> str:
-    return _dump({"claims": [{"location_id": c.location_id,
-                              "visit_time": c.visit_time} for c in claims]})
+    return _dump({"claims": [asdict(c) for c in claims]})
 
 
 def load_claims_file(text: str) -> list[LocationClaim]:
@@ -253,14 +298,9 @@ def load_claims_file(text: str) -> list[LocationClaim]:
     claims = obj.get("claims")
     if not isinstance(claims, list):
         raise FormatError("claims file has no list of claims")
-    out = []
     for c in claims:
-        if not (isinstance(c, dict) and isinstance(c.get("location_id"), str)
-                and type(c.get("visit_time")) is int):
-            raise FormatError("a claim needs a location_id string and an "
-                              "integer visit_time")
-        out.append(LocationClaim(c["location_id"], c["visit_time"]))
-    return out
+        check_fields(c, CLAIM_FIELDS, "claim")
+    return [LocationClaim(**c) for c in claims]
 
 
 def dump_audit_report_file(report: AuditReport) -> str:

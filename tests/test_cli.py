@@ -161,6 +161,22 @@ _RUN = "error: scenario failed to run: "
                              "forge_witness": False}],
                  f"{_LOAD}: fabricate_visit: no witness 'cafe-7'",
                  id="fabricate-no-witness"),
+    pytest.param("script", [{"op": "visit", "user": "u1",
+                             "location": "cafe-7", "witness": "nobody"}],
+                 f"{_LOAD}: visit: no witness 'nobody'",
+                 id="visit-undeclared-witness"),
+    pytest.param("script", [{"op": "visit", "user": "u1",
+                             "location": "w1", "witness": "w1"}],
+                 f"{_LOAD}: visit: no authority 'w1'",
+                 id="visit-witness-as-authority"),
+    pytest.param("script", [{"op": "visit", "user": "u1",
+                             "location": "mall-3", "witness": "w1"}],
+                 f"{_LOAD}: visit: no authority 'mall-3'",
+                 id="visit-undeclared-authority"),
+    pytest.param("script", [{"op": "visit", "user": "u1",
+                             "location": "cafe-7", "witness": "cafe-7"}],
+                 f"{_LOAD}: visit: no witness 'cafe-7'",
+                 id="visit-authority-as-witness"),
     pytest.param("reveal", {"positions": "some"},
                  f'{_LOAD}: reveal.positions: a list or "all"',
                  id="reveal-positions"),
@@ -195,6 +211,21 @@ _RUN = "error: scenario failed to run: "
     pytest.param("reveal", {"positions": "all"},
                  f"{_RUN}truthful claims: blinded entry 1 discloses no "
                  f"granularity", id="truthful-claim-blinded"),
+    pytest.param("reveal", {"positions": [1, 9]},
+                 f"{_RUN}position 9 out of range 1..4",
+                 id="reveal-position-out-of-range"),
+    pytest.param("reveal", {"positions": [2, 1]},
+                 f"{_RUN}positions must be strictly ascending",
+                 id="reveal-positions-descending"),
+    pytest.param("reveal", {"positions": [1, 1]},
+                 f"{_RUN}positions must be strictly ascending",
+                 id="reveal-positions-repeated"),
+    pytest.param("seed", -1,
+                 f"{_RUN}seed -1 is not a 64-bit unsigned int",
+                 id="seed-negative"),
+    pytest.param("seed", 2**64,
+                 f"{_RUN}seed {2**64} is not a 64-bit unsigned int",
+                 id="seed-2^64"),
 ])
 def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
                                                field, value, error):

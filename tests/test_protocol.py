@@ -283,6 +283,31 @@ def test_authority_refusal_reaches_only_the_request_it_refuses():
     assert world.witnesses["w1"]._pending == {}
 
 
+def test_second_visit_refused_while_one_is_open():
+    """Replies name no request, so a second visit opened before the first
+    ends would take the first one's proof. It is refused before anything
+    is sent, and the first visit still completes with an entry."""
+    world = _world()
+    user = world.users["u1"]
+    user.start_visit("cafe-7", "w1")
+    with pytest.raises(ProtocolError, match="already has a visit open"):
+        user.start_visit("cafe-7", "w1")
+    world.bus.run()
+    (outcome,) = user.visit_log
+    assert outcome.ok and user.chain.entries == (outcome.entry,)
+    assert user._visit is None
+
+
+def test_visit_left_unanswered_ends_when_the_bus_is_idle():
+    """w9, a bare party, never answers: the visit ends unfinished, and u1's
+    next visit is not refused as overlapping it."""
+    world = _world()
+    world.bus.register("w9", _Collector().handle)
+    assert world.run_visit("u1", "cafe-7", "w9").reason == \
+        "visit never completed"
+    assert world.run_visit("u1", "cafe-7", "w1").ok
+
+
 def test_user_refuses_a_refusal_with_no_open_visit():
     world = _world()
     world.bus.send(Message(REFUSAL, "w1", "u1", {

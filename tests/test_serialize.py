@@ -416,6 +416,7 @@ def test_registry_of_non_reports_is_format_error(world_and_chain):
     [{"location_id": 7, "visit_time": 0}],
     [{"location_id": "cafe-7", "visit_time": "0"}],
     [{"location_id": "cafe-7", "visit_time": True}],
+    [{"location_id": "cafe-7", "visit_time": 0, "note": 1}],
 ])
 def test_malformed_claims_are_format_error(claims):
     with pytest.raises(FormatError):
