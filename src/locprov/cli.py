@@ -95,10 +95,10 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "chain.json").write_text(dump_chain_file(
+        (out_dir / "chain.bin").write_bytes(dump_chain_file(
             outcome.profile_name, outcome.subsequence, outcome.directory))
         (out_dir / "claims.json").write_text(dump_claims_file(outcome.claims))
-        (out_dir / "registry.json").write_text(dump_registry_file(
+        (out_dir / "registry.bin").write_bytes(dump_registry_file(
             outcome.profile_name, outcome.registry))
         (out_dir / "trace.jsonl").write_text(outcome.trace_jsonl())
         (out_dir / "outcome.json").write_text(
@@ -123,11 +123,11 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     try:
         profile_name, sub, directory = load_chain_file(
-            Path(args.chain).read_text())
+            Path(args.chain).read_bytes())
         claims = load_claims_file(Path(args.claims).read_text())
         registry = None
         if args.registry:
-            _, registry = load_registry_file(Path(args.registry).read_text())
+            _, registry = load_registry_file(Path(args.registry).read_bytes())
     except (OSError, UnicodeDecodeError, FormatError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_USAGE

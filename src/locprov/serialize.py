@@ -1,31 +1,35 @@
 """Versioned file formats.
 
-Four file formats, each a JSON object carrying a ``format_version`` field:
+Four file formats, each carrying a ``format_version`` field:
 
-* chain file (version 3) -- the crypto profile name, ``directory``: the
-  public keys of the parties whose keys an audit of the subsequence looks
-  up (``audit.signer_ids``) and of no one else, and ``subsequence``: the
-  canonical encoding of a revealed subsequence (a full chain is the
-  reveal-all case), deflated, in base64;
-* registry file (version 3) -- the crypto profile name and ``reports``:
-  the canonical encoding of the sequence of published epoch reports,
-  deflated, in base64;
+* chain file (version 4) -- one line of JSON, the envelope: the crypto
+  profile name and ``directory``, the public keys of the parties whose keys
+  an audit of the subsequence looks up (``audit.signer_ids``) and of no one
+  else; then a newline, then the canonical encoding of a revealed
+  subsequence (a full chain is the reveal-all case), deflated, as raw bytes;
+* registry file (version 4) -- one line of JSON holding the crypto profile
+  name, a newline, then the canonical encoding of the sequence of published
+  epoch reports, deflated, as raw bytes;
 * claims file (version 2) -- the ordered location claims to audit, in
   plain JSON;
 * report file (version 2) -- a machine-readable audit report, in plain
   JSON.
 
-Chain, registry and claims files are written as compact JSON, keys sorted
-and no whitespace; report files, which people read, are indented. Loaders
-read JSON values only, so files written indented are read alike.
+JSON is written compact, keys sorted and no whitespace, except in report
+files, which people read and which are indented. Loaders read JSON values
+only, so files written indented are read alike. A ``format_version`` is an
+integer: 3.0 or ``true`` is no version.
 
 Everything signed or hashed therefore reaches an auditor in the one
 encoding of ``model``, decoded by ``model.canonical_decode``; this module
-only wraps it. A version 3 body is ``zlib.compress(canonical bytes)`` at
-the fixed level ``DEFLATE_LEVEL``: the bytes themselves, and so every
-signature and digest, are those of version 2, whose chain and registry
-files hold them undeflated and are still read. Version 1 files, which
-spelled every type out in JSON, are not read.
+only wraps it. A version 4 body is ``zlib.compress(canonical bytes)`` at
+the fixed level ``DEFLATE_LEVEL``. The bytes themselves, and so every
+signature and digest, are those of the older chain and registry files,
+which are still read: these are one JSON object, whose ``subsequence`` or
+``reports`` field holds the body in base64, deflated at version 3 and not
+deflated at version 2. An input whose first line is not a JSON object of
+version 4 is read as such a file. Version 1 files, which spelled every
+type out in JSON, are not read.
 
 Bodies are deflated and inflated as a stream, under the bound below: a
 sequence is deflated item by item (to the bytes of ``zlib.compress`` of the
@@ -68,12 +72,13 @@ from .model import (
     encode_pieces,
 )
 
-# Chain and registry files are written at FORMAT_VERSION, with deflated
-# bodies; claims and report files at PLAIN_VERSION, the version whose chain
-# and registry bodies are not deflated.
-FORMAT_VERSION = 3
+# Chain and registry files are written at FORMAT_VERSION, a JSON line and
+# a raw deflated body; the JSON forms of _JSON_VERSIONS are still read.
+# Claims and report files are written at PLAIN_VERSION, the version whose
+# chain and registry bodies are not deflated.
+FORMAT_VERSION = 4
 PLAIN_VERSION = 2
-_BODY_VERSIONS = (PLAIN_VERSION, FORMAT_VERSION)
+_JSON_VERSIONS = (PLAIN_VERSION, 3)
 DEFLATE_LEVEL = 6
 INFLATE_CAP = 1024
 INFLATE_PIECE = 1 << 16
@@ -147,11 +152,14 @@ def _dump(fields: dict, version: int = PLAIN_VERSION,
                       sort_keys=True)
 
 
-def _deflated(obj) -> str:
+def _dump_file(fields: dict, obj) -> bytes:
+    """A version 4 file: the envelope ``fields`` as one line of JSON, then
+    the canonical encoding of ``obj``, deflated."""
     deflater = zlib.compressobj(DEFLATE_LEVEL)
-    body = [deflater.compress(piece) for piece in encode_pieces(obj)]
-    body.append(deflater.flush())
-    return _b64(b"".join(body))
+    # most pieces yield no output yet: the list holds only the output
+    deflated = filter(None, map(deflater.compress, encode_pieces(obj)))
+    return b"".join([_dump(fields, FORMAT_VERSION).encode("ascii"), b"\n",
+                     *deflated, deflater.flush()])
 
 
 def _inflated(data: bytes, what: str) -> Iterator[bytes]:
@@ -180,15 +188,21 @@ def _inflated(data: bytes, what: str) -> Iterator[bytes]:
                           "stream")
 
 
-def _load(text: str, kind: str,
+def _is_version(obj: dict, versions: tuple[int, ...]) -> bool:
+    version = obj.get("format_version")
+    return type(version) is int and version in versions
+
+
+def _load(text: bytes | str, kind: str,
           versions: tuple[int, ...] = (PLAIN_VERSION,)) -> dict:
     try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+        obj = json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                         else text)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise FormatError(f"{kind} file is not JSON: {exc}") from None
     if not isinstance(obj, dict) or "format_version" not in obj:
         raise FormatError(f"{kind} file is missing format_version")
-    if obj["format_version"] not in versions:
+    if not _is_version(obj, versions):
         raise FormatError(
             f"unsupported {kind} format_version {obj['format_version']!r}")
     return obj
@@ -204,12 +218,28 @@ def _profile(obj: dict, kind: str) -> CryptoProfile:
         raise FormatError(str(exc)) from None
 
 
-def _decode(obj: dict, field: str, kind: str, profile: CryptoProfile,
-            expected: type):
+def _load_file(data: bytes | str, kind: str, field: str,
+               expected: type) -> tuple[dict, object]:
+    """The envelope of chain or registry file ``data`` (a ``str`` read as
+    UTF-8) and its body, decoded to an ``expected``; ``field`` names the
+    body in the JSON forms."""
     what = f"{kind} {field}"
-    data, pieces = _unb64(obj.get(field), what), iter(())
-    if obj["format_version"] == FORMAT_VERSION:
-        data, pieces = b"", _inflated(data, what)
+    if isinstance(data, str):  # a lone surrogate fails as JSON, not here
+        data = data.encode("utf-8", "surrogatepass")
+    header, newline, body = data.partition(b"\n")
+    try:
+        obj = json.loads(header.decode("utf-8")) if newline else None
+    except (ValueError, RecursionError):  # not UTF-8, or not JSON
+        obj = None
+    if not (isinstance(obj, dict) and _is_version(obj, (FORMAT_VERSION,))):
+        obj = _load(data, kind, _JSON_VERSIONS)
+    profile = _profile(obj, kind)
+    if obj["format_version"] != FORMAT_VERSION:
+        body = _unb64(obj.get(field), what)
+    if obj["format_version"] == PLAIN_VERSION:
+        data, pieces = body, iter(())
+    else:
+        data, pieces = b"", _inflated(body, what)
     try:
         value = canonical_decode(data, profile, lambda: next(pieces, b""))
     except EncodingError as exc:
@@ -218,7 +248,7 @@ def _decode(obj: dict, field: str, kind: str, profile: CryptoProfile,
         raise FormatError(f"{what}: {exc}") from None
     if not isinstance(value, expected):
         raise FormatError(f"{what} encodes a {type(value).__name__}")
-    return value
+    return obj, value
 
 
 def _directory_from_json(obj) -> dict[str, dict]:
@@ -238,25 +268,23 @@ def _directory_from_json(obj) -> dict[str, dict]:
 
 
 def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
-                    directory: dict[str, dict]) -> str:
+                    directory: dict[str, dict]) -> bytes:
     """A chain file for ``sub``, whose directory holds the parties of
     ``directory`` that an audit of ``sub`` looks up (``audit.signer_ids``)."""
     signers = signer_ids(sub)
-    return _dump({
+    return _dump_file({
         "profile": profile_name,
-        "subsequence": _deflated(sub),
         "directory": {
             pid: {"role": meta["role"], "scheme": meta["scheme_id"],
                   "public_key": _b64(meta["public_key"])}
             for pid, meta in directory.items() if pid in signers
         },
-    }, FORMAT_VERSION)
+    }, sub)
 
 
-def load_chain_file(text: str) -> tuple[str, RevealedSubsequence, dict[str, dict]]:
-    obj = _load(text, "chain", _BODY_VERSIONS)
-    profile = _profile(obj, "chain")
-    sub = _decode(obj, "subsequence", "chain", profile, RevealedSubsequence)
+def load_chain_file(data: bytes | str) -> tuple[str, RevealedSubsequence,
+                                                dict[str, dict]]:
+    obj, sub = _load_file(data, "chain", "subsequence", RevealedSubsequence)
     if sub.scheme not in SCHEMES:
         raise FormatError(f"unknown ordering scheme {sub.scheme!r}")
     for revealed in sub.entries:
@@ -269,16 +297,14 @@ def load_chain_file(text: str) -> tuple[str, RevealedSubsequence, dict[str, dict
     return obj["profile"], sub, _directory_from_json(obj.get("directory"))
 
 
-def dump_registry_file(profile_name: str, registry: EpochRegistry) -> str:
-    return _dump({"profile": profile_name,
-                  "reports": _deflated(registry.reports())}, FORMAT_VERSION)
+def dump_registry_file(profile_name: str, registry: EpochRegistry) -> bytes:
+    return _dump_file({"profile": profile_name}, registry.reports())
 
 
-def load_registry_file(text: str) -> tuple[str, EpochRegistry]:
-    obj = _load(text, "registry", _BODY_VERSIONS)
-    profile = _profile(obj, "registry")
+def load_registry_file(data: bytes | str) -> tuple[str, EpochRegistry]:
+    obj, reports = _load_file(data, "registry", "reports", tuple)
     registry = EpochRegistry()
-    for report in _decode(obj, "reports", "registry", profile, tuple):
+    for report in reports:
         if not isinstance(report, EpochReport):
             raise FormatError(
                 f"registry holds a {type(report).__name__}, not a report")

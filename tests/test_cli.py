@@ -44,6 +44,38 @@ def _simulate(tmp_path, scenario_dir, name, out="run"):
     return code, out_dir
 
 
+def _split(data: bytes) -> tuple[dict, bytes]:
+    """The JSON header and the raw deflated body of a version 4 file."""
+    header, _, deflated = data.partition(b"\n")
+    return json.loads(header), deflated
+
+
+def _join(header: dict, deflated: bytes) -> bytes:
+    """The version 4 file of ``header`` and ``deflated``, its JSON written
+    as ``simulate`` writes it."""
+    return json.dumps(header, separators=(",", ":"),
+                      sort_keys=True).encode() + b"\n" + deflated
+
+
+def _version_3(data: bytes, field: str) -> bytes:
+    """Version 4 file ``data`` as a version 3 file, the body in base64 in
+    ``field``."""
+    header, deflated = _split(data)
+    return json.dumps({**header, "format_version": 3,
+                       field: base64.b64encode(deflated).decode()},
+                      separators=(",", ":"), sort_keys=True).encode()
+
+
+def _version_4(data: bytes) -> bytes:
+    """Version 3 chain or registry file ``data`` as a version 4 file: its
+    JSON without the body field, at version 4, then the body
+    base64-decoded."""
+    doc = json.loads(data)
+    field = "subsequence" if "subsequence" in doc else "reports"
+    deflated = base64.b64decode(doc.pop(field))
+    return _join({**doc, "format_version": 4}, deflated)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -52,7 +84,7 @@ def test_simulate_honest_scenario_exits_zero(tmp_path, scenario_dir):
     code, out_dir = _simulate(tmp_path, scenario_dir,
                               "honest-baseline-hashchain")
     assert code == 0
-    for name in ("chain.json", "claims.json", "registry.json",
+    for name in ("chain.bin", "claims.json", "registry.bin",
                  "trace.jsonl", "outcome.json"):
         assert (out_dir / name).exists()
     outcome = json.loads((out_dir / "outcome.json").read_text())
@@ -456,7 +488,7 @@ def test_simulate_scheme_override(tmp_path, scenario_dir):
                  str(scenario_dir / "honest-baseline-hashchain.json"),
                  "--scheme", "bloom", "--out-dir", str(out_dir)])
     assert code == 0
-    _, sub, _ = load_chain_file((out_dir / "chain.json").read_text())
+    _, sub, _ = load_chain_file((out_dir / "chain.bin").read_bytes())
     assert sub.scheme == "bloom"
 
 
@@ -474,8 +506,8 @@ def test_simulate_seed_override(tmp_path, scenario_dir):
             ("edited", [str(tmp_path / "seed-5.json")])]:
         out_dir = tmp_path / run
         assert main(["simulate", *argv, "--out-dir", str(out_dir)]) == 0
-        runs[run] = [(out_dir / f).read_text()
-                     for f in ("chain.json", "trace.jsonl")]
+        runs[run] = [(out_dir / f).read_bytes()
+                     for f in ("chain.bin", "trace.jsonl")]
     assert runs["flag"] == runs["edited"]
     assert runs["flag"] != runs["file"]
 
@@ -498,9 +530,9 @@ def test_scenarios_lists_the_suite(capsys, scheme):
 def test_audit_honest_export_exits_zero(tmp_path, scenario_dir):
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     report_path = tmp_path / "report.json"
-    code = main(["audit", "--chain", str(out_dir / "chain.json"),
+    code = main(["audit", "--chain", str(out_dir / "chain.bin"),
                  "--claims", str(out_dir / "claims.json"),
-                 "--registry", str(out_dir / "registry.json"),
+                 "--registry", str(out_dir / "registry.bin"),
                  "--out", str(report_path)])
     assert code == 0
     report = json.loads(report_path.read_text())
@@ -510,7 +542,7 @@ def test_audit_honest_export_exits_zero(tmp_path, scenario_dir):
 def test_audit_tampered_chain_exits_one(tmp_path, scenario_dir):
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     profile_name, sub, directory = load_chain_file(
-        (out_dir / "chain.json").read_text())
+        (out_dir / "chain.bin").read_bytes())
     first = sub.entries[0]
     proof = first.entry.elp.proof
     raw = bytearray(proof.authority_sig.data)
@@ -520,17 +552,17 @@ def test_audit_tampered_chain_exits_one(tmp_path, scenario_dir):
     first = replace(first, entry=replace(
         first.entry, elp=replace(first.entry.elp, proof=proof)))
     sub = replace(sub, entries=(first,) + sub.entries[1:])
-    tampered = out_dir / "tampered.json"
-    tampered.write_text(dump_chain_file(profile_name, sub, directory))
+    tampered = out_dir / "tampered.bin"
+    tampered.write_bytes(dump_chain_file(profile_name, sub, directory))
     code = main(["audit", "--chain", str(tampered),
                  "--claims", str(out_dir / "claims.json"),
-                 "--registry", str(out_dir / "registry.json")])
+                 "--registry", str(out_dir / "registry.bin")])
     assert code == 1
 
 
 def test_audit_without_registry_warns_but_passes(tmp_path, scenario_dir, capsys):
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
-    code = main(["audit", "--chain", str(out_dir / "chain.json"),
+    code = main(["audit", "--chain", str(out_dir / "chain.bin"),
                  "--claims", str(out_dir / "claims.json")])
     assert code == 0
     assert "warning" in capsys.readouterr().out
@@ -542,7 +574,7 @@ def test_audit_unparseable_input_exits_two(tmp_path):
     assert main(["audit", "--chain", str(bad), "--claims", str(bad)]) == 2
 
 
-def _audit_exit(out_dir, capsys, chain="chain.json", registry="registry.json"):
+def _audit_exit(out_dir, capsys, chain="chain.bin", registry="registry.bin"):
     code = main(["audit", "--chain", str(out_dir / chain),
                  "--claims", str(out_dir / "claims.json"),
                  "--registry", str(out_dir / registry)])
@@ -552,10 +584,10 @@ def _audit_exit(out_dir, capsys, chain="chain.json", registry="registry.json"):
 def test_audit_unknown_scheme_exits_two(tmp_path, scenario_dir, capsys):
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     profile_name, sub, directory = load_chain_file(
-        (out_dir / "chain.json").read_text())
-    (out_dir / "merkle.json").write_text(dump_chain_file(
+        (out_dir / "chain.bin").read_bytes())
+    (out_dir / "merkle.bin").write_bytes(dump_chain_file(
         profile_name, replace(sub, scheme="merkle"), directory))
-    code, err = _audit_exit(out_dir, capsys, chain="merkle.json")
+    code, err = _audit_exit(out_dir, capsys, chain="merkle.bin")
     assert code == 2 and err.startswith("error:") and "merkle" in err
 
 
@@ -568,12 +600,12 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
         (data / "chain.json").read_text())
     opened = replace(sub.entries[0],
                      disclosed=((7, "anywhere", bytes(MODERN.nonce_len)),))
-    (tmp_path / "chain.json").write_text(dump_chain_file(
+    (tmp_path / "chain.bin").write_bytes(dump_chain_file(
         profile_name, replace(sub, entries=(opened, *sub.entries[1:])),
         directory))
-    for name in ("claims.json", "registry.json"):
-        (tmp_path / name).write_text((data / name).read_text())
-    code, err = _audit_exit(tmp_path, capsys)
+    (tmp_path / "claims.json").write_text((data / "claims.json").read_text())
+    code, err = _audit_exit(tmp_path, capsys,
+                            registry=str(data / "registry.json"))
     assert code == 2
     assert err.splitlines() == [
         "error: cannot load inputs: chain entry at position 1: plain "
@@ -584,8 +616,8 @@ def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
     that files no longer use, under any version number."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
-    chain = json.loads((out_dir / "chain.json").read_text())
-    for version in (1, 2, 3):
+    chain, _ = _split((out_dir / "chain.bin").read_bytes())
+    for version in (1, 2, 3, 4):
         chain["format_version"] = version
         chain["subsequence"] = {
             "scheme": "bloom", "chain_evidence": [],
@@ -597,15 +629,14 @@ def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
 
 def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
-    profile_name, registry = load_registry_file(
-        (out_dir / "registry.json").read_text())
-    doc = json.loads((out_dir / "registry.json").read_text())
+    data = (out_dir / "registry.bin").read_bytes()
+    _, registry = load_registry_file(data)
+    header, _ = _split(data)
     reports = registry.reports()
-    assert doc["format_version"] == 3
-    doc["reports"] = base64.b64encode(zlib.compress(
-        canonical_encode(reports + reports[:1]))).decode()
-    (out_dir / "twice.json").write_text(json.dumps(doc))
-    code, err = _audit_exit(out_dir, capsys, registry="twice.json")
+    assert header["format_version"] == 4
+    (out_dir / "twice.bin").write_bytes(_join(header, zlib.compress(
+        canonical_encode(reports + reports[:1]))))
+    code, err = _audit_exit(out_dir, capsys, registry="twice.bin")
     assert code == 2 and err.startswith("error:")
     assert "already published" in err
 
@@ -615,16 +646,16 @@ def test_audit_registry_out_of_epoch_order_exits_two(tmp_path, scenario_dir,
     """A registry file must list a location's reports in epoch order: one
     that lists a later epoch first closes the earlier one."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
-    _, registry = load_registry_file((out_dir / "registry.json").read_text())
-    doc = json.loads((out_dir / "registry.json").read_text())
+    data = (out_dir / "registry.bin").read_bytes()
+    _, registry = load_registry_file(data)
     first = registry.reports()[0]
     later = build_epoch_report(MODERN, MODERN.keygen(bytes(32)),
                                first.location_id, first.epoch_id + 1,
                                first.end - first.start, [])
-    doc["reports"] = base64.b64encode(zlib.compress(
-        canonical_encode([later, *registry.reports()]))).decode()
-    (out_dir / "unordered.json").write_text(json.dumps(doc))
-    code, err = _audit_exit(out_dir, capsys, registry="unordered.json")
+    (out_dir / "unordered.bin").write_bytes(_join(
+        _split(data)[0],
+        zlib.compress(canonical_encode([later, *registry.reports()]))))
+    code, err = _audit_exit(out_dir, capsys, registry="unordered.bin")
     assert code == 2 and err.startswith("error:")
     assert "late" in err
 
@@ -650,6 +681,38 @@ def test_audit_gives_the_verdict_simulate_gave(tmp_path, capsys):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_committed_presentation_in_every_version(tmp_path, scheme):
+    """``simulate`` on the committed scenario writes the committed version
+    3 chain and registry files (``tests/data/shared-epochs-<scheme>``) at
+    version 4, byte for byte: the same JSON without its body field, then
+    the same deflated body, raw. The version 2 (Bloom only, ``-v2``), 3 and
+    4 forms of the presentation audit to the committed ``report.json``,
+    byte for byte."""
+    data = SHARED.parent / f"shared-epochs-{scheme}"
+    out = tmp_path / "out"
+    assert main(["simulate", str(SHARED / "scenario.json"),
+                 "--scheme", scheme, "--out-dir", str(out)]) in (0, 1)
+    assert (out / "claims.json").read_bytes() == (
+        data / "claims.json").read_bytes()
+    forms = [(data / "chain.json", data / "registry.json"),
+             (out / "chain.bin", out / "registry.bin")]
+    for v3, v4 in zip(*forms):
+        assert v4.read_bytes() == _version_4(v3.read_bytes())
+    if scheme == "bloom":
+        v2 = SHARED.parent / "shared-epochs-bloom-v2"
+        forms.append((v2 / "chain.json", v2 / "registry.json"))
+    committed = (data / "report.json").read_bytes()
+    exit_code = 0 if json.loads(committed)["report"]["ok"] else 1
+    for chain, registry in forms:
+        report = tmp_path / "report.json"
+        assert main(["audit", "--chain", str(chain),
+                     "--claims", str(data / "claims.json"),
+                     "--registry", str(registry),
+                     "--out", str(report)]) == exit_code
+        assert report.read_bytes() == committed, chain
+
+
 # ---------------------------------------------------------------------------
 # audit on mutated files: a verdict or a parse error, never a crash
 # ---------------------------------------------------------------------------
@@ -665,24 +728,24 @@ def exported(tmp_path_factory):
         out = root / scheme
         assert main(["simulate", str(root / "s/honest-baseline-hashchain.json"),
                      "--scheme", scheme, "--out-dir", str(out)]) == 0
-        runs.append({name: (out / name).read_text()
-                     for name in ("chain.json", "claims.json",
-                                  "registry.json")})
+        runs.append({name: (out / name).read_bytes()
+                     for name in ("chain.bin", "claims.json",
+                                  "registry.bin")})
     return runs
 
 
-def _mutate_text(text: str, data) -> str:
-    at = data.draw(st.integers(0, len(text)))
+def _mutate_file(content: bytes, data) -> bytes:
+    at = data.draw(st.integers(0, len(content)))
     cut = data.draw(st.integers(0, 8))
-    return text[:at] + data.draw(st.text(max_size=4)) + text[at + cut:]
+    return (content[:at] + data.draw(st.text(max_size=4)).encode()
+            + content[at + cut:])
 
 
-def _mutate_body(text: str, data) -> str:
+def _mutate_body(content: bytes, data) -> bytes:
     """Flip, drop or insert bytes inside the canonical encoding, and deflate
     it again: the mutation reaches the decoder, not the inflate check."""
-    doc = json.loads(text)
-    field = "subsequence" if "subsequence" in doc else "reports"
-    body = bytearray(zlib.decompress(base64.b64decode(doc[field])))
+    header, deflated = _split(content)
+    body = bytearray(zlib.decompress(deflated))
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(body) - 1))
         op = data.draw(st.sampled_from(["flip", "drop", "insert"]))
@@ -692,8 +755,7 @@ def _mutate_body(text: str, data) -> str:
             del body[at]
         else:
             body.insert(at, data.draw(st.integers(0, 255)))
-    doc[field] = base64.b64encode(zlib.compress(bytes(body))).decode()
-    return json.dumps(doc)
+    return _join(header, zlib.compress(bytes(body)))
 
 
 @settings(max_examples=150, deadline=None,
@@ -703,15 +765,15 @@ def test_audit_mutated_files_exit_0_1_or_2(exported, data):
     files = dict(data.draw(st.sampled_from(exported)))
     name = data.draw(st.sampled_from(sorted(files)))
     if name == "claims.json" or data.draw(st.booleans()):
-        files[name] = _mutate_text(files[name], data)
+        files[name] = _mutate_file(files[name], data)
     else:
         files[name] = _mutate_body(files[name], data)
     with tempfile.TemporaryDirectory() as tmp:
-        for fname, text in files.items():
-            Path(tmp, fname).write_text(text)
-        code = main(["audit", "--chain", str(Path(tmp, "chain.json")),
+        for fname, content in files.items():
+            Path(tmp, fname).write_bytes(content)
+        code = main(["audit", "--chain", str(Path(tmp, "chain.bin")),
                      "--claims", str(Path(tmp, "claims.json")),
-                     "--registry", str(Path(tmp, "registry.json"))])
+                     "--registry", str(Path(tmp, "registry.bin"))])
     assert code in (0, 1, 2)
 
 
@@ -720,17 +782,55 @@ def test_audit_mutated_files_exit_0_1_or_2(exported, data):
 def test_audit_hostile_deflate_body_exits_two(tmp_path, exported, capsys,
                                               deflate_attack, name, field):
     """A bomb, a truncated stream, trailing bytes, a bad Adler-32 or an
-    undeflated body in a version 3 file: an error line and exit 2."""
+    undeflated body, in version 3 file ``name`` and in its version 4 form:
+    an error line and exit 2."""
     make, expected = deflate_attack
-    for fname, text in exported[0].items():
-        (tmp_path / fname).write_text(text)
-    doc = json.loads(exported[0][name])
-    body = zlib.decompress(base64.b64decode(doc[field]))
-    doc[field] = base64.b64encode(make(body)).decode()
-    (tmp_path / name).write_text(json.dumps(doc))
-    code, err = _audit_exit(tmp_path, capsys)
-    assert code == 2 and err.startswith("error:") and expected in err
-    assert "Traceback" not in err
+    for fname, content in exported[0].items():
+        (tmp_path / fname).write_bytes(content)
+    kind = name.split(".")[0]
+    header, deflated = _split(exported[0][f"{kind}.bin"])
+    hostile = _join(header, make(zlib.decompress(deflated)))
+    for fname, content in ((name, _version_3(hostile, field)),
+                           (f"{kind}.bin", hostile)):
+        (tmp_path / fname).write_bytes(content)
+        code, err = _audit_exit(tmp_path, capsys, **{kind: fname})
+        assert code == 2 and err.startswith("error:") and expected in err
+        assert "Traceback" not in err
+
+
+# Hostile version 4 files: name -> the file, made from the header and the
+# deflated body of an honest one. 16 MiB of zeros deflate past the cap.
+HOSTILE_VERSION_4 = {
+    "first-line-not-an-object": lambda header, deflated: b"[4]\n" + deflated,
+    "header-not-utf8": lambda header, deflated: (
+        b'{"\xff":0,' + _join(header, deflated)[1:]),
+    "nothing-after-the-newline": lambda header, deflated: _join(header, b""),
+    "truncated-body": lambda header, deflated: _join(header, deflated[:-10]),
+    "bytes-after-the-stream": lambda header, deflated: (
+        _join(header, deflated + b"\0")),
+    "bomb": lambda header, deflated: (
+        _join(header, zlib.compress(bytes(16 << 20)))),
+}
+
+
+@pytest.mark.parametrize("attack", sorted(HOSTILE_VERSION_4))
+def test_audit_hostile_version_4_file_exits_two(tmp_path, exported, capsys,
+                                                attack):
+    """Each hostile chain or registry file: one error line, no output and
+    exit 2, never a traceback."""
+    for fname, content in exported[0].items():
+        (tmp_path / fname).write_bytes(content)
+    for kind in ("chain", "registry"):
+        header, deflated = _split(exported[0][f"{kind}.bin"])
+        (tmp_path / "hostile.bin").write_bytes(
+            HOSTILE_VERSION_4[attack](header, deflated))
+        code = main(["audit", "--chain", str(tmp_path / "chain.bin"),
+                     "--claims", str(tmp_path / "claims.json"),
+                     "--registry", str(tmp_path / "registry.bin"),
+                     f"--{kind}", str(tmp_path / "hostile.bin")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", kind
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 # ---------------------------------------------------------------------------

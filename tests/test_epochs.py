@@ -1,7 +1,5 @@
 """Epoch reports: publication, lookup, inclusion, privacy."""
 
-import base64
-import json
 import random
 import zlib
 from dataclasses import replace
@@ -180,12 +178,11 @@ def test_publish_refuses_second_epoch_length_for_a_location():
 def test_registry_file_with_bounds_off_the_grid_does_not_load():
     registry = EpochRegistry()
     registry.publish(_report(0, []))
-    doc = json.loads(dump_registry_file("modern", registry))
+    header = dump_registry_file("modern", registry).partition(b"\n")[0]
     shifted = replace(registry.reports()[0], start=1, end=EPOCH_LEN + 1)
-    doc["reports"] = base64.b64encode(
-        zlib.compress(canonical_encode([shifted]))).decode()
     with pytest.raises(FormatError, match="not an epoch of"):
-        load_registry_file(json.dumps(doc))
+        load_registry_file(header + b"\n"
+                           + zlib.compress(canonical_encode([shifted])))
 
 
 def test_epoch_of_matches_bounds():

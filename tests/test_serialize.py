@@ -55,6 +55,24 @@ def _round_trip(obj):
     return canonical_decode(canonical_encode(obj), MODERN)
 
 
+def _split(data: bytes) -> tuple[dict, bytes]:
+    """The JSON header and the raw deflated body of a version 4 file."""
+    header, newline, body = data.partition(b"\n")
+    assert newline
+    return json.loads(header), body
+
+
+def _forms(header: dict, field: str, deflated: bytes) -> dict[int, bytes]:
+    """The file of envelope ``header`` and deflated body ``deflated`` in
+    its version 3 form, the body in base64 in ``field``, and its version 4
+    form."""
+    v3 = {**header, "format_version": 3,
+          field: base64.b64encode(deflated).decode()}
+    return {3: json.dumps(v3).encode(),
+            4: json.dumps({**header, "format_version": 4}).encode()
+            + b"\n" + deflated}
+
+
 def test_chain_round_trip(world_and_chain):
     """A chain decodes to itself without the user-side openings of its
     blinded statements, which no proof encoding carries."""
@@ -118,9 +136,10 @@ def test_indented_full_directory_chain_file_audits_alike(world_and_chain):
                                     disclose={3: [2]})
     claims = truthful_claims(sub)
     compact = dump_chain_file("modern", sub, dict(world.directory.parties))
-    assert compact == json.dumps(json.loads(compact), separators=(",", ":"),
-                                 sort_keys=True)
-    old = json.loads(compact)
+    header, deflated = _split(compact)
+    assert compact.partition(b"\n")[0] == json.dumps(
+        header, separators=(",", ":"), sort_keys=True).encode()
+    old = json.loads(_forms(header, "subsequence", deflated)[3])
     old["directory"] = {
         pid: {"role": meta["role"], "scheme": meta["scheme_id"],
               "public_key": base64.b64encode(meta["public_key"]).decode()}
@@ -137,32 +156,45 @@ def test_indented_full_directory_chain_file_audits_alike(world_and_chain):
 
 
 def test_files_are_versioned(world_and_chain):
-    """Chain and registry files, whose bodies are deflated, are version 3;
-    claims and report files are still version 2."""
+    """Chain and registry files, a JSON header line and a raw deflated
+    body, are version 4; claims and report files are still version 2."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     claims = [LocationClaim("cafe-7", 0)]
     report = audit(world.profile, claims, sub, world.directory.pubkeys())
-    for text, version in (
-            (dump_chain_file("modern", sub, dict(world.directory.parties)), 3),
-            (dump_registry_file("modern", world.registry), 3),
-            (dump_claims_file(claims), 2),
-            (dump_audit_report_file(report), 2)):
-        assert json.loads(text)["format_version"] == version
+    for data in (dump_chain_file("modern", sub, dict(world.directory.parties)),
+                 dump_registry_file("modern", world.registry)):
+        assert _split(data)[0]["format_version"] == 4
+    for text in (dump_claims_file(claims), dump_audit_report_file(report)):
+        assert json.loads(text)["format_version"] == 2
 
 
 def test_wrong_version_rejected(world_and_chain):
+    """A version no loader reads, or one that is no integer (3.0 and 4.0
+    are not 3 and 4, nor ``true`` 1), is refused in every file kind that
+    loads."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
-    obj = json.loads(dump_chain_file("modern", sub,
-                                     dict(world.directory.parties)))
-    for version in (1, 99):
-        obj["format_version"] = version
+    files = {
+        ("subsequence", load_chain_file): _split(dump_chain_file(
+            "modern", sub, dict(world.directory.parties))),
+        ("reports", load_registry_file): _split(dump_registry_file(
+            "modern", world.registry))}
+    for (field, load), (header, deflated) in files.items():
+        obj = json.loads(_forms(header, field, deflated)[3])
+        for version in (1, 99, 2.0, 3.0, 4.0, True, "3"):
+            with pytest.raises(FormatError, match="format_version"):
+                load(json.dumps({**obj, "format_version": version}))
+            with pytest.raises(FormatError):
+                load(json.dumps({**header, "format_version": version})
+                     .encode() + b"\n" + deflated)
+        del obj["format_version"]
+        with pytest.raises(FormatError, match="missing format_version"):
+            load(json.dumps(obj))
+    claims = json.loads(dump_claims_file([LocationClaim("cafe-7", 0)]))
+    for version in (1, 3, 2.0, True, "2"):
         with pytest.raises(FormatError, match="format_version"):
-            load_chain_file(json.dumps(obj))
-    del obj["format_version"]
-    with pytest.raises(FormatError):
-        load_chain_file(json.dumps(obj))
+            load_claims_file(json.dumps({**claims, "format_version": version}))
 
 
 def test_registry_file_round_trip_preserves_all_reports(world_and_chain):
@@ -193,22 +225,32 @@ def test_bloom_subsequence_round_trip():
 
 @pytest.fixture(scope="module")
 def chain_file(world_and_chain):
+    """A subsequence, and the header and canonical bytes of its chain
+    file."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1, 2])
-    return sub, json.loads(dump_chain_file("modern", sub,
-                                           dict(world.directory.parties)))
+    header, deflated = _split(dump_chain_file("modern", sub,
+                                              dict(world.directory.parties)))
+    return sub, header, zlib.decompress(deflated)
 
 
-def _with_body(obj: dict, field: str, body: bytes) -> str:
-    """The version 3 file ``obj`` with canonical bytes ``body``, deflated."""
-    assert obj["format_version"] == 3
-    return json.dumps({**obj,
-                       field: base64.b64encode(zlib.compress(body)).decode()})
+@pytest.fixture(scope="module")
+def registry_file(world_and_chain):
+    """The header and canonical bytes of the world's registry file."""
+    header, deflated = _split(dump_registry_file("modern",
+                                                 world_and_chain[0].registry))
+    return header, zlib.decompress(deflated)
 
 
-def _body(obj: dict, field: str) -> bytes:
-    """The canonical bytes of the version 3 file ``obj``."""
-    return zlib.decompress(base64.b64decode(obj[field]))
+def _with_body(header: dict, field: str, body: bytes) -> dict[int, bytes]:
+    """The version 3 and version 4 forms of the file of envelope
+    ``header`` and canonical bytes ``body``, deflated."""
+    return _forms(header, field, zlib.compress(body))
+
+
+def _json_form(header: dict, body: bytes) -> dict:
+    """The version 3 chain file of ``header`` and ``body``, as an object."""
+    return json.loads(_with_body(header, "subsequence", body)[3])
 
 
 def _sig_tag_offset(sub) -> int:
@@ -237,32 +279,33 @@ BODY_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(BODY_MUTATIONS))
 def test_malformed_chain_body_is_format_error(chain_file, mutation):
-    sub, obj = chain_file
+    sub, header, body = chain_file
     mutate, expected = BODY_MUTATIONS[mutation]
-    body = mutate(_body(obj, "subsequence"), sub)
-    with pytest.raises(FormatError, match=expected):
-        load_chain_file(_with_body(obj, "subsequence", body))
+    for data in _with_body(header, "subsequence", mutate(body, sub)).values():
+        with pytest.raises(FormatError, match=expected):
+            load_chain_file(data)
 
 
 @pytest.mark.parametrize("text", ["not base64!", "AAA", "AAAA\n", 17, None])
 def test_bad_base64_is_format_error(chain_file, text):
-    _, obj = chain_file
+    _, header, body = chain_file
     with pytest.raises(FormatError):
-        load_chain_file(json.dumps({**obj, "subsequence": text}))
+        load_chain_file(json.dumps({**_json_form(header, body),
+                                    "subsequence": text}))
 
 
 def test_unknown_scheme_is_format_error(chain_file):
-    sub, obj = chain_file
-    text = _with_body(obj, "subsequence",
-                      canonical_encode(replace(sub, scheme="merkle")))
-    with pytest.raises(FormatError, match="merkle"):
-        load_chain_file(text)
+    sub, header, _ = chain_file
+    for data in _with_body(header, "subsequence", canonical_encode(
+            replace(sub, scheme="merkle"))).values():
+        with pytest.raises(FormatError, match="merkle"):
+            load_chain_file(data)
 
 
 def test_version_1_layout_is_format_error(chain_file):
     """The per-type JSON layout, string position and all, is not read
     under any version number."""
-    _, obj = chain_file
+    obj = _json_form(*chain_file[1:])
     v1 = {"scheme": "bloom", "entries": [{"position": "1", "disclosed": []}],
           "chain_evidence": []}
     for version, expected in ((1, "format_version"),
@@ -280,9 +323,11 @@ def test_version_1_layout_is_format_error(chain_file):
     {"w1": {"role": "witness", "scheme": "ed25519", "public_key": "A!"}},
 ])
 def test_malformed_directory_is_format_error(chain_file, directory):
-    _, obj = chain_file
-    with pytest.raises(FormatError):
-        load_chain_file(json.dumps({**obj, "directory": directory}))
+    _, header, body = chain_file
+    for data in _with_body({**header, "directory": directory}, "subsequence",
+                           body).values():
+        with pytest.raises(FormatError):
+            load_chain_file(data)
 
 
 @pytest.mark.parametrize("text", [
@@ -292,6 +337,15 @@ def test_malformed_directory_is_format_error(chain_file, directory):
                  '"subsequence": ""}', id="v3-empty-body"),
     pytest.param('{"format_version": 3, "profile": "modern", '
                  '"subsequence": "AAAA"}', id="v3-undeflated-body"),
+    pytest.param(b'[4, "modern"]\n' + zlib.compress(b"\0"),
+                 id="v4-header-not-an-object"),
+    pytest.param(b'{"format_version": 4, "profile": "mod\xffern"}\n'
+                 + zlib.compress(b"\0"), id="v4-header-not-utf8"),
+    pytest.param(b"[" * 100_000 + b"\n" + zlib.compress(b"\0"),
+                 id="v4-header-too-deep"),
+    pytest.param(b"\n" + zlib.compress(b"\0"), id="v4-header-empty"),
+    pytest.param(b'{"format_version": 4, "profile": "modern"}\n',
+                 id="v4-empty-body"),
 ])
 def test_unreadable_envelope_is_format_error(text):
     with pytest.raises(FormatError):
@@ -299,20 +353,19 @@ def test_unreadable_envelope_is_format_error(text):
 
 
 @pytest.mark.parametrize("field", ["subsequence", "reports"])
-def test_hostile_deflate_body_is_format_error(world_and_chain, chain_file,
+def test_hostile_deflate_body_is_format_error(chain_file, registry_file,
                                              deflate_attack, field):
-    """Each hostile version 3 body is refused while it is inflated and
-    decoded, made from canonical bytes that load when deflated honestly."""
-    world, _ = world_and_chain
+    """Each hostile body, in a version 3 and in a version 4 file, is
+    refused while it is inflated and decoded, made from canonical bytes
+    that load when deflated honestly."""
     make, expected = deflate_attack
     if field == "subsequence":
-        obj, load = chain_file[1], load_chain_file
+        (header, body), load = chain_file[1:], load_chain_file
     else:
-        obj = json.loads(dump_registry_file("modern", world.registry))
-        load = load_registry_file
-    body = make(_body(obj, field))
-    with pytest.raises(FormatError, match=expected):
-        load(json.dumps({**obj, field: base64.b64encode(body).decode()}))
+        (header, body), load = registry_file, load_registry_file
+    for data in _forms(header, field, make(body)).values():
+        with pytest.raises(FormatError, match=expected):
+            load(data)
 
 
 @pytest.fixture(scope="module")
@@ -333,13 +386,14 @@ def test_streamed_dumps_match_one_shot_deflate(world_and_chain, chain_file,
                                                many_reports):
     """Bodies deflated item by item are the bytes of deflating the whole
     encoding at once."""
-    sub, obj = chain_file
-    assert base64.b64decode(obj["subsequence"]) == zlib.compress(
-        canonical_encode(sub), 6)
-    for registry in (many_reports, world_and_chain[0].registry):
-        obj = json.loads(dump_registry_file("modern", registry))
-        assert base64.b64decode(obj["reports"]) == zlib.compress(
-            canonical_encode(registry.reports()), 6)
+    sub, _, body = chain_file
+    assert body == canonical_encode(sub)
+    world = world_and_chain[0]
+    assert _split(dump_chain_file("modern", sub, dict(
+        world.directory.parties)))[1] == zlib.compress(body, 6)
+    for registry in (many_reports, world.registry):
+        assert _split(dump_registry_file("modern", registry))[1] == (
+            zlib.compress(canonical_encode(registry.reports()), 6))
 
 
 def test_registry_dump_never_holds_the_whole_encoding(many_reports):
@@ -392,23 +446,24 @@ def test_registry_load_never_holds_the_whole_body(many_reports):
     assert peak - start < kept - start + slack
 
 
-def test_registry_repeating_a_report_is_format_error(world_and_chain):
+def test_registry_repeating_a_report_is_format_error(world_and_chain,
+                                                     registry_file):
     world, _ = world_and_chain
     reports = world.registry.reports()
-    obj = json.loads(dump_registry_file("modern", world.registry))
-    text = _with_body(obj, "reports",
-                      canonical_encode(reports + reports[:1]))
-    with pytest.raises(FormatError, match="already published"):
-        load_registry_file(text)
+    for data in _with_body(registry_file[0], "reports", canonical_encode(
+            reports + reports[:1])).values():
+        with pytest.raises(FormatError, match="already published"):
+            load_registry_file(data)
 
 
-def test_registry_of_non_reports_is_format_error(world_and_chain):
+def test_registry_of_non_reports_is_format_error(world_and_chain,
+                                                 registry_file):
     world, chain = world_and_chain
-    obj = json.loads(dump_registry_file("modern", world.registry))
     for body in (canonical_encode(world.registry.reports()[0]),
                  canonical_encode([chain.entries[0]])):
-        with pytest.raises(FormatError):
-            load_registry_file(_with_body(obj, "reports", body))
+        for data in _with_body(registry_file[0], "reports", body).values():
+            with pytest.raises(FormatError):
+                load_registry_file(data)
 
 
 @pytest.mark.parametrize("claims", [
