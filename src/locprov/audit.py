@@ -10,9 +10,8 @@ the proof's visit time; and, when an epoch registry is available, that the
 proof's digest is included in the published report for the epoch its
 timestamp falls in. An authority publishes a report only for an epoch in
 which it issued a proof, so a claim in any other epoch draws
-``EpochMissing`` (as does one in an empty report, which older registries
-hold), and one whose report lacks its digest ``EpochExcluded``. Every
-claim takes that check the same way (``check_inclusion``: report
+``EpochMissing``, and one whose report lacks its digest ``EpochExcluded``.
+Every claim takes that check the same way (``check_inclusion``: report
 signature, accumulator shape, membership);
 the report signature is one job of the audit's batch, however many claims
 fall in the report, and counts as one ``report`` check per distinct report.
@@ -50,8 +49,7 @@ from typing import Mapping, Optional, Sequence
 
 from .bloom import bloom_order_verify
 from .crypto import CryptoProfile
-from .epochs import (EpochRegistry, RegistryError, check_inclusion,
-                     report_empty)
+from .epochs import EpochRegistry, RegistryError, check_inclusion
 from .fanout import batched
 from .hashchain import chain_verify_subsequence
 from .model import (
@@ -264,12 +262,10 @@ def _audit_claim(
                     f"claim-time: claimed {claim.visit_time}, "
                     f"proof says {stmt.visit_time}")
 
-    # Epoch inclusion. An epoch with no proof has no report, or, in a
-    # registry written before such epochs were closed, an empty one; either
-    # reports no proof, whoever signed it, so the two audit alike.
+    # Epoch inclusion: an epoch with no proof has no report.
     if registry is not None:
         report = registry.lookup(issuer, stmt.visit_time)
-        if report is None or report_empty(report):
+        if report is None:
             return fail(CLAIM_EPOCH_MISSING,
                         f"no epoch report with a proof covers "
                         f"t={stmt.visit_time} at {issuer!r}")

@@ -29,10 +29,9 @@ nor one that passed empty: a backdated proof finds its epoch either
 reported without it or closed for good. A repeated report is refused as
 already published before the watermark is read. A location's reports
 therefore go in in epoch order; a registry file lists them so (sorted by
-location, then epoch), and one that does not fails to load. Files written
-before epochs were closed hold an empty report for each epoch that passed
-with no proof; they still load, and ``report_empty`` tells such a report
-apart, so that an audit reads it as no report at all.
+location, then epoch), and one that does not fails to load. A report that
+holds no digest is read like any other: every proof claimed in its epoch
+is excluded from it.
 """
 
 from __future__ import annotations
@@ -83,15 +82,6 @@ def build_epoch_report(
     report = EpochReport(location_id, epoch_id, start, end, acc)
     sig = profile.sign(authority_keys.private_key, report_signing_bytes(report))
     return replace(report, report_sig=sig)
-
-
-def report_empty(report: EpochReport) -> bool:
-    """True iff the report's accumulator is well formed and has no bit set:
-    whoever signed it, it holds no digest. Authorities close an epoch with
-    no proof instead of reporting it, but registries written before they
-    did hold such reports."""
-    acc = report.accumulator
-    return acc.bits.count(0) == len(acc.bits) and bloom_well_formed(acc)
 
 
 def verify_report(profile: CryptoProfile, public_key: bytes,

@@ -17,29 +17,30 @@ Four file formats, each carrying a ``format_version`` field:
 
 JSON is written compact, keys sorted and no whitespace, except in report
 files, which people read and which are indented. Loaders read JSON values
-only, so files written indented are read alike. A ``format_version`` is an
-integer: 3.0 or ``true`` is no version.
+only, so a claims file written indented, or a header line written spaced,
+reads alike. A ``format_version`` is an integer: 4.0 or ``true`` is no
+version.
 
 Everything signed or hashed therefore reaches an auditor in the one
 encoding of ``model``, decoded by ``model.canonical_decode``; this module
 only wraps it. A version 4 body is ``zlib.compress(canonical bytes)`` at
-the fixed level ``DEFLATE_LEVEL``. The bytes themselves, and so every
-signature and digest, are those of the older chain and registry files,
-which are still read: these are one JSON object, whose ``subsequence`` or
-``reports`` field holds the body in base64, deflated at version 3 and not
-deflated at version 2. An input whose first line is not a JSON object of
-version 4 is read as such a file. Version 1 files, which spelled every
-type out in JSON, are not read.
+the fixed level ``DEFLATE_LEVEL``.
+
+A loader reads ``FORMAT_VERSION`` only: an input whose first line is not
+a JSON object of that version is refused on that header line. Older files
+(version 3's JSON object holding the deflated body in base64, version 2's
+undeflated, version 1's per-type JSON) are not read. A new version
+replaces ``FORMAT_VERSION`` rather than sitting beside it.
 
 Bodies are deflated and inflated as a stream, under the bound below: a
 sequence is deflated item by item (to the bytes of ``zlib.compress`` of the
 whole), and a body is decoded as it inflates, ``INFLATE_PIECE`` bytes at a
 time, its stream inflated to the end and checked before anything returns.
 A body is inflated to at most ``INFLATE_CAP`` (1,024) times its deflated
-length. The worst honest ratio measured with zlib 1.2.13 is 960:1, a
-registry of empty reports at the largest epoch capacity a scenario may
-ask for (2 MiB filters); authorities write no empty report, but files
-that hold them still load. A day of the simulator's default-capacity
+length. The largest ratio measured with zlib 1.2.13 is 960:1, a registry
+of empty reports at the largest epoch capacity a scenario may ask for
+(2 MiB filters); authorities write no empty report, but one loads, as a
+report that holds no digest. A day of the simulator's default-capacity
 reports, three of them, is 22 KB at 41:1. Deflate itself cannot pass
 about 1,032:1, so the cap states the bound more than it tightens it.
 A body that inflates past the cap, is truncated, has bytes after the end
@@ -72,13 +73,11 @@ from .model import (
     encode_pieces,
 )
 
-# Chain and registry files are written at FORMAT_VERSION, a JSON line and
-# a raw deflated body; the JSON forms of _JSON_VERSIONS are still read.
-# Claims and report files are written at PLAIN_VERSION, the version whose
-# chain and registry bodies are not deflated.
+# Chain and registry files are written and read at FORMAT_VERSION, a JSON
+# line and a raw deflated body; claims and report files, plain JSON, at
+# PLAIN_VERSION.
 FORMAT_VERSION = 4
 PLAIN_VERSION = 2
-_JSON_VERSIONS = (PLAIN_VERSION, 3)
 DEFLATE_LEVEL = 6
 INFLATE_CAP = 1024
 INFLATE_PIECE = 1 << 16
@@ -136,9 +135,7 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text, what: str) -> bytes:
-    if not isinstance(text, str):
-        raise FormatError(f"{what} must be a base64 string")
+def _unb64(text: str, what: str) -> bytes:
     try:
         return base64.b64decode(text, validate=True)
     except ValueError as exc:
@@ -188,23 +185,22 @@ def _inflated(data: bytes, what: str) -> Iterator[bytes]:
                           "stream")
 
 
-def _is_version(obj: dict, versions: tuple[int, ...]) -> bool:
-    version = obj.get("format_version")
-    return type(version) is int and version in versions
-
-
-def _load(text: bytes | str, kind: str,
-          versions: tuple[int, ...] = (PLAIN_VERSION,)) -> dict:
+def _load(text: bytes | str, what: str, version: int = PLAIN_VERSION) -> dict:
+    """JSON object ``text`` (``bytes`` read as UTF-8), of ``format_version``
+    ``version``; ``what`` names it in errors."""
     try:
         obj = json.loads(text.decode("utf-8") if isinstance(text, bytes)
                          else text)
     except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
-        raise FormatError(f"{kind} file is not JSON: {exc}") from None
-    if not isinstance(obj, dict) or "format_version" not in obj:
-        raise FormatError(f"{kind} file is missing format_version")
-    if not _is_version(obj, versions):
-        raise FormatError(
-            f"unsupported {kind} format_version {obj['format_version']!r}")
+        raise FormatError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    if "format_version" not in obj:
+        raise FormatError(f"{what} is missing format_version")
+    found = obj["format_version"]
+    if type(found) is not int or found != version:
+        raise FormatError(f"{what} has format_version {found!r}; only "
+                          f"{version} is read")
     return obj
 
 
@@ -218,30 +214,17 @@ def _profile(obj: dict, kind: str) -> CryptoProfile:
         raise FormatError(str(exc)) from None
 
 
-def _load_file(data: bytes | str, kind: str, field: str,
+def _load_file(data: bytes, kind: str, field: str,
                expected: type) -> tuple[dict, object]:
-    """The envelope of chain or registry file ``data`` (a ``str`` read as
-    UTF-8) and its body, decoded to an ``expected``; ``field`` names the
-    body in the JSON forms."""
+    """The header line of chain or registry file ``data`` and its body,
+    decoded to an ``expected``; ``field`` names the body in errors."""
     what = f"{kind} {field}"
-    if isinstance(data, str):  # a lone surrogate fails as JSON, not here
-        data = data.encode("utf-8", "surrogatepass")
-    header, newline, body = data.partition(b"\n")
-    try:
-        obj = json.loads(header.decode("utf-8")) if newline else None
-    except (ValueError, RecursionError):  # not UTF-8, or not JSON
-        obj = None
-    if not (isinstance(obj, dict) and _is_version(obj, (FORMAT_VERSION,))):
-        obj = _load(data, kind, _JSON_VERSIONS)
+    header, _, body = data.partition(b"\n")
+    obj = _load(header, f"{kind} file header", FORMAT_VERSION)
     profile = _profile(obj, kind)
-    if obj["format_version"] != FORMAT_VERSION:
-        body = _unb64(obj.get(field), what)
-    if obj["format_version"] == PLAIN_VERSION:
-        data, pieces = body, iter(())
-    else:
-        data, pieces = b"", _inflated(body, what)
+    pieces = _inflated(body, what)
     try:
-        value = canonical_decode(data, profile, lambda: next(pieces, b""))
+        value = canonical_decode(b"", profile, lambda: next(pieces, b""))
     except EncodingError as exc:
         for _ in pieces:  # a fault of the stream outranks one of its encoding
             pass
@@ -282,8 +265,8 @@ def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
     }, sub)
 
 
-def load_chain_file(data: bytes | str) -> tuple[str, RevealedSubsequence,
-                                                dict[str, dict]]:
+def load_chain_file(data: bytes) -> tuple[str, RevealedSubsequence,
+                                        dict[str, dict]]:
     obj, sub = _load_file(data, "chain", "subsequence", RevealedSubsequence)
     if sub.scheme not in SCHEMES:
         raise FormatError(f"unknown ordering scheme {sub.scheme!r}")
@@ -301,7 +284,7 @@ def dump_registry_file(profile_name: str, registry: EpochRegistry) -> bytes:
     return _dump_file({"profile": profile_name}, registry.reports())
 
 
-def load_registry_file(data: bytes | str) -> tuple[str, EpochRegistry]:
+def load_registry_file(data: bytes) -> tuple[str, EpochRegistry]:
     obj, reports = _load_file(data, "registry", "reports", tuple)
     registry = EpochRegistry()
     for report in reports:
@@ -320,7 +303,7 @@ def dump_claims_file(claims: list[LocationClaim]) -> str:
 
 
 def load_claims_file(text: str) -> list[LocationClaim]:
-    obj = _load(text, "claims")
+    obj = _load(text, "claims file")
     claims = obj.get("claims")
     if not isinstance(claims, list):
         raise FormatError("claims file has no list of claims")

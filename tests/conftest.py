@@ -29,12 +29,12 @@ def _half(data: bytes) -> bytes:
     return data[:len(data) // 2]
 
 
-# Hostile deflated bodies of version 3 and version 4 chain and registry
-# files: name -> (the body, made from a file's canonical bytes; a fragment
-# of the FormatError it must raise). 16 MiB of zeros deflate 1,028:1, past
-# the 1,024:1 cap. Bodies are decoded as they inflate; a fault of the
-# stream is reported over one of the encoding in it, so the bomb, whose
-# first byte is no type tag, still reads as a bomb.
+# Hostile deflated bodies of chain and registry files: name -> (the body,
+# made from a file's canonical bytes; a fragment of the FormatError it must
+# raise). 16 MiB of zeros deflate 1,028:1, past the 1,024:1 cap. Bodies
+# are decoded as they inflate; a fault of the stream is reported over one
+# of the encoding in it, so the bomb, whose first byte is no type tag,
+# still reads as a bomb.
 DEFLATE_ATTACKS = {
     "bomb": (lambda body: zlib.compress(bytes(16 << 20)), "inflates past"),
     "truncated": (lambda body: zlib.compress(body)[:-10],

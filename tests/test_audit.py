@@ -1,9 +1,7 @@
 """Auditor: per-claim checks, ordering delegation, threat classification."""
 
-import json
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -49,14 +47,6 @@ from locprov.model import (
 )
 from locprov.protocol import Directory, ProtocolConfig, World
 from locprov.scenarios import run_builtin_suite
-from locprov.serialize import (
-    dump_audit_report_file,
-    load_chain_file,
-    load_claims_file,
-    load_registry_file,
-)
-
-DATA = Path(__file__).parent / "data"
 
 
 def _world(scheme="hashchain", private=False, seed=9):
@@ -311,76 +301,24 @@ def test_bad_epoch_report_fails_every_claim_in_it(change, detail):
     assert report.checks["report"] == 2
 
 
-@pytest.mark.parametrize("sign", [
-    lambda world, r: r,
-    lambda world, r: _flip_report_sig(world, r),
+@pytest.mark.parametrize("sign, status, label", [
+    (lambda world, r: r, CLAIM_EPOCH_EXCLUDED, LABEL_FALSE_TIME),
+    (_flip_report_sig, CLAIM_BAD_SIGNATURE, LABEL_FALSE_PRESENCE),
 ], ids=["signed", "flipped-signature"])
-def test_empty_report_reads_as_no_report(sign):
-    """A registry written before epochs with no proof were closed holds an
-    empty report for each: a claim in one reads ``EpochMissing``, as in a
-    registry that closed the epoch. An empty filter holds no digest
-    whoever signed it, so its signature is neither verified nor counted."""
+def test_empty_report_holds_no_digest(sign, status, label):
+    """A report that holds no digest is read like any other: signed, it
+    excludes every claim in its epoch (``EpochExcluded``); with a flipped
+    signature, every claim in it fails on that (``BadSignature``). Its
+    signature is verified and counted either way."""
     def empty(world, r):
         return sign(world, build_epoch_report(
             world.profile, world.authorities[r.location_id].keys,
             r.location_id, r.epoch_id, r.end - r.start, []))
     report = _shared_epoch_audit(empty)
     assert [v.status for v in report.claim_verdicts] == [
-        CLAIM_EPOCH_MISSING, CLAIM_OK, CLAIM_EPOCH_MISSING, CLAIM_OK,
-        CLAIM_EPOCH_MISSING]
-    assert report.checks["report"] == 1
-    assert classify_failure(report) == LABEL_FALSE_TIME
-
-
-def test_registry_file_written_before_keyed_lookup_audits_the_same():
-    """The ``-v2`` files were exported by ``locprov simulate`` on
-    ``scenario.json`` when the registry scanned every report and the
-    auditor verified a report once per claim, which verified 30 signatures.
-    The registry holds empty reports, and several claims share a report.
-    They audit to the committed ``report.json``, written since: ordering
-    counts are unchanged; the report verifies fell, to one per distinct
-    report holding a proof. The backdated claim's epoch held no proof, so
-    its empty report reads as none, ``EpochMissing`` (it read
-    ``EpochExcluded``), as in a registry that closed the epoch."""
-    folder = DATA / "shared-epochs-bloom-v2"
-    _, registry = load_registry_file((folder / "registry.json").read_text())
-    assert any(r.accumulator.bits == bytes(len(r.accumulator.bits))
-               for r in registry.reports())
-    report = _audit_shared(folder)
-    now = json.loads(dump_audit_report_file(report))["report"]
-    assert now == json.loads((DATA / "shared-epochs-bloom" / "report.json")
-                             .read_text())["report"]
+        status, CLAIM_OK, status, CLAIM_OK, status]
     assert report.checks["report"] == 2
-    assert report.signatures_verified == 30 - 4
-
-
-def _audit_shared(folder):
-    """Audit the chain and registry files in ``folder`` on the committed
-    claims."""
-    _, sub, directory = load_chain_file((folder / "chain.json").read_text())
-    claims = load_claims_file(
-        (DATA / "shared-epochs-bloom" / "claims.json").read_text())
-    _, registry = load_registry_file((folder / "registry.json").read_text())
-    return audit(MODERN, claims, sub, Directory(directory).pubkeys(),
-                 registry)
-
-
-def test_version_2_and_version_3_files_audit_alike():
-    """The same simulation's chain and registry files, written undeflated
-    (version 2, indented, with the world's whole directory) and deflated
-    (version 3, compact, with the signers only), both give the committed
-    ``report.json``."""
-    then = json.loads((DATA / "shared-epochs-bloom" / "report.json")
-                      .read_text())["report"]
-    reports = []
-    for folder, version in ((DATA / "shared-epochs-bloom-v2", 2),
-                            (DATA / "shared-epochs-bloom", 3)):
-        for name in ("chain.json", "registry.json"):
-            doc = json.loads((folder / name).read_text())
-            assert doc["format_version"] == version
-        reports.append(_audit_shared(folder))
-        assert json.loads(dump_audit_report_file(reports[-1]))["report"] == then
-    assert reports[0] == reports[1]
+    assert classify_failure(report) == label
 
 
 # ---------------------------------------------------------------------------

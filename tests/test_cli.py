@@ -57,25 +57,6 @@ def _join(header: dict, deflated: bytes) -> bytes:
                       sort_keys=True).encode() + b"\n" + deflated
 
 
-def _version_3(data: bytes, field: str) -> bytes:
-    """Version 4 file ``data`` as a version 3 file, the body in base64 in
-    ``field``."""
-    header, deflated = _split(data)
-    return json.dumps({**header, "format_version": 3,
-                       field: base64.b64encode(deflated).decode()},
-                      separators=(",", ":"), sort_keys=True).encode()
-
-
-def _version_4(data: bytes) -> bytes:
-    """Version 3 chain or registry file ``data`` as a version 4 file: its
-    JSON without the body field, at version 4, then the body
-    base64-decoded."""
-    doc = json.loads(data)
-    field = "subsequence" if "subsequence" in doc else "reports"
-    deflated = base64.b64decode(doc.pop(field))
-    return _join({**doc, "format_version": 4}, deflated)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -597,7 +578,7 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
     exist only on blinded statements."""
     data = SHARED.parent / "shared-epochs-hashchain"
     profile_name, sub, directory = load_chain_file(
-        (data / "chain.json").read_text())
+        (data / "chain.bin").read_bytes())
     opened = replace(sub.entries[0],
                      disclosed=((7, "anywhere", bytes(MODERN.nonce_len)),))
     (tmp_path / "chain.bin").write_bytes(dump_chain_file(
@@ -605,7 +586,7 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
         directory))
     (tmp_path / "claims.json").write_text((data / "claims.json").read_text())
     code, err = _audit_exit(tmp_path, capsys,
-                            registry=str(data / "registry.json"))
+                            registry=str(data / "registry.bin"))
     assert code == 2
     assert err.splitlines() == [
         "error: cannot load inputs: chain entry at position 1: plain "
@@ -614,10 +595,10 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
 
 def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
-    that files no longer use, under any version number."""
+    that files no longer use, under version 1 or version 4."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     chain, _ = _split((out_dir / "chain.bin").read_bytes())
-    for version in (1, 2, 3, 4):
+    for version in (1, 4):
         chain["format_version"] = version
         chain["subsequence"] = {
             "scheme": "bloom", "chain_evidence": [],
@@ -682,35 +663,35 @@ def test_audit_gives_the_verdict_simulate_gave(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_committed_presentation_in_every_version(tmp_path, scheme):
-    """``simulate`` on the committed scenario writes the committed version
-    3 chain and registry files (``tests/data/shared-epochs-<scheme>``) at
-    version 4, byte for byte: the same JSON without its body field, then
-    the same deflated body, raw. The version 2 (Bloom only, ``-v2``), 3 and
-    4 forms of the presentation audit to the committed ``report.json``,
-    byte for byte."""
+def test_committed_presentation_is_what_simulate_writes(tmp_path, scheme):
+    """``simulate`` on the committed scenario writes the committed chain,
+    registry and claims files (``tests/data/shared-epochs-<scheme>``) byte
+    for byte, and auditing them writes the committed ``report.json`` byte
+    for byte. Their headers and inflated bodies are compared first, so a
+    zlib that deflates the same canonical bytes differently is told apart
+    from a change of the wire format."""
     data = SHARED.parent / f"shared-epochs-{scheme}"
     out = tmp_path / "out"
     assert main(["simulate", str(SHARED / "scenario.json"),
                  "--scheme", scheme, "--out-dir", str(out)]) in (0, 1)
+    for name in ("chain.bin", "registry.bin"):
+        fixture, written = ((folder / name).read_bytes()
+                            for folder in (data, out))
+        (header, body), (new_header, new_body) = map(_split,
+                                                     (fixture, written))
+        assert (header, zlib.decompress(body)) == (
+            new_header, zlib.decompress(new_body)), f"{name}: wire format"
+        assert written == fixture, f"{name}: zlib deflates differently"
     assert (out / "claims.json").read_bytes() == (
         data / "claims.json").read_bytes()
-    forms = [(data / "chain.json", data / "registry.json"),
-             (out / "chain.bin", out / "registry.bin")]
-    for v3, v4 in zip(*forms):
-        assert v4.read_bytes() == _version_4(v3.read_bytes())
-    if scheme == "bloom":
-        v2 = SHARED.parent / "shared-epochs-bloom-v2"
-        forms.append((v2 / "chain.json", v2 / "registry.json"))
     committed = (data / "report.json").read_bytes()
     exit_code = 0 if json.loads(committed)["report"]["ok"] else 1
-    for chain, registry in forms:
-        report = tmp_path / "report.json"
-        assert main(["audit", "--chain", str(chain),
-                     "--claims", str(data / "claims.json"),
-                     "--registry", str(registry),
-                     "--out", str(report)]) == exit_code
-        assert report.read_bytes() == committed, chain
+    report = tmp_path / "report.json"
+    assert main(["audit", "--chain", str(data / "chain.bin"),
+                 "--claims", str(data / "claims.json"),
+                 "--registry", str(data / "registry.bin"),
+                 "--out", str(report)]) == exit_code
+    assert report.read_bytes() == committed
 
 
 # ---------------------------------------------------------------------------
@@ -782,55 +763,77 @@ def test_audit_mutated_files_exit_0_1_or_2(exported, data):
 def test_audit_hostile_deflate_body_exits_two(tmp_path, exported, capsys,
                                               deflate_attack, name, field):
     """A bomb, a truncated stream, trailing bytes, a bad Adler-32 or an
-    undeflated body, in version 3 file ``name`` and in its version 4 form:
-    an error line and exit 2."""
+    undeflated body, in a chain or registry file saved as ``name`` (a
+    loader goes by the header line, not the name): an error line naming
+    the ``field`` body, and exit 2."""
     make, expected = deflate_attack
     for fname, content in exported[0].items():
         (tmp_path / fname).write_bytes(content)
     kind = name.split(".")[0]
     header, deflated = _split(exported[0][f"{kind}.bin"])
-    hostile = _join(header, make(zlib.decompress(deflated)))
-    for fname, content in ((name, _version_3(hostile, field)),
-                           (f"{kind}.bin", hostile)):
-        (tmp_path / fname).write_bytes(content)
-        code, err = _audit_exit(tmp_path, capsys, **{kind: fname})
-        assert code == 2 and err.startswith("error:") and expected in err
-        assert "Traceback" not in err
+    (tmp_path / name).write_bytes(
+        _join(header, make(zlib.decompress(deflated))))
+    code, err = _audit_exit(tmp_path, capsys, **{kind: name})
+    assert code == 2 and err.startswith("error:") and expected in err
+    assert f"{kind} {field}" in err and "Traceback" not in err
 
 
-# Hostile version 4 files: name -> the file, made from the header and the
-# deflated body of an honest one. 16 MiB of zeros deflate past the cap.
+def _retired_version_3(header: dict, deflated: bytes) -> bytes:
+    """The version 3 form, no longer read, of the file of ``header`` and
+    ``deflated``: one JSON object whose ``subsequence`` (a chain file's
+    header holds a directory) or ``reports`` field holds the body in
+    base64."""
+    field = "subsequence" if "directory" in header else "reports"
+    return json.dumps({**header, "format_version": 3,
+                       field: base64.b64encode(deflated).decode()},
+                      separators=(",", ":"), sort_keys=True).encode()
+
+
+# Hostile chain and registry files: name -> (the file, made from the header
+# and the deflated body of an honest one; a fragment of its one error line).
+# 16 MiB of zeros deflate past the cap.
 HOSTILE_VERSION_4 = {
-    "first-line-not-an-object": lambda header, deflated: b"[4]\n" + deflated,
-    "header-not-utf8": lambda header, deflated: (
+    "first-line-not-an-object": (lambda header, deflated: (
+        b"[4]\n" + deflated), "file header is not a JSON object"),
+    "header-version-3": (lambda header, deflated: (
+        _join({**header, "format_version": 3}, deflated)),
+        "file header has format_version 3; only 4 is read"),
+    "retired-version-3": (_retired_version_3,
+                          "file header has format_version 3; only 4 is read"),
+    "header-not-utf8": (lambda header, deflated: (
         b'{"\xff":0,' + _join(header, deflated)[1:]),
-    "nothing-after-the-newline": lambda header, deflated: _join(header, b""),
-    "truncated-body": lambda header, deflated: _join(header, deflated[:-10]),
-    "bytes-after-the-stream": lambda header, deflated: (
-        _join(header, deflated + b"\0")),
-    "bomb": lambda header, deflated: (
-        _join(header, zlib.compress(bytes(16 << 20)))),
+        "file header is not JSON"),
+    "nothing-after-the-newline": (lambda header, deflated: (
+        _join(header, b"")), "truncated deflate stream"),
+    "truncated-body": (lambda header, deflated: (
+        _join(header, deflated[:-10])), "truncated deflate stream"),
+    "bytes-after-the-stream": (lambda header, deflated: (
+        _join(header, deflated + b"\0")), "trailing bytes after its deflate"),
+    "bomb": (lambda header, deflated: (
+        _join(header, zlib.compress(bytes(16 << 20)))), "inflates past"),
 }
 
 
 @pytest.mark.parametrize("attack", sorted(HOSTILE_VERSION_4))
 def test_audit_hostile_version_4_file_exits_two(tmp_path, exported, capsys,
                                                 attack):
-    """Each hostile chain or registry file: one error line, no output and
-    exit 2, never a traceback."""
+    """Each hostile chain or registry file: one error line, which names
+    what is wrong, no output and exit 2, never a traceback."""
+    make, expected = HOSTILE_VERSION_4[attack]
     for fname, content in exported[0].items():
         (tmp_path / fname).write_bytes(content)
     for kind in ("chain", "registry"):
         header, deflated = _split(exported[0][f"{kind}.bin"])
-        (tmp_path / "hostile.bin").write_bytes(
-            HOSTILE_VERSION_4[attack](header, deflated))
+        (tmp_path / "hostile.bin").write_bytes(make(header, deflated))
         code = main(["audit", "--chain", str(tmp_path / "chain.bin"),
                      "--claims", str(tmp_path / "claims.json"),
                      "--registry", str(tmp_path / "registry.bin"),
                      f"--{kind}", str(tmp_path / "hostile.bin")])
         out, err = capsys.readouterr()
         assert code == 2 and out == "", kind
-        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot load inputs: {kind} ")
+        assert expected in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +944,7 @@ UNWRITABLE = "{tmp}/missing/out"
     ["bench-space", "--max-n", "5", "--out", UNWRITABLE],
     ["bench-audit", "--chain-n", "2", "--reveal-pct", "100",
      "--out", UNWRITABLE],
-    ["audit", "--chain", str(SHARED / "chain.json"),
+    ["audit", "--chain", str(SHARED / "chain.bin"),
      "--claims", str(SHARED / "claims.json"), "--out", UNWRITABLE],
     # The output directory is an existing file.
     ["simulate", str(SHARED / "scenario.json"),

@@ -62,15 +62,11 @@ def _split(data: bytes) -> tuple[dict, bytes]:
     return json.loads(header), body
 
 
-def _forms(header: dict, field: str, deflated: bytes) -> dict[int, bytes]:
-    """The file of envelope ``header`` and deflated body ``deflated`` in
-    its version 3 form, the body in base64 in ``field``, and its version 4
-    form."""
-    v3 = {**header, "format_version": 3,
-          field: base64.b64encode(deflated).decode()}
-    return {3: json.dumps(v3).encode(),
-            4: json.dumps({**header, "format_version": 4}).encode()
-            + b"\n" + deflated}
+def _join(header: dict, deflated: bytes) -> bytes:
+    """The version 4 file of envelope ``header`` and deflated body
+    ``deflated``."""
+    line = json.dumps({**header, "format_version": 4}).encode()
+    return line + b"\n" + deflated
 
 
 def test_chain_round_trip(world_and_chain):
@@ -127,10 +123,9 @@ def test_chain_file_reaudits_identically(world_and_chain):
     assert reloaded.ok
 
 
-def test_indented_full_directory_chain_file_audits_alike(world_and_chain):
-    """A chain file in the form written before files were compact and held
-    the signers only, indented and naming every party of the world, audits
-    as the file written now."""
+def test_spaced_full_directory_chain_file_audits_alike(world_and_chain):
+    """A chain file whose header line is spaced and names every party of
+    the world audits as the compact file, which names the signers only."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [2, 3],
                                     disclose={3: [2]})
@@ -139,14 +134,12 @@ def test_indented_full_directory_chain_file_audits_alike(world_and_chain):
     header, deflated = _split(compact)
     assert compact.partition(b"\n")[0] == json.dumps(
         header, separators=(",", ":"), sort_keys=True).encode()
-    old = json.loads(_forms(header, "subsequence", deflated)[3])
-    old["directory"] = {
+    spaced = _join({**header, "directory": {
         pid: {"role": meta["role"], "scheme": meta["scheme_id"],
               "public_key": base64.b64encode(meta["public_key"]).decode()}
-        for pid, meta in world.directory.parties.items()}
-    indented = json.dumps(old, indent=2, sort_keys=True)
+        for pid, meta in world.directory.parties.items()}}, deflated)
     reports = []
-    for text in (compact, indented):
+    for text in (compact, spaced):
         profile_name, sub2, directory = load_chain_file(text)
         assert sub2 == sub
         reports.append(audit(get_profile(profile_name), claims, sub2,
@@ -170,27 +163,26 @@ def test_files_are_versioned(world_and_chain):
 
 
 def test_wrong_version_rejected(world_and_chain):
-    """A version no loader reads, or one that is no integer (3.0 and 4.0
-    are not 3 and 4, nor ``true`` 1), is refused in every file kind that
+    """A version no loader reads, or one that is no integer (4.0 is not 4,
+    nor ``true`` 1), is refused on the header of every file kind that
     loads."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     files = {
-        ("subsequence", load_chain_file): _split(dump_chain_file(
-            "modern", sub, dict(world.directory.parties))),
-        ("reports", load_registry_file): _split(dump_registry_file(
-            "modern", world.registry))}
-    for (field, load), (header, deflated) in files.items():
-        obj = json.loads(_forms(header, field, deflated)[3])
-        for version in (1, 99, 2.0, 3.0, 4.0, True, "3"):
-            with pytest.raises(FormatError, match="format_version"):
-                load(json.dumps({**obj, "format_version": version}))
-            with pytest.raises(FormatError):
+        load_chain_file: dump_chain_file("modern", sub,
+                                         dict(world.directory.parties)),
+        load_registry_file: dump_registry_file("modern", world.registry)}
+    for load, data in files.items():
+        header, deflated = _split(data)
+        for version in (1, 2, 3, 5, 99, 2.0, 3.0, 4.0, True, "4"):
+            with pytest.raises(FormatError,
+                               match="header has format_version .*only 4"):
                 load(json.dumps({**header, "format_version": version})
                      .encode() + b"\n" + deflated)
-        del obj["format_version"]
-        with pytest.raises(FormatError, match="missing format_version"):
-            load(json.dumps(obj))
+        del header["format_version"]
+        with pytest.raises(FormatError,
+                           match="header is missing format_version"):
+            load(json.dumps(header).encode() + b"\n" + deflated)
     claims = json.loads(dump_claims_file([LocationClaim("cafe-7", 0)]))
     for version in (1, 3, 2.0, True, "2"):
         with pytest.raises(FormatError, match="format_version"):
@@ -242,15 +234,10 @@ def registry_file(world_and_chain):
     return header, zlib.decompress(deflated)
 
 
-def _with_body(header: dict, field: str, body: bytes) -> dict[int, bytes]:
-    """The version 3 and version 4 forms of the file of envelope
-    ``header`` and canonical bytes ``body``, deflated."""
-    return _forms(header, field, zlib.compress(body))
-
-
-def _json_form(header: dict, body: bytes) -> dict:
-    """The version 3 chain file of ``header`` and ``body``, as an object."""
-    return json.loads(_with_body(header, "subsequence", body)[3])
+def _with_body(header: dict, body: bytes) -> bytes:
+    """The file of envelope ``header`` and canonical bytes ``body``,
+    deflated."""
+    return _join(header, zlib.compress(body))
 
 
 def _sig_tag_offset(sub) -> int:
@@ -281,39 +268,38 @@ BODY_MUTATIONS = {
 def test_malformed_chain_body_is_format_error(chain_file, mutation):
     sub, header, body = chain_file
     mutate, expected = BODY_MUTATIONS[mutation]
-    for data in _with_body(header, "subsequence", mutate(body, sub)).values():
-        with pytest.raises(FormatError, match=expected):
-            load_chain_file(data)
+    with pytest.raises(FormatError, match=expected):
+        load_chain_file(_with_body(header, mutate(body, sub)))
 
 
 @pytest.mark.parametrize("text", ["not base64!", "AAA", "AAAA\n", 17, None])
 def test_bad_base64_is_format_error(chain_file, text):
+    """A directory public key that is no base64 string."""
     _, header, body = chain_file
-    with pytest.raises(FormatError):
-        load_chain_file(json.dumps({**_json_form(header, body),
-                                    "subsequence": text}))
+    directory = {pid: {**meta, "public_key": text}
+                 for pid, meta in header["directory"].items()}
+    with pytest.raises(FormatError, match="public_key string|public key of"):
+        load_chain_file(_with_body({**header, "directory": directory}, body))
 
 
 def test_unknown_scheme_is_format_error(chain_file):
     sub, header, _ = chain_file
-    for data in _with_body(header, "subsequence", canonical_encode(
-            replace(sub, scheme="merkle"))).values():
-        with pytest.raises(FormatError, match="merkle"):
-            load_chain_file(data)
+    with pytest.raises(FormatError, match="merkle"):
+        load_chain_file(_with_body(header, canonical_encode(
+            replace(sub, scheme="merkle"))))
 
 
 def test_version_1_layout_is_format_error(chain_file):
-    """The per-type JSON layout, string position and all, is not read
-    under any version number."""
-    obj = _json_form(*chain_file[1:])
+    """The per-type JSON layout, string position and all, is not read:
+    under version 1, nor as the body of a version 4 file."""
+    header = chain_file[1]
     v1 = {"scheme": "bloom", "entries": [{"position": "1", "disclosed": []}],
           "chain_evidence": []}
-    for version, expected in ((1, "format_version"),
-                              (2, "must be a base64 string"),
-                              (3, "must be a base64 string")):
-        with pytest.raises(FormatError, match=expected):
-            load_chain_file(json.dumps({**obj, "format_version": version,
-                                        "subsequence": v1}))
+    with pytest.raises(FormatError, match="format_version 1"):
+        load_chain_file(json.dumps({**header, "format_version": 1,
+                                    "subsequence": v1}).encode())
+    with pytest.raises(FormatError, match="unknown type tag"):
+        load_chain_file(_with_body(header, json.dumps(v1).encode()))
 
 
 @pytest.mark.parametrize("directory", [
@@ -324,19 +310,17 @@ def test_version_1_layout_is_format_error(chain_file):
 ])
 def test_malformed_directory_is_format_error(chain_file, directory):
     _, header, body = chain_file
-    for data in _with_body({**header, "directory": directory}, "subsequence",
-                           body).values():
-        with pytest.raises(FormatError):
-            load_chain_file(data)
+    with pytest.raises(FormatError):
+        load_chain_file(_with_body({**header, "directory": directory}, body))
 
 
 @pytest.mark.parametrize("text", [
-    "{not json", "[]", "[" * 100_000, '{"format_version": 2}',
-    '{"format_version": 2, "profile": "rot13", "subsequence": ""}',
-    pytest.param('{"format_version": 3, "profile": "modern", '
-                 '"subsequence": ""}', id="v3-empty-body"),
-    pytest.param('{"format_version": 3, "profile": "modern", '
-                 '"subsequence": "AAAA"}', id="v3-undeflated-body"),
+    b"{not json", b"[]", b"[" * 100_000, b'{"format_version": 2}',
+    b'{"format_version": 2, "profile": "rot13", "subsequence": ""}',
+    pytest.param(b'{"format_version": 3, "profile": "modern", '
+                 b'"subsequence": ""}', id="v3-empty-body"),
+    pytest.param(b'{"format_version": 3, "profile": "modern", '
+                 b'"subsequence": "AAAA"}', id="v3-undeflated-body"),
     pytest.param(b'[4, "modern"]\n' + zlib.compress(b"\0"),
                  id="v4-header-not-an-object"),
     pytest.param(b'{"format_version": 4, "profile": "mod\xffern"}\n'
@@ -348,24 +332,23 @@ def test_malformed_directory_is_format_error(chain_file, directory):
                  id="v4-empty-body"),
 ])
 def test_unreadable_envelope_is_format_error(text):
-    with pytest.raises(FormatError):
+    """Each refused on its header line, or on the empty body after it."""
+    with pytest.raises(FormatError, match="header|truncated"):
         load_chain_file(text)
 
 
 @pytest.mark.parametrize("field", ["subsequence", "reports"])
 def test_hostile_deflate_body_is_format_error(chain_file, registry_file,
                                              deflate_attack, field):
-    """Each hostile body, in a version 3 and in a version 4 file, is
-    refused while it is inflated and decoded, made from canonical bytes
-    that load when deflated honestly."""
+    """Each hostile body is refused while it is inflated and decoded, made
+    from canonical bytes that load when deflated honestly."""
     make, expected = deflate_attack
     if field == "subsequence":
         (header, body), load = chain_file[1:], load_chain_file
     else:
         (header, body), load = registry_file, load_registry_file
-    for data in _forms(header, field, make(body)).values():
-        with pytest.raises(FormatError, match=expected):
-            load(data)
+    with pytest.raises(FormatError, match=expected):
+        load(_join(header, make(body)))
 
 
 @pytest.fixture(scope="module")
@@ -450,10 +433,9 @@ def test_registry_repeating_a_report_is_format_error(world_and_chain,
                                                      registry_file):
     world, _ = world_and_chain
     reports = world.registry.reports()
-    for data in _with_body(registry_file[0], "reports", canonical_encode(
-            reports + reports[:1])).values():
-        with pytest.raises(FormatError, match="already published"):
-            load_registry_file(data)
+    with pytest.raises(FormatError, match="already published"):
+        load_registry_file(_with_body(registry_file[0], canonical_encode(
+            reports + reports[:1])))
 
 
 def test_registry_of_non_reports_is_format_error(world_and_chain,
@@ -461,9 +443,8 @@ def test_registry_of_non_reports_is_format_error(world_and_chain,
     world, chain = world_and_chain
     for body in (canonical_encode(world.registry.reports()[0]),
                  canonical_encode([chain.entries[0]])):
-        for data in _with_body(registry_file[0], "reports", body).values():
-            with pytest.raises(FormatError):
-                load_registry_file(data)
+        with pytest.raises(FormatError):
+            load_registry_file(_with_body(registry_file[0], body))
 
 
 @pytest.mark.parametrize("claims", [
