@@ -169,8 +169,9 @@ def signer_ids(sub: RevealedSubsequence) -> set[str]:
     """The parties whose keys an audit of ``sub`` looks up: the issuer of
     each revealed proof (whose key also checks its timestamps, its epoch
     report and its accumulator), the witness of each revealed endorsement
-    and the issuer of each hash-chain slot. A chain file's directory holds
-    these parties only (``serialize.dump_chain_file``)."""
+    and the issuer of each hash-chain slot, the hidden positions' evidence.
+    A chain file's directory holds these parties only
+    (``serialize.dump_chain_file``)."""
     ids = {slot.issuer_id for slot in sub.chain_evidence}
     for revealed in sub.entries:
         elp = revealed.entry.elp

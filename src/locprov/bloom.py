@@ -106,18 +106,16 @@ def bloom_insert(profile: CryptoProfile, acc: BloomAccumulator,
 
     The image is copied once per call, however many items it sets, so an
     epoch report built from many digests costs one copy, not one per digest.
-    Inserting past capacity is allowed (the false-positive rate degrades);
-    the inserted count records it. The previous signature is dropped: the
-    issuing authority signs the new image before release.
+    Inserting past capacity is allowed; the false-positive rate degrades.
+    The previous signature is dropped: the issuing authority signs the new
+    image before release.
     """
     bits = bytearray(acc.bits)
     for item in items:
         for pos in bloom_positions(profile, item, acc.bit_size,
                                    acc.hash_count):
             bits[pos // 8] |= 1 << (pos % 8)
-    return replace(acc, bits=bytes(bits),
-                   inserted_count=acc.inserted_count + len(items),
-                   authority_sig=None)
+    return replace(acc, bits=bytes(bits), authority_sig=None)
 
 
 def bloom_contains(profile: CryptoProfile, acc: BloomAccumulator,
@@ -167,12 +165,16 @@ def bloom_order_verify(
     Each revealed entry must carry a validly signed accumulator containing
     its own proof digest, and each accumulator must be a subset of the next
     one presented; an entry carrying anything else, a hash-chain link
-    included, leaves the order Incomplete. The subset need not be strict:
+    included, leaves the order Incomplete, as does any hash-chain slot,
+    which this audit would not read. The subset need not be strict:
     an honest insertion whose bits were all set already leaves the image
     unchanged, so two entries can carry equal accumulators and then either
     order passes. Each accumulator signature verified counts one
     ``accumulator`` in ``checks``.
     """
+    if sub.chain_evidence:
+        return OrderingVerdict(status=ORDER_INCOMPLETE,
+                               detail="hash-chain slot in a Bloom presentation")
     previous = None
     for revealed in sub.entries:
         acc = revealed.entry.ordering

@@ -18,6 +18,7 @@ signatures, split across the machine's CPUs (see ``fanout``).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import zip_longest
 from typing import Mapping, Optional
 
 from .crypto import CryptoProfile, Digest, KeyPair
@@ -83,75 +84,59 @@ def chain_verify_subsequence(
 ) -> OrderingVerdict:
     """Check that the revealed entries appear in the order claimed.
 
-    Requires per-position evidence (link, proof digest, issuer) for every
-    position from the start of the chain through the last revealed one;
-    anything missing yields an Incomplete verdict. Every link in that
-    prefix is replayed and its signature verified, every revealed entry
-    must sit at its claimed position, and claimed positions must strictly
-    increase. Each link signature verified counts one ``link`` in
-    ``checks``.
+    Each revealed entry carries its own issuer, proof and link, and claimed
+    positions must strictly increase. The one evidence rule: the chain
+    slots are the hidden positions before the last revealed one, one each,
+    ascending. An entry without a link, or slots that break the rule, leave
+    the order Incomplete. Every link from the start of the chain through
+    the last revealed position is replayed and its signature verified;
+    each counts one ``link`` in ``checks``.
     """
     if sub.scheme != SCHEME_HASHCHAIN:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not hash chain")
-    if not sub.entries:
-        return OrderingVerdict(status=ORDER_OK)
-
-    slots = {slot.position: slot for slot in sub.chain_evidence}
-    if len(slots) != len(sub.chain_evidence):
-        return OrderingVerdict(
-            status=ORDER_INCOMPLETE,
-            detail="duplicate chain evidence for some position",
-        )
-    last = max(e.position for e in sub.entries)
-    for position in range(1, last + 1):
-        if position not in slots:
+    # (issuer, proof digest, link) by position, the revealed ones first
+    evidence, last = {}, 0
+    for r in sub.entries:
+        if not isinstance(r.entry.ordering, HashChainLink):
             return OrderingVerdict(
                 status=ORDER_INCOMPLETE,
-                detail=f"no chain evidence for position {position}",
-            )
-
-    # Claimed order must be strictly ascending chain positions.
-    previous_position = 0
-    for revealed in sub.entries:
-        if revealed.position <= previous_position:
+                detail=f"entry at position {r.position} has no hash-chain link")
+        if r.position <= last:
             return OrderingVerdict(
                 status=ORDER_REORDERED,
-                detail=(f"position {revealed.position} presented after "
-                        f"{previous_position}"),
-            )
-        previous_position = revealed.position
+                detail=f"position {r.position} presented after {last}")
+        last, lp = r.position, r.entry.elp.proof
+        evidence[last] = (lp.statement.location_id, proof_digest(profile, lp),
+                          r.entry.ordering)
 
-    # Each revealed entry must match the evidence at its claimed position.
-    for revealed in sub.entries:
-        slot = slots[revealed.position]
-        if proof_digest(profile, revealed.entry.elp.proof) != slot.proof_digest:
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=f"proof digest mismatch at position {revealed.position}",
-            )
-        if revealed.entry.ordering != slot.link:
-            return OrderingVerdict(
-                status=ORDER_REORDERED,
-                detail=f"link mismatch at position {revealed.position}",
-            )
+    # Lazily, so that a hostile position costs no more than its slots.
+    hidden = (p for p in range(1, last + 1) if p not in evidence)
+    for want, slot in zip_longest(hidden, sub.chain_evidence):
+        if slot is None or slot.position != want:
+            if slot is None or (want is not None and slot.position > want):
+                detail = f"no chain evidence for position {want}"
+            else:
+                detail = f"stray chain evidence for position {slot.position}"
+            return OrderingVerdict(status=ORDER_INCOMPLETE, detail=detail)
+    evidence.update((slot.position, (slot.issuer_id, slot.proof_digest,
+                                     slot.link))
+                    for slot in sub.chain_evidence)
 
-    # Replay the chain prefix.
     prev_link: Optional[HashChainLink] = None
     for position in range(1, last + 1):
-        slot = slots[position]
-        public_key = authority_pubkeys.get(slot.issuer_id)
+        issuer, digest, link = evidence[position]
+        public_key = authority_pubkeys.get(issuer)
         if public_key is None:
             return OrderingVerdict(
                 status=ORDER_INCOMPLETE,
-                detail=f"no public key for issuer {slot.issuer_id!r}",
+                detail=f"no public key for issuer {issuer!r}",
             )
         checks["link"] += 1
-        if not verify_link(profile, public_key, slot.link, slot.proof_digest,
-                           prev_link):
+        if not verify_link(profile, public_key, link, digest, prev_link):
             return OrderingVerdict(
                 status=ORDER_REORDERED,
                 detail=f"link verification failed at position {position}",
             )
-        prev_link = slot.link
+        prev_link = link
 
     return OrderingVerdict(status=ORDER_OK)

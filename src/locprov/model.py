@@ -14,8 +14,8 @@ The centerpiece types, from the inside out:
   those entries held by the user.
 * ``RevealedSubsequence`` -- what a user hands to an auditor: a chosen
   subset of entries (``RevealedEntry``) with only the chosen granularity
-  openings disclosed, plus per-position ``ChainSlot`` evidence under the
-  hash-chain scheme.
+  openings disclosed, plus, under the hash-chain scheme, a ``ChainSlot``
+  for each hidden position before the last revealed one.
 * ``EpochReport`` -- an authority's signed accumulator of the proofs it
   issued in one epoch (built and checked in ``epochs``).
 
@@ -37,7 +37,7 @@ disclosed openings as index, value, nonce), 0x0F chain slot, 0x10 revealed
 subsequence, 0x20 sequence (a count, then objects of any tag but 0x20).
 Signing views that differ from the wire form add 0x10 to the wire tag:
 0x12 private statement (commitments, no nonces), 0x1B accumulator (no
-count or signature), 0x1D epoch report (no signature).
+signature), 0x1D epoch report (no signature).
 
 Two deliberate asymmetries, both in the private-statement path:
 
@@ -180,15 +180,14 @@ class BloomAccumulator:
     over the digests of every proof issued to the user so far.
 
     ``bits`` is the little-endian byte image (bit j lives at byte ``j // 8``,
-    mask ``1 << (j % 8)``). The signature covers bits, hash count, capacity
-    and target false-positive rate; ``inserted_count`` is unsigned metadata.
+    mask ``1 << (j % 8)``). The signature covers every other field: bits,
+    hash count, capacity and target false-positive rate.
     """
 
     bits: bytes
     hash_count: int
     capacity: int
     target_fpr: float
-    inserted_count: int = 0
     authority_sig: Optional[Signature] = None
     # memo of ``bit_size``; never encoded, compared or copied by ``replace``
     _bit_size: Optional[int] = field(
@@ -253,9 +252,9 @@ class RevealedEntry:
 
 @dataclass(frozen=True, slots=True)
 class ChainSlot:
-    """Per-position ordering evidence for the hash-chain scheme: the link
-    and proof digest for every position, including hidden ones, plus the
-    issuer id needed to resolve the verifying key."""
+    """Hash-chain ordering evidence for one hidden position: its link and
+    proof digest, and the issuer id that resolves the verifying key. A
+    revealed entry carries its own."""
 
     position: int
     issuer_id: str
@@ -267,8 +266,8 @@ class ChainSlot:
 class RevealedSubsequence:
     scheme: str
     entries: tuple[RevealedEntry, ...]
-    # Hash-chain scheme only: evidence for all positions up to (at least)
-    # the last revealed entry. Hidden positions expose digests and links,
+    # Hash-chain scheme only: one slot per hidden position before the last
+    # revealed entry, ascending. Hidden positions expose digests and links,
     # never statements.
     chain_evidence: tuple[ChainSlot, ...] = ()
 
@@ -487,7 +486,7 @@ LAYOUTS = (
     (TAG_CHAIN_LINK, HashChainLink, (("signature", SIG),)),
     (TAG_BLOOM_CORE, BloomAccumulator, _BLOOM_CORE),
     (TAG_BLOOM, BloomAccumulator, _BLOOM_CORE + (
-        ("inserted_count", U32), ("authority_sig", OPTIONAL_SIG))),
+        ("authority_sig", OPTIONAL_SIG),)),
     (TAG_ENTRY, ProvenanceEntry, (
         ("elp", nested(TAG_ENDORSED_PROOF)),
         ("ordering", nested(TAG_CHAIN_LINK, TAG_BLOOM)))),
@@ -878,10 +877,11 @@ def make_revealed_subsequence(
     """Extract the subsequence at ``positions`` (1-based, ascending for an
     honest presentation) with statements elsewhere withheld entirely.
 
-    For the hash-chain scheme the result also carries the (link, proof
-    digest, issuer) triple for every chain position up to the last revealed
-    one, which is exactly the non-statement evidence an auditor needs to
-    replay the chain; nothing of the visits after it is disclosed.
+    For the hash-chain scheme the result also carries a ``ChainSlot``, the
+    (issuer, proof digest, link) triple, for each hidden position before
+    the last revealed one. With the revealed entries' own proofs and links
+    that is exactly what an auditor needs to replay the chain; nothing of
+    the visits after it is disclosed.
     """
     disclose = disclose or {}
     n = len(chain.entries)
@@ -896,6 +896,7 @@ def make_revealed_subsequence(
     )
     evidence: tuple[ChainSlot, ...] = ()
     if chain.scheme == SCHEME_HASHCHAIN:
+        shown = set(positions)
         evidence = tuple(
             ChainSlot(
                 position=i + 1,
@@ -904,5 +905,6 @@ def make_revealed_subsequence(
                 link=e.ordering,
             )
             for i, e in enumerate(chain.entries[:max(positions, default=0)])
+            if i + 1 not in shown
         )
     return RevealedSubsequence(chain.scheme, revealed, evidence)

@@ -1,10 +1,10 @@
 """Provenance-entry creation protocol: User, LocationAuthority, Witness.
 
 One visit is a request-response cascade. The user discovers the location
-authority and sends a proof request (``pReq``) carrying her identity and
-the ordering construct from the last entry of her chain (or a genesis
-marker). The authority runs secure localization (abstracted as a lookup
-in the simulator's ground truth) to confirm she is actually present, then
+authority and sends a proof request (``pReq``) carrying their identity
+and the ordering construct from the last entry of their chain (or a
+genesis marker). The authority runs secure localization (abstracted as a
+lookup in the simulator's ground truth) to confirm the user is present, then
 builds and signs the location proof, derives the new ordering construct
 from the supplied one, records the proof digest for its current epoch,
 and replies (``pResp``). The user forwards the proof to a nearby witness

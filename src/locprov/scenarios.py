@@ -433,7 +433,7 @@ class _Runner:
                     position=op["position"])
 
     def _op_drop_presented(self, op: dict) -> None:
-        # The presenter simply leaves entries out of the history she shows.
+        # The presenter simply leaves entries out of the history they show.
         for position in sorted(op["positions"], reverse=True):
             del self.presented[self._presented_index(position)]
         self._event(event="drop_presented", positions=op["positions"])
@@ -679,7 +679,7 @@ def builtin_suite(scheme: str) -> list[Scenario]:
     add(
         "chain-fork-mixed",
         threat_row="uLW", attack="chain-fork",
-        description="user replays an old ordering construct to fork her "
+        description="user replays an old ordering construct to fork their "
                     "chain, then mixes both branches in one presentation",
         actors=_std_actors(),
         script=_tour("cafe-7", "lib-2", "park-9") + [

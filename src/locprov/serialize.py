@@ -2,12 +2,12 @@
 
 Four file formats, each carrying a ``format_version`` field:
 
-* chain file (version 4) -- one line of JSON, the envelope: the crypto
+* chain file (version 5) -- one line of JSON, the envelope: the crypto
   profile name and ``directory``, the public keys of the parties whose keys
   an audit of the subsequence looks up (``audit.signer_ids``) and of no one
   else; then a newline, then the canonical encoding of a revealed
   subsequence (a full chain is the reveal-all case), deflated, as raw bytes;
-* registry file (version 4) -- one line of JSON holding the crypto profile
+* registry file (version 5) -- one line of JSON holding the crypto profile
   name, a newline, then the canonical encoding of the sequence of published
   epoch reports, deflated, as raw bytes;
 * claims file (version 2) -- the ordered location claims to audit, in
@@ -23,14 +23,17 @@ version.
 
 Everything signed or hashed therefore reaches an auditor in the one
 encoding of ``model``, decoded by ``model.canonical_decode``; this module
-only wraps it. A version 4 body is ``zlib.compress(canonical bytes)`` at
-the fixed level ``DEFLATE_LEVEL``.
+only wraps it. A version 5 body is ``zlib.compress(canonical bytes)`` at
+the fixed level ``DEFLATE_LEVEL``. It states each fact once: a hash-chain
+slot only for a hidden position (a revealed entry carries its own proof
+and link), and no count of an accumulator's inserts.
 
 A loader reads ``FORMAT_VERSION`` only: an input whose first line is not
 a JSON object of that version is refused on that header line. Older files
-(version 3's JSON object holding the deflated body in base64, version 2's
-undeflated, version 1's per-type JSON) are not read. A new version
-replaces ``FORMAT_VERSION`` rather than sitting beside it.
+(version 4's body with a slot at every position and an unsigned insert
+count, version 3's JSON object holding the deflated body in base64,
+version 2's undeflated, version 1's per-type JSON) are not read. A new
+version replaces ``FORMAT_VERSION`` rather than sitting beside it.
 
 Bodies are deflated and inflated as a stream, under the bound below: a
 sequence is deflated item by item (to the bytes of ``zlib.compress`` of the
@@ -76,7 +79,7 @@ from .model import (
 # Chain and registry files are written and read at FORMAT_VERSION, a JSON
 # line and a raw deflated body; claims and report files, plain JSON, at
 # PLAIN_VERSION.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 PLAIN_VERSION = 2
 DEFLATE_LEVEL = 6
 INFLATE_CAP = 1024
@@ -150,8 +153,8 @@ def _dump(fields: dict, version: int = PLAIN_VERSION,
 
 
 def _dump_file(fields: dict, obj) -> bytes:
-    """A version 4 file: the envelope ``fields`` as one line of JSON, then
-    the canonical encoding of ``obj``, deflated."""
+    """A chain or registry file: the envelope ``fields`` as one line of
+    JSON, then the canonical encoding of ``obj``, deflated."""
     deflater = zlib.compressobj(DEFLATE_LEVEL)
     # most pieces yield no output yet: the list holds only the output
     deflated = filter(None, map(deflater.compress, encode_pieces(obj)))

@@ -235,7 +235,6 @@ def _property_bloom_chain_16():
 
 
 def _property_hashchain_single_tampers_n8():
-    from dataclasses import replace
     from locprov.hashchain import chain_verify_subsequence
     from locprov.model import (ChainSlot, EndorsedLocationProof,
                                ProvenanceEntry, RevealedEntry,
@@ -247,51 +246,44 @@ def _property_hashchain_single_tampers_n8():
     links = [chain_genesis(MODERN, keys, proofs[0])]
     for lp in proofs[1:]:
         links.append(chain_extend(MODERN, keys, lp, links[-1]))
-    clean = [
-        ChainSlot(i + 1, "L", proof_digest(MODERN, lp), link)
-        for i, (lp, link) in enumerate(zip(proofs, links))
-    ]
     pubkeys = {"L": keys.public_key}
 
-    def verdict_for(slots, last):
+    def verdict_for(proofs, links):
+        """The stored chain of ``proofs`` and ``links`` presented by its
+        first and last entries, a slot for each position between."""
+        last = len(proofs)
         entries = tuple(
             RevealedEntry(p, ProvenanceEntry(
                 EndorsedLocationProof(proofs[p - 1], ()), links[p - 1]))
             for p in (1, last))
-        sub = RevealedSubsequence("hashchain", entries, tuple(slots))
+        slots = tuple(
+            ChainSlot(p, "L", proof_digest(MODERN, proofs[p - 1]),
+                      links[p - 1])
+            for p in range(2, last))
+        sub = RevealedSubsequence("hashchain", entries, slots)
         return chain_verify_subsequence(MODERN, sub, pubkeys, Counter())
 
     # sanity: the clean chain verifies
-    assert verdict_for(clean, 8).status == ORDER_OK
+    assert verdict_for(proofs, links).status == ORDER_OK
 
     outcomes = []
     for i in range(8):
         for j in range(i + 1, 8):
-            slots = list(clean)
-            slots[i] = ChainSlot(i + 1, "L", clean[j].proof_digest, clean[j].link)
-            slots[j] = ChainSlot(j + 1, "L", clean[i].proof_digest, clean[i].link)
-            outcomes.append(verdict_for(slots, 8).status != ORDER_OK)
+            order = list(range(8))
+            order[i], order[j] = j, i
+            outcomes.append(verdict_for([proofs[k] for k in order],
+                                        [links[k] for k in order]).status
+                            != ORDER_OK)
     for k in range(7):  # deletion-with-splice inside the revealed prefix
-        kept = [s for idx, s in enumerate(clean) if idx != k]
-        slots = [ChainSlot(idx + 1, s.issuer_id, s.proof_digest, s.link)
-                 for idx, s in enumerate(kept)]
-        entries = tuple(
-            RevealedEntry(p, ProvenanceEntry(
-                EndorsedLocationProof(proofs[[idx for idx in range(8)
-                                              if idx != k][p - 1]], ()),
-                slots[p - 1].link))
-            for p in (1, 7))
-        sub = RevealedSubsequence("hashchain", entries, tuple(slots))
-        outcomes.append(
-            chain_verify_subsequence(MODERN, sub, pubkeys, Counter()).status
-            != ORDER_OK)
-    impostor = proof_digest(
-        MODERN, make_proof(MODERN, keys, make_statement("u1", "L", 9999)))
+        outcomes.append(verdict_for(proofs[:k] + proofs[k + 1:],
+                                    links[:k] + links[k + 1:]).status
+                        != ORDER_OK)
+    impostor = make_proof(MODERN, keys, make_statement("u1", "L", 9999))
     for k in range(8):
-        slots = list(clean)
-        slots[k] = replace(slots[k], proof_digest=impostor)
-        outcomes.append(verdict_for(slots, 8).status != ORDER_OK)
+        outcomes.append(verdict_for(proofs[:k] + [impostor] + proofs[k + 1:],
+                                    links).status != ORDER_OK)
 
+    assert len(outcomes) == 28 + 7 + 8
     assert all(outcomes), f"{outcomes.count(False)} tampers slipped through"
 
 

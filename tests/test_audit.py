@@ -33,6 +33,8 @@ from locprov.experiments import build_honest_chain
 from locprov.crypto import MODERN, get_profile
 from locprov.epochs import EpochRegistry, build_epoch_report
 from locprov.model import (
+    ChainSlot,
+    HashChainLink,
     OrderingVerdict,
     RevealedEntry,
     RevealedSubsequence,
@@ -419,14 +421,28 @@ def _unknown_witness(sub):
         d, statement=replace(d.statement, witness_id="w9"))))
 
 
+def _slot(revealed):
+    """The chain slot that states ``revealed``'s issuer, proof and link."""
+    lp = revealed.entry.elp.proof
+    return ChainSlot(revealed.position, lp.statement.location_id,
+                     proof_digest(MODERN, lp), revealed.entry.ordering)
+
+
+def _hide(sub, position):
+    """``sub`` with the entry at ``position`` hidden behind its slot."""
+    (revealed,) = [r for r in sub.entries if r.position == position]
+    return replace(
+        sub, entries=tuple(r for r in sub.entries if r is not revealed),
+        chain_evidence=tuple(sorted(sub.chain_evidence + (_slot(revealed),),
+                                    key=lambda slot: slot.position)))
+
+
 def _flip_hidden_link(sub):
     """Hide position 3 and flip its link signature."""
-    slots = list(sub.chain_evidence)
-    slots[2] = replace(slots[2], link=replace(
-        slots[2].link, signature=_flip(slots[2].link.signature)))
-    return replace(sub, entries=tuple(
-        r for r in sub.entries if r.position != 3),
-        chain_evidence=tuple(slots))
+    sub = _hide(sub, 3)
+    (slot,) = sub.chain_evidence
+    return replace(sub, chain_evidence=(replace(slot, link=replace(
+        slot.link, signature=_flip(slot.link.signature))),))
 
 
 def _flip_accumulator(sub):
@@ -853,7 +869,8 @@ def _unsigned_accumulator(world, sub, pubkeys):
 
 def _smaller_accumulator(world, sub, pubkeys):
     """Position 3 carries a validly signed 64-entry filter holding its own
-    proof, where the others are sized for 1,000 entries."""
+    proof; in a Bloom presentation the others are sized for 1,000
+    entries."""
     profile = world.profile
     keys = world.authorities["cafe-7"].keys
 
@@ -870,6 +887,41 @@ def _link_of_position_2(world, sub, pubkeys):
     return _at(sub, 3, lambda e: replace(e, ordering=link))
 
 
+def _slot_at_revealed_position(world, sub, pubkeys):
+    return replace(sub, chain_evidence=(_slot(sub.entries[2]),))
+
+
+def _slot_past_last_revealed(world, sub, pubkeys):
+    return _hide(sub, 5)
+
+
+def _hidden_without_slot(world, sub, pubkeys):
+    return replace(sub, entries=tuple(r for r in sub.entries
+                                      if r.position != 3))
+
+
+def _two_slots_at_one_position(world, sub, pubkeys):
+    sub = _hide(sub, 3)
+    return replace(sub, chain_evidence=sub.chain_evidence * 2)
+
+
+def _last_at_the_largest_position(world, sub, pubkeys):
+    """Entry 5 claims position 2^32 - 1, past 2^32 - 6 hidden ones; the
+    rule reads as far as the slots go."""
+    return replace(sub, entries=(*sub.entries[:4], replace(
+        sub.entries[4], position=2**32 - 1)))
+
+
+def _slot_in_bloom_presentation(world, sub, pubkeys):
+    """A made-up slot at position 9, its link signature all zeros."""
+    sig = sub.entries[0].entry.elp.proof.authority_sig
+    link = HashChainLink(replace(sig, data=bytes(len(sig.data))))
+    return replace(sub, chain_evidence=(
+        ChainSlot(9, "lib-2", proof_digest(world.profile,
+                                           sub.entries[0].entry.elp.proof),
+                  link),))
+
+
 @pytest.mark.parametrize("scheme, change, verdicts, ordering", [
     ("bloom", _link_in_bloom_presentation, [OK] * 5,
      (ORDER_INCOMPLETE, "entry at position 2 has no accumulator")),
@@ -879,9 +931,26 @@ def _link_of_position_2(world, sub, pubkeys):
      (ORDER_REORDERED,
       "accumulator geometry changed between positions 2 and 3")),
     ("hashchain", _link_of_position_2, [OK] * 5,
-     (ORDER_REORDERED, "link mismatch at position 3")),
+     (ORDER_REORDERED, "link verification failed at position 3")),
+    ("hashchain", _slot_at_revealed_position, [OK] * 5,
+     (ORDER_INCOMPLETE, "stray chain evidence for position 3")),
+    ("hashchain", _slot_past_last_revealed, [OK] * 4,
+     (ORDER_INCOMPLETE, "stray chain evidence for position 5")),
+    ("hashchain", _hidden_without_slot, [OK] * 4,
+     (ORDER_INCOMPLETE, "no chain evidence for position 3")),
+    ("hashchain", _two_slots_at_one_position, [OK] * 4,
+     (ORDER_INCOMPLETE, "stray chain evidence for position 3")),
+    ("hashchain", _last_at_the_largest_position, [OK] * 5,
+     (ORDER_INCOMPLETE, "no chain evidence for position 5")),
+    ("hashchain", _smaller_accumulator, [OK] * 5,
+     (ORDER_INCOMPLETE, "entry at position 3 has no hash-chain link")),
+    ("bloom", _slot_in_bloom_presentation, [OK] * 5,
+     (ORDER_INCOMPLETE, "hash-chain slot in a Bloom presentation")),
 ], ids=["link-in-bloom", "unsigned-accumulator", "geometry-change",
-        "link-off-its-slot"])
+        "link-off-its-slot", "slot-at-revealed-position",
+        "slot-past-last-revealed", "hidden-without-slot",
+        "two-slots-at-one-position", "position-2^32-1",
+        "accumulator-in-hashchain", "slot-in-bloom"])
 def test_hostile_ordering_faults(serial_and_fanned_out, scheme, change,
                                  verdicts, ordering):
     """Each fault leaves every claim clean and is named by the ordering

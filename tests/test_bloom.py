@@ -134,8 +134,7 @@ def test_insert_idempotent_on_bits():
     item = _digest(rng)
     once = bloom_insert(PROFILE, bloom_new(100, 0.01), item)
     twice = bloom_insert(PROFILE, once, item)
-    assert once.bits == twice.bits
-    assert twice.inserted_count == 2  # the count still records the insert
+    assert twice == once  # nothing records the second insert
 
 
 def test_insert_never_clears_bits():
@@ -148,12 +147,14 @@ def test_insert_never_clears_bits():
         previous = popcount(acc)
 
 
-def test_over_capacity_flagged_not_rejected():
+def test_over_capacity_not_rejected():
+    """Inserting past capacity succeeds: the filter keeps its geometry and
+    holds every item, at a worse false-positive rate."""
     rng = random.Random(6)
-    acc = bloom_new(2, 0.01)
-    for _ in range(3):
-        acc = bloom_insert(PROFILE, acc, _digest(rng))
-    assert acc.inserted_count > acc.capacity
+    items = [_digest(rng) for _ in range(3)]
+    acc = bloom_insert(PROFILE, bloom_new(2, 0.01), *items)
+    assert bloom_well_formed(acc)
+    assert all(bloom_contains(PROFILE, acc, item) for item in items)
 
 
 def test_measured_fpr_1000_inserts_100k_probes():

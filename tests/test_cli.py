@@ -45,14 +45,15 @@ def _simulate(tmp_path, scenario_dir, name, out="run"):
 
 
 def _split(data: bytes) -> tuple[dict, bytes]:
-    """The JSON header and the raw deflated body of a version 4 file."""
+    """The JSON header and the raw deflated body of a chain or registry
+    file."""
     header, _, deflated = data.partition(b"\n")
     return json.loads(header), deflated
 
 
 def _join(header: dict, deflated: bytes) -> bytes:
-    """The version 4 file of ``header`` and ``deflated``, its JSON written
-    as ``simulate`` writes it."""
+    """The chain or registry file of ``header`` and ``deflated``, its JSON
+    written as ``simulate`` writes it."""
     return json.dumps(header, separators=(",", ":"),
                       sort_keys=True).encode() + b"\n" + deflated
 
@@ -595,17 +596,21 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
 
 def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
-    that files no longer use, under version 1 or version 4."""
+    that files no longer use: refused on its version 1 header, and under
+    version 5 for want of a deflated body."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     chain, _ = _split((out_dir / "chain.bin").read_bytes())
-    for version in (1, 4):
+    for version, message in (
+            (1, "chain file header has format_version 1; only 5 is read"),
+            (5, "chain subsequence is a truncated deflate stream")):
         chain["format_version"] = version
         chain["subsequence"] = {
             "scheme": "bloom", "chain_evidence": [],
             "entries": [{"position": "1", "disclosed": [], "entry": {}}]}
         (out_dir / "v1.json").write_text(json.dumps(chain))
         code, err = _audit_exit(out_dir, capsys, chain="v1.json")
-        assert code == 2 and err.startswith("error:")
+        assert code == 2
+        assert err == f"error: cannot load inputs: {message}\n"
 
 
 def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
@@ -614,7 +619,7 @@ def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
     _, registry = load_registry_file(data)
     header, _ = _split(data)
     reports = registry.reports()
-    assert header["format_version"] == 4
+    assert header["format_version"] == 5
     (out_dir / "twice.bin").write_bytes(_join(header, zlib.compress(
         canonical_encode(reports + reports[:1]))))
     code, err = _audit_exit(out_dir, capsys, registry="twice.bin")
@@ -792,14 +797,17 @@ def _retired_version_3(header: dict, deflated: bytes) -> bytes:
 # Hostile chain and registry files: name -> (the file, made from the header
 # and the deflated body of an honest one; a fragment of its one error line).
 # 16 MiB of zeros deflate past the cap.
-HOSTILE_VERSION_4 = {
+HOSTILE_FILES = {
     "first-line-not-an-object": (lambda header, deflated: (
         b"[4]\n" + deflated), "file header is not a JSON object"),
     "header-version-3": (lambda header, deflated: (
         _join({**header, "format_version": 3}, deflated)),
-        "file header has format_version 3; only 4 is read"),
+        "file header has format_version 3; only 5 is read"),
+    "header-version-4": (lambda header, deflated: (
+        _join({**header, "format_version": 4}, deflated)),
+        "file header has format_version 4; only 5 is read"),
     "retired-version-3": (_retired_version_3,
-                          "file header has format_version 3; only 4 is read"),
+                          "file header has format_version 3; only 5 is read"),
     "header-not-utf8": (lambda header, deflated: (
         b'{"\xff":0,' + _join(header, deflated)[1:]),
         "file header is not JSON"),
@@ -814,12 +822,12 @@ HOSTILE_VERSION_4 = {
 }
 
 
-@pytest.mark.parametrize("attack", sorted(HOSTILE_VERSION_4))
+@pytest.mark.parametrize("attack", sorted(HOSTILE_FILES))
 def test_audit_hostile_version_4_file_exits_two(tmp_path, exported, capsys,
                                                 attack):
     """Each hostile chain or registry file: one error line, which names
     what is wrong, no output and exit 2, never a traceback."""
-    make, expected = HOSTILE_VERSION_4[attack]
+    make, expected = HOSTILE_FILES[attack]
     for fname, content in exported[0].items():
         (tmp_path / fname).write_bytes(content)
     for kind in ("chain", "registry"):

@@ -13,7 +13,8 @@ from locprov import scenarios
 from locprov.audit import (CLAIM_GRANULARITY_MISMATCH, audit, claimable_at,
                            signer_ids, truthful_claims)
 from locprov.crypto import get_profile
-from locprov.model import SCHEME_BLOOM, SCHEME_HASHCHAIN
+from locprov.model import (ORDER_INCOMPLETE, SCHEME_BLOOM, SCHEME_HASHCHAIN,
+                           ChainSlot, proof_digest)
 from locprov.protocol import Directory
 from locprov.scenarios import ScriptError, run_builtin_suite, run_scenario
 from locprov.serialize import dump_chain_file, load_chain_file
@@ -142,12 +143,13 @@ def test_hidden_entries_disclose_only_hash_chain_issuers(exported, scheme):
 
 
 def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
-    """No presentation carries a chain slot past its last revealed
-    position: no audit reads one, and each would disclose the issuer of a
+    """A presentation carries a chain slot for each hidden position before
+    its last revealed one, and no other: a revealed entry carries its own
+    proof and link, and a slot past it would disclose the issuer of a
     later visit and how many followed. Each built-in chain is presented as
     its scenario presents it, and by its first entry and its middle one
-    alone. A presentation that still carries the later slots, as older
-    files do, audits alike."""
+    alone. The same presentation with slots for the later positions breaks
+    the evidence rule: its claims audit alike, its order is Incomplete."""
     tails = 0
     for outcome, chain, text in exported:
         profile = get_profile(outcome.profile_name)
@@ -159,24 +161,32 @@ def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
                 outcome.directory))[1]
             for p in sorted({1, (n + 1) // 2}) if p < n]
         for sub in presented:
-            last = max((r.position for r in sub.entries), default=0)
+            revealed = {r.position for r in sub.entries}
+            last = max(revealed, default=0)
             slots = [slot.position for slot in sub.chain_evidence]
             if outcome.scheme == SCHEME_BLOOM:
                 assert slots == [], outcome.scenario
                 continue
-            assert slots == list(range(1, last + 1)), outcome.scenario
+            assert slots == [p for p in range(1, last + 1)
+                             if p not in revealed], outcome.scenario
             if last == n:
                 continue
             tails += 1
-            with_tail = dataclasses.replace(
-                sub, chain_evidence=scenarios.make_revealed_subsequence(
-                    profile, chain, [n]).chain_evidence)
+            with_tail = dataclasses.replace(sub, chain_evidence=(
+                *sub.chain_evidence,
+                *(ChainSlot(p, e.elp.proof.statement.location_id,
+                            proof_digest(profile, e.elp.proof), e.ordering)
+                  for p, e in enumerate(chain.entries[last:], last + 1))))
             pubkeys = Directory(outcome.directory).pubkeys()
             claims = truthful_claims(sub)
-            assert _report(audit(profile, claims, with_tail, pubkeys,
-                                 outcome.registry)) == _report(audit(
-                profile, claims, sub, pubkeys, outcome.registry)), \
-                outcome.scenario
+            report, tail_report = (
+                audit(profile, claims, s, pubkeys, outcome.registry)
+                for s in (sub, with_tail))
+            assert tail_report.claim_verdicts == report.claim_verdicts
+            assert (tail_report.ordering.status,
+                    tail_report.ordering.detail) == (
+                ORDER_INCOMPLETE, f"stray chain evidence for position "
+                                  f"{last + 1}"), outcome.scenario
     assert tails
 
 

@@ -104,6 +104,9 @@ def test_four_chain_links_all_verify():
 # ---------------------------------------------------------------------------
 
 def _sub(slots, revealed_positions, proofs, links, order=None):
+    """The presentation of ``revealed_positions`` of the chain of ``proofs``
+    and ``links``, with those of ``slots`` that are for hidden positions
+    before the last revealed one."""
     from locprov.model import (EndorsedLocationProof, ProvenanceEntry,
                                RevealedEntry)
     entries = []
@@ -111,7 +114,10 @@ def _sub(slots, revealed_positions, proofs, links, order=None):
         elp = EndorsedLocationProof(proofs[p - 1], ())
         entries.append(RevealedEntry(position=p,
                                      entry=ProvenanceEntry(elp, links[p - 1])))
-    return RevealedSubsequence("hashchain", tuple(entries), tuple(slots))
+    last = max(revealed_positions)
+    return RevealedSubsequence("hashchain", tuple(entries), tuple(
+        s for s in slots
+        if s.position < last and s.position not in revealed_positions))
 
 
 def test_full_chain_reveal_first_and_last_checks_all_links():
@@ -182,13 +188,17 @@ def test_unknown_issuer_is_incomplete():
 
 
 def test_empty_reveal_is_ok_and_costs_nothing():
+    """An empty presentation is in order; one that still carries slots
+    breaks the evidence rule, since no slot is before a revealed entry."""
     proofs, links = _build_links(2)
-    sub = RevealedSubsequence("hashchain", (), _slots(proofs, links))
-    checks = Counter()
-    verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       checks)
-    assert verdict.status == ORDER_OK
-    assert checks["link"] == 0
+    for slots, status in (((), ORDER_OK), (_slots(proofs, links),
+                                           ORDER_INCOMPLETE)):
+        sub = RevealedSubsequence("hashchain", (), slots)
+        checks = Counter()
+        verdict = chain_verify_subsequence(
+            PROFILE, sub, {"cafe-7": AUTH.public_key}, checks)
+        assert verdict.status == status
+        assert checks["link"] == 0
 
 
 def test_wrong_scheme_rejected():
@@ -229,52 +239,40 @@ def test_links_checked_equals_last_revealed_for_random_subsets():
 
 def test_exhaustive_single_tamper_n8_all_detected():
     """Every single swap, deletion-with-splice, or proof substitution in
-    the verified prefix breaks verification."""
+    the verified prefix breaks verification, whether the tampered position
+    is presented as a hidden slot or as the revealed first or last entry."""
     n = 8
     proofs, links = _build_links(n)
-    clean = _slots(proofs, links)
     pubkeys = {"cafe-7": AUTH.public_key}
 
-    detected = 0
-    total = 0
+    def detected(proofs, links):
+        sub = _sub(_slots(proofs, links), [1, len(proofs)], proofs, links)
+        return chain_verify_subsequence(PROFILE, sub, pubkeys,
+                                        Counter()).status != ORDER_OK
 
+    assert not detected(proofs, links)
+    outcomes = []
     # all pairwise swaps of stored entries
     for i in range(n):
         for j in range(i + 1, n):
-            slots = list(clean)
-            si, sj = slots[i], slots[j]
-            slots[i] = ChainSlot(i + 1, si.issuer_id, sj.proof_digest, sj.link)
-            slots[j] = ChainSlot(j + 1, sj.issuer_id, si.proof_digest, si.link)
-            sub = _sub(tuple(slots), [1, n], proofs, links)
-            verdict = chain_verify_subsequence(PROFILE, sub, pubkeys,
-                                               Counter())
-            total += 1
-            detected += verdict.status != ORDER_OK
+            swapped = list(range(n))
+            swapped[i], swapped[j] = j, i
+            outcomes.append(detected([proofs[k] for k in swapped],
+                                     [links[k] for k in swapped]))
 
     # deletion of any non-final position, splicing the remainder together
     for k in range(n - 1):
-        kept = [s for idx, s in enumerate(clean) if idx != k]
-        slots = tuple(
-            ChainSlot(idx + 1, s.issuer_id, s.proof_digest, s.link)
-            for idx, s in enumerate(kept))
-        remaining_proofs = [p for idx, p in enumerate(proofs) if idx != k]
-        remaining_links = [l for idx, l in enumerate(links) if idx != k]
-        sub = _sub(slots, [1, n - 1], remaining_proofs, remaining_links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
-        total += 1
-        detected += verdict.status != ORDER_OK
+        outcomes.append(detected(proofs[:k] + proofs[k + 1:],
+                                 links[:k] + links[k + 1:]))
 
-    # substitution of each proof digest
-    impostor_digest = proof_digest(PROFILE, _proof(1234))
+    # substitution of each proof
+    impostor = _proof(1234)
     for k in range(n):
-        slots = list(clean)
-        slots[k] = replace(slots[k], proof_digest=impostor_digest)
-        sub = _sub(tuple(slots), [1, n], proofs, links)
-        verdict = chain_verify_subsequence(PROFILE, sub, pubkeys, Counter())
-        total += 1
-        detected += verdict.status != ORDER_OK
+        outcomes.append(detected(proofs[:k] + [impostor] + proofs[k + 1:],
+                                 links))
 
-    assert detected == total
+    assert len(outcomes) == 28 + 7 + 8
+    assert all(outcomes)
 
 
 def test_completeness_long_chain_and_random_subsets(honest_chain_factory):

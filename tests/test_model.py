@@ -307,7 +307,6 @@ def _random_report(rng: random.Random, loc: str) -> EpochReport:
     acc = BloomAccumulator(
         bits=rng.randbytes(rng.randrange(1, 40)), hash_count=rng.randrange(1, 12),
         capacity=rng.randrange(1, 5000), target_fpr=rng.random(),
-        inserted_count=rng.randrange(100),
         authority_sig=rng.choice(
             [None, PROFILE.sign(KEYS_AUTH.private_key, rng.randbytes(8))]))
     sig = rng.choice([None, PROFILE.sign(KEYS_AUTH.private_key, b"report")])
@@ -335,8 +334,7 @@ def test_roundtrip_chain_and_bloom():
     lp = make_proof(PROFILE, KEYS_AUTH, _statement())
     elp = EndorsedLocationProof(lp, (_endorsed(lp),))
     acc = BloomAccumulator(bits=bytes(16), hash_count=3, capacity=10,
-                           target_fpr=0.01, inserted_count=2,
-                           authority_sig=lp.authority_sig)
+                           target_fpr=0.01, authority_sig=lp.authority_sig)
     chain = ProvenanceChain("bloom", (ProvenanceEntry(elp, acc),))
     assert canonical_decode(canonical_encode(chain), PROFILE) == chain
 
@@ -577,8 +575,8 @@ def _golden_objects():
     endorsement = Endorsement(es, sig(MODERN, 0xB1), sig(LEGACY, 0xB2))
     elp = EndorsedLocationProof(lp, (endorsement,))
     link = HashChainLink(sig(MODERN, 0xE1))
-    unsigned = BloomAccumulator(bytes(range(8)), 3, 20, 0.01, 2)
-    signed = BloomAccumulator(bytes(range(8)), 3, 20, 0.01, 21, sig(LEGACY, 0xF1))
+    unsigned = BloomAccumulator(bytes(range(8)), 3, 20, 0.01)
+    signed = BloomAccumulator(bytes(range(8)), 3, 20, 0.01, sig(LEGACY, 0xF1))
     hc_entry = ProvenanceEntry(elp, link)
     bloom_entry = ProvenanceEntry(elp, signed)
     report = EpochReport("cafe-7", 7, 7_000, 8_000, unsigned)
@@ -639,21 +637,21 @@ GOLDEN_SHA256 = {
     "0x07-entry-hashchain":
         "da301d8b901cbb1d5051585a3317e8b1d2c17c076e9b5eaca90e24174e6ffe9b",
     "0x07-entry-bloom":
-        "6d449a8874b94614da06338c36257941fe55d16fa727cbb1c7853861750d4676",
+        "1dfe11e2aadb396e41f6486a588d2c7cf1fa22a3d2e5630133a4b79213db3e2f",
     "0x08-chain":
         "61f3c480c917f5f3ed6fcdf517644cbbfcfa28e3511f397023ab36b0fe8d9054",
     "0x0A-link":
         "860663de8c94158d9c4a5882081411e81fc5c17e33052e0fae53f7ce5d8d1815",
     "0x0B-bloom-unsigned":
-        "c017f6f423789a817d796d9040241fd002b409567c8fc640d1eb9249eed7d9b1",
+        "dfdbaf6a74ded61114d38c83bcbb0ef8436bc21c6629ae58991d781150e56d0f",
     "0x0B-bloom-signed":
-        "e278506bae0ae15e042f9d6367264bd44de45cc9d6c46d8f6779ad11e72b2bc8",
+        "c0ab9f697c226344929456f3da3121668ff6cf7378a8b44a0300fd92f2907d88",
     "0x0C-timestamp":
         "2279b896f41a6535846739b79502d87acd638f021085b15c9ea27d67d3612eb6",
     "0x0D-report-unsigned":
-        "0970bc697614179d0f1074fab612d1dc5654cf77a7b85c61cf16ba2f35c41901",
+        "2ec956fce82738326fed3e7558bddd19a3227eaa312bfb5ffbbaed16b29ef896",
     "0x0D-report-signed":
-        "8961f4c000b5a158c886ca5bf77ec4b5081cb368f5b68a82c95c92d1ab834843",
+        "9708863e9f16717293e48db8676ceda343ed99e131c3fff733825637677de9b3",
     "0x0E-revealed-entry-disclosed":
         "19c68adc332cb41e245e10c9432104e2d8f15a95f1b891ad686b5a408a5358ab",
     "0x0F-chain-slot":
@@ -661,7 +659,7 @@ GOLDEN_SHA256 = {
     "0x10-revealed-subsequence":
         "ebe4bb5ed1d4b2567875a79f94ce955367899c9d2f5e11ae1cf71117c237fa5b",
     "0x20-sequence":
-        "75431254370e05cddc8323015316af49c66c00f9bbb784bec7d3e1484159e7db",
+        "540e32c889ffcf244ce7eb723d1ab830007153524839ed1b9a1295a327ab5fae",
     "0x20-sequence-empty":
         "ccef7d892e752044c89d5471eac8af79087c0e04e45c9ae566b05be88de30d1c",
     "0x01-view-statement":

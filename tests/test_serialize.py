@@ -4,6 +4,7 @@ import base64
 import gc
 import json
 import random
+import re
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -22,6 +23,7 @@ from locprov.model import (
 )
 from locprov.protocol import Directory, ProtocolConfig, World
 from locprov.serialize import (
+    FORMAT_VERSION,
     INFLATE_PIECE,
     FormatError,
     dump_audit_report_file,
@@ -56,16 +58,17 @@ def _round_trip(obj):
 
 
 def _split(data: bytes) -> tuple[dict, bytes]:
-    """The JSON header and the raw deflated body of a version 4 file."""
+    """The JSON header and the raw deflated body of a chain or registry
+    file."""
     header, newline, body = data.partition(b"\n")
     assert newline
     return json.loads(header), body
 
 
 def _join(header: dict, deflated: bytes) -> bytes:
-    """The version 4 file of envelope ``header`` and deflated body
+    """The chain or registry file of envelope ``header`` and deflated body
     ``deflated``."""
-    line = json.dumps({**header, "format_version": 4}).encode()
+    line = json.dumps({**header, "format_version": FORMAT_VERSION}).encode()
     return line + b"\n" + deflated
 
 
@@ -150,22 +153,22 @@ def test_spaced_full_directory_chain_file_audits_alike(world_and_chain):
 
 def test_files_are_versioned(world_and_chain):
     """Chain and registry files, a JSON header line and a raw deflated
-    body, are version 4; claims and report files are still version 2."""
+    body, are version 5; claims and report files are still version 2."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     claims = [LocationClaim("cafe-7", 0)]
     report = audit(world.profile, claims, sub, world.directory.pubkeys())
     for data in (dump_chain_file("modern", sub, dict(world.directory.parties)),
                  dump_registry_file("modern", world.registry)):
-        assert _split(data)[0]["format_version"] == 4
+        assert _split(data)[0]["format_version"] == 5
     for text in (dump_claims_file(claims), dump_audit_report_file(report)):
         assert json.loads(text)["format_version"] == 2
 
 
 def test_wrong_version_rejected(world_and_chain):
-    """A version no loader reads, or one that is no integer (4.0 is not 4,
-    nor ``true`` 1), is refused on the header of every file kind that
-    loads."""
+    """A version no loader reads, version 4 included, or one that is no
+    integer (5.0 is not 5, nor ``true`` 1), is refused on the header of
+    every file kind that loads; the version 5 file itself loads."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     files = {
@@ -173,10 +176,11 @@ def test_wrong_version_rejected(world_and_chain):
                                          dict(world.directory.parties)),
         load_registry_file: dump_registry_file("modern", world.registry)}
     for load, data in files.items():
+        load(data)
         header, deflated = _split(data)
-        for version in (1, 2, 3, 5, 99, 2.0, 3.0, 4.0, True, "4"):
-            with pytest.raises(FormatError,
-                               match="header has format_version .*only 4"):
+        for version in (1, 2, 3, 4, 6, 99, 2.0, 4.0, 5.0, True, "5"):
+            with pytest.raises(FormatError, match=(
+                    f"header has format_version {version!r}; only 5 is read")):
                 load(json.dumps({**header, "format_version": version})
                      .encode() + b"\n" + deflated)
         del header["format_version"]
@@ -217,10 +221,10 @@ def test_bloom_subsequence_round_trip():
 
 @pytest.fixture(scope="module")
 def chain_file(world_and_chain):
-    """A subsequence, and the header and canonical bytes of its chain
-    file."""
+    """A subsequence that hides position 1, and the header and canonical
+    bytes of its chain file."""
     world, chain = world_and_chain
-    sub = make_revealed_subsequence(world.profile, chain, [1, 2])
+    sub = make_revealed_subsequence(world.profile, chain, [2, 3])
     header, deflated = _split(dump_chain_file("modern", sub,
                                               dict(world.directory.parties)))
     return sub, header, zlib.decompress(deflated)
@@ -291,7 +295,7 @@ def test_unknown_scheme_is_format_error(chain_file):
 
 def test_version_1_layout_is_format_error(chain_file):
     """The per-type JSON layout, string position and all, is not read:
-    under version 1, nor as the body of a version 4 file."""
+    under version 1, nor as the body of a version 5 file."""
     header = chain_file[1]
     v1 = {"scheme": "bloom", "entries": [{"position": "1", "disclosed": []}],
           "chain_evidence": []}
@@ -314,26 +318,46 @@ def test_malformed_directory_is_format_error(chain_file, directory):
         load_chain_file(_with_body({**header, "directory": directory}, body))
 
 
-@pytest.mark.parametrize("text", [
-    b"{not json", b"[]", b"[" * 100_000, b'{"format_version": 2}',
-    b'{"format_version": 2, "profile": "rot13", "subsequence": ""}',
+# The "v4-" rows have the header line and raw body that files have had
+# since version 4, written at FORMAT_VERSION where the row has a version.
+@pytest.mark.parametrize("text, message", [
+    pytest.param(b"{not json", "header is not JSON", id="{not json"),
+    pytest.param(b"[]", "header is not a JSON object", id="[]"),
+    pytest.param(b"[" * 100_000, "header is not JSON", id="[" * 100_000),
+    pytest.param(b'{"format_version": 2}',
+                 "header has format_version 2; only 5 is read",
+                 id='{"format_version": 2}'),
+    pytest.param(b'{"format_version": 2, "profile": "rot13", '
+                 b'"subsequence": ""}',
+                 "header has format_version 2; only 5 is read",
+                 id='{"format_version": 2, "profile": "rot13", '
+                    '"subsequence": ""}'),
     pytest.param(b'{"format_version": 3, "profile": "modern", '
-                 b'"subsequence": ""}', id="v3-empty-body"),
+                 b'"subsequence": ""}',
+                 "header has format_version 3; only 5 is read",
+                 id="v3-empty-body"),
     pytest.param(b'{"format_version": 3, "profile": "modern", '
-                 b'"subsequence": "AAAA"}', id="v3-undeflated-body"),
-    pytest.param(b'[4, "modern"]\n' + zlib.compress(b"\0"),
-                 id="v4-header-not-an-object"),
-    pytest.param(b'{"format_version": 4, "profile": "mod\xffern"}\n'
-                 + zlib.compress(b"\0"), id="v4-header-not-utf8"),
+                 b'"subsequence": "AAAA"}',
+                 "header has format_version 3; only 5 is read",
+                 id="v3-undeflated-body"),
+    pytest.param(b'[5, "modern"]\n' + zlib.compress(b"\0"),
+                 "header is not a JSON object", id="v4-header-not-an-object"),
+    pytest.param(b'{"format_version": %d, "profile": "mod\xffern"}\n'
+                 % FORMAT_VERSION + zlib.compress(b"\0"),
+                 "header is not JSON: 'utf-8' codec can't decode byte 0xff",
+                 id="v4-header-not-utf8"),
     pytest.param(b"[" * 100_000 + b"\n" + zlib.compress(b"\0"),
-                 id="v4-header-too-deep"),
-    pytest.param(b"\n" + zlib.compress(b"\0"), id="v4-header-empty"),
-    pytest.param(b'{"format_version": 4, "profile": "modern"}\n',
+                 "header is not JSON", id="v4-header-too-deep"),
+    pytest.param(b"\n" + zlib.compress(b"\0"), "header is not JSON",
+                 id="v4-header-empty"),
+    pytest.param(b'{"format_version": %d, "profile": "modern"}\n'
+                 % FORMAT_VERSION,
+                 "subsequence is a truncated deflate stream",
                  id="v4-empty-body"),
 ])
-def test_unreadable_envelope_is_format_error(text):
+def test_unreadable_envelope_is_format_error(text, message):
     """Each refused on its header line, or on the empty body after it."""
-    with pytest.raises(FormatError, match="header|truncated"):
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_chain_file(text)
 
 
