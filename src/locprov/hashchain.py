@@ -18,7 +18,6 @@ signatures, split across the machine's CPUs (see ``fanout``).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import zip_longest
 from typing import Mapping, Optional
 
 from .crypto import CryptoProfile, Digest, KeyPair
@@ -87,10 +86,11 @@ def chain_verify_subsequence(
     Each revealed entry carries its own issuer, proof and link, and claimed
     positions must strictly increase. The one evidence rule: the chain
     slots are the hidden positions before the last revealed one, one each,
-    ascending. An entry without a link, or slots that break the rule, leave
-    the order Incomplete. Every link from the start of the chain through
-    the last revealed position is replayed and its signature verified;
-    each counts one ``link`` in ``checks``.
+    in order, so a slot's position is the next hidden one. An entry without
+    a link, or more or fewer slots than hidden positions, leave the order
+    Incomplete. Every link from the start of the chain through the last
+    revealed position is replayed and its signature verified; each counts
+    one ``link`` in ``checks``.
     """
     if sub.scheme != SCHEME_HASHCHAIN:
         raise ValidationError(f"subsequence scheme is {sub.scheme!r}, not hash chain")
@@ -109,18 +109,21 @@ def chain_verify_subsequence(
         evidence[last] = (lp.statement.location_id, proof_digest(profile, lp),
                           r.entry.ordering)
 
+    hidden = last - len(sub.entries)
+    if len(sub.chain_evidence) > hidden:
+        return OrderingVerdict(
+            status=ORDER_INCOMPLETE,
+            detail=f"more chain slots ({len(sub.chain_evidence)}) than "
+                   f"hidden positions ({hidden})")
     # Lazily, so that a hostile position costs no more than its slots.
-    hidden = (p for p in range(1, last + 1) if p not in evidence)
-    for want, slot in zip_longest(hidden, sub.chain_evidence):
-        if slot is None or slot.position != want:
-            if slot is None or (want is not None and slot.position > want):
-                detail = f"no chain evidence for position {want}"
-            else:
-                detail = f"stray chain evidence for position {slot.position}"
-            return OrderingVerdict(status=ORDER_INCOMPLETE, detail=detail)
-    evidence.update((slot.position, (slot.issuer_id, slot.proof_digest,
-                                     slot.link))
-                    for slot in sub.chain_evidence)
+    slots = iter(sub.chain_evidence)
+    for position in (p for p in range(1, last + 1) if p not in evidence):
+        slot = next(slots, None)
+        if slot is None:
+            return OrderingVerdict(
+                status=ORDER_INCOMPLETE,
+                detail=f"no chain evidence for position {position}")
+        evidence[position] = (slot.issuer_id, slot.proof_digest, slot.link)
 
     prev_link: Optional[HashChainLink] = None
     for position in range(1, last + 1):

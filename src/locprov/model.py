@@ -29,24 +29,23 @@ bytes, and the chain and registry files (``serialize``) carry them, so
 ``canonical_decode``, which rejects anything that is not exactly one
 encoding with ``EncodingError``, is the one decoder of what an auditor reads.
 
-Wire tags: 0x01 statement, 0x02 private statement, 0x03 proof, 0x04
+Wire tags: 0x01 statement, 0x12 private statement, 0x03 proof, 0x04
 endorsement statement, 0x05 endorsement, 0x06 endorsed proof, 0x07 chain
-entry, 0x08 chain, 0x0A hash-chain link, 0x0B Bloom accumulator, 0x0C
-timestamp attestation, 0x0D epoch report, 0x0E revealed entry (its
-disclosed openings as index, value, nonce), 0x0F chain slot, 0x10 revealed
-subsequence, 0x20 sequence (a count, then objects of any tag but 0x20).
-Signing views that differ from the wire form add 0x10 to the wire tag:
-0x12 private statement (commitments, no nonces), 0x1B accumulator (no
-signature), 0x1D epoch report (no signature).
+entry, 0x0A hash-chain link, 0x0B Bloom accumulator, 0x0C timestamp
+attestation, 0x0D epoch report, 0x0E revealed entry (its disclosed openings
+as index, value, nonce), 0x0F chain slot, 0x10 revealed subsequence, 0x20
+sequence (a count, then objects of any tag but 0x20). A signed object whose
+signature is one of its fields is written as its signing view, tagged 0x10
+above its wire tag, then the signature: 0x1B accumulator, 0x1D epoch report
+(whose accumulator is nested as 0x1B). The views are only ever signed, and
+do not decode on their own. A proof's statement is signed as its wire
+encoding.
 
-Two deliberate asymmetries, both in the private-statement path:
-
-* The encoding of a private statement that gets *signed* (and the proof
-  encoding that gets *hashed* for endorsement binding) contains the
-  commitments but never the nonces or granularity values. Stripping
-  openings from a proof therefore does not disturb any signature or digest.
-* The granularity value strings are user-side context (they mirror the
-  authority's published granularity ladder) and are never encoded at all.
+A statement's nonces and granularity values are never encoded: a private
+statement is its commitments, so stripping the openings from a proof
+disturbs no signature or digest. The one place a nonce travels is an
+opening a revealed entry discloses; the granularity values are user-side
+context (they mirror the authority's published granularity ladder).
 """
 
 from __future__ import annotations
@@ -254,9 +253,9 @@ class RevealedEntry:
 class ChainSlot:
     """Hash-chain ordering evidence for one hidden position: its link and
     proof digest, and the issuer id that resolves the verifying key. A
-    revealed entry carries its own."""
+    revealed entry carries its own. The slot's position is not stated: the
+    slots of a subsequence are its hidden positions, in order."""
 
-    position: int
     issuer_id: str
     proof_digest: Digest
     link: HashChainLink
@@ -309,13 +308,11 @@ class OrderingVerdict:
 # ---------------------------------------------------------------------------
 
 TAG_STATEMENT = 0x01
-TAG_PRIVATE_STATEMENT = 0x02
 TAG_PROOF = 0x03
 TAG_ENDORSEMENT_STATEMENT = 0x04
 TAG_ENDORSEMENT = 0x05
 TAG_ENDORSED_PROOF = 0x06
 TAG_ENTRY = 0x07
-TAG_CHAIN = 0x08
 TAG_CHAIN_LINK = 0x0A
 TAG_BLOOM = 0x0B
 TAG_TIMESTAMP = 0x0C
@@ -324,9 +321,9 @@ TAG_REVEALED_ENTRY = 0x0E
 TAG_CHAIN_SLOT = 0x0F
 TAG_REVEALED_SUBSEQUENCE = 0x10
 TAG_SEQUENCE = 0x20
-# Signing views that differ from the wire form get their own tags so no
-# two distinct byte strings can be confused across contexts.
-TAG_PRIVATE_STATEMENT_CORE = 0x12
+TAG_PRIVATE_STATEMENT_CORE = 0x12  # commitments, never nonces
+# Signing views get their own tags so no two distinct byte strings can be
+# confused across contexts.
 TAG_BLOOM_CORE = 0x1B
 TAG_EPOCH_REPORT_CORE = 0x1D
 
@@ -352,6 +349,8 @@ def _text(s: str) -> bytes:
 
 
 def _sig_bytes(sig: Signature) -> bytes:
+    if sig is None:
+        raise EncodingError("a signature is missing")
     if sig.scheme_id not in _SCHEME_TAGS:
         raise EncodingError(f"unknown signature scheme {sig.scheme_id!r}")
     return bytes([_SCHEME_TAGS[sig.scheme_id]]) + sig.data
@@ -419,12 +418,6 @@ class _Reader:
         return Signature(scheme_id=profile.scheme_id,
                          data=self.take(profile.signature_len))
 
-    def optional_sig(self) -> Optional[Signature]:
-        flag = self.take(1)[0]
-        if flag > 1:
-            raise EncodingError(f"bad signature presence flag {flag:#04x}")
-        return self.sig() if flag else None
-
 
 # Field kinds. Each scalar kind is a (writer, reader) pair: the writer maps
 # a field's value to its bytes, the reader takes one value from a _Reader.
@@ -436,12 +429,10 @@ F64 = (_F64.pack, lambda r: _F64.unpack(r.take(8))[0])  # IEEE 754 double
 BLOB = (lambda data: _u32(len(data)) + data, _Reader.blob)  # behind a 4-byte length
 DIGEST = (attrgetter("data"), lambda r: Digest(r.take(r.profile.digest_len)))  # raw
 COMMITMENT = (attrgetter("digest.data"), lambda r: Commitment(DIGEST[1](r)))
-NONCE = (lambda nonce: nonce, lambda r: r.take(r.profile.nonce_len))  # raw
 SIG = (_sig_bytes, _Reader.sig)  # scheme tag, then the signature
-OPTIONAL_SIG = (lambda sig: b"\x00" if sig is None else b"\x01" + _sig_bytes(sig),
-                _Reader.optional_sig)
-OPENING = (lambda o: _u32(o[0]) + _text(o[1]) + o[2],  # (index, value, nonce)
-           lambda r: (r.u32(), r.text(), NONCE[1](r)))
+# (index, value, nonce), the nonce raw
+OPENING = (lambda o: _u32(o[0]) + _text(o[1]) + o[2],
+           lambda r: (r.u32(), r.text(), r.take(r.profile.nonce_len)))
 
 
 # Compound kinds: ``counted(kind)`` is a 4-byte count, then the items;
@@ -458,15 +449,14 @@ def nested(*tags: int) -> tuple:
 _STATEMENT = (("user_id", TEXT), ("location_id", TEXT), ("visit_time", U64))
 _BLOOM_CORE = (("bits", BLOB), ("hash_count", U32), ("capacity", U32),
                ("target_fpr", F64))
-_REPORT_HEAD = (("location_id", TEXT), ("epoch_id", U64), ("start", U64), ("end", U64))
+_REPORT_CORE = (("location_id", TEXT), ("epoch_id", U64), ("start", U64),
+                ("end", U64), ("accumulator", nested(TAG_BLOOM_CORE)))
 
 # The one statement of every layout: (tag, class, fields in wire order).
 # The fields are the first fields of the class, which the decoder fills by
 # position; the class's other fields keep their defaults.
 LAYOUTS = (
     (TAG_STATEMENT, LocationStatement, _STATEMENT),
-    (TAG_PRIVATE_STATEMENT, PrivateLocationStatement, _STATEMENT + (
-        ("commitments", counted(COMMITMENT)), ("nonces", counted(NONCE)))),
     (TAG_PRIVATE_STATEMENT_CORE, PrivateLocationStatement,
      _STATEMENT + (("commitments", counted(COMMITMENT)),)),
     (TAG_PROOF, LocationProof, (
@@ -485,31 +475,25 @@ LAYOUTS = (
         ("endorsements", counted(nested(TAG_ENDORSEMENT))))),
     (TAG_CHAIN_LINK, HashChainLink, (("signature", SIG),)),
     (TAG_BLOOM_CORE, BloomAccumulator, _BLOOM_CORE),
-    (TAG_BLOOM, BloomAccumulator, _BLOOM_CORE + (
-        ("authority_sig", OPTIONAL_SIG),)),
+    (TAG_BLOOM, BloomAccumulator, _BLOOM_CORE + (("authority_sig", SIG),)),
     (TAG_ENTRY, ProvenanceEntry, (
         ("elp", nested(TAG_ENDORSED_PROOF)),
         ("ordering", nested(TAG_CHAIN_LINK, TAG_BLOOM)))),
-    (TAG_CHAIN, ProvenanceChain, (
-        ("scheme", TEXT), ("entries", counted(nested(TAG_ENTRY))))),
     (TAG_REVEALED_ENTRY, RevealedEntry, (
         ("position", U32), ("entry", nested(TAG_ENTRY)),
         ("disclosed", counted(OPENING)))),
     (TAG_CHAIN_SLOT, ChainSlot, (
-        ("position", U32), ("issuer_id", TEXT), ("proof_digest", DIGEST),
+        ("issuer_id", TEXT), ("proof_digest", DIGEST),
         ("link", nested(TAG_CHAIN_LINK)))),
     (TAG_REVEALED_SUBSEQUENCE, RevealedSubsequence, (
         ("scheme", TEXT), ("entries", counted(nested(TAG_REVEALED_ENTRY))),
         ("chain_evidence", counted(nested(TAG_CHAIN_SLOT))))),
-    (TAG_EPOCH_REPORT_CORE, EpochReport, _REPORT_HEAD + (
-        ("accumulator", nested(TAG_BLOOM_CORE)),)),
-    (TAG_EPOCH_REPORT, EpochReport, _REPORT_HEAD + (
-        ("accumulator", nested(TAG_BLOOM)), ("report_sig", OPTIONAL_SIG))),
+    (TAG_EPOCH_REPORT_CORE, EpochReport, _REPORT_CORE),
+    (TAG_EPOCH_REPORT, EpochReport, _REPORT_CORE + (("report_sig", SIG),)),
 )
-# canonical_encode never gives a signing view. The decoder reads 0x12, which
-# proofs carry, but not the views that are only ever signed.
-SIGNING_VIEWS = {TAG_PRIVATE_STATEMENT_CORE, TAG_BLOOM_CORE, TAG_EPOCH_REPORT_CORE}
-_SIGNED_ONLY = {TAG_BLOOM_CORE, TAG_EPOCH_REPORT_CORE}
+# Layouts that are only ever signed: canonical_encode never gives them, and
+# the decoder reads them only nested in a layout that names them.
+SIGNING_VIEWS = {TAG_BLOOM_CORE, TAG_EPOCH_REPORT_CORE}
 
 # Compiled layouts by tag. A reader starts at the tag byte its caller checked.
 _ENCODERS: dict = {}
@@ -587,14 +571,6 @@ _WIRE_ENCODERS = {cls: _ENCODERS[tag] for tag, cls, _ in LAYOUTS
                   if tag not in SIGNING_VIEWS}
 _WIRE_PIECES = {cls: _PIECES[tag] for tag, cls, _ in LAYOUTS
                 if tag not in SIGNING_VIEWS}
-_write_signed_statement, _ = _field_codec(
-    nested(TAG_STATEMENT, TAG_PRIVATE_STATEMENT_CORE))
-
-
-def statement_signing_bytes(stmt: Statement) -> bytes:
-    """The bytes a location authority signs: for private statements this
-    covers the commitments but never the nonces."""
-    return _write_signed_statement(stmt)
 
 
 def bloom_signing_bytes(acc: BloomAccumulator) -> bytes:
@@ -673,7 +649,7 @@ def _read_item(r: _Reader):
 
 
 # What the decoder reads alone or as an item of a sequence.
-_ITEM_READERS = {tag: read for tag, read in _READERS.items() if tag not in _SIGNED_ONLY}
+_ITEM_READERS = {tag: read for tag, read in _READERS.items() if tag not in SIGNING_VIEWS}
 
 
 # ---------------------------------------------------------------------------
@@ -731,14 +707,14 @@ def make_proof(profile: CryptoProfile, authority_keys: KeyPair,
                statement: Statement) -> LocationProof:
     return LocationProof(
         statement,
-        profile.sign(authority_keys.private_key, statement_signing_bytes(statement)),
+        profile.sign(authority_keys.private_key, canonical_encode(statement)),
     )
 
 
 def proof_signed(profile: CryptoProfile, public_key: bytes,
                  lp: LocationProof) -> bool:
     """Whether ``lp`` carries its authority's signature under ``public_key``."""
-    return profile.verify(public_key, statement_signing_bytes(lp.statement),
+    return profile.verify(public_key, canonical_encode(lp.statement),
                           lp.authority_sig)
 
 
@@ -879,9 +855,9 @@ def make_revealed_subsequence(
 
     For the hash-chain scheme the result also carries a ``ChainSlot``, the
     (issuer, proof digest, link) triple, for each hidden position before
-    the last revealed one. With the revealed entries' own proofs and links
-    that is exactly what an auditor needs to replay the chain; nothing of
-    the visits after it is disclosed.
+    the last revealed one, in order. With the revealed entries' own proofs
+    and links that is exactly what an auditor needs to replay the chain;
+    nothing of the visits after it is disclosed.
     """
     disclose = disclose or {}
     n = len(chain.entries)
@@ -899,7 +875,6 @@ def make_revealed_subsequence(
         shown = set(positions)
         evidence = tuple(
             ChainSlot(
-                position=i + 1,
                 issuer_id=e.elp.proof.statement.location_id,
                 proof_digest=proof_digest(profile, e.elp.proof),
                 link=e.ordering,

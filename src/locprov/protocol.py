@@ -149,14 +149,13 @@ class GroundTruth:
 
 @dataclass
 class Directory:
-    """Public lookup of party identities, keys and authority metadata."""
+    """Public lookup of party identities and their keys: each entry holds
+    only the party's ``public_key``."""
 
     parties: dict[str, dict] = dataclass_field(default_factory=dict)
 
-    def register(self, party_id: str, role: str, keys: KeyPair) -> None:
-        self.parties[party_id] = {
-            "role": role, "public_key": keys.public_key,
-            "scheme_id": keys.scheme_id}
+    def register(self, party_id: str, keys: KeyPair) -> None:
+        self.parties[party_id] = {"public_key": keys.public_key}
 
     def public_key(self, party_id: str) -> bytes:
         try:
@@ -690,7 +689,7 @@ class World:
             derive_seed(self.master_seed, f"{role.ROLE}:{party_id}"))
         agent = role(self, party_id, keys, **options)
         members[party_id] = agent
-        self.directory.register(party_id, role.ROLE, keys)
+        self.directory.register(party_id, keys)
         self.bus.register(party_id, agent.handle)
         return agent
 

@@ -2,12 +2,13 @@
 
 Four file formats, each carrying a ``format_version`` field:
 
-* chain file (version 5) -- one line of JSON, the envelope: the crypto
-  profile name and ``directory``, the public keys of the parties whose keys
-  an audit of the subsequence looks up (``audit.signer_ids``) and of no one
-  else; then a newline, then the canonical encoding of a revealed
-  subsequence (a full chain is the reveal-all case), deflated, as raw bytes;
-* registry file (version 5) -- one line of JSON holding the crypto profile
+* chain file (version 6) -- one line of JSON, the envelope: the crypto
+  profile name and ``directory``, which maps each party whose key an audit
+  of the subsequence looks up (``audit.signer_ids``), and no one else, to
+  an entry holding only its ``public_key`` in base64; then a newline, then
+  the canonical encoding of a revealed subsequence (a full chain is the
+  reveal-all case), deflated, as raw bytes;
+* registry file (version 6) -- one line of JSON holding the crypto profile
   name, a newline, then the canonical encoding of the sequence of published
   epoch reports, deflated, as raw bytes;
 * claims file (version 2) -- the ordered location claims to audit, in
@@ -23,17 +24,17 @@ version.
 
 Everything signed or hashed therefore reaches an auditor in the one
 encoding of ``model``, decoded by ``model.canonical_decode``; this module
-only wraps it. A version 5 body is ``zlib.compress(canonical bytes)`` at
-the fixed level ``DEFLATE_LEVEL``. It states each fact once: a hash-chain
-slot only for a hidden position (a revealed entry carries its own proof
-and link), and no count of an accumulator's inserts.
+only wraps it. A version 6 body is ``zlib.compress(canonical bytes)`` at
+the fixed level ``DEFLATE_LEVEL``. It holds signed objects, each written
+as what its signer signed plus the signature, and states each fact once:
+a hash-chain slot only for a hidden position, with no position of its own
+(a revealed entry carries its own proof and link), and every signature
+required.
 
 A loader reads ``FORMAT_VERSION`` only: an input whose first line is not
-a JSON object of that version is refused on that header line. Older files
-(version 4's body with a slot at every position and an unsigned insert
-count, version 3's JSON object holding the deflated body in base64,
-version 2's undeflated, version 1's per-type JSON) are not read. A new
-version replaces ``FORMAT_VERSION`` rather than sitting beside it.
+a JSON object of that version is refused on that header line, and no
+other version is read. A new version replaces ``FORMAT_VERSION`` rather
+than sitting beside it.
 
 Bodies are deflated and inflated as a stream, under the bound below: a
 sequence is deflated item by item (to the bytes of ``zlib.compress`` of the
@@ -51,7 +52,8 @@ of its stream or fails its Adler-32 check is refused.
 
 Every loader raises ``FormatError`` for any input it cannot take, whatever
 is wrong with it. A JSON record that a dataclass holds, here a claim, is
-checked against the fields of that class (``field_table``), its one schema.
+checked against the fields of that class (``field_table``), its one schema;
+a directory entry, against ``DIRECTORY_ENTRY_FIELDS``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .model import (
 # Chain and registry files are written and read at FORMAT_VERSION, a JSON
 # line and a raw deflated body; claims and report files, plain JSON, at
 # PLAIN_VERSION.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 PLAIN_VERSION = 2
 DEFLATE_LEVEL = 6
 INFLATE_CAP = 1024
@@ -132,6 +134,7 @@ def check_fields(obj, table: dict, what: str) -> None:
 
 
 CLAIM_FIELDS = field_table(LocationClaim)
+DIRECTORY_ENTRY_FIELDS = {"public_key": (str,)}  # base64
 
 
 def _b64(data: bytes) -> str:
@@ -239,17 +242,13 @@ def _load_file(data: bytes, kind: str, field: str,
 
 def _directory_from_json(obj) -> dict[str, dict]:
     if not isinstance(obj, dict):
-        raise FormatError("directory must be an object")
+        raise FormatError("chain file directory is not an object")
     directory = {}
     for pid, meta in obj.items():
-        if not (isinstance(meta, dict) and all(
-                isinstance(meta.get(k), str)
-                for k in ("role", "scheme", "public_key"))):
-            raise FormatError(f"directory entry {pid!r} needs role, scheme "
-                              "and public_key strings")
-        directory[pid] = {
-            "role": meta["role"], "scheme_id": meta["scheme"],
-            "public_key": _unb64(meta["public_key"], f"public key of {pid!r}")}
+        check_fields(meta, DIRECTORY_ENTRY_FIELDS,
+                     f"chain file directory entry {pid!r}")
+        directory[pid] = {"public_key": _unb64(meta["public_key"],
+                                               f"public key of {pid!r}")}
     return directory
 
 
@@ -261,8 +260,7 @@ def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
     return _dump_file({
         "profile": profile_name,
         "directory": {
-            pid: {"role": meta["role"], "scheme": meta["scheme_id"],
-                  "public_key": _b64(meta["public_key"])}
+            pid: {"public_key": _b64(meta["public_key"])}
             for pid, meta in directory.items() if pid in signers
         },
     }, sub)

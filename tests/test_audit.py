@@ -424,17 +424,19 @@ def _unknown_witness(sub):
 def _slot(revealed):
     """The chain slot that states ``revealed``'s issuer, proof and link."""
     lp = revealed.entry.elp.proof
-    return ChainSlot(revealed.position, lp.statement.location_id,
-                     proof_digest(MODERN, lp), revealed.entry.ordering)
+    return ChainSlot(lp.statement.location_id, proof_digest(MODERN, lp),
+                     revealed.entry.ordering)
 
 
 def _hide(sub, position):
-    """``sub`` with the entry at ``position`` hidden behind its slot."""
+    """``sub`` with the entry at ``position`` hidden behind its slot, which
+    goes after the slots of the hidden positions before it."""
     (revealed,) = [r for r in sub.entries if r.position == position]
+    before = position - 1 - sum(r.position < position for r in sub.entries)
+    slots = sub.chain_evidence
     return replace(
         sub, entries=tuple(r for r in sub.entries if r is not revealed),
-        chain_evidence=tuple(sorted(sub.chain_evidence + (_slot(revealed),),
-                                    key=lambda slot: slot.position)))
+        chain_evidence=(*slots[:before], _slot(revealed), *slots[before:]))
 
 
 def _flip_hidden_link(sub):
@@ -905,6 +907,14 @@ def _two_slots_at_one_position(world, sub, pubkeys):
     return replace(sub, chain_evidence=sub.chain_evidence * 2)
 
 
+def _extra_slot(world, sub, pubkeys):
+    """Positions 2 and 4 hidden behind their slots, then one slot more:
+    that of the revealed position 5."""
+    hidden = _hide(_hide(sub, 4), 2)
+    return replace(hidden, chain_evidence=(*hidden.chain_evidence,
+                                           _slot(sub.entries[4])))
+
+
 def _last_at_the_largest_position(world, sub, pubkeys):
     """Entry 5 claims position 2^32 - 1, past 2^32 - 6 hidden ones; the
     rule reads as far as the slots go."""
@@ -913,12 +923,12 @@ def _last_at_the_largest_position(world, sub, pubkeys):
 
 
 def _slot_in_bloom_presentation(world, sub, pubkeys):
-    """A made-up slot at position 9, its link signature all zeros."""
+    """A made-up slot, its link signature all zeros."""
     sig = sub.entries[0].entry.elp.proof.authority_sig
     link = HashChainLink(replace(sig, data=bytes(len(sig.data))))
     return replace(sub, chain_evidence=(
-        ChainSlot(9, "lib-2", proof_digest(world.profile,
-                                           sub.entries[0].entry.elp.proof),
+        ChainSlot("lib-2", proof_digest(world.profile,
+                                        sub.entries[0].entry.elp.proof),
                   link),))
 
 
@@ -933,13 +943,15 @@ def _slot_in_bloom_presentation(world, sub, pubkeys):
     ("hashchain", _link_of_position_2, [OK] * 5,
      (ORDER_REORDERED, "link verification failed at position 3")),
     ("hashchain", _slot_at_revealed_position, [OK] * 5,
-     (ORDER_INCOMPLETE, "stray chain evidence for position 3")),
+     (ORDER_INCOMPLETE, "more chain slots (1) than hidden positions (0)")),
     ("hashchain", _slot_past_last_revealed, [OK] * 4,
-     (ORDER_INCOMPLETE, "stray chain evidence for position 5")),
+     (ORDER_INCOMPLETE, "more chain slots (1) than hidden positions (0)")),
     ("hashchain", _hidden_without_slot, [OK] * 4,
      (ORDER_INCOMPLETE, "no chain evidence for position 3")),
     ("hashchain", _two_slots_at_one_position, [OK] * 4,
-     (ORDER_INCOMPLETE, "stray chain evidence for position 3")),
+     (ORDER_INCOMPLETE, "more chain slots (2) than hidden positions (1)")),
+    ("hashchain", _extra_slot, [OK] * 3,
+     (ORDER_INCOMPLETE, "more chain slots (3) than hidden positions (2)")),
     ("hashchain", _last_at_the_largest_position, [OK] * 5,
      (ORDER_INCOMPLETE, "no chain evidence for position 5")),
     ("hashchain", _smaller_accumulator, [OK] * 5,
@@ -949,7 +961,7 @@ def _slot_in_bloom_presentation(world, sub, pubkeys):
 ], ids=["link-in-bloom", "unsigned-accumulator", "geometry-change",
         "link-off-its-slot", "slot-at-revealed-position",
         "slot-past-last-revealed", "hidden-without-slot",
-        "two-slots-at-one-position", "position-2^32-1",
+        "two-slots-at-one-position", "extra-slot", "position-2^32-1",
         "accumulator-in-hashchain", "slot-in-bloom"])
 def test_hostile_ordering_faults(serial_and_fanned_out, scheme, change,
                                  verdicts, ordering):

@@ -337,7 +337,7 @@ def test_bit_size_computed_once_per_object(monkeypatch):
     # the cached value is no field: equality and bytes ignore it
     fresh = replace(acc)
     assert fresh == acc and hash(fresh) == hash(acc)
-    assert model.canonical_encode(fresh) == model.canonical_encode(acc)
+    assert model.bloom_signing_bytes(fresh) == model.bloom_signing_bytes(acc)
 
 
 def test_serialization_little_endian_lsb_first():

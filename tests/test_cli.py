@@ -20,7 +20,8 @@ from locprov.experiments import (
 )
 from locprov.crypto import MODERN
 from locprov.epochs import build_epoch_report
-from locprov.model import SCHEMES, canonical_encode, make_revealed_subsequence
+from locprov.model import (SCHEMES, canonical_encode, make_revealed_subsequence,
+                           make_statement)
 from locprov.audit import audit, truthful_claims
 from locprov.serialize import (
     dump_chain_file,
@@ -597,12 +598,12 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
 def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
     that files no longer use: refused on its version 1 header, and under
-    version 5 for want of a deflated body."""
+    version 6 for want of a deflated body."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     chain, _ = _split((out_dir / "chain.bin").read_bytes())
     for version, message in (
-            (1, "chain file header has format_version 1; only 5 is read"),
-            (5, "chain subsequence is a truncated deflate stream")):
+            (1, "chain file header has format_version 1; only 6 is read"),
+            (6, "chain subsequence is a truncated deflate stream")):
         chain["format_version"] = version
         chain["subsequence"] = {
             "scheme": "bloom", "chain_evidence": [],
@@ -619,12 +620,41 @@ def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
     _, registry = load_registry_file(data)
     header, _ = _split(data)
     reports = registry.reports()
-    assert header["format_version"] == 5
+    assert header["format_version"] == 6
     (out_dir / "twice.bin").write_bytes(_join(header, zlib.compress(
         canonical_encode(reports + reports[:1]))))
     code, err = _audit_exit(out_dir, capsys, registry="twice.bin")
     assert code == 2 and err.startswith("error:")
     assert "already published" in err
+
+
+# Version 5 bodies of the two layouts version 6 dropped: a private
+# statement with its nonces after its commitments, and a whole chain.
+RETIRED_LAYOUTS = {
+    "private-statement-with-nonces": (
+        b"\x02" + canonical_encode(make_statement("u1", "cafe-7", 1_000))[1:]
+        + (1).to_bytes(4, "big") + bytes(MODERN.digest_len)
+        + (1).to_bytes(4, "big") + bytes(MODERN.nonce_len)),
+    "chain": b"\x08" + (9).to_bytes(4, "big") + b"hashchain" + bytes(4),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(RETIRED_LAYOUTS))
+def test_audit_retired_layout_body_exits_two(tmp_path, capsys, layout):
+    """A chain file whose body is a bare item of a dropped layout is
+    refused on its tag."""
+    data = SHARED.parent / "shared-epochs-hashchain"
+    header, _ = _split((data / "chain.bin").read_bytes())
+    (tmp_path / "chain.bin").write_bytes(_join(header, zlib.compress(
+        RETIRED_LAYOUTS[layout])))
+    (tmp_path / "claims.json").write_text((data / "claims.json").read_text())
+    code, err = _audit_exit(tmp_path, capsys,
+                            registry=str(data / "registry.bin"))
+    tag = RETIRED_LAYOUTS[layout][0]
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: cannot load inputs: chain subsequence: unknown type tag "
+        f"{tag:#04x}"]
 
 
 def test_audit_registry_out_of_epoch_order_exits_two(tmp_path, scenario_dir,
@@ -794,20 +824,35 @@ def _retired_version_3(header: dict, deflated: bytes) -> bytes:
                       separators=(",", ":"), sort_keys=True).encode()
 
 
+def _directory_entry_role(header: dict, deflated: bytes) -> bytes | None:
+    """The chain file of ``header`` and ``deflated`` with a ``role`` in each
+    directory entry, as version 5 wrote; None for a registry file, which
+    has no directory."""
+    if "directory" not in header:
+        return None
+    return _join({**header, "directory": {
+        pid: {**meta, "role": "authority"}
+        for pid, meta in header["directory"].items()}}, deflated)
+
+
 # Hostile chain and registry files: name -> (the file, made from the header
-# and the deflated body of an honest one; a fragment of its one error line).
+# and the deflated body of an honest one, or None where the attack has no
+# place; a fragment of its one error line).
 # 16 MiB of zeros deflate past the cap.
 HOSTILE_FILES = {
     "first-line-not-an-object": (lambda header, deflated: (
-        b"[4]\n" + deflated), "file header is not a JSON object"),
+        b"[6]\n" + deflated), "file header is not a JSON object"),
     "header-version-3": (lambda header, deflated: (
         _join({**header, "format_version": 3}, deflated)),
-        "file header has format_version 3; only 5 is read"),
+        "file header has format_version 3; only 6 is read"),
     "header-version-4": (lambda header, deflated: (
         _join({**header, "format_version": 4}, deflated)),
-        "file header has format_version 4; only 5 is read"),
+        "file header has format_version 4; only 6 is read"),
+    "header-version-5": (lambda header, deflated: (
+        _join({**header, "format_version": 5}, deflated)),
+        "file header has format_version 5; only 6 is read"),
     "retired-version-3": (_retired_version_3,
-                          "file header has format_version 3; only 5 is read"),
+                          "file header has format_version 3; only 6 is read"),
     "header-not-utf8": (lambda header, deflated: (
         b'{"\xff":0,' + _join(header, deflated)[1:]),
         "file header is not JSON"),
@@ -819,6 +864,8 @@ HOSTILE_FILES = {
         _join(header, deflated + b"\0")), "trailing bytes after its deflate"),
     "bomb": (lambda header, deflated: (
         _join(header, zlib.compress(bytes(16 << 20)))), "inflates past"),
+    "directory-entry-role": (_directory_entry_role,
+                             "directory entry 'cafe-7': unknown field 'role'"),
 }
 
 
@@ -831,8 +878,10 @@ def test_audit_hostile_version_4_file_exits_two(tmp_path, exported, capsys,
     for fname, content in exported[0].items():
         (tmp_path / fname).write_bytes(content)
     for kind in ("chain", "registry"):
-        header, deflated = _split(exported[0][f"{kind}.bin"])
-        (tmp_path / "hostile.bin").write_bytes(make(header, deflated))
+        hostile = make(*_split(exported[0][f"{kind}.bin"]))
+        if hostile is None:
+            continue
+        (tmp_path / "hostile.bin").write_bytes(hostile)
         code = main(["audit", "--chain", str(tmp_path / "chain.bin"),
                      "--claims", str(tmp_path / "claims.json"),
                      "--registry", str(tmp_path / "registry.bin"),

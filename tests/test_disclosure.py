@@ -80,11 +80,11 @@ def test_signer_directory_audits_as_the_full_one(exported):
         assert full.asked <= signers, outcome.scenario
         assert _report(pruned) == _report(with_full) == _report(
             outcome.audit_report), outcome.scenario
-    # users sign nothing an audit checks: no file names one
-    assert not any(meta["role"] == "user"
-                   for _, _, text in exported
-                   for meta in json.loads(text.partition(b"\n")[0])
-                   ["directory"].values())
+    # users sign nothing an audit checks: no user id is a directory key
+    for outcome, chain, text in exported:
+        users = {e.elp.proof.statement.user_id for e in chain.entries}
+        assert not users & set(json.loads(text.partition(b"\n")[0])
+                               ["directory"]), outcome.scenario
 
 
 def _atoms(value) -> set:
@@ -132,14 +132,19 @@ def test_hidden_entries_disclose_only_hash_chain_issuers(exported, scheme):
             for value in meta.values())) | {envelope["profile"]})
         leaked = set().union(*(
             _fields(chain.entries[p - 1]) for p in hidden)) - carried
-        expected = set()
-        if scheme == SCHEME_HASHCHAIN:
-            expected = {slot.issuer_id for slot in sub.chain_evidence
-                        if slot.position in hidden} - carried
+        # every slot is for a hidden position
+        expected = {slot.issuer_id for slot in sub.chain_evidence} - carried
         assert leaked & in_file == expected, outcome.scenario
         disclosed |= expected
     assert hidden_seen
     assert bool(disclosed) == (scheme == SCHEME_HASHCHAIN)
+
+
+def _slot(profile, entry) -> ChainSlot:
+    """The chain slot that stands for hidden ``entry``."""
+    lp = entry.elp.proof
+    return ChainSlot(lp.statement.location_id, proof_digest(profile, lp),
+                     entry.ordering)
 
 
 def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
@@ -163,20 +168,20 @@ def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
         for sub in presented:
             revealed = {r.position for r in sub.entries}
             last = max(revealed, default=0)
-            slots = [slot.position for slot in sub.chain_evidence]
             if outcome.scheme == SCHEME_BLOOM:
-                assert slots == [], outcome.scenario
+                assert sub.chain_evidence == (), outcome.scenario
                 continue
-            assert slots == [p for p in range(1, last + 1)
-                             if p not in revealed], outcome.scenario
+            assert sub.chain_evidence == tuple(
+                _slot(profile, chain.entries[p - 1])
+                for p in range(1, last + 1) if p not in revealed), \
+                outcome.scenario
             if last == n:
                 continue
             tails += 1
+            hidden = len(sub.chain_evidence)
             with_tail = dataclasses.replace(sub, chain_evidence=(
                 *sub.chain_evidence,
-                *(ChainSlot(p, e.elp.proof.statement.location_id,
-                            proof_digest(profile, e.elp.proof), e.ordering)
-                  for p, e in enumerate(chain.entries[last:], last + 1))))
+                *(_slot(profile, e) for e in chain.entries[last:])))
             pubkeys = Directory(outcome.directory).pubkeys()
             claims = truthful_claims(sub)
             report, tail_report = (
@@ -185,8 +190,9 @@ def test_hash_chain_presentations_end_at_the_last_revealed_entry(exported):
             assert tail_report.claim_verdicts == report.claim_verdicts
             assert (tail_report.ordering.status,
                     tail_report.ordering.detail) == (
-                ORDER_INCOMPLETE, f"stray chain evidence for position "
-                                  f"{last + 1}"), outcome.scenario
+                ORDER_INCOMPLETE,
+                f"more chain slots ({hidden + n - last}) than hidden "
+                f"positions ({hidden})"), outcome.scenario
     assert tails
 
 

@@ -18,6 +18,7 @@ from locprov.hashchain import (
 from locprov.model import (
     ChainSlot,
     RevealedSubsequence,
+    OrderingVerdict,
     ValidationError,
     canonical_encode,
     make_proof,
@@ -47,10 +48,11 @@ def _build_links(n):
 
 
 def _slots(proofs, links, issuer="cafe-7"):
+    """One slot per chain position, in order."""
     return tuple(
-        ChainSlot(position=i + 1, issuer_id=issuer,
-                  proof_digest=proof_digest(PROFILE, lp), link=link)
-        for i, (lp, link) in enumerate(zip(proofs, links))
+        ChainSlot(issuer_id=issuer, proof_digest=proof_digest(PROFILE, lp),
+                  link=link)
+        for lp, link in zip(proofs, links)
     )
 
 
@@ -105,8 +107,8 @@ def test_four_chain_links_all_verify():
 
 def _sub(slots, revealed_positions, proofs, links, order=None):
     """The presentation of ``revealed_positions`` of the chain of ``proofs``
-    and ``links``, with those of ``slots`` that are for hidden positions
-    before the last revealed one."""
+    and ``links``, with the slots of ``slots`` (one per chain position) for
+    the hidden positions before the last revealed one."""
     from locprov.model import (EndorsedLocationProof, ProvenanceEntry,
                                RevealedEntry)
     entries = []
@@ -116,8 +118,7 @@ def _sub(slots, revealed_positions, proofs, links, order=None):
                                      entry=ProvenanceEntry(elp, links[p - 1])))
     last = max(revealed_positions)
     return RevealedSubsequence("hashchain", tuple(entries), tuple(
-        s for s in slots
-        if s.position < last and s.position not in revealed_positions))
+        slots[p - 1] for p in range(1, last) if p not in revealed_positions))
 
 
 def test_full_chain_reveal_first_and_last_checks_all_links():
@@ -144,8 +145,7 @@ def test_reveal_middle_checks_prefix_only():
 def test_swapped_links_detected():
     proofs, links = _build_links(4)
     slots = list(_slots(proofs, links))
-    slots[1], slots[2] = (replace(slots[2], position=2),
-                          replace(slots[1], position=3))
+    slots[1], slots[2] = slots[2], slots[1]
     sub = _sub(tuple(slots), [1, 4], proofs, links)
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
                                        Counter())
@@ -173,11 +173,12 @@ def test_claimed_order_must_ascend():
 
 def test_missing_prefix_evidence_is_incomplete():
     proofs, links = _build_links(4)
-    slots = [s for s in _slots(proofs, links) if s.position != 2]
-    sub = _sub(tuple(slots), [3], proofs, links)
+    sub = _sub(_slots(proofs, links), [3], proofs, links)
+    sub = replace(sub, chain_evidence=sub.chain_evidence[:1])  # no slot for 2
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
                                        Counter())
-    assert verdict.status == ORDER_INCOMPLETE
+    assert verdict == OrderingVerdict(ORDER_INCOMPLETE,
+                                      "no chain evidence for position 2")
 
 
 def test_unknown_issuer_is_incomplete():
@@ -312,13 +313,17 @@ def test_multi_authority_chain_resolves_per_entry_keys():
 
 
 def test_duplicate_evidence_positions_incomplete():
+    """Two slots for the one hidden position 2: one slot too many."""
     proofs, links = _build_links(3)
-    slots = list(_slots(proofs, links))
-    slots.append(slots[1])  # two slots claim position 2
-    sub = _sub(tuple(slots), [1, 3], proofs, links)
+    sub = _sub(_slots(proofs, links), [1, 3], proofs, links)
+    sub = replace(sub, chain_evidence=sub.chain_evidence * 2)
+    checks = Counter()
     verdict = chain_verify_subsequence(PROFILE, sub, {"cafe-7": AUTH.public_key},
-                                       Counter())
-    assert verdict.status == ORDER_INCOMPLETE
+                                       checks)
+    assert verdict == OrderingVerdict(ORDER_INCOMPLETE,
+                                      "more chain slots (2) than hidden "
+                                      "positions (1)")
+    assert checks["link"] == 0
 
 
 # ---------------------------------------------------------------------------

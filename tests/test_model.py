@@ -38,7 +38,6 @@ from locprov.model import (
     make_statement,
     proof_digest,
     reveal_granularity,
-    statement_signing_bytes,
 )
 from locprov.protocol import Message, VisitOutcome
 
@@ -111,13 +110,15 @@ def test_private_statement_single_granularity():
 
 
 def test_private_statement_per_granularity_overhead_is_24_bytes_legacy():
-    # commitment (20) plus nonce (4) under the 40-byte-signature profile
+    # commitment (20), encoded, plus nonce (4), kept beside it by the user,
+    # under the 40-byte-signature profile
     rng = random.Random(5)
     sizes = []
     for n in (1, 2, 3, 6):
         lsp = make_private_statement(LEGACY, "u1", "cafe-7", 100,
                                      [f"g{i}" for i in range(n)], rng)
-        sizes.append((n, len(canonical_encode(lsp))))
+        sizes.append((n, len(canonical_encode(lsp))
+                      + len(b"".join(lsp.nonces))))
     for (n1, s1), (n2, s2) in zip(sizes, sizes[1:]):
         assert (s2 - s1) == (n2 - n1) * (LEGACY.digest_len + LEGACY.nonce_len)
     assert LEGACY.digest_len + LEGACY.nonce_len == 24
@@ -161,7 +162,7 @@ def test_dictionary_attack_needs_the_nonce():
 def test_make_proof_signature_verifies():
     lp = make_proof(PROFILE, KEYS_AUTH, _statement())
     assert PROFILE.verify(KEYS_AUTH.public_key,
-                          statement_signing_bytes(lp.statement),
+                          canonical_encode(lp.statement),
                           lp.authority_sig)
 
 
@@ -169,7 +170,7 @@ def test_mutated_statement_fails_verification():
     lp = make_proof(PROFILE, KEYS_AUTH, _statement())
     mutated = make_statement("u1", "cafe-7", 101)
     assert not PROFILE.verify(KEYS_AUTH.public_key,
-                              statement_signing_bytes(mutated),
+                              canonical_encode(mutated),
                               lp.authority_sig)
 
 
@@ -179,7 +180,7 @@ def test_private_proof_signature_ignores_openings():
     lp = make_proof(PROFILE, KEYS_AUTH, lsp)
     stripped = replace(lsp, nonces=(), granularity_values=())
     assert PROFILE.verify(KEYS_AUTH.public_key,
-                          statement_signing_bytes(stripped),
+                          canonical_encode(stripped),
                           lp.authority_sig)
     # endorsement binding also survives stripping
     assert (proof_digest(PROFILE, lp)
@@ -267,7 +268,7 @@ def _random_object(rng: random.Random):
         lsp = make_private_statement(
             PROFILE, user, loc, t,
             [f"g{i}" for i in range(rng.randrange(1, 5))], rng)
-        return lsp
+        return replace(lsp, nonces=())  # the user keeps them; none is encoded
     lp = make_proof(PROFILE, KEYS_AUTH, make_statement(user, loc, t))
     if kind == 2:
         return lp
@@ -280,8 +281,7 @@ def _random_object(rng: random.Random):
     link = HashChainLink(PROFILE.sign(KEYS_AUTH.private_key, rng.randbytes(20)))
     if kind == 5:
         return ProvenanceEntry(elp, link)
-    slot = ChainSlot(rng.randrange(1, 10**6), loc, proof_digest(PROFILE, lp),
-                     link)
+    slot = ChainSlot(loc, proof_digest(PROFILE, lp), link)
     if kind == 6:
         return slot
     if kind in (7, 8):
@@ -291,7 +291,7 @@ def _random_object(rng: random.Random):
         plp = make_proof(PROFILE, KEYS_AUTH, lsp)
         pelp = EndorsedLocationProof(plp, (_make_endorsement_at(plp, t),))
         revealed = make_revealed_entry(
-            slot.position, ProvenanceEntry(pelp, link),
+            rng.randrange(1, 10**6), ProvenanceEntry(pelp, link),
             disclose=rng.sample([1, 2, 3], rng.randrange(4)))
         if kind == 7:
             return revealed
@@ -304,12 +304,11 @@ def _random_object(rng: random.Random):
 
 def _random_report(rng: random.Random, loc: str) -> EpochReport:
     epoch = rng.randrange(10**6)
+    # the report signature covers the accumulator, which carries none
     acc = BloomAccumulator(
         bits=rng.randbytes(rng.randrange(1, 40)), hash_count=rng.randrange(1, 12),
-        capacity=rng.randrange(1, 5000), target_fpr=rng.random(),
-        authority_sig=rng.choice(
-            [None, PROFILE.sign(KEYS_AUTH.private_key, rng.randbytes(8))]))
-    sig = rng.choice([None, PROFILE.sign(KEYS_AUTH.private_key, b"report")])
+        capacity=rng.randrange(1, 5000), target_fpr=rng.random())
+    sig = PROFILE.sign(KEYS_AUTH.private_key, rng.randbytes(8))
     return EpochReport(loc, epoch, epoch * 1000, epoch * 1000 + 1000, acc, sig)
 
 
@@ -322,7 +321,8 @@ def _make_endorsement_at(lp, endorsed_at):
 
 def test_roundtrip_fuzz_1000_objects():
     """decode(encode(x)) == x; granularity value strings are user-side
-    context excluded from both encoding and equality."""
+    context excluded from both encoding and equality, and a statement's
+    nonces are never encoded."""
     rng = random.Random(123)
     for _ in range(1000):
         obj = _random_object(rng)
@@ -331,16 +331,21 @@ def test_roundtrip_fuzz_1000_objects():
 
 
 def test_roundtrip_chain_and_bloom():
+    """A Bloom chain's entries, as a sequence, decode to themselves."""
     lp = make_proof(PROFILE, KEYS_AUTH, _statement())
     elp = EndorsedLocationProof(lp, (_endorsed(lp),))
     acc = BloomAccumulator(bits=bytes(16), hash_count=3, capacity=10,
                            target_fpr=0.01, authority_sig=lp.authority_sig)
     chain = ProvenanceChain("bloom", (ProvenanceEntry(elp, acc),))
-    assert canonical_decode(canonical_encode(chain), PROFILE) == chain
+    assert canonical_decode(canonical_encode(chain.entries),
+                            PROFILE) == chain.entries
 
 
 def _unsigned_bloom_encoding() -> bytes:
-    return canonical_encode(BloomAccumulator(bytes(2), 1, 1, 0.5))
+    """An accumulator as version 5 wrote an unsigned one: its signing view,
+    then a 0x00 presence flag where a signature goes."""
+    return (bytes([model.TAG_BLOOM]) + model.bloom_signing_bytes(
+        BloomAccumulator(bytes(2), 1, 1, 0.5))[1:] + b"\x00")
 
 
 @pytest.mark.parametrize("data, error", [
@@ -350,8 +355,8 @@ def _unsigned_bloom_encoding() -> bytes:
                  id="sequence-missing-item"),
     pytest.param(bytes([0x20, 0, 0, 0, 1, 0x20, 0, 0, 0, 0]), "do not nest",
                  id="nested-sequence"),
-    pytest.param(_unsigned_bloom_encoding()[:-1] + b"\x02", "presence flag",
-                 id="signature-flag-2"),
+    pytest.param(_unsigned_bloom_encoding(), "unknown signature scheme tag 0x00",
+                 id="unsigned-flag"),
     pytest.param(bytes([0x01, 0, 0, 0, 1, 0xFF]), "UTF-8", id="invalid-utf8"),
 ])
 def test_decode_rejects_malformed_input(data, error):
@@ -369,7 +374,7 @@ def test_signed_bit_mutation_fuzz_no_false_accepts():
         for _ in range(500):
             choice = rng.randrange(3)
             if choice == 0:
-                msg = statement_signing_bytes(
+                msg = canonical_encode(
                     make_statement(f"u{rng.randrange(9)}", "L", rng.randrange(10**6)))
                 sig = profile.sign(auth.private_key, msg)
                 key = auth.public_key
@@ -377,7 +382,7 @@ def test_signed_bit_mutation_fuzz_no_false_accepts():
                 lsp = make_private_statement(
                     profile, "u1", "L", rng.randrange(10**6),
                     [f"g{i}" for i in range(rng.randrange(1, 4))], rng)
-                msg = statement_signing_bytes(lsp)
+                msg = canonical_encode(lsp)
                 sig = profile.sign(auth.private_key, msg)
                 key = auth.public_key
             else:
@@ -452,9 +457,7 @@ _SCALAR_STRATEGIES = {
     model.BLOB: st.binary(max_size=16),
     model.DIGEST: _digests(),
     model.COMMITMENT: _digests().map(Commitment),
-    model.NONCE: _nonces(),
     model.SIG: _sigs(),
-    model.OPTIONAL_SIG: st.none() | _sigs(),
     model.OPENING: st.tuples(st.integers(0, 2**32 - 1), st.text(max_size=8),
                              _nonces()),
 }
@@ -491,7 +494,7 @@ def test_roundtrip_every_layout(obj):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(stmt=_layout_strategy(model.TAG_PRIVATE_STATEMENT_CORE))
 def test_private_statement_view_decodes_without_nonces(stmt):
-    data = statement_signing_bytes(stmt)
+    data = canonical_encode(stmt)
     assert data[0] == model.TAG_PRIVATE_STATEMENT_CORE
     assert canonical_decode(data, PROFILE) == stmt
 
@@ -579,16 +582,16 @@ def _golden_objects():
     signed = BloomAccumulator(bytes(range(8)), 3, 20, 0.01, sig(LEGACY, 0xF1))
     hc_entry = ProvenanceEntry(elp, link)
     bloom_entry = ProvenanceEntry(elp, signed)
-    report = EpochReport("cafe-7", 7, 7_000, 8_000, unsigned)
-    signed_report = EpochReport("cafe-7", 7, 7_000, 8_000, signed, sig(MODERN, 0xF2))
+    # the report signature covers the accumulator, which carries none
+    signed_report = EpochReport("cafe-7", 7, 7_000, 8_000, unsigned, sig(MODERN, 0xF2))
     revealed = RevealedEntry(4, ProvenanceEntry(
         EndorsedLocationProof(plp, (endorsement,)), link),
         ((2, "Chicago", b"\x05\x06\x07\x08"),))
-    slot = ChainSlot(4, "cafe-7", digest(0xD2), link)
+    slot = ChainSlot("cafe-7", digest(0xD2), link)
     encode = canonical_encode
     return {
         "0x01-statement": encode(stmt),
-        "0x02-private-statement-with-nonces": encode(lsp),
+        "0x12-private-statement": encode(lsp),
         "0x03-proof": encode(lp),
         "0x03-proof-legacy-signature": encode(LocationProof(stmt, sig(LEGACY, 0xA3))),
         "0x03-proof-private": encode(plp),
@@ -597,21 +600,19 @@ def _golden_objects():
         "0x06-endorsed-proof": encode(elp),
         "0x07-entry-hashchain": encode(hc_entry),
         "0x07-entry-bloom": encode(bloom_entry),
-        "0x08-chain": encode(ProvenanceChain("hashchain", (hc_entry, hc_entry))),
         "0x0A-link": encode(link),
-        "0x0B-bloom-unsigned": encode(unsigned),
         "0x0B-bloom-signed": encode(signed),
         "0x0C-timestamp": encode(att),
-        "0x0D-report-unsigned": encode(report),
         "0x0D-report-signed": encode(signed_report),
         "0x0E-revealed-entry-disclosed": encode(revealed),
         "0x0F-chain-slot": encode(slot),
         "0x10-revealed-subsequence": encode(
             RevealedSubsequence("hashchain", (revealed,), (slot, slot))),
-        "0x20-sequence": encode([report, signed_report, stmt]),
+        "0x20-sequence": encode([signed_report, stmt]),
         "0x20-sequence-empty": encode(()),
-        "0x01-view-statement": statement_signing_bytes(stmt),
-        "0x12-view-private-statement": statement_signing_bytes(lsp),
+        # what is signed: statements as they are encoded, and the views
+        "0x01-view-statement": encode(stmt),
+        "0x12-view-private-statement": encode(lsp),
         "0x1B-view-bloom": bloom_signing_bytes(signed),
         "0x1D-view-report": report_signing_bytes(signed_report),
     }
@@ -620,8 +621,8 @@ def _golden_objects():
 GOLDEN_SHA256 = {
     "0x01-statement":
         "3f5e7cf3ced5bc459b76793196295bb57dd73f0a6183d06be3ea6120149c45a5",
-    "0x02-private-statement-with-nonces":
-        "a284b46e5a0ba040d0345138d1809cc9da2576ecfac08223ce2d90d7c60d78d4",
+    "0x12-private-statement":
+        "2ace9f96fdc15b726614d050a20b87d8a3a0b23909a73e689e5935c0a178d08b",
     "0x03-proof":
         "dd4d6ba0f885495e35d1ddb055b5fa9df6b96d12345465b2a047145ebc2e0c4c",
     "0x03-proof-legacy-signature":
@@ -637,29 +638,23 @@ GOLDEN_SHA256 = {
     "0x07-entry-hashchain":
         "da301d8b901cbb1d5051585a3317e8b1d2c17c076e9b5eaca90e24174e6ffe9b",
     "0x07-entry-bloom":
-        "1dfe11e2aadb396e41f6486a588d2c7cf1fa22a3d2e5630133a4b79213db3e2f",
-    "0x08-chain":
-        "61f3c480c917f5f3ed6fcdf517644cbbfcfa28e3511f397023ab36b0fe8d9054",
+        "f21064cff92947d2afadccdd3f01226825c3465d793d96fecc66c7bd396d7cf8",
     "0x0A-link":
         "860663de8c94158d9c4a5882081411e81fc5c17e33052e0fae53f7ce5d8d1815",
-    "0x0B-bloom-unsigned":
-        "dfdbaf6a74ded61114d38c83bcbb0ef8436bc21c6629ae58991d781150e56d0f",
     "0x0B-bloom-signed":
-        "c0ab9f697c226344929456f3da3121668ff6cf7378a8b44a0300fd92f2907d88",
+        "bfffc1f24a24199e83410b06ec63d52dad3738464ed46298f06bffecdd0c38ea",
     "0x0C-timestamp":
         "2279b896f41a6535846739b79502d87acd638f021085b15c9ea27d67d3612eb6",
-    "0x0D-report-unsigned":
-        "2ec956fce82738326fed3e7558bddd19a3227eaa312bfb5ffbbaed16b29ef896",
     "0x0D-report-signed":
-        "9708863e9f16717293e48db8676ceda343ed99e131c3fff733825637677de9b3",
+        "9b99fa9d8c6b3a42df5dc7fc3bbf8b59d683ab5e820d73c3fc497ae79160368e",
     "0x0E-revealed-entry-disclosed":
         "19c68adc332cb41e245e10c9432104e2d8f15a95f1b891ad686b5a408a5358ab",
     "0x0F-chain-slot":
-        "cab0c694829a9b7496da6e1597acc9c4a0ed9fc7b4deea0b437c2d27f1124887",
+        "de602c10125c8c7dd94bf04dc1c040ed3df627c9b9bc4b0be35a807fe54ca063",
     "0x10-revealed-subsequence":
-        "ebe4bb5ed1d4b2567875a79f94ce955367899c9d2f5e11ae1cf71117c237fa5b",
+        "df2becd41139b839876a83844cddb4a126a19d772188ec5bb4540d8d6fbeb4d2",
     "0x20-sequence":
-        "540e32c889ffcf244ce7eb723d1ab830007153524839ed1b9a1295a327ab5fae",
+        "b78632bb6587ce9973a0a6d7606e4598617f55b9ad5be12587ae6804229e60f6",
     "0x20-sequence-empty":
         "ccef7d892e752044c89d5471eac8af79087c0e04e45c9ae566b05be88de30d1c",
     "0x01-view-statement":
@@ -690,12 +685,39 @@ def test_signing_views_do_not_decode(view):
 
 
 def test_golden_wire_vectors_decode_back():
-    """Every wire vector, and the 0x12 view, decodes to an object that
-    encodes to the same bytes."""
+    """Every vector but the views that are only signed decodes to an object
+    that encodes to the same bytes."""
     for name, data in _golden_objects().items():
-        if "view" in name and not name.startswith("0x12"):
+        if data[0] in model.SIGNING_VIEWS:
             continue
-        obj = canonical_decode(data, PROFILE)
-        again = (statement_signing_bytes(obj) if name.startswith("0x12")
-                 else canonical_encode(obj))
-        assert again == data, name
+        assert canonical_encode(canonical_decode(data, PROFILE)) == data, name
+
+
+def test_signed_objects_are_their_view_then_the_signature():
+    """A signed accumulator, a signed report and a Bloom entry are written
+    as what was signed, then the signature's scheme tag and bytes: no
+    presence flag, and a report's accumulator carries no signature slot."""
+    acc = BloomAccumulator(bytes(range(8)), 3, 20, 0.01,
+                           Signature(LEGACY.scheme_id, bytes([0xF1]) * 40))
+    report = EpochReport("cafe-7", 7, 7_000, 8_000, acc,
+                         Signature(MODERN.scheme_id, bytes([0xF2]) * 64))
+    acc_bytes = (b"\x0b" + model.bloom_signing_bytes(acc)[1:] + b"\x02"
+                 + acc.authority_sig.data)
+    assert canonical_encode(acc) == acc_bytes
+    assert canonical_encode(report) == (
+        b"\x0d" + model.report_signing_bytes(report)[1:] + b"\x01"
+        + report.report_sig.data)
+    lp = make_proof(PROFILE, KEYS_AUTH, _statement())
+    entry = ProvenanceEntry(EndorsedLocationProof(lp, (_endorsed(lp),)), acc)
+    assert canonical_encode(entry) == (
+        b"\x07" + canonical_encode(entry.elp) + acc_bytes)
+
+
+@pytest.mark.parametrize("obj", [
+    BloomAccumulator(bytes(2), 1, 1, 0.5),
+    EpochReport("cafe-7", 7, 7_000, 8_000, BloomAccumulator(bytes(2), 1, 1, 0.5)),
+], ids=["accumulator", "report"])
+def test_unsigned_objects_do_not_encode(obj):
+    """An object built before its signature has no wire form."""
+    with pytest.raises(EncodingError, match="a signature is missing"):
+        canonical_encode(obj)

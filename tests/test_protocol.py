@@ -11,8 +11,8 @@ from locprov.model import (
     make_proof,
     make_revealed_subsequence,
     make_statement,
+    canonical_encode,
     proof_digest,
-    statement_signing_bytes,
 )
 from locprov.protocol import (
     EREQ,
@@ -375,7 +375,7 @@ def test_proxy_visit_hides_issuing_block():
     assert "block-5" not in stmt.location_id
     assert world.profile.verify(
         world.directory.public_key("chicago-city"),
-        statement_signing_bytes(stmt), outcome.entry.elp.proof.authority_sig)
+        canonical_encode(stmt), outcome.entry.elp.proof.authority_sig)
     # full audit passes: the city recorded the digest and timestamps it
     world.finalize_epochs()
     user = world.users["u1"]

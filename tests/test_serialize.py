@@ -14,12 +14,10 @@ import pytest
 from locprov.crypto import MODERN, Digest, get_profile
 from locprov.epochs import EpochRegistry, build_epoch_report
 from locprov.model import (
-    ProvenanceChain,
     canonical_decode,
     canonical_encode,
     make_revealed_entry,
     make_revealed_subsequence,
-    statement_signing_bytes,
 )
 from locprov.protocol import Directory, ProtocolConfig, World
 from locprov.serialize import (
@@ -73,14 +71,14 @@ def _join(header: dict, deflated: bytes) -> bytes:
 
 
 def test_chain_round_trip(world_and_chain):
-    """A chain decodes to itself without the user-side openings of its
-    blinded statements, which no proof encoding carries."""
+    """A chain's entries, as a sequence, decode to themselves without the
+    user-side openings of their blinded statements, which no proof encoding
+    carries."""
     _, chain = world_and_chain
     assert chain.entries[0].elp.proof.statement.nonces
-    stripped = ProvenanceChain(chain.scheme, tuple(
-        make_revealed_entry(i, e).entry
-        for i, e in enumerate(chain.entries, 1)))
-    assert _round_trip(chain) == stripped
+    stripped = tuple(make_revealed_entry(i, e).entry
+                     for i, e in enumerate(chain.entries, 1))
+    assert _round_trip(chain.entries) == stripped
 
 
 def test_subsequence_round_trip(world_and_chain):
@@ -138,8 +136,7 @@ def test_spaced_full_directory_chain_file_audits_alike(world_and_chain):
     assert compact.partition(b"\n")[0] == json.dumps(
         header, separators=(",", ":"), sort_keys=True).encode()
     spaced = _join({**header, "directory": {
-        pid: {"role": meta["role"], "scheme": meta["scheme_id"],
-              "public_key": base64.b64encode(meta["public_key"]).decode()}
+        pid: {"public_key": base64.b64encode(meta["public_key"]).decode()}
         for pid, meta in world.directory.parties.items()}}, deflated)
     reports = []
     for text in (compact, spaced):
@@ -153,22 +150,22 @@ def test_spaced_full_directory_chain_file_audits_alike(world_and_chain):
 
 def test_files_are_versioned(world_and_chain):
     """Chain and registry files, a JSON header line and a raw deflated
-    body, are version 5; claims and report files are still version 2."""
+    body, are version 6; claims and report files are still version 2."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     claims = [LocationClaim("cafe-7", 0)]
     report = audit(world.profile, claims, sub, world.directory.pubkeys())
     for data in (dump_chain_file("modern", sub, dict(world.directory.parties)),
                  dump_registry_file("modern", world.registry)):
-        assert _split(data)[0]["format_version"] == 5
+        assert _split(data)[0]["format_version"] == 6
     for text in (dump_claims_file(claims), dump_audit_report_file(report)):
         assert json.loads(text)["format_version"] == 2
 
 
 def test_wrong_version_rejected(world_and_chain):
-    """A version no loader reads, version 4 included, or one that is no
-    integer (5.0 is not 5, nor ``true`` 1), is refused on the header of
-    every file kind that loads; the version 5 file itself loads."""
+    """A version no loader reads, version 5 included, or one that is no
+    integer (6.0 is not 6, nor ``true`` 1), is refused on the header of
+    every file kind that loads; the version 6 file itself loads."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     files = {
@@ -178,9 +175,9 @@ def test_wrong_version_rejected(world_and_chain):
     for load, data in files.items():
         load(data)
         header, deflated = _split(data)
-        for version in (1, 2, 3, 4, 6, 99, 2.0, 4.0, 5.0, True, "5"):
+        for version in (1, 2, 3, 4, 5, 7, 99, 2.0, 5.0, 6.0, True, "6"):
             with pytest.raises(FormatError, match=(
-                    f"header has format_version {version!r}; only 5 is read")):
+                    f"header has format_version {version!r}; only 6 is read")):
                 load(json.dumps({**header, "format_version": version})
                      .encode() + b"\n" + deflated)
         del header["format_version"]
@@ -248,7 +245,7 @@ def _sig_tag_offset(sub) -> int:
     """Offset of the first proof's signature-scheme tag in the encoding."""
     lp = sub.entries[0].entry.elp.proof
     return (canonical_encode(sub).index(canonical_encode(lp))
-            + 1 + len(statement_signing_bytes(lp.statement)))
+            + 1 + len(canonical_encode(lp.statement)))
 
 
 # name -> (mutation of the encoded subsequence, expected error)
@@ -282,7 +279,7 @@ def test_bad_base64_is_format_error(chain_file, text):
     _, header, body = chain_file
     directory = {pid: {**meta, "public_key": text}
                  for pid, meta in header["directory"].items()}
-    with pytest.raises(FormatError, match="public_key string|public key of"):
+    with pytest.raises(FormatError, match="public_key: unexpected|public key of"):
         load_chain_file(_with_body({**header, "directory": directory}, body))
 
 
@@ -295,7 +292,7 @@ def test_unknown_scheme_is_format_error(chain_file):
 
 def test_version_1_layout_is_format_error(chain_file):
     """The per-type JSON layout, string position and all, is not read:
-    under version 1, nor as the body of a version 5 file."""
+    under version 1, nor as the body of a version 6 file."""
     header = chain_file[1]
     v1 = {"scheme": "bloom", "entries": [{"position": "1", "disclosed": []}],
           "chain_evidence": []}
@@ -306,15 +303,22 @@ def test_version_1_layout_is_format_error(chain_file):
         load_chain_file(_with_body(header, json.dumps(v1).encode()))
 
 
-@pytest.mark.parametrize("directory", [
-    [], "keys", {"w1": []},
-    {"w1": {"role": "witness", "scheme": "ed25519"}},
-    {"w1": {"role": "witness", "scheme": 1, "public_key": "AAAA"}},
-    {"w1": {"role": "witness", "scheme": "ed25519", "public_key": "A!"}},
-])
-def test_malformed_directory_is_format_error(chain_file, directory):
+@pytest.mark.parametrize("directory, message", [
+    ([], "directory is not an object"),
+    ("keys", "directory is not an object"),
+    ({"w1": []}, "entry 'w1': unexpected list"),
+    ({"w1": {}}, "entry 'w1': missing field 'public_key'"),
+    ({"w1": {"public_key": 1}}, "entry 'w1'.public_key: unexpected int"),
+    ({"w1": {"public_key": "A!"}}, "public key of 'w1' is not valid base64"),
+    ({"w1": {"public_key": "AAAA", "role": "witness"}},
+     "entry 'w1': unknown field 'role'"),
+], ids=["directory0", "keys", "directory2", "directory3", "directory4",
+        "directory5", "entry-with-role"])
+def test_malformed_directory_is_format_error(chain_file, directory, message):
+    """A directory that is no object, or an entry that is not exactly a
+    base64 ``public_key``: version 5's ``role`` and ``scheme`` included."""
     _, header, body = chain_file
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_chain_file(_with_body({**header, "directory": directory}, body))
 
 
@@ -325,20 +329,20 @@ def test_malformed_directory_is_format_error(chain_file, directory):
     pytest.param(b"[]", "header is not a JSON object", id="[]"),
     pytest.param(b"[" * 100_000, "header is not JSON", id="[" * 100_000),
     pytest.param(b'{"format_version": 2}',
-                 "header has format_version 2; only 5 is read",
+                 "header has format_version 2; only 6 is read",
                  id='{"format_version": 2}'),
     pytest.param(b'{"format_version": 2, "profile": "rot13", '
                  b'"subsequence": ""}',
-                 "header has format_version 2; only 5 is read",
+                 "header has format_version 2; only 6 is read",
                  id='{"format_version": 2, "profile": "rot13", '
                     '"subsequence": ""}'),
     pytest.param(b'{"format_version": 3, "profile": "modern", '
                  b'"subsequence": ""}',
-                 "header has format_version 3; only 5 is read",
+                 "header has format_version 3; only 6 is read",
                  id="v3-empty-body"),
     pytest.param(b'{"format_version": 3, "profile": "modern", '
                  b'"subsequence": "AAAA"}',
-                 "header has format_version 3; only 5 is read",
+                 "header has format_version 3; only 6 is read",
                  id="v3-undeflated-body"),
     pytest.param(b'[5, "modern"]\n' + zlib.compress(b"\0"),
                  "header is not a JSON object", id="v4-header-not-an-object"),
