@@ -45,7 +45,7 @@ from .crypto import CryptoProfile, Digest, KeyPair
 from .model import EpochReport, ValidationError, report_signing_bytes
 
 
-# Digests an epoch report is sized for, unless the config says otherwise.
+# Digests every epoch report is sized for, at ``TARGET_FPR``.
 EPOCH_CAPACITY = 4096
 
 
@@ -68,16 +68,14 @@ def build_epoch_report(
     epoch_id: int,
     epoch_len_ms: int,
     digests: Sequence[Digest],
-    capacity: int = EPOCH_CAPACITY,
 ) -> EpochReport:
     """Accumulate an epoch's issued-proof digests and sign the report.
 
-    All digests are set in one copy of the empty filter's image, and an
-    empty report copies nothing. The report signature covers the
-    accumulator's bytes, so the accumulator itself is left unsigned."""
-    acc = bloom_new(capacity, TARGET_FPR)
-    if digests:
-        acc = bloom_insert(profile, acc, *digests)
+    All digests are set in one copy of the empty filter's image. The report
+    signature covers the accumulator's bytes, so the accumulator itself is
+    left unsigned."""
+    acc = bloom_insert(profile, bloom_new(EPOCH_CAPACITY, TARGET_FPR),
+                       *digests)
     start, end = epoch_bounds(epoch_id, epoch_len_ms)
     report = EpochReport(location_id, epoch_id, start, end, acc)
     sig = profile.sign(authority_keys.private_key, report_signing_bytes(report))

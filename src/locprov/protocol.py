@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from . import hashchain
 from .bloom import TARGET_FPR, bloom_insert, bloom_new, sign_accumulator
 from .crypto import CryptoProfile, Digest, KeyPair, Signature, derive_seed
-from .epochs import EPOCH_CAPACITY, EpochRegistry, build_epoch_report, epoch_of
+from .epochs import EpochRegistry, build_epoch_report, epoch_of
 from .model import (
     BloomAccumulator,
     COLLUDING_WINDOW_MS,
@@ -99,7 +99,6 @@ WITNESS_CLOCK_TOLERANCE_MS = 60_000
 @dataclass
 class ProtocolConfig:
     epoch_len_ms: int = 300_000
-    epoch_capacity: int = EPOCH_CAPACITY
     chain_capacity: int = 1000
     # simulated transmission delay applied before each message delivery
     hop_delay_ms: int = 200
@@ -373,9 +372,7 @@ class AuthorityAgent(_Party):
                             if self.current_epoch <= e < now):
             self.world.registry.publish(build_epoch_report(
                 self.world.profile, self.keys, self.id, epoch,
-                config.epoch_len_ms, self.epoch_digests.pop(epoch),
-                capacity=config.epoch_capacity,
-            ))
+                config.epoch_len_ms, self.epoch_digests.pop(epoch)))
         self.world.registry.close(self.id, now - 1)
         self.current_epoch = now
 

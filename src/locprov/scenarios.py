@@ -38,6 +38,7 @@ from .audit import (AuditReport, LocationClaim, audit, claimable_at,
                     classify_failure, truthful_claims)
 from .bloom import TARGET_FPR
 from .crypto import CryptoError, derive_seed, get_profile
+from .epochs import EPOCH_CAPACITY
 from .model import (
     COLLUDING_WINDOW_MS,
     EncodingError,
@@ -155,24 +156,23 @@ MAX_SCRIPT_FILTER_BITS = 1 << 30
 
 def _check_config(config: dict) -> None:
     """Bound the work a config asks for: a non-positive epoch length would
-    never close an epoch, and the capacities set the memory of every
-    accumulator and epoch report."""
+    never close an epoch, and the chain capacity sets the memory of every
+    accumulator."""
     if config["epoch_len_ms"] < 1:
         raise ValidationError("config.epoch_len_ms must be at least 1")
     if config["hop_delay_ms"] < 0:
         raise ValidationError("config.hop_delay_ms must not be negative")
-    for key in ("epoch_capacity", "chain_capacity"):
-        capacity = config[key]
-        if capacity < 1:
-            raise ValidationError(f"config.{key} must be at least 1")
-        try:
-            too_big = bloom_bit_size(capacity, TARGET_FPR) > MAX_FILTER_BITS
-        except OverflowError:
-            too_big = True
-        if too_big:
-            raise ValidationError(
-                f"config.{key} asks for a filter of more than "
-                f"{MAX_FILTER_BITS} bits")
+    capacity = config["chain_capacity"]
+    if capacity < 1:
+        raise ValidationError("config.chain_capacity must be at least 1")
+    try:
+        too_big = bloom_bit_size(capacity, TARGET_FPR) > MAX_FILTER_BITS
+    except OverflowError:
+        too_big = True
+    if too_big:
+        raise ValidationError(
+            "config.chain_capacity asks for a filter of more than "
+            f"{MAX_FILTER_BITS} bits")
 
 
 def _check_scenario(obj) -> None:
@@ -266,12 +266,13 @@ def _check_scenario(obj) -> None:
 def _check_filter_work(obj: dict, config: dict) -> None:
     """Bound the filter bits a scenario makes its parties build. Each
     recorded proof, from a ``visit`` (proxied or not) or a
-    ``fabricate_visit``, goes into at most one epoch report and, under
-    ``bloom``, one chain accumulator, so each is charged both. Epochs that
-    pass without a proof cost nothing, however many there are."""
+    ``fabricate_visit``, goes into at most one epoch report (every report
+    has one size) and, under ``bloom``, one chain accumulator, so each is
+    charged both. Epochs that pass without a proof cost nothing, however
+    many there are."""
     script = obj["script"]
     proofs = sum(op["op"] in ("visit", "fabricate_visit") for op in script)
-    bits = bloom_bit_size(config["epoch_capacity"], TARGET_FPR)
+    bits = bloom_bit_size(EPOCH_CAPACITY, TARGET_FPR)
     if obj["scheme"] == SCHEME_BLOOM:
         bits += bloom_bit_size(config["chain_capacity"], TARGET_FPR)
     if proofs * bits > MAX_SCRIPT_FILTER_BITS:

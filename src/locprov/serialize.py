@@ -41,10 +41,10 @@ sequence is deflated item by item (to the bytes of ``zlib.compress`` of the
 whole), and a body is decoded as it inflates, ``INFLATE_PIECE`` bytes at a
 time, its stream inflated to the end and checked before anything returns.
 A body is inflated to at most ``INFLATE_CAP`` (1,024) times its deflated
-length. The largest ratio measured with zlib 1.2.13 is 960:1, a registry
-of empty reports at the largest epoch capacity a scenario may ask for
-(2 MiB filters); authorities write no empty report, but one loads, as a
-report that holds no digest. A day of the simulator's default-capacity
+length. The largest ratio measured with zlib 1.2.13 is 960:1, a hostile
+registry file of empty reports whose filters each declare 2 MiB: a file
+states each filter's capacity, and an empty report loads as one holding
+no digest, though authorities write neither. A day of the simulator's
 reports, three of them, is 22 KB at 41:1. Deflate itself cannot pass
 about 1,032:1, so the cap states the bound more than it tightens it.
 A body that inflates past the cap, is truncated, has bytes after the end

@@ -151,6 +151,9 @@ _RUN = "error: scenario failed to run: "
                  id="config-epoch-fpr-above-1"),
     pytest.param("config", {"epoch_capacity": 100_000, "epoch_fpr": 1e-100},
                  _LOAD, id="config-epoch-capacity-and-fpr"),
+    pytest.param("config", {"epoch_capacity": 4096},
+                 f"{_LOAD}: config: unknown field 'epoch_capacity'",
+                 id="config-epoch-capacity"),
     pytest.param("profile_name", "rot13", _LOAD, id="profile"),
     pytest.param("expected_detection", _MISSING,
                  f"{_LOAD}: scenario: missing field 'expected_detection'",
@@ -266,14 +269,11 @@ def test_simulate_malformed_scenario_exits_two(tmp_path, scenario_dir, capsys,
 @pytest.mark.parametrize("config", [
     {"epoch_len_ms": 0},
     {"epoch_len_ms": -300_000},
-    {"epoch_capacity": 0},
     {"chain_capacity": -1},
-    {"epoch_capacity": 2**64},
     {"chain_capacity": 2**21},
     {"chain_capacity": 10**400},
-], ids=["epoch-len-0", "epoch-len-negative", "epoch-capacity-0",
-        "chain-capacity-negative", "epoch-capacity-2^64", "chain-capacity-2^21",
-        "chain-capacity-10^400"])
+], ids=["epoch-len-0", "epoch-len-negative", "chain-capacity-negative",
+        "chain-capacity-2^21", "chain-capacity-10^400"])
 def test_simulate_unbounded_config_exits_two(tmp_path, scenario_dir, capsys,
                                              config):
     """Refused while the file loads: no filter is built, no epoch rolled."""
@@ -307,8 +307,7 @@ def _set_actor(doc, actor_id, **fields):
 
 
 @pytest.mark.parametrize("edit, refusal", [
-    (lambda d: (d.update(config={"epoch_capacity": 1_000_000}),
-                _visit_every_epoch(d, 80)), "bits in all"),
+    (lambda d: _visit_every_epoch(d, 18_233), "bits in all"),
     (lambda d: _long_advance(d, -1), "advance: ms must not be negative"),
     (lambda d: d.update(config={"hop_delay_ms": -1}),
      "config.hop_delay_ms must not be negative"),
@@ -316,8 +315,9 @@ def _set_actor(doc, actor_id, **fields):
 def test_simulate_unbounded_epoch_work_exits_two(tmp_path, scenario_dir,
                                                  capsys, edit, refusal):
     """Refused while the file loads, before any epoch report is built: each
-    file asks for 128 MiB of report filters (80 visits in 80 epochs, each
-    report a 1.8 MB filter), or time that runs backwards."""
+    file asks for more than 128 MiB of report filters (18,233 visits in as
+    many epochs, each report a 58,891-bit filter), or time that runs
+    backwards."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
     edit(doc)
@@ -419,14 +419,12 @@ def test_simulate_time_past_64_bits_exits_two(tmp_path, scenario_dir, capsys,
 
 def test_simulate_idle_epochs_are_charged_no_report_bits(tmp_path,
                                                           scenario_dir):
-    """Idle epochs build no report, so they are not charged one: 60 of
-    them at three authorities run to the end, at a capacity (0.9 MB
-    filters) at which a report for every epoch passed would exceed the
-    filter budget."""
+    """Idle epochs build no report, so they are not charged one: 6,100 of
+    them at three authorities run to the end, though a 58,891-bit report
+    for every epoch passed would exceed the filter budget."""
     doc = json.loads(
         (scenario_dir / "honest-baseline-hashchain.json").read_text())
-    doc["config"] = {"epoch_capacity": 500_000}
-    _long_advance(doc, 60 * 300_000)
+    _long_advance(doc, 6_100 * 300_000)
     path = tmp_path / "idle.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 0

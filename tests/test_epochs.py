@@ -284,8 +284,7 @@ def _walk_epochs(authority):
         if digests:
             world.registry.publish(build_epoch_report(
                 world.profile, authority.keys, authority.id,
-                authority.current_epoch, length, digests,
-                capacity=world.config.epoch_capacity))
+                authority.current_epoch, length, digests))
         else:
             world.registry.close(authority.id, authority.current_epoch)
         authority.current_epoch += 1
@@ -310,7 +309,7 @@ def test_one_step_roll_matches_an_epoch_by_epoch_walk(seed):
     worlds = []
     for _ in range(2):
         world = World(PROFILE, "hashchain",
-                      ProtocolConfig(epoch_len_ms=length, epoch_capacity=16),
+                      ProtocolConfig(epoch_len_ms=length),
                       seed=seed)
         world.add_authority("cafe-7", skew_ms=skew)
         worlds.append(world)
