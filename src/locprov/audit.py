@@ -16,7 +16,7 @@ signature, accumulator shape, membership);
 the report signature is one job of the audit's batch, however many claims
 fall in the report, and counts as one ``report`` check per distinct report.
 Chronological order of the whole presentation is then delegated to the
-active ordering scheme's verifier.
+verifier of the first revealed entry's construct class.
 
 The signature, binding and window rules are the parties' own (``model``'s
 ``proof_signed``, ``endorsement_signed``, ``timestamp_signed``,
@@ -54,12 +54,12 @@ from .fanout import batched
 from .hashchain import chain_verify_subsequence
 from .model import (
     ENDORSEMENT_WINDOW_MS,
+    HashChainLink,
     OrderingVerdict,
     PrivateLocationStatement,
     RevealedEntry,
     RevealedSubsequence,
     ValidationError,
-    SCHEME_HASHCHAIN,
     binding_fault,
     endorsement_signed,
     proof_digest,
@@ -143,10 +143,12 @@ def audit(
         )
     if registry is None:
         warnings.append("no epoch registry supplied; epoch inclusion not checked")
-    # Looked up in this module, so that wrappers installed here (the
-    # benchmark times the verifiers) see the calls.
+    # The first entry's construct names the scheme; a mixed presentation
+    # fails its verifier's per-entry check. Looked up in this module, so
+    # that wrappers installed here (the benchmark's timers) see the calls.
+    first = sub.entries[0].entry.ordering if sub.entries else None
     verify_order = (chain_verify_subsequence
-                    if sub.scheme == SCHEME_HASHCHAIN else bloom_order_verify)
+                    if isinstance(first, HashChainLink) else bloom_order_verify)
 
     def walk(profile: CryptoProfile) -> AuditReport:
         checks: Counter = Counter()

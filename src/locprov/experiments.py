@@ -8,7 +8,7 @@ import time
 
 from .audit import audit, render_text_report, truthful_claims
 from .crypto import get_profile
-from .model import (SCHEMES, ValidationError, bloom_bit_size,
+from .model import (SCHEMES, ProvenanceChain, ValidationError, bloom_bit_size,
                     make_revealed_subsequence)
 from .protocol import ProtocolConfig, World
 
@@ -42,7 +42,7 @@ def bench_space_rows(max_n: int, fpr: float, profile_name: str) -> list[dict]:
 
 
 def build_honest_chain(scheme: str, n: int, profile_name: str = "modern",
-                       seed: int = 7) -> tuple[World, "object"]:
+                       seed: int = 7) -> tuple[World, ProvenanceChain]:
     """Drive the full protocol for an n-entry honest chain.
 
     Uses a pair of alternating authorities so per-entry key resolution is

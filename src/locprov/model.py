@@ -208,9 +208,7 @@ OrderingConstruct = Union[HashChainLink, BloomAccumulator]
 
 SCHEME_HASHCHAIN = "hashchain"
 SCHEME_BLOOM = "bloom"
-# The scheme each construct class orders under.
-ORDERING_SCHEME = {HashChainLink: SCHEME_HASHCHAIN, BloomAccumulator: SCHEME_BLOOM}
-SCHEMES = tuple(ORDERING_SCHEME.values())
+SCHEMES = (SCHEME_HASHCHAIN, SCHEME_BLOOM)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,17 +219,18 @@ class ProvenanceEntry:
 
 @dataclass(frozen=True, slots=True)
 class ProvenanceChain:
-    scheme: str
+    """A user's entries, all ordered by one construct class: the first
+    entry's, which is the chain's scheme."""
+
     entries: tuple[ProvenanceEntry, ...] = ()
 
     def append(self, entry: ProvenanceEntry) -> "ProvenanceChain":
-        scheme = ORDERING_SCHEME.get(type(entry.ordering))
-        if scheme != self.scheme:
+        kind = type(entry.ordering)
+        if self.entries and kind is not type(self.entries[0].ordering):
             raise ValidationError(
-                f"entry ordering scheme {scheme!r} "
-                f"does not match chain scheme {self.scheme!r}"
-            )
-        return ProvenanceChain(self.scheme, self.entries + (entry,))
+                f"a {kind.__name__} does not extend a chain of "
+                f"{type(self.entries[0].ordering).__name__}")
+        return ProvenanceChain(self.entries + (entry,))
 
     @property
     def latest_construct(self) -> Optional[OrderingConstruct]:
@@ -263,7 +262,6 @@ class ChainSlot:
 
 @dataclass(frozen=True, slots=True)
 class RevealedSubsequence:
-    scheme: str
     entries: tuple[RevealedEntry, ...]
     # Hash-chain scheme only: one slot per hidden position before the last
     # revealed entry, ascending. Hidden positions expose digests and links,
@@ -486,7 +484,7 @@ LAYOUTS = (
         ("issuer_id", TEXT), ("proof_digest", DIGEST),
         ("link", nested(TAG_CHAIN_LINK)))),
     (TAG_REVEALED_SUBSEQUENCE, RevealedSubsequence, (
-        ("scheme", TEXT), ("entries", counted(nested(TAG_REVEALED_ENTRY))),
+        ("entries", counted(nested(TAG_REVEALED_ENTRY))),
         ("chain_evidence", counted(nested(TAG_CHAIN_SLOT))))),
     (TAG_EPOCH_REPORT_CORE, EpochReport, _REPORT_CORE),
     (TAG_EPOCH_REPORT, EpochReport, _REPORT_CORE + (("report_sig", SIG),)),
@@ -853,11 +851,11 @@ def make_revealed_subsequence(
     """Extract the subsequence at ``positions`` (1-based, ascending for an
     honest presentation) with statements elsewhere withheld entirely.
 
-    For the hash-chain scheme the result also carries a ``ChainSlot``, the
-    (issuer, proof digest, link) triple, for each hidden position before
-    the last revealed one, in order. With the revealed entries' own proofs
-    and links that is exactly what an auditor needs to replay the chain;
-    nothing of the visits after it is disclosed.
+    When the chain's constructs are hash-chain links, the result also
+    carries a ``ChainSlot``, the (issuer, proof digest, link) triple, for
+    each hidden position before the last revealed one, in order. With the
+    revealed entries' own proofs and links that is exactly what an auditor
+    needs to replay the chain; nothing of the visits after it is disclosed.
     """
     disclose = disclose or {}
     n = len(chain.entries)
@@ -871,7 +869,7 @@ def make_revealed_subsequence(
         for p in positions
     )
     evidence: tuple[ChainSlot, ...] = ()
-    if chain.scheme == SCHEME_HASHCHAIN:
+    if isinstance(chain.latest_construct, HashChainLink):
         shown = set(positions)
         evidence = tuple(
             ChainSlot(
@@ -882,4 +880,4 @@ def make_revealed_subsequence(
             for i, e in enumerate(chain.entries[:max(positions, default=0)])
             if i + 1 not in shown
         )
-    return RevealedSubsequence(chain.scheme, revealed, evidence)
+    return RevealedSubsequence(revealed, evidence)

@@ -586,7 +586,7 @@ class UserAgent(_Party):
 
     def __init__(self, world: World, user_id: str, keys: KeyPair):
         super().__init__(world, user_id, keys)
-        self.chain = ProvenanceChain(world.scheme)
+        self.chain = ProvenanceChain()
         self.visit_log: list[VisitOutcome] = []
         self._visit: Optional[_OpenVisit] = None
         self._replay_construct: Optional[OrderingConstruct] = None

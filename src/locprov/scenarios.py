@@ -503,7 +503,7 @@ class _Runner:
 
     def _audit_presentation(self):
         reveal = self.scenario.reveal
-        chain = ProvenanceChain(self.scenario.scheme, tuple(self.presented))
+        chain = ProvenanceChain(tuple(self.presented))
         positions = reveal.get("positions")
         if positions in (None, "all"):
             positions = list(range(1, len(self.presented) + 1))

@@ -2,13 +2,13 @@
 
 Four file formats, each carrying a ``format_version`` field:
 
-* chain file (version 6) -- one line of JSON, the envelope: the crypto
+* chain file (version 7) -- one line of JSON, the envelope: the crypto
   profile name and ``directory``, which maps each party whose key an audit
   of the subsequence looks up (``audit.signer_ids``), and no one else, to
   an entry holding only its ``public_key`` in base64; then a newline, then
   the canonical encoding of a revealed subsequence (a full chain is the
   reveal-all case), deflated, as raw bytes;
-* registry file (version 6) -- one line of JSON holding the crypto profile
+* registry file (version 7) -- one line of JSON holding the crypto profile
   name, a newline, then the canonical encoding of the sequence of published
   epoch reports, deflated, as raw bytes;
 * claims file (version 2) -- the ordered location claims to audit, in
@@ -24,12 +24,12 @@ version.
 
 Everything signed or hashed therefore reaches an auditor in the one
 encoding of ``model``, decoded by ``model.canonical_decode``; this module
-only wraps it. A version 6 body is ``zlib.compress(canonical bytes)`` at
+only wraps it. A version 7 body is ``zlib.compress(canonical bytes)`` at
 the fixed level ``DEFLATE_LEVEL``. It holds signed objects, each written
 as what its signer signed plus the signature, and states each fact once:
 a hash-chain slot only for a hidden position, with no position of its own
-(a revealed entry carries its own proof and link), and every signature
-required.
+(a revealed entry carries its own proof and link), every signature
+required, and no scheme name (the class of the constructs is the scheme).
 
 A loader reads ``FORMAT_VERSION`` only: an input whose first line is not
 a JSON object of that version is refused on that header line, and no
@@ -71,7 +71,6 @@ from .model import (
     EncodingError,
     EpochReport,
     RevealedSubsequence,
-    SCHEMES,
     ValidationError,
     canonical_decode,
     check_openings,
@@ -81,7 +80,7 @@ from .model import (
 # Chain and registry files are written and read at FORMAT_VERSION, a JSON
 # line and a raw deflated body; claims and report files, plain JSON, at
 # PLAIN_VERSION.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 PLAIN_VERSION = 2
 DEFLATE_LEVEL = 6
 INFLATE_CAP = 1024
@@ -269,8 +268,6 @@ def dump_chain_file(profile_name: str, sub: RevealedSubsequence,
 def load_chain_file(data: bytes) -> tuple[str, RevealedSubsequence,
                                         dict[str, dict]]:
     obj, sub = _load_file(data, "chain", "subsequence", RevealedSubsequence)
-    if sub.scheme not in SCHEMES:
-        raise FormatError(f"unknown ordering scheme {sub.scheme!r}")
     for revealed in sub.entries:
         try:
             check_openings(revealed.entry.elp.proof.statement,

@@ -47,8 +47,9 @@ DEFLATE_ATTACKS = {
                        "trailing bytes after its deflate stream"),
     "encoding-ends-first": (lambda body: zlib.compress(body + b"\0"),
                             "trailing bytes after encoding"),
+    # the body's first count claims 2^32 - 1 items, and nothing follows
     "length-past-end": (lambda body: zlib.compress(
-        body[:1] + b"\xff" * 4 + body[5:]), "truncated encoding"),
+        body[:1] + b"\xff" * 4), "truncated encoding"),
     "bad-adler32": (lambda body: _flip_last_bit(zlib.compress(body)),
                     "incorrect data check"),
     "not-deflated": (lambda body: body, "does not inflate"),

@@ -259,7 +259,7 @@ def _property_hashchain_single_tampers_n8():
         slots = tuple(
             ChainSlot("L", proof_digest(MODERN, proofs[p - 1]), links[p - 1])
             for p in range(2, last))
-        sub = RevealedSubsequence("hashchain", entries, slots)
+        sub = RevealedSubsequence(entries, slots)
         return chain_verify_subsequence(MODERN, sub, pubkeys, Counter())
 
     # sanity: the clean chain verifies

@@ -159,7 +159,6 @@ def test_unrevealed_openings_never_consulted():
                                          disclose={1: [2]})
     # hand-build the same subsequence but with the full statement intact
     unredacted = RevealedSubsequence(
-        redacted.scheme,
         (RevealedEntry(position=1, entry=user.chain.entries[0],
                        disclosed=redacted.entries[0].disclosed),),
         redacted.chain_evidence,
@@ -858,10 +857,20 @@ def test_bad_disclosure_fails_the_granularity_claim(disclosed, detail):
         (CLAIM_GRANULARITY_MISMATCH, detail)]
 
 
-def _link_in_bloom_presentation(world, sub, pubkeys):
-    keys = world.authorities["lib-2"].keys
-    return _at(sub, 2, lambda e: replace(e, ordering=hashchain.chain_genesis(
-        world.profile, keys, e.elp.proof)))
+def _link_in_bloom_presentation(world, sub, pubkeys, position=2):
+    """The entry at ``position`` carries a genesis link from its issuer."""
+    def change(entry):
+        proof = entry.elp.proof
+        keys = world.authorities[proof.statement.location_id].keys
+        return replace(entry, ordering=hashchain.chain_genesis(
+            world.profile, keys, proof))
+    return _at(sub, position, change)
+
+
+def _link_first(world, sub, pubkeys):
+    """A Bloom presentation whose first entry carries a link is checked as
+    a hash chain, which refuses the accumulator after it."""
+    return _link_in_bloom_presentation(world, sub, pubkeys, position=1)
 
 
 def _unsigned_accumulator(world, sub, pubkeys):
@@ -869,10 +878,10 @@ def _unsigned_accumulator(world, sub, pubkeys):
         e.ordering, authority_sig=None)))
 
 
-def _smaller_accumulator(world, sub, pubkeys):
-    """Position 3 carries a validly signed 64-entry filter holding its own
-    proof; in a Bloom presentation the others are sized for 1,000
-    entries."""
+def _smaller_accumulator(world, sub, pubkeys, position=3):
+    """The entry at ``position`` (a cafe-7 visit) carries a validly signed
+    64-entry filter holding its own proof; in a Bloom presentation the
+    others are sized for 1,000 entries."""
     profile = world.profile
     keys = world.authorities["cafe-7"].keys
 
@@ -881,7 +890,14 @@ def _smaller_accumulator(world, sub, pubkeys):
                                  proof_digest(profile, entry.elp.proof))
         return replace(entry, ordering=bloom.sign_accumulator(profile, keys,
                                                               acc))
-    return _at(sub, 3, change)
+    return _at(sub, position, change)
+
+
+def _accumulator_first(world, sub, pubkeys):
+    """A hash-chain presentation whose first entry carries an accumulator
+    is checked as Bloom, which verifies that accumulator and refuses the
+    link after it."""
+    return _smaller_accumulator(world, sub, pubkeys, position=1)
 
 
 def _link_of_position_2(world, sub, pubkeys):
@@ -922,6 +938,12 @@ def _last_at_the_largest_position(world, sub, pubkeys):
         sub.entries[4], position=2**32 - 1)))
 
 
+def _slot_alone(world, sub, pubkeys):
+    """No entry and one slot: with no entry to name a scheme, the order is
+    checked as Bloom, which reads no slot."""
+    return replace(sub, entries=(), chain_evidence=(_slot(sub.entries[0]),))
+
+
 def _slot_in_bloom_presentation(world, sub, pubkeys):
     """A made-up slot, its link signature all zeros."""
     sig = sub.entries[0].entry.elp.proof.authority_sig
@@ -958,16 +980,25 @@ def _slot_in_bloom_presentation(world, sub, pubkeys):
      (ORDER_INCOMPLETE, "entry at position 3 has no hash-chain link")),
     ("bloom", _slot_in_bloom_presentation, [OK] * 5,
      (ORDER_INCOMPLETE, "hash-chain slot in a Bloom presentation")),
+    ("hashchain", _accumulator_first, [OK] * 5,
+     (ORDER_INCOMPLETE, "entry at position 2 has no accumulator")),
+    ("bloom", _link_first, [OK] * 5,
+     (ORDER_INCOMPLETE, "entry at position 2 has no hash-chain link")),
+    ("hashchain", _slot_alone, [],
+     (ORDER_INCOMPLETE, "hash-chain slot in a Bloom presentation")),
 ], ids=["link-in-bloom", "unsigned-accumulator", "geometry-change",
         "link-off-its-slot", "slot-at-revealed-position",
         "slot-past-last-revealed", "hidden-without-slot",
         "two-slots-at-one-position", "extra-slot", "position-2^32-1",
-        "accumulator-in-hashchain", "slot-in-bloom"])
+        "accumulator-in-hashchain", "slot-in-bloom", "accumulator-first",
+        "link-first", "slot-alone"])
 def test_hostile_ordering_faults(serial_and_fanned_out, scheme, change,
                                  verdicts, ordering):
     """Each fault leaves every claim clean and is named by the ordering
-    verdict; an unknown issuer's accumulator is covered by
-    ``test_hostile_claim_faults``."""
-    report, got = _changed_audit(serial_and_fanned_out, scheme, change)
+    verdict; the first entry's construct picks the verifier. An unknown
+    issuer's accumulator is covered by ``test_hostile_claim_faults``."""
+    # A presentation without entries has no signature to split.
+    run = serial_and_fanned_out if verdicts else lambda check: (check(),) * 2
+    report, got = _changed_audit(run, scheme, change)
     assert got == verdicts
     assert (report.ordering.status, report.ordering.detail) == ordering

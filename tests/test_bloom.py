@@ -296,7 +296,7 @@ def test_order_verify_flags_equal_accumulators():
     # forge a second entry reusing the exact same accumulator
     duplicated = replace(chain.entries[1], ordering=first.ordering)
     from locprov.model import ProvenanceChain
-    forged = ProvenanceChain("bloom", (first, duplicated))
+    forged = ProvenanceChain((first, duplicated))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
                                  Counter())
@@ -369,7 +369,7 @@ def test_malformed_accumulator_rejected_not_crashing():
     signed_bad = sign_accumulator(world.profile, authority.keys, truncated)
     forged_entry = replace(chain.entries[1], ordering=signed_bad)
     from locprov.model import ProvenanceChain
-    forged = ProvenanceChain("bloom", (chain.entries[0], forged_entry))
+    forged = ProvenanceChain((chain.entries[0], forged_entry))
     sub = make_revealed_subsequence(world.profile, forged, [1, 2])
     verdict = bloom_order_verify(world.profile, sub, world.directory.pubkeys(),
                                  Counter())

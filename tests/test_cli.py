@@ -20,10 +20,11 @@ from locprov.experiments import (
 )
 from locprov.crypto import MODERN
 from locprov.epochs import build_epoch_report
-from locprov.model import (SCHEMES, canonical_encode, make_revealed_subsequence,
-                           make_statement)
+from locprov.model import (SCHEMES, BloomAccumulator, canonical_encode,
+                           make_revealed_subsequence, make_statement)
 from locprov.audit import audit, truthful_claims
 from locprov.serialize import (
+    FORMAT_VERSION,
     dump_chain_file,
     load_chain_file,
     load_registry_file,
@@ -470,7 +471,8 @@ def test_simulate_scheme_override(tmp_path, scenario_dir):
                  "--scheme", "bloom", "--out-dir", str(out_dir)])
     assert code == 0
     _, sub, _ = load_chain_file((out_dir / "chain.bin").read_bytes())
-    assert sub.scheme == "bloom"
+    assert sub.entries and all(isinstance(r.entry.ordering, BloomAccumulator)
+                               for r in sub.entries)
 
 
 def test_simulate_seed_override(tmp_path, scenario_dir):
@@ -562,16 +564,6 @@ def _audit_exit(out_dir, capsys, chain="chain.bin", registry="registry.bin"):
     return code, capsys.readouterr().err
 
 
-def test_audit_unknown_scheme_exits_two(tmp_path, scenario_dir, capsys):
-    _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
-    profile_name, sub, directory = load_chain_file(
-        (out_dir / "chain.bin").read_bytes())
-    (out_dir / "merkle.bin").write_bytes(dump_chain_file(
-        profile_name, replace(sub, scheme="merkle"), directory))
-    code, err = _audit_exit(out_dir, capsys, chain="merkle.bin")
-    assert code == 2 and err.startswith("error:") and "merkle" in err
-
-
 def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
     """A chain file disclosing an opening on a plain statement is refused
     while loading, as ``make_revealed_entry`` refuses to make one: openings
@@ -596,12 +588,13 @@ def test_audit_openings_on_a_plain_statement_exits_two(tmp_path, capsys):
 def test_audit_string_position_exits_two(tmp_path, scenario_dir, capsys):
     """A position spelled as a JSON string, in the per-type JSON layout
     that files no longer use: refused on its version 1 header, and under
-    version 6 for want of a deflated body."""
+    the current version for want of a deflated body."""
     _, out_dir = _simulate(tmp_path, scenario_dir, "honest-baseline-hashchain")
     chain, _ = _split((out_dir / "chain.bin").read_bytes())
     for version, message in (
-            (1, "chain file header has format_version 1; only 6 is read"),
-            (6, "chain subsequence is a truncated deflate stream")):
+            (1, "chain file header has format_version 1; "
+                f"only {FORMAT_VERSION} is read"),
+            (FORMAT_VERSION, "chain subsequence is a truncated deflate stream")):
         chain["format_version"] = version
         chain["subsequence"] = {
             "scheme": "bloom", "chain_evidence": [],
@@ -618,7 +611,7 @@ def test_audit_repeated_report_exits_two(tmp_path, scenario_dir, capsys):
     _, registry = load_registry_file(data)
     header, _ = _split(data)
     reports = registry.reports()
-    assert header["format_version"] == 6
+    assert header["format_version"] == FORMAT_VERSION
     (out_dir / "twice.bin").write_bytes(_join(header, zlib.compress(
         canonical_encode(reports + reports[:1]))))
     code, err = _audit_exit(out_dir, capsys, registry="twice.bin")
@@ -643,6 +636,7 @@ def test_audit_retired_layout_body_exits_two(tmp_path, capsys, layout):
     refused on its tag."""
     data = SHARED.parent / "shared-epochs-hashchain"
     header, _ = _split((data / "chain.bin").read_bytes())
+    assert header["format_version"] == FORMAT_VERSION
     (tmp_path / "chain.bin").write_bytes(_join(header, zlib.compress(
         RETIRED_LAYOUTS[layout])))
     (tmp_path / "claims.json").write_text((data / "claims.json").read_text())
@@ -839,18 +833,17 @@ def _directory_entry_role(header: dict, deflated: bytes) -> bytes | None:
 # 16 MiB of zeros deflate past the cap.
 HOSTILE_FILES = {
     "first-line-not-an-object": (lambda header, deflated: (
-        b"[6]\n" + deflated), "file header is not a JSON object"),
-    "header-version-3": (lambda header, deflated: (
-        _join({**header, "format_version": 3}, deflated)),
-        "file header has format_version 3; only 6 is read"),
-    "header-version-4": (lambda header, deflated: (
-        _join({**header, "format_version": 4}, deflated)),
-        "file header has format_version 4; only 6 is read"),
-    "header-version-5": (lambda header, deflated: (
-        _join({**header, "format_version": 5}, deflated)),
-        "file header has format_version 5; only 6 is read"),
+        b"[%d]\n" % FORMAT_VERSION + deflated),
+        "file header is not a JSON object"),
+    **{f"header-version-{version}": (
+        lambda header, deflated, version=version: (
+            _join({**header, "format_version": version}, deflated)),
+        f"file header has format_version {version}; "
+        f"only {FORMAT_VERSION} is read")
+       for version in range(3, FORMAT_VERSION)},
     "retired-version-3": (_retired_version_3,
-                          "file header has format_version 3; only 6 is read"),
+                          "file header has format_version 3; "
+                          f"only {FORMAT_VERSION} is read"),
     "header-not-utf8": (lambda header, deflated: (
         b'{"\xff":0,' + _join(header, deflated)[1:]),
         "file header is not JSON"),

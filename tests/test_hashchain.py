@@ -19,7 +19,6 @@ from locprov.model import (
     ChainSlot,
     RevealedSubsequence,
     OrderingVerdict,
-    ValidationError,
     canonical_encode,
     make_proof,
     make_statement,
@@ -117,7 +116,7 @@ def _sub(slots, revealed_positions, proofs, links, order=None):
         entries.append(RevealedEntry(position=p,
                                      entry=ProvenanceEntry(elp, links[p - 1])))
     last = max(revealed_positions)
-    return RevealedSubsequence("hashchain", tuple(entries), tuple(
+    return RevealedSubsequence(tuple(entries), tuple(
         slots[p - 1] for p in range(1, last) if p not in revealed_positions))
 
 
@@ -194,19 +193,12 @@ def test_empty_reveal_is_ok_and_costs_nothing():
     proofs, links = _build_links(2)
     for slots, status in (((), ORDER_OK), (_slots(proofs, links),
                                            ORDER_INCOMPLETE)):
-        sub = RevealedSubsequence("hashchain", (), slots)
+        sub = RevealedSubsequence((), slots)
         checks = Counter()
         verdict = chain_verify_subsequence(
             PROFILE, sub, {"cafe-7": AUTH.public_key}, checks)
         assert verdict.status == status
         assert checks["link"] == 0
-
-
-def test_wrong_scheme_rejected():
-    with pytest.raises(ValidationError):
-        chain_verify_subsequence(PROFILE,
-                                 RevealedSubsequence("bloom", (), ()), {},
-                                 Counter())
 
 
 # ---------------------------------------------------------------------------

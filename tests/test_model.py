@@ -295,7 +295,7 @@ def _random_object(rng: random.Random):
             disclose=rng.sample([1, 2, 3], rng.randrange(4)))
         if kind == 7:
             return revealed
-        return RevealedSubsequence("hashchain", (revealed,), (slot,))
+        return RevealedSubsequence((revealed,), (slot,))
     reports = tuple(_random_report(rng, loc) for _ in range(rng.randrange(3)))
     if kind == 9:
         return reports[0] if reports else _random_report(rng, loc)
@@ -336,7 +336,7 @@ def test_roundtrip_chain_and_bloom():
     elp = EndorsedLocationProof(lp, (_endorsed(lp),))
     acc = BloomAccumulator(bits=bytes(16), hash_count=3, capacity=10,
                            target_fpr=0.01, authority_sig=lp.authority_sig)
-    chain = ProvenanceChain("bloom", (ProvenanceEntry(elp, acc),))
+    chain = ProvenanceChain((ProvenanceEntry(elp, acc),))
     assert canonical_decode(canonical_encode(chain.entries),
                             PROFILE) == chain.entries
 
@@ -421,12 +421,20 @@ def test_revealed_entry_strips_unchosen_openings():
 
 
 def test_chain_append_rejects_scheme_mismatch():
+    """A chain's first construct fixes its scheme: a link does not extend
+    a chain of accumulators, nor an accumulator a chain of links."""
     lp = make_proof(PROFILE, KEYS_AUTH, _statement())
     elp = assemble_elp(PROFILE, lp, [_endorsed(lp)])
     link = HashChainLink(PROFILE.sign(KEYS_AUTH.private_key, b"x"))
-    chain = ProvenanceChain("bloom")
-    with pytest.raises(ValidationError):
-        chain.append(ProvenanceEntry(elp, link))
+    acc = BloomAccumulator(bits=bytes(16), hash_count=3, capacity=10,
+                           target_fpr=0.01, authority_sig=lp.authority_sig)
+    for first, other in ((acc, link), (link, acc)):
+        chain = ProvenanceChain().append(ProvenanceEntry(elp, first))
+        chain = chain.append(ProvenanceEntry(elp, first))
+        with pytest.raises(ValidationError, match=(
+                f"^a {type(other).__name__} does not extend a chain of "
+                f"{type(first).__name__}$")):
+            chain.append(ProvenanceEntry(elp, other))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +615,7 @@ def _golden_objects():
         "0x0E-revealed-entry-disclosed": encode(revealed),
         "0x0F-chain-slot": encode(slot),
         "0x10-revealed-subsequence": encode(
-            RevealedSubsequence("hashchain", (revealed,), (slot, slot))),
+            RevealedSubsequence((revealed,), (slot, slot))),
         "0x20-sequence": encode([signed_report, stmt]),
         "0x20-sequence-empty": encode(()),
         # what is signed: statements as they are encoded, and the views
@@ -652,7 +660,7 @@ GOLDEN_SHA256 = {
     "0x0F-chain-slot":
         "de602c10125c8c7dd94bf04dc1c040ed3df627c9b9bc4b0be35a807fe54ca063",
     "0x10-revealed-subsequence":
-        "df2becd41139b839876a83844cddb4a126a19d772188ec5bb4540d8d6fbeb4d2",
+        "904f7078082623a476936f88f1eadc9c2879fb49f35c64380ea5db28a7ce1364",
     "0x20-sequence":
         "b78632bb6587ce9973a0a6d7606e4598617f55b9ad5be12587ae6804229e60f6",
     "0x20-sequence-empty":

@@ -7,7 +7,6 @@ import random
 import re
 import tracemalloc
 import zlib
-from dataclasses import replace
 
 import pytest
 
@@ -150,22 +149,23 @@ def test_spaced_full_directory_chain_file_audits_alike(world_and_chain):
 
 def test_files_are_versioned(world_and_chain):
     """Chain and registry files, a JSON header line and a raw deflated
-    body, are version 6; claims and report files are still version 2."""
+    body, are ``FORMAT_VERSION``; claims and report files are still
+    version 2."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     claims = [LocationClaim("cafe-7", 0)]
     report = audit(world.profile, claims, sub, world.directory.pubkeys())
     for data in (dump_chain_file("modern", sub, dict(world.directory.parties)),
                  dump_registry_file("modern", world.registry)):
-        assert _split(data)[0]["format_version"] == 6
+        assert _split(data)[0]["format_version"] == FORMAT_VERSION
     for text in (dump_claims_file(claims), dump_audit_report_file(report)):
         assert json.loads(text)["format_version"] == 2
 
 
 def test_wrong_version_rejected(world_and_chain):
-    """A version no loader reads, version 5 included, or one that is no
-    integer (6.0 is not 6, nor ``true`` 1), is refused on the header of
-    every file kind that loads; the version 6 file itself loads."""
+    """A version no loader reads, every retired one included, or one that
+    is no integer (7.0 is not 7, nor ``true`` 1), is refused on the header
+    of every file kind that loads; the current version's file loads."""
     world, chain = world_and_chain
     sub = make_revealed_subsequence(world.profile, chain, [1])
     files = {
@@ -175,9 +175,12 @@ def test_wrong_version_rejected(world_and_chain):
     for load, data in files.items():
         load(data)
         header, deflated = _split(data)
-        for version in (1, 2, 3, 4, 5, 7, 99, 2.0, 5.0, 6.0, True, "6"):
+        for version in (*range(1, FORMAT_VERSION), FORMAT_VERSION + 1, 99,
+                        2.0, 6.0, float(FORMAT_VERSION), True,
+                        str(FORMAT_VERSION)):
             with pytest.raises(FormatError, match=(
-                    f"header has format_version {version!r}; only 6 is read")):
+                    f"header has format_version {version!r}; "
+                    f"only {FORMAT_VERSION} is read")):
                 load(json.dumps({**header, "format_version": version})
                      .encode() + b"\n" + deflated)
         del header["format_version"]
@@ -259,8 +262,7 @@ BODY_MUTATIONS = {
     "unknown-signature-scheme": (lambda body, sub: (
         body[:_sig_tag_offset(sub)] + b"\x7f"
         + body[_sig_tag_offset(sub) + 1:]), "unknown signature scheme"),
-    "invalid-utf8": (lambda body, sub: body.replace(b"hashchain",
-                                                    b"hash\xffhain", 1),
+    "invalid-utf8": (lambda body, sub: body.replace(b"lib-2", b"lib\xff2", 1),
                      "invalid UTF-8"),
 }
 
@@ -283,16 +285,9 @@ def test_bad_base64_is_format_error(chain_file, text):
         load_chain_file(_with_body({**header, "directory": directory}, body))
 
 
-def test_unknown_scheme_is_format_error(chain_file):
-    sub, header, _ = chain_file
-    with pytest.raises(FormatError, match="merkle"):
-        load_chain_file(_with_body(header, canonical_encode(
-            replace(sub, scheme="merkle"))))
-
-
 def test_version_1_layout_is_format_error(chain_file):
     """The per-type JSON layout, string position and all, is not read:
-    under version 1, nor as the body of a version 6 file."""
+    under version 1, nor as the body of a current version's file."""
     header = chain_file[1]
     v1 = {"scheme": "bloom", "entries": [{"position": "1", "disclosed": []}],
           "chain_evidence": []}
@@ -329,20 +324,20 @@ def test_malformed_directory_is_format_error(chain_file, directory, message):
     pytest.param(b"[]", "header is not a JSON object", id="[]"),
     pytest.param(b"[" * 100_000, "header is not JSON", id="[" * 100_000),
     pytest.param(b'{"format_version": 2}',
-                 "header has format_version 2; only 6 is read",
+                 f"header has format_version 2; only {FORMAT_VERSION} is read",
                  id='{"format_version": 2}'),
     pytest.param(b'{"format_version": 2, "profile": "rot13", '
                  b'"subsequence": ""}',
-                 "header has format_version 2; only 6 is read",
+                 f"header has format_version 2; only {FORMAT_VERSION} is read",
                  id='{"format_version": 2, "profile": "rot13", '
                     '"subsequence": ""}'),
     pytest.param(b'{"format_version": 3, "profile": "modern", '
                  b'"subsequence": ""}',
-                 "header has format_version 3; only 6 is read",
+                 f"header has format_version 3; only {FORMAT_VERSION} is read",
                  id="v3-empty-body"),
     pytest.param(b'{"format_version": 3, "profile": "modern", '
                  b'"subsequence": "AAAA"}',
-                 "header has format_version 3; only 6 is read",
+                 f"header has format_version 3; only {FORMAT_VERSION} is read",
                  id="v3-undeflated-body"),
     pytest.param(b'[5, "modern"]\n' + zlib.compress(b"\0"),
                  "header is not a JSON object", id="v4-header-not-an-object"),
