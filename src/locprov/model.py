@@ -869,7 +869,7 @@ def make_revealed_subsequence(
         for p in positions
     )
     evidence: tuple[ChainSlot, ...] = ()
-    if isinstance(chain.latest_construct, HashChainLink):
+    if chain.entries and isinstance(chain.entries[0].ordering, HashChainLink):
         shown = set(positions)
         evidence = tuple(
             ChainSlot(

@@ -29,6 +29,13 @@ def _half(data: bytes) -> bytes:
     return data[:len(data) // 2]
 
 
+def _text_past_end(body: bytes) -> bytes:
+    """``body`` with the 4-byte length of its first "lib-2" text raised to
+    2^32 - 1 and every byte after it kept: the text runs past the end."""
+    at = body.index(b"\x00\x00\x00\x05lib-2")
+    return body[:at] + b"\xff" * 4 + body[at + 4:]
+
+
 # Hostile deflated bodies of chain and registry files: name -> (the body,
 # made from a file's canonical bytes; a fragment of the FormatError it must
 # raise). 16 MiB of zeros deflate 1,028:1, past the 1,024:1 cap. Bodies
@@ -47,9 +54,8 @@ DEFLATE_ATTACKS = {
                        "trailing bytes after its deflate stream"),
     "encoding-ends-first": (lambda body: zlib.compress(body + b"\0"),
                             "trailing bytes after encoding"),
-    # the body's first count claims 2^32 - 1 items, and nothing follows
-    "length-past-end": (lambda body: zlib.compress(
-        body[:1] + b"\xff" * 4), "truncated encoding"),
+    "length-past-end": (lambda body: zlib.compress(_text_past_end(body)),
+                        "truncated encoding"),
     "bad-adler32": (lambda body: _flip_last_bit(zlib.compress(body)),
                     "incorrect data check"),
     "not-deflated": (lambda body: body, "does not inflate"),

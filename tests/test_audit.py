@@ -998,7 +998,8 @@ def test_hostile_ordering_faults(serial_and_fanned_out, scheme, change,
     verdict; the first entry's construct picks the verifier. An unknown
     issuer's accumulator is covered by ``test_hostile_claim_faults``."""
     # A presentation without entries has no signature to split.
-    run = serial_and_fanned_out if verdicts else lambda check: (check(),) * 2
+    run = serial_and_fanned_out if verdicts else lambda check: (check(),
+                                                               check())
     report, got = _changed_audit(run, scheme, change)
     assert got == verdicts
     assert (report.ordering.status, report.ordering.detail) == ordering
