@@ -55,7 +55,6 @@ class CryptoError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    scheme_id: str
     public_key: bytes
     private_key: bytes
 
@@ -239,7 +238,7 @@ class CryptoProfile:
         if len(seed) != 32:
             raise CryptoError("seed must be exactly 32 bytes")
         pub, priv = self.keypair(seed)
-        return KeyPair(scheme_id=self.scheme_id, public_key=pub, private_key=priv)
+        return KeyPair(public_key=pub, private_key=priv)
 
     def sign(self, private_key: bytes, message: bytes) -> Signature:
         return Signature(scheme_id=self.scheme_id,

@@ -44,11 +44,12 @@ signature bytes)`` and returns each one's ``get_profile(name).raw_verify``
 result, in order. It cuts them into one contiguous chunk per CPU the
 process may run on (``os.sched_getaffinity``), but no more chunks than
 jobs: even one job per process pays (``BENCH_workers.json``). The caller
-writes each chunk but the first to one worker of its pool as one
-length-prefixed frame (``struct`` lengths, no ``pickle``), verifies the
-first chunk itself, then reads one result byte per job from each worker.
-The ``locprov.fanout`` logger records each split at DEBUG and each
-fall-back at WARNING.
+writes each chunk but the first to one worker of its pool as one pickle,
+verifies the first chunk itself, then reads one result byte per job from
+each worker. A worker unpickles only what its owner pickled: a job pipe
+runs from the owner to its own fork, and chain-file bytes cross it only as
+``bytes`` values. The ``locprov.fanout`` logger records each split at
+DEBUG and each fall-back at WARNING.
 
 The pool lives as long as the process, under these rules:
 
@@ -64,9 +65,9 @@ The pool lives as long as the process, under these rules:
   the owner's output open. It leaves through ``os._exit`` on EOF or on any
   exception, never returning into the owner's stack.
 * An ``atexit`` handler kills and reaps every worker of the exiting owner.
-* A pool failure (a fork that fails, ``EPIPE``, a short read) kills and
-  reaps the pool, and the caller verifies the whole batch, under one
-  WARNING. An exception in the caller's own chunk (``KeyboardInterrupt``
+* A pool failure (a pipe or fork that fails, ``EPIPE``, a short read)
+  kills and reaps the pool, and the caller verifies the whole batch, under
+  one WARNING. An exception in the caller's own chunk (``KeyboardInterrupt``
   included) kills and reaps the pool and propagates. The next batch may
   fork afresh. Neither results nor exceptions depend on the path.
 """
@@ -80,14 +81,13 @@ import os
 import signal
 import struct
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any, BinaryIO, Callable, Sequence
 
 from .crypto import CryptoProfile, get_profile
 
 # A job: profile name, public key, message, signature bytes.
 Job = tuple[str, bytes, bytes, bytes]
 
-_FRAME = struct.Struct(">I")     # bytes in the frame that follows
 _FIELDS = struct.Struct(">IIII")  # lengths of one job's four fields
 
 # Message bytes the recording run of ``batched`` holds before it hands its
@@ -97,7 +97,7 @@ BATCH_BYTES = 8 << 20
 
 # (pid, job pipe write end, result pipe read end) of each worker, owned by
 # this process.
-_pool: list[tuple[int, int, int]] = []
+_pool: list[tuple[int, int, BinaryIO]] = []
 
 
 def batched(profile: CryptoProfile,
@@ -174,6 +174,7 @@ def _verify(jobs: Sequence[Job]) -> list[bool]:
 
 def _fan_out(jobs: Sequence[Job], cpus: int) -> list[bool]:
     import logging  # here: a process that never splits saves 0.6-1.1 MB
+    import pickle  # likewise: about 0.14 MB
 
     logger = logging.getLogger(__name__)
     bounds = [len(jobs) * i // cpus for i in range(cpus + 1)]
@@ -189,14 +190,14 @@ def _fan_out(jobs: Sequence[Job], cpus: int) -> list[bool]:
             while len(_pool) < len(chunks):
                 _pool.append(_start_worker())
             for (_, job_fd, _), (start, stop) in zip(_pool, chunks):
-                _send(job_fd, jobs[start:stop])
-        except OSError as exc:  # a fork failed, or EPIPE
+                _write(job_fd, pickle.dumps(jobs[start:stop]))
+        except OSError as exc:  # a pipe or fork failed, or EPIPE
             return serially(f"{type(exc).__name__}: {exc}")
         logger.debug("verifying %d signatures in %d processes", len(jobs),
                      cpus)
         results = _verify(jobs[:bounds[1]])
-        for (pid, _, result_fd), (start, stop) in zip(_pool, chunks):
-            got = _read(result_fd, stop - start)
+        for (pid, _, results_file), (start, stop) in zip(_pool, chunks):
+            got = results_file.read(stop - start)  # short only at EOF
             if len(got) != stop - start:
                 return serially(f"short read from worker {pid}: "
                                 f"{len(got)} of {stop - start}")
@@ -207,58 +208,22 @@ def _fan_out(jobs: Sequence[Job], cpus: int) -> list[bool]:
     return results
 
 
-def _send(fd: int, jobs: Sequence[Job]) -> None:
-    """Write ``jobs`` to ``fd`` as one frame, in pieces of a few hundred
-    jobs: the whole frame is never copied into one buffer."""
-    parts = [b""]  # the frame's length, once it is known
-    for name, public_key, message, signature in jobs:
-        name_bytes = name.encode()
-        parts += (_FIELDS.pack(len(name_bytes), len(public_key), len(message),
-                               len(signature)),
-                  name_bytes, public_key, message, signature)
-    parts[0] = _FRAME.pack(sum(map(len, parts)))
-    for start in range(0, len(parts), 1024):
-        _write(fd, b"".join(parts[start:start + 1024]))
-
-
-def _unframe(body: bytes) -> list[Job]:
-    jobs, at = [], 0
-    while at < len(body):
-        lengths = _FIELDS.unpack_from(body, at)
-        at += _FIELDS.size
-        fields = []
-        for length in lengths:
-            fields.append(body[at:at + length])
-            at += length
-        name, public_key, message, signature = fields
-        jobs.append((name.decode(), public_key, message, signature))
-    return jobs
-
-
-def _read(fd: int, size: int) -> bytes:
-    """``size`` bytes from ``fd``, or fewer if it reaches end of file."""
-    parts, got = [], 0
-    while got < size:
-        # at most what a pipe holds: os.read allocates what it is asked for
-        more = os.read(fd, min(size - got, 1 << 16))
-        if not more:
-            break
-        parts.append(more)
-        got += len(more)
-    return b"".join(parts)
-
-
 def _write(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
 
 
-def _start_worker() -> tuple[int, int, int]:
+def _start_worker() -> tuple[int, int, BinaryIO]:
     """Fork a worker serving its own pair of pipes; its pid, the job pipe's
     write end and the result pipe's read end."""
     job_read, job_write = os.pipe()
-    result_read, result_write = os.pipe()
+    try:
+        result_read, result_write = os.pipe()
+    except OSError:
+        os.close(job_read)
+        os.close(job_write)
+        raise
     caller, pid, status = os.getpid(), None, 1
     try:
         if (pid := os.fork()) == 0:
@@ -277,17 +242,16 @@ def _start_worker() -> tuple[int, int, int]:
         if pid is None:  # the fork failed
             os.close(job_write)
             os.close(result_read)
-    return pid, job_write, result_read
+    return pid, job_write, open(result_read, "rb")
 
 
 def _serve(job_fd: int, result_fd: int) -> None:
-    """A worker's loop: verify each frame of jobs until end of file."""
-    while header := _read(job_fd, _FRAME.size):
-        (size,) = _FRAME.unpack(header)
-        body = _read(job_fd, size)
-        if len(body) != size:
-            return
-        _write(result_fd, bytes(_verify(_unframe(body))))
+    """A worker's loop: verify each pickled chunk until end of file."""
+    import pickle
+
+    jobs = open(job_fd, "rb")
+    while jobs.peek(1):  # empty only at end of file
+        _write(result_fd, bytes(_verify(pickle.load(jobs))))
 
 
 def _shutdown() -> None:
@@ -305,9 +269,9 @@ def _forget_pool() -> list[int]:
     the workers' pids. Runs in every process forked from the pool's owner
     (see module doc)."""
     pids = [pid for pid, _, _ in _pool]
-    for _, job_fd, result_fd in _pool:
+    for _, job_fd, results_file in _pool:
         os.close(job_fd)
-        os.close(result_fd)
+        results_file.close()
     _pool.clear()
     return pids
 

@@ -210,35 +210,46 @@ def _fork_fails(monkeypatch):
     _fake(monkeypatch, _in_workers(lambda index: None))
 
 
-def _second_fork_fails(monkeypatch):
-    real_fork = os.fork
-    forks = []
+def _second_call_fails(name, error):
+    """A failure: ``os.<name>()`` works once, then raises
+    ``OSError(error)``."""
+    def failure(monkeypatch):
+        real, calls = getattr(os, name), []
 
-    def fork():
-        forks.append(1)
-        if len(forks) > 1:
-            _refuse_fork()
-        return real_fork()
-    monkeypatch.setattr(os, "fork", fork)
-    _fake(monkeypatch, _in_workers(lambda index: None))
+        def call():
+            calls.append(1)
+            if len(calls) > 1:
+                raise OSError(error, os.strerror(error))
+            return real()
+        monkeypatch.setattr(os, name, call)
+        _fake(monkeypatch, _in_workers(lambda index: None))
+    return failure
+
+
+def _open_fds():
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 @pytest.mark.parametrize("bad", [set(), {1}, {5}])
 @pytest.mark.parametrize("failure, error", [
     (_fork_fails, "OSError"),
-    (_second_fork_fails, "OSError"),
+    (_second_call_fails("fork", errno.ENOMEM), "OSError"),
+    (_second_call_fails("pipe", errno.EMFILE), "OSError"),
     (_worker_dies, "0 of 3"),
     (_worker_killed, "0 of 3"),
     (_short_read, "1 of 2"),
-], ids=["fork-fails", "second-fork-fails", "worker-dies", "worker-killed",
-        "short-read"])
+], ids=["fork-fails", "second-fork-fails", "second-pipe-fails", "worker-dies",
+        "worker-killed", "short-read"])
 def test_pool_failure_falls_back_to_serial(three_cpus, monkeypatch, caplog,
                                           failure, error, bad):
-    """7 jobs over 3 CPUs: the whole pool is killed and reaped, and the
-    caller verifies all 7, under one warning."""
+    """7 jobs over 3 CPUs: the whole pool is killed and reaped, its pipes
+    closed, and the caller verifies all 7, under one warning."""
     failure(monkeypatch)
+    fds = _open_fds()
     with caplog.at_level(logging.WARNING, logger=LOGGER):
         assert fanout.verify_each(_fake_jobs(7, bad)) == _results(7, bad)
+    assert _open_fds() == fds
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert error in record.getMessage()
@@ -347,6 +358,8 @@ def test_forked_child_never_touches_the_owners_pipes(three_cpus, caplog):
     jobs, expected = _signed(7, {2}), _results(7, {2})
     assert fanout.verify_each(jobs) == expected
     pool = list(fanout._pool)
+    fds = [fd for _, job_fd, results in pool
+           for fd in (job_fd, results.fileno())]
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -354,8 +367,7 @@ def test_forked_child_never_touches_the_owners_pipes(three_cpus, caplog):
         try:
             os.close(read_end)
             ok = (fanout._pool == []
-                  and all(_closed(fd) for _, job_fd, result_fd in pool
-                          for fd in (job_fd, result_fd))
+                  and all(_closed(fd) for fd in fds)
                   and fanout.verify_each(jobs) == expected
                   and len(fanout._pool) == 2
                   and {p for p, _, _ in fanout._pool}.isdisjoint(
@@ -380,12 +392,12 @@ def test_forked_child_never_touches_the_owners_pipes(three_cpus, caplog):
 
 
 # A process that splits one batch over three processes, prints its workers'
-# pids and whether it imported pickle, then exits, or waits on stdin when
-# given "wait". Given "refork", it first kills a worker, splits again (the
+# pids and its thread count, then exits, or waits on stdin when given
+# "wait". Given "refork", it first kills a worker, splits again (the
 # pool fails, and the batch is verified serially), and splits once more,
 # which forks a fresh pool.
 _OWNER = f"""
-import os, signal, sys
+import os, signal, sys, threading
 sys.path.insert(0, {str(SRC)!r})
 from locprov import fanout
 from locprov.crypto import MODERN
@@ -401,7 +413,7 @@ if sys.argv[1:] == ["refork"]:
     assert fanout._pool == []
     assert fanout.verify_each(jobs) == [True] * 8
     assert killed[0] not in (pid for pid, _, _ in fanout._pool)
-print(*(pid for pid, _, _ in fanout._pool), "pickle" in sys.modules,
+print(*(pid for pid, _, _ in fanout._pool), threading.active_count(),
       flush=True)
 if sys.argv[1:] == ["wait"]:
     sys.stdin.read()
@@ -438,9 +450,10 @@ def _owner_exits_alone(*args):
                              text=True)
     out, _ = owner.communicate(timeout=60)
     assert owner.returncode == 0
-    *workers, pickled = out.split()
+    *workers, threads = out.split()
     assert len(workers) == 2
-    assert pickled == "False"
+    # the pool may fork, or be used, only while the process runs one thread
+    assert threads == "1"
     # start_new_session: the owner's pid is its session's id
     assert _live_in_session(owner.pid) == []
 
