@@ -20,14 +20,16 @@ under a scheme whose verification key does not identify a person (a group
 signature, say). No such construction ships here; everything above this
 module only ever calls sign/verify through a profile.
 
-Ed25519 private keys are loaded once: loading one derives its public key
-with a scalar multiplication, which costs more than the signature itself.
-Loaded keys sit in an LRU cache keyed by the 32 private-key bytes and
-bounded by a fixed size that holds every party of a simulated world; a key
-evicted from it is simply loaded again. Public keys are not cached: loading
-one needs no scalar multiplication, and load-and-verify measured level with
-verify on a key object loaded beforehand, so a cache would hold memory and
-save nothing.
+Ed25519 private keys are loaded once per process: loading one derives its
+public key with a scalar multiplication, which costs more than the signature
+itself. Key generation and signing share one cache of loaded keys, an LRU
+keyed by the 32 private-key bytes and bounded by a fixed size that holds
+every party of a simulated world. So keygen's load serves the key's first
+signature, and a second world built from the same seed loads no key; a key
+evicted from the cache is simply loaded again. Public keys are not cached:
+loading one needs no scalar multiplication, and load-and-verify measured
+level with verify on a key object loaded beforehand, so a cache would hold
+memory and save nothing.
 """
 
 from __future__ import annotations
@@ -183,12 +185,12 @@ def _dsa_verify(public_key: bytes, message: bytes, sig: bytes) -> bool:
 
 def _ed25519_keypair(seed: bytes) -> tuple[bytes, bytes]:
     private = hashlib.sha256(seed + b"locprov/ed25519").digest()
-    key = Ed25519PrivateKey.from_private_bytes(private)
+    key = _ed25519_signing_key(private)
     return key.public_key().public_bytes_raw(), private
 
 
-# Loaded signing keys kept by _ed25519_signing_key; a world holds one key
-# per authority, witness and user.
+# Loaded keys kept by _ed25519_signing_key for keygen and signing; a world
+# holds one key per authority, witness and user.
 _ED25519_KEY_CACHE_SIZE = 256
 
 

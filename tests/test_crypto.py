@@ -139,6 +139,28 @@ def test_cached_ed25519_signer_matches_cryptography():
         MODERN.sign(keys[0].private_key[:31], b"x")
 
 
+def test_keygen_load_serves_the_first_signature():
+    _ed25519_signing_key.cache_clear()
+    kp = MODERN.keygen(SEED_A)
+    MODERN.sign(kp.private_key, b"x")
+    info = _ed25519_signing_key.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_keygen_again_loads_no_key():
+    _ed25519_signing_key.cache_clear()
+    assert MODERN.keygen(SEED_A) == MODERN.keygen(SEED_A)
+    assert _ed25519_signing_key.cache_info().misses == 1
+
+
+def test_keygen_public_key_matches_cryptography():
+    _ed25519_signing_key.cache_clear()
+    for seed in (SEED_A, SEED_B):
+        kp = MODERN.keygen(seed)
+        loaded = Ed25519PrivateKey.from_private_bytes(kp.private_key)
+        assert kp.public_key == loaded.public_key().public_bytes_raw()
+
+
 # ---------------------------------------------------------------------------
 # legacy DSA cross-checked against an independent implementation
 # ---------------------------------------------------------------------------

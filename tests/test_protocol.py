@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from locprov.crypto import MODERN
+from locprov.crypto import MODERN, _ed25519_signing_key
 from locprov.model import (
     HashChainLink,
     ValidationError,
@@ -59,6 +59,17 @@ def test_visit_produces_valid_entry(scheme):
     assert stmt.user_id == "u1" and stmt.location_id == "cafe-7"
     assert entry.elp.endorsements[0].statement.proof_digest == proof_digest(
         world.profile, entry.elp.proof)
+
+
+def test_worlds_of_one_seed_load_each_key_once():
+    """Keygen loads each party's key; the second world's keygen and every
+    signature of both visits find it loaded."""
+    _ed25519_signing_key.cache_clear()
+    for _ in range(2):
+        world = _world()
+        assert world.run_visit("u1", "cafe-7", "w1").ok
+    parties = len(world.users) + len(world.witnesses) + len(world.authorities)
+    assert _ed25519_signing_key.cache_info().misses == parties
 
 
 def test_visit_time_is_authority_local_time():
